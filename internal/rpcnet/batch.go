@@ -5,6 +5,7 @@
 package rpcnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -13,27 +14,16 @@ import (
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// batchResult buffers one operation's outcome until the batch latch is
-// released and the segmented batch response can be written. A fetch-routed
-// search that made it into a mailbox slot carries its descriptor instead
-// of items.
-type batchResult struct {
-	id      uint64
-	status  uint8
-	items   []wire.Item
-	desc    wire.FetchDesc
-	hasDesc bool
-}
-
 // handleBatch executes a batch container under one latch acquisition: a
 // batch carrying any write takes the exclusive latch, a read-only batch
-// shares the read latch. Results are buffered until the latch drops, then
-// written back as batch containers of response segments. The caller's
+// shares the read latch. Every query emits into one pooled sink and every
+// outcome is recorded there; once the latch drops the sink is framed into
+// batch containers of response segments and enqueued whole. The caller's
 // per-frame busy-time accounting naturally charges the whole batch once.
 func (s *Server) handleBatch(sc *srvConn, payload []byte) error {
 	it, err := wire.DecodeBatch(payload)
 	if err != nil {
-		return sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
+		return sc.sendStatus(0, wire.StatusError)
 	}
 	reqs := make([]wire.Request, 0, it.Len())
 	hasWrite := false
@@ -45,32 +35,32 @@ func (s *Server) handleBatch(sc *srvConn, payload []byte) error {
 		req, err := wire.DecodeRequest(msg)
 		if err != nil {
 			req = wire.Request{} // answered with an error response below
-		} else if req.Type != wire.MsgSearch && req.Type != wire.MsgSearchFetch &&
-			req.Type != wire.MsgKNN && req.Type != wire.MsgKNNFetch {
+		} else if req.Type != wire.MsgSearch && req.Type != wire.MsgKNN && !isFetch(req.Type) {
 			hasWrite = true
 		}
 		reqs = append(reqs, req)
 	}
 	if it.Err() != nil {
-		return sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
-	}
-	if s.cfg.MaxBatch > 0 && len(reqs) > s.cfg.MaxBatch {
-		// Answer every operation ID so the client's collector terminates.
-		res := make([]batchResult, 0, len(reqs))
-		for _, req := range reqs {
-			res = append(res, batchResult{id: req.ID, status: wire.StatusError})
-		}
-		return s.respondBatch(sc, res)
+		return sc.sendStatus(0, wire.StatusError)
 	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	if s.killed.Load() {
-		res := make([]batchResult, 0, len(reqs))
+	k := getSink()
+	defer putSink(k)
+	// An oversized batch, or any batch at a killed server, still answers
+	// every operation ID so the client's collector terminates.
+	refuse := uint8(wire.StatusOK)
+	if s.cfg.MaxBatch > 0 && len(reqs) > s.cfg.MaxBatch {
+		refuse = wire.StatusError
+	} else if s.killed.Load() {
+		refuse = wire.StatusUnavailable
+	}
+	if refuse != wire.StatusOK {
 		for _, req := range reqs {
-			res = append(res, batchResult{id: req.ID, status: wire.StatusUnavailable})
+			k.ops = append(k.ops, sinkOp{id: req.ID, status: refuse})
 		}
-		return s.respondBatch(sc, res)
+		return s.respondBatch(sc, k)
 	}
 	s.batches.Add(1)
 	s.batchedOps.Add(uint64(len(reqs)))
@@ -80,191 +70,89 @@ func (s *Server) handleBatch(sc *srvConn, payload []byte) error {
 	} else {
 		s.latch.RLock()
 	}
-	res := make([]batchResult, 0, len(reqs))
 	for _, req := range reqs {
-		out := batchResult{id: req.ID, status: wire.StatusError}
+		op := sinkOp{id: req.ID, status: wire.StatusError, from: len(k.items)}
 		switch req.Type {
-		case wire.MsgSearch:
-			s.searches.Add(1)
-			var items []wire.Item
-			_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-				items = append(items, wire.Item{Rect: r, Ref: ref})
-				return true
-			})
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = items
+		case wire.MsgSearch, wire.MsgSearchFetch, wire.MsgKNN, wire.MsgKNNFetch:
+			if s.query(k, req) == nil {
+				op.status = wire.StatusOK
+				op.fetch = isFetch(req.Type)
 			}
-		case wire.MsgSearchFetch:
-			s.fetchSearches.Add(1)
-			var items []wire.Item
-			_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-				items = append(items, wire.Item{Rect: r, Ref: ref})
-				return true
-			})
-			if err == nil {
-				out.status = wire.StatusOK
-				if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-					s.fetchBytes.Add(uint64(desc.Bytes))
-					out.desc = desc
-					out.hasDesc = true
-				} else {
-					s.fetchInline.Add(1)
-					out.items = items
-				}
-			}
-		case wire.MsgKNN:
-			s.knns.Add(1)
-			x, y := req.Rect.Center()
-			nbrs, _, err := s.tree.NearestShared(int(req.Ref), x, y)
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = itemsOfNeighbors(nbrs)
-			}
-		case wire.MsgKNNFetch:
-			s.knns.Add(1)
-			x, y := req.Rect.Center()
-			nbrs, _, err := s.tree.NearestShared(int(req.Ref), x, y)
-			if err == nil {
-				out.status = wire.StatusOK
-				items := itemsOfNeighbors(nbrs)
-				if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-					s.fetchBytes.Add(uint64(desc.Bytes))
-					out.desc = desc
-					out.hasDesc = true
-				} else {
-					s.fetchInline.Add(1)
-					out.items = items
-				}
-			}
-		case wire.MsgMove:
-			s.moves.Add(1)
-			if s.repl != nil && !s.repl.Primary() {
-				out.status = wire.StatusNotPrimary
-			} else {
-				out.status = s.moveLocked(req)
-			}
-		case wire.MsgInsert:
-			s.inserts.Add(1)
-			switch {
-			case s.repl != nil && !s.repl.Primary():
-				out.status = wire.StatusNotPrimary
-			default:
-				if _, err := s.tree.Insert(req.Rect, req.Ref); err == nil {
-					out.status = wire.StatusOK
-					if s.repl != nil {
-						if rerr := s.replicate(wire.MsgInsert, req.Rect, req.Ref); rerr != nil {
-							out.status = replStatus(rerr)
-						}
-					}
-				}
-				if out.status == wire.StatusOK {
-					if ferr := s.forwardSplit(wire.MsgInsert, req.Rect, req.Ref); ferr != nil {
-						out.status = wire.StatusError
-					}
-				}
-			}
-		case wire.MsgDelete:
-			s.deletes.Add(1)
-			switch {
-			case s.repl != nil && !s.repl.Primary():
-				out.status = wire.StatusNotPrimary
-			default:
-				ok, _, err := s.tree.Delete(req.Rect, req.Ref)
-				switch {
-				case err != nil:
-				case !ok:
-					out.status = wire.StatusNotFound
-				default:
-					out.status = wire.StatusOK
-					if s.repl != nil {
-						if rerr := s.replicate(wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-							out.status = replStatus(rerr)
-						}
-					}
-				}
-				if out.status == wire.StatusOK {
-					if ferr := s.forwardSplit(wire.MsgDelete, req.Rect, req.Ref); ferr != nil {
-						out.status = wire.StatusError
-					}
-				}
-			}
+		case wire.MsgInsert, wire.MsgDelete, wire.MsgMove:
+			op.status = s.applyLocked(req)
 		}
-		res = append(res, out)
+		op.to = len(k.items)
+		k.ops = append(k.ops, op)
 	}
 	if hasWrite {
 		s.latch.Unlock()
 	} else {
 		s.latch.RUnlock()
 	}
-	return s.respondBatch(sc, res)
+	return s.respondBatch(sc, k)
 }
 
-// respondBatch writes buffered batch results back as batch containers of
-// response segments, flushing below a 16 KB frame budget. Each operation
-// keeps its own CONT/END segmentation inside the containers.
-func (s *Server) respondBatch(sc *srvConn, res []batchResult) error {
+// respondBatch frames the sink's outcomes as batch containers of response
+// segments — a new container whenever the next sub-message would pass a
+// 16 KB frame budget — and enqueues them all at once. Each operation keeps
+// its own CONT/END segmentation inside the containers; a fetch query whose
+// items fit a mailbox slot answers with the descriptor instead.
+func (s *Server) respondBatch(sc *srvConn, k *resultSink) error {
 	const limit = 16 << 10
 	maxItems := s.cfg.MaxSegmentItems
-	hdr := wire.Response{}.EncodedSize()
-	if fit := (limit - wire.BatchOverhead(1) - hdr) / wire.ItemSize; fit < maxItems {
+	if fit := (limit - wire.BatchOverhead(1) - wire.ResponseHeaderSize) / wire.ItemSize; fit < maxItems {
 		maxItems = fit
 	}
 	if maxItems < 1 {
 		maxItems = 1
 	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
 	var enc wire.BatchEncoder
-	enc.Reset((*buf)[:0])
-	flush := func() error {
-		if enc.Count() == 0 {
-			return nil
-		}
-		err := sc.send(enc.Bytes())
-		*buf = enc.Buf[:0]
-		enc.Reset(*buf)
-		return err
+	open := false
+	// closeContainer patches the finished container's frame length.
+	closeContainer := func() {
+		c := enc.Bytes()
+		binary.LittleEndian.PutUint32(enc.Buf[len(enc.Buf)-len(c)-4:], uint32(len(c)))
+		k.out, open = enc.Buf, false
 	}
-	for _, r := range res {
-		if r.hasDesc {
-			if enc.Count() > 0 && enc.Len()+wire.FetchDescSize+wire.BatchOverhead(1) > limit {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			enc.Begin()
-			enc.Buf = r.desc.Encode(enc.Buf)
-			enc.End()
-			continue
+	// sub opens an n-byte sub-message, in a new container when the one
+	// under construction has no room for it.
+	sub := func(n int) {
+		if open && enc.Len()+n+wire.BatchOverhead(1) > limit {
+			closeContainer()
 		}
-		items := r.items
+		if !open {
+			enc.Reset(append(k.out, 0, 0, 0, 0))
+			open = true
+		}
+		enc.Begin()
+	}
+	for _, op := range k.ops {
+		items := k.items[op.from:op.to]
+		if op.fetch {
+			if desc, ok := s.mailboxDeliver(op.id, items); ok {
+				sub(wire.FetchDescSize)
+				enc.Buf = desc.Encode(enc.Buf)
+				enc.End()
+				continue
+			}
+		}
 		for {
-			seg := wire.Response{ID: r.id, Status: r.status}
-			if len(items) > maxItems {
-				seg.Items = items[:maxItems]
-				items = items[maxItems:]
-			} else {
-				seg.Items = items
-				items = nil
-				seg.Final = true
-			}
-			if enc.Count() > 0 && enc.Len()+seg.EncodedSize()+wire.BatchOverhead(1) > limit {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			enc.Begin()
-			enc.Buf = seg.Encode(enc.Buf)
+			seg, rest, final := nextSegment(items, maxItems)
+			sub(wire.ResponseHeaderSize + len(seg))
+			enc.Buf = wire.AppendResponseHeader(enc.Buf, op.id, final, op.status, len(seg)/wire.ItemSize)
+			enc.Buf = append(enc.Buf, seg...)
 			enc.End()
-			if seg.Final {
+			if final {
 				break
 			}
+			items = rest
 		}
 	}
-	err := flush()
-	*buf = enc.Buf
-	return err
+	if !open {
+		return nil
+	}
+	closeContainer()
+	return sc.w.enqueueFramed(k.out)
 }
 
 // BatchOp is one operation submitted through ExecBatch.
@@ -383,7 +271,8 @@ func (c *Client) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 	var descs []pendingDesc
 	var ids []uint64
 	if len(wireOps) > 0 {
-		w := newWaiter()
+		w := getWaiter()
+		defer putWaiter(w) // runs after unregisterAll below: no push can be in flight
 		ids = make([]uint64, 0, len(wireOps))
 		for j := range wireOps {
 			wireOps[j].id = c.nextID()
@@ -493,7 +382,7 @@ func (c *Client) collectBatch(w *waiter, ops []BatchOp, results []BatchResult,
 	}
 	remaining := len(wireOps)
 	for remaining > 0 {
-		frame, ok := w.recv()
+		d, ok := w.recv()
 		if !ok {
 			for _, i := range idx {
 				if results[i].Err == nil {
@@ -507,33 +396,30 @@ func (c *Client) collectBatch(w *waiter, ops []BatchOp, results []BatchResult,
 			}
 			return
 		}
-		typ, terr := wire.PeekType(frame)
-		if terr != nil {
+		typ, id, err := wire.PeekID(d.msg)
+		i, ok := idx[id]
+		if err != nil || !ok {
+			d.release()
 			continue
 		}
 		if typ == wire.MsgFetchDesc {
-			d, derr := wire.DecodeFetchDesc(frame)
+			desc, derr := wire.DecodeFetchDesc(d.msg)
+			d.release()
 			if derr != nil {
 				continue
 			}
-			i, ok := idx[d.ID]
-			if !ok {
-				continue
-			}
-			*descs = append(*descs, pendingDesc{op: i, desc: d})
-			delete(idx, d.ID)
+			*descs = append(*descs, pendingDesc{op: i, desc: desc})
+			delete(idx, id)
 			remaining--
 			continue
 		}
-		resp, err := wire.DecodeResponse(frame)
+		// Decoded once, straight onto the operation's result.
+		resp, err := wire.DecodeResponseAppend(d.msg, results[i].Items)
+		d.release()
 		if err != nil {
 			continue
 		}
-		i, ok := idx[resp.ID]
-		if !ok {
-			continue
-		}
-		results[i].Items = append(results[i].Items, resp.Items...)
+		results[i].Items = resp.Items
 		if resp.Final {
 			results[i].Err = batchOpError(ops[i].Type, resp.Status)
 			if results[i].Method == MethodFetch {

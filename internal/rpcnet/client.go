@@ -208,7 +208,7 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 	if !cfg.Adaptive && cfg.Forced == 0 {
 		cfg.Forced = MethodFast
 	}
-	stream, err := m.allocStream()
+	stream, seq, err := m.allocStream()
 	if err != nil {
 		return nil, err
 	}
@@ -219,6 +219,7 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 		start:  time.Now(),
 		cfg:    cfg,
 	}
+	c.seq.Store(seq)
 	c.prefTokens = float64(cfg.Prefetch) // start full: idle until told otherwise
 	hello := m.hello
 	if cfg.NodeCache > 0 {
@@ -330,11 +331,12 @@ func (c *Client) FetchShardMap() (*shard.Map, error) {
 // no address table.
 func (c *Client) FetchShardMapFull() (*shard.Map, []string, error) {
 	tag := c.nextID()
-	frame, err := c.call(tag, wire.ShardMapRequest{ID: tag}.Encode(nil))
+	d, err := c.call(tag, wire.ShardMapRequest{ID: tag}.Encode(nil))
 	if err != nil {
 		return nil, nil, err
 	}
-	md, err := wire.DecodeShardMapData(frame)
+	defer d.release()
+	md, err := wire.DecodeShardMapData(d.msg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -393,71 +395,96 @@ func statusErr(status uint8, what string) error {
 	return fmt.Errorf("%w: %s status %d", ErrServer, what, status)
 }
 
-// call sends payload and waits for one frame addressed to id.
-func (c *Client) call(id uint64, payload []byte) ([]byte, error) {
-	w := newWaiter()
-	if err := c.mx.register(id, w); err != nil {
-		return nil, err
+// call sends payload and waits for the one reply addressed to id. The
+// caller decodes it and then releases it — what the decode returns must
+// not alias the message past that point.
+func (c *Client) call(id uint64, payload []byte) (delivery, error) {
+	w, err := c.mx.await(id)
+	if err != nil {
+		return delivery{}, err
 	}
-	defer c.mx.unregister(id)
+	defer c.mx.settle(id, w)
 	if err := c.mx.send(payload); err != nil {
-		return nil, err
+		return delivery{}, err
 	}
-	frame, ok := w.recv()
+	d, ok := w.recv()
 	if !ok {
-		return nil, ErrClosed
+		return delivery{}, ErrClosed
 	}
-	return frame, nil
+	return d, nil
 }
 
-// waitMore re-reads from an already-registered waiter (for multi-segment
-// responses).
-func waitMore(w *waiter) ([]byte, error) {
-	frame, ok := w.recv()
-	if !ok {
-		return nil, ErrClosed
-	}
-	return frame, nil
-}
-
-// roundTrip performs one request and folds segmented responses. The
-// configured deadline is stamped here so every fast-messaging operation
-// carries its latency budget.
+// roundTrip performs one fast-messaging request and folds its segmented
+// response.
 func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
+	resp, _, isDesc, err := c.exchange(req)
+	if err == nil && isDesc {
+		err = fmt.Errorf("%w: descriptor answering request type %d", ErrServer, req.Type)
+	}
+	return resp, err
+}
+
+// exchange sends one request and folds its reply. The configured deadline
+// is stamped here so every fast-messaging operation carries its latency
+// budget.
+func (c *Client) exchange(req wire.Request) (wire.Response, wire.FetchDesc, bool, error) {
 	if req.DeadlineUS == 0 {
 		req.DeadlineUS = deadlineUS(c.cfg.Deadline)
 	}
-	id := req.ID
-	w := newWaiter()
-	if err := c.mx.register(id, w); err != nil {
-		return wire.Response{}, err
+	w, err := c.mx.await(req.ID)
+	if err != nil {
+		return wire.Response{}, wire.FetchDesc{}, false, err
 	}
-	defer c.mx.unregister(id)
+	defer c.mx.settle(req.ID, w)
 
 	buf := wire.GetBuf()
 	*buf = req.Encode((*buf)[:0])
-	err := c.mx.send(*buf)
+	err = c.mx.send(*buf)
 	wire.PutBuf(buf)
 	if err != nil {
-		return wire.Response{}, err
+		return wire.Response{}, wire.FetchDesc{}, false, err
 	}
-	var out wire.Response
-	for {
-		frame, err := waitMore(w)
-		if err != nil {
-			return out, err
+	return fold(w)
+}
+
+// fold collects one operation's reply from w: its response segments up to
+// END, or the mailbox descriptor a *Fetch request may get instead (isDesc).
+// Segments are held, still in their frames, until END arrives; then the
+// result slice — the caller's to keep — is made at exactly the total size
+// and every item is decoded into it once, and the frames go back to the
+// pool.
+func fold(w *waiter) (resp wire.Response, desc wire.FetchDesc, isDesc bool, err error) {
+	var backing [8]delivery
+	held := backing[:0]
+	total := 0
+	for final := false; !final && err == nil; {
+		d, ok := w.recv()
+		if !ok {
+			err = ErrClosed
+			break
 		}
-		resp, err := wire.DecodeResponse(frame)
-		if err != nil {
-			return out, err
+		held = append(held, d)
+		if typ, _ := wire.PeekType(d.msg); typ == wire.MsgFetchDesc {
+			desc, err = wire.DecodeFetchDesc(d.msg)
+			isDesc, final = true, true
+			continue
 		}
-		out.ID = resp.ID
-		out.Status = resp.Status
-		out.Items = append(out.Items, resp.Items...)
-		if resp.Final {
-			return out, nil
+		var n int
+		resp, n, err = wire.PeekResponse(d.msg)
+		total, final = total+n, resp.Final
+	}
+	if err == nil && total > 0 {
+		resp.Items = make([]wire.Item, 0, total)
+		for _, d := range held {
+			// Validated by PeekResponse above; cannot fail or regrow.
+			r, _ := wire.DecodeResponseAppend(d.msg, resp.Items)
+			resp.Items = r.Items
 		}
 	}
+	for _, d := range held {
+		d.release()
+	}
+	return resp, desc, isDesc, err
 }
 
 // Search executes a range query, adaptively or as forced.
@@ -586,63 +613,38 @@ func (c *Client) searchFast(q geo.Rect) ([]wire.Item, error) {
 // pulls of the slot (DESIGN.md §5.10). A pull past its retry budget falls
 // back to a fast-messaging re-execution.
 func (c *Client) searchFetch(q geo.Rect) ([]wire.Item, error) {
-	if c.hello.FetchSlots == 0 {
-		return c.searchFast(q)
-	}
-	id := c.nextID()
-	w := newWaiter()
-	if err := c.mx.register(id, w); err != nil {
-		return nil, err
-	}
-	defer c.mx.unregister(id)
+	return c.fetchExchange(wire.Request{Type: wire.MsgSearchFetch, ID: c.nextID(), Rect: q}, "fetch",
+		func() ([]wire.Item, error) { return c.searchFast(q) })
+}
 
-	buf := wire.GetBuf()
-	*buf = wire.Request{Type: wire.MsgSearchFetch, ID: id, Rect: q,
-		DeadlineUS: deadlineUS(c.cfg.Deadline)}.Encode((*buf)[:0])
-	err := c.mx.send(*buf)
-	wire.PutBuf(buf)
+// fetchExchange runs one *Fetch request — search or kNN — to its items:
+// straight to fast when the server has no mailbox, else a descriptor and a
+// slot pull (slot packing preserves item order) or an inline answer, with
+// the fast re-execution as the fallback of a pull that gave up.
+func (c *Client) fetchExchange(req wire.Request, what string, fast func() ([]wire.Item, error)) ([]wire.Item, error) {
+	if c.hello.FetchSlots == 0 {
+		return fast()
+	}
+	resp, desc, isDesc, err := c.exchange(req)
 	if err != nil {
 		return nil, err
 	}
-	var out wire.Response
-	for {
-		frame, err := waitMore(w)
-		if err != nil {
-			return nil, err
+	if isDesc {
+		if desc.Status != wire.StatusOK {
+			return nil, statusErr(desc.Status, what)
 		}
-		typ, err := wire.PeekType(frame)
-		if err != nil {
-			return nil, err
+		items, perr := c.pullMailbox(desc)
+		if perr != nil {
+			c.stats.FetchFallbacks.Inc()
+			return fast()
 		}
-		if typ == wire.MsgFetchDesc {
-			desc, derr := wire.DecodeFetchDesc(frame)
-			if derr != nil {
-				return nil, derr
-			}
-			if desc.Status != wire.StatusOK {
-				return nil, statusErr(desc.Status, "fetch")
-			}
-			items, perr := c.pullMailbox(desc)
-			if perr != nil {
-				c.stats.FetchFallbacks.Inc()
-				return c.searchFast(q)
-			}
-			return items, nil
-		}
-		resp, derr := wire.DecodeResponse(frame)
-		if derr != nil {
-			return nil, derr
-		}
-		out.Status = resp.Status
-		out.Items = append(out.Items, resp.Items...)
-		if resp.Final {
-			if out.Status != wire.StatusOK {
-				return nil, statusErr(out.Status, "fetch")
-			}
-			c.stats.FetchInline.Inc()
-			return out.Items, nil
-		}
+		return items, nil
 	}
+	if resp.Status != wire.StatusOK {
+		return nil, statusErr(resp.Status, what)
+	}
+	c.stats.FetchInline.Inc()
+	return resp.Items, nil
 }
 
 // pullMailbox reads the slot named by desc with READ_MAILBOX round trips
@@ -666,34 +668,13 @@ func (c *Client) pullMailbox(desc wire.FetchDesc) ([]wire.Item, error) {
 			if cnt > maxSpanChunks {
 				cnt = maxSpanChunks
 			}
-			tag := c.nextID()
 			c.stats.FetchPulls.Add(uint64(cnt))
 			c.stats.ReadWQEs.Inc()
-			frame, err := c.call(tag, wire.ReadMailbox{ID: tag, Chunk: uint32(base + at), Count: uint32(cnt)}.Encode(nil))
+			t, err := c.pullSpan(base+at, payloads[at:at+cnt])
 			if err != nil {
 				return nil, err
 			}
-			sd, err := wire.DecodeSpanData(frame)
-			if err != nil {
-				return nil, err
-			}
-			if sd.Status != wire.StatusOK {
-				return nil, statusErr(sd.Status, "mailbox read")
-			}
-			if len(sd.Raw) != cnt*cs {
-				return nil, fmt.Errorf("%w: mailbox read short reply", ErrServer)
-			}
-			for k := 0; k < cnt; k++ {
-				payload, _, derr := region.DecodeChunk(sd.Raw[k*cs:(k+1)*cs], nil)
-				if derr != nil {
-					if errors.Is(derr, region.ErrTornRead) {
-						torn = true
-						continue
-					}
-					return nil, derr
-				}
-				payloads[at+k] = payload
-			}
+			torn = torn || t
 			at += cnt
 		}
 		if torn {
@@ -719,6 +700,42 @@ func (c *Client) pullMailbox(desc wire.FetchDesc) ([]wire.Item, error) {
 	return nil, ErrGaveUp
 }
 
+// pullSpan reads len(payloads) mailbox chunks starting at chunk in one
+// READ_MAILBOX round trip and copies each one's validated payload out of
+// the reply frame; torn reports a chunk caught mid-write (its entry is left
+// as it was).
+func (c *Client) pullSpan(chunk int, payloads [][]byte) (torn bool, err error) {
+	tag := c.nextID()
+	d, err := c.call(tag, wire.ReadMailbox{ID: tag, Chunk: uint32(chunk), Count: uint32(len(payloads))}.Encode(nil))
+	if err != nil {
+		return false, err
+	}
+	defer d.release()
+	sd, err := wire.DecodeSpanData(d.msg)
+	if err != nil {
+		return false, err
+	}
+	if sd.Status != wire.StatusOK {
+		return false, statusErr(sd.Status, "mailbox read")
+	}
+	cs := int(c.hello.ChunkSize)
+	if len(sd.Raw) != len(payloads)*cs {
+		return false, fmt.Errorf("%w: mailbox read short reply", ErrServer)
+	}
+	for k := range payloads {
+		payload, _, derr := region.DecodeChunk(sd.Raw[k*cs:(k+1)*cs], nil)
+		if derr != nil {
+			if errors.Is(derr, region.ErrTornRead) {
+				torn = true
+				continue
+			}
+			return false, derr
+		}
+		payloads[k] = payload
+	}
+	return torn, nil
+}
+
 // sendFetchAck returns the slot to the server, fire-and-forget.
 func (c *Client) sendFetchAck(desc wire.FetchDesc) {
 	_ = c.mx.send(wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}.Encode(nil))
@@ -738,18 +755,21 @@ func (c *Client) fetchChunk(id int, expectLevel int, node *rtree.Node) error {
 		c.stats.NodesFetched.Inc()
 		c.stats.ReadWQEs.Inc()
 		tag := c.nextID()
-		frame, err := c.call(tag, wire.ReadChunk{ID: tag, Chunk: uint32(id)}.Encode(nil))
+		d, err := c.call(tag, wire.ReadChunk{ID: tag, Chunk: uint32(id)}.Encode(nil))
 		if err != nil {
 			return err
 		}
-		cd, err := wire.DecodeChunkData(frame)
+		cd, err := wire.DecodeChunkData(d.msg)
+		if err == nil && cd.Status != wire.StatusOK {
+			err = statusErr(cd.Status, "chunk read")
+		}
 		if err != nil {
+			d.release()
 			return err
 		}
-		if cd.Status != wire.StatusOK {
-			return statusErr(cd.Status, "chunk read")
-		}
+		// DecodeChunk copies the payload out, so the frame's job ends here.
 		payload, ver, derr := region.DecodeChunk(cd.Raw, nil)
+		d.release()
 		if derr != nil {
 			if errors.Is(derr, region.ErrTornRead) {
 				c.stats.TornRetries.Inc()
@@ -815,11 +835,12 @@ func (c *Client) fetchVersions(id int) (uint64, error) {
 	c.stats.VersionReads.Inc()
 	c.stats.ReadWQEs.Inc()
 	tag := c.nextID()
-	frame, err := c.call(tag, wire.ReadVersions{ID: tag, Chunk: uint32(id)}.Encode(nil))
+	d, err := c.call(tag, wire.ReadVersions{ID: tag, Chunk: uint32(id)}.Encode(nil))
 	if err != nil {
 		return 0, err
 	}
-	vd, err := wire.DecodeVersionData(frame)
+	defer d.release()
+	vd, err := wire.DecodeVersionData(d.msg)
 	if err != nil {
 		return 0, err
 	}
@@ -1116,11 +1137,12 @@ func (c *Client) fetchRun(frontier []chunkRef, r *spanRun, nodes []*rtree.Node) 
 	c.stats.ReadWQEs.Inc()
 	c.stats.NodesFetched.Add(uint64(len(r.idxs)))
 	tag := c.nextID()
-	frame, err := c.call(tag, wire.ReadSpan{ID: tag, Chunk: uint32(first), Count: uint32(total)}.Encode(nil))
+	d, err := c.call(tag, wire.ReadSpan{ID: tag, Chunk: uint32(first), Count: uint32(total)}.Encode(nil))
 	if err != nil {
 		return err
 	}
-	sd, err := wire.DecodeSpanData(frame)
+	defer d.release()
+	sd, err := wire.DecodeSpanData(d.msg)
 	if err != nil {
 		return err
 	}
@@ -1138,7 +1160,11 @@ func (c *Client) fetchRun(frontier []chunkRef, r *spanRun, nodes []*rtree.Node) 
 			return err
 		}
 	}
-	r.spec = sd.Raw[len(r.idxs)*cs:]
+	if r.ext > 0 {
+		// The speculative tail outlives the frame: it is parked until the
+		// next frontier round adopts it.
+		r.spec = append([]byte(nil), sd.Raw[len(r.idxs)*cs:]...)
+	}
 	return nil
 }
 

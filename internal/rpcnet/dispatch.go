@@ -32,13 +32,14 @@ const defaultDispatchQueue = 1024
 // deadline-carrying task.
 const noDeadline = math.MaxInt64
 
-// dispTask is one queued request frame awaiting a worker.
+// dispTask is one queued request awaiting a worker: decoded once, by the
+// connection's reader, or — for a batch — an owned copy of its container.
 type dispTask struct {
 	sc       *srvConn
-	typ      wire.MsgType
-	frame    []byte // owned copy of the request frame
-	seq      uint64 // submission order; tie-break for equal deadlines
-	deadline int64  // absolute UnixNano, noDeadline when unset
+	req      wire.Request // the operation (zero for a batch)
+	batch    []byte       // the batch container (nil for a single operation)
+	seq      uint64       // submission order; tie-break for equal deadlines
+	deadline int64        // absolute UnixNano, noDeadline when unset
 }
 
 type dispatcher struct {
@@ -80,16 +81,26 @@ func (d *dispatcher) depth() int {
 	return n
 }
 
-// submit queues one request frame for execution. The frame is copied, so
-// the caller may reuse its buffer. When the queue is full an armed
-// admission controller sheds the incoming task with StatusOverloaded;
-// otherwise the caller blocks until a slot frees (backpressure).
+// submit queues one request frame for execution, decoding a single
+// operation here so no worker has to (a batch is copied instead: the caller
+// reuses its buffer). When the queue is full an armed admission controller
+// sheds the incoming task with StatusOverloaded; otherwise the caller
+// blocks until a slot frees (backpressure).
 func (d *dispatcher) submit(sc *srvConn, typ wire.MsgType, frame []byte) error {
-	t := dispTask{
-		sc:       sc,
-		typ:      typ,
-		frame:    append([]byte(nil), frame...),
-		deadline: frameDeadline(typ, frame),
+	t := dispTask{sc: sc, deadline: noDeadline}
+	minUS := uint32(0)
+	if typ == wire.MsgBatch {
+		t.batch = append([]byte(nil), frame...)
+		minUS = batchDeadlineUS(frame)
+	} else {
+		req, err := wire.DecodeRequest(frame)
+		if err != nil {
+			return err
+		}
+		t.req, minUS = req, req.DeadlineUS
+	}
+	if minUS != 0 {
+		t.deadline = time.Now().Add(time.Duration(minUS) * time.Microsecond).UnixNano()
 	}
 	d.mu.Lock()
 	for len(d.heap) >= d.max && !d.closed {
@@ -152,77 +163,59 @@ func (d *dispatcher) worker() {
 }
 
 func (d *dispatcher) exec(t dispTask) error {
-	if t.typ == wire.MsgBatch {
-		return d.s.handleBatch(t.sc, t.frame)
+	if t.batch != nil {
+		return d.s.handleBatch(t.sc, t.batch)
 	}
-	req, err := wire.DecodeRequest(t.frame)
-	if err != nil {
-		return err
-	}
-	return d.s.handleRequest(t.sc, req)
+	return d.s.handleRequest(t.sc, t.req)
 }
 
 // shed answers every operation in the task with StatusOverloaded without
 // executing anything.
 func (d *dispatcher) shed(t dispTask) error {
 	s := d.s
-	if t.typ == wire.MsgBatch {
-		it, err := wire.DecodeBatch(t.frame)
-		if err != nil {
-			return t.sc.send(wire.Response{Status: wire.StatusError, Final: true}.Encode(nil))
-		}
-		res := make([]batchResult, 0, it.Len())
-		for {
-			msg, ok := it.Next()
-			if !ok {
-				break
-			}
-			req, err := wire.DecodeRequest(msg)
-			if err != nil {
-				req = wire.Request{}
-			}
-			res = append(res, batchResult{id: req.ID, status: wire.StatusOverloaded})
-		}
-		s.overloaded.Add(uint64(len(res)))
-		return s.respondBatch(t.sc, res)
+	if t.batch == nil {
+		s.overloaded.Add(1)
+		return t.sc.sendStatus(t.req.ID, wire.StatusOverloaded)
 	}
-	req, err := wire.DecodeRequest(t.frame)
+	it, err := wire.DecodeBatch(t.batch)
 	if err != nil {
-		return err
+		return t.sc.sendStatus(0, wire.StatusError)
 	}
-	s.overloaded.Add(1)
-	return t.sc.send(wire.Response{ID: req.ID, Status: wire.StatusOverloaded, Final: true}.Encode(nil))
+	k := getSink()
+	defer putSink(k)
+	for {
+		msg, ok := it.Next()
+		if !ok {
+			break
+		}
+		req, _ := wire.DecodeRequest(msg) // undecodable: answered under id 0
+		k.ops = append(k.ops, sinkOp{id: req.ID, status: wire.StatusOverloaded})
+	}
+	s.overloaded.Add(uint64(len(k.ops)))
+	return s.respondBatch(t.sc, k)
 }
 
-// frameDeadline extracts the earliest absolute deadline carried by the
-// frame (the minimum across a batch's operations), or noDeadline.
-func frameDeadline(typ wire.MsgType, frame []byte) int64 {
+// batchDeadlineUS returns the tightest latency budget carried by a batch's
+// operations, in microseconds (0 = none).
+func batchDeadlineUS(frame []byte) uint32 {
 	minUS := uint32(0)
-	if typ == wire.MsgBatch {
-		it, err := wire.DecodeBatch(frame)
-		if err != nil {
-			return noDeadline
-		}
-		for {
-			msg, ok := it.Next()
-			if !ok {
-				break
-			}
-			req, err := wire.DecodeRequest(msg)
-			if err != nil || req.DeadlineUS == 0 {
-				continue
-			}
-			if minUS == 0 || req.DeadlineUS < minUS {
-				minUS = req.DeadlineUS
-			}
-		}
-	} else if req, err := wire.DecodeRequest(frame); err == nil {
-		minUS = req.DeadlineUS
+	it, err := wire.DecodeBatch(frame)
+	if err != nil {
+		return 0
 	}
-	if minUS == 0 {
-		return noDeadline
+	for {
+		msg, ok := it.Next()
+		if !ok {
+			return minUS
+		}
+		req, err := wire.DecodeRequest(msg)
+		if err != nil || req.DeadlineUS == 0 {
+			continue
+		}
+		if minUS == 0 || req.DeadlineUS < minUS {
+			minUS = req.DeadlineUS
+		}
 	}
-	return time.Now().Add(time.Duration(minUS) * time.Microsecond).UnixNano()
 }
 
 // min-heap on (deadline, seq): earliest deadline first, FIFO within equal

@@ -99,68 +99,13 @@ func (c *Client) knnFast(k int, x, y float64) ([]wire.Item, error) {
 
 // knnFetch executes the kNN through the fetch/mailbox path, mirroring
 // searchFetch: descriptor or inline answer, mailbox slot pull, and a
-// fast-messaging fallback when the pull exhausts its retry budget. Slot
-// packing preserves item order, so the pulled neighbors arrive already in
-// ascending distance order.
+// fast-messaging fallback when the pull exhausts its retry budget. The
+// pulled neighbors arrive already in ascending distance order.
 func (c *Client) knnFetch(k int, x, y float64) ([]wire.Item, error) {
-	if c.hello.FetchSlots == 0 {
-		return c.knnFast(k, x, y)
-	}
 	req := wire.KNNRequest(c.nextID(), k, x, y)
 	req.Type = wire.MsgKNNFetch
-	req.DeadlineUS = deadlineUS(c.cfg.Deadline)
-	w := newWaiter()
-	if err := c.mx.register(req.ID, w); err != nil {
-		return nil, err
-	}
-	defer c.mx.unregister(req.ID)
-
-	buf := wire.GetBuf()
-	*buf = req.Encode((*buf)[:0])
-	err := c.mx.send(*buf)
-	wire.PutBuf(buf)
-	if err != nil {
-		return nil, err
-	}
-	var out wire.Response
-	for {
-		frame, err := waitMore(w)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := wire.PeekType(frame)
-		if err != nil {
-			return nil, err
-		}
-		if typ == wire.MsgFetchDesc {
-			desc, derr := wire.DecodeFetchDesc(frame)
-			if derr != nil {
-				return nil, derr
-			}
-			if desc.Status != wire.StatusOK {
-				return nil, statusErr(desc.Status, "knn fetch")
-			}
-			items, perr := c.pullMailbox(desc)
-			if perr != nil {
-				c.stats.FetchFallbacks.Inc()
-				return c.knnFast(k, x, y)
-			}
-			return items, nil
-		}
-		resp, derr := wire.DecodeResponse(frame)
-		if derr != nil {
-			return nil, derr
-		}
-		out.Status = resp.Status
-		out.Items = append(out.Items, resp.Items...)
-		if resp.Final {
-			if out.Status != wire.StatusOK {
-				return nil, statusErr(out.Status, "knn fetch")
-			}
-			c.stats.FetchInline.Inc()
-			return out.Items, nil
-		}
-	}
+	return c.fetchExchange(req, "knn fetch",
+		func() ([]wire.Item, error) { return c.knnFast(k, x, y) })
 }
 
 // neighborsOfItems rebuilds the neighbor list from response items. The

@@ -11,13 +11,21 @@
 // blocking channel sends, so one slow logical client can never stall the
 // connection's read loop — and with it every other stream (no
 // head-of-line blocking across streams).
+//
+// Inbound frames live in pooled, reference-counted buffers (frameBuf): the
+// read loop routes each message by the id in its fixed header and passes a
+// reference to the waiter, whose consumer decodes the message once and
+// releases it (DESIGN.md §5.14).
 package rpcnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/wire"
@@ -50,7 +58,7 @@ type Mux struct {
 	mu         sync.Mutex
 	waiters    map[uint64]*waiter
 	streams    map[uint32]*Client
-	freeIDs    []uint32
+	free       []freeStream
 	nextStream uint32
 	readerr    error
 	done       chan struct{}
@@ -125,16 +133,29 @@ func (m *Mux) err() error {
 	return nil
 }
 
-// register installs a waiter for one request id, failing if the
-// connection is already dead.
-func (m *Mux) register(id uint64, w *waiter) error {
+// await registers a pooled waiter for one request id, failing if the
+// connection is already dead. Pair with settle.
+func (m *Mux) await(id uint64) (*waiter, error) {
+	w := getWaiter()
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.readerr != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, m.readerr)
+		err := m.readerr
+		m.mu.Unlock()
+		putWaiter(w)
+		return nil, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	m.waiters[id] = w
-	return nil
+	m.mu.Unlock()
+	return w, nil
+}
+
+// settle unregisters id and recycles its waiter. Deliveries happen under
+// m.mu, so once the id is gone nothing can still be pushing to w.
+func (m *Mux) settle(id uint64, w *waiter) {
+	m.mu.Lock()
+	delete(m.waiters, id)
+	m.mu.Unlock()
+	putWaiter(w)
 }
 
 // registerAll installs one shared waiter for many request ids (batch).
@@ -150,12 +171,6 @@ func (m *Mux) registerAll(ids []uint64, w *waiter) error {
 	return nil
 }
 
-func (m *Mux) unregister(id uint64) {
-	m.mu.Lock()
-	delete(m.waiters, id)
-	m.mu.Unlock()
-}
-
 func (m *Mux) unregisterAll(ids []uint64) {
 	m.mu.Lock()
 	for _, id := range ids {
@@ -164,25 +179,31 @@ func (m *Mux) unregisterAll(ids []uint64) {
 	m.mu.Unlock()
 }
 
-// allocStream hands out the lowest free stream id, reusing detached ids
-// before minting new ones.
-func (m *Mux) allocStream() (uint32, error) {
+// freeStream is a detached stream id and the request sequence its last
+// owner reached. The next owner carries on from there, so a reply still in
+// flight to the old owner — or its late unregistration — can never match a
+// request id of the new one.
+type freeStream struct{ id, seq uint32 }
+
+// allocStream hands out a free stream id and the sequence to resume it at,
+// reusing detached ids before minting new ones.
+func (m *Mux) allocStream() (id, seq uint32, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.readerr != nil {
-		return 0, fmt.Errorf("%w: %v", ErrClosed, m.readerr)
+		return 0, 0, fmt.Errorf("%w: %v", ErrClosed, m.readerr)
 	}
-	if n := len(m.freeIDs); n > 0 {
-		id := m.freeIDs[n-1]
-		m.freeIDs = m.freeIDs[:n-1]
-		return id, nil
+	if n := len(m.free); n > 0 {
+		f := m.free[n-1]
+		m.free = m.free[:n-1]
+		return f.id, f.seq, nil
 	}
 	if uint64(m.nextStream) >= uint64(m.cfg.MaxStreams) {
-		return 0, ErrStreamsExhausted
+		return 0, 0, ErrStreamsExhausted
 	}
-	id := m.nextStream
+	id = m.nextStream
 	m.nextStream++
-	return id, nil
+	return id, 0, nil
 }
 
 // detach releases a client's stream: its pending waiters are closed and
@@ -191,7 +212,7 @@ func (m *Mux) detach(c *Client) {
 	m.mu.Lock()
 	if _, ok := m.streams[c.stream]; ok {
 		delete(m.streams, c.stream)
-		m.freeIDs = append(m.freeIDs, c.stream)
+		m.free = append(m.free, freeStream{c.stream, c.seq.Load()})
 	}
 	for id, w := range m.waiters {
 		if uint32(id>>32) == c.stream {
@@ -208,9 +229,9 @@ func (m *Mux) detach(c *Client) {
 // only grows its own queue.
 func (m *Mux) readLoop() {
 	defer close(m.done)
-	var buf []byte
+	hdr := make([]byte, 4)
 	for {
-		frame, err := readFrame(m.conn, buf)
+		f, err := readPooledFrame(m.conn, hdr)
 		if err != nil {
 			m.mu.Lock()
 			m.readerr = err
@@ -221,110 +242,181 @@ func (m *Mux) readLoop() {
 			m.mu.Unlock()
 			return
 		}
-		buf = frame
-		typ, err := wire.PeekType(frame)
+		m.route(f)
+		f.release() // the read loop's own reference
+	}
+}
+
+// route dispatches one inbound frame on its type byte and, for replies, the
+// id in the fixed header — no body is decoded here. A batch container's
+// sub-messages are delivered one by one (so segmentation folds per
+// operation), each holding its own reference to the shared frame.
+func (m *Mux) route(f *frameBuf) {
+	typ, err := wire.PeekType(f.b)
+	if err != nil {
+		return
+	}
+	switch typ {
+	case wire.MsgHeartbeat:
+		if hb, err := wire.DecodeHeartbeat(f.b); err == nil {
+			m.mu.Lock()
+			for _, c := range m.streams {
+				c.noteHeartbeat(hb)
+			}
+			m.mu.Unlock()
+		}
+	case wire.MsgBatch:
+		it, err := wire.DecodeBatch(f.b)
 		if err != nil {
-			continue
+			return
 		}
-		switch typ {
-		case wire.MsgHeartbeat:
-			if hb, err := wire.DecodeHeartbeat(frame); err == nil {
-				m.mu.Lock()
-				for _, c := range m.streams {
-					c.noteHeartbeat(hb)
-				}
-				m.mu.Unlock()
+		for {
+			msg, ok := it.Next()
+			if !ok {
+				return
 			}
-		case wire.MsgResponse:
-			if resp, err := wire.DecodeResponse(frame); err == nil {
-				m.deliver(resp.ID, frame)
-			}
-		case wire.MsgChunkData:
-			if cd, err := wire.DecodeChunkData(frame); err == nil {
-				m.deliver(cd.ID, frame)
-			}
-		case wire.MsgVersionData:
-			if vd, err := wire.DecodeVersionData(frame); err == nil {
-				m.deliver(vd.ID, frame)
-			}
-		case wire.MsgSpanData:
-			if sd, err := wire.DecodeSpanData(frame); err == nil {
-				m.deliver(sd.ID, frame)
-			}
-		case wire.MsgFetchDesc:
-			if d, err := wire.DecodeFetchDesc(frame); err == nil {
-				m.deliver(d.ID, frame)
-			}
-		case wire.MsgShardMapData:
-			if md, err := wire.DecodeShardMapData(frame); err == nil {
-				m.deliver(md.ID, frame)
-			}
-		case wire.MsgBatch:
-			// Batch responses: deliver each response sub-message to its
-			// waiter individually, so segmentation folds per operation.
-			it, err := wire.DecodeBatch(frame)
-			if err != nil {
-				continue
-			}
-			for {
-				msg, ok := it.Next()
-				if !ok {
-					break
-				}
-				t, err := wire.PeekType(msg)
-				if err != nil {
-					continue
-				}
-				if t == wire.MsgFetchDesc {
-					if d, err := wire.DecodeFetchDesc(msg); err == nil {
-						m.deliver(d.ID, msg)
-					}
-					continue
-				}
-				if t != wire.MsgResponse {
-					continue
-				}
-				if resp, err := wire.DecodeResponse(msg); err == nil {
-					m.deliver(resp.ID, msg)
-				}
-			}
+			m.deliver(msg, f)
 		}
+	default:
+		m.deliver(f.b, f)
 	}
 }
 
-// deliver hands a copy of the frame to the waiter registered for id.
-func (m *Mux) deliver(id uint64, frame []byte) {
-	cp := append([]byte(nil), frame...)
+// deliver passes msg — all or part of frame f — to the waiter registered
+// for the id in its header, along with a reference to f. The push happens
+// under m.mu so that settle can recycle a waiter the moment its id is
+// unregistered.
+func (m *Mux) deliver(msg []byte, f *frameBuf) {
+	_, id, err := wire.PeekID(msg)
+	if err != nil {
+		return
+	}
 	m.mu.Lock()
-	w, ok := m.waiters[id]
-	m.mu.Unlock()
-	if ok {
-		w.push(cp)
+	if w, ok := m.waiters[id]; ok {
+		f.refs.Add(1)
+		w.push(delivery{msg: msg, f: f})
 	}
+	m.mu.Unlock()
 }
 
-// waiter is an unbounded frame queue with channel-like semantics: push
+// frameBuf is one pooled inbound frame. Ownership is by reference count:
+// the read loop holds one reference while it routes the frame and every
+// delivery adds one, so a plain reply has a single consumer and a batch
+// container is shared by its sub-messages. Whoever drops the last
+// reference returns the buffer to the pool; nobody may touch a message
+// after releasing it.
+type frameBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// pooledFrameCap is the least capacity a pooled buffer is made with — one
+// chunk-data frame or one full response segment — and maxPooledFrame the
+// largest the pool keeps (a 16-chunk span); rarer, larger frames are left
+// to the collector so the pool stays small.
+const (
+	pooledFrameCap = 4096 + 64
+	maxPooledFrame = 64 << 10
+)
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// poisonFrames makes release overwrite a frame before pooling it. Tests set
+// it so that a consumer reading a frame it has already released sees
+// garbage (and trips the race detector) instead of plausible stale bytes.
+var poisonFrames bool
+
+// readPooledFrame reads one length-prefixed frame into a pooled buffer the
+// caller owns one reference to. hdr is 4 bytes of caller scratch.
+func readPooledFrame(r io.Reader, hdr []byte) (*frameBuf, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if n > MaxFrame {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	f := framePool.Get().(*frameBuf)
+	if cap(f.b) < n {
+		f.b = make([]byte, max(n, pooledFrameCap))
+	}
+	f.b = f.b[:n]
+	f.refs.Store(1)
+	if _, err := io.ReadFull(r, f.b); err != nil {
+		f.release()
+		return nil, err
+	}
+	return f, nil
+}
+
+func (f *frameBuf) release() {
+	if f.refs.Add(-1) != 0 {
+		return
+	}
+	if poisonFrames {
+		b := f.b[:cap(f.b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	if cap(f.b) > maxPooledFrame {
+		f.b = nil
+	}
+	framePool.Put(f)
+}
+
+// delivery is one message handed to a waiter: msg aliases f, and the
+// consumer releases it once msg has been decoded.
+type delivery struct {
+	msg []byte
+	f   *frameBuf
+}
+
+func (d delivery) release() { d.f.release() }
+
+// waiter is an unbounded delivery queue with channel-like semantics: push
 // never blocks (the read loop must not stall on a slow consumer), recv
-// blocks until a frame or close, and a closed drained waiter reports
-// !ok like a closed channel.
+// blocks until a delivery or close, and a closed drained waiter reports
+// !ok like a closed channel. Waiters are pooled: await/settle (or
+// getWaiter/putWaiter around registerAll) bracket one call.
 type waiter struct {
 	mu     sync.Mutex
-	queue  [][]byte
+	queue  []delivery
+	head   int // queue[:head] has been received
 	closed bool
 	sig    chan struct{} // capacity 1: "state changed" doorbell
 }
 
-func newWaiter() *waiter {
-	return &waiter{sig: make(chan struct{}, 1)}
+var waiterPool = sync.Pool{New: func() any { return &waiter{sig: make(chan struct{}, 1)} }}
+
+func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
+
+// putWaiter recycles a waiter none of whose ids is still registered,
+// releasing whatever was delivered but never received.
+func putWaiter(w *waiter) {
+	for _, d := range w.queue[w.head:] {
+		d.release()
+	}
+	clear(w.queue)
+	w.queue, w.head, w.closed = w.queue[:0], 0, false
+	if cap(w.queue) > 64 {
+		w.queue = nil // a parked backlog's array is not worth pinning
+	}
+	select {
+	case <-w.sig:
+	default:
+	}
+	waiterPool.Put(w)
 }
 
-func (w *waiter) push(frame []byte) {
+func (w *waiter) push(d delivery) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
+		d.release()
 		return
 	}
-	w.queue = append(w.queue, frame)
+	w.queue = append(w.queue, d)
 	w.mu.Unlock()
 	select {
 	case w.sig <- struct{}{}:
@@ -342,20 +434,26 @@ func (w *waiter) closeW() {
 	}
 }
 
-// recv pops the next frame, blocking until one arrives or the waiter
-// closes (then ok is false once the queue drains).
-func (w *waiter) recv() ([]byte, bool) {
+// recv pops the next delivery, blocking until one arrives or the waiter
+// closes (then ok is false once the queue drains). The caller releases it.
+func (w *waiter) recv() (delivery, bool) {
 	for {
 		w.mu.Lock()
-		if len(w.queue) > 0 {
-			frame := w.queue[0]
-			w.queue = w.queue[1:]
+		if w.head < len(w.queue) {
+			d := w.queue[w.head]
+			w.queue[w.head] = delivery{}
+			w.head++
+			if w.head == len(w.queue) {
+				// Drained: rewind so the array is reused instead of
+				// sliced away one pop at a time.
+				w.queue, w.head = w.queue[:0], 0
+			}
 			w.mu.Unlock()
-			return frame, true
+			return d, true
 		}
 		if w.closed {
 			w.mu.Unlock()
-			return nil, false
+			return delivery{}, false
 		}
 		w.mu.Unlock()
 		<-w.sig

@@ -113,6 +113,18 @@ func TestStreamIDExhaustion(t *testing.T) {
 	if _, _, err := c.Search(geo.NewRect(0, 0, 0.2, 0.2)); err != nil {
 		t.Errorf("search on reused stream: %v", err)
 	}
+	// The reused id resumes its previous owner's sequence: a reply still
+	// in flight to the old owner can never carry one of the new owner's
+	// request ids.
+	last := c.nextID()
+	c.Close()
+	c2, err := m.Client(ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := c2.nextID(); c2.stream != freed || next != last+1 {
+		t.Errorf("next owner of stream %d issued id %#x after %#x, want the sequence resumed", freed, next, last)
+	}
 }
 
 // TestStreamSeqWraparound presets a stream's sequence counter to the top
@@ -301,7 +313,7 @@ func TestSlowReaderNoHOL(t *testing.T) {
 	// The slow stream: fire 256 searches whose responses land in a
 	// waiter nobody drains. A blocking readLoop would stall here.
 	const parked = 256
-	w := newWaiter()
+	w := getWaiter()
 	ids := make([]uint64, parked)
 	for i := range ids {
 		ids[i] = slow.nextID()

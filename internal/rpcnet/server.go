@@ -51,13 +51,16 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, reusing buf when it has capacity.
+// readFrame reads one frame, reusing buf when it has capacity. The length
+// prefix is read into buf too, so a warmed buffer reads without allocating.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -766,37 +769,6 @@ func (s *Server) handleReadSpan(req wire.ReadSpan, out []byte) []byte {
 	return resp.Encode(out)
 }
 
-// tryMailboxDeliver writes items into a granted mailbox slot and returns
-// the descriptor for them. It declines — sending the caller down the inline
-// path — when fetch is disabled, the result is small enough that inline
-// delivery is cheaper, the payload exceeds a slot, or every slot is taken.
-func (s *Server) tryMailboxDeliver(id uint64, items []wire.Item) (wire.FetchDesc, bool) {
-	if s.mailbox == nil || len(items) <= s.cfg.FetchInlineMax {
-		return wire.FetchDesc{}, false
-	}
-	if len(items)*wire.ItemSize+region.MailboxHeaderSize > s.mailbox.Capacity() {
-		return wire.FetchDesc{}, false
-	}
-	slot, ok := s.mailbox.Grant()
-	if !ok {
-		return wire.FetchDesc{}, false
-	}
-	payload := wire.EncodeItems(nil, items)
-	ref, err := s.mailbox.WriteResult(slot, payload)
-	if err != nil {
-		s.mailbox.Cancel(slot)
-		return wire.FetchDesc{}, false
-	}
-	return wire.FetchDesc{
-		ID:     id,
-		Status: wire.StatusOK,
-		Slot:   uint32(ref.Slot),
-		Bytes:  uint32(ref.Bytes),
-		Count:  uint32(len(items)),
-		Seq:    ref.Seq,
-	}, true
-}
-
 // handleReadMailbox answers a mailbox pull with a SPAN_DATA frame carrying
 // the requested chunks of the mailbox region, latch-free like READ_SPAN.
 func (s *Server) handleReadMailbox(req wire.ReadMailbox, out []byte) []byte {
@@ -844,197 +816,136 @@ func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
 
 func (s *Server) handleRequest(sc *srvConn, req wire.Request) error {
 	if s.killed.Load() {
-		return sc.send(wire.Response{ID: req.ID, Status: wire.StatusUnavailable, Final: true}.Encode(nil))
+		return sc.sendStatus(req.ID, wire.StatusUnavailable)
 	}
 	switch req.Type {
 	case wire.MsgPromote:
 		// Router-driven failover: promote this backup to primary at the
 		// epoch carried in Ref, fencing the deposed primary's lineage.
 		if s.repl == nil {
-			return sc.send(wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}.Encode(nil))
+			return sc.sendStatus(req.ID, wire.StatusError)
 		}
 		if s.repl.Promote(req.Ref) {
 			s.promotions.Add(1)
 		}
-		return sc.send(wire.Response{ID: req.ID, Status: wire.StatusOK, Final: true}.Encode(nil))
+		return sc.sendStatus(req.ID, wire.StatusOK)
 
-	case wire.MsgSearchFetch:
-		s.fetchSearches.Add(1)
-		opStart := time.Now()
-		var items []wire.Item
-		s.latch.RLock()
-		_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-			items = append(items, wire.Item{Rect: r, Ref: ref})
-			return true
-		})
-		s.latch.RUnlock()
-		lat := time.Since(opStart)
-		s.latSearch.Record(lat)
-		if s.cfg.Trace != nil {
-			tr := telemetry.Trace{
-				Start:   time.Since(s.start) - lat,
-				Method:  "fetch",
-				Shard:   int(s.shardIdx.Load()),
-				Latency: lat,
-			}
-			if err != nil {
-				tr.Err = err.Error()
-			}
-			s.cfg.Trace.Record(tr)
-		}
-		if err != nil {
-			return sc.send(wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}.Encode(nil))
-		}
-		if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-			s.fetchBytes.Add(uint64(desc.Bytes))
-			return sc.send(desc.Encode(nil))
-		}
-		s.fetchInline.Add(1)
-		return s.sendSegmented(sc, req.ID, items)
+	case wire.MsgSearch, wire.MsgSearchFetch, wire.MsgKNN, wire.MsgKNNFetch:
+		return s.serveQuery(sc, req)
 
-	case wire.MsgSearch:
-		s.searches.Add(1)
-		opStart := time.Now()
-		var items []wire.Item
-		// SearchShared touches no tree scratch state, so concurrent
-		// server-side searches proceed in parallel under the read latch.
-		s.latch.RLock()
-		_, err := s.tree.SearchShared(req.Rect, func(r geo.Rect, ref uint64) bool {
-			items = append(items, wire.Item{Rect: r, Ref: ref})
-			return true
-		})
-		s.latch.RUnlock()
-		lat := time.Since(opStart)
-		s.latSearch.Record(lat)
-		if s.cfg.Trace != nil {
-			tr := telemetry.Trace{
-				Start:   time.Since(s.start) - lat,
-				Method:  "fast",
-				Shard:   int(s.shardIdx.Load()),
-				Latency: lat,
-			}
-			if err != nil {
-				tr.Err = err.Error()
-			}
-			s.cfg.Trace.Record(tr)
-		}
-		if err != nil {
-			return sc.send(wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}.Encode(nil))
-		}
-		return s.sendSegmented(sc, req.ID, items)
-
-	case wire.MsgInsert:
-		s.inserts.Add(1)
+	case wire.MsgInsert, wire.MsgDelete, wire.MsgMove:
 		opStart := time.Now()
 		s.latch.Lock()
-		status := wire.StatusOK
-		if s.repl != nil && !s.repl.Primary() {
-			status = wire.StatusNotPrimary
-		} else if _, err := s.tree.Insert(req.Rect, req.Ref); err != nil {
-			status = wire.StatusError
-		} else if s.repl != nil {
-			// Stream to the backups before the latch drops: an acknowledged
-			// write is on every live backup, so failover loses nothing.
-			if rerr := s.replicate(wire.MsgInsert, req.Rect, req.Ref); rerr != nil {
-				status = replStatus(rerr)
-			}
-		}
-		if status == wire.StatusOK {
-			if ferr := s.forwardSplit(wire.MsgInsert, req.Rect, req.Ref); ferr != nil {
-				status = wire.StatusError
-			}
-		}
+		status := s.applyLocked(req)
 		s.latch.Unlock()
-		s.latInsert.Record(time.Since(opStart))
-		return sc.send(wire.Response{ID: req.ID, Status: status, Final: true}.Encode(nil))
-
-	case wire.MsgDelete:
-		s.deletes.Add(1)
-		opStart := time.Now()
-		s.latch.Lock()
-		status := wire.StatusOK
-		if s.repl != nil && !s.repl.Primary() {
-			status = wire.StatusNotPrimary
-		} else {
-			ok, _, err := s.tree.Delete(req.Rect, req.Ref)
-			switch {
-			case err != nil:
-				status = wire.StatusError
-			case !ok:
-				status = wire.StatusNotFound
-			default:
-				if s.repl != nil {
-					if rerr := s.replicate(wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-						status = replStatus(rerr)
-					}
-				}
-			}
+		lat := s.latInsert
+		switch req.Type {
+		case wire.MsgDelete:
+			lat = s.latDelete
+		case wire.MsgMove:
+			lat = s.latMove
 		}
-		if status == wire.StatusOK {
-			if ferr := s.forwardSplit(wire.MsgDelete, req.Rect, req.Ref); ferr != nil {
-				status = wire.StatusError
-			}
-		}
-		s.latch.Unlock()
-		s.latDelete.Record(time.Since(opStart))
-		return sc.send(wire.Response{ID: req.ID, Status: status, Final: true}.Encode(nil))
-
-	case wire.MsgMove:
-		s.moves.Add(1)
-		opStart := time.Now()
-		s.latch.Lock()
-		var status uint8
-		if s.repl != nil && !s.repl.Primary() {
-			status = wire.StatusNotPrimary
-		} else {
-			status = s.moveLocked(req)
-		}
-		s.latch.Unlock()
-		s.latMove.Record(time.Since(opStart))
-		return sc.send(wire.Response{ID: req.ID, Status: status, Final: true}.Encode(nil))
-
-	case wire.MsgKNN:
-		s.knns.Add(1)
-		opStart := time.Now()
-		items, status := s.knnShared(req)
-		lat := time.Since(opStart)
-		s.latKNN.Record(lat)
-		if s.cfg.Trace != nil {
-			tr := telemetry.Trace{
-				Start:   time.Since(s.start) - lat,
-				Method:  "fast",
-				Shard:   int(s.shardIdx.Load()),
-				Latency: lat,
-			}
-			if status != wire.StatusOK {
-				tr.Err = fmt.Sprintf("knn status %d", status)
-			}
-			s.cfg.Trace.Record(tr)
-		}
-		if status != wire.StatusOK {
-			return sc.send(wire.Response{ID: req.ID, Status: status, Final: true}.Encode(nil))
-		}
-		return s.sendSegmented(sc, req.ID, items)
-
-	case wire.MsgKNNFetch:
-		// The fetch twin of MsgKNN: the ascending-distance result lands in a
-		// mailbox slot (slot packing preserves item order, so the client
-		// pulls the neighbors already sorted) or inline when small.
-		s.knns.Add(1)
-		opStart := time.Now()
-		items, status := s.knnShared(req)
-		s.latKNN.Record(time.Since(opStart))
-		if status != wire.StatusOK {
-			return sc.send(wire.Response{ID: req.ID, Status: status, Final: true}.Encode(nil))
-		}
-		if desc, ok := s.tryMailboxDeliver(req.ID, items); ok {
-			s.fetchBytes.Add(uint64(desc.Bytes))
-			return sc.send(desc.Encode(nil))
-		}
-		s.fetchInline.Add(1)
-		return s.sendSegmented(sc, req.ID, items)
+		lat.Record(time.Since(opStart))
+		return sc.sendStatus(req.ID, status)
 	}
 	return fmt.Errorf("rpcnet: unhandled request type %d", req.Type)
+}
+
+// serveQuery answers a search or kNN, plain or fetch, through a pooled sink.
+// SearchShared and NearestShared touch no tree scratch state, so concurrent
+// queries proceed in parallel under the read latch — which is held only
+// while the tree emits packed items into the sink. Mailbox delivery,
+// framing and the enqueue (which may block on a slow peer) all follow its
+// release, and the whole reply is enqueued at once. A fetch kNN's slot
+// keeps the ascending-distance order: slot packing preserves item order.
+func (s *Server) serveQuery(sc *srvConn, req wire.Request) error {
+	k := getSink()
+	defer putSink(k)
+	opStart := time.Now()
+	s.latch.RLock()
+	err := s.query(k, req)
+	s.latch.RUnlock()
+	lat := time.Since(opStart)
+	if req.Type == wire.MsgKNN || req.Type == wire.MsgKNNFetch {
+		s.latKNN.Record(lat)
+	} else {
+		s.latSearch.Record(lat)
+	}
+	if s.cfg.Trace != nil {
+		tr := telemetry.Trace{
+			Start:   time.Since(s.start) - lat,
+			Method:  "fast",
+			Shard:   int(s.shardIdx.Load()),
+			Latency: lat,
+		}
+		if isFetch(req.Type) {
+			tr.Method = "fetch"
+		}
+		if err != nil {
+			tr.Err = err.Error()
+		}
+		s.cfg.Trace.Record(tr)
+	}
+	if err != nil {
+		return sc.sendStatus(req.ID, wire.StatusError)
+	}
+	if isFetch(req.Type) {
+		if desc, ok := s.mailboxDeliver(req.ID, k.items); ok {
+			k.out = desc.Encode(k.out)
+			return sc.send(k.out)
+		}
+	}
+	k.out = appendSegments(k.out, req.ID, wire.StatusOK, k.items, s.cfg.MaxSegmentItems)
+	return sc.w.enqueueFramed(k.out)
+}
+
+// applyLocked executes one write — insert, delete or MOVE — with the
+// exclusive latch held and returns its status. A replicated write streams
+// to the backups before the latch drops: an acknowledged write is on every
+// live backup, so failover loses nothing.
+func (s *Server) applyLocked(req wire.Request) uint8 {
+	switch req.Type {
+	case wire.MsgInsert:
+		s.inserts.Add(1)
+	case wire.MsgDelete:
+		s.deletes.Add(1)
+	default:
+		s.moves.Add(1)
+	}
+	if s.repl != nil && !s.repl.Primary() {
+		return wire.StatusNotPrimary
+	}
+	switch req.Type {
+	case wire.MsgInsert:
+		if _, err := s.tree.Insert(req.Rect, req.Ref); err != nil {
+			return wire.StatusError
+		}
+	case wire.MsgDelete:
+		ok, _, err := s.tree.Delete(req.Rect, req.Ref)
+		if err != nil {
+			return wire.StatusError
+		}
+		if !ok {
+			return wire.StatusNotFound
+		}
+	default:
+		return s.moveLocked(req)
+	}
+	return s.propagate(req.Type, req.Rect, req.Ref)
+}
+
+// propagate carries one applied insert or delete to the backups and, during
+// a live split, to the shard taking over the entry's cell.
+func (s *Server) propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
+	if s.repl != nil {
+		if err := s.replicate(op, r, ref); err != nil {
+			return replStatus(err)
+		}
+	}
+	if err := s.forwardSplit(op, r, ref); err != nil {
+		return wire.StatusError
+	}
+	return wire.StatusOK
 }
 
 // moveLocked runs the delete+insert pair of a MOVE with the exclusive
@@ -1050,72 +961,14 @@ func (s *Server) moveLocked(req wire.Request) uint8 {
 		return wire.StatusError
 	}
 	if deleted {
-		if s.repl != nil {
-			if rerr := s.replicate(wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-				return replStatus(rerr)
-			}
-		}
-		if ferr := s.forwardSplit(wire.MsgDelete, req.Rect, req.Ref); ferr != nil {
-			return wire.StatusError
+		if st := s.propagate(wire.MsgDelete, req.Rect, req.Ref); st != wire.StatusOK {
+			return st
 		}
 	}
 	if _, err := s.tree.Insert(req.Rect2, req.Ref); err != nil {
 		return wire.StatusError
 	}
-	if s.repl != nil {
-		if rerr := s.replicate(wire.MsgInsert, req.Rect2, req.Ref); rerr != nil {
-			return replStatus(rerr)
-		}
-	}
-	if ferr := s.forwardSplit(wire.MsgInsert, req.Rect2, req.Ref); ferr != nil {
-		return wire.StatusError
-	}
-	return wire.StatusOK
-}
-
-// knnShared answers a kNN request under the shared read latch: the query
-// point is the degenerate rect's center, k rides Ref, and NearestShared
-// keeps all statistics in locals so parallel kNNs race nothing.
-func (s *Server) knnShared(req wire.Request) ([]wire.Item, uint8) {
-	if s.killed.Load() {
-		return nil, wire.StatusUnavailable
-	}
-	x, y := req.Rect.Center()
-	s.latch.RLock()
-	nbrs, _, err := s.tree.NearestShared(int(req.Ref), x, y)
-	s.latch.RUnlock()
-	if err != nil {
-		return nil, wire.StatusError
-	}
-	items := make([]wire.Item, len(nbrs))
-	for i, n := range nbrs {
-		items[i] = wire.Item{Rect: n.Rect, Ref: n.Ref}
-	}
-	return items, wire.StatusOK
-}
-
-func (s *Server) sendSegmented(sc *srvConn, id uint64, items []wire.Item) error {
-	max := s.cfg.MaxSegmentItems
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	for {
-		seg := wire.Response{ID: id, Status: wire.StatusOK}
-		if len(items) > max {
-			seg.Items = items[:max]
-			items = items[max:]
-		} else {
-			seg.Items = items
-			items = nil
-			seg.Final = true
-		}
-		*buf = seg.Encode((*buf)[:0])
-		if err := sc.send(*buf); err != nil {
-			return err
-		}
-		if seg.Final {
-			return nil
-		}
-	}
+	return s.propagate(wire.MsgInsert, req.Rect2, req.Ref)
 }
 
 // heartbeatLoop pushes the server's busy fraction to every client.

@@ -117,11 +117,12 @@ func TestSpanOutOfRangeRejected(t *testing.T) {
 		{Chunk: 0, Count: maxSpanChunks + 1},
 	} {
 		bad.ID = c.nextID()
-		frame, err := c.call(bad.ID, bad.Encode(nil))
+		d, err := c.call(bad.ID, bad.Encode(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sd, err := wire.DecodeSpanData(frame)
+		sd, err := wire.DecodeSpanData(d.msg)
+		d.release()
 		if err != nil {
 			t.Fatal(err)
 		}

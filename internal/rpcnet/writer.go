@@ -88,43 +88,55 @@ func newConnWriter(c net.Conn, tx *atomic.Uint64, max int, pace *txPacer) *connW
 // It returns the writer's sticky error once the connection has failed.
 func (w *connWriter) enqueue(payload []byte) error {
 	w.mu.Lock()
-	for len(w.pending) >= w.max && w.err == nil && !w.closed {
-		w.notFull.Wait()
-	}
-	if err := w.appendLocked(payload); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.mu.Unlock()
-	return nil
+	defer w.mu.Unlock()
+	w.waitRoomLocked()
+	return w.appendLocked(payload, true)
+}
+
+// enqueueFramed appends frames that already carry their length prefixes —
+// every segment of a response, every container of a batch reply — under one
+// lock acquisition and one flusher wake-up, so they normally leave in one
+// write. Blocks like enqueue.
+func (w *connWriter) enqueueFramed(frames []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.waitRoomLocked()
+	return w.appendLocked(frames, false)
 }
 
 // tryEnqueue appends one frame without blocking; a full buffer drops the
 // frame (best-effort senders like the heartbeat broadcast tolerate loss).
 func (w *connWriter) tryEnqueue(payload []byte) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if len(w.pending) >= w.max {
-		w.mu.Unlock()
 		return ErrWriterFull
 	}
-	err := w.appendLocked(payload)
-	w.mu.Unlock()
-	return err
+	return w.appendLocked(payload, true)
 }
 
-func (w *connWriter) appendLocked(payload []byte) error {
+func (w *connWriter) waitRoomLocked() {
+	for len(w.pending) >= w.max && w.err == nil && !w.closed {
+		w.notFull.Wait()
+	}
+}
+
+// appendLocked queues b, behind a length prefix unless b is pre-framed.
+// Either way every byte that will reach the socket is counted once.
+func (w *connWriter) appendLocked(b []byte, prefix bool) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return net.ErrClosed
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	w.pending = append(w.pending, hdr[:]...)
-	w.pending = append(w.pending, payload...)
+	n := len(w.pending)
+	if prefix {
+		w.pending = binary.LittleEndian.AppendUint32(w.pending, uint32(len(b)))
+	}
+	w.pending = append(w.pending, b...)
 	if w.tx != nil {
-		w.tx.Add(uint64(len(payload)) + 4)
+		w.tx.Add(uint64(len(w.pending) - n))
 	}
 	w.nonEmpty.Signal()
 	return nil

@@ -60,7 +60,10 @@ func (t *Tree) SearchShared(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (O
 	if t.cache == nil {
 		return st, ErrNeedCache
 	}
-	stack := []int{t.rootChunk}
+	// Array-backed, so the stack of a point search — and of any scan whose
+	// pending subtrees fit — lives in this frame, not on the heap.
+	var backing [128]int
+	stack := append(backing[:0], t.rootChunk)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

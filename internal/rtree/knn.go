@@ -1,9 +1,9 @@
 package rtree
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/catfish-db/catfish/internal/geo"
 )
@@ -29,15 +29,63 @@ type knnItem struct {
 	entry Entry
 }
 
-// knnHeap implements heap.Interface ordered by minimum possible distance.
+// knnHeap is a binary min-heap on distSq. push and pop are container/heap's
+// Push and Pop written out for the element type, so nothing is boxed per
+// node expansion and ties resolve exactly as they always have.
 type knnHeap []knnItem
 
-func (h knnHeap) Len() int            { return len(h) }
-func (h knnHeap) Less(i, j int) bool  { return h[i].distSq < h[j].distSq }
-func (h knnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *knnHeap) Push(x any)         { *h = append(*h, x.(knnItem)) }
-func (h *knnHeap) Pop() any           { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h *knnHeap) pushItem(i knnItem) { heap.Push(h, i) }
+func (h *knnHeap) push(it knnItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(s[j].distSq < s[i].distSq) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *knnHeap) pop() knnItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].distSq < s[j].distSq {
+			j = j2
+		}
+		if !(s[j].distSq < s[i].distSq) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
+
+// expand pushes n's entries: candidates for a leaf, child nodes otherwise.
+func (h *knnHeap) expand(n *Node, x, y float64) {
+	for _, e := range n.Entries {
+		child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
+		if n.IsLeaf() {
+			child.isItem = true
+			child.entry = e
+		} else {
+			child.chunk = int(e.Ref)
+		}
+		h.push(child)
+	}
+}
+
+// knnHeaps recycles NearestShared's priority queues: concurrent readers
+// each take their own, and a warmed one serves a kNN without allocating.
+var knnHeaps = sync.Pool{New: func() any { return new(knnHeap) }}
 
 // Nearest returns the k stored entries whose rectangles lie nearest to the
 // point (x, y), in ascending distance order (fewer when the tree holds
@@ -50,10 +98,10 @@ func (t *Tree) Nearest(k int, x, y float64) ([]Neighbor, OpStats, error) {
 	}
 	t.stats = OpStats{}
 	var pq knnHeap
-	pq.pushItem(knnItem{distSq: 0, chunk: t.rootChunk})
+	pq.push(knnItem{distSq: 0, chunk: t.rootChunk})
 	out := make([]Neighbor, 0, k)
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(knnItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.isItem {
 			out = append(out, Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
 			t.stats.Results++
@@ -66,62 +114,49 @@ func (t *Tree) Nearest(k int, x, y float64) ([]Neighbor, OpStats, error) {
 		if err != nil {
 			return out, t.stats, err
 		}
-		for _, e := range n.Entries {
-			child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
-			if n.IsLeaf() {
-				child.isItem = true
-				child.entry = e
-			} else {
-				child.chunk = int(e.Ref)
-			}
-			pq.pushItem(child)
-		}
+		pq.expand(n, x, y)
 	}
 	return out, t.stats, nil
 }
 
-// NearestShared is Nearest for concurrent callers: it serves nodes from
-// the write-through cache and keeps its statistics in locals, touching no
-// tree scratch state, so parallel kNNs can run under a shared read latch
-// exactly like SearchShared. Requires the node cache (ErrNeedCache). The
-// traversal — heap, push order, tie resolution — is identical to Nearest,
-// so the two return bit-identical results for the same tree state.
-func (t *Tree) NearestShared(k int, x, y float64) ([]Neighbor, OpStats, error) {
+// NearestShared is Nearest for concurrent callers, emitting the neighbors
+// to fn in ascending distance order instead of returning a slice: it serves
+// nodes from the write-through cache and keeps its statistics in locals,
+// touching no tree scratch state, so parallel kNNs can run under a shared
+// read latch exactly like SearchShared. Requires the node cache
+// (ErrNeedCache). The traversal — heap, push order, tie resolution — is
+// Nearest's, so the two produce bit-identical results for the same tree
+// state.
+func (t *Tree) NearestShared(k int, x, y float64, fn func(Neighbor)) (OpStats, error) {
 	var st OpStats
 	if k <= 0 {
-		return nil, st, ErrBadK
+		return st, ErrBadK
 	}
 	if t.cache == nil {
-		return nil, st, ErrNeedCache
+		return st, ErrNeedCache
 	}
-	var pq knnHeap
-	pq.pushItem(knnItem{distSq: 0, chunk: t.rootChunk})
-	out := make([]Neighbor, 0, k)
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(knnItem)
+	pq := knnHeaps.Get().(*knnHeap)
+	defer func() {
+		*pq = (*pq)[:0]
+		knnHeaps.Put(pq)
+	}()
+	pq.push(knnItem{distSq: 0, chunk: t.rootChunk})
+	for len(*pq) > 0 {
+		it := pq.pop()
 		if it.isItem {
-			out = append(out, Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
+			fn(Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
 			st.Results++
-			if len(out) == k {
-				return out, st, nil
+			if st.Results == k {
+				return st, nil
 			}
 			continue
 		}
 		n := t.cache[it.chunk]
 		if n == nil {
-			return out, st, fmt.Errorf("rtree: chunk %d missing from cache", it.chunk)
+			return st, fmt.Errorf("rtree: chunk %d missing from cache", it.chunk)
 		}
 		st.NodesRead++
-		for _, e := range n.Entries {
-			child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
-			if n.IsLeaf() {
-				child.isItem = true
-				child.entry = e
-			} else {
-				child.chunk = int(e.Ref)
-			}
-			pq.pushItem(child)
-		}
+		pq.expand(n, x, y)
 	}
-	return out, st, nil
+	return st, nil
 }

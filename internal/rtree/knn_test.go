@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"container/heap"
 	"errors"
 	"math/rand"
 	"sort"
@@ -112,5 +113,84 @@ func TestDistSqToPoint(t *testing.T) {
 		if got := r.DistSqToPoint(tt.x, tt.y); got != tt.want {
 			t.Errorf("DistSq(%v, %v) = %v, want %v", tt.x, tt.y, got, tt.want)
 		}
+	}
+}
+
+// refHeap is container/heap over knnItem: the queue Nearest used before its
+// heap was written out for the element type, kept here as the reference for
+// pop order — which, among equal distances, decides which entries a kNN
+// returns and in what order.
+type refHeap []knnItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].distSq < h[j].distSq }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(knnItem)) }
+func (h *refHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func refNearest(t *Tree, k int, x, y float64) []Neighbor {
+	var pq refHeap
+	heap.Push(&pq, knnItem{chunk: t.rootChunk})
+	var out []Neighbor
+	for pq.Len() > 0 && len(out) < k {
+		it := heap.Pop(&pq).(knnItem)
+		if it.isItem {
+			out = append(out, Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
+			continue
+		}
+		n := t.cache[it.chunk]
+		for _, e := range n.Entries {
+			child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
+			if n.IsLeaf() {
+				child.isItem, child.entry = true, e
+			} else {
+				child.chunk = int(e.Ref)
+			}
+			heap.Push(&pq, child)
+		}
+	}
+	return out
+}
+
+// TestNearestVariantsAgree: Nearest, NearestShared and the container/heap
+// reference return the same neighbors in the same order — including on a
+// dataset that is mostly ties (points on a coarse grid, many coincident).
+func TestNearestVariantsAgree(t *testing.T) {
+	tree := newTestTree(t, 4096, 16)
+	rng := rand.New(rand.NewSource(21))
+	entries := make([]Entry, 4000)
+	for i := range entries {
+		entries[i] = Entry{Rect: geo.PointRect(float64(rng.Intn(20))/20, float64(rng.Intn(20))/20), Ref: uint64(i)}
+	}
+	if err := tree.BulkLoad(entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 200; trial++ {
+		x, y := float64(rng.Intn(41))/40, float64(rng.Intn(41))/40
+		k := 1 + rng.Intn(60)
+		want := refNearest(tree, k, x, y)
+		got, st, err := tree.Nearest(k, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shared []Neighbor
+		sst, err := tree.NearestShared(k, x, y, func(n Neighbor) { shared = append(shared, n) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(shared) != len(want) {
+			t.Fatalf("trial %d: %d / %d neighbors, want %d", trial, len(got), len(shared), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] || shared[i] != want[i] {
+				t.Fatalf("trial %d: neighbor %d = %+v / %+v, want %+v", trial, i, got[i], shared[i], want[i])
+			}
+		}
+		if sst != st {
+			t.Fatalf("trial %d: stats %+v vs %+v", trial, sst, st)
+		}
+	}
+	if _, err := tree.NearestShared(0, 0, 0, func(Neighbor) {}); !errors.Is(err, ErrBadK) {
+		t.Errorf("k=0 err = %v", err)
 	}
 }

@@ -160,28 +160,13 @@ func (it *BatchIter) Err() error { return it.err }
 // instead of allocating a fresh slice — the zero-copy hot path's decoder.
 // The previous contents of *r are overwritten.
 func DecodeResponseInto(b []byte, r *Response) error {
-	if len(b) < respHeader || MsgType(b[0]) != MsgResponse {
-		return fmt.Errorf("%w: response header", ErrCorrupt)
-	}
-	count := int(binary.LittleEndian.Uint32(b[11:]))
-	if len(b) < respHeader+count*ItemSize {
-		return fmt.Errorf("%w: response truncated (%d items)", ErrCorrupt, count)
+	count, err := responseCount(b)
+	if err != nil {
+		return err
 	}
 	r.ID = binary.LittleEndian.Uint64(b[1:])
 	r.Final = b[9] == 1
 	r.Status = b[10]
-	if cap(r.Items) < count {
-		r.Items = make([]Item, count)
-	} else {
-		r.Items = r.Items[:count]
-	}
-	p := respHeader
-	for i := range r.Items {
-		r.Items[i] = Item{
-			Rect: getRect(b[p:]),
-			Ref:  binary.LittleEndian.Uint64(b[p+32:]),
-		}
-		p += ItemSize
-	}
+	r.Items = appendItems(r.Items[:0], b[respHeader:], count)
 	return nil
 }

@@ -152,9 +152,11 @@ func EncodeItems(buf []byte, items []Item) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, len(items)*ItemSize)...)
 	b := buf[off:]
-	for i, it := range items {
-		putRect(b[i*ItemSize:], it.Rect)
-		binary.LittleEndian.PutUint64(b[i*ItemSize+32:], it.Ref)
+	for i := range items {
+		p := b[:ItemSize:ItemSize]
+		putRect(p, items[i].Rect)
+		binary.LittleEndian.PutUint64(p[32:], items[i].Ref)
+		b = b[ItemSize:]
 	}
 	return buf
 }
@@ -162,13 +164,8 @@ func EncodeItems(buf []byte, items []Item) []byte {
 // DecodeItems parses count packed items from b (the mailbox payload
 // format written by EncodeItems).
 func DecodeItems(b []byte, count int) ([]Item, error) {
-	if count < 0 || len(b) < count*ItemSize {
+	if count < 0 || len(b)/ItemSize < count {
 		return nil, fmt.Errorf("%w: packed items truncated (%d of %d)", ErrCorrupt, len(b)/ItemSize, count)
 	}
-	items := make([]Item, count)
-	for i := range items {
-		p := b[i*ItemSize:]
-		items[i] = Item{Rect: getRect(p), Ref: binary.LittleEndian.Uint64(p[32:])}
-	}
-	return items, nil
+	return appendItems(make([]Item, 0, count), b, count), nil
 }

@@ -165,56 +165,135 @@ type Response struct {
 
 const respHeader = 1 + 8 + 1 + 1 + 4
 
+// ResponseHeaderSize is the encoded size of a response segment's fixed
+// header; its packed items follow.
+const ResponseHeaderSize = respHeader
+
 // EncodedSize returns the encoded size of the response.
 func (r Response) EncodedSize() int { return respHeader + len(r.Items)*ItemSize }
 
 // Encode appends the response encoding to buf and returns it.
 func (r Response) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, r.EncodedSize())...)
-	b := buf[off:]
-	b[0] = byte(MsgResponse)
-	binary.LittleEndian.PutUint64(b[1:], r.ID)
-	if r.Final {
-		b[9] = 1
+	buf = AppendResponseHeader(buf, r.ID, r.Final, r.Status, len(r.Items))
+	return EncodeItems(buf, r.Items)
+}
+
+// AppendResponseHeader appends the fixed header of a response segment that
+// carries count items. Followed by count AppendItem calls (or count packed
+// items copied in) it yields exactly what Response.Encode produces, so a
+// server can stream a result into its wire form without materialising a
+// []Item first.
+func AppendResponseHeader(buf []byte, id uint64, final bool, status uint8, count int) []byte {
+	var h [respHeader]byte
+	h[0] = byte(MsgResponse)
+	binary.LittleEndian.PutUint64(h[1:], id)
+	if final {
+		h[9] = 1
 	}
-	b[10] = r.Status
-	binary.LittleEndian.PutUint32(b[11:], uint32(len(r.Items)))
-	p := respHeader
-	for _, it := range r.Items {
-		putRect(b[p:], it.Rect)
-		binary.LittleEndian.PutUint64(b[p+32:], it.Ref)
-		p += ItemSize
+	h[10] = status
+	binary.LittleEndian.PutUint32(h[11:], uint32(count))
+	return append(buf, h[:]...)
+}
+
+// AppendItem appends one packed result item (ItemSize bytes) — the unit of
+// both a response segment's body and a mailbox slot's payload.
+func AppendItem(buf []byte, r geo.Rect, ref uint64) []byte {
+	n := len(buf)
+	if cap(buf)-n < ItemSize {
+		buf = append(buf, make([]byte, ItemSize)...)
 	}
+	buf = buf[:n+ItemSize]
+	b := buf[n : n+ItemSize : n+ItemSize]
+	putRect(b, r)
+	binary.LittleEndian.PutUint64(b[32:], ref)
 	return buf
 }
 
-// DecodeResponse parses a response.
+// DecodeResponse parses a response into a freshly allocated item slice.
 func DecodeResponse(b []byte) (Response, error) {
-	if len(b) < respHeader || MsgType(b[0]) != MsgResponse {
-		return Response{}, fmt.Errorf("%w: response header", ErrCorrupt)
+	return DecodeResponseAppend(b, nil)
+}
+
+// DecodeResponseAppend parses a response segment, appending its items to
+// dst (which may be nil): the returned Response's Items is dst extended by
+// the segment, grown to exactly the needed capacity when dst is too small.
+// Folding a multi-segment response through it decodes every item once,
+// straight into the result slice. On error dst is returned unextended.
+func DecodeResponseAppend(b []byte, dst []Item) (Response, error) {
+	count, err := responseCount(b)
+	if err != nil {
+		return Response{Items: dst}, err
 	}
-	count := int(binary.LittleEndian.Uint32(b[11:]))
-	if len(b) < respHeader+count*ItemSize {
-		return Response{}, fmt.Errorf("%w: response truncated (%d items)", ErrCorrupt, count)
-	}
-	r := Response{
+	return Response{
 		ID:     binary.LittleEndian.Uint64(b[1:]),
 		Final:  b[9] == 1,
 		Status: b[10],
+		Items:  appendItems(dst, b[respHeader:], count),
+	}, nil
+}
+
+// PeekResponse validates a response segment and returns its header fields
+// (Items nil) and item count without decoding any item.
+func PeekResponse(b []byte) (Response, int, error) {
+	count, err := responseCount(b)
+	if err != nil {
+		return Response{}, 0, err
 	}
-	if count > 0 {
-		r.Items = make([]Item, count)
-		p := respHeader
-		for i := range r.Items {
-			r.Items[i] = Item{
-				Rect: getRect(b[p:]),
-				Ref:  binary.LittleEndian.Uint64(b[p+32:]),
-			}
-			p += ItemSize
-		}
+	return Response{
+		ID:     binary.LittleEndian.Uint64(b[1:]),
+		Final:  b[9] == 1,
+		Status: b[10],
+	}, count, nil
+}
+
+// responseCount checks that b is a response segment holding every item its
+// header announces, and returns how many that is.
+func responseCount(b []byte) (int, error) {
+	if len(b) < respHeader || MsgType(b[0]) != MsgResponse {
+		return 0, fmt.Errorf("%w: response header", ErrCorrupt)
 	}
-	return r, nil
+	count := int(binary.LittleEndian.Uint32(b[11:]))
+	if (len(b)-respHeader)/ItemSize < count {
+		return 0, fmt.Errorf("%w: response truncated (%d items)", ErrCorrupt, count)
+	}
+	return count, nil
+}
+
+// appendItems decodes count packed items from b (which must hold them) onto
+// dst, growing dst at most once and to exactly the capacity needed.
+func appendItems(dst []Item, b []byte, count int) []Item {
+	if count == 0 {
+		return dst
+	}
+	n := len(dst)
+	if cap(dst)-n < count {
+		grown := make([]Item, n, n+count)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:n+count]
+	for i := n; i < len(dst); i++ {
+		p := b[:ItemSize:ItemSize]
+		dst[i] = Item{Rect: getRect(p), Ref: binary.LittleEndian.Uint64(p[32:])}
+		b = b[ItemSize:]
+	}
+	return dst
+}
+
+// PeekID returns the type and request id of a reply frame — response,
+// chunk/version/span data, fetch descriptor, shard-map data — from its
+// fixed [type u8][id u64] header, without decoding the body. A
+// demultiplexer routes on it; the frame's consumer does the one full decode.
+func PeekID(b []byte) (MsgType, uint64, error) {
+	if len(b) < 1+8 {
+		return 0, 0, fmt.Errorf("%w: reply header", ErrCorrupt)
+	}
+	t := MsgType(b[0])
+	switch t {
+	case MsgResponse, MsgChunkData, MsgVersionData, MsgSpanData, MsgFetchDesc, MsgShardMapData:
+		return t, binary.LittleEndian.Uint64(b[1:]), nil
+	}
+	return 0, 0, fmt.Errorf("%w: type %d is not a reply", ErrCorrupt, t)
 }
 
 // Heartbeat carries the server's windowed CPU utilization (0..1) and the
