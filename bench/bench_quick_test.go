@@ -1,8 +1,16 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
 	"strings"
 	"testing"
+
+	"github.com/catfish-db/catfish/internal/stats"
+	"github.com/catfish-db/catfish/internal/workload"
 )
 
 // quickOpts shrinks every figure to smoke-test size.
@@ -176,5 +184,54 @@ func TestOptionsDefaults(t *testing.T) {
 	f := Options{Full: true}.withDefaults()
 	if f.DatasetSize != 2_000_000 || f.Requests != 10_000 {
 		t.Errorf("full = %+v", f)
+	}
+}
+
+// TestScenarioGolden pins the quick-scale moving-objects rows (MOVE,
+// delete+insert, batched MOVE through client.ExecBatch) and the sharded
+// kNN rows (the router's best-first cross-shard gather) to
+// testdata/scenario-golden.json, captured before the sim and TCP routers
+// were folded into one core. The simulation is deterministic and floats
+// are written in Go's shortest round-trip form, so equal text means equal
+// bits. A deliberate behaviour change regenerates the file from the "got"
+// document this test prints.
+func TestScenarioGolden(t *testing.T) {
+	type row struct {
+		Kops        float64
+		Lat         stats.Summary
+		ServerMoves uint64
+		CPUUtil     float64
+		FetchFrac   float64
+		Fanout      float64
+	}
+	o := quickOpts().withDefaults()
+	clients := o.ablationClients()
+	got := map[string]row{}
+	for _, mode := range []string{"move", "del+ins", "batched-move"} {
+		res, err := runMovingObjects(o, o.DatasetSize, clients, mode)
+		if err != nil {
+			t.Fatalf("moving %s: %v", mode, err)
+		}
+		got["moving/"+mode] = row{Kops: res.kops, Lat: res.lat, ServerMoves: res.serverMoves, CPUUtil: res.cpuUtil}
+	}
+	data := workload.UniformRectsRand(rand.New(rand.NewSource(o.Seed)), o.DatasetSize, 0.0001)
+	for _, k := range []int{1, 10, 100} {
+		res, err := runKNNSharded(o, data, clients, k)
+		if err != nil {
+			t.Fatalf("knn sharded-4 k=%d: %v", k, err)
+		}
+		got[fmt.Sprintf("knn/sharded-4/k=%d", k)] = row{Kops: res.kops, Lat: res.lat, FetchFrac: res.fetchFrac, Fanout: res.fanout}
+	}
+	doc, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = append(doc, '\n')
+	want, err := os.ReadFile("testdata/scenario-golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc, want) {
+		t.Errorf("scenario results diverge from testdata/scenario-golden.json; got:\n%s", doc)
 	}
 }

@@ -439,7 +439,7 @@ func runKNNSharded(o Options, data []rtree.Entry, clients, k int) (knnResult, er
 			for q := 0; q < o.Requests; q++ {
 				x, y := rng.Float64(), rng.Float64()
 				start := p.Now()
-				if _, err := r.Nearest(p, k, x, y); err != nil {
+				if _, _, err := r.On(p).Nearest(k, x, y); err != nil {
 					runErr = err
 					return
 				}

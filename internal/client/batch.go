@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/replica"
-	"github.com/catfish-db/catfish/internal/rtree"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
@@ -14,19 +12,10 @@ import (
 // BatchOp is one operation submitted through ExecBatch. For MsgMove, Rect
 // is the source rectangle and Rect2 the destination; for MsgKNN, Rect is
 // the query point (a degenerate rectangle) and Ref carries k.
-type BatchOp struct {
-	Type  wire.MsgType // MsgSearch, MsgInsert, MsgDelete, MsgMove or MsgKNN
-	Rect  geo.Rect
-	Ref   uint64   // insert/delete/move payload; k for MsgKNN
-	Rect2 geo.Rect // move destination
-}
+type BatchOp = proto.BatchOp
 
 // BatchResult is the outcome of one batched operation, in submission order.
-type BatchResult struct {
-	Method Method
-	Items  []wire.Item
-	Err    error
-}
+type BatchResult = proto.BatchResult
 
 // ExecBatch executes up to wire.MaxBatch operations as one client batch,
 // reusing the caller's results slice.
@@ -63,7 +52,7 @@ func (c *Client) ExecBatch(p *sim.Proc, ops []BatchOp, results []BatchResult) []
 		case wire.MsgKNN:
 			x, y := op.Rect.Center()
 			nbrs, m, err := c.Nearest(p, int(op.Ref), x, y)
-			results[0] = BatchResult{Method: m, Items: itemsFromNeighbors(nbrs), Err: err}
+			results[0] = BatchResult{Method: m, Items: proto.ItemsOfNeighbors(nbrs), Err: err}
 		default:
 			items, m, err := c.Search(p, op.Rect)
 			results[0] = BatchResult{Method: m, Items: items, Err: err}
@@ -244,7 +233,7 @@ func (c *Client) collectBatch(p *sim.Proc, ops []BatchOp, results []BatchResult,
 		}
 		results[i].Items = append(results[i].Items, c.respBuf.Items...)
 		if c.respBuf.Final {
-			results[i].Err = opError(ops[i].Type, c.respBuf.Status)
+			results[i].Err = proto.OpError(ops[i].Type, c.respBuf.Status)
 			if results[i].Method == MethodFetch {
 				c.stats.FetchInline.Inc()
 			}
@@ -325,7 +314,7 @@ func (c *Client) collectBatch(p *sim.Proc, ops []BatchOp, results []BatchResult,
 	for _, pd := range descs {
 		i := pd.op
 		if pd.desc.Status != wire.StatusOK {
-			results[i].Err = opError(ops[i].Type, pd.desc.Status)
+			results[i].Err = proto.OpError(ops[i].Type, pd.desc.Status)
 			continue
 		}
 		items, err := c.pullMailbox(p, pd.desc)
@@ -340,42 +329,5 @@ func (c *Client) collectBatch(p *sim.Proc, ops []BatchOp, results []BatchResult,
 		}
 		results[i].Items = append(results[i].Items, items...)
 		results[i].Err = err
-	}
-}
-
-// itemsFromNeighbors converts a neighbor list back to response items
-// (preserving ascending distance order) for the batched result surface.
-func itemsFromNeighbors(nbrs []rtree.Neighbor) []wire.Item {
-	if len(nbrs) == 0 {
-		return nil
-	}
-	items := make([]wire.Item, len(nbrs))
-	for i, nb := range nbrs {
-		items[i] = wire.Item{Rect: nb.Rect, Ref: nb.Ref}
-	}
-	return items
-}
-
-// opError maps a response status to the unbatched API's error for the
-// given operation type.
-func opError(t wire.MsgType, status uint8) error {
-	if rerr := replica.StatusError(status); rerr != nil {
-		return rerr
-	}
-	switch {
-	case status == wire.StatusOK:
-		return nil
-	case t == wire.MsgDelete && status == wire.StatusNotFound:
-		return ErrNotFound
-	case t == wire.MsgSearch:
-		return fmt.Errorf("%w: search status %d", ErrServer, status)
-	case t == wire.MsgInsert:
-		return fmt.Errorf("%w: insert status %d", ErrServer, status)
-	case t == wire.MsgMove:
-		return fmt.Errorf("%w: move status %d", ErrServer, status)
-	case t == wire.MsgKNN:
-		return fmt.Errorf("%w: knn status %d", ErrServer, status)
-	default:
-		return fmt.Errorf("%w: delete status %d", ErrServer, status)
 	}
 }

@@ -8,7 +8,6 @@ package client
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/nodecache"
-	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
@@ -25,44 +24,24 @@ import (
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// Method identifies how a search was executed.
-type Method int
+// Method identifies how a search was executed. It, the batch types and
+// the status errors below are the vocabulary shared with the real-socket
+// client (internal/proto).
+type Method = proto.Method
 
 // Search methods.
 const (
-	// MethodFast is RDMA-Write fast messaging (server executes the search).
-	MethodFast Method = iota + 1
-	// MethodOffload is client-side traversal over RDMA Reads.
-	MethodOffload
-	// MethodTCP is the kernel-TCP baseline path.
-	MethodTCP
-	// MethodFetch is RFP-style remote result fetching: the server executes
-	// the search and deposits the result in a mailbox slot; the client pulls
-	// it with one-sided RDMA Reads (DESIGN.md §5.10).
-	MethodFetch
+	MethodFast    = proto.MethodFast
+	MethodOffload = proto.MethodOffload
+	MethodTCP     = proto.MethodTCP
+	MethodFetch   = proto.MethodFetch
 )
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodFast:
-		return "fast"
-	case MethodOffload:
-		return "offload"
-	case MethodTCP:
-		return "tcp"
-	case MethodFetch:
-		return "fetch"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
 
 // Errors.
 var (
-	ErrServer   = errors.New("client: server reported an error")
+	ErrServer   = proto.ErrServer
+	ErrNotFound = proto.ErrNotFound
 	ErrGaveUp   = errors.New("client: offloaded search exceeded retry budget")
-	ErrNotFound = errors.New("client: entry not found")
 )
 
 // Config configures a Client.
@@ -371,13 +350,7 @@ func (c *Client) Insert(p *sim.Proc, r geo.Rect, ref uint64) error {
 	if err != nil {
 		return err
 	}
-	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return rerr
-		}
-		return fmt.Errorf("%w: insert status %d", ErrServer, resp.Status)
-	}
-	return nil
+	return proto.OpError(wire.MsgInsert, resp.Status)
 }
 
 // Delete removes an exact (rect, ref) entry.
@@ -387,17 +360,7 @@ func (c *Client) Delete(p *sim.Proc, r geo.Rect, ref uint64) error {
 	if err != nil {
 		return err
 	}
-	switch resp.Status {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusNotFound:
-		return ErrNotFound
-	default:
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return rerr
-		}
-		return fmt.Errorf("%w: delete status %d", ErrServer, resp.Status)
-	}
+	return proto.OpError(wire.MsgDelete, resp.Status)
 }
 
 // Promote asks the server to adopt epoch and start accepting writes — the
@@ -410,10 +373,7 @@ func (c *Client) Promote(p *sim.Proc, epoch uint64) error {
 		return err
 	}
 	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return rerr
-		}
-		return fmt.Errorf("%w: promote status %d", ErrServer, resp.Status)
+		return proto.StatusError(resp.Status, "promote")
 	}
 	return nil
 }
@@ -502,10 +462,7 @@ func (c *Client) searchFast(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
 		return nil, err
 	}
 	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return nil, rerr
-		}
-		return nil, fmt.Errorf("%w: search status %d", ErrServer, resp.Status)
+		return nil, proto.StatusError(resp.Status, "search")
 	}
 	return resp.Items, nil
 }
@@ -603,10 +560,7 @@ func (c *Client) searchTCP(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
 		return nil, err
 	}
 	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return nil, rerr
-		}
-		return nil, fmt.Errorf("%w: search status %d", ErrServer, resp.Status)
+		return nil, proto.StatusError(resp.Status, "search")
 	}
 	return resp.Items, nil
 }

@@ -5,7 +5,7 @@ import (
 
 	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -23,13 +23,7 @@ func (c *Client) Move(p *sim.Proc, from, to geo.Rect, ref uint64) error {
 	if err != nil {
 		return err
 	}
-	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return rerr
-		}
-		return fmt.Errorf("%w: move status %d", ErrServer, resp.Status)
-	}
-	return nil
+	return proto.OpError(wire.MsgMove, resp.Status)
 }
 
 // Nearest returns the k entries nearest to (x, y) in ascending distance
@@ -69,7 +63,7 @@ func (c *Client) Nearest(p *sim.Proc, k int, x, y float64) ([]rtree.Neighbor, Me
 	if err != nil {
 		return nil, m, err
 	}
-	return neighborsFromItems(items, x, y), m, nil
+	return proto.NeighborsOfItems(items, x, y), m, nil
 }
 
 // pinServerSide maps a forced method onto one a kNN can execute: offload
@@ -138,26 +132,7 @@ func (c *Client) knnFetch(p *sim.Proc, k int, x, y float64) ([]wire.Item, error)
 // knnStatus maps a kNN response to its items or a typed error.
 func knnStatus(resp wire.Response) ([]wire.Item, error) {
 	if resp.Status != wire.StatusOK {
-		if rerr := replica.StatusError(resp.Status); rerr != nil {
-			return nil, rerr
-		}
-		return nil, fmt.Errorf("%w: knn status %d", ErrServer, resp.Status)
+		return nil, proto.StatusError(resp.Status, "knn")
 	}
 	return resp.Items, nil
-}
-
-// neighborsFromItems rebuilds the neighbor list from response items. The
-// server sends items in ascending distance order, and DistSq is recomputed
-// here with the same geo.Rect.DistSqToPoint the tree's best-first search
-// used — rectangles round-trip bit-exactly, so the distances (and therefore
-// the whole result) match a local Nearest call exactly.
-func neighborsFromItems(items []wire.Item, x, y float64) []rtree.Neighbor {
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]rtree.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = rtree.Neighbor{Rect: it.Rect, Ref: it.Ref, DistSq: it.Rect.DistSqToPoint(x, y)}
-	}
-	return out
 }

@@ -268,7 +268,7 @@ func runSharded(cfg Config) (Result, error) {
 						req++
 					}
 					start := p.Now()
-					results = r.ExecBatch(p, batch, results)
+					results = r.On(p).ExecBatch(batch, results)
 					elapsed := p.Now() - start
 					for j := range results {
 						if err := results[j].Err; err != nil {
@@ -296,7 +296,7 @@ func runSharded(cfg Config) (Result, error) {
 				start := p.Now()
 				switch op.Type {
 				case workload.OpInsert:
-					if err := r.Insert(p, op.Rect, op.Ref+uint64(i)<<32); err != nil {
+					if err := r.On(p).Insert(op.Rect, op.Ref+uint64(i)<<32); err != nil {
 						runErr = fmt.Errorf("client %d insert: %w", i, err)
 						return
 					}
@@ -305,7 +305,7 @@ func runSharded(cfg Config) (Result, error) {
 						acked[i] = append(acked[i], rtree.Entry{Rect: op.Rect, Ref: op.Ref + uint64(i)<<32})
 					}
 				default:
-					if _, _, err := r.Search(p, op.Rect); err != nil {
+					if _, _, err := r.On(p).Search(op.Rect); err != nil {
 						runErr = fmt.Errorf("client %d search: %w", i, err)
 						return
 					}
@@ -442,7 +442,7 @@ func verifySharded(p *sim.Proc, r *shard.Router, cfg Config, want []rtree.Entry)
 			continue
 		}
 		done++
-		items, _, err := r.Search(p, op.Rect)
+		items, _, err := r.On(p).Search(op.Rect)
 		if err != nil {
 			return fmt.Errorf("cluster: verify query %d: %w", done, err)
 		}

@@ -12,17 +12,19 @@ import (
 	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/nodecache"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// Method identifies how a read executed.
-type Method int
+// Method identifies how a read executed: the access-method vocabulary the
+// R-tree clients use.
+type Method = proto.Method
 
 // Read methods.
 const (
-	MethodFast Method = iota + 1
-	MethodOffload
+	MethodFast    = proto.MethodFast
+	MethodOffload = proto.MethodOffload
 )
 
 // Errors.

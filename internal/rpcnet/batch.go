@@ -9,8 +9,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -156,20 +155,10 @@ func (s *Server) respondBatch(sc *srvConn, k *resultSink) error {
 }
 
 // BatchOp is one operation submitted through ExecBatch.
-type BatchOp struct {
-	Type wire.MsgType // MsgSearch, MsgInsert, MsgDelete, MsgMove or MsgKNN
-	Rect geo.Rect     // query rect; move source; kNN query point (degenerate rect)
-	Ref  uint64       // insert/delete/move payload; k for MsgKNN
-	// Rect2 is the move destination (MsgMove only).
-	Rect2 geo.Rect
-}
+type BatchOp = proto.BatchOp
 
 // BatchResult is the outcome of one batched operation, in submission order.
-type BatchResult struct {
-	Method Method
-	Items  []wire.Item
-	Err    error
-}
+type BatchResult = proto.BatchResult
 
 // wireOp ties a messaging-group request ID back to its batch slot.
 type wireOp struct {
@@ -205,7 +194,7 @@ func (c *Client) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 		case wire.MsgKNN:
 			x, y := op.Rect.Center()
 			nbrs, m, err := c.Nearest(int(op.Ref), x, y)
-			results[0] = BatchResult{Method: m, Items: itemsOfNeighbors(nbrs), Err: err}
+			results[0] = BatchResult{Method: m, Items: proto.ItemsOfNeighbors(nbrs), Err: err}
 		default:
 			items, m, err := c.Search(op.Rect)
 			results[0] = BatchResult{Method: m, Items: items, Err: err}
@@ -342,7 +331,7 @@ func (c *Client) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 	for _, pd := range descs {
 		i := pd.op
 		if pd.desc.Status != wire.StatusOK {
-			results[i].Err = batchOpError(ops[i].Type, pd.desc.Status)
+			results[i].Err = proto.OpError(ops[i].Type, pd.desc.Status)
 			continue
 		}
 		items, err := c.pullMailbox(pd.desc)
@@ -421,39 +410,12 @@ func (c *Client) collectBatch(w *waiter, ops []BatchOp, results []BatchResult,
 		}
 		results[i].Items = resp.Items
 		if resp.Final {
-			results[i].Err = batchOpError(ops[i].Type, resp.Status)
+			results[i].Err = proto.OpError(ops[i].Type, resp.Status)
 			if results[i].Method == MethodFetch {
 				c.stats.FetchInline.Inc()
 			}
 			delete(idx, resp.ID)
 			remaining--
 		}
-	}
-}
-
-// batchOpError maps a response status to the unbatched API's error for the
-// given operation type.
-func batchOpError(t wire.MsgType, status uint8) error {
-	if status == wire.StatusOverloaded {
-		return ErrOverloaded
-	}
-	if rerr := replica.StatusError(status); rerr != nil {
-		return rerr
-	}
-	switch {
-	case status == wire.StatusOK:
-		return nil
-	case t == wire.MsgDelete && status == wire.StatusNotFound:
-		return ErrNotFound
-	case t == wire.MsgInsert:
-		return fmt.Errorf("%w: insert status %d", ErrServer, status)
-	case t == wire.MsgDelete:
-		return fmt.Errorf("%w: delete status %d", ErrServer, status)
-	case t == wire.MsgMove:
-		return fmt.Errorf("%w: move status %d", ErrServer, status)
-	case t == wire.MsgKNN:
-		return fmt.Errorf("%w: knn status %d", ErrServer, status)
-	default:
-		return fmt.Errorf("%w: status %d", ErrServer, status)
 	}
 }

@@ -13,51 +13,33 @@ import (
 	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/nodecache"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
-	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// Method mirrors the simulation client's search methods.
-type Method int
+// Method identifies how a search was executed. It, the batch types and
+// the status errors below are the vocabulary shared with the simulated
+// client (internal/proto).
+type Method = proto.Method
 
 // Search methods.
 const (
-	MethodFast Method = iota + 1
-	MethodOffload
-	// MethodFetch is RFP-style remote result fetching: the server executes
-	// the search into a mailbox slot and the client pulls the slot with
-	// READ_MAILBOX requests (DESIGN.md §5.10).
-	MethodFetch
+	MethodFast    = proto.MethodFast
+	MethodOffload = proto.MethodOffload
+	MethodFetch   = proto.MethodFetch
 )
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodOffload:
-		return "offload"
-	case MethodFetch:
-		return "fetch"
-	default:
-		return "fast"
-	}
-}
 
 // Errors.
 var (
-	ErrClosed   = errors.New("rpcnet: connection closed")
-	ErrServer   = errors.New("rpcnet: server reported an error")
-	ErrNotFound = errors.New("rpcnet: entry not found")
-	ErrGaveUp   = errors.New("rpcnet: traversal exceeded retry budget")
-	// ErrOverloaded surfaces a typed StatusOverloaded shed: the server's
-	// admission controller refused the operation without executing it.
-	// Distinct from transport errors and from the failover sentinels —
-	// the server is alive, just saturated; retry (ideally elsewhere)
-	// with backoff.
-	ErrOverloaded = errors.New("rpcnet: server overloaded")
+	ErrClosed     = errors.New("rpcnet: connection closed")
+	ErrServer     = proto.ErrServer
+	ErrNotFound   = proto.ErrNotFound
+	ErrGaveUp     = errors.New("rpcnet: traversal exceeded retry budget")
+	ErrOverloaded = proto.ErrOverloaded
 )
 
 // ClientConfig tunes the real-network client.
@@ -103,14 +85,14 @@ type ClientConfig struct {
 
 	// Metrics, when non-nil, exposes the client counters, the predicted
 	// server utilization, and a search-latency histogram on the registry
-	// under catfish_client_* names (DialRouter hands each per-shard client
+	// under catfish_client_* names (a Router hands each per-shard client
 	// a shard-labelled view).
 	Metrics *telemetry.Registry
 
 	// Trace, when non-nil, receives one telemetry.Trace per search.
 	Trace *telemetry.Tracer
 
-	// Shard is the shard index stamped into trace records (DialRouter sets
+	// Shard is the shard index stamped into trace records (a Router sets
 	// it; 0 for unsharded clients).
 	Shard int
 
@@ -169,13 +151,10 @@ type Client struct {
 	latHist *telemetry.Histogram
 }
 
-// Dial connects to a server and performs the hello exchange. The client
+// dialClient connects to a server and performs the hello exchange. The client
 // owns its connection; use DialMux + (*Mux).Client (or a MuxPool) to
 // share one connection among many logical clients.
-//
-// Deprecated: use Connect, which unifies single-server and routed
-// construction behind functional options.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
+func dialClient(addr string, cfg ClientConfig) (*Client, error) {
 	m, err := DialMux(addr, MuxConfig{})
 	if err != nil {
 		return nil, err
@@ -358,7 +337,7 @@ func (c *Client) Promote(epoch uint64) error {
 		return err
 	}
 	if resp.Status != wire.StatusOK {
-		return statusErr(resp.Status, "promote")
+		return proto.StatusError(resp.Status, "promote")
 	}
 	return nil
 }
@@ -381,19 +360,6 @@ func (c *Client) Addr() string { return c.mx.addr }
 // server's utilization — the signal the router's read-replica policy keys
 // on.
 func (c *Client) PredictedUtil() float64 { return c.sw.PredictedUtil() }
-
-// statusErr maps a response status to the typed error clients surface: the
-// replica sentinels first, so errors.Is failover checks work identically
-// across transports, then the generic server-error wrap.
-func statusErr(status uint8, what string) error {
-	if status == wire.StatusOverloaded {
-		return ErrOverloaded
-	}
-	if rerr := replica.StatusError(status); rerr != nil {
-		return rerr
-	}
-	return fmt.Errorf("%w: %s status %d", ErrServer, what, status)
-}
 
 // call sends payload and waits for the one reply addressed to id. The
 // caller decodes it and then releases it — what the decode returns must
@@ -553,7 +519,7 @@ func (c *Client) Insert(r geo.Rect, ref uint64) error {
 		return err
 	}
 	if resp.Status != wire.StatusOK {
-		return statusErr(resp.Status, "insert")
+		return proto.StatusError(resp.Status, "insert")
 	}
 	return nil
 }
@@ -565,14 +531,7 @@ func (c *Client) Delete(r geo.Rect, ref uint64) error {
 	if err != nil {
 		return err
 	}
-	switch resp.Status {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusNotFound:
-		return ErrNotFound
-	default:
-		return statusErr(resp.Status, "delete")
-	}
+	return proto.OpError(wire.MsgDelete, resp.Status)
 }
 
 // decide runs Algorithm 1 (extended with the 3-way fetch branch) against
@@ -603,7 +562,7 @@ func (c *Client) searchFast(q geo.Rect) ([]wire.Item, error) {
 		return nil, err
 	}
 	if resp.Status != wire.StatusOK {
-		return nil, statusErr(resp.Status, "search")
+		return nil, proto.StatusError(resp.Status, "search")
 	}
 	return resp.Items, nil
 }
@@ -631,7 +590,7 @@ func (c *Client) fetchExchange(req wire.Request, what string, fast func() ([]wir
 	}
 	if isDesc {
 		if desc.Status != wire.StatusOK {
-			return nil, statusErr(desc.Status, what)
+			return nil, proto.StatusError(desc.Status, what)
 		}
 		items, perr := c.pullMailbox(desc)
 		if perr != nil {
@@ -641,7 +600,7 @@ func (c *Client) fetchExchange(req wire.Request, what string, fast func() ([]wir
 		return items, nil
 	}
 	if resp.Status != wire.StatusOK {
-		return nil, statusErr(resp.Status, what)
+		return nil, proto.StatusError(resp.Status, what)
 	}
 	c.stats.FetchInline.Inc()
 	return resp.Items, nil
@@ -716,7 +675,7 @@ func (c *Client) pullSpan(chunk int, payloads [][]byte) (torn bool, err error) {
 		return false, err
 	}
 	if sd.Status != wire.StatusOK {
-		return false, statusErr(sd.Status, "mailbox read")
+		return false, proto.StatusError(sd.Status, "mailbox read")
 	}
 	cs := int(c.hello.ChunkSize)
 	if len(sd.Raw) != len(payloads)*cs {
@@ -761,7 +720,7 @@ func (c *Client) fetchChunk(id int, expectLevel int, node *rtree.Node) error {
 		}
 		cd, err := wire.DecodeChunkData(d.msg)
 		if err == nil && cd.Status != wire.StatusOK {
-			err = statusErr(cd.Status, "chunk read")
+			err = proto.StatusError(cd.Status, "chunk read")
 		}
 		if err != nil {
 			d.release()
@@ -845,7 +804,7 @@ func (c *Client) fetchVersions(id int) (uint64, error) {
 		return 0, err
 	}
 	if vd.Status != wire.StatusOK {
-		return 0, statusErr(vd.Status, "version read")
+		return 0, proto.StatusError(vd.Status, "version read")
 	}
 	return region.DecodeVersions(vd.Versions)
 }
@@ -1147,7 +1106,7 @@ func (c *Client) fetchRun(frontier []chunkRef, r *spanRun, nodes []*rtree.Node) 
 		return err
 	}
 	if sd.Status != wire.StatusOK {
-		return statusErr(sd.Status, "span read")
+		return proto.StatusError(sd.Status, "span read")
 	}
 	cs := int(c.hello.ChunkSize)
 	if len(sd.Raw) != total*cs {

@@ -76,23 +76,13 @@ func (o *connectOptions) routed() bool {
 // options).
 type Option func(*connectOptions)
 
-// WithClientConfig replaces the base per-connection client configuration
-// wholesale — the escape hatch for knobs without a dedicated option
-// (MultiIssue, restart budgets, ...). Finer options applied after it still
-// override individual fields.
+// WithClientConfig replaces the per-connection client configuration
+// wholesale: the adaptive switch's parameters, the fetch branch, node
+// cache, merged spans, prefetch, metrics and tracing are all ClientConfig
+// fields. WithForced, WithSeed and WithDeadline applied after it still
+// override their fields.
 func WithClientConfig(cfg ClientConfig) Option {
 	return func(o *connectOptions) { o.client = cfg }
-}
-
-// WithAdaptive runs Algorithm 1's adaptive method switch with back-off
-// window unit n and busy threshold t (0 values keep the defaults 8 and
-// 0.95).
-func WithAdaptive(n int, t float64) Option {
-	return func(o *connectOptions) {
-		o.client.Adaptive = true
-		o.client.N = n
-		o.client.T = t
-	}
 }
 
 // WithForced pins every search to one access method, disabling the
@@ -102,45 +92,6 @@ func WithForced(m Method) Option {
 		o.client.Adaptive = false
 		o.client.Forced = m
 	}
-}
-
-// WithFetch arms the adaptive switch's third branch — RFP-style mailbox
-// fetching — with busy threshold txT on predicted TX utilization (0 keeps
-// the default 0.8).
-func WithFetch(txT float64) Option {
-	return func(o *connectOptions) {
-		o.client.Fetch = true
-		o.client.TxT = txT
-	}
-}
-
-// WithNodeCache enables the version-validated client-side node cache with
-// the given capacity in nodes.
-func WithNodeCache(capacity int) Option {
-	return func(o *connectOptions) { o.client.NodeCache = capacity }
-}
-
-// WithMergeSpan folds up to span physically-adjacent chunk reads of one
-// multi-issue frontier into a single READ_SPAN round trip.
-func WithMergeSpan(span int) Option {
-	return func(o *connectOptions) { o.client.MergeSpan = span }
-}
-
-// WithPrefetch sets the token-bucket capacity for speculative span
-// extensions during offloaded traversal.
-func WithPrefetch(budget int) Option {
-	return func(o *connectOptions) { o.client.Prefetch = budget }
-}
-
-// WithMetrics exposes the connection's client counters on reg (per-shard
-// labelled views for a router).
-func WithMetrics(reg *telemetry.Registry) Option {
-	return func(o *connectOptions) { o.client.Metrics = reg }
-}
-
-// WithTrace streams one telemetry.Trace per search to tr.
-func WithTrace(tr *telemetry.Tracer) Option {
-	return func(o *connectOptions) { o.client.Trace = tr }
 }
 
 // WithSeed seeds the connection's back-off randomness (a router offsets it
@@ -189,8 +140,7 @@ func WithMuxPool(p *MuxPool) Option {
 // sockets: one address yields a direct client, several (or any
 // router-only option — backups, health tracking, read replicas) yield a
 // scatter-gather router, and a MuxPool multiplexes either shape over
-// shared connections. It subsumes Dial and DialRouter, which remain as
-// thin deprecated wrappers.
+// shared connections.
 func Connect(addrs []string, opts ...Option) (Conn, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: connect needs at least one address")
@@ -207,10 +157,10 @@ func Connect(addrs []string, opts ...Option) (Conn, error) {
 			}
 			return m.Client(o.client)
 		}
-		return Dial(addrs[0], o.client)
+		return dialClient(addrs[0], o.client)
 	}
 	rc := o.router
 	rc.Client = o.client
 	rc.Pool = o.pool
-	return DialRouter(addrs, rc)
+	return connectRouter(addrs, rc)
 }

@@ -2,21 +2,15 @@ package rpcnet
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	simclient "github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
-	simserver "github.com/catfish-db/catfish/internal/server"
-	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -109,7 +103,7 @@ func TestNetFailoverKillPrimary(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			addrs, backups, srvs, _, data := startReplicatedDeploy(t, 2000, 2, 2, hbInv)
-			r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
+			r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +187,7 @@ func TestNetFailoverKillPrimary(t *testing.T) {
 func TestNetZombiePrimaryFenced(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
 	addrs, backups, srvs, m, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv)
-	r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
+	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,151 +228,4 @@ func TestNetZombiePrimaryFenced(t *testing.T) {
 			t.Fatal("fenced write became visible through the router")
 		}
 	}
-}
-
-// TestUnhealthyErrorEquivalence is the cross-transport table test of the
-// unified unhealthy-owner write error: the simulated-fabric router and the
-// real-socket router (plain and batched) must produce the same typed
-// *shard.UnhealthyError — identical text, errors.Is(err, ErrUnhealthy),
-// and the owning shard index attached.
-func TestUnhealthyErrorEquivalence(t *testing.T) {
-	type row struct {
-		transport string
-		err       error
-	}
-	var rows []row
-
-	// Real sockets: drop shard 1's heartbeats and write to it, plain and
-	// batched.
-	const hbInv = 4 * time.Millisecond
-	addrs, srvs, m, _ := startShardedDeploy(t, 1000, 2, hbInv)
-	r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	probe1 := netProbeRect(t, m, 1)
-	waitUntil(t, "both shards healthy", func() bool { return r.Healthy(0) && r.Healthy(1) })
-	srvs[1].PauseHeartbeats(true)
-	waitUntil(t, "shard 1 unhealthy", func() bool { return !r.Healthy(1) })
-	rows = append(rows, row{"net", r.Insert(probe1, 1<<30)})
-	res := r.ExecBatch([]BatchOp{{Type: wire.MsgInsert, Rect: probe1, Ref: 1<<30 + 1}}, nil)
-	rows = append(rows, row{"net-batched", res[0].Err})
-
-	// Simulated fabric: the same dead-owner write through the sim router.
-	simErr, simBatchErr := simUnhealthyErrors(t)
-	rows = append(rows, row{"sim", simErr}, row{"sim-batched", simBatchErr})
-
-	canonical := (&shard.UnhealthyError{Shard: 1}).Error()
-	for _, tc := range rows {
-		t.Run(tc.transport, func(t *testing.T) {
-			if tc.err == nil {
-				t.Fatal("dead-owner write succeeded")
-			}
-			if !errors.Is(tc.err, shard.ErrUnhealthy) {
-				t.Errorf("errors.Is(err, ErrUnhealthy) = false for %v", tc.err)
-			}
-			var ue *shard.UnhealthyError
-			if !errors.As(tc.err, &ue) || ue.Shard != 1 {
-				t.Errorf("error does not carry shard 1: %v", tc.err)
-			}
-			if got := tc.err.Error(); got != canonical {
-				t.Errorf("error text %q, want %q", got, canonical)
-			}
-		})
-	}
-}
-
-// simUnhealthyErrors reproduces the dead-owner write on the simulated
-// fabric and returns the plain and batched router errors.
-func simUnhealthyErrors(t *testing.T) (plain, batched error) {
-	t.Helper()
-	const hbInv = time.Millisecond
-	const multiple = 3
-	rng := rand.New(rand.NewSource(21))
-	data := make([]rtree.Entry, 1000)
-	for i := range data {
-		data[i] = rtree.Entry{Rect: randRect(rng, 0.002), Ref: uint64(i)}
-	}
-	m, err := shard.Build(data, shard.Config{K: 2, MaxInsertEdge: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := m.Assign(data)
-
-	e := sim.New(7)
-	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
-	cost := netmodel.DefaultCostModel()
-	clientHost := net.NewHost("client-host", sim.NewCPU(e, 8))
-	servers := make([]*simserver.Server, 2)
-	clients := make([]*simclient.Client, 2)
-	for s := 0; s < 2; s++ {
-		host := net.NewHost(fmt.Sprintf("shard-%d", s), sim.NewCPU(e, 8))
-		reg, err := region.New(1<<13, 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := rtree.New(reg, rtree.Config{MaxEntries: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(assign[s]) > 0 {
-			if err := tree.BulkLoad(append([]rtree.Entry(nil), assign[s]...), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		servers[s], err = simserver.New(simserver.Config{
-			Engine:            e,
-			Host:              host,
-			Tree:              tree,
-			Cost:              cost,
-			Mode:              simserver.ModeEvent,
-			RingSize:          64 << 10,
-			HeartbeatInterval: hbInv,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := servers[s].Connect(clientHost, net, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[s], err = simclient.New(simclient.Config{
-			Engine:       e,
-			Host:         clientHost,
-			Cost:         cost,
-			Forced:       simclient.MethodFast,
-			Endpoint:     ep,
-			HeartbeatInv: hbInv,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Engine:            e,
-		Map:               m,
-		Clients:           clients,
-		HeartbeatInterval: hbInv,
-		HealthMultiple:    multiple,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe1 := netProbeRect(t, m, 1)
-	e.Spawn("script", func(p *sim.Proc) {
-		defer p.Engine().Stop()
-		p.Sleep(3 * hbInv)
-		servers[1].PauseHeartbeats(true)
-		p.Sleep(time.Duration(multiple+3) * hbInv)
-		plain = router.Insert(p, probe1, 1<<30)
-		res := router.ExecBatch(p, []simclient.BatchOp{
-			{Type: wire.MsgInsert, Rect: probe1, Ref: 1<<30 + 1},
-		}, nil)
-		batched = res[0].Err
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return plain, batched
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/wire"
 )
@@ -24,7 +25,7 @@ func (c *Client) Move(from, to geo.Rect, ref uint64) error {
 		return err
 	}
 	if resp.Status != wire.StatusOK {
-		return statusErr(resp.Status, "move")
+		return proto.StatusError(resp.Status, "move")
 	}
 	return nil
 }
@@ -57,7 +58,7 @@ func (c *Client) Nearest(k int, x, y float64) ([]rtree.Neighbor, Method, error) 
 	if err != nil {
 		return nil, m, err
 	}
-	return neighborsOfItems(items, x, y), m, nil
+	return proto.NeighborsOfItems(items, x, y), m, nil
 }
 
 // pinServerSide maps a forced method onto one a kNN can execute: offload
@@ -92,7 +93,7 @@ func (c *Client) knnFast(k int, x, y float64) ([]wire.Item, error) {
 		return nil, err
 	}
 	if resp.Status != wire.StatusOK {
-		return nil, statusErr(resp.Status, "knn")
+		return nil, proto.StatusError(resp.Status, "knn")
 	}
 	return resp.Items, nil
 }
@@ -106,33 +107,4 @@ func (c *Client) knnFetch(k int, x, y float64) ([]wire.Item, error) {
 	req.Type = wire.MsgKNNFetch
 	return c.fetchExchange(req, "knn fetch",
 		func() ([]wire.Item, error) { return c.knnFast(k, x, y) })
-}
-
-// neighborsOfItems rebuilds the neighbor list from response items. The
-// server sends items in ascending distance order, and DistSq is recomputed
-// here with the same geo.Rect.DistSqToPoint the tree's best-first search
-// used — rectangles round-trip bit-exactly, so the distances (and therefore
-// the whole result) match a local Nearest call exactly.
-func neighborsOfItems(items []wire.Item, x, y float64) []rtree.Neighbor {
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]rtree.Neighbor, len(items))
-	for i, it := range items {
-		out[i] = rtree.Neighbor{Rect: it.Rect, Ref: it.Ref, DistSq: it.Rect.DistSqToPoint(x, y)}
-	}
-	return out
-}
-
-// itemsOfNeighbors flattens a neighbor list to wire items, preserving the
-// ascending distance order.
-func itemsOfNeighbors(nbrs []rtree.Neighbor) []wire.Item {
-	if len(nbrs) == 0 {
-		return nil
-	}
-	out := make([]wire.Item, len(nbrs))
-	for i, n := range nbrs {
-		out[i] = wire.Item{Rect: n.Rect, Ref: n.Ref}
-	}
-	return out
 }

@@ -397,7 +397,7 @@ func TestShutdownConcurrentDials(t *testing.T) {
 						return
 					default:
 					}
-					c, err := Dial(addr, ClientConfig{})
+					c, err := dialClient(addr, ClientConfig{})
 					if err != nil {
 						return // server gone
 					}
@@ -451,7 +451,7 @@ func TestAdmissionShedsTyped(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr().String(), ClientConfig{Deadline: time.Microsecond})
+			c, err := dialClient(srv.Addr().String(), ClientConfig{Deadline: time.Microsecond})
 			if err != nil {
 				errc <- err
 				return

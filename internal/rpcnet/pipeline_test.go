@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -73,7 +74,7 @@ func localNearest(t *testing.T, tree *rtree.Tree, k int, x, y float64) []wire.It
 	if err != nil {
 		t.Fatal(err)
 	}
-	return itemsOfNeighbors(nbrs)
+	return proto.ItemsOfNeighbors(nbrs)
 }
 
 // refSegments is the materialise-then-encode segmentation the pipeline
@@ -258,7 +259,7 @@ func (b viaBatch) Search(q geo.Rect) ([]wire.Item, Method, error) {
 
 func (b viaBatch) Nearest(k int, x, y float64) ([]rtree.Neighbor, Method, error) {
 	r, err := b.exec(BatchOp{Type: wire.MsgKNN, Rect: geo.PointRect(x, y), Ref: uint64(k)})
-	return neighborsOfItems(r.Items, x, y), r.Method, err
+	return proto.NeighborsOfItems(r.Items, x, y), r.Method, err
 }
 
 // TestPipelineMatchesLocalTree checks remote search and kNN against the

@@ -377,7 +377,7 @@ func (s *Server) PrepareReshard(newAddr string) (*shard.Map, error) {
 	if s.split.Load() != nil {
 		return nil, errors.New("rpcnet: reshard already in progress")
 	}
-	cli, err := Dial(newAddr, ClientConfig{})
+	cli, err := dialClient(newAddr, ClientConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func TestNetLiveReshard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 5})
+	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestNetLiveReshard(t *testing.T) {
 }
 
 // TestNetShardMapIntegrity covers the rejection paths of the versioned,
-// checksummed map: a corrupt-checksum map fails DialRouter, and a served
+// checksummed map: a corrupt-checksum map fails the connect, and a served
 // map that is not a strict successor (same cell count, different version)
 // is never adopted mid-run.
 func TestNetShardMapIntegrity(t *testing.T) {
@@ -208,7 +208,7 @@ func TestNetShardMapIntegrity(t *testing.T) {
 		bad := *m
 		bad.Version ^= 0xdeadbeef // content no longer hashes to the header
 		addrs := serve(data, &bad, 0)
-		_, err := DialRouter(addrs, RouterConfig{})
+		_, err := connectRouter(addrs, RouterConfig{})
 		if !errors.Is(err, shard.ErrVersionMismatch) {
 			t.Fatalf("corrupt map accepted: err = %v, want ErrVersionMismatch", err)
 		}
@@ -227,7 +227,7 @@ func TestNetShardMapIntegrity(t *testing.T) {
 func TestNetStaleMapNotAdopted(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
 	addrs, srvs, m, _ := startShardedDeploy(t, 1000, 2, hbInv)
-	r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 5})
+	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestNetAvailabilityMetrics(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
 	cliReg := telemetry.NewRegistry()
 	addrs, backups, srvs, _, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv)
-	r, err := DialRouter(addrs, RouterConfig{
+	r, err := connectRouter(addrs, RouterConfig{
 		Client:         ClientConfig{Metrics: cliReg},
 		HealthMultiple: 3,
 		Backups:        backups,

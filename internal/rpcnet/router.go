@@ -5,17 +5,13 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/shard"
-	"github.com/catfish-db/catfish/internal/telemetry"
-	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// RouterConfig tunes DialRouter.
+// RouterConfig tunes a Router.
 type RouterConfig struct {
 	// Client configures each per-shard connection. The adaptive switch is
 	// per connection, so Algorithm 1 runs independently per shard; Seed is
@@ -42,72 +38,47 @@ type RouterConfig struct {
 	Pool *MuxPool
 }
 
-// RouterStats mirrors shard.RouterStats for the real-socket router.
+// RouterStats is shard.RouterStats, the router's counters.
 type RouterStats = shard.RouterStats
 
-// Router is the real-socket scatter-gather client of a sharded deployment:
-// one TCP connection — and one adaptive switch — per shard, searches fanned
-// out as parallel goroutines to every healthy shard whose coverage
-// intersects the query, writes routed to the unique owner. With backups
-// configured it also runs the availability protocol (DESIGN.md §5.11):
-// reads fall back to backup replicas when the active server refuses
-// service, writes promote the most-caught-up backup behind a bumped fencing
-// epoch, and a served shard map whose version differs from the router's is
-// adopted mid-run (live resharding). Like Client it serves one goroutine at
-// a time; per-search scatter concurrency is internal.
+// Router is the real-socket adapter of the shard router: one TCP connection
+// — and one adaptive switch — per replica, forks as goroutines, liveness
+// from heartbeat arrival times, and a served shard map whose version
+// differs from the router's adopted mid-run (live resharding). Every
+// routing decision — scatter-gather, owner writes, failover election, kNN
+// gather, batch partitioning (DESIGN.md §5.11–§5.13) — is the embedded
+// shard.Core's, whose methods make a Router a Conn. Like Client it serves
+// one goroutine at a time; Stats, Snapshot, Map and Replicas are safe
+// from others.
 type Router struct {
-	// mu guards the shape fields (m, cands, active, epochs) against the
-	// metrics scrape goroutine; the driving goroutine is the only mutator.
-	mu     sync.RWMutex
-	m      *shard.Map
-	cands  [][]*Client // per shard: [active-preference candidates...]
-	active []int       // index into cands[s] of the serving replica
-	epochs []uint64    // epoch this router last knew the shard at
-
-	health *shard.Health
-	window time.Duration // liveness window (0 = no tracking)
-	hbInv  time.Duration
+	shard.Core[*Client]
 	cfg    RouterConfig
 	start  time.Time
-	stats  shard.RouterStats
-
-	// dedup turns on merged-result deduplication after the first map
-	// adoption: between a reshard's commit and its drain the moved entries
-	// exist on both the old and the new shard, so a scatter that hits both
-	// must collapse duplicates.
-	dedup bool
-
-	targets []int
-	subOps  [][]BatchOp
-	subIdx  [][]int
-	subRes  [][]BatchResult
+	window time.Duration // liveness window (0 = no tracking)
 }
 
-// DialRouter connects to every shard of a deployment, in shard order,
+// connectRouter connects to every shard of a deployment, in shard order,
 // validates that the servers agree on the deployment shape (position,
 // count, and map version), and fetches and verifies the shard map. A
 // single unsharded address yields a trivial one-shard router.
-//
-// Deprecated: use Connect, which unifies single-server and routed
-// construction behind functional options.
-func DialRouter(addrs []string, cfg RouterConfig) (*Router, error) {
+func connectRouter(addrs []string, cfg RouterConfig) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: router needs at least one address")
 	}
 	r := &Router{start: time.Now(), cfg: cfg}
+	replicas := make([][]*Client, 0, len(addrs))
 	ok := false
 	defer func() {
 		if !ok {
-			r.closeAll()
+			closeAll(replicas)
 		}
 	}()
-	clients := make([]*Client, 0, len(addrs))
 	for i, addr := range addrs {
 		c, err := r.dialShard(addr, i)
 		if err != nil {
 			return nil, err
 		}
-		clients = append(clients, c)
+		replicas = append(replicas, []*Client{c})
 		h := c.Hello()
 		if h.ShardCount <= 1 && len(addrs) == 1 {
 			continue // unsharded single server: trivial map below
@@ -120,15 +91,15 @@ func DialRouter(addrs []string, cfg RouterConfig) (*Router, error) {
 			return nil, fmt.Errorf("rpcnet: address %d (%s) is shard %d; list addresses in shard order",
 				i, addr, h.ShardIndex)
 		}
-		if h.MapVersion != clients[0].Hello().MapVersion {
+		if h.MapVersion != replicas[0][0].Hello().MapVersion {
 			return nil, fmt.Errorf("%w: shard %d (%s)", shard.ErrVersionMismatch, i, addr)
 		}
 	}
-	if len(addrs) == 1 && clients[0].Hello().ShardCount <= 1 {
-		r.m = shard.Single()
-	} else {
-		m, err := clients[0].FetchShardMap()
-		if err != nil {
+	first := replicas[0][0]
+	m := shard.Single()
+	if len(addrs) > 1 || first.Hello().ShardCount > 1 {
+		var err error
+		if m, err = first.FetchShardMap(); err != nil {
 			return nil, err
 		}
 		if err := m.Validate(); err != nil {
@@ -137,65 +108,63 @@ func DialRouter(addrs []string, cfg RouterConfig) (*Router, error) {
 		if m.K() != len(addrs) {
 			return nil, fmt.Errorf("rpcnet: map has %d cells, router has %d addresses", m.K(), len(addrs))
 		}
-		r.m = m
 	}
-	r.cands = make([][]*Client, len(clients))
-	r.active = make([]int, len(clients))
-	r.epochs = make([]uint64, len(clients))
-	for s, c := range clients {
-		r.cands[s] = append(r.cands[s], c)
-		r.epochs[s] = 1
-		if e := c.Hello().ReplicaEpoch; e > r.epochs[s] {
-			r.epochs[s] = e
-		}
-	}
-	for s := range r.cands {
+	epochs := make([]uint64, len(replicas))
+	for s := range replicas {
+		epochs[s] = replicas[s][0].Hello().ReplicaEpoch
 		if s >= len(cfg.Backups) {
-			break
+			continue
 		}
 		for _, baddr := range cfg.Backups[s] {
 			c, err := r.dialShard(baddr, s)
 			if err != nil {
 				return nil, fmt.Errorf("rpcnet: shard %d backup: %w", s, err)
 			}
-			r.cands[s] = append(r.cands[s], c)
+			replicas[s] = append(replicas[s], c)
 		}
 	}
-	r.hbInv = time.Duration(clients[0].Hello().HeartbeatMs) * time.Millisecond
-	if r.hbInv > 0 {
-		r.health = shard.NewHealth(len(r.cands), r.hbInv, cfg.HealthMultiple, time.Since(r.start))
+	hbInv := time.Duration(first.Hello().HeartbeatMs) * time.Millisecond
+	if hbInv > 0 {
 		mult := cfg.HealthMultiple
 		if mult <= 0 {
 			mult = shard.DefaultHealthMultiple
 		}
-		r.window = r.hbInv * time.Duration(mult)
+		r.window = hbInv * time.Duration(mult)
 	}
+	core, err := shard.NewCore(shard.CoreConfig[*Client]{
+		Map:               m,
+		Replicas:          replicas,
+		Epochs:            epochs,
+		HeartbeatInterval: hbInv,
+		HealthMultiple:    cfg.HealthMultiple,
+		ReadReplicaUtil:   cfg.ReadReplicaUtil,
+	}, wallExec{r})
+	if err != nil {
+		return nil, err
+	}
+	r.Core = core
 	if reg := cfg.Client.Metrics; reg != nil {
 		// Per-shard liveness gauges and the availability counters
 		// (satellites of DESIGN.md §5.11). The gauges read only heartbeat
 		// arrival atomics — never the health tracker, which is owned by the
 		// routing goroutine.
-		for i := range r.cands {
+		for i := range replicas {
 			i := i
 			reg.With("shard", strconv.Itoa(i)).GaugeFunc("catfish_shard_healthy", func() float64 {
-				if r.candAlive(i) {
-					return 1
+				if rs := r.Replicas(); i < len(rs) {
+					for _, c := range rs[i] {
+						if r.alive(c) {
+							return 1
+						}
+					}
 				}
 				return 0
 			})
 		}
-		reg.CounterFunc("catfish_shard_skipped_searches_total", func() uint64 {
-			return atomic.LoadUint64(&r.stats.Skipped)
-		})
-		reg.CounterFunc("catfish_router_promotions_total", func() uint64 {
-			return atomic.LoadUint64(&r.stats.Promotions)
-		})
-		reg.CounterFunc("catfish_router_backup_reads_total", func() uint64 {
-			return atomic.LoadUint64(&r.stats.BackupReads)
-		})
-		reg.CounterFunc("catfish_router_map_adoptions_total", func() uint64 {
-			return atomic.LoadUint64(&r.stats.MapAdoptions)
-		})
+		reg.CounterFunc("catfish_shard_skipped_searches_total", func() uint64 { return r.Stats().Skipped })
+		reg.CounterFunc("catfish_router_promotions_total", func() uint64 { return r.Stats().Promotions })
+		reg.CounterFunc("catfish_router_backup_reads_total", func() uint64 { return r.Stats().BackupReads })
+		reg.CounterFunc("catfish_router_map_adoptions_total", func() uint64 { return r.Stats().MapAdoptions })
 	}
 	ok = true
 	return r, nil
@@ -210,66 +179,28 @@ func (r *Router) dialShard(addr string, i int) (*Client, error) {
 		// Per-shard label so the scraped series separate by shard.
 		ccfg.Metrics = ccfg.Metrics.With("shard", strconv.Itoa(i))
 	}
+	var c *Client
+	var err error
 	if r.cfg.Pool != nil {
-		m, err := r.cfg.Pool.Mux(addr)
-		if err != nil {
-			return nil, fmt.Errorf("rpcnet: shard %d (%s): %w", i, addr, err)
+		var m *Mux
+		if m, err = r.cfg.Pool.Mux(addr); err == nil {
+			c, err = m.Client(ccfg)
 		}
-		c, err := m.Client(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("rpcnet: shard %d (%s): %w", i, addr, err)
-		}
-		return c, nil
+	} else {
+		c, err = dialClient(addr, ccfg)
 	}
-	c, err := Dial(addr, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: shard %d (%s): %w", i, addr, err)
 	}
 	return c, nil
 }
 
-// Map returns the deployment's verified shard map (the adopted successor
-// after a live reshard).
-func (r *Router) Map() *shard.Map {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.m
-}
-
-// Clients returns the serving connection per shard, in shard order (for
-// stats collection; routing should go through the router).
-func (r *Router) Clients() []*Client {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Client, len(r.cands))
-	for s := range r.cands {
-		out[s] = r.cands[s][r.active[s]]
-	}
-	return out
-}
-
-// Snapshot aggregates every connection's counters into one unified
-// snapshot.
-func (r *Router) Snapshot() telemetry.ClientSnapshot {
-	var agg telemetry.ClientSnapshot
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, cs := range r.cands {
-		for _, c := range cs {
-			agg = agg.Add(c.Stats())
-		}
-	}
-	return agg
-}
-
 // Close tears down every connection, returning the first error.
-func (r *Router) Close() error { return r.closeAll() }
+func (r *Router) Close() error { return closeAll(r.Replicas()) }
 
-func (r *Router) closeAll() error {
+func closeAll(replicas [][]*Client) error {
 	var first error
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, cs := range r.cands {
+	for _, cs := range replicas {
 		for _, c := range cs {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
@@ -278,24 +209,6 @@ func (r *Router) closeAll() error {
 	}
 	return first
 }
-
-// Stats returns a snapshot of the router's counters.
-func (r *Router) Stats() shard.RouterStats {
-	return shard.RouterStats{
-		Searches:        atomic.LoadUint64(&r.stats.Searches),
-		Writes:          atomic.LoadUint64(&r.stats.Writes),
-		Fanout:          atomic.LoadUint64(&r.stats.Fanout),
-		Skipped:         atomic.LoadUint64(&r.stats.Skipped),
-		UnhealthyWrites: atomic.LoadUint64(&r.stats.UnhealthyWrites),
-		Promotions:      atomic.LoadUint64(&r.stats.Promotions),
-		BackupReads:     atomic.LoadUint64(&r.stats.BackupReads),
-		MapAdoptions:    atomic.LoadUint64(&r.stats.MapAdoptions),
-	}
-}
-
-// shardClient returns the connection serving shard s — the primary until a
-// failover swaps in a promoted backup.
-func (r *Router) shardClient(s int) *Client { return r.cands[s][r.active[s]] }
 
 // alive reports whether c's last heartbeat is within the liveness window
 // from arrival atomics alone (no health-tracker state), so it is safe from
@@ -312,145 +225,14 @@ func (r *Router) alive(c *Client) bool {
 	return age <= r.window
 }
 
-// candAlive reports whether any replica of shard s is heartbeating — the
-// catfish_shard_healthy gauge.
-func (r *Router) candAlive(s int) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if s >= len(r.cands) {
-		return false
-	}
-	for _, c := range r.cands[s] {
-		if r.alive(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// healthy reports shard s's liveness from its serving connection's last
-// heartbeat arrival. Driving goroutine only (feeds the health tracker).
-func (r *Router) healthy(s int) bool {
-	if r.health == nil {
-		return true
-	}
-	now := time.Since(r.start)
-	if age, seen := r.shardClient(s).HeartbeatAge(); seen {
-		// Observation is lazy — arrival times live on the connections — so
-		// refresh the tracker before asking it.
-		r.health.Observe(s, now-age)
-	}
-	return r.health.Healthy(s, now)
-}
-
-// Healthy reports shard i's current liveness.
-func (r *Router) Healthy(i int) bool { return r.healthy(i) }
-
-// failoverErr reports whether err should trigger replica fallback or
-// promotion: the shared replica sentinels, plus a torn-down connection
-// (the TCP-only case where the process died outright). ErrOverloaded is
-// deliberately NOT a failover trigger — a shed means the server is alive
-// but saturated, so the router retries with backoff instead of promoting.
-func failoverErr(err error) bool {
-	return replica.Failover(err) || errors.Is(err, ErrClosed)
-}
-
-// overloadAttempts bounds the router's retry budget against an admission
-// shed before ErrOverloaded surfaces to the caller; overloadBackoff is the
-// first sleep, doubling per attempt (2, 4, 8 ms — long enough for a
-// heartbeat-interval utilization spike to pass, short enough to stay
-// inside interactive latency budgets).
-const (
-	overloadAttempts = 3
-	overloadBackoff  = 2 * time.Millisecond
-)
-
-// searchOverloaded handles an admission shed on shard s's active replica:
-// the read first tries every other live replica immediately — backups
-// absorb reads from a saturated primary without promotion — then retries
-// the active server with doubling backoff before surfacing the typed shed.
-func (r *Router) searchOverloaded(s int, q geo.Rect) ([]wire.Item, Method, error) {
-	cands, active := r.cands[s], r.active[s]
-	for idx, cand := range cands {
-		if idx == active || !r.alive(cand) {
-			continue
-		}
-		items, m, err := cand.Search(q)
-		if err == nil {
-			atomic.AddUint64(&r.stats.BackupReads, 1)
-			return items, m, nil
-		}
-		if !errors.Is(err, ErrOverloaded) && !failoverErr(err) {
-			return items, m, err
-		}
-	}
-	backoff := overloadBackoff
-	var (
-		items []wire.Item
-		m     Method
-		err   error
-	)
-	for attempt := 0; attempt < overloadAttempts; attempt++ {
-		time.Sleep(backoff)
-		backoff *= 2
-		items, m, err = cands[active].Search(q)
-		if !errors.Is(err, ErrOverloaded) {
-			return items, m, err
-		}
-	}
-	return nil, m, err
-}
-
-// failover promotes the best remaining candidate of shard s to a bumped
-// epoch and makes it the serving replica. The electorate is every
-// heartbeating candidate; the winner is the one with the highest applied
-// sequence from its last heartbeat (ties to the lowest index, so every
-// router elects the same successor). A candidate that fails the promote
-// round trip leaves the electorate and the election reruns. Reports whether
-// a promotion succeeded.
-func (r *Router) failover(s int) bool {
-	if len(r.cands[s]) <= 1 {
-		return false
-	}
-	epoch := r.epochs[s] + 1
-	applied := make([]uint64, len(r.cands[s]))
-	healthy := make([]bool, len(r.cands[s]))
-	for i, c := range r.cands[s] {
-		_, applied[i] = c.ReplicaState()
-		healthy[i] = r.alive(c)
-	}
-	for range r.cands[s] {
-		idx := replica.PickSuccessor(applied, healthy)
-		if idx < 0 {
-			return false
-		}
-		if err := r.cands[s][idx].Promote(epoch); err != nil {
-			healthy[idx] = false
-			continue
-		}
-		r.mu.Lock()
-		r.epochs[s] = epoch
-		r.active[s] = idx
-		r.mu.Unlock()
-		if r.health != nil {
-			// The promoted replica gets a fresh liveness window; its own
-			// heartbeats take over from here.
-			r.health.Observe(s, time.Since(r.start))
-		}
-		atomic.AddUint64(&r.stats.Promotions, 1)
-		return true
-	}
-	return false
-}
-
 // maybeAdopt checks each shard's heartbeat for a served map version that
 // differs from the router's and, when found, adopts the successor map.
-// Driving goroutine only; called at the top of each routed operation.
 func (r *Router) maybeAdopt() {
-	for s := range r.cands {
-		c := r.shardClient(s)
-		if v := c.HeartbeatMapVersion(); v != 0 && v != r.m.Version {
-			if r.adoptFrom(c) {
+	m := r.Map()
+	for s := 0; s < m.K(); s++ {
+		c := r.Serving(s)
+		if v := c.HeartbeatMapVersion(); v != 0 && v != m.Version {
+			if r.adoptFrom(c, m) {
 				return
 			}
 		}
@@ -458,470 +240,83 @@ func (r *Router) maybeAdopt() {
 }
 
 // adoptFrom fetches the map a server now serves and installs it when it is
-// a valid successor: checksum intact, strictly more cells than the current
-// map (versions are content hashes, not ordered, so growth is the staleness
-// check), and a full address table so the new shards can be dialed. The
-// new shard positions get fresh connections whose hellos must agree on the
-// adopted version; existing positions keep their connections and candidate
-// lists. Reports whether the map was adopted.
-func (r *Router) adoptFrom(from *Client) bool {
+// a valid successor of cur: checksum intact, strictly more cells (versions
+// are content hashes, not ordered, so growth is the staleness check), and
+// a full address table so the new shards can be dialed. The new shard
+// positions get fresh connections whose hellos must agree on the adopted
+// version; existing positions keep their connections and candidate lists.
+// Reports whether the map was adopted.
+func (r *Router) adoptFrom(from *Client, cur *shard.Map) bool {
 	m, addrs, err := from.FetchShardMapFull()
 	if err != nil {
 		return false
 	}
-	if m.Validate() != nil || m.K() <= r.m.K() || len(addrs) != m.K() {
+	if m.Validate() != nil || m.K() <= cur.K() || len(addrs) != m.K() {
 		return false
 	}
-	fresh := make([]*Client, 0, m.K()-r.m.K())
+	var fresh []*Client
+	var epochs []uint64
 	abort := func() bool {
-		for _, c := range fresh {
-			c.Close()
-		}
+		closeAll([][]*Client{fresh})
 		return false
 	}
-	for s := r.m.K(); s < m.K(); s++ {
+	for s := cur.K(); s < m.K(); s++ {
 		c, derr := r.dialShard(addrs[s], s)
 		if derr != nil {
 			return abort()
 		}
 		fresh = append(fresh, c)
+		epochs = append(epochs, c.Hello().ReplicaEpoch)
 		if hv := c.Hello().MapVersion; hv != 0 && hv != m.Version {
 			return abort()
 		}
 	}
-	k := m.K()
-	cands := make([][]*Client, k)
-	active := make([]int, k)
-	epochs := make([]uint64, k)
-	copy(cands, r.cands)
-	copy(active, r.active)
-	copy(epochs, r.epochs)
-	for i, c := range fresh {
-		s := r.m.K() + i
-		cands[s] = []*Client{c}
-		epochs[s] = 1
-		if e := c.Hello().ReplicaEpoch; e > 1 {
-			epochs[s] = e
-		}
-	}
-	if r.health != nil {
-		now := time.Since(r.start)
-		h := shard.NewHealth(k, r.hbInv, r.cfg.HealthMultiple, now)
-		for s := 0; s < k; s++ {
-			if age, seen := cands[s][active[s]].HeartbeatAge(); seen && age < now {
-				h.Observe(s, now-age)
-			}
-		}
-		r.health = h
-	}
-	r.mu.Lock()
-	r.m = m
-	r.cands = cands
-	r.active = active
-	r.epochs = epochs
-	r.mu.Unlock()
-	// Until the old shard drains its moved entries, both servers answer for
-	// the split region; merged results must collapse the duplicates.
-	r.dedup = true
-	atomic.AddUint64(&r.stats.MapAdoptions, 1)
+	r.Adopt(m, fresh, epochs)
 	return true
 }
 
-// healthyTargets computes the scatter set for q, dropping unhealthy shards.
-func (r *Router) healthyTargets(q geo.Rect) ([]int, bool) {
-	r.targets = r.m.Targets(q, r.targets)
-	if r.health == nil {
-		return r.targets, true
-	}
-	healthy := r.targets[:0]
-	for _, t := range r.targets {
-		// A replicated shard stays in the scatter set even when its active
-		// server looks dead: searchShard falls back to a backup replica.
-		if len(r.cands[t]) > 1 || r.healthy(t) {
-			healthy = append(healthy, t)
-		}
-	}
-	r.targets = healthy
-	return r.targets, len(healthy) > 0
-}
+// wallExec is real sockets' shard.Exec: the wall clock since the router
+// connected, goroutines as forks, a torn-down connection as one more
+// reason to fail over, and liveness, applied sequence and utilization as
+// each connection's heartbeats last reported them.
+type wallExec struct{ r *Router }
 
-// searchShard runs one sub-search on shard s. A predicted-hot active server
-// (past ReadReplicaUtil) hands the read to the least-loaded replica; an
-// active server refusing service (killed, fenced, demoted) makes the search
-// retry on the shard's other replicas — backups answer reads without
-// promotion, so read availability outlives a dying primary. Runs on scatter
-// goroutines: reads shape state, never mutates it.
-func (r *Router) searchShard(s int, q geo.Rect) ([]wire.Item, Method, error) {
-	cands, active := r.cands[s], r.active[s]
-	c := cands[active]
-	if u := r.cfg.ReadReplicaUtil; u > 0 && len(cands) > 1 && c.PredictedUtil() > u {
-		best := c
-		for _, cand := range cands {
-			if r.alive(cand) && cand.PredictedUtil() < best.PredictedUtil() {
-				best = cand
-			}
-		}
-		if best != c {
-			if items, m, err := best.Search(q); err == nil {
-				atomic.AddUint64(&r.stats.BackupReads, 1)
-				return items, m, nil
-			}
-		}
-	}
-	items, m, err := c.Search(q)
-	if errors.Is(err, ErrOverloaded) {
-		return r.searchOverloaded(s, q)
-	}
-	if err == nil || !failoverErr(err) {
-		return items, m, err
-	}
-	for idx, cand := range cands {
-		if idx == active {
-			continue
-		}
-		bItems, bm, berr := cand.Search(q)
-		if berr == nil {
-			atomic.AddUint64(&r.stats.BackupReads, 1)
-			return bItems, bm, nil
-		}
-		if !failoverErr(berr) {
-			return bItems, bm, berr
-		}
-	}
-	return nil, m, err
-}
+func (x wallExec) Now() time.Duration    { return time.Since(x.r.start) }
+func (x wallExec) Sleep(d time.Duration) { time.Sleep(d) }
 
-// itemKey identifies one entry for post-adoption deduplication.
-type itemKey struct {
-	ref  uint64
-	rect geo.Rect
-}
-
-// dedupItems collapses duplicate (ref, rect) entries in place, keeping
-// first occurrences in merge order.
-func dedupItems(items []wire.Item) []wire.Item {
-	seen := make(map[itemKey]struct{}, len(items))
-	out := items[:0]
-	for _, it := range items {
-		k := itemKey{ref: it.Ref, rect: it.Rect}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, it)
-	}
-	return out
-}
-
-// Search scatters q to every healthy shard whose coverage intersects it
-// (one goroutine per additional shard) and merges the partial result sets
-// in shard order. When every target shard is unhealthy it returns an empty
-// set rather than blocking.
-func (r *Router) Search(q geo.Rect) ([]wire.Item, Method, error) {
-	atomic.AddUint64(&r.stats.Searches, 1)
-	r.maybeAdopt()
-	targets, ok := r.healthyTargets(q)
-	if !ok {
-		atomic.AddUint64(&r.stats.Skipped, 1)
-		return nil, MethodFast, nil
-	}
-	atomic.AddUint64(&r.stats.Fanout, uint64(len(targets)))
-	if len(targets) == 1 {
-		return r.searchShard(targets[0], q)
-	}
-	n := len(targets)
-	tg := append([]int(nil), targets...)
-	itemsBy := make([][]wire.Item, n)
-	methods := make([]Method, n)
-	errs := make([]error, n)
+func (x wallExec) Fork(n int, fn func(shard.Exec[*Client], int)) {
 	var wg sync.WaitGroup
 	for slot := 1; slot < n; slot++ {
 		slot := slot
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			itemsBy[slot], methods[slot], errs[slot] = r.searchShard(tg[slot], q)
+			fn(x, slot)
 		}()
 	}
-	itemsBy[0], methods[0], errs[0] = r.searchShard(tg[0], q)
+	fn(x, 0)
 	wg.Wait()
-	var items []wire.Item
-	for slot := 0; slot < n; slot++ {
-		if err := errs[slot]; err != nil {
-			return nil, methods[slot], fmt.Errorf("shard %d: %w", tg[slot], err)
-		}
-		items = append(items, itemsBy[slot]...)
-	}
-	if r.dedup {
-		items = dedupItems(items)
-	}
-	return items, methods[0], nil
 }
 
-// Insert routes the insert to the owning shard, promoting a backup when the
-// owner has stopped heartbeating and failing with shard.UnhealthyError when
-// no replica can take the write.
-func (r *Router) Insert(rect geo.Rect, ref uint64) error {
-	r.maybeAdopt()
-	owner, err := r.writeTarget(rect)
-	if err != nil {
-		return err
-	}
-	return r.writeShard(owner, func(c *Client) error {
-		return c.Insert(rect, ref)
-	})
+// Failover adds the TCP-only case to the shared replica sentinels: the
+// process died outright and took the connection with it. An admission shed
+// is deliberately not a failover trigger — the server is alive but
+// saturated.
+func (x wallExec) Failover(err error) bool {
+	return replica.Failover(err) || errors.Is(err, ErrClosed)
 }
 
-// Delete routes the delete to the owning shard, promoting a backup when the
-// owner has stopped heartbeating and failing with shard.UnhealthyError when
-// no replica can take the write.
-func (r *Router) Delete(rect geo.Rect, ref uint64) error {
-	r.maybeAdopt()
-	owner, err := r.writeTarget(rect)
-	if err != nil {
-		return err
+func (x wallExec) Overloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
+
+func (x wallExec) Bind(c *Client) shard.Replica { return c }
+
+func (x wallExec) Report(c *Client) shard.Report {
+	rep := shard.Report{Alive: x.r.alive(c), Util: c.PredictedUtil()}
+	_, rep.Applied = c.ReplicaState()
+	if age, seen := c.HeartbeatAge(); seen {
+		rep.HeardAt, rep.Heard = x.Now()-age, true
 	}
-	return r.writeShard(owner, func(c *Client) error {
-		return c.Delete(rect, ref)
-	})
+	return rep
 }
 
-// writeShard runs op against shard s's serving replica, promoting a backup
-// and retrying when the server refuses service. Attempts are bounded by the
-// candidate count so a fully dead shard terminates with the unified
-// UnhealthyError rather than looping. An admission shed retries the same
-// replica with doubling backoff — writes cannot move to a backup, and a
-// saturated primary is not a dead one — surfacing ErrOverloaded once the
-// budget runs out.
-func (r *Router) writeShard(s int, op func(*Client) error) error {
-	backoff := overloadBackoff
-	shed, failed := 0, 0
-	for {
-		err := op(r.shardClient(s))
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, ErrOverloaded):
-			if shed++; shed > overloadAttempts {
-				return err
-			}
-			time.Sleep(backoff)
-			backoff *= 2
-		case !failoverErr(err):
-			return err
-		default:
-			if failed++; failed > len(r.cands[s]) || !r.failover(s) {
-				atomic.AddUint64(&r.stats.UnhealthyWrites, 1)
-				return &shard.UnhealthyError{Shard: s}
-			}
-		}
-	}
-}
-
-func (r *Router) writeTarget(rect geo.Rect) (int, error) {
-	atomic.AddUint64(&r.stats.Writes, 1)
-	owner := r.m.Owner(rect)
-	if r.health != nil && !r.healthy(owner) {
-		// A lapsed liveness window is the failover trigger: promote the
-		// best backup and write there. Without backups the write fails
-		// with the unified unhealthy error.
-		if !r.failover(owner) {
-			atomic.AddUint64(&r.stats.UnhealthyWrites, 1)
-			return 0, &shard.UnhealthyError{Shard: owner}
-		}
-	}
-	return owner, nil
-}
-
-// ExecBatch routes a batch through the shards: searches are duplicated
-// into the sub-batch of every healthy intersecting shard, writes go to
-// their owner's sub-batch (or fail with shard.UnhealthyError when the
-// owner is down and no backup can be promoted), per-shard sub-batches run
-// as concurrent client batches, and partial results merge back into
-// submission order. Operations that hit a server refusing service retry
-// individually through the routed single-op paths, which promote a backup
-// (writes) or fall back to one (reads).
-func (r *Router) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
-	results = results[:0]
-	for range ops {
-		results = append(results, BatchResult{Method: MethodFast})
-	}
-	if len(ops) == 0 {
-		return results
-	}
-	r.maybeAdopt()
-	k := len(r.cands)
-	r.subOps = resizeSlices(r.subOps, k)
-	r.subIdx = resizeIdx(r.subIdx, k)
-	for i, op := range ops {
-		switch op.Type {
-		case wire.MsgInsert, wire.MsgDelete:
-			owner, err := r.writeTarget(op.Rect)
-			if err != nil {
-				results[i].Err = err
-				continue
-			}
-			r.subOps[owner] = append(r.subOps[owner], op)
-			r.subIdx[owner] = append(r.subIdx[owner], i)
-		case wire.MsgMove:
-			if r.m.Owner(op.Rect) != r.m.Owner(op.Rect2) {
-				// A cross-owner move spans two shards' sub-batches, which no
-				// single latch covers: run it through the routed two-write
-				// path (insert at destination, delete at source) right away.
-				// This executes ahead of the batch's deferred same-owner
-				// sub-ops, so a cross-owner move is ordered against other
-				// ops on the same entry only across ExecBatch calls — a
-				// caller chaining several moves of one entry through a
-				// single batch must keep the chain within one owner.
-				results[i].Err = r.Move(op.Rect, op.Rect2, op.Ref)
-				continue
-			}
-			atomic.AddUint64(&r.stats.Moves, 1)
-			owner, err := r.writeTarget(op.Rect2)
-			if err != nil {
-				results[i].Err = err
-				continue
-			}
-			r.subOps[owner] = append(r.subOps[owner], op)
-			r.subIdx[owner] = append(r.subIdx[owner], i)
-		case wire.MsgKNN:
-			// A kNN's result set is not bounded by its (degenerate) query
-			// rect, so it cannot ride the coverage-intersection scatter: fan
-			// it to every healthy shard for a local k-best each, reduced to
-			// the global k-best after the merge below. The batch trades the
-			// single-op path's best-first pruning for staying on the batched
-			// fast path.
-			atomic.AddUint64(&r.stats.KNNs, 1)
-			targets, ok := r.healthyTargets(everything)
-			if !ok {
-				atomic.AddUint64(&r.stats.Skipped, 1)
-				continue
-			}
-			atomic.AddUint64(&r.stats.Fanout, uint64(len(targets)))
-			for _, t := range targets {
-				r.subOps[t] = append(r.subOps[t], op)
-				r.subIdx[t] = append(r.subIdx[t], i)
-			}
-		default:
-			atomic.AddUint64(&r.stats.Searches, 1)
-			targets, ok := r.healthyTargets(op.Rect)
-			if !ok {
-				atomic.AddUint64(&r.stats.Skipped, 1)
-				continue
-			}
-			atomic.AddUint64(&r.stats.Fanout, uint64(len(targets)))
-			for _, t := range targets {
-				r.subOps[t] = append(r.subOps[t], op)
-				r.subIdx[t] = append(r.subIdx[t], i)
-			}
-		}
-	}
-	busy := make([]int, 0, k)
-	for s := 0; s < k; s++ {
-		if len(r.subOps[s]) > 0 {
-			busy = append(busy, s)
-		}
-	}
-	if len(busy) == 0 {
-		return results
-	}
-	if len(r.subRes) < k {
-		r.subRes = make([][]BatchResult, k)
-	}
-	var wg sync.WaitGroup
-	for _, s := range busy[1:] {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.subRes[s] = r.shardClient(s).ExecBatch(r.subOps[s], r.subRes[s])
-		}()
-	}
-	s0 := busy[0]
-	r.subRes[s0] = r.shardClient(s0).ExecBatch(r.subOps[s0], r.subRes[s0])
-	wg.Wait()
-	for _, s := range busy {
-		for j, res := range r.subRes[s] {
-			i := r.subIdx[s][j]
-			if res.Err != nil && results[i].Err == nil {
-				results[i].Err = fmt.Errorf("shard %d: %w", s, res.Err)
-			}
-			results[i].Items = append(results[i].Items, res.Items...)
-			// Offloading is sticky so the merged method reports whether any
-			// shard's sub-search ran as a client-side traversal.
-			if results[i].Method != MethodOffload {
-				results[i].Method = res.Method
-			}
-		}
-	}
-	// Each shard answered a batched kNN with its own ascending k-best; the
-	// global k-best is the distance-ordered, deduplicated head of the merged
-	// union. Distances recompute bit-exactly from the round-tripped rects,
-	// so the reduction matches a local Nearest over the union of the shards.
-	for i := range results {
-		if ops[i].Type == wire.MsgKNN && results[i].Err == nil {
-			results[i].Items = shard.KBestItems(results[i].Items, int(ops[i].Ref), ops[i].Rect)
-		}
-	}
-	// Repair pass: replica-class failures and admission sheds retry through
-	// the routed single-op paths (which fall back to backups, promote, or
-	// back off as the error class demands). Inert at R=1 with admission
-	// control off, where those statuses never occur.
-	for i := range results {
-		err := results[i].Err
-		if err == nil || (!failoverErr(err) && !errors.Is(err, ErrOverloaded)) {
-			continue
-		}
-		op := ops[i]
-		results[i].Items = results[i].Items[:0]
-		switch op.Type {
-		case wire.MsgInsert:
-			results[i].Err = r.Insert(op.Rect, op.Ref)
-		case wire.MsgDelete:
-			results[i].Err = r.Delete(op.Rect, op.Ref)
-		case wire.MsgMove:
-			results[i].Err = r.Move(op.Rect, op.Rect2, op.Ref)
-		case wire.MsgKNN:
-			x, y := op.Rect.Center()
-			nbrs, m, err := r.Nearest(int(op.Ref), x, y)
-			results[i].Items = append(results[i].Items, itemsOfNeighbors(nbrs)...)
-			results[i].Method = m
-			results[i].Err = err
-		default:
-			items, m, err := r.Search(op.Rect)
-			results[i].Items = append(results[i].Items, items...)
-			results[i].Method = m
-			results[i].Err = err
-		}
-	}
-	if r.dedup {
-		for i := range results {
-			if len(results[i].Items) > 1 {
-				results[i].Items = dedupItems(results[i].Items)
-			}
-		}
-	}
-	return results
-}
-
-func resizeSlices(s [][]BatchOp, k int) [][]BatchOp {
-	if len(s) < k {
-		s = make([][]BatchOp, k)
-	}
-	s = s[:k]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-func resizeIdx(s [][]int, k int) [][]int {
-	if len(s) < k {
-		s = make([][]int, k)
-	}
-	s = s[:k]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
+func (x wallExec) Refresh() { x.r.maybeAdopt() }

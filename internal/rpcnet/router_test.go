@@ -105,7 +105,7 @@ func TestRouterEquivalence(t *testing.T) {
 	// deletes applied to both.
 	const n = 4000
 	addrs, _, _, data := startShardedDeploy(t, n, 4, 0)
-	r, err := DialRouter(addrs, RouterConfig{})
+	r, err := connectRouter(addrs, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestRouterEquivalence(t *testing.T) {
 func TestRouterBatchedEquivalence(t *testing.T) {
 	const n = 3000
 	addrs, _, _, data := startShardedDeploy(t, n, 2, 0)
-	r, err := DialRouter(addrs, RouterConfig{})
+	r, err := connectRouter(addrs, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRouterBatchedEquivalence(t *testing.T) {
 func TestRouterDroppedHeartbeat(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
 	addrs, srvs, m, _ := startShardedDeploy(t, 2000, 2, hbInv)
-	r, err := DialRouter(addrs, RouterConfig{HealthMultiple: 3})
+	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,15 +306,15 @@ func TestRouterHelloValidation(t *testing.T) {
 	addrs, _, _, _ := startShardedDeploy(t, 500, 2, 0)
 
 	// Addresses out of shard order must be rejected.
-	if _, err := DialRouter([]string{addrs[1], addrs[0]}, RouterConfig{}); err == nil {
+	if _, err := connectRouter([]string{addrs[1], addrs[0]}, RouterConfig{}); err == nil {
 		t.Fatal("swapped shard addresses accepted")
 	}
 	// A partial address list must be rejected.
-	if _, err := DialRouter(addrs[:1], RouterConfig{}); err == nil {
+	if _, err := connectRouter(addrs[:1], RouterConfig{}); err == nil {
 		t.Fatal("partial address list accepted")
 	}
 	// The correct list still works after the failed attempts.
-	r, err := DialRouter(addrs, RouterConfig{})
+	r, err := connectRouter(addrs, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRouterSingleUnsharded(t *testing.T) {
 	// One unsharded server is a valid trivial deployment: the router
 	// degenerates to a plain client behind a K=1 map.
 	srv, tree := startServer(t, 1000, ServerConfig{})
-	r, err := DialRouter([]string{srv.Addr().String()}, RouterConfig{})
+	r, err := connectRouter([]string{srv.Addr().String()}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRouterSingleUnsharded(t *testing.T) {
 		t.Fatalf("router %d items, tree %d", len(got), len(want))
 	}
 	// An unsharded server has no map to serve.
-	if _, err := r.Clients()[0].FetchShardMap(); err == nil {
+	if _, err := r.Serving(0).FetchShardMap(); err == nil {
 		t.Fatal("unsharded server served a shard map")
 	}
 }

@@ -52,7 +52,7 @@ func randRect(rng *rand.Rand, maxEdge float64) geo.Rect {
 
 func dial(t *testing.T, srv *Server, cfg ClientConfig) *Client {
 	t.Helper()
-	c, err := Dial(srv.Addr().String(), cfg)
+	c, err := dialClient(srv.Addr().String(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		c, err := Dial(srv.Addr().String(), ClientConfig{})
+		c, err := dialClient(srv.Addr().String(), ClientConfig{})
 		if err != nil {
 			errCh <- err
 			return
@@ -202,7 +202,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		seed := int64(g + 10)
 		go func() {
 			defer readerWG.Done()
-			c, err := Dial(srv.Addr().String(), ClientConfig{Forced: MethodOffload, MultiIssue: true, Seed: seed})
+			c, err := dialClient(srv.Addr().String(), ClientConfig{Forced: MethodOffload, MultiIssue: true, Seed: seed})
 			if err != nil {
 				errCh <- err
 				return
@@ -256,7 +256,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestDialBadAddress(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", ClientConfig{}); err == nil {
+	if _, err := dialClient("127.0.0.1:1", ClientConfig{}); err == nil {
 		t.Fatal("dial to closed port should fail")
 	}
 }
@@ -350,7 +350,7 @@ func TestNodeCacheConcurrentWriterOverTCP(t *testing.T) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		c, err := Dial(srv.Addr().String(), ClientConfig{})
+		c, err := dialClient(srv.Addr().String(), ClientConfig{})
 		if err != nil {
 			errCh <- err
 			return
@@ -381,7 +381,7 @@ func TestNodeCacheConcurrentWriterOverTCP(t *testing.T) {
 		seed := int64(g + 20)
 		go func() {
 			defer readerWG.Done()
-			c, err := Dial(srv.Addr().String(), ClientConfig{
+			c, err := dialClient(srv.Addr().String(), ClientConfig{
 				Forced: MethodOffload, MultiIssue: true, Seed: seed, NodeCache: 128,
 			})
 			if err != nil {

@@ -234,6 +234,10 @@ func TestNetKNNMatchesLocal(t *testing.T) {
 			}
 		}
 	}
+	// Exactness here means every shard answers: a liveness window that a
+	// busy machine can outlast (the default is 40 ms at this interval) would
+	// drop a healthy shard from the gather and fail the comparison.
+	stallProof := WithHealthMultiple(5000)
 	refTree := func(t *testing.T, data []rtree.Entry) *rtree.Tree {
 		t.Helper()
 		reg, err := region.New(1<<14, 4096)
@@ -263,7 +267,7 @@ func TestNetKNNMatchesLocal(t *testing.T) {
 	}
 	t.Run("sharded-3", func(t *testing.T) {
 		addrs, _, _, data := startShardedDeploy(t, n, 3, hbInv)
-		c, err := Connect(addrs, WithSeed(3))
+		c, err := Connect(addrs, WithSeed(3), stallProof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +276,7 @@ func TestNetKNNMatchesLocal(t *testing.T) {
 	})
 	t.Run("sharded-3-batched", func(t *testing.T) {
 		addrs, _, _, data := startShardedDeploy(t, n, 3, hbInv)
-		c, err := Connect(addrs, WithSeed(3))
+		c, err := Connect(addrs, WithSeed(3), stallProof)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,51 +6,48 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/rtree"
-	"github.com/catfish-db/catfish/internal/sim"
 )
 
 // Move relocates entry (from, ref) to (to, ref). When both positions are
 // owned by the same shard it is a single MsgMove round trip, atomic under
-// that server's tree latch. When the move crosses an ownership boundary no
-// single latch covers it: the router inserts at the destination owner
-// first and then deletes at the source owner, so a concurrent search may
-// transiently observe the object twice but never absent. The source delete
-// tolerates ErrNotFound — a move is an upsert, exactly like the
-// single-shard MsgMove, so moving an object that was never inserted (or
-// whose source copy a repaired retry already removed) degrades to a plain
-// insert.
-func (r *Router) Move(p *sim.Proc, from, to geo.Rect, ref uint64) error {
+// that server's tree latch; otherwise see moveAcross.
+func (r Core[C]) Move(from, to geo.Rect, ref uint64) error {
 	atomic.AddUint64(&r.stats.Moves, 1)
-	if r.m.Owner(from) == r.m.Owner(to) {
-		owner, err := r.writeTarget(p, to)
-		if err != nil {
-			return err
-		}
-		return r.writeShard(p, owner, func(c *client.Client) error {
-			return c.Move(p, from, to, ref)
-		})
+	r.x.Refresh()
+	if r.m.Owner(from) != r.m.Owner(to) {
+		return r.moveAcross(from, to, ref)
 	}
-	owner, err := r.writeTarget(p, to)
+	owner, err := r.writeTarget(to)
 	if err != nil {
 		return err
 	}
-	if err := r.writeShard(p, owner, func(c *client.Client) error {
-		return c.Insert(p, to, ref)
-	}); err != nil {
-		return err
-	}
-	owner, err = r.writeTarget(p, from)
+	return r.writeShard(owner, func(c Replica) error { return c.Move(from, to, ref) })
+}
+
+// moveAcross moves an entry across an ownership boundary, which no single
+// latch covers: the router inserts at the destination owner first and then
+// deletes at the source owner, so a concurrent search may transiently
+// observe the object twice but never absent. The source delete tolerates
+// ErrNotFound — a move is an upsert, exactly like the single-shard
+// MsgMove, so moving an object that was never inserted (or whose source
+// copy a repaired retry already removed) degrades to a plain insert.
+func (r Core[C]) moveAcross(from, to geo.Rect, ref uint64) error {
+	owner, err := r.writeTarget(to)
 	if err != nil {
 		return err
 	}
-	err = r.writeShard(p, owner, func(c *client.Client) error {
-		return c.Delete(p, from, ref)
-	})
-	if errors.Is(err, client.ErrNotFound) {
+	if err := r.writeShard(owner, func(c Replica) error { return c.Insert(to, ref) }); err != nil {
+		return err
+	}
+	owner, err = r.writeTarget(from)
+	if err != nil {
+		return err
+	}
+	err = r.writeShard(owner, func(c Replica) error { return c.Delete(from, ref) })
+	if errors.Is(err, proto.ErrNotFound) {
 		err = nil
 	}
 	return err
@@ -66,11 +63,14 @@ func (r *Router) Move(p *sim.Proc, from, to geo.Rect, ref uint64) error {
 // an entry dual-written during a reshard window counts once. An unhealthy
 // shard without backups is skipped (counted in Stats().Skipped): kNN
 // availability degrades like Search availability rather than blocking.
-func (r *Router) Nearest(p *sim.Proc, k int, x, y float64) ([]rtree.Neighbor, error) {
+// The reported method is the first visited shard's (kNN never offloads, so
+// it is fast, tcp or fetch).
+func (r Core[C]) Nearest(k int, x, y float64) ([]rtree.Neighbor, proto.Method, error) {
 	atomic.AddUint64(&r.stats.KNNs, 1)
 	if k <= 0 {
-		return nil, rtree.ErrBadK
+		return nil, proto.MethodFast, rtree.ErrBadK
 	}
+	r.x.Refresh()
 	order := make([]int, r.m.K())
 	for i := range order {
 		order[i] = i
@@ -82,54 +82,41 @@ func (r *Router) Nearest(p *sim.Proc, k int, x, y float64) ([]rtree.Neighbor, er
 		}
 		return order[a] < order[b]
 	})
+	method := proto.MethodFast
+	visited := false
 	var best []rtree.Neighbor
 	for _, s := range order {
 		if len(best) >= k && r.m.CoverDistSq(s, x, y) > best[k-1].DistSq {
 			break
 		}
-		if r.health != nil && len(r.cands[s]) <= 1 && !r.health.Healthy(s, p.Now()) {
+		if len(r.cands[s]) <= 1 && !r.Healthy(s) {
 			atomic.AddUint64(&r.stats.Skipped, 1)
 			continue
 		}
-		nbrs, err := r.knnShard(p, s, k, x, y)
+		nbrs, m, err := r.knnShard(s, k, x, y)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, m, fmt.Errorf("shard %d: %w", s, err)
 		}
 		atomic.AddUint64(&r.stats.Fanout, 1)
+		if !visited {
+			method, visited = m, true
+		}
 		best = MergeNeighbors(best, nbrs, k)
 	}
-	return best, nil
+	return best, method, nil
 }
 
-// knnShard runs one sub-query on shard s, retrying on the shard's other
-// replicas when the active server refuses service — the same backup-read
-// fallback searchShard gives range queries.
-func (r *Router) knnShard(p *sim.Proc, s, k int, x, y float64) ([]rtree.Neighbor, error) {
-	nbrs, _, err := r.shardClient(s).Nearest(p, k, x, y)
-	if err == nil || !replica.Failover(err) {
-		return nbrs, err
-	}
-	for idx, c := range r.cands[s] {
-		if idx == r.active[s] {
-			continue
-		}
-		bn, _, berr := c.Nearest(p, k, x, y)
-		if berr == nil {
-			atomic.AddUint64(&r.stats.BackupReads, 1)
-			return bn, nil
-		}
-		if !replica.Failover(berr) {
-			return bn, berr
-		}
-	}
-	return nil, err
+// knnShard runs one kNN sub-query on shard s.
+func (r Core[C]) knnShard(s, k int, x, y float64) ([]rtree.Neighbor, proto.Method, error) {
+	return readShard(r, r.x, s, func(c Replica) ([]rtree.Neighbor, proto.Method, error) {
+		return c.Nearest(k, x, y)
+	})
 }
 
 // MergeNeighbors merges two ascending-distance neighbor lists, keeping at
 // most k. Ties break by (ref, rect) so the merge is a total order and
 // identical entries land adjacent, where the dedup drops the copy a
-// reshard dual-write window may have produced. Shared with the real-socket
-// router, whose best-first gather is the same algorithm over TCP.
+// reshard dual-write window may have produced.
 func MergeNeighbors(a, b []rtree.Neighbor, k int) []rtree.Neighbor {
 	out := make([]rtree.Neighbor, 0, len(a)+len(b))
 	i, j := 0, 0

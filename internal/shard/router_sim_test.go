@@ -200,7 +200,7 @@ func runScriptRouter(t *testing.T, d *simDeploy, script []scriptOp, batchSize in
 				if len(batch) == 0 {
 					return
 				}
-				results = d.router.ExecBatch(p, batch, results)
+				results = d.router.On(p).ExecBatch(batch, results)
 				for j, res := range results {
 					if res.Err != nil {
 						runErr = res.Err
@@ -235,17 +235,17 @@ func runScriptRouter(t *testing.T, d *simDeploy, script []scriptOp, batchSize in
 		for i, op := range script {
 			switch op.kind {
 			case opInsert:
-				if err := d.router.Insert(p, op.rect, op.ref); err != nil {
+				if err := d.router.On(p).Insert(op.rect, op.ref); err != nil {
 					runErr = fmt.Errorf("op %d insert: %w", i, err)
 					return
 				}
 			case opDelete:
-				if err := d.router.Delete(p, op.rect, op.ref); err != nil {
+				if err := d.router.On(p).Delete(op.rect, op.ref); err != nil {
 					runErr = fmt.Errorf("op %d delete: %w", i, err)
 					return
 				}
 			default:
-				items, _, err := d.router.Search(p, op.rect)
+				items, _, err := d.router.On(p).Search(op.rect)
 				if err != nil {
 					runErr = fmt.Errorf("op %d search: %w", i, err)
 					return
@@ -402,37 +402,37 @@ func TestRouterDroppedHeartbeatSim(t *testing.T) {
 				defer p.Engine().Stop()
 				// Warm up: everything healthy.
 				p.Sleep(3 * hbInv)
-				items, _, err := d.router.Search(p, wide)
+				items, _, err := d.router.On(p).Search(wide)
 				check(err == nil && len(items) > 0, "warmup search failed: %v (%d items)", err, len(items))
-				check(d.router.Healthy(1, p.Now()), "shard 1 should start healthy")
+				check(d.router.On(p).Healthy(1), "shard 1 should start healthy")
 
 				// Drop shard 1's heartbeats and let the window lapse.
 				d.servers[1].PauseHeartbeats(true)
 				p.Sleep(time.Duration(multiple+3) * hbInv)
-				check(!d.router.Healthy(1, p.Now()), "shard 1 should be unhealthy after %d missed heartbeats", multiple+3)
-				check(d.router.Healthy(0, p.Now()), "shard 0 should stay healthy")
+				check(!d.router.On(p).Healthy(1), "shard 1 should be unhealthy after %d missed heartbeats", multiple+3)
+				check(d.router.On(p).Healthy(0), "shard 0 should stay healthy")
 
 				// (a) Wide search still answers from shard 0 alone.
-				items, _, err = d.router.Search(p, wide)
+				items, _, err = d.router.On(p).Search(wide)
 				check(err == nil && len(items) > 0, "degraded search failed: %v (%d items)", err, len(items))
 				for _, it := range items {
 					check(m.Owner(it.Rect) == 0, "degraded search returned shard-1 item %v", it.Rect)
 				}
 				// (b) A search aimed only at the dead shard returns empty.
 				before := d.router.Stats().Skipped
-				items, _, err = d.router.Search(p, probe1)
+				items, _, err = d.router.On(p).Search(probe1)
 				check(err == nil && len(items) == 0, "dead-shard search: err=%v items=%d", err, len(items))
 				check(d.router.Stats().Skipped == before+1, "skipped counter did not advance")
 
 				// (c) Writes owned by the dead shard fail typed; the live
 				// shard still accepts writes.
-				err = d.router.Insert(p, probe1, 1<<40)
+				err = d.router.On(p).Insert(probe1, 1<<40)
 				check(errors.Is(err, ErrUnhealthy), "dead-shard insert error = %v, want ErrUnhealthy", err)
 				var ue *UnhealthyError
 				check(errors.As(err, &ue) && ue.Shard == 1, "error should carry shard index: %v", err)
-				check(d.router.Insert(p, probe0, 1<<41) == nil, "live-shard insert should succeed")
+				check(d.router.On(p).Insert(probe0, 1<<41) == nil, "live-shard insert should succeed")
 				// Batched writes surface the same typed error.
-				res := d.router.ExecBatch(p, []client.BatchOp{
+				res := d.router.On(p).ExecBatch([]client.BatchOp{
 					{Type: wire.MsgInsert, Rect: probe1, Ref: 1 << 42},
 				}, nil)
 				check(errors.Is(res[0].Err, ErrUnhealthy), "batched dead-shard insert error = %v", res[0].Err)
@@ -440,8 +440,8 @@ func TestRouterDroppedHeartbeatSim(t *testing.T) {
 				// (d) Resume heartbeats: the next beat restores health.
 				d.servers[1].PauseHeartbeats(false)
 				p.Sleep(3 * hbInv)
-				check(d.router.Healthy(1, p.Now()), "shard 1 should recover after heartbeats resume")
-				check(d.router.Insert(p, probe1, 1<<43) == nil, "recovered-shard insert should succeed")
+				check(d.router.On(p).Healthy(1), "shard 1 should recover after heartbeats resume")
+				check(d.router.On(p).Insert(probe1, 1<<43) == nil, "recovered-shard insert should succeed")
 			})
 			if err := d.e.Run(); err != nil {
 				t.Fatal(err)

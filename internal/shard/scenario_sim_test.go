@@ -85,7 +85,7 @@ func runSimMoveScript(t *testing.T, d *simDeploy, steps []moveStep, dialect stri
 			if len(batch) == 0 {
 				return true
 			}
-			results = d.router.ExecBatch(p, batch, results)
+			results = d.router.On(p).ExecBatch(batch, results)
 			for j, res := range results {
 				if res.Err != nil {
 					runErr = res.Err
@@ -111,23 +111,23 @@ func runSimMoveScript(t *testing.T, d *simDeploy, steps []moveStep, dialect stri
 					return
 				}
 			case st.search:
-				items, _, err := d.router.Search(p, st.q)
+				items, _, err := d.router.On(p).Search(st.q)
 				if err != nil {
 					runErr = err
 					return
 				}
 				out[i] = sortedRefs(items)
 			case dialect == "move":
-				if err := d.router.Move(p, st.from, st.to, st.ref); err != nil {
+				if err := d.router.On(p).Move(st.from, st.to, st.ref); err != nil {
 					runErr = err
 					return
 				}
 			default: // del+ins
-				if err := d.router.Delete(p, st.from, st.ref); err != nil && !errors.Is(err, client.ErrNotFound) {
+				if err := d.router.On(p).Delete(st.from, st.ref); err != nil && !errors.Is(err, client.ErrNotFound) {
 					runErr = err
 					return
 				}
-				if err := d.router.Insert(p, st.to, st.ref); err != nil {
+				if err := d.router.On(p).Insert(st.to, st.ref); err != nil {
 					runErr = err
 					return
 				}
@@ -222,7 +222,7 @@ func TestKNNEquivalenceSim(t *testing.T) {
 	d.e.Spawn("knn-script", func(p *sim.Proc) {
 		defer p.Engine().Stop()
 		for i, q := range queries {
-			nbrs, err := d.router.Nearest(p, q.k, q.x, q.y)
+			nbrs, _, err := d.router.On(p).Nearest(q.k, q.x, q.y)
 			if err != nil {
 				runErr = err
 				return

@@ -133,7 +133,7 @@ func (w parityWorkload) tcpSnapshot(t *testing.T, forced rpcnet.Method) telemetr
 	}
 	go srv.Serve() //nolint:errcheck // returns on Close
 	defer srv.Close()
-	c, err := rpcnet.Dial(srv.Addr().String(), rpcnet.ClientConfig{Forced: forced})
+	c, err := rpcnet.Connect([]string{srv.Addr().String()}, rpcnet.WithForced(forced))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func (w parityWorkload) tcpSnapshot(t *testing.T, forced rpcnet.Method) telemetr
 			t.Fatal(err)
 		}
 	}
-	return c.Stats()
+	return c.Snapshot()
 }
 
 // TestTransportSnapshotParity asserts the acceptance criterion of the

@@ -49,14 +49,7 @@ type (
 // Connect options, re-exported from internal/rpcnet.
 var (
 	WithClientConfig    = rpcnet.WithClientConfig
-	WithAdaptive        = rpcnet.WithAdaptive
 	WithForced          = rpcnet.WithForced
-	WithFetch           = rpcnet.WithFetch
-	WithNodeCache       = rpcnet.WithNodeCache
-	WithMergeSpan       = rpcnet.WithMergeSpan
-	WithPrefetch        = rpcnet.WithPrefetch
-	WithMetrics         = rpcnet.WithMetrics
-	WithTrace           = rpcnet.WithTrace
 	WithSeed            = rpcnet.WithSeed
 	WithDeadline        = rpcnet.WithDeadline
 	WithBackups         = rpcnet.WithBackups
@@ -83,12 +76,4 @@ func NewMuxPool(maxPerAddr int) *MuxPool {
 // Serve to accept connections.
 func Listen(addr string, tree *Tree, cfg NetServerConfig) (*NetServer, error) {
 	return rpcnet.Listen(addr, tree, cfg)
-}
-
-// Dial connects a real-network client to a Catfish server.
-//
-// Deprecated: use Connect, which unifies single-server and routed
-// construction behind functional options.
-func Dial(addr string, cfg NetClientConfig) (*NetClient, error) {
-	return rpcnet.Dial(addr, cfg)
 }

@@ -24,8 +24,6 @@ type (
 	// NetRouter is the real-TCP scatter-gather client of a sharded
 	// deployment: one connection (and one adaptive switch) per shard.
 	NetRouter = rpcnet.Router
-	// NetRouterConfig configures DialRouter.
-	NetRouterConfig = rpcnet.RouterConfig
 )
 
 // ErrShardUnhealthy marks writes rejected because the owning shard has
@@ -40,18 +38,7 @@ const DefaultShardHealthMultiple = shard.DefaultHealthMultiple
 // BuildShardMap partitions entries into cfg.K shard rectangles by
 // recursive longest-axis splitting. Every server of a deployment must
 // build the map from the identical dataset; the map's Version doubles as
-// a checksum that DialRouter verifies against every shard.
+// a checksum that Connect verifies against every shard.
 func BuildShardMap(entries []Entry, cfg ShardConfig) (*ShardMap, error) {
 	return shard.Build(entries, cfg)
-}
-
-// DialRouter connects to every shard of a real-TCP deployment (addresses
-// in shard order), validates that the servers agree on the deployment
-// shape, and returns the scatter-gather router. A single unsharded
-// address yields a trivial one-shard router.
-//
-// Deprecated: use Connect, which unifies single-server and routed
-// construction behind functional options.
-func DialRouter(addrs []string, cfg NetRouterConfig) (*NetRouter, error) {
-	return rpcnet.DialRouter(addrs, cfg)
 }
