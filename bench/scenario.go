@@ -150,7 +150,7 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 					// Odd ops: "what's around this vehicle" window search.
 					q := fl.Nearby(rng.Intn(fl.Len()), 0.002)
 					start := p.Now()
-					if _, _, err := c.Search(p, q); err != nil {
+					if _, _, err := c.On(p).Search(q); err != nil {
 						runErr = err
 						return
 					}
@@ -165,18 +165,18 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 				switch mode {
 				case "move":
 					start := p.Now()
-					if err := c.Move(p, mv.From, mv.To, mv.Ref); err != nil {
+					if err := c.On(p).Move(mv.From, mv.To, mv.Ref); err != nil {
 						runErr = err
 						return
 					}
 					record(start, 1)
 				case "del+ins":
 					start := p.Now()
-					if err := c.Delete(p, mv.From, mv.Ref); err != nil && !errors.Is(err, client.ErrNotFound) {
+					if err := c.On(p).Delete(mv.From, mv.Ref); err != nil && !errors.Is(err, client.ErrNotFound) {
 						runErr = err
 						return
 					}
-					if err := c.Insert(p, mv.To, mv.Ref); err != nil {
+					if err := c.On(p).Insert(mv.To, mv.Ref); err != nil {
 						runErr = err
 						return
 					}
@@ -189,7 +189,7 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 						continue
 					}
 					start := p.Now()
-					results = c.ExecBatch(p, batch, results)
+					results = c.On(p).ExecBatch(batch, results)
 					for _, res := range results {
 						if res.Err != nil {
 							runErr = res.Err
@@ -322,7 +322,7 @@ func runKNN(o Options, data []rtree.Entry, clients int, arm string, k int) (knnR
 			for r := 0; r < o.Requests; r++ {
 				x, y := rng.Float64(), rng.Float64()
 				start := p.Now()
-				nbrs, _, err := c.Nearest(p, k, x, y)
+				nbrs, _, err := c.On(p).Nearest(k, x, y)
 				if err != nil {
 					runErr = err
 					return

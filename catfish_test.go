@@ -61,7 +61,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	var got int
 	engine.Spawn("driver", func(p *catfish.Proc) {
 		defer engine.Stop()
-		items, method, err := cli.Search(p, window)
+		items, method, err := cli.On(p).Search(window)
 		if err != nil {
 			t.Error(err)
 			return
@@ -70,7 +70,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Errorf("unexpected method %v", method)
 		}
 		got = len(items)
-		if err := cli.Insert(p, catfish.PointRect(0.9, 0.9), 1<<40); err != nil {
+		if err := cli.On(p).Insert(catfish.PointRect(0.9, 0.9), 1<<40); err != nil {
 			t.Error(err)
 		}
 	})

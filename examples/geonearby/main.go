@@ -94,7 +94,7 @@ func run() error {
 				if rng.Float64() < newBusinessRate {
 					x, y := rng.Float64(), rng.Float64()
 					r := catfish.NewRect(x, y, x+1e-5, y+1e-5)
-					if err := c.Insert(p, r, uint64(1_000_000+i*queriesPerUser+q)); err != nil {
+					if err := c.On(p).Insert(r, uint64(1_000_000+i*queriesPerUser+q)); err != nil {
 						runErr = err
 						return
 					}
@@ -104,7 +104,7 @@ func run() error {
 				// "Near me": a small window around the user's position.
 				x, y := rng.Float64(), rng.Float64()
 				window := catfish.NewRect(x, y, min1(x+nearbyWindow), min1(y+nearbyWindow))
-				found, _, err := c.Search(p, window)
+				found, _, err := c.On(p).Search(window)
 				if err != nil {
 					runErr = err
 					return
@@ -121,7 +121,7 @@ func run() error {
 	engine.Spawn("coordinator", func(p *catfish.Proc) {
 		wg.Wait(p)
 		var err error
-		if remoteNearest, _, err = clients[0].Nearest(p, 5, 0.5, 0.5); err != nil {
+		if remoteNearest, _, err = clients[0].On(p).Nearest(5, 0.5, 0.5); err != nil {
 			runErr = err
 		}
 		engine.Stop()

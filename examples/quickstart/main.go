@@ -93,7 +93,7 @@ func run() error {
 	engine.Spawn("demo-client", func(p *catfish.Proc) {
 		defer engine.Stop()
 		// Fast messaging: the server executes the search.
-		items, method, err := cli.Search(p, window)
+		items, method, err := cli.On(p).Search(window)
 		if err != nil {
 			runErr = err
 			return
@@ -111,7 +111,7 @@ func run() error {
 			runErr = err
 			return
 		}
-		items, method, err = off.Search(p, window)
+		items, method, err = off.On(p).Search(window)
 		if err != nil {
 			runErr = err
 			return

@@ -46,7 +46,8 @@ type Config struct {
 	TxT float64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields with the paper's parameters.
+func (c Config) WithDefaults() Config {
 	if c.N == 0 {
 		c.N = 8
 	}
@@ -112,7 +113,7 @@ type Switch struct {
 
 // New returns a switch with the given configuration and randomness source.
 func New(cfg Config, rng *rand.Rand) *Switch {
-	return &Switch{cfg: cfg.withDefaults(), rng: rng}
+	return &Switch{cfg: cfg.WithDefaults(), rng: rng}
 }
 
 // Decide returns true when the next read request should be offloaded.

@@ -24,7 +24,7 @@ func (h *harness) decide() bool {
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.N != 8 || cfg.T != 0.95 || cfg.Inv != 10*time.Millisecond {
 		t.Errorf("defaults = %+v", cfg)
 	}

@@ -31,7 +31,7 @@ func TestExecBatchMatchesUnbatched(t *testing.T) {
 				ops = append(ops, searchOp(q))
 				want = append(want, expected(t, r.tree, q))
 			}
-			results = c.ExecBatch(p, ops, results)
+			results = c.On(p).ExecBatch(ops, results)
 			for j, res := range results {
 				if res.Err != nil {
 					t.Errorf("round %d op %d: %v", round, j, res.Err)
@@ -48,7 +48,7 @@ func TestExecBatchMatchesUnbatched(t *testing.T) {
 		}
 		// A batch of one delegates to the unbatched path.
 		q := randRect(rng, 0.05)
-		results = c.ExecBatch(p, []BatchOp{searchOp(q)}, results)
+		results = c.On(p).ExecBatch([]BatchOp{searchOp(q)}, results)
 		if results[0].Err != nil || !sameItems(results[0].Items, expected(t, r.tree, q)) {
 			t.Errorf("single-op batch mismatch: %+v", results[0])
 		}
@@ -82,7 +82,7 @@ func TestExecBatchTCP(t *testing.T) {
 			ops = append(ops, searchOp(q))
 			want = append(want, expected(t, r.tree, q))
 		}
-		results := c.ExecBatch(p, ops, nil)
+		results := c.On(p).ExecBatch(ops, nil)
 		for j, res := range results {
 			if res.Err != nil {
 				t.Errorf("op %d: %v", j, res.Err)
@@ -119,7 +119,7 @@ func TestBatchMixedReadWrite(t *testing.T) {
 			{Type: wire.MsgDelete, Rect: target, Ref: 888888}, // never inserted
 			searchOp(geo.NewRect(0, 0, 0.2, 0.2)),
 		}
-		results := c.ExecBatch(p, ops, nil)
+		results := c.On(p).ExecBatch(ops, nil)
 		if results[0].Err != nil {
 			t.Errorf("insert: %v", results[0].Err)
 		}
@@ -173,7 +173,7 @@ func TestBatchWritesNeverOffload(t *testing.T) {
 		ops = append(ops,
 			BatchOp{Type: wire.MsgInsert, Rect: randRect(rng, 0.01), Ref: 900001},
 			BatchOp{Type: wire.MsgInsert, Rect: randRect(rng, 0.01), Ref: 900002})
-		results := c.ExecBatch(p, ops, nil)
+		results := c.On(p).ExecBatch(ops, nil)
 		for j := 0; j < 4; j++ {
 			if results[j].Err != nil || results[j].Method != MethodOffload {
 				t.Errorf("search %d: method=%v err=%v", j, results[j].Method, results[j].Err)
@@ -239,7 +239,7 @@ func TestBatchAdaptiveBackoffAccounting(t *testing.T) {
 				}
 				ref++
 				ops = append(ops, BatchOp{Type: wire.MsgInsert, Rect: randRect(rng, 0.001), Ref: ref})
-				results = c.ExecBatch(p, ops, results)
+				results = c.On(p).ExecBatch(ops, results)
 				for k, res := range results {
 					if res.Err != nil {
 						t.Errorf("round %d op %d: %v", j, k, res.Err)
@@ -291,7 +291,7 @@ func TestBatchLargeResponsesSegmented(t *testing.T) {
 	c := r.newClient(t, "c0", Config{Forced: MethodFast})
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		all := geo.NewRect(0, 0, 1, 1)
-		results := c.ExecBatch(p, []BatchOp{searchOp(all), searchOp(all)}, nil)
+		results := c.On(p).ExecBatch([]BatchOp{searchOp(all), searchOp(all)}, nil)
 		for j, res := range results {
 			if res.Err != nil {
 				t.Errorf("op %d: %v", j, res.Err)
@@ -325,7 +325,7 @@ func TestStatsSnapshotDuringLiveWorkload(t *testing.T) {
 			for j := 0; j < 8; j++ {
 				ops = append(ops, searchOp(randRect(rng, 0.01)))
 			}
-			results = c.ExecBatch(p, ops, results)
+			results = c.On(p).ExecBatch(ops, results)
 			for _, res := range results {
 				if res.Err != nil {
 					t.Error(res.Err)

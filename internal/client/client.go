@@ -37,11 +37,18 @@ const (
 	MethodFetch   = proto.MethodFetch
 )
 
+// BatchOp is one operation submitted through ExecBatch; BatchResult is its
+// outcome, in submission order.
+type (
+	BatchOp     = proto.BatchOp
+	BatchResult = proto.BatchResult
+)
+
 // Errors.
 var (
 	ErrServer   = proto.ErrServer
 	ErrNotFound = proto.ErrNotFound
-	ErrGaveUp   = errors.New("client: offloaded search exceeded retry budget")
+	ErrGaveUp   = proto.ErrGaveUp
 )
 
 // Config configures a Client.
@@ -131,16 +138,17 @@ type Config struct {
 	Shard int
 }
 
-// Client is one Catfish client (the paper runs up to 32 per machine).
+// Client is one Catfish client (the paper runs up to 32 per machine): the
+// simulated-fabric adapter of the shared client operations (proto.Ops). It
+// holds the ring-buffer and RDMA endpoints and the offloaded traversal's
+// caches; On binds it to the simulation process that drives an operation.
 type Client struct {
+	*proto.Core
 	cfg Config
 	ep  *server.Endpoint
 
 	reqID  uint64
 	tagSeq uint64
-
-	// Algorithm 1 state machine (shared with every framework client).
-	sw *adaptive.Switch
 
 	// rootCache holds the last consistent root image (CacheRoot);
 	// rootVerSeen is the root version last observed in the heartbeat
@@ -153,37 +161,20 @@ type Client struct {
 	// nodes (nil when Config.NodeCache is 0: every lookup misses).
 	ncache *nodecache.Cache
 
-	// Prefetch token bucket: prefTokens tokens remain (≤ Config.Prefetch),
-	// refilled lazily at refill time proportional to fabric idleness.
-	prefTokens     float64
-	prefLastRefill time.Duration
-
 	encBuf  []byte
 	payload []byte
 	node    rtree.Node
 	nodeVer uint64 // region version of the chunk last decoded into node
 
-	// Reused batching state: the doorbell batch under construction during
-	// multi-issue traversal, the batch container encoder, and the decoded
-	// per-op results of ExecBatch.
+	// readBatch is the doorbell batch under construction during multi-issue
+	// traversal and mailbox pulls.
 	readBatch []fabric.ReadReq
-	benc      wire.BatchEncoder
-	respBuf   wire.Response
-
-	stats   telemetry.ClientMetrics
-	latHist *telemetry.Histogram
 }
 
 // New validates the configuration and returns a client.
 func New(cfg Config) (*Client, error) {
 	if cfg.Engine == nil || cfg.Host == nil || cfg.Endpoint == nil {
 		return nil, errors.New("client: Engine, Host and Endpoint are required")
-	}
-	if cfg.N == 0 {
-		cfg.N = 8
-	}
-	if cfg.T == 0 {
-		cfg.T = 0.95
 	}
 	if cfg.HeartbeatInv == 0 {
 		cfg.HeartbeatInv = 10 * time.Millisecond
@@ -194,235 +185,86 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxChunkRetries == 0 {
 		cfg.MaxChunkRetries = 64
 	}
-	if !cfg.Adaptive && cfg.Forced == 0 {
-		if cfg.Endpoint.TCP != nil {
-			cfg.Forced = MethodTCP
-		} else {
-			cfg.Forced = MethodFast
-		}
-	}
 	c := &Client{cfg: cfg, ep: cfg.Endpoint}
-	c.prefTokens = float64(cfg.Prefetch) // start full: idle fabric until told otherwise
 	if cfg.NodeCache > 0 && cfg.Endpoint.RegionVers != nil {
 		c.ncache = nodecache.New(cfg.NodeCache, cfg.HeartbeatInv,
 			cfg.Endpoint.ChunkSize, cfg.Endpoint.RegionVers.VersionsSize())
 	}
-	c.sw = adaptive.New(adaptive.Config{
-		N:             cfg.N,
-		T:             cfg.T,
-		Inv:           cfg.HeartbeatInv,
-		PredSmoothing: cfg.PredSmoothing,
-		EnableFetch:   cfg.Fetch,
-		TxT:           cfg.TxT,
-	}, cfg.Engine.Rand())
-	if cfg.Metrics != nil {
-		c.stats.Register(cfg.Metrics)
-		telemetry.RegisterCacheFuncs(cfg.Metrics, func() telemetry.CacheStats {
-			ns := c.ncache.Stats()
-			return telemetry.CacheStats{Hits: ns.Hits, VerifiedHits: ns.VerifiedHits,
-				Misses: ns.Misses, Evictions: ns.Evictions, BytesSaved: ns.BytesSaved,
-				PrefetchHits: ns.PrefetchHits, PrefetchWaste: ns.PrefetchWaste}
-		})
-		cfg.Metrics.GaugeFunc("catfish_client_pred_util", c.sw.PredictedUtil)
-		c.latHist = cfg.Metrics.Histogram("catfish_client_search_latency_seconds")
+	ocfg := proto.OpsConfig{
+		Adaptive: cfg.Adaptive,
+		Forced:   cfg.Forced,
+		Switch: adaptive.Config{
+			N:             cfg.N,
+			T:             cfg.T,
+			Inv:           cfg.HeartbeatInv,
+			PredSmoothing: cfg.PredSmoothing,
+			EnableFetch:   cfg.Fetch,
+			TxT:           cfg.TxT,
+		},
+		Rand:            cfg.Engine.Rand(),
+		Messaging:       MethodFast,
+		Prefetch:        cfg.Prefetch,
+		MaxChunkRetries: cfg.MaxChunkRetries,
+		Cache:           c.ncache,
+		Metrics:         cfg.Metrics,
+		Trace:           cfg.Trace,
+		Shard:           cfg.Shard,
 	}
+	if c.ep.TCP != nil {
+		ocfg.Messaging = MethodTCP
+	}
+	if c.ep.MailboxMem != nil && c.ep.FetchQP != nil {
+		reg := c.ep.MailboxMem.Region()
+		ocfg.Mailbox = proto.Mailbox{Chunks: reg.NumChunks(), SlotChunks: c.ep.FetchSlotChunks,
+			ChunkPayload: reg.PayloadSize()}
+	}
+	c.Core = proto.NewCore(ocfg)
 	return c, nil
 }
 
-// Stats returns a snapshot of the client counters. Counters are mutated
-// atomically, so the snapshot is safe to take while the simulation runs
-// (progress meters, tests under -race).
-func (c *Client) Stats() telemetry.ClientSnapshot {
-	out := c.stats.Snapshot()
-	ns := c.ncache.Stats()
-	out.CacheHits = ns.Hits
-	out.CacheVerifiedHits = ns.VerifiedHits
-	out.CacheMisses = ns.Misses
-	out.CacheEvictions = ns.Evictions
-	out.CacheBytesSaved = ns.BytesSaved
-	out.CachePrefetchHits = ns.PrefetchHits
-	out.CachePrefetchWaste = ns.PrefetchWaste
-	return out
+// Handle is a client's operations bound to the simulation process that
+// drives them.
+type Handle = proto.Ops[port]
+
+// On returns the client driven by process p; call its operations from p.
+func (c *Client) On(p *sim.Proc) Handle { return proto.Bind(c.Core, port{c: c, p: p}) }
+
+// port is the simulated fabric's proto.Transport: virtual time, the
+// heartbeat mailbox the server writes into client memory, the request and
+// response rings (or the socket baseline's connection), and one-sided reads
+// on the fetch QP.
+type port struct {
+	c *Client
+	p *sim.Proc
 }
 
-// prefetchBudget refills the token bucket and returns how many speculative
-// reads the current wave may post (≤ the remaining whole tokens). The
-// refill rate is Prefetch tokens per heartbeat interval scaled by the
-// fabric's idle fraction (1 − u_serv): an idle server earns the full rate,
-// a server past the busy threshold T earns nothing — RFP-style speculation
-// that never recreates the congestion the adaptive switch avoids.
-func (c *Client) prefetchBudget(now time.Duration) int {
-	if c.cfg.Prefetch <= 0 {
-		return 0
-	}
-	elapsed := now - c.prefLastRefill
-	c.prefLastRefill = now
-	util := c.readHeartbeat()
-	if util < c.cfg.T && elapsed > 0 {
-		rate := float64(c.cfg.Prefetch) * (1 - util) / float64(c.cfg.HeartbeatInv)
-		c.prefTokens += rate * float64(elapsed)
-		if c.prefTokens > float64(c.cfg.Prefetch) {
-			c.prefTokens = float64(c.cfg.Prefetch)
-		}
-	}
-	return int(c.prefTokens)
+func (h port) Now() time.Duration { return h.p.Now() }
+
+func (h port) NextID() uint64 {
+	h.c.reqID++
+	return h.c.reqID
 }
 
-// spendPrefetch consumes n tokens after a wave posted n speculative reads.
-func (c *Client) spendPrefetch(n int) {
-	c.prefTokens -= float64(n)
-	if c.prefTokens < 0 {
-		c.prefTokens = 0
-	}
-}
+func (h port) SearchOffload(q geo.Rect) ([]wire.Item, error) { return h.c.searchOffload(h.p, q) }
 
-func (c *Client) nextID() uint64 {
-	c.reqID++
-	return c.reqID
-}
-
-// Search executes a rectangle search, choosing the method adaptively
-// (Algorithm 1) or as forced by the configuration, and returns the matching
-// items along with the method used.
-func (c *Client) Search(p *sim.Proc, q geo.Rect) ([]wire.Item, Method, error) {
-	m := c.cfg.Forced
-	if c.cfg.Adaptive {
-		m = c.decide(p)
-	}
-	tracing := c.cfg.Trace != nil
-	var start time.Duration
-	var readsBefore, tornBefore uint64
-	if tracing || c.latHist != nil {
-		start = p.Now()
-	}
-	if tracing {
-		readsBefore = c.stats.NodesFetched.Load()
-		tornBefore = c.stats.TornRetries.Load()
-	}
-	var items []wire.Item
-	var err error
-	switch m {
-	case MethodOffload:
-		c.stats.OffloadSearches.Inc()
-		items, err = c.searchOffload(p, q)
-	case MethodTCP:
-		c.stats.TCPSearches.Inc()
-		items, err = c.searchTCP(p, q)
-	case MethodFetch:
-		c.stats.FetchSearches.Inc()
-		items, err = c.searchFetch(p, q)
-	default:
-		m = MethodFast
-		c.stats.FastSearches.Inc()
-		items, err = c.searchFast(p, q)
-	}
-	if tracing || c.latHist != nil {
-		lat := p.Now() - start
-		c.latHist.Record(lat)
-		if tracing {
-			rbusy, roff := c.sw.State()
-			tr := telemetry.Trace{
-				Start:        start,
-				Method:       m.String(),
-				Shard:        c.cfg.Shard,
-				RBusy:        rbusy,
-				ROff:         roff,
-				PredUtil:     c.sw.PredictedUtil(),
-				PredTX:       c.sw.PredictedTX(),
-				OffloadReads: uint32(c.stats.NodesFetched.Load() - readsBefore),
-				TornRetries:  uint32(c.stats.TornRetries.Load() - tornBefore),
-				Latency:      lat,
-			}
-			if err != nil {
-				tr.Err = err.Error()
-			}
-			c.cfg.Trace.Record(tr)
-		}
-	}
-	return items, m, err
-}
-
-// Insert adds a rectangle; R-tree writes always travel by messaging so the
-// server's lock discipline covers them (§III-B).
-func (c *Client) Insert(p *sim.Proc, r geo.Rect, ref uint64) error {
-	c.stats.Inserts.Inc()
-	resp, err := c.roundTrip(p, wire.Request{Type: wire.MsgInsert, ID: c.nextID(), Rect: r, Ref: ref})
-	if err != nil {
-		return err
-	}
-	return proto.OpError(wire.MsgInsert, resp.Status)
-}
-
-// Delete removes an exact (rect, ref) entry.
-func (c *Client) Delete(p *sim.Proc, r geo.Rect, ref uint64) error {
-	c.stats.Deletes.Inc()
-	resp, err := c.roundTrip(p, wire.Request{Type: wire.MsgDelete, ID: c.nextID(), Rect: r, Ref: ref})
-	if err != nil {
-		return err
-	}
-	return proto.OpError(wire.MsgDelete, resp.Status)
-}
-
-// Promote asks the server to adopt epoch and start accepting writes — the
-// router's failover control message. It travels as a plain request so a
-// killed server answers StatusUnavailable and the router moves on to the
-// next candidate.
-func (c *Client) Promote(p *sim.Proc, epoch uint64) error {
-	resp, err := c.roundTrip(p, wire.Request{Type: wire.MsgPromote, ID: c.nextID(), Ref: epoch})
-	if err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return proto.StatusError(resp.Status, "promote")
-	}
-	return nil
-}
-
-// decide runs the client module of the adaptive coordination
-// (Algorithm 1 extended with the 3-way fetch branch), delegating to the
-// shared adaptive.Switch state machine — see that package for the policy
-// and its one documented deviation from the paper's pseudocode. A fetch
-// verdict against an endpoint without a mailbox (server started with
-// FetchSlots = 0) degrades to fast messaging.
-func (c *Client) decide(p *sim.Proc) Method {
-	switch c.sw.DecideMethod(p.Now(), c.readHeartbeatBoth, c.clearHeartbeat) {
-	case adaptive.ChooseOffload:
-		return MethodOffload
-	case adaptive.ChooseFetch:
-		if c.ep.MailboxMem != nil {
-			return MethodFetch
-		}
-		return MethodFast
-	default:
-		return MethodFast
-	}
-}
-
-// readHeartbeat returns the mailbox utilization (0 = no heartbeat, per the
-// paper's u_serv != 0 check).
-func (c *Client) readHeartbeat() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.ep.HeartbeatM.Bytes()))
-}
-
-// readHeartbeatBoth additionally returns the heartbeat's TX-utilization
-// word (0 against servers whose mailboxes predate the widened layout).
-func (c *Client) readHeartbeatBoth() (float64, float64) {
-	b := c.ep.HeartbeatM.Bytes()
-	cpu := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	tx := 0.0
+// Heartbeat reads the mailbox's utilization words (the TX word is 0
+// against servers whose mailboxes predate the widened layout).
+func (h port) Heartbeat() (cpu, tx float64) {
+	b := h.c.ep.HeartbeatM.Bytes()
+	cpu = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	if len(b) >= server.HeartbeatMailboxSize {
 		tx = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
 	}
 	return cpu, tx
 }
 
-// clearHeartbeat is the paper's memset(u_serv, 0). Only the utilization
-// word is cleared: the mailbox's second word carries the root version and
-// must persist for the root-cache invalidation check. The switch invokes it
-// exactly once per consumed heartbeat, so it doubles as the counting point.
-func (c *Client) clearHeartbeat() {
-	c.stats.HeartbeatsSeen.Inc()
-	b := c.ep.HeartbeatM.Bytes()
+// ClearHeartbeat clears only the utilization word: the mailbox's second
+// word carries the root version and must persist for the root-cache
+// invalidation check. The switch invokes it exactly once per consumed
+// heartbeat, so it doubles as the counting point.
+func (h port) ClearHeartbeat() {
+	h.c.Counters.HeartbeatsSeen.Inc()
+	b := h.c.ep.HeartbeatM.Bytes()
 	for i := 0; i < 8 && i < len(b); i++ {
 		b[i] = 0
 	}
@@ -454,113 +296,114 @@ func (c *Client) heartbeatRootVersion() uint64 {
 	return binary.LittleEndian.Uint64(b[8:])
 }
 
-// searchFast sends the search over the request ring and collects the
-// (possibly segmented) response.
-func (c *Client) searchFast(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
-	resp, err := c.roundTrip(p, wire.Request{Type: wire.MsgSearch, ID: c.nextID(), Rect: q})
-	if err != nil {
-		return nil, err
+// send writes one request frame to the server: the request ring, or the
+// socket on the TCP baseline's endpoint.
+func (h port) send(frame []byte, id uint64) error {
+	if h.c.ep.TCP != nil {
+		h.c.ep.TCP.Send(h.p, frame)
+		return nil
 	}
-	if resp.Status != wire.StatusOK {
-		return nil, proto.StatusError(resp.Status, "search")
-	}
-	return resp.Items, nil
+	return h.c.ep.ReqWriter.Send(h.p, frame, id, true)
 }
 
-// roundTrip performs one fast-messaging request/response exchange,
-// accumulating response segments until END.
-func (c *Client) roundTrip(p *sim.Proc, req wire.Request) (wire.Response, error) {
-	if c.ep.TCP != nil {
-		return c.roundTripTCP(p, req)
-	}
-	c.encBuf = req.Encode(c.encBuf[:0])
-	if err := c.ep.ReqWriter.Send(p, c.encBuf, req.ID, true); err != nil {
-		return wire.Response{}, err
-	}
-	var out wire.Response
+// recv hands every reply message the server sends — batch containers
+// unwrapped — to deliver until it reports done. A ring is always drained
+// to empty before its head is reported back, so flow control sees the same
+// consumption whether or not the exchange ended mid-drain.
+func (h port) recv(deliver func(msg []byte) (done bool)) error {
+	ep := h.c.ep
 	for {
-		c.ep.RespReader.CQ().Pop(p)
-		done, err := c.drainResponses(req.ID, &out)
-		if rerr := c.ep.RespReader.ReportHead(p); rerr != nil {
-			return out, rerr
+		var done bool
+		var err error
+		if ep.TCP != nil {
+			done, err = unwrap(ep.TCP.Recv(h.p), deliver)
+		} else {
+			ep.RespReader.CQ().Pop(h.p)
+			done, err = h.drainRing(deliver)
+			if rerr := ep.RespReader.ReportHead(h.p); rerr != nil {
+				return rerr
+			}
 		}
-		if err != nil {
-			return out, err
-		}
-		if done {
-			return out, nil
+		if err != nil || done {
+			return err
 		}
 	}
 }
 
-// drainResponses consumes every complete frame in the response ring,
-// folding segments of request id into out. It reports whether the final
-// segment has arrived.
-func (c *Client) drainResponses(id uint64, out *wire.Response) (bool, error) {
-	done := false
+// drainRing delivers every complete frame in the response ring.
+func (h port) drainRing(deliver func(msg []byte) bool) (done bool, err error) {
 	for {
-		payload, err, ok := c.ep.RespReader.TryRecv()
+		payload, err, ok := h.c.ep.RespReader.TryRecv()
+		if err != nil || !ok {
+			return done, err
+		}
+		d, err := unwrap(payload, deliver)
 		if err != nil {
 			return done, err
 		}
+		done = done || d
+	}
+}
+
+// unwrap delivers one transport frame: itself, or each sub-message of a
+// batch container.
+func unwrap(frame []byte, deliver func(msg []byte) bool) (done bool, err error) {
+	typ, err := wire.PeekType(frame)
+	if err != nil {
+		return false, err
+	}
+	if typ != wire.MsgBatch {
+		return deliver(frame), nil
+	}
+	it, err := wire.DecodeBatch(frame)
+	if err != nil {
+		return false, err
+	}
+	for {
+		msg, ok := it.Next()
 		if !ok {
-			return done, nil
+			return done, it.Err()
 		}
-		typ, err := wire.PeekType(payload)
-		if err != nil {
-			return done, err
-		}
-		if typ != wire.MsgResponse {
-			continue // stray frame (unused message kinds); ignore
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return done, err
-		}
-		if resp.ID != id {
-			continue // stale segment from an aborted exchange
-		}
-		out.ID = resp.ID
-		out.Status = resp.Status
-		out.Items = append(out.Items, resp.Items...)
-		if resp.Final {
-			out.Final = true
-			done = true
-		}
+		done = deliver(msg) || done
 	}
 }
 
-// roundTripTCP is the socket-baseline exchange.
-func (c *Client) roundTripTCP(p *sim.Proc, req wire.Request) (wire.Response, error) {
-	c.encBuf = req.Encode(c.encBuf[:0])
-	c.ep.TCP.Send(p, c.encBuf)
-	var out wire.Response
-	for {
-		payload := c.ep.TCP.Recv(p)
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return out, err
-		}
-		if resp.ID != req.ID {
-			continue
-		}
-		out.ID = resp.ID
-		out.Status = resp.Status
-		out.Items = append(out.Items, resp.Items...)
-		if resp.Final {
-			return out, nil
-		}
+// Exchange performs one request/response exchange, accumulating response
+// segments until END or capturing the fetch descriptor that answers
+// instead. Frames for other ids — a stale segment or descriptor of an
+// abandoned exchange — are skipped.
+func (h port) Exchange(req wire.Request) (resp wire.Response, desc wire.FetchDesc, isDesc bool, err error) {
+	h.c.encBuf = req.Encode(h.c.encBuf[:0])
+	if err = h.send(h.c.encBuf, req.ID); err != nil {
+		return
 	}
+	rerr := h.recv(func(msg []byte) bool {
+		typ, id, perr := wire.PeekID(msg)
+		if perr != nil || id != req.ID {
+			return false
+		}
+		if typ == wire.MsgFetchDesc {
+			desc, err = wire.DecodeFetchDesc(msg)
+			isDesc = true
+			return true
+		}
+		resp, err = wire.DecodeResponseAppend(msg, resp.Items)
+		return resp.Final || err != nil
+	})
+	if err == nil {
+		err = rerr
+	}
+	return
 }
 
-// searchTCP runs the search over the TCP baseline.
-func (c *Client) searchTCP(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
-	resp, err := c.roundTripTCP(p, wire.Request{Type: wire.MsgSearch, ID: c.nextID(), Rect: q})
+// Batch sends the container as one ring write (or TCP frame) — one
+// immediate-data event at the server — runs the overlapped traversals while
+// it is in flight, then collects.
+func (h port) Batch(container []byte, ids []uint64, overlap func(), deliver func(msg []byte) bool) error {
+	err := h.send(container, ids[0])
+	overlap()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if resp.Status != wire.StatusOK {
-		return nil, proto.StatusError(resp.Status, "search")
-	}
-	return resp.Items, nil
+	return h.recv(deliver)
 }

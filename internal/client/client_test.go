@@ -190,7 +190,7 @@ func TestSearchMethodsAgree(t *testing.T) {
 					for i := 0; i < 40; i++ {
 						q := randRect(rng, rng.Float64()*0.2)
 						want := expected(t, r.tree, q)
-						items, used, err := c.Search(p, q)
+						items, used, err := c.On(p).Search(q)
 						if err != nil {
 							t.Errorf("query %d: %v", i, err)
 							return
@@ -220,7 +220,7 @@ func TestSearchTCPAgrees(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			q := randRect(rng, rng.Float64()*0.3)
 			want := expected(t, r.tree, q)
-			items, used, err := c.Search(p, q)
+			items, used, err := c.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -244,7 +244,7 @@ func TestLargeResponseSegmented(t *testing.T) {
 	r := newRig(t, rigOpts{mode: server.ModeEvent, items: 5000})
 	c := r.newClient(t, "c0", Config{Forced: MethodFast})
 	r.e.Spawn("driver", func(p *sim.Proc) {
-		items, _, err := c.Search(p, geo.NewRect(0, 0, 1, 1))
+		items, _, err := c.On(p).Search(geo.NewRect(0, 0, 1, 1))
 		if err != nil {
 			t.Error(err)
 		}
@@ -266,11 +266,11 @@ func TestInsertDeleteThroughMessaging(t *testing.T) {
 	c := r.newClient(t, "c0", Config{Forced: MethodFast})
 	target := geo.NewRect(0.40, 0.40, 0.41, 0.41)
 	r.e.Spawn("driver", func(p *sim.Proc) {
-		if err := c.Insert(p, target, 999999); err != nil {
+		if err := c.On(p).Insert(target, 999999); err != nil {
 			t.Error(err)
 			return
 		}
-		items, _, err := c.Search(p, target)
+		items, _, err := c.On(p).Search(target)
 		if err != nil {
 			t.Error(err)
 			return
@@ -284,10 +284,10 @@ func TestInsertDeleteThroughMessaging(t *testing.T) {
 		if !found {
 			t.Error("inserted item not found")
 		}
-		if err := c.Delete(p, target, 999999); err != nil {
+		if err := c.On(p).Delete(target, 999999); err != nil {
 			t.Error(err)
 		}
-		if err := c.Delete(p, target, 999999); !errors.Is(err, ErrNotFound) {
+		if err := c.On(p).Delete(target, 999999); !errors.Is(err, ErrNotFound) {
 			t.Errorf("second delete err = %v, want ErrNotFound", err)
 		}
 		p.Engine().Stop()
@@ -308,7 +308,7 @@ func TestPollingModeServes(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			q := randRect(rng, 0.1)
 			want := expected(t, r.tree, q)
-			items, _, err := c.Search(p, q)
+			items, _, err := c.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -349,7 +349,7 @@ func TestAdaptiveSwitchesUnderLoad(t *testing.T) {
 			_ = lrng
 			for j := 0; j < 300; j++ {
 				q := randRect(rng, 0.001)
-				if _, _, err := c.Search(p, q); err != nil {
+				if _, _, err := c.On(p).Search(q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -393,7 +393,7 @@ func TestOffloadTornReadRetryUnderInserts(t *testing.T) {
 	r.e.Spawn("writer", func(p *sim.Proc) {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
-			if err := writer.Insert(p, randRect(rng, 0.01), uint64(100000+i)); err != nil {
+			if err := writer.On(p).Insert(randRect(rng, 0.01), uint64(100000+i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -403,7 +403,7 @@ func TestOffloadTornReadRetryUnderInserts(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
 			q := randRect(rng, 0.05)
-			items, _, err := reader.Search(p, q)
+			items, _, err := reader.On(p).Search(q)
 			if err != nil {
 				t.Errorf("query %d: %v", i, err)
 				return
@@ -439,7 +439,7 @@ func TestMultiIssueFasterThanSingle(t *testing.T) {
 		r.e.Spawn("driver", func(p *sim.Proc) {
 			q := geo.NewRect(0.2, 0.2, 0.6, 0.6)
 			start := p.Now()
-			if _, _, err := c.Search(p, q); err != nil {
+			if _, _, err := c.On(p).Search(q); err != nil {
 				t.Error(err)
 			}
 			elapsed = p.Now() - start
@@ -480,13 +480,13 @@ func TestOffloadAfterTreeGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ {
-			if err := writer.Insert(p, randRect(rng, 0.02), uint64(i)); err != nil {
+			if err := writer.On(p).Insert(randRect(rng, 0.02), uint64(i)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 		q := geo.NewRect(0, 0, 1, 1)
-		items, _, err := reader.Search(p, q)
+		items, _, err := reader.On(p).Search(q)
 		if err != nil {
 			t.Error(err)
 			return

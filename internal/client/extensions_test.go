@@ -1,34 +1,56 @@
 package client
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
 )
 
-func TestPredSmoothingDampsSpike(t *testing.T) {
-	// One spiky heartbeat above T must not trigger offloading when the
-	// EWMA is configured and history is calm.
+// TestHeartbeatWords checks the transport half of Algorithm 1's mailbox
+// protocol (the policy itself is tested over a fake transport in
+// internal/proto): the utilization words are read from the mailbox the
+// server writes, a short legacy mailbox has no TX word, and consuming a
+// heartbeat clears only the utilization word and counts it.
+func TestHeartbeatWords(t *testing.T) {
 	e := sim.New(1)
-	c := algoClientSmoothed(t, e, 8, 0.95, 0.3)
-	e.Spawn("driver", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(2 * time.Millisecond)
-			setHeartbeat(c, 0.2)
-			c.decide(p)
+	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
+	host := net.NewHost("c", sim.NewCPU(e, 2))
+	for _, size := range []int{8, server.HeartbeatMailboxSize} {
+		ep := &server.Endpoint{HeartbeatM: host.RegisterMemory(size)}
+		c, err := New(Config{Engine: e, Host: host, Endpoint: ep, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		p.Sleep(2 * time.Millisecond)
-		setHeartbeat(c, 1.0) // spike
-		if m := c.decide(p); m != MethodFast {
-			t.Errorf("EWMA let a single spike trigger offloading")
+		b := ep.HeartbeatM.Bytes()
+		binary.LittleEndian.PutUint64(b, math.Float64bits(0.75))
+		wantTX := 0.0
+		if size >= server.HeartbeatMailboxSize {
+			binary.LittleEndian.PutUint64(b[8:], 42) // root version
+			binary.LittleEndian.PutUint64(b[24:], math.Float64bits(0.5))
+			wantTX = 0.5
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		h := port{c: c}
+		if cpu, tx := h.Heartbeat(); cpu != 0.75 || tx != wantTX {
+			t.Errorf("mailbox %d B: heartbeat = (%v, %v), want (0.75, %v)", size, cpu, tx, wantTX)
+		}
+		h.ClearHeartbeat()
+		if cpu, tx := h.Heartbeat(); cpu != 0 || tx != wantTX {
+			t.Errorf("mailbox %d B: after clear = (%v, %v), want (0, %v)", size, cpu, tx, wantTX)
+		}
+		if size >= server.HeartbeatMailboxSize && c.heartbeatRootVersion() != 42 {
+			t.Errorf("clear wiped the root version word")
+		}
+		if n := c.Stats().HeartbeatsSeen; n != 1 {
+			t.Errorf("HeartbeatsSeen = %d, want 1", n)
+		}
 	}
 }
 
@@ -43,12 +65,12 @@ func TestRootCacheSavesReads(t *testing.T) {
 		for i := 0; i < searches; i++ {
 			q := randRect(rng, 0.05)
 			want := expected(t, r.tree, q)
-			a, _, err := plain.Search(p, q)
+			a, _, err := plain.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			b, _, err := cached.Search(p, q)
+			b, _, err := cached.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -88,12 +110,12 @@ func TestRootCacheInvalidatedByGrowth(t *testing.T) {
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		defer r.e.Stop()
 		// Prime the cache.
-		if _, _, err := reader.Search(p, geo.NewRect(0, 0, 1, 1)); err != nil {
+		if _, _, err := reader.On(p).Search(geo.NewRect(0, 0, 1, 1)); err != nil {
 			t.Error(err)
 			return
 		}
 		for i := 0; i < 3000 && r.tree.Height() == startHeight; i++ {
-			if err := writer.Insert(p, randRect(rng, 0.01), uint64(10_000+i)); err != nil {
+			if err := writer.On(p).Insert(randRect(rng, 0.01), uint64(10_000+i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -104,7 +126,7 @@ func TestRootCacheInvalidatedByGrowth(t *testing.T) {
 		}
 		// Wait out the staleness lease (one heartbeat interval).
 		p.Sleep(3 * time.Millisecond)
-		items, _, err := reader.Search(p, geo.NewRect(0, 0, 1, 1))
+		items, _, err := reader.On(p).Search(geo.NewRect(0, 0, 1, 1))
 		if err != nil {
 			t.Error(err)
 			return

@@ -2,194 +2,35 @@ package client
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/catfish-db/catfish/internal/fabric"
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/region"
-	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// searchFetch executes a search by remote result fetching (DESIGN.md §5.10):
-// the server runs the search and deposits the result in a mailbox slot of
-// its dedicated registered region, replying only with a 30-byte descriptor;
-// the client pulls the slot with one-sided RDMA Reads and acknowledges so
-// the slot can be reused. Small results arrive inline (the server declines
-// the mailbox below FetchInlineMax items), and a pull that exhausts its
-// torn-read budget falls back to a fast-messaging re-execution — fetch is
-// an optimization, never a correctness dependency.
-func (c *Client) searchFetch(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
-	if c.ep.MailboxMem == nil || c.ep.FetchQP == nil {
-		return c.searchFast(p, q)
-	}
-	desc, resp, haveDesc, err := c.roundTripFetch(p, wire.Request{Type: wire.MsgSearchFetch, ID: c.nextID(), Rect: q})
-	if err != nil {
-		return nil, err
-	}
-	if !haveDesc {
-		// Inline fallback: the server answered with ordinary response
-		// segments (small result, or mailbox slots exhausted).
-		if resp.Status != wire.StatusOK {
-			return nil, fmt.Errorf("%w: fetch search status %d", ErrServer, resp.Status)
-		}
-		c.stats.FetchInline.Inc()
-		return resp.Items, nil
-	}
-	if desc.Status != wire.StatusOK {
-		return nil, fmt.Errorf("%w: fetch search status %d", ErrServer, desc.Status)
-	}
-	items, err := c.pullMailbox(p, desc)
-	if err != nil {
-		// The slot was overwritten under us past the retry budget (or the
-		// pull failed outright): re-execute over fast messaging. The stale
-		// slot is NOT acked — the server already moved its seq on, and
-		// Reclaim ignores stale acknowledgements anyway.
-		c.stats.FetchFallbacks.Inc()
-		return c.searchFast(p, q)
-	}
-	return items, nil
-}
-
-// roundTripFetch performs the request half of a fetch search: it sends req
-// over the ring and waits for either a fetch descriptor or a complete
-// inline response, whichever the server chose.
-func (c *Client) roundTripFetch(p *sim.Proc, req wire.Request) (wire.FetchDesc, wire.Response, bool, error) {
-	var (
-		desc     wire.FetchDesc
-		out      wire.Response
-		haveDesc bool
-	)
-	c.encBuf = req.Encode(c.encBuf[:0])
-	if err := c.ep.ReqWriter.Send(p, c.encBuf, req.ID, true); err != nil {
-		return desc, out, false, err
-	}
-	for {
-		c.ep.RespReader.CQ().Pop(p)
-		done, err := c.drainFetch(req.ID, &out, &desc, &haveDesc)
-		if rerr := c.ep.RespReader.ReportHead(p); rerr != nil {
-			return desc, out, haveDesc, rerr
-		}
-		if err != nil {
-			return desc, out, haveDesc, err
-		}
-		if done {
-			return desc, out, haveDesc, nil
-		}
-	}
-}
-
-// drainFetch consumes every complete frame in the response ring, folding
-// inline segments of request id into out and capturing a matching fetch
-// descriptor. It reports whether the exchange is complete (descriptor seen
-// or final inline segment arrived).
-func (c *Client) drainFetch(id uint64, out *wire.Response, desc *wire.FetchDesc, haveDesc *bool) (bool, error) {
-	done := false
-	for {
-		payload, err, ok := c.ep.RespReader.TryRecv()
-		if err != nil {
-			return done, err
-		}
-		if !ok {
-			return done, nil
-		}
-		typ, err := wire.PeekType(payload)
-		if err != nil {
-			return done, err
-		}
-		switch typ {
-		case wire.MsgFetchDesc:
-			d, derr := wire.DecodeFetchDesc(payload)
-			if derr != nil {
-				return done, derr
-			}
-			if d.ID != id {
-				continue // descriptor from an abandoned exchange
-			}
-			*desc = d
-			*haveDesc = true
-			done = true
-		case wire.MsgResponse:
-			resp, derr := wire.DecodeResponse(payload)
-			if derr != nil {
-				return done, derr
-			}
-			if resp.ID != id {
-				continue
-			}
-			out.ID = resp.ID
-			out.Status = resp.Status
-			out.Items = append(out.Items, resp.Items...)
-			if resp.Final {
-				out.Final = true
-				done = true
-			}
-		default:
-			continue // stray frame; ignore
-		}
-	}
-}
-
-// errTornPull signals that a mailbox pull observed torn chunks or a stale
-// slot header and should be retried.
-var errTornPull = errors.New("client: torn mailbox pull")
-
-// pullMailbox reads the slot named by desc with one doorbell-batched span
-// of one-sided RDMA Reads on the dedicated fetch QP, validates it through
-// the region's seqlock surface plus the slot header's sequence stamp, and
-// decodes the packed items. Chunk reads target physically-consecutive
-// chunks, so on merging fabrics the whole pull usually collapses into a
-// single READ. Torn or stale snapshots retry up to MaxChunkRetries.
-func (c *Client) pullMailbox(p *sim.Proc, desc wire.FetchDesc) ([]wire.Item, error) {
-	mem := c.ep.MailboxMem
-	reg := mem.Region()
-	chunks := region.MailboxChunks(int(desc.Bytes), reg.PayloadSize())
-	base := int(desc.Slot) * c.ep.FetchSlotChunks
-	if chunks > c.ep.FetchSlotChunks || base+chunks > reg.NumChunks() {
-		return nil, fmt.Errorf("%w: descriptor slot %d/%d B out of mailbox bounds", ErrServer, desc.Slot, desc.Bytes)
-	}
-	payloads := make([][]byte, chunks)
-	for retry := 0; retry <= c.cfg.MaxChunkRetries; retry++ {
-		items, err := c.pullOnce(p, mem, base, chunks, desc, payloads)
-		if err == nil {
-			c.stats.FetchBytes.Add(uint64(desc.Bytes))
-			c.sendFetchAck(p, desc)
-			if cpu := c.cfg.Host.CPU(); cpu != nil {
-				cpu.Run(p, c.cfg.Cost.ClientFetchDemand(len(items)))
-			}
-			return items, nil
-		}
-		if !errors.Is(err, errTornPull) {
-			return nil, err
-		}
-		c.stats.FetchRetries.Inc()
-	}
-	return nil, ErrGaveUp
-}
-
-// pullOnce posts one read wave over the slot and assembles the snapshot,
-// returning errTornPull when any chunk tore or the slot header disagrees
-// with the descriptor (the slot was already reused).
-func (c *Client) pullOnce(p *sim.Proc, mem *fabric.RegionMemory, base, chunks int, desc wire.FetchDesc, payloads [][]byte) ([]wire.Item, error) {
-	reg := mem.Region()
-	cs := reg.ChunkSize()
+// ReadMailbox posts one doorbell-batched span of one-sided RDMA Reads on
+// the dedicated fetch QP and validates each chunk through the region's
+// seqlock surface. The reads target physically-consecutive chunks, so on
+// merging fabrics the whole pull usually collapses into a single READ.
+func (h port) ReadMailbox(chunk int, payloads [][]byte) (torn bool, err error) {
+	c, mem, qp := h.c, h.c.ep.MailboxMem, h.c.ep.FetchQP
+	cs := mem.Region().ChunkSize()
 	firstTag := c.tagSeq + 1
 	c.readBatch = c.readBatch[:0]
-	for i := 0; i < chunks; i++ {
+	for i := range payloads {
 		c.tagSeq++
 		c.readBatch = append(c.readBatch, fabric.ReadReq{
-			Src: mem, Off: (base + i) * cs, Size: cs, Tag: c.tagSeq,
+			Src: mem, Off: (chunk + i) * cs, Size: cs, Tag: c.tagSeq,
 		})
 	}
-	posted, wqes, err := c.ep.FetchQP.ReadBatch(p, c.readBatch)
-	c.stats.FetchPulls.Add(uint64(posted))
-	c.stats.ReadWQEs.Add(uint64(wqes))
-	torn := false
+	posted, wqes, err := qp.ReadBatch(h.p, c.readBatch)
+	c.Counters.FetchPulls.Add(uint64(posted))
+	c.Counters.ReadWQEs.Add(uint64(wqes))
 	var readErr error
 	for i := 0; i < posted; i++ {
-		comp := c.ep.FetchQP.CQ().Pop(p)
+		comp := qp.CQ().Pop(h.p)
 		idx := int(comp.Tag - firstTag)
-		if idx < 0 || idx >= chunks {
+		if idx < 0 || idx >= len(payloads) {
 			i-- // completion from an abandoned pull; not part of this wave
 			continue
 		}
@@ -198,41 +39,31 @@ func (c *Client) pullOnce(p *sim.Proc, mem *fabric.RegionMemory, base, chunks in
 			continue
 		}
 		payload, _, derr := region.DecodeChunk(comp.Data, nil)
-		if derr != nil {
-			if errors.Is(derr, region.ErrTornRead) {
-				torn = true
-				continue
-			}
+		switch {
+		case derr == nil:
+			payloads[idx] = payload
+		case errors.Is(derr, region.ErrTornRead):
+			torn = true
+		default:
 			readErr = derr
-			continue
 		}
-		payloads[idx] = payload
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = readErr
 	}
-	if readErr != nil {
-		return nil, readErr
-	}
-	if torn {
-		return nil, errTornPull
-	}
-	buf, err := region.AssembleMailbox(payloads[:chunks], desc.Seq, int(desc.Bytes))
-	if err != nil {
-		if errors.Is(err, region.ErrStaleSlot) {
-			return nil, errTornPull
-		}
-		return nil, err
-	}
-	return wire.DecodeItems(buf, int(desc.Count))
+	return torn, err
 }
 
-// sendFetchAck returns the slot to the server, fire-and-forget: the ack
-// carries the slot's sequence stamp, so a delayed ack for an already-reused
-// slot is ignored server-side and losing one merely delays reuse until the
-// allocator cycles back (bounded by the slot count).
-func (c *Client) sendFetchAck(p *sim.Proc, desc wire.FetchDesc) {
-	ack := wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}
-	c.encBuf = ack.Encode(c.encBuf[:0])
-	_ = c.ep.ReqWriter.Send(p, c.encBuf, 0, true)
+// AckFetch returns the slot to the server, fire-and-forget: the ack carries
+// the slot's sequence stamp, so a delayed ack for an already-reused slot is
+// ignored server-side and losing one merely delays reuse until the
+// allocator cycles back (bounded by the slot count). It then charges the
+// client CPU for unpacking the pulled items.
+func (h port) AckFetch(desc wire.FetchDesc, items int) {
+	c := h.c
+	c.encBuf = wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}.Encode(c.encBuf[:0])
+	_ = c.ep.ReqWriter.Send(h.p, c.encBuf, 0, true)
+	if cpu := c.cfg.Host.CPU(); cpu != nil {
+		cpu.Run(h.p, c.cfg.Cost.ClientFetchDemand(items))
+	}
 }

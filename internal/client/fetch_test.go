@@ -20,7 +20,7 @@ func TestSearchFetchAgrees(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			q := randRect(rng, rng.Float64()*0.2)
 			want := expected(t, r.tree, q)
-			items, used, err := c.Search(p, q)
+			items, used, err := c.On(p).Search(q)
 			if err != nil {
 				t.Errorf("query %d: %v", i, err)
 				return
@@ -75,7 +75,7 @@ func TestSearchFetchInlineThreshold(t *testing.T) {
 			if lenTotal(want) <= 1 {
 				continue
 			}
-			items, _, err := c.Search(p, q)
+			items, _, err := c.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -109,7 +109,7 @@ func TestSearchFetchWithoutMailboxDegrades(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			q := randRect(rng, rng.Float64()*0.2)
 			want := expected(t, r.tree, q)
-			items, _, err := c.Search(p, q)
+			items, _, err := c.On(p).Search(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -141,8 +141,8 @@ func TestBatchWithFetch(t *testing.T) {
 	}
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		var fetchRes, fastRes []BatchResult
-		fetchRes = cFetch.ExecBatch(p, ops, fetchRes)
-		fastRes = cFast.ExecBatch(p, ops, fastRes)
+		fetchRes = cFetch.On(p).ExecBatch(ops, fetchRes)
+		fastRes = cFast.On(p).ExecBatch(ops, fastRes)
 		for i := range ops {
 			if fetchRes[i].Err != nil || fastRes[i].Err != nil {
 				t.Errorf("op %d: fetch err=%v fast err=%v", i, fetchRes[i].Err, fastRes[i].Err)

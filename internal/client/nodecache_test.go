@@ -33,12 +33,12 @@ func TestNodeCacheSavesReads(t *testing.T) {
 				for i := 0; i < searches; i++ {
 					q := randRect(rng, 0.05)
 					want := expected(t, r.tree, q)
-					a, _, err := plain.Search(p, q)
+					a, _, err := plain.On(p).Search(q)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					b, _, err := cached.Search(p, q)
+					b, _, err := cached.On(p).Search(q)
 					if err != nil {
 						t.Error(err)
 						return
@@ -80,11 +80,11 @@ func TestNodeCacheCapacityZeroMatchesPlain(t *testing.T) {
 			defer r.e.Stop()
 			for i := 0; i < 25; i++ {
 				q := randRect(rng, 0.05)
-				if _, _, err := plain.Search(p, q); err != nil {
+				if _, _, err := plain.On(p).Search(q); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := zero.Search(p, q); err != nil {
+				if _, _, err := zero.On(p).Search(q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -122,7 +122,7 @@ func TestNodeCacheConcurrentWriterCorrectness(t *testing.T) {
 	r.e.Spawn("writer", func(p *sim.Proc) {
 		defer wg.Done()
 		for i := 0; i < inserts; i++ {
-			if err := writer.Insert(p, randRect(rng, 0.01), uint64(100000+i)); err != nil {
+			if err := writer.On(p).Insert(randRect(rng, 0.01), uint64(100000+i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -132,7 +132,7 @@ func TestNodeCacheConcurrentWriterCorrectness(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 400; i++ {
 			q := randRect(rng, 0.05)
-			items, _, err := reader.Search(p, q)
+			items, _, err := reader.On(p).Search(q)
 			if err != nil {
 				t.Errorf("query %d: %v", i, err)
 				return
@@ -157,7 +157,7 @@ func TestNodeCacheConcurrentWriterCorrectness(t *testing.T) {
 		// Wait out the staleness lease (one heartbeat interval) so every
 		// cached node must revalidate against the post-split tree.
 		p.Sleep(3 * time.Millisecond)
-		items, _, err := reader.Search(p, geo.NewRect(0, 0, 1, 1))
+		items, _, err := reader.On(p).Search(geo.NewRect(0, 0, 1, 1))
 		if err != nil {
 			t.Error(err)
 		} else if len(items) != r.tree.Len() {
@@ -223,7 +223,7 @@ func TestMultiIssueTornExhaustionDrainsCQ(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, _, err := c.Search(p, q); !errors.Is(err, ErrGaveUp) {
+		if _, _, err := c.On(p).Search(q); !errors.Is(err, ErrGaveUp) {
 			t.Errorf("search with wedged chunk: err = %v, want ErrGaveUp", err)
 		}
 		if n := c.ep.DataQP.CQ().Len(); n != 0 {
@@ -234,7 +234,7 @@ func TestMultiIssueTornExhaustionDrainsCQ(t *testing.T) {
 		}
 		w.Finish()
 		want := expected(t, r.tree, q)
-		items, _, err := c.Search(p, q)
+		items, _, err := c.On(p).Search(q)
 		if err != nil {
 			t.Errorf("search after recovery: %v", err)
 			return

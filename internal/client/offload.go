@@ -42,7 +42,7 @@ func (c *Client) searchOffload(p *sim.Proc, q geo.Rect) ([]wire.Item, error) {
 		// full flush conservatively covers them all.
 		c.rootCache = nil
 		c.ncache.Flush()
-		c.stats.StaleRestarts.Inc()
+		c.Counters.StaleRestarts.Inc()
 	}
 	return nil, ErrGaveUp
 }
@@ -71,7 +71,7 @@ func (c *Client) cachedRoot(p *sim.Proc) (*rtree.Node, error) {
 		return nil, nil
 	}
 	if c.rootCache != nil {
-		c.stats.RootCacheHits.Inc()
+		c.Counters.RootCacheHits.Inc()
 		// Examining the cached root costs the same decode/intersection work
 		// as any other node visit; without this charge the cached-leaf-root
 		// fast path would collect items at zero CPU cost, skewing sim
@@ -159,8 +159,8 @@ func (c *Client) chargeTraversal(p *sim.Proc) {
 func (c *Client) fetchChunk(p *sim.Proc, id int, expectLevel int) error {
 	qp := c.ep.DataQP
 	for retry := 0; retry <= c.cfg.MaxChunkRetries; retry++ {
-		c.stats.NodesFetched.Inc()
-		c.stats.ReadWQEs.Inc()
+		c.Counters.NodesFetched.Inc()
+		c.Counters.ReadWQEs.Inc()
 		raw, err := qp.ReadSync(p, c.ep.RegionMem, c.ep.RegionMem.ChunkOffset(id), c.ep.ChunkSize)
 		if err != nil {
 			return fmt.Errorf("client: chunk %d read: %w", id, err)
@@ -168,7 +168,7 @@ func (c *Client) fetchChunk(p *sim.Proc, id int, expectLevel int) error {
 		payload, ver, derr := region.DecodeChunk(raw, c.payload)
 		if derr != nil {
 			if errors.Is(derr, region.ErrTornRead) {
-				c.stats.TornRetries.Inc()
+				c.Counters.TornRetries.Inc()
 				continue
 			}
 			return derr
@@ -193,8 +193,8 @@ func (c *Client) fetchChunk(p *sim.Proc, id int, expectLevel int) error {
 // full chunk for the default geometry) and returns its fingerprint, or
 // region.ErrTornRead when a writer is mid-publish.
 func (c *Client) readVersions(p *sim.Proc, id int) (uint64, error) {
-	c.stats.VersionReads.Inc()
-	c.stats.ReadWQEs.Inc()
+	c.Counters.VersionReads.Inc()
+	c.Counters.ReadWQEs.Inc()
 	rv := c.ep.RegionVers
 	raw, err := c.ep.DataQP.ReadSync(p, rv, rv.VersionsOffset(id), rv.VersionsSize())
 	if err != nil {
@@ -356,7 +356,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 		c.tagSeq++
 		inflight[c.tagSeq] = pending{id: id, level: level, tries: tries}
 		chunkTag[id] = c.tagSeq
-		c.stats.NodesFetched.Inc()
+		c.Counters.NodesFetched.Inc()
 		batch = append(batch, fabric.ReadReq{
 			Src: c.ep.RegionMem, Off: c.ep.RegionMem.ChunkOffset(id),
 			Size: c.ep.ChunkSize, Tag: c.tagSeq,
@@ -366,7 +366,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 		c.tagSeq++
 		inflight[c.tagSeq] = pending{id: id, level: -1, prefetch: true}
 		chunkTag[id] = c.tagSeq
-		c.stats.PrefetchIssued.Inc()
+		c.Counters.PrefetchIssued.Inc()
 		batch = append(batch, fabric.ReadReq{
 			Src: c.ep.RegionMem, Off: c.ep.RegionMem.ChunkOffset(id),
 			Size: c.ep.ChunkSize, Tag: c.tagSeq,
@@ -375,7 +375,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 	issueVerify := func(id, level int) {
 		c.tagSeq++
 		inflight[c.tagSeq] = pending{id: id, level: level, verify: true}
-		c.stats.VersionReads.Inc()
+		c.Counters.VersionReads.Inc()
 		rv := c.ep.RegionVers
 		batch = append(batch, fabric.ReadReq{
 			Src: rv, Off: rv.VersionsOffset(id), Size: rv.VersionsSize(), Tag: c.tagSeq,
@@ -399,7 +399,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 			})
 		}
 		posted, wqes, err := qp.ReadBatch(p, batch)
-		c.stats.ReadWQEs.Add(uint64(wqes))
+		c.Counters.ReadWQEs.Add(uint64(wqes))
 		if err != nil {
 			// The unposted suffix will never complete: drop its tracking
 			// now so fail()'s CQ drain terminates instead of waiting for
@@ -425,7 +425,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 		for len(inflight) > 0 {
 			comp := qp.CQ().Pop(p)
 			if pd, ok := inflight[comp.Tag]; ok && pd.prefetch {
-				c.stats.PrefetchWaste.Inc()
+				c.Counters.PrefetchWaste.Inc()
 			}
 			delete(inflight, comp.Tag)
 		}
@@ -471,7 +471,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 		if c.cfg.Prefetch <= 0 || n.IsLeaf() {
 			return
 		}
-		budget := c.prefetchBudget(p.Now())
+		budget := c.On(p).PrefetchBudget()
 		if budget <= 0 {
 			return
 		}
@@ -492,7 +492,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 			issueSpec(cd.ref)
 			spent++
 		}
-		c.spendPrefetch(spent)
+		c.SpendPrefetch(spent)
 	}
 
 	// visit dispatches one child: an in-flight speculative read for the
@@ -514,7 +514,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 				pd.prefetch = false
 				pd.level = r.level
 				inflight[tag] = pd
-				c.stats.PrefetchHits.Inc()
+				c.Counters.PrefetchHits.Inc()
 			}
 			return nil // already being fetched
 		}
@@ -549,7 +549,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 		if c.cfg.Prefetch <= 0 || n.Level < 2 {
 			return
 		}
-		budget := c.prefetchBudget(p.Now())
+		budget := c.On(p).PrefetchBudget()
 		if budget <= 0 {
 			return
 		}
@@ -591,7 +591,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 				spent++
 			}
 		}
-		c.spendPrefetch(spent)
+		c.SpendPrefetch(spent)
 	}
 	// expand examines one consistent node: leaf entries fold into the
 	// result set, internal entries are dispatched.
@@ -649,7 +649,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 			// for same-traversal adoption by visit; whatever is left when
 			// the traversal ends is absorbed into the cache or written off.
 			if comp.Err != nil {
-				c.stats.PrefetchWaste.Inc()
+				c.Counters.PrefetchWaste.Inc()
 				continue
 			}
 			if spare == nil {
@@ -682,7 +682,7 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 			if !errors.Is(derr, region.ErrTornRead) {
 				return fail(derr)
 			}
-			c.stats.TornRetries.Inc()
+			c.Counters.TornRetries.Inc()
 			if ctx.tries >= c.cfg.MaxChunkRetries {
 				return fail(ErrGaveUp)
 			}
@@ -716,20 +716,20 @@ func (c *Client) traverseMultiIssue(p *sim.Proc, q geo.Rect) ([]wire.Item, error
 func (c *Client) adoptSpare(p *sim.Proc, id, level int, raw []byte) *rtree.Node {
 	payload, ver, derr := region.DecodeChunk(raw, c.payload)
 	if derr != nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
 	c.payload = payload
 	var spec rtree.Node
 	if err := rtree.DecodeNode(payload, &spec, c.ep.MaxEntries); err != nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
 	if level >= 0 && spec.Level != level {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
-	c.stats.PrefetchHits.Inc()
+	c.Counters.PrefetchHits.Inc()
 	n := &rtree.Node{
 		Level:   spec.Level,
 		Entries: append([]rtree.Entry(nil), spec.Entries...),
@@ -749,17 +749,17 @@ func (c *Client) adoptSpare(p *sim.Proc, id, level int, raw []byte) *rtree.Node 
 func (c *Client) absorbPrefetch(p *sim.Proc, id int, raw []byte) {
 	payload, ver, derr := region.DecodeChunk(raw, c.payload)
 	if derr != nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return
 	}
 	c.payload = payload
 	var spec rtree.Node
 	if err := rtree.DecodeNode(payload, &spec, c.ep.MaxEntries); err != nil || spec.IsLeaf() {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return
 	}
 	if c.ncache == nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return
 	}
 	n := &rtree.Node{

@@ -23,7 +23,7 @@ func driveSearches(t *testing.T, r *rig, n int, scale float64, seed int64, cls .
 			q := randRect(rng, scale)
 			want := expected(t, r.tree, q)
 			for ci, cl := range cls {
-				got, _, err := cl.Search(p, q)
+				got, _, err := cl.On(p).Search(q)
 				if err != nil {
 					t.Errorf("query %d client %d: %v", i, ci, err)
 					return
@@ -203,7 +203,7 @@ func TestStaleBetweenIssueAndFlush(t *testing.T) {
 	want := expected(t, r.tree, whole)
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		defer r.e.Stop()
-		got, _, err := cl.Search(p, whole)
+		got, _, err := cl.On(p).Search(whole)
 		if err != nil {
 			t.Error(err)
 			return
@@ -213,7 +213,7 @@ func TestStaleBetweenIssueAndFlush(t *testing.T) {
 		}
 		// The CQ must be clean: a second search popping a stray completion
 		// from the aborted wave would corrupt or hang here.
-		got, _, err = cl.Search(p, whole)
+		got, _, err = cl.On(p).Search(whole)
 		if err != nil || !sameItems(got, want) {
 			t.Errorf("second search after aborted wave: err=%v", err)
 		}

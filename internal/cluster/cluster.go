@@ -542,7 +542,7 @@ func Run(cfg Config) (Result, error) {
 						r++
 					}
 					start := p.Now()
-					results = c.ExecBatch(p, batch, results)
+					results = c.On(p).ExecBatch(batch, results)
 					elapsed := p.Now() - start
 					// Batched ops complete together; each observes the
 					// batch's latency.
@@ -569,13 +569,13 @@ func Run(cfg Config) (Result, error) {
 				start := p.Now()
 				switch op.Type {
 				case workload.OpInsert:
-					if err := c.Insert(p, op.Rect, op.Ref+uint64(i)<<32); err != nil {
+					if err := c.On(p).Insert(op.Rect, op.Ref+uint64(i)<<32); err != nil {
 						runErr = fmt.Errorf("client %d insert: %w", i, err)
 						return
 					}
 					insertLat.Record(p.Now() - start)
 				default:
-					if _, _, err := c.Search(p, op.Rect); err != nil {
+					if _, _, err := c.On(p).Search(op.Rect); err != nil {
 						runErr = fmt.Errorf("client %d search: %w", i, err)
 						return
 					}

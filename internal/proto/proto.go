@@ -1,10 +1,14 @@
-// Package proto holds the client-side vocabulary every Catfish transport
-// shares: how a search executed (Method), the batched operation surface
-// (BatchOp, BatchResult), the mapping from a response status to the typed
-// error callers match with errors.Is, and the neighbor↔item conversion a
-// remote kNN round-trips through. The simulated-fabric client
-// (internal/client), the real-socket client (internal/rpcnet) and the
-// shard router over either (internal/shard) all alias these, so a value
+// Package proto is the client side of the Catfish protocol, written once
+// for every transport. Ops (ops.go, fetch.go, batch.go) is the paper's
+// client module — Algorithm 1's choice per read, reads by fast messaging,
+// offloading or remote result fetching, writes by messaging, batches —
+// over the narrow Transport interface that the simulated-fabric client
+// (internal/client) and the real-socket client (internal/rpcnet)
+// implement. This file holds the vocabulary they and the shard router
+// (internal/shard) share: how a search executed (Method), the batched
+// operation surface (BatchOp, BatchResult), the mapping from a response
+// status to the typed error callers match with errors.Is, and the
+// neighbor↔item conversion a remote kNN round-trips through — so a value
 // produced on one transport means the same thing on the other.
 package proto
 
@@ -115,6 +119,8 @@ func OpError(t wire.MsgType, status uint8) error {
 		what = "move"
 	case wire.MsgKNN:
 		what = "knn"
+	case wire.MsgPromote:
+		what = "promote"
 	}
 	return StatusError(status, what)
 }

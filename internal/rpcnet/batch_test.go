@@ -3,7 +3,10 @@ package rpcnet
 import (
 	"errors"
 	"math/rand"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -186,5 +189,106 @@ func TestExecBatchMaxBatchExceeded(t *testing.T) {
 		if res.Err != nil {
 			t.Errorf("op %d after rejection: %v", i, res.Err)
 		}
+	}
+}
+
+// TestExecBatchUndecodableReply answers a 3-op batch from a raw-socket fake
+// server with one sub-response whose item count overruns its frame. The
+// batch must return — that op carrying the decode error, the other two
+// their results — instead of waiting forever for an END the collector
+// skipped, and leave no goroutine behind.
+func TestExecBatchUndecodableReply(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			conn, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			if err := writeFrame(conn, wire.Hello{ChunkSize: 4096, MaxEntries: 16, NumChunks: 1}.Encode(nil)); err != nil {
+				return err
+			}
+			frame, err := readFrame(conn, nil)
+			if err != nil {
+				return err
+			}
+			it, err := wire.DecodeBatch(frame)
+			if err != nil {
+				return err
+			}
+			item := wire.Item{Rect: geo.NewRect(0.1, 0.1, 0.2, 0.2), Ref: 7}
+			var enc wire.BatchEncoder
+			enc.Reset(nil)
+			for i := 0; ; i++ {
+				msg, ok := it.Next()
+				if !ok {
+					break
+				}
+				req, err := wire.DecodeRequest(msg)
+				if err != nil {
+					return err
+				}
+				enc.Begin()
+				count := 1
+				if i == 1 {
+					count = 5 // announces five items, carries one
+				}
+				enc.Buf = wire.AppendResponseHeader(enc.Buf, req.ID, true, wire.StatusOK, count)
+				enc.Buf = wire.AppendItem(enc.Buf, item.Rect, item.Ref)
+				enc.End()
+			}
+			if err := writeFrame(conn, enc.Bytes()); err != nil {
+				return err
+			}
+			if _, err := readFrame(conn, nil); err == nil { // hold the connection until the client hangs up
+				return errors.New("unexpected frame after the batch")
+			}
+			return nil
+		}()
+	}()
+
+	c, err := dialClient(ln.Addr().String(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := geo.NewRect(0, 0, 1, 1)
+	done := make(chan []BatchResult, 1)
+	go func() {
+		done <- c.ExecBatch([]BatchOp{{Type: wire.MsgSearch, Rect: q}, {Type: wire.MsgSearch, Rect: q}, {Type: wire.MsgSearch, Rect: q}}, nil)
+	}()
+	select {
+	case results := <-done:
+		for i, res := range results {
+			if i == 1 {
+				if !errors.Is(res.Err, wire.ErrCorrupt) {
+					t.Errorf("op 1: err = %v, want the decode error", res.Err)
+				}
+				continue
+			}
+			if res.Err != nil || len(res.Items) != 1 || res.Items[0].Ref != 7 {
+				t.Errorf("op %d: items %v, err %v; want the one item", i, res.Items, res.Err)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("ExecBatch still blocked 5 s after an undecodable sub-response")
+	}
+	c.Close()
+	if err := <-srvErr; err != nil {
+		t.Errorf("fake server: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -26,6 +26,13 @@ import (
 // client (internal/proto).
 type Method = proto.Method
 
+// BatchOp is one operation submitted through ExecBatch; BatchResult is its
+// outcome, in submission order.
+type (
+	BatchOp     = proto.BatchOp
+	BatchResult = proto.BatchResult
+)
+
 // Search methods.
 const (
 	MethodFast    = proto.MethodFast
@@ -38,7 +45,7 @@ var (
 	ErrClosed     = errors.New("rpcnet: connection closed")
 	ErrServer     = proto.ErrServer
 	ErrNotFound   = proto.ErrNotFound
-	ErrGaveUp     = errors.New("rpcnet: traversal exceeded retry budget")
+	ErrGaveUp     = proto.ErrGaveUp
 	ErrOverloaded = proto.ErrOverloaded
 )
 
@@ -104,11 +111,15 @@ type ClientConfig struct {
 }
 
 // Client is a Catfish client over real TCP — one logical stream on a
-// (possibly shared) multiplexed connection. It is safe for use by one
-// goroutine at a time (like net.Conn-based request/response clients); the
-// connection's reader goroutine handles asynchronous heartbeats. Request
-// ids are stream<<32 | seq, so many clients demultiplex over one Mux.
+// (possibly shared) multiplexed connection, and the real-socket adapter of
+// the shared client operations (proto.Ops), whose Search, Insert, Delete,
+// Move, Nearest, ExecBatch and Promote it promotes. It is safe for use by
+// one goroutine at a time (like net.Conn-based request/response clients);
+// the connection's reader goroutine handles asynchronous heartbeats.
+// Request ids are stream<<32 | seq, so many clients demultiplex over one
+// Mux.
 type Client struct {
+	proto.Ops[port]
 	mx      *Mux
 	stream  uint32
 	seq     atomic.Uint32
@@ -126,7 +137,6 @@ type Client struct {
 	// liveness tracking wants.
 	lastHB atomic.Int64
 	start  time.Time
-	sw     *adaptive.Switch
 
 	// Replication words riding the heartbeat (0 against servers that
 	// predate them): the shard's epoch, the server's applied sequence, and
@@ -142,13 +152,7 @@ type Client struct {
 	ncache  *nodecache.Cache
 	rootVer atomic.Uint64
 
-	// Prefetch token bucket, touched only by the single search goroutine.
-	prefTokens float64
-	prefLast   time.Duration
-
-	cfg     ClientConfig
-	stats   telemetry.ClientMetrics
-	latHist *telemetry.Histogram
+	cfg ClientConfig
 }
 
 // dialClient connects to a server and performs the hello exchange. The client
@@ -172,20 +176,11 @@ func dialClient(addr string, cfg ClientConfig) (*Client, error) {
 // allocating it a stream id. Fails with ErrStreamsExhausted once
 // MaxStreams clients are attached (detached ids are reused).
 func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
-	if cfg.N == 0 {
-		cfg.N = 8
-	}
-	if cfg.T == 0 {
-		cfg.T = 0.95
-	}
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 8
 	}
 	if cfg.MaxChunkRetries == 0 {
 		cfg.MaxChunkRetries = 64
-	}
-	if !cfg.Adaptive && cfg.Forced == 0 {
-		cfg.Forced = MethodFast
 	}
 	stream, seq, err := m.allocStream()
 	if err != nil {
@@ -199,32 +194,40 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 		cfg:    cfg,
 	}
 	c.seq.Store(seq)
-	c.prefTokens = float64(cfg.Prefetch) // start full: idle until told otherwise
 	hello := m.hello
+	inv := time.Duration(hello.HeartbeatMs) * time.Millisecond
 	if cfg.NodeCache > 0 {
 		versionsSize := int(hello.ChunkSize) / region.CacheLine * region.VersionSize
-		c.ncache = nodecache.New(cfg.NodeCache,
-			time.Duration(hello.HeartbeatMs)*time.Millisecond,
-			int(hello.ChunkSize), versionsSize)
+		c.ncache = nodecache.New(cfg.NodeCache, inv, int(hello.ChunkSize), versionsSize)
 	}
-	c.sw = adaptive.New(adaptive.Config{
-		N:           cfg.N,
-		T:           cfg.T,
-		Inv:         time.Duration(hello.HeartbeatMs) * time.Millisecond,
-		EnableFetch: cfg.Fetch && hello.FetchSlots > 0,
-		TxT:         cfg.TxT,
-	}, rand.New(rand.NewSource(cfg.Seed+time.Now().UnixNano())))
-	if cfg.Metrics != nil {
-		c.stats.Register(cfg.Metrics)
-		telemetry.RegisterCacheFuncs(cfg.Metrics, func() telemetry.CacheStats {
-			ns := c.ncache.Stats()
-			return telemetry.CacheStats{Hits: ns.Hits, VerifiedHits: ns.VerifiedHits,
-				Misses: ns.Misses, Evictions: ns.Evictions, BytesSaved: ns.BytesSaved,
-				PrefetchHits: ns.PrefetchHits, PrefetchWaste: ns.PrefetchWaste}
-		})
-		cfg.Metrics.GaugeFunc("catfish_client_pred_util", c.sw.PredictedUtil)
-		c.latHist = cfg.Metrics.Histogram("catfish_client_search_latency_seconds")
+	ocfg := proto.OpsConfig{
+		Adaptive: cfg.Adaptive,
+		Forced:   cfg.Forced,
+		Switch: adaptive.Config{
+			N:           cfg.N,
+			T:           cfg.T,
+			Inv:         inv,
+			EnableFetch: cfg.Fetch && hello.FetchSlots > 0,
+			TxT:         cfg.TxT,
+		},
+		Rand:            rand.New(rand.NewSource(cfg.Seed + time.Now().UnixNano())),
+		Messaging:       MethodFast,
+		DeadlineUS:      deadlineUS(cfg.Deadline),
+		Prefetch:        cfg.Prefetch,
+		MaxChunkRetries: cfg.MaxChunkRetries,
+		Cache:           c.ncache,
+		Metrics:         cfg.Metrics,
+		Trace:           cfg.Trace,
+		Shard:           cfg.Shard,
 	}
+	if hello.FetchSlots > 0 {
+		ocfg.Mailbox = proto.Mailbox{
+			Chunks:       int(hello.FetchSlots) * int(hello.FetchSlotChunks),
+			SlotChunks:   int(hello.FetchSlotChunks),
+			ChunkPayload: int(hello.ChunkSize) / region.CacheLine * region.LineData,
+		}
+	}
+	c.Ops = proto.Bind(proto.NewCore(ocfg), port{c})
 	m.mu.Lock()
 	if m.readerr != nil {
 		err := m.readerr
@@ -256,32 +259,18 @@ func (c *Client) Close() error {
 // noteHeartbeat applies one heartbeat frame to this stream's adaptive
 // state (called by the connection read loop for every attached client).
 func (c *Client) noteHeartbeat(hb wire.Heartbeat) {
-	c.heartbeat.Store(floatBits(hb.Util))
-	c.heartbeatTX.Store(floatBits(hb.TXUtil))
+	c.heartbeat.Store(math.Float64bits(hb.Util))
+	c.heartbeatTX.Store(math.Float64bits(hb.TXUtil))
 	c.hbEpoch.Store(hb.Epoch)
 	c.hbApplied.Store(hb.AppliedSeq)
 	c.hbMapVer.Store(hb.MapVersion)
 	c.lastHB.Store(int64(time.Since(c.start)))
-	c.stats.HeartbeatsSeen.Inc()
+	c.Counters.HeartbeatsSeen.Inc()
 	// A root rewrite demotes every cached node to the revalidation tier
 	// within one heartbeat.
 	if old := c.rootVer.Swap(hb.RootVer); old != hb.RootVer {
 		c.ncache.DemoteAll()
 	}
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Client) Stats() telemetry.ClientSnapshot {
-	out := c.stats.Snapshot()
-	ns := c.ncache.Stats()
-	out.CacheHits = ns.Hits
-	out.CacheVerifiedHits = ns.VerifiedHits
-	out.CacheMisses = ns.Misses
-	out.CacheEvictions = ns.Evictions
-	out.CacheBytesSaved = ns.BytesSaved
-	out.CachePrefetchHits = ns.PrefetchHits
-	out.CachePrefetchWaste = ns.PrefetchWaste
-	return out
 }
 
 // Hello returns the server's connection bootstrap info.
@@ -329,19 +318,6 @@ func (c *Client) FetchShardMapFull() (*shard.Map, []string, error) {
 	return m, md.Addrs, nil
 }
 
-// Promote asks the server to become its shard's primary at the given epoch,
-// fencing lower-epoch lineages. Idempotent on the server.
-func (c *Client) Promote(epoch uint64) error {
-	resp, err := c.roundTrip(wire.Request{Type: wire.MsgPromote, ID: c.nextID(), Ref: epoch})
-	if err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return proto.StatusError(resp.Status, "promote")
-	}
-	return nil
-}
-
 // ReplicaState returns the replication epoch and applied sequence from the
 // most recent heartbeat (0, 0 before the first one, or against a server
 // without replication).
@@ -355,11 +331,6 @@ func (c *Client) HeartbeatMapVersion() uint64 { return c.hbMapVer.Load() }
 
 // Addr returns the address this client's connection dialed.
 func (c *Client) Addr() string { return c.mx.addr }
-
-// PredictedUtil returns the adaptive switch's decayed estimate of the
-// server's utilization — the signal the router's read-replica policy keys
-// on.
-func (c *Client) PredictedUtil() float64 { return c.sw.PredictedUtil() }
 
 // call sends payload and waits for the one reply addressed to id. The
 // caller decodes it and then releases it — what the decode returns must
@@ -380,37 +351,66 @@ func (c *Client) call(id uint64, payload []byte) (delivery, error) {
 	return d, nil
 }
 
-// roundTrip performs one fast-messaging request and folds its segmented
-// response.
-func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
-	resp, _, isDesc, err := c.exchange(req)
-	if err == nil && isDesc {
-		err = fmt.Errorf("%w: descriptor answering request type %d", ErrServer, req.Type)
-	}
-	return resp, err
+// port is the real-socket proto.Transport: the wall clock, the heartbeat
+// words the connection's read loop stores, request frames on the shared
+// writer with replies routed back by id, and READ_MAILBOX round trips as
+// the stand-in for one-sided reads.
+type port struct{ c *Client }
+
+func (t port) Now() time.Duration { return time.Since(t.c.start) }
+
+func (t port) NextID() uint64 { return t.c.nextID() }
+
+func (t port) Heartbeat() (cpu, tx float64) {
+	return math.Float64frombits(t.c.heartbeat.Load()), math.Float64frombits(t.c.heartbeatTX.Load())
 }
 
-// exchange sends one request and folds its reply. The configured deadline
-// is stamped here so every fast-messaging operation carries its latency
-// budget.
-func (c *Client) exchange(req wire.Request) (wire.Response, wire.FetchDesc, bool, error) {
-	if req.DeadlineUS == 0 {
-		req.DeadlineUS = deadlineUS(c.cfg.Deadline)
-	}
-	w, err := c.mx.await(req.ID)
+func (t port) ClearHeartbeat() { t.c.heartbeat.Store(0) }
+
+func (t port) SearchOffload(q geo.Rect) ([]wire.Item, error) { return t.c.searchOffload(q) }
+
+// Exchange sends one request and folds its reply.
+func (t port) Exchange(req wire.Request) (wire.Response, wire.FetchDesc, bool, error) {
+	mx := t.c.mx
+	w, err := mx.await(req.ID)
 	if err != nil {
 		return wire.Response{}, wire.FetchDesc{}, false, err
 	}
-	defer c.mx.settle(req.ID, w)
+	defer mx.settle(req.ID, w)
 
 	buf := wire.GetBuf()
 	*buf = req.Encode((*buf)[:0])
-	err = c.mx.send(*buf)
+	err = mx.send(*buf)
 	wire.PutBuf(buf)
 	if err != nil {
 		return wire.Response{}, wire.FetchDesc{}, false, err
 	}
 	return fold(w)
+}
+
+// Batch registers every sub-request on one shared waiter before the single
+// frame write, so no response can slip past, and collects after the
+// overlapped traversals: deliveries queue on the waiter meanwhile (it is
+// unbounded, so the connection's read loop never stalls on them).
+func (t port) Batch(container []byte, ids []uint64, overlap func(), deliver func(msg []byte) bool) error {
+	mx := t.c.mx
+	w := getWaiter()
+	defer putWaiter(w) // runs after unregisterAll below: no push can be in flight
+	err := mx.registerAll(ids, w)
+	if err == nil {
+		defer mx.unregisterAll(ids)
+		err = mx.send(container)
+	}
+	overlap()
+	for done := false; err == nil && !done; {
+		d, ok := w.recv()
+		if !ok {
+			return ErrClosed
+		}
+		done = deliver(d.msg)
+		d.release()
+	}
+	return err
 }
 
 // fold collects one operation's reply from w: its response segments up to
@@ -453,210 +453,20 @@ func fold(w *waiter) (resp wire.Response, desc wire.FetchDesc, isDesc bool, err 
 	return resp, desc, isDesc, err
 }
 
-// Search executes a range query, adaptively or as forced.
-func (c *Client) Search(q geo.Rect) ([]wire.Item, Method, error) {
-	m := c.cfg.Forced
-	if c.cfg.Adaptive {
-		m = c.decide()
-	}
-	tracing := c.cfg.Trace != nil
-	var start time.Duration
-	var readsBefore, tornBefore uint64
-	if tracing || c.latHist != nil {
-		start = time.Since(c.start)
-	}
-	if tracing {
-		readsBefore = c.stats.NodesFetched.Load()
-		tornBefore = c.stats.TornRetries.Load()
-	}
-	var items []wire.Item
-	var err error
-	switch m {
-	case MethodOffload:
-		c.stats.OffloadSearches.Inc()
-		items, err = c.searchOffload(q)
-	case MethodFetch:
-		c.stats.FetchSearches.Inc()
-		items, err = c.searchFetch(q)
-	default:
-		c.stats.FastSearches.Inc()
-		items, err = c.searchFast(q)
-	}
-	if tracing || c.latHist != nil {
-		lat := time.Since(c.start) - start
-		c.latHist.Record(lat)
-		if tracing {
-			rbusy, roff := c.sw.State()
-			tr := telemetry.Trace{
-				Start:        start,
-				Method:       m.String(),
-				Shard:        c.cfg.Shard,
-				RBusy:        rbusy,
-				ROff:         roff,
-				PredUtil:     c.sw.PredictedUtil(),
-				PredTX:       c.sw.PredictedTX(),
-				OffloadReads: uint32(c.stats.NodesFetched.Load() - readsBefore),
-				TornRetries:  uint32(c.stats.TornRetries.Load() - tornBefore),
-				Latency:      lat,
-			}
-			if err != nil {
-				tr.Err = err.Error()
-			}
-			c.cfg.Trace.Record(tr)
-		}
-	}
-	if err != nil {
-		return nil, m, err
-	}
-	return items, m, nil
-}
-
-// Insert adds an entry (always by messaging, like the paper).
-func (c *Client) Insert(r geo.Rect, ref uint64) error {
-	c.stats.Inserts.Inc()
-	resp, err := c.roundTrip(wire.Request{Type: wire.MsgInsert, ID: c.nextID(), Rect: r, Ref: ref})
-	if err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return proto.StatusError(resp.Status, "insert")
-	}
-	return nil
-}
-
-// Delete removes an exact entry.
-func (c *Client) Delete(r geo.Rect, ref uint64) error {
-	c.stats.Deletes.Inc()
-	resp, err := c.roundTrip(wire.Request{Type: wire.MsgDelete, ID: c.nextID(), Rect: r, Ref: ref})
-	if err != nil {
-		return err
-	}
-	return proto.OpError(wire.MsgDelete, resp.Status)
-}
-
-// decide runs Algorithm 1 (extended with the 3-way fetch branch) against
-// wall-clock time via the shared adaptive.Switch (see that package for the
-// policy).
-func (c *Client) decide() Method {
-	switch c.sw.DecideMethod(time.Since(c.start),
-		func() (float64, float64) {
-			return floatFromBits(c.heartbeat.Load()), floatFromBits(c.heartbeatTX.Load())
-		},
-		func() { c.heartbeat.Store(0) }) {
-	case adaptive.ChooseOffload:
-		return MethodOffload
-	case adaptive.ChooseFetch:
-		if c.hello.FetchSlots > 0 {
-			return MethodFetch
-		}
-		return MethodFast
-	default:
-		return MethodFast
-	}
-}
-
-// searchFast runs a plain fast-messaging search round trip.
-func (c *Client) searchFast(q geo.Rect) ([]wire.Item, error) {
-	resp, err := c.roundTrip(wire.Request{Type: wire.MsgSearch, ID: c.nextID(), Rect: q})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != wire.StatusOK {
-		return nil, proto.StatusError(resp.Status, "search")
-	}
-	return resp.Items, nil
-}
-
-// searchFetch executes a search by remote result fetching: SEARCH_FETCH,
-// then either an inline response or a descriptor followed by READ_MAILBOX
-// pulls of the slot (DESIGN.md §5.10). A pull past its retry budget falls
-// back to a fast-messaging re-execution.
-func (c *Client) searchFetch(q geo.Rect) ([]wire.Item, error) {
-	return c.fetchExchange(wire.Request{Type: wire.MsgSearchFetch, ID: c.nextID(), Rect: q}, "fetch",
-		func() ([]wire.Item, error) { return c.searchFast(q) })
-}
-
-// fetchExchange runs one *Fetch request — search or kNN — to its items:
-// straight to fast when the server has no mailbox, else a descriptor and a
-// slot pull (slot packing preserves item order) or an inline answer, with
-// the fast re-execution as the fallback of a pull that gave up.
-func (c *Client) fetchExchange(req wire.Request, what string, fast func() ([]wire.Item, error)) ([]wire.Item, error) {
-	if c.hello.FetchSlots == 0 {
-		return fast()
-	}
-	resp, desc, isDesc, err := c.exchange(req)
-	if err != nil {
-		return nil, err
-	}
-	if isDesc {
-		if desc.Status != wire.StatusOK {
-			return nil, proto.StatusError(desc.Status, what)
-		}
-		items, perr := c.pullMailbox(desc)
-		if perr != nil {
-			c.stats.FetchFallbacks.Inc()
-			return fast()
-		}
-		return items, nil
-	}
-	if resp.Status != wire.StatusOK {
-		return nil, proto.StatusError(resp.Status, what)
-	}
-	c.stats.FetchInline.Inc()
-	return resp.Items, nil
-}
-
-// pullMailbox reads the slot named by desc with READ_MAILBOX round trips
-// (the TCP stand-in for one-sided reads), validating each chunk through the
-// seqlock surface and the slot header, and acknowledges the slot on
-// success. Torn or stale snapshots retry up to MaxChunkRetries.
-func (c *Client) pullMailbox(desc wire.FetchDesc) ([]wire.Item, error) {
-	cs := int(c.hello.ChunkSize)
-	payloadSize := cs / region.CacheLine * region.LineData
-	chunks := region.MailboxChunks(int(desc.Bytes), payloadSize)
-	slotChunks := int(c.hello.FetchSlotChunks)
-	if chunks > slotChunks {
-		return nil, fmt.Errorf("%w: descriptor %d B exceeds slot", ErrServer, desc.Bytes)
-	}
-	base := int(desc.Slot) * slotChunks
-	payloads := make([][]byte, chunks)
-	for retry := 0; retry <= c.cfg.MaxChunkRetries; retry++ {
-		torn := false
-		for at := 0; at < chunks; {
-			cnt := chunks - at
-			if cnt > maxSpanChunks {
-				cnt = maxSpanChunks
-			}
-			c.stats.FetchPulls.Add(uint64(cnt))
-			c.stats.ReadWQEs.Inc()
-			t, err := c.pullSpan(base+at, payloads[at:at+cnt])
-			if err != nil {
-				return nil, err
-			}
-			torn = torn || t
-			at += cnt
-		}
-		if torn {
-			c.stats.FetchRetries.Inc()
-			continue
-		}
-		buf, err := region.AssembleMailbox(payloads[:chunks], desc.Seq, int(desc.Bytes))
+// ReadMailbox reads the chunks with READ_MAILBOX round trips of at most
+// maxSpanChunks each.
+func (t port) ReadMailbox(chunk int, payloads [][]byte) (torn bool, err error) {
+	for at := 0; at < len(payloads); at += maxSpanChunks {
+		span := payloads[at:min(at+maxSpanChunks, len(payloads))]
+		t.c.Counters.FetchPulls.Add(uint64(len(span)))
+		t.c.Counters.ReadWQEs.Inc()
+		spanTorn, err := t.c.pullSpan(chunk+at, span)
 		if err != nil {
-			if errors.Is(err, region.ErrStaleSlot) {
-				c.stats.FetchRetries.Inc()
-				continue
-			}
-			return nil, err
+			return false, err
 		}
-		items, err := wire.DecodeItems(buf, int(desc.Count))
-		if err != nil {
-			return nil, err
-		}
-		c.stats.FetchBytes.Add(uint64(desc.Bytes))
-		c.sendFetchAck(desc)
-		return items, nil
+		torn = torn || spanTorn
 	}
-	return nil, ErrGaveUp
+	return torn, nil
 }
 
 // pullSpan reads len(payloads) mailbox chunks starting at chunk in one
@@ -695,9 +505,10 @@ func (c *Client) pullSpan(chunk int, payloads [][]byte) (torn bool, err error) {
 	return torn, nil
 }
 
-// sendFetchAck returns the slot to the server, fire-and-forget.
-func (c *Client) sendFetchAck(desc wire.FetchDesc) {
-	_ = c.mx.send(wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}.Encode(nil))
+// AckFetch returns the slot to the server, fire-and-forget: a lost ack only
+// delays the slot's reuse.
+func (t port) AckFetch(desc wire.FetchDesc, _ int) {
+	_ = t.c.mx.send(wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}.Encode(nil))
 }
 
 // fetchChunk reads one chunk with version validation and decodes it,
@@ -711,8 +522,8 @@ func (c *Client) fetchChunk(id int, expectLevel int, node *rtree.Node) error {
 		}
 	}
 	for retry := 0; retry <= c.cfg.MaxChunkRetries; retry++ {
-		c.stats.NodesFetched.Inc()
-		c.stats.ReadWQEs.Inc()
+		c.Counters.NodesFetched.Inc()
+		c.Counters.ReadWQEs.Inc()
 		tag := c.nextID()
 		d, err := c.call(tag, wire.ReadChunk{ID: tag, Chunk: uint32(id)}.Encode(nil))
 		if err != nil {
@@ -731,7 +542,7 @@ func (c *Client) fetchChunk(id int, expectLevel int, node *rtree.Node) error {
 		d.release()
 		if derr != nil {
 			if errors.Is(derr, region.ErrTornRead) {
-				c.stats.TornRetries.Inc()
+				c.Counters.TornRetries.Inc()
 				continue
 			}
 			return derr
@@ -791,8 +602,8 @@ func (c *Client) fetchCached(id int, expectLevel int, node *rtree.Node) (bool, e
 // fetchVersions performs a READ_VERSIONS round trip for chunk id and
 // returns its version fingerprint.
 func (c *Client) fetchVersions(id int) (uint64, error) {
-	c.stats.VersionReads.Inc()
-	c.stats.ReadWQEs.Inc()
+	c.Counters.VersionReads.Inc()
+	c.Counters.ReadWQEs.Inc()
 	tag := c.nextID()
 	d, err := c.call(tag, wire.ReadVersions{ID: tag, Chunk: uint32(id)}.Encode(nil))
 	if err != nil {
@@ -825,7 +636,7 @@ func (c *Client) searchOffload(q geo.Rect) ([]wire.Item, error) {
 		// Conservative: the stale entry's ancestors are unknown, so drop
 		// the whole cache before retrying.
 		c.ncache.Flush()
-		c.stats.StaleRestarts.Inc()
+		c.Counters.StaleRestarts.Inc()
 	}
 	return nil, ErrGaveUp
 }
@@ -946,7 +757,7 @@ func (c *Client) traverseMultiSpans(q geo.Rect) ([]wire.Item, error) {
 	spare := make(map[int][]byte)
 	defer func() {
 		for range spare {
-			c.stats.PrefetchWaste.Inc()
+			c.Counters.PrefetchWaste.Inc()
 		}
 	}()
 	var items []wire.Item
@@ -995,7 +806,7 @@ func (c *Client) traverseMultiSpans(q geo.Rect) ([]wire.Item, error) {
 		// the immediately following chunks (preorder layout), so a few
 		// extra chunks on the same round trip pre-pay the next frontier.
 		if c.cfg.Prefetch > 0 {
-			budget := c.prefetchBudgetNet()
+			budget := c.PrefetchBudget()
 			spent := 0
 			for _, r := range runs {
 				if budget <= 0 {
@@ -1028,9 +839,9 @@ func (c *Client) traverseMultiSpans(q geo.Rect) ([]wire.Item, error) {
 				r.ext = ext
 				budget -= ext
 				spent += ext
-				c.stats.PrefetchIssued.Add(uint64(ext))
+				c.Counters.PrefetchIssued.Add(uint64(ext))
 			}
-			c.spendPrefetchNet(spent)
+			c.SpendPrefetch(spent)
 		}
 		// Fetch every run concurrently, one round trip per run.
 		errs := make([]error, len(runs))
@@ -1093,8 +904,8 @@ func (c *Client) fetchRun(frontier []chunkRef, r *spanRun, nodes []*rtree.Node) 
 	}
 	total := len(r.idxs) + r.ext
 	first := frontier[r.idxs[0]].id
-	c.stats.ReadWQEs.Inc()
-	c.stats.NodesFetched.Add(uint64(len(r.idxs)))
+	c.Counters.ReadWQEs.Inc()
+	c.Counters.NodesFetched.Add(uint64(len(r.idxs)))
 	tag := c.nextID()
 	d, err := c.call(tag, wire.ReadSpan{ID: tag, Chunk: uint32(first), Count: uint32(total)}.Encode(nil))
 	if err != nil {
@@ -1133,7 +944,7 @@ func (c *Client) decodeSpanChunk(ref chunkRef, raw []byte, node *rtree.Node) err
 	payload, ver, derr := region.DecodeChunk(raw, nil)
 	if derr != nil {
 		if errors.Is(derr, region.ErrTornRead) {
-			c.stats.TornRetries.Inc()
+			c.Counters.TornRetries.Inc()
 			return c.fetchChunk(ref.id, ref.level, node)
 		}
 		return derr
@@ -1161,59 +972,22 @@ func (c *Client) decodeSpanChunk(ref chunkRef, raw []byte, node *rtree.Node) err
 func (c *Client) adoptSpare(ref chunkRef, raw []byte) *rtree.Node {
 	payload, ver, derr := region.DecodeChunk(raw, nil)
 	if derr != nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
 	var n rtree.Node
 	if err := rtree.DecodeNode(payload, &n, int(c.hello.MaxEntries)); err != nil {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
 	if ref.level >= 0 && n.Level != ref.level {
-		c.stats.PrefetchWaste.Inc()
+		c.Counters.PrefetchWaste.Inc()
 		return nil
 	}
-	c.stats.PrefetchHits.Inc()
+	c.Counters.PrefetchHits.Inc()
 	if c.ncache != nil && !n.IsLeaf() {
 		cp := &rtree.Node{Level: n.Level, Entries: append([]rtree.Entry(nil), n.Entries...)}
 		c.ncache.Put(ref.id, cp, ver, time.Since(c.start))
 	}
 	return &n
 }
-
-// prefetchBudgetNet refills the speculative-read token bucket from the
-// heartbeat-reported server utilization and returns the whole tokens
-// available. Mirrors the simulated client's bucket: refill is proportional
-// to the idle fraction, paused entirely above the switch threshold T.
-func (c *Client) prefetchBudgetNet() int {
-	if c.cfg.Prefetch <= 0 {
-		return 0
-	}
-	now := time.Since(c.start)
-	elapsed := now - c.prefLast
-	c.prefLast = now
-	util := floatFromBits(c.heartbeat.Load())
-	inv := time.Duration(c.hello.HeartbeatMs) * time.Millisecond
-	if inv <= 0 {
-		inv = 10 * time.Millisecond
-	}
-	if util < c.cfg.T && elapsed > 0 {
-		rate := float64(c.cfg.Prefetch) * (1 - util) / float64(inv)
-		c.prefTokens += rate * float64(elapsed)
-		if c.prefTokens > float64(c.cfg.Prefetch) {
-			c.prefTokens = float64(c.cfg.Prefetch)
-		}
-	}
-	return int(c.prefTokens)
-}
-
-func (c *Client) spendPrefetchNet(n int) {
-	c.prefTokens -= float64(n)
-	if c.prefTokens < 0 {
-		c.prefTokens = 0
-	}
-}
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -91,11 +91,21 @@ func (d *crossDeploy) probe(want int, skip int) geo.Rect {
 	return geo.Rect{}
 }
 
-// runNet runs script against a real-socket deployment of the same shape.
-func runNet(t *testing.T, k, replicas int, hbInv time.Duration, multiple int, script func(*crossDeploy)) *crossDeploy {
+// crossFetchSlots is the mailbox size of a deployment whose clients are
+// forced to fetch.
+const crossFetchSlots = 8
+
+// runNet runs script against a real-socket deployment of the same shape;
+// forced is the access method every per-shard client is pinned to.
+func runNet(t *testing.T, k, replicas int, hbInv time.Duration, multiple int, forced Method, script func(*crossDeploy)) *crossDeploy {
 	t.Helper()
-	addrs, backups, srvs, m, data := startReplicatedDeploy(t, 1200, k, replicas, hbInv)
-	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: multiple, Backups: backups})
+	fetchSlots := 0
+	if forced == MethodFetch {
+		fetchSlots = crossFetchSlots
+	}
+	addrs, backups, srvs, m, data := startReplicatedDeploy(t, 1200, k, replicas, hbInv, fetchSlots)
+	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: multiple, Backups: backups,
+		Client: ClientConfig{Forced: forced}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +132,7 @@ func runNet(t *testing.T, k, replicas int, hbInv time.Duration, multiple int, sc
 // runSim runs script against the simulated-fabric deployment built from the
 // same map and dataset: one server stack per replica, backups kept in sync
 // by the primary's Replicate hook exactly as internal/cluster wires them.
-func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv time.Duration, multiple int, script func(*crossDeploy)) *crossDeploy {
+func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv time.Duration, multiple int, forced Method, script func(*crossDeploy)) *crossDeploy {
 	t.Helper()
 	k := m.K()
 	assign := m.Assign(data)
@@ -157,6 +167,9 @@ func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv 
 				RingSize:          64 << 10,
 				HeartbeatInterval: hbInv,
 			}
+			if forced == MethodFetch {
+				scfg.FetchSlots = crossFetchSlots
+			}
 			if replicas > 1 {
 				scfg.Replica = replica.NewState(1, b == 0)
 			}
@@ -182,7 +195,7 @@ func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv 
 				Engine:       e,
 				Host:         clientHost,
 				Cost:         cost,
-				Forced:       simclient.MethodFast,
+				Forced:       forced,
 				Endpoint:     ep,
 				HeartbeatInv: hbInv,
 			})
@@ -246,6 +259,66 @@ func countRef(items []wire.Item, ref uint64) int {
 
 var wholePlane = geo.Rect{MinX: -1, MaxX: 2, MinY: -1, MaxY: 2}
 
+// primaryKill kills shard 0's primary: the next read is answered by the
+// backup without promotion, the next write promotes it, and every
+// acknowledged write — before and after — is still there.
+var primaryKill = func(d *crossDeploy) {
+	rng := rand.New(rand.NewSource(31))
+	acked := map[uint64]bool{}
+	next := uint64(1 << 20)
+	write := func(batched bool) {
+		rect := randRect(rng, 0.01)
+		var err error
+		if batched {
+			err = d.r.ExecBatch([]BatchOp{{Type: wire.MsgInsert, Rect: rect, Ref: next}}, nil)[0].Err
+		} else {
+			err = d.r.Insert(rect, next)
+		}
+		if err != nil {
+			d.failf("insert %d (batched=%v): %v", next, batched, err)
+		}
+		acked[next] = true
+		next++
+	}
+	for i := 0; i < 40; i++ {
+		write(i%4 == 3)
+	}
+	d.killPrimary(0)
+
+	before := d.r.Stats()
+	probe0 := d.probe(0, 0)
+	_, _, err := d.r.Search(probe0)
+	after := d.r.Stats()
+	d.logf("read on killed primary: err %v, backup reads +%d, promotions +%d",
+		err, after.BackupReads-before.BackupReads, after.Promotions-before.Promotions)
+
+	for i := 0; i < 40; i++ {
+		write(i%4 == 3)
+	}
+	d.logf("promotions after writes: %d, unhealthy writes: %d",
+		d.r.Stats().Promotions, d.r.Stats().UnhealthyWrites)
+
+	items, _, err := d.r.Search(wholePlane)
+	if err != nil {
+		d.failf("post-failover scan: %v", err)
+	}
+	want := len(d.data) + len(acked)
+	lost := 0
+	seen := map[uint64]int{}
+	for _, it := range items {
+		seen[it.Ref]++
+	}
+	for ref := range acked {
+		if seen[ref] != 1 {
+			lost++
+		}
+	}
+	d.logf("post-failover scan: %d items (want %d), %d acked writes lost or duplicated", len(items), want, lost)
+	if len(items) != want || lost != 0 {
+		d.failf("post-failover scan: %d items, want %d; %d acked writes lost or duplicated", len(items), want, lost)
+	}
+}
+
 // TestRouterCrossTransport drives the same scripted cases through both
 // adapters of the one shard router — the simulated fabric and real sockets
 // — over the same map and dataset, and requires (a) each case's
@@ -264,7 +337,9 @@ func TestRouterCrossTransport(t *testing.T) {
 		name     string
 		k, r     int
 		multiple int
-		script   func(d *crossDeploy)
+		// forced pins the per-shard clients' access method (fast when zero).
+		forced Method
+		script func(d *crossDeploy)
 	}{
 		{
 			// A shard that stops heartbeating is skipped by searches and
@@ -312,68 +387,11 @@ func TestRouterCrossTransport(t *testing.T) {
 				d.logf("recovered-owner insert: %v", d.r.Insert(probe1, 1<<30+3))
 			},
 		},
-		{
-			// Killing a primary: the next read is answered by the backup
-			// without promotion, the next write promotes it, and every
-			// acknowledged write — before and after — is still there.
-			name: "primary-kill", k: 2, r: 2, multiple: never,
-			script: func(d *crossDeploy) {
-				rng := rand.New(rand.NewSource(31))
-				acked := map[uint64]bool{}
-				next := uint64(1 << 20)
-				write := func(batched bool) {
-					rect := randRect(rng, 0.01)
-					var err error
-					if batched {
-						err = d.r.ExecBatch([]BatchOp{{Type: wire.MsgInsert, Rect: rect, Ref: next}}, nil)[0].Err
-					} else {
-						err = d.r.Insert(rect, next)
-					}
-					if err != nil {
-						d.failf("insert %d (batched=%v): %v", next, batched, err)
-					}
-					acked[next] = true
-					next++
-				}
-				for i := 0; i < 40; i++ {
-					write(i%4 == 3)
-				}
-				d.killPrimary(0)
-
-				before := d.r.Stats()
-				probe0 := d.probe(0, 0)
-				_, _, err := d.r.Search(probe0)
-				after := d.r.Stats()
-				d.logf("read on killed primary: err %v, backup reads +%d, promotions +%d",
-					err, after.BackupReads-before.BackupReads, after.Promotions-before.Promotions)
-
-				for i := 0; i < 40; i++ {
-					write(i%4 == 3)
-				}
-				d.logf("promotions after writes: %d, unhealthy writes: %d",
-					d.r.Stats().Promotions, d.r.Stats().UnhealthyWrites)
-
-				items, _, err := d.r.Search(wholePlane)
-				if err != nil {
-					d.failf("post-failover scan: %v", err)
-				}
-				want := len(d.data) + len(acked)
-				lost := 0
-				seen := map[uint64]int{}
-				for _, it := range items {
-					seen[it.Ref]++
-				}
-				for ref := range acked {
-					if seen[ref] != 1 {
-						lost++
-					}
-				}
-				d.logf("post-failover scan: %d items (want %d), %d acked writes lost or duplicated", len(items), want, lost)
-				if len(items) != want || lost != 0 {
-					d.failf("post-failover scan: %d items, want %d; %d acked writes lost or duplicated", len(items), want, lost)
-				}
-			},
-		},
+		{name: "primary-kill", k: 2, r: 2, multiple: never, script: primaryKill},
+		// The same through fetch-routed reads: a killed server's refusal of a
+		// SEARCH_FETCH must be the typed unavailable error, or the router
+		// never tries the backup.
+		{name: "primary-kill-fetch", k: 2, r: 2, multiple: never, forced: MethodFetch, script: primaryKill},
 		{
 			// A move across an ownership boundary inserts at the destination
 			// then deletes at the source, and tolerates a source that never
@@ -463,8 +481,12 @@ func TestRouterCrossTransport(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			net := runNet(t, tc.k, tc.r, hbInv, tc.multiple, tc.script)
-			simd := runSim(t, net.m, net.data, tc.r, hbInv, tc.multiple, tc.script)
+			forced := tc.forced
+			if forced == 0 {
+				forced = MethodFast
+			}
+			net := runNet(t, tc.k, tc.r, hbInv, tc.multiple, forced, tc.script)
+			simd := runSim(t, net.m, net.data, tc.r, hbInv, tc.multiple, forced, tc.script)
 			for _, d := range []struct {
 				transport string
 				d         *crossDeploy

@@ -19,7 +19,7 @@ import (
 // with the same slice). Returns the primary addresses in shard order, the
 // per-shard backup addresses, the servers as [shard][replica] with the
 // primary at index 0, the map, and the dataset.
-func startReplicatedDeploy(t *testing.T, n, k, replicas int, hbInv time.Duration) ([]string, [][]string, [][]*Server, *shard.Map, []rtree.Entry) {
+func startReplicatedDeploy(t *testing.T, n, k, replicas int, hbInv time.Duration, fetchSlots int) ([]string, [][]string, [][]*Server, *shard.Map, []rtree.Entry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	data := make([]rtree.Entry, n)
@@ -50,6 +50,7 @@ func startReplicatedDeploy(t *testing.T, n, k, replicas int, hbInv time.Duration
 			ShardMap:          m,
 			ShardIndex:        s,
 			Replica:           rc,
+			FetchSlots:        fetchSlots,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +103,7 @@ func TestNetFailoverKillPrimary(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			addrs, backups, srvs, _, data := startReplicatedDeploy(t, 2000, 2, 2, hbInv)
+			addrs, backups, srvs, _, data := startReplicatedDeploy(t, 2000, 2, 2, hbInv, 0)
 			r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +187,7 @@ func TestNetFailoverKillPrimary(t *testing.T) {
 // fails with the typed fenced error instead of being silently lost.
 func TestNetZombiePrimaryFenced(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
-	addrs, backups, srvs, m, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv)
+	addrs, backups, srvs, m, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv, 0)
 	r, err := connectRouter(addrs, RouterConfig{HealthMultiple: 3, Backups: backups})
 	if err != nil {
 		t.Fatal(err)

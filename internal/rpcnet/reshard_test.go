@@ -275,7 +275,7 @@ func TestNetStaleMapNotAdopted(t *testing.T) {
 func TestNetAvailabilityMetrics(t *testing.T) {
 	const hbInv = 4 * time.Millisecond
 	cliReg := telemetry.NewRegistry()
-	addrs, backups, srvs, _, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv)
+	addrs, backups, srvs, _, _ := startReplicatedDeploy(t, 1000, 2, 2, hbInv, 0)
 	r, err := connectRouter(addrs, RouterConfig{
 		Client:         ClientConfig{Metrics: cliReg},
 		HealthMultiple: 3,

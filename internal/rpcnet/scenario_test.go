@@ -153,7 +153,7 @@ func TestNetMoveEquivalence(t *testing.T) {
 			return c
 		}},
 		{"replicated-2x2", func(t *testing.T) Conn {
-			addrs, backups, _, _, _ := startReplicatedDeploy(t, 800, 2, 2, hbInv)
+			addrs, backups, _, _, _ := startReplicatedDeploy(t, 800, 2, 2, hbInv, 0)
 			c, err := Connect(addrs, WithSeed(7), WithBackups(backups))
 			if err != nil {
 				t.Fatal(err)

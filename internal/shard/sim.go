@@ -4,12 +4,8 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/replica"
-	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/sim"
-	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // RouterConfig parametrizes a simulated-fabric Router.
@@ -132,35 +128,23 @@ func (x simExec) Refresh()                {}
 
 func (x simExec) Report(*client.Client) Report { return Report{Alive: true} }
 
-func (x simExec) Bind(c *client.Client) Replica { return simReplica{c: c, x: x} }
+func (x simExec) Bind(c *client.Client) Replica {
+	return simReplica{Handle: c.On(x.p), c: c, r: x.r}
+}
 
 // simReplica is a simulated client bound to the process its calls run on.
 type simReplica struct {
+	client.Handle
 	c *client.Client
-	x simExec
-}
-
-func (b simReplica) Search(q geo.Rect) ([]wire.Item, proto.Method, error) {
-	return b.c.Search(b.x.p, q)
-}
-func (b simReplica) Insert(r geo.Rect, ref uint64) error { return b.c.Insert(b.x.p, r, ref) }
-func (b simReplica) Delete(r geo.Rect, ref uint64) error { return b.c.Delete(b.x.p, r, ref) }
-func (b simReplica) Move(from, to geo.Rect, ref uint64) error {
-	return b.c.Move(b.x.p, from, to, ref)
-}
-func (b simReplica) Nearest(k int, x, y float64) ([]rtree.Neighbor, proto.Method, error) {
-	return b.c.Nearest(b.x.p, k, x, y)
-}
-func (b simReplica) ExecBatch(ops []proto.BatchOp, res []proto.BatchResult) []proto.BatchResult {
-	return b.c.ExecBatch(b.x.p, ops, res)
+	r *Router
 }
 
 // Promote also resets the monitor's view of the promoted client, so only
 // heartbeats arriving after the promotion count as its liveness.
 func (b simReplica) Promote(epoch uint64) error {
-	err := b.c.Promote(b.x.p, epoch)
+	err := b.Handle.Promote(epoch)
 	if err == nil {
-		b.x.r.lastSeq[b.c] = b.c.HeartbeatSeq()
+		b.r.lastSeq[b.c] = b.c.HeartbeatSeq()
 	}
 	return err
 }

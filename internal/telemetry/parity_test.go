@@ -97,19 +97,19 @@ func (w parityWorkload) simSnapshot(t *testing.T, forced client.Method) telemetr
 	e.Spawn("driver", func(p *sim.Proc) {
 		defer p.Engine().Stop()
 		for _, q := range w.queries {
-			if _, _, err := c.Search(p, q); err != nil {
+			if _, _, err := c.On(p).Search(q); err != nil {
 				runErr = err
 				return
 			}
 		}
 		for i, r := range w.writes {
-			if err := c.Insert(p, r, uint64(1_000_000+i)); err != nil {
+			if err := c.On(p).Insert(r, uint64(1_000_000+i)); err != nil {
 				runErr = err
 				return
 			}
 		}
 		for i, r := range w.writes {
-			if err := c.Delete(p, r, uint64(1_000_000+i)); err != nil {
+			if err := c.On(p).Delete(r, uint64(1_000_000+i)); err != nil {
 				runErr = err
 				return
 			}

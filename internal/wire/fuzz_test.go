@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
 
 // fuzzSeeds are well-formed and near-miss reply frames: each reply type, a
-// multi-item response, truncations, and a count that overruns the body.
+// multi-item response, truncations, a count that overruns the body, and
+// batch containers — whole, cut mid-sub-message, and announcing more
+// sub-messages than they hold.
 func fuzzSeeds(f *testing.F) {
 	resp := Response{ID: 1<<40 | 7, Final: true, Status: StatusOK, Items: []Item{{Ref: 1}, {Ref: 2}, {Ref: 3}}}.Encode(nil)
 	f.Add(resp)
@@ -20,8 +23,24 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(ChunkData{ID: 2, Raw: []byte{1, 2, 3}}.Encode(nil))
 	f.Add(SpanData{ID: 3, Raw: []byte{4}}.Encode(nil))
 	f.Add(VersionData{ID: 4, Versions: []byte{5}}.Encode(nil))
-	f.Add(FetchDesc{ID: 5, Slot: 1, Bytes: 40, Count: 1, Seq: 2}.Encode(nil))
+	desc := FetchDesc{ID: 5, Slot: 1, Bytes: 40, Count: 1, Seq: 2}.Encode(nil)
+	f.Add(desc)
+	f.Add(desc[:FetchDescSize-1])
 	f.Add(ShardMapData{ID: 6}.Encode(nil))
+	var enc BatchEncoder
+	enc.Reset(nil)
+	for _, msg := range [][]byte{resp, desc, nil} {
+		enc.Begin()
+		enc.Buf = append(enc.Buf, msg...)
+		enc.End()
+	}
+	batch := enc.Bytes()
+	f.Add(batch)
+	f.Add(batch[:len(batch)-len(desc)/2-batchSubHeader])
+	f.Add(batch[:batchHeader+2])
+	short := append([]byte(nil), batch...)
+	short[1] = 9 // announces nine sub-messages, holds three
+	f.Add(short)
 	f.Add(Heartbeat{Util: 0.5}.Encode(nil))
 	f.Add([]byte{})
 }
@@ -117,6 +136,76 @@ func FuzzDecodeResponseAppend(f *testing.F) {
 			if string(AppendItem(nil, got.Items[2+i].Rect, got.Items[2+i].Ref)) != string(AppendItem(nil, it.Rect, it.Ref)) {
 				t.Fatalf("item %d differs", i)
 			}
+		}
+	})
+}
+
+// FuzzDecodeBatch: the container iterator never panics or reads past the
+// frame, hands out sub-messages that tile the frame in order, returns at
+// most as many as the header announces, sets Err — to ErrCorrupt — exactly
+// when it stops short of that, and re-encoding what it returned reproduces
+// the bytes it consumed.
+func FuzzDecodeBatch(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		it, err := DecodeBatch(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		announced := it.Len()
+		var enc BatchEncoder
+		enc.Reset(nil)
+		for {
+			msg, ok := it.Next()
+			if !ok {
+				break
+			}
+			enc.Begin()
+			enc.Buf = append(enc.Buf, msg...)
+			enc.End()
+		}
+		if enc.Count() > announced {
+			t.Fatalf("returned %d sub-messages of %d announced", enc.Count(), announced)
+		}
+		if complete := enc.Count() == announced; complete != (it.Err() == nil) {
+			t.Fatalf("returned %d of %d sub-messages, Err = %v", enc.Count(), announced, it.Err())
+		}
+		if it.Err() != nil && !errors.Is(it.Err(), ErrCorrupt) {
+			t.Fatalf("error %v is not ErrCorrupt", it.Err())
+		}
+		if _, ok := it.Next(); ok {
+			t.Fatal("Next yielded after reporting the end")
+		}
+		got := enc.Bytes()
+		if len(got) > len(b) || !bytes.Equal(got[batchHeader:], b[batchHeader:len(got)]) {
+			t.Fatalf("sub-messages do not tile the frame: re-encoded %d bytes of %d", len(got), len(b))
+		}
+	})
+}
+
+// FuzzDecodeFetchDesc: the descriptor decoder never panics or over-reads,
+// fails only with ErrCorrupt, and what it accepts re-encodes to the bytes
+// it read and carries the id the demultiplexer routed it by.
+func FuzzDecodeFetchDesc(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		d, err := DecodeFetchDesc(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if len(b) < FetchDescSize || !bytes.Equal(d.Encode(nil), b[:FetchDescSize]) {
+			t.Fatalf("accepted %d-byte frame does not round-trip: %+v", len(b), d)
+		}
+		if typ, id, perr := PeekID(b); perr != nil || typ != MsgFetchDesc || id != d.ID {
+			t.Fatalf("PeekID = (%d, %d, %v), decoder says id %d", typ, id, perr, d.ID)
 		}
 	})
 }
