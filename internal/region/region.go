@@ -185,24 +185,35 @@ func (r *Region) Version(id int) (uint64, error) {
 	return atomic.LoadUint64(&r.words[r.lineBase(id, 0)]), nil
 }
 
-// writeLine publishes cacheline l with its slice of payload using seqlock
-// ordering: version goes odd, payload words land, version goes even (new).
+// writeLine publishes cacheline l with its slice of payload (zero-filled
+// past the payload's end) at newVersion. A line whose resident payload words
+// already equal the new ones is delta-published: one store moves its version
+// and it never goes odd — a reader's copy of it is the same bytes on either
+// side of that store, and its version still tells the reader which write of
+// the chunk it belongs to. Any other line takes the seqlock: version goes
+// odd, payload words land, version goes even (new).
 func (r *Region) writeLine(id, l int, newVersion uint64, payload []byte) {
 	base := r.lineBase(id, l)
-	old := atomic.LoadUint64(&r.words[base])
-	atomic.StoreUint64(&r.words[base], old|1) // mark write in progress
-	start := l * LineData
-	for w := 0; w < payloadWords; w++ {
-		var word uint64
-		off := start + w*8
-		for b := 0; b < 8; b++ {
-			if off+b < len(payload) {
-				word |= uint64(payload[off+b]) << (8 * b)
-			}
-		}
-		atomic.StoreUint64(&r.words[base+1+w], word)
+	line := r.words[base : base+wordsPerLine]
+	src := payload[min(l*LineData, len(payload)):]
+	if len(src) < LineData { // the partial tail line, or one past the payload
+		var tail [LineData]byte
+		copy(tail[:], src)
+		src = tail[:]
 	}
-	atomic.StoreUint64(&r.words[base], newVersion)
+	var words [payloadWords]uint64
+	changed := false
+	for w := range words {
+		words[w] = binary.LittleEndian.Uint64(src[w*8:])
+		changed = changed || atomic.LoadUint64(&line[1+w]) != words[w]
+	}
+	if changed {
+		atomic.StoreUint64(&line[0], atomic.LoadUint64(&line[0])|1) // mark write in progress
+		for w, word := range words {
+			atomic.StoreUint64(&line[1+w], word)
+		}
+	}
+	atomic.StoreUint64(&line[0], newVersion)
 }
 
 // nextVersion returns the version a fresh write of chunk id should publish:
@@ -325,7 +336,11 @@ func (r *Region) readLineStable(id, l int, dst []byte) {
 			words[w] = atomic.LoadUint64(&r.words[base+1+w])
 		}
 		v2 := atomic.LoadUint64(&r.words[base])
-		if (v1&1) == 0 && v1 == v2 || attempt >= stableAttempts {
+		stable := v1&1 == 0 && v1 == v2
+		if stable || attempt >= stableAttempts {
+			if !stable {
+				v1 |= 1 // giving up: the image may mix two writes, so it must decode as torn
+			}
 			binary.LittleEndian.PutUint64(dst, v1)
 			for w := 0; w < payloadWords; w++ {
 				binary.LittleEndian.PutUint64(dst[8+w*8:], words[w])

@@ -317,19 +317,59 @@ func TestConcurrentReadersNeverSeeMixedPayload(t *testing.T) {
 	}
 }
 
+// BenchmarkWriteChunk times a 4 KB chunk publish for the three payload
+// relations delta-publishing tells apart: every line differs from the
+// resident one (changed), a node grows by one 40-byte entry (append: the
+// header line and the one or two lines the entry lands in differ), and
+// nothing differs (unchanged: one version store per line).
 func BenchmarkWriteChunk(b *testing.B) {
-	r, err := New(64, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, r.PayloadSize())
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.WriteChunk(i%64, payload); err != nil {
+	newRegion := func(b *testing.B) *Region {
+		r, err := New(64, 4096)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return r
 	}
+	b.Run("changed", func(b *testing.B) {
+		r := newRegion(b)
+		var payloads [2][]byte
+		for i := range payloads {
+			payloads[i] = make([]byte, r.PayloadSize())
+			rand.New(rand.NewSource(int64(i))).Read(payloads[i])
+		}
+		b.SetBytes(int64(r.PayloadSize()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := r.WriteChunk(i%64, payloads[i/64%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		r := newRegion(b)
+		const header, entry, minEntries, maxEntries = 16, 40, 25, 64
+		node := make([]byte, header+maxEntries*entry)
+		rand.New(rand.NewSource(1)).Read(node)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			count := minEntries + i/64%(maxEntries-minEntries+1)
+			node[4] = byte(count)
+			if err := r.WriteChunkPrefix(i%64, node[:header+count*entry]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unchanged", func(b *testing.B) {
+		r := newRegion(b)
+		payload := make([]byte, r.PayloadSize())
+		b.SetBytes(int64(len(payload)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := r.WriteChunk(i%64, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkReadChunk(b *testing.B) {

@@ -156,7 +156,7 @@ func expectBytes(t *testing.T, conn net.Conn, what string, want []byte) {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: %d streamed bytes differ from Response.Encode of the same items", what, len(want))
+		t.Fatalf("%s: %d reply bytes differ from the reference encoding", what, len(want))
 	}
 }
 
@@ -221,6 +221,85 @@ func TestStreamedSegmentsByteIdentical(t *testing.T) {
 		t.Fatalf("reference batch reply is one container; the test must cross the 16 KB boundary")
 	}
 	expectBytes(t, conn, "batch", ref)
+}
+
+// TestOneSidedReadRepliesByteIdentical pins the replies of the four
+// one-sided read emulations, which the server now assembles in place
+// (header reserved, region bytes read straight into the reply): each is
+// exactly ChunkData / SpanData / VersionData.Encode of the region's bytes,
+// and each refusal — bad range, no mailbox, killed server — the bare status.
+func TestOneSidedReadRepliesByteIdentical(t *testing.T) {
+	srv, tree := lineServer(t, 600, ServerConfig{FetchSlots: 2, FetchSlotChunks: 4})
+	bare, _ := lineServer(t, 10, ServerConfig{}) // no mailbox region
+	reg, mreg := tree.Region(), srv.mreg
+	slot, _ := srv.mailbox.Grant()
+	if _, err := srv.mailbox.WriteResult(slot, bytes.Repeat([]byte{0xAB}, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	span := func(r *region.Region, chunk, count int) []byte {
+		raw := make([]byte, count*r.ChunkSize())
+		for i := 0; i < count; i++ {
+			if err := r.ReadChunkRaw(chunk+i, raw[i*r.ChunkSize():(i+1)*r.ChunkSize()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return raw
+	}
+	versions := make([]byte, reg.VersionsSize())
+	if err := reg.ReadVersions(tree.RootChunk(), versions); err != nil {
+		t.Fatal(err)
+	}
+	root, past := uint32(tree.RootChunk()), uint32(reg.NumChunks())
+	cases := []struct {
+		name string
+		srv  *Server
+		req  []byte
+		ok   []byte // the reply while the server is up
+		dead []byte // the reply once it is killed
+	}{
+		{"chunk", srv, wire.ReadChunk{ID: 1, Chunk: root}.Encode(nil),
+			wire.ChunkData{ID: 1, Raw: span(reg, int(root), 1)}.Encode(nil),
+			wire.ChunkData{ID: 1, Status: wire.StatusUnavailable}.Encode(nil)},
+		{"chunk past the region", srv, wire.ReadChunk{ID: 2, Chunk: past}.Encode(nil),
+			wire.ChunkData{ID: 2, Status: wire.StatusError}.Encode(nil), nil},
+		{"span", srv, wire.ReadSpan{ID: 3, Chunk: 1, Count: 5}.Encode(nil),
+			wire.SpanData{ID: 3, Raw: span(reg, 1, 5)}.Encode(nil),
+			wire.SpanData{ID: 3, Status: wire.StatusUnavailable}.Encode(nil)},
+		{"span of none", srv, wire.ReadSpan{ID: 4, Chunk: 1}.Encode(nil),
+			wire.SpanData{ID: 4, Status: wire.StatusError}.Encode(nil), nil},
+		{"span too long", srv, wire.ReadSpan{ID: 5, Chunk: 1, Count: maxSpanChunks + 1}.Encode(nil),
+			wire.SpanData{ID: 5, Status: wire.StatusError}.Encode(nil), nil},
+		{"span past the region", srv, wire.ReadSpan{ID: 6, Chunk: past - 1, Count: 2}.Encode(nil),
+			wire.SpanData{ID: 6, Status: wire.StatusError}.Encode(nil), nil},
+		{"versions", srv, wire.ReadVersions{ID: 7, Chunk: root}.Encode(nil),
+			wire.VersionData{ID: 7, Versions: versions}.Encode(nil),
+			wire.VersionData{ID: 7, Status: wire.StatusUnavailable}.Encode(nil)},
+		{"versions past the region", srv, wire.ReadVersions{ID: 8, Chunk: past}.Encode(nil),
+			wire.VersionData{ID: 8, Status: wire.StatusError}.Encode(nil), nil},
+		{"mailbox", srv, wire.ReadMailbox{ID: 9, Chunk: uint32(slot * 4), Count: 2}.Encode(nil),
+			wire.SpanData{ID: 9, Raw: span(mreg, slot*4, 2)}.Encode(nil),
+			wire.SpanData{ID: 9, Status: wire.StatusUnavailable}.Encode(nil)},
+		{"mailbox past the region", srv, wire.ReadMailbox{ID: 10, Chunk: 7, Count: 2}.Encode(nil),
+			wire.SpanData{ID: 10, Status: wire.StatusError}.Encode(nil), nil},
+		{"mailbox of a server without one", bare, wire.ReadMailbox{ID: 11, Count: 1}.Encode(nil),
+			wire.SpanData{ID: 11, Status: wire.StatusError}.Encode(nil), nil},
+	}
+	conns := map[*Server]net.Conn{srv: rawConn(t, srv), bare: rawConn(t, bare)}
+	for _, killed := range []bool{false, true} {
+		for _, tc := range cases {
+			want := tc.ok
+			if killed {
+				if want = tc.dead; want == nil {
+					continue
+				}
+			}
+			if err := writeFrame(conns[tc.srv], tc.req); err != nil {
+				t.Fatal(err)
+			}
+			expectBytes(t, conns[tc.srv], fmt.Sprintf("%s (killed=%v)", tc.name, killed), framed(want))
+		}
+		srv.Kill()
+	}
 }
 
 func sameItems(a, b []wire.Item) bool {

@@ -609,7 +609,7 @@ func (s *Server) serveConn(sc *srvConn) {
 			if rc := s.rootChunkA.Load(); int64(req.Chunk) <= rc && rc < int64(req.Chunk)+int64(req.Count) {
 				s.offloadEst.Add(1)
 			}
-			out = s.handleReadSpan(req, out[:0])
+			out = s.readSpan(s.tree.Region(), req.ID, req.Chunk, req.Count, out[:0])
 			if err := sc.send(out); err != nil {
 				return
 			}
@@ -656,7 +656,7 @@ func (s *Server) serveConn(sc *srvConn) {
 				return
 			}
 			s.mailboxReads.Add(1)
-			out = s.handleReadMailbox(req, out[:0])
+			out = s.readSpan(s.mreg, req.ID, req.Chunk, req.Count, out[:0])
 			if err := sc.send(out); err != nil {
 				return
 			}
@@ -726,92 +726,56 @@ func (s *Server) Kill() { s.killed.Store(true) }
 // Killed reports whether Kill has been called.
 func (s *Server) Killed() bool { return s.killed.Load() }
 
+// The one-sided read handlers reserve the reply in out and let the region
+// fill its body in place: no staging buffer, no copy, and (out being the
+// connection's reused buffer) no allocation per read.
+
 func (s *Server) handleReadChunk(req wire.ReadChunk, out []byte) []byte {
-	raw := make([]byte, s.tree.Region().ChunkSize())
-	resp := wire.ChunkData{ID: req.ID, Status: wire.StatusOK}
 	if s.killed.Load() {
-		resp.Status = wire.StatusUnavailable
-		return resp.Encode(out)
+		return wire.ChunkData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
 	}
-	if err := s.tree.Region().ReadChunkRaw(int(req.Chunk), raw); err != nil {
-		resp.Status = wire.StatusError
-	} else {
-		resp.Raw = raw
+	reg := s.tree.Region()
+	msg, raw := wire.AppendRawReply(out, wire.MsgChunkData, req.ID, wire.StatusOK, reg.ChunkSize())
+	if err := reg.ReadChunkRaw(int(req.Chunk), raw); err != nil {
+		return wire.ChunkData{ID: req.ID, Status: wire.StatusError}.Encode(out)
 	}
-	return resp.Encode(out)
+	return msg
 }
 
 // maxSpanChunks bounds one READ_SPAN (a corrupt count would otherwise ask
-// the server to allocate Count × chunkSize bytes).
+// the server to reserve Count × chunkSize bytes).
 const maxSpanChunks = 64
 
-func (s *Server) handleReadSpan(req wire.ReadSpan, out []byte) []byte {
-	reg := s.tree.Region()
+// readSpan answers READ_SPAN (reg the tree's region) and READ_MAILBOX (reg
+// the mailbox region, nil on a server without one) with a SPAN_DATA frame
+// carrying count consecutive raw chunk images starting at chunk.
+func (s *Server) readSpan(reg *region.Region, id uint64, chunk, count uint32, out []byte) []byte {
+	if s.killed.Load() {
+		return wire.SpanData{ID: id, Status: wire.StatusUnavailable}.Encode(out)
+	}
+	if reg == nil || count == 0 || count > maxSpanChunks || int(chunk)+int(count) > reg.NumChunks() {
+		return wire.SpanData{ID: id, Status: wire.StatusError}.Encode(out)
+	}
 	cs := reg.ChunkSize()
-	resp := wire.SpanData{ID: req.ID, Status: wire.StatusOK}
-	if s.killed.Load() {
-		resp.Status = wire.StatusUnavailable
-		return resp.Encode(out)
-	}
-	if req.Count == 0 || req.Count > maxSpanChunks ||
-		int(req.Chunk)+int(req.Count) > reg.NumChunks() {
-		resp.Status = wire.StatusError
-		return resp.Encode(out)
-	}
-	raw := make([]byte, int(req.Count)*cs)
-	for i := 0; i < int(req.Count); i++ {
-		if err := reg.ReadChunkRaw(int(req.Chunk)+i, raw[i*cs:(i+1)*cs]); err != nil {
-			resp.Status = wire.StatusError
-			return resp.Encode(out)
+	msg, raw := wire.AppendRawReply(out, wire.MsgSpanData, id, wire.StatusOK, int(count)*cs)
+	for i := 0; i < int(count); i++ {
+		if err := reg.ReadChunkRaw(int(chunk)+i, raw[i*cs:(i+1)*cs]); err != nil {
+			return wire.SpanData{ID: id, Status: wire.StatusError}.Encode(out)
 		}
 	}
-	resp.Raw = raw
-	return resp.Encode(out)
-}
-
-// handleReadMailbox answers a mailbox pull with a SPAN_DATA frame carrying
-// the requested chunks of the mailbox region, latch-free like READ_SPAN.
-func (s *Server) handleReadMailbox(req wire.ReadMailbox, out []byte) []byte {
-	resp := wire.SpanData{ID: req.ID, Status: wire.StatusOK}
-	if s.killed.Load() {
-		resp.Status = wire.StatusUnavailable
-		return resp.Encode(out)
-	}
-	if s.mreg == nil {
-		resp.Status = wire.StatusError
-		return resp.Encode(out)
-	}
-	cs := s.mreg.ChunkSize()
-	if req.Count == 0 || req.Count > maxSpanChunks ||
-		int(req.Chunk)+int(req.Count) > s.mreg.NumChunks() {
-		resp.Status = wire.StatusError
-		return resp.Encode(out)
-	}
-	raw := make([]byte, int(req.Count)*cs)
-	for i := 0; i < int(req.Count); i++ {
-		if err := s.mreg.ReadChunkRaw(int(req.Chunk)+i, raw[i*cs:(i+1)*cs]); err != nil {
-			resp.Status = wire.StatusError
-			return resp.Encode(out)
-		}
-	}
-	resp.Raw = raw
-	return resp.Encode(out)
+	return msg
 }
 
 func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
-	reg := s.tree.Region()
-	raw := make([]byte, reg.VersionsSize())
-	resp := wire.VersionData{ID: req.ID, Status: wire.StatusOK}
 	if s.killed.Load() {
-		resp.Status = wire.StatusUnavailable
-		return resp.Encode(out)
+		return wire.VersionData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
 	}
+	reg := s.tree.Region()
+	msg, raw := wire.AppendRawReply(out, wire.MsgVersionData, req.ID, wire.StatusOK, reg.VersionsSize())
 	if err := reg.ReadVersions(int(req.Chunk), raw); err != nil {
-		resp.Status = wire.StatusError
-	} else {
-		resp.Versions = raw
+		return wire.VersionData{ID: req.ID, Status: wire.StatusError}.Encode(out)
 	}
-	return resp.Encode(out)
+	return msg
 }
 
 func (s *Server) handleRequest(sc *srvConn, req wire.Request) error {

@@ -53,3 +53,57 @@ func TestSharedReadsZeroAlloc(t *testing.T) {
 		t.Errorf("NearestShared(10) allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestWritesZeroAlloc: an Insert that overflows no node and a Delete that
+// underflows none — the two halves of a steady-state MOVE — allocate nothing:
+// the descent path, the ChooseSubtree candidates and their sort, the node
+// encoding and the region publish all run in tree-held scratch.
+func TestWritesZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tree, entries := bulkLoadedTree(t, rng, 0)
+	// The same few objects come and go, so no leaf fills up or drains and,
+	// after the first round, no leaf's entry slice grows.
+	extra := make([]Entry, 16)
+	for i := range extra {
+		extra[i] = Entry{Rect: uniformRect(rng, 1e-4), Ref: uint64(len(entries) + i)}
+	}
+	var written OpStats
+	round := func(insert bool) func() {
+		i := 0
+		return func() {
+			e := extra[i%len(extra)]
+			i++
+			if insert {
+				st, err := tree.Insert(e.Rect, e.Ref)
+				if err != nil {
+					t.Error(err)
+				}
+				written.add(st)
+			} else if ok, st, err := tree.Delete(e.Rect, e.Ref); err != nil || !ok {
+				t.Errorf("delete ref %d: ok=%v err=%v", e.Ref, ok, err)
+			} else {
+				written.add(st)
+			}
+		}
+	}
+	for warm := 0; warm < 2; warm++ {
+		for _, insert := range []bool{true, false} {
+			op := round(insert)
+			for range extra {
+				op()
+			}
+		}
+	}
+	nodes := tree.reg.Allocated()
+	// AllocsPerRun calls the function runs+1 times: one pass over extra.
+	if allocs := testing.AllocsPerRun(len(extra)-1, round(true)); allocs != 0 {
+		t.Errorf("Insert allocates %.2f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(len(extra)-1, round(false)); allocs != 0 {
+		t.Errorf("Delete allocates %.2f objects/op, want 0", allocs)
+	}
+	if tree.reg.Allocated() != nodes {
+		t.Errorf("a node split or condensed during the measured ops (%d → %d nodes)", nodes, tree.reg.Allocated())
+	}
+	t.Logf("%d nodes read, %d written by the warm-up and measured ops", written.NodesRead, written.NodesWritten)
+}

@@ -149,8 +149,7 @@ type orphan struct {
 // findLeaf locates the leaf containing the exact entry (r, ref), returning
 // the root-to-leaf path and the entry index, or a nil path when absent.
 func (t *Tree) findLeaf(r geo.Rect, ref uint64) (*path, int, error) {
-	p := &path{}
-	return t.findLeafFrom(p, t.rootChunk, r, ref)
+	return t.findLeafFrom(t.pathBuf.reset(), t.rootChunk, r, ref)
 }
 
 func (t *Tree) findLeafFrom(p *path, id int, r geo.Rect, ref uint64) (*path, int, error) {

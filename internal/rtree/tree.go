@@ -78,7 +78,11 @@ type Tree struct {
 	rawBuf     []byte
 	payloadBuf []byte
 	encodeBuf  []byte
-	candBuf    []int
+	cands      candidates
+	// pathBuf backs the one live descent: descend and findLeaf both refill
+	// it, so a path is dead once the next descent starts (reinsertion and
+	// orphan re-insertion only begin theirs after the last use of the old).
+	pathBuf path
 
 	stats OpStats
 }
@@ -239,10 +243,16 @@ type path struct {
 
 func (p *path) depth() int { return len(p.nodes) }
 
+// reset empties p for a new descent, keeping its capacity.
+func (p *path) reset() *path {
+	p.ids, p.nodes, p.child = p.ids[:0], p.nodes[:0], p.child[:0]
+	return p
+}
+
 // descend walks from the root to a node at targetLevel, choosing subtrees
-// with the R* rules, and returns the full path.
+// with the R* rules, and returns the full path (t.pathBuf).
 func (t *Tree) descend(r geo.Rect, targetLevel int) (*path, error) {
-	p := &path{}
+	p := t.pathBuf.reset()
 	id := t.rootChunk
 	for {
 		n, err := t.readNode(id)
@@ -290,31 +300,50 @@ func (t *Tree) chooseSubtree(n *Node, r geo.Rect) int {
 // minimum overlap cost" heuristic for large fan-outs.
 const chooseSubtreeProbe = 32
 
+// candidates is chooseLeafSubtree's scratch: entry indices and, by entry
+// index, each entry's area enlargement — computed once, and the sort key.
+// Sorting goes through sort.Sort on the tree-held value, so it allocates
+// nothing per call.
+type candidates struct {
+	idx []int
+	enl []float64
+}
+
+func (c *candidates) Len() int           { return len(c.idx) }
+func (c *candidates) Less(a, b int) bool { return c.enl[c.idx[a]] < c.enl[c.idx[b]] }
+func (c *candidates) Swap(a, b int)      { c.idx[a], c.idx[b] = c.idx[b], c.idx[a] }
+
+// chooseLeafSubtree picks the child with the least (overlap enlargement,
+// area enlargement, area), first in candidate order among equals. Both
+// enlargements are ≥ 0 and a child that contains r has exactly 0 of each,
+// which prunes the O(M²) overlap sums without changing the choice: a
+// containing child's sum is not computed, and once the best's is 0 a
+// candidate that does not beat it on (area enlargement, area) cannot win
+// whatever its own sum is, so it is skipped.
 func (t *Tree) chooseLeafSubtree(n *Node, r geo.Rect) int {
-	if cap(t.candBuf) < len(n.Entries) {
-		t.candBuf = make([]int, len(n.Entries))
+	c := &t.cands
+	c.idx, c.enl = c.idx[:0], c.enl[:0]
+	for i := range n.Entries {
+		c.idx = append(c.idx, i)
+		c.enl = append(c.enl, n.Entries[i].Rect.Enlargement(r))
 	}
-	cand := t.candBuf[:len(n.Entries)]
-	for i := range cand {
-		cand[i] = i
+	if len(c.idx) > chooseSubtreeProbe {
+		sort.Sort(c)
+		c.idx = c.idx[:chooseSubtreeProbe]
 	}
-	if len(cand) > chooseSubtreeProbe {
-		sort.Slice(cand, func(a, b int) bool {
-			return n.Entries[cand[a]].Rect.Enlargement(r) < n.Entries[cand[b]].Rect.Enlargement(r)
-		})
-		cand = cand[:chooseSubtreeProbe]
-	}
-	best := cand[0]
-	bestOverlap := t.overlapDelta(n, best, r)
-	bestEnl := n.Entries[best].Rect.Enlargement(r)
-	bestArea := n.Entries[best].Rect.Area()
-	for _, i := range cand[1:] {
-		ov := t.overlapDelta(n, i, r)
-		enl := n.Entries[i].Rect.Enlargement(r)
-		area := n.Entries[i].Rect.Area()
-		if ov < bestOverlap ||
-			(ov == bestOverlap && enl < bestEnl) ||
-			(ov == bestOverlap && enl == bestEnl && area < bestArea) {
+	best := -1
+	var bestOverlap, bestEnl, bestArea float64
+	for _, i := range c.idx {
+		enl, area := c.enl[i], n.Entries[i].Rect.Area()
+		closer := enl < bestEnl || (enl == bestEnl && area < bestArea)
+		if best >= 0 && bestOverlap == 0 && !closer {
+			continue
+		}
+		var ov float64
+		if !n.Entries[i].Rect.Contains(r) {
+			ov = t.overlapDelta(n, i, r)
+		}
+		if best < 0 || ov < bestOverlap || (ov == bestOverlap && closer) {
 			best, bestOverlap, bestEnl, bestArea = i, ov, enl, area
 		}
 	}

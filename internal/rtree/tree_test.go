@@ -499,3 +499,69 @@ func BenchmarkSearchSmallScope(b *testing.B) {
 		}
 	}
 }
+
+// bulkLoadedTree returns a 200k-object tree bulk-loaded 90 % full — the
+// state the serving benchmarks write into — with room for extra more items,
+// and the loaded entries.
+func bulkLoadedTree(t testing.TB, rng *rand.Rand, extra int) (*Tree, []Entry) {
+	t.Helper()
+	const loaded = 200_000
+	tree := newTestTree(t, (loaded+extra)/20+64, 0)
+	entries := make([]Entry, loaded)
+	for i := range entries {
+		entries[i] = Entry{Rect: uniformRect(rng, 1e-4), Ref: uint64(i)}
+	}
+	if err := tree.BulkLoad(entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	return tree, entries
+}
+
+// nudge returns r shifted by up to span/2 along each axis (x drawn first),
+// clamped to the unit square: one step of a moving object.
+func nudge(rng *rand.Rand, r geo.Rect, span float64) geo.Rect {
+	dx, dy := (rng.Float64()-0.5)*span, (rng.Float64()-0.5)*span
+	w, h := r.Width(), r.Height()
+	x, y := min(max(r.MinX+dx, 0), 1-w), min(max(r.MinY+dy, 0), 1-h)
+	return geo.Rect{MinX: x, MaxX: x + w, MinY: y, MaxY: y + h}
+}
+
+func BenchmarkInsertBulkLoaded(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	tree, entries := bulkLoadedTree(b, rng, b.N)
+	rects := make([]geo.Rect, b.N)
+	for i := range rects {
+		rects[i] = uniformRect(rng, 1e-4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.Insert(rects[i], uint64(len(entries)+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMoveBulkLoaded times the delete + insert pair of a MOVE: a random
+// object steps up to 1e-3 away, as in the moving-fleet workload.
+func BenchmarkMoveBulkLoaded(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	tree, entries := bulkLoadedTree(b, rng, 0)
+	written := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := &entries[rng.Intn(len(entries))]
+		ok, st, err := tree.Delete(e.Rect, e.Ref)
+		if err != nil || !ok {
+			b.Fatalf("delete: ok=%v err=%v", ok, err)
+		}
+		written += st.NodesWritten
+		e.Rect = nudge(rng, e.Rect, 2e-3)
+		if st, err = tree.Insert(e.Rect, e.Ref); err != nil {
+			b.Fatal(err)
+		}
+		written += st.NodesWritten
+	}
+	b.ReportMetric(float64(written)/float64(b.N), "nodes-written/op")
+}

@@ -70,14 +70,8 @@ func (s SpanData) EncodedSize() int { return spanDataHeader + len(s.Raw) }
 
 // Encode appends the span-data encoding to buf and returns it.
 func (s SpanData) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, s.EncodedSize())...)
-	b := buf[off:]
-	b[0] = byte(MsgSpanData)
-	binary.LittleEndian.PutUint64(b[1:], s.ID)
-	b[9] = s.Status
-	binary.LittleEndian.PutUint32(b[10:], uint32(len(s.Raw)))
-	copy(b[spanDataHeader:], s.Raw)
+	buf, body := AppendRawReply(buf, MsgSpanData, s.ID, s.Status, len(s.Raw))
+	copy(body, s.Raw)
 	return buf
 }
 

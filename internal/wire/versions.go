@@ -64,14 +64,8 @@ func (v VersionData) EncodedSize() int { return versionDataHeader + len(v.Versio
 
 // Encode appends the version-data encoding to buf and returns it.
 func (v VersionData) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, v.EncodedSize())...)
-	b := buf[off:]
-	b[0] = byte(MsgVersionData)
-	binary.LittleEndian.PutUint64(b[1:], v.ID)
-	b[9] = v.Status
-	binary.LittleEndian.PutUint32(b[10:], uint32(len(v.Versions)))
-	copy(b[versionDataHeader:], v.Versions)
+	buf, body := AppendRawReply(buf, MsgVersionData, v.ID, v.Status, len(v.Versions))
+	copy(body, v.Versions)
 	return buf
 }
 

@@ -509,15 +509,24 @@ func (c ChunkData) EncodedSize() int { return chunkDataHeader + len(c.Raw) }
 
 // Encode appends the chunk-data encoding to buf and returns it.
 func (c ChunkData) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, c.EncodedSize())...)
-	b := buf[off:]
-	b[0] = byte(MsgChunkData)
-	binary.LittleEndian.PutUint64(b[1:], c.ID)
-	b[9] = c.Status
-	binary.LittleEndian.PutUint32(b[10:], uint32(len(c.Raw)))
-	copy(b[chunkDataHeader:], c.Raw)
+	buf, body := AppendRawReply(buf, MsgChunkData, c.ID, c.Status, len(c.Raw))
+	copy(body, c.Raw)
 	return buf
+}
+
+// AppendRawReply appends a CHUNK_DATA, SPAN_DATA or VERSION_DATA message
+// (one layout: type, id, status, body length) with an n-byte zeroed body and
+// returns the extended buffer and the body, so a server can have the region
+// fill the reply in place instead of staging the bytes and copying them in.
+func AppendRawReply(buf []byte, typ MsgType, id uint64, status uint8, n int) (msg, body []byte) {
+	off := len(buf)
+	buf = append(buf, make([]byte, chunkDataHeader+n)...)
+	b := buf[off:]
+	b[0] = byte(typ)
+	binary.LittleEndian.PutUint64(b[1:], id)
+	b[9] = status
+	binary.LittleEndian.PutUint32(b[10:], uint32(n))
+	return buf, b[chunkDataHeader:]
 }
 
 // DecodeChunkData parses a chunk-data message. The Raw slice aliases b.
