@@ -1,6 +1,7 @@
-// Package proto is the client side of the Catfish protocol, written once
-// for every transport. Ops (ops.go, fetch.go, batch.go) is the paper's
-// client module — Algorithm 1's choice per read, reads by fast messaging,
+// Package proto is the Catfish protocol written once for every transport:
+// the client side and (serve.go) the server side, Serve, which both servers
+// run over the narrow Exec interface. Ops (ops.go, fetch.go, batch.go) is the
+// paper's client module — Algorithm 1's choice per read, by fast messaging,
 // offloading or remote result fetching, writes by messaging, batches —
 // over the narrow Transport interface that the simulated-fabric client
 // (internal/client) and the real-socket client (internal/rpcnet)

@@ -255,6 +255,23 @@ func StatusError(status uint8) error {
 	return nil
 }
 
+// StatusOf is StatusError's inverse on the server side: the wire status
+// that makes a client decode err back into the same sentinel. An error with
+// no replication meaning is a plain StatusError; no error is StatusOK.
+func StatusOf(err error) uint8 {
+	switch {
+	case err == nil:
+		return wire.StatusOK
+	case errors.Is(err, ErrNotPrimary):
+		return wire.StatusNotPrimary
+	case errors.Is(err, ErrFenced):
+		return wire.StatusFenced
+	case errors.Is(err, ErrUnavailable):
+		return wire.StatusUnavailable
+	}
+	return wire.StatusError
+}
+
 // Failover reports whether err is a condition a router should respond to by
 // promoting a backup (server refusing service, deposed primary, or an
 // unpromoted backup holding the active slot).

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -146,6 +147,39 @@ func TestStatusError(t *testing.T) {
 	}
 	if Failover(errors.New("other")) {
 		t.Fatal("Failover(other) = true")
+	}
+}
+
+// StatusOf and StatusError are inverses on the replication statuses, also
+// through wrapping; everything else is a plain server error with no sentinel.
+func TestStatusOfRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status uint8
+	}{
+		{nil, wire.StatusOK},
+		{ErrNotPrimary, wire.StatusNotPrimary},
+		{ErrFenced, wire.StatusFenced},
+		{ErrUnavailable, wire.StatusUnavailable},
+		{fmt.Errorf("backup 3: %w", ErrFenced), wire.StatusFenced},
+		{&GapError{Applied: 2, Got: 9}, wire.StatusError},
+		{errors.New("backup stuck"), wire.StatusError},
+	} {
+		got := StatusOf(tc.err)
+		if got != tc.status {
+			t.Errorf("StatusOf(%v) = %d, want %d", tc.err, got, tc.status)
+		}
+		back := StatusError(got)
+		if sentinel := StatusError(tc.status); sentinel != nil && !errors.Is(tc.err, back) {
+			t.Errorf("StatusError(StatusOf(%v)) = %v, not the error's sentinel", tc.err, back)
+		} else if sentinel == nil && back != nil {
+			t.Errorf("StatusError(%d) = %v, want nil", got, back)
+		}
+	}
+	for _, status := range []uint8{wire.StatusNotPrimary, wire.StatusFenced, wire.StatusUnavailable} {
+		if got := StatusOf(StatusError(status)); got != status {
+			t.Errorf("StatusOf(StatusError(%d)) = %d", status, got)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -152,7 +153,7 @@ func (d *dispatcher) worker() {
 			continue
 		}
 		start := time.Now()
-		err := d.exec(t)
+		err := d.exec(t, start)
 		d.s.busyNanos.Add(int64(time.Since(start)))
 		if err != nil {
 			// The connection is unusable (its writer failed); close it so
@@ -162,37 +163,24 @@ func (d *dispatcher) worker() {
 	}
 }
 
-func (d *dispatcher) exec(t dispTask) error {
+func (d *dispatcher) exec(t dispTask, start time.Time) error {
 	if t.batch != nil {
-		return d.s.handleBatch(t.sc, t.batch)
+		return d.s.core.Batch(exec{s: d.s, sc: t.sc}, t.batch, proto.BatchFrameLimit)
 	}
-	return d.s.handleRequest(t.sc, t.req)
+	return d.s.core.Request(exec{s: d.s, sc: t.sc, start: start}, t.req)
 }
 
 // shed answers every operation in the task with StatusOverloaded without
 // executing anything.
 func (d *dispatcher) shed(t dispTask) error {
-	s := d.s
+	x := exec{s: d.s, sc: t.sc}
 	if t.batch == nil {
-		s.overloaded.Add(1)
-		return t.sc.sendStatus(t.req.ID, wire.StatusOverloaded)
+		d.s.overloaded.Add(1)
+		return d.s.core.Status(x, t.req.ID, wire.StatusOverloaded)
 	}
-	it, err := wire.DecodeBatch(t.batch)
-	if err != nil {
-		return t.sc.sendStatus(0, wire.StatusError)
-	}
-	k := getSink()
-	defer putSink(k)
-	for {
-		msg, ok := it.Next()
-		if !ok {
-			break
-		}
-		req, _ := wire.DecodeRequest(msg) // undecodable: answered under id 0
-		k.ops = append(k.ops, sinkOp{id: req.ID, status: wire.StatusOverloaded})
-	}
-	s.overloaded.Add(uint64(len(k.ops)))
-	return s.respondBatch(t.sc, k)
+	n, err := d.s.core.Refuse(x, t.batch, wire.StatusOverloaded, proto.BatchFrameLimit)
+	d.s.overloaded.Add(uint64(n))
+	return err
 }
 
 // batchDeadlineUS returns the tightest latency budget carried by a batch's

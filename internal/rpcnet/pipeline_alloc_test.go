@@ -5,28 +5,51 @@
 package rpcnet
 
 import (
+	"net"
 	"testing"
+	"time"
 
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
-// TestServerQueryZeroAlloc: a warmed server turns a 500-result search, and a
-// kNN(10), into the framed response bytes without allocating — the sink, the
-// search stack and the kNN queue are all reused.
-func TestServerQueryZeroAlloc(t *testing.T) {
-	srv, _ := lineServer(t, 600, ServerConfig{})
-	reply := func(req wire.Request) int {
-		k := getSink()
-		defer putSink(k)
-		srv.latch.RLock()
-		err := srv.query(k, req)
-		srv.latch.RUnlock()
-		if err != nil {
+// discardConn is a peer that reads everything instantly: the server side of
+// a connection whose replies nobody needs to see.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+func (discardConn) Close() error                { return nil }
+
+// replySizer runs requests through srv's request core on a connection of its
+// own, exactly as a dispatcher worker would, and reports the framed reply
+// bytes each one queued.
+func replySizer(t *testing.T, srv *Server) (one func(wire.Request) int, batch func([]byte) int) {
+	sc := &srvConn{c: discardConn{}, w: newConnWriter(discardConn{}, &srv.txBytes, 0, nil)}
+	t.Cleanup(sc.close)
+	sized := func(serve func() error) int {
+		tx := srv.txBytes.Load()
+		if err := serve(); err != nil {
 			t.Error(err)
 		}
-		k.out = appendSegments(k.out, req.ID, wire.StatusOK, k.items, srv.cfg.MaxSegmentItems)
-		return len(k.out)
+		return int(srv.txBytes.Load() - tx)
 	}
+	one = func(req wire.Request) int {
+		return sized(func() error { return srv.core.Request(exec{s: srv, sc: sc, start: time.Now()}, req) })
+	}
+	batch = func(container []byte) int {
+		return sized(func() error { return srv.core.Batch(exec{s: srv, sc: sc}, container, proto.BatchFrameLimit) })
+	}
+	return one, batch
+}
+
+// TestServerQueryZeroAlloc: a warmed server turns a 500-result search, a
+// kNN(10) and a 16-operation read-only batch into framed response bytes in
+// the connection writer without allocating — the sink (decoded sub-requests
+// included), the search stack and the kNN queue are all reused, and the
+// generic core reaches the server through a value, not a box.
+func TestServerQueryZeroAlloc(t *testing.T) {
+	srv, _ := lineServer(t, 600, ServerConfig{})
+	reply, replyBatch := replySizer(t, srv)
 	for _, tc := range []struct {
 		name  string
 		req   wire.Request
@@ -44,20 +67,44 @@ func TestServerQueryZeroAlloc(t *testing.T) {
 			t.Errorf("%s: server query→framed reply allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
 	}
+
+	var enc wire.BatchEncoder
+	enc.Reset(nil)
+	items := 0
+	for i := 0; i < 16; i++ {
+		n := 10 * i
+		req := wire.Request{Type: wire.MsgSearch, ID: uint64(100 + i), Rect: firstK(n)}
+		if i%4 == 3 {
+			n = i
+			req = wire.KNNRequest(req.ID, n, 0.3, 0.5)
+		}
+		items += n
+		enc.Begin()
+		enc.Buf = req.Encode(enc.Buf)
+		enc.End()
+	}
+	container := enc.Bytes()
+	// Byte identity is TestStreamedSegmentsByteIdentical's job; here the
+	// reply only has to be all there.
+	if got, least := replyBatch(container), items*wire.ItemSize+16*wire.ResponseHeaderSize; got < least {
+		t.Fatalf("batch: %d reply bytes, want at least %d", got, least)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { replyBatch(container) }); allocs != 0 {
+		t.Errorf("16-op read-only batch→framed reply allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
-// TestStatusAckZeroAlloc: an insert/delete/MOVE ack is framed in a stack
-// buffer (sendStatus's, reproduced here without the connection).
+// TestStatusAckZeroAlloc: an insert/delete/MOVE ack — here a delete that
+// finds nothing — is framed in the pooled sink and queued without allocating.
 func TestStatusAckZeroAlloc(t *testing.T) {
-	n := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		var b [4 + wire.ResponseHeaderSize]byte
-		n += len(appendSegments(b[:0], 7, wire.StatusNotFound, nil, 0))
-	}); allocs != 0 {
-		t.Errorf("status ack allocates %.1f objects/op, want 0", allocs)
+	srv, _ := lineServer(t, 10, ServerConfig{})
+	reply, _ := replySizer(t, srv)
+	miss := wire.Request{Type: wire.MsgDelete, ID: 7, Rect: firstK(1), Ref: 999}
+	if got := reply(miss); got != 4+wire.ResponseHeaderSize {
+		t.Fatalf("ack is %d bytes, want %d", got, 4+wire.ResponseHeaderSize)
 	}
-	if n == 0 {
-		t.Error("no ack bytes produced")
+	if allocs := testing.AllocsPerRun(200, func() { reply(miss) }); allocs != 0 {
+		t.Errorf("status ack allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

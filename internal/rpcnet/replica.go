@@ -261,20 +261,6 @@ func (s *Server) replLag() float64 {
 	return float64(last - min)
 }
 
-// replStatus maps a replication-path error to the wire status the client
-// decodes back into the same replica sentinel.
-func replStatus(err error) uint8 {
-	switch {
-	case errors.Is(err, replica.ErrNotPrimary):
-		return wire.StatusNotPrimary
-	case errors.Is(err, replica.ErrFenced):
-		return wire.StatusFenced
-	case errors.Is(err, replica.ErrUnavailable):
-		return wire.StatusUnavailable
-	}
-	return wire.StatusError
-}
-
 // handleReplicate applies an incoming record batch on a backup and answers
 // with the backup's (epoch, applied) so the primary can detect fencing and
 // resume across gaps. Records at or below the applied sequence (resend
@@ -289,14 +275,15 @@ func (s *Server) handleReplicate(sc *srvConn, frame []byte) error {
 		ack.Status = wire.StatusError
 		return sc.send(ack.Encode(nil))
 	}
-	if s.killed.Load() {
+	if s.core.Killed() {
 		ack.Status = wire.StatusUnavailable
 		ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
 		return sc.send(ack.Encode(nil))
 	}
 	s.latch.Lock()
 	for _, wr := range msg.Records {
-		if aerr := s.repl.Accept(wr.Epoch, wr.Seq); aerr != nil {
+		rec := replica.FromWire(wr)
+		if _, aerr := s.core.ApplyRecord(exec{s: s, sc: sc}, rec); aerr != nil {
 			var gap *replica.GapError
 			if errors.As(aerr, &gap) && gap.Got <= gap.Applied {
 				continue // duplicate from a resend overlap
@@ -308,22 +295,7 @@ func (s *Server) handleReplicate(sc *srvConn, frame []byte) error {
 			}
 			break
 		}
-		rec := replica.FromWire(wr)
-		var aerr error
-		switch rec.Op {
-		case wire.MsgInsert:
-			_, aerr = s.tree.Insert(rec.Rect, rec.Ref)
-		case wire.MsgDelete:
-			_, _, aerr = s.tree.Delete(rec.Rect, rec.Ref)
-		default:
-			aerr = fmt.Errorf("rpcnet: replicated op %d", rec.Op)
-		}
-		if aerr != nil {
-			ack.Status = wire.StatusError
-			break
-		}
 		s.rlog.Append(rec)
-		s.replRecords.Add(1)
 	}
 	s.latch.Unlock()
 	ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
@@ -371,7 +343,7 @@ func (s *Server) PrepareReshard(newAddr string) (*shard.Map, error) {
 	if len(sm.addrs) != sm.m.K() {
 		return nil, errors.New("rpcnet: reshard needs the shard address table")
 	}
-	if s.killed.Load() {
+	if s.core.Killed() {
 		return nil, replica.ErrUnavailable
 	}
 	if s.split.Load() != nil {

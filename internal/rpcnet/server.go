@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -168,6 +169,9 @@ type Server struct {
 	ln   net.Listener
 
 	latch sync.RWMutex // the tree latch (writers exclusive)
+	// core executes every data request and batch (proto.Serve): this
+	// package is the sockets, the dispatcher and the replication around it.
+	core *proto.Serve[exec]
 
 	mu     sync.Mutex // guards conns
 	conns  map[*srvConn]struct{}
@@ -186,31 +190,20 @@ type Server struct {
 	hbPaused   atomic.Bool
 	busyNanos  atomic.Int64 // request-processing time, for heartbeats
 	hbWindow   atomic.Int64 // busyNanos at last heartbeat
-	searches   atomic.Uint64
-	inserts    atomic.Uint64
-	deletes    atomic.Uint64
-	moves      atomic.Uint64
-	knns       atomic.Uint64
 	reads      atomic.Uint64
 	verReads   atomic.Uint64
 	spanReads  atomic.Uint64
 	spanChunks atomic.Uint64
-	batches    atomic.Uint64
-	batchedOps atomic.Uint64
 
-	// Remote result fetching: the mailbox lives in its own region so slot
-	// traffic never touches the tree region's allocator. txBytes counts
+	// Remote result fetching: the core's mailbox lives in its own region so
+	// slot traffic never touches the tree region's allocator. txBytes counts
 	// every outbound frame byte (the send-engine analogue the heartbeat's
 	// TX word reports); hbTXBytes is its value at the last heartbeat.
-	mailbox       *region.Mailbox
-	mreg          *region.Region
-	txBytes       atomic.Uint64
-	hbTXBytes     atomic.Uint64
-	fetchSearches atomic.Uint64
-	fetchInline   atomic.Uint64
-	fetchBytes    atomic.Uint64
-	mailboxReads  atomic.Uint64
-	lastTXUtil    telemetry.Gauge
+	mailbox      *region.Mailbox
+	mreg         *region.Region
+	txBytes      atomic.Uint64
+	hbTXBytes    atomic.Uint64
+	mailboxReads atomic.Uint64
 
 	// offloadEst estimates offloaded searches: every client traversal
 	// starts with a READ_CHUNK of the root, so root reads ≈ offloaded
@@ -219,14 +212,11 @@ type Server struct {
 	// doesn't race tree.RootChunk().
 	offloadEst atomic.Uint64
 	rootChunkA atomic.Int64
-	lastUtil   telemetry.Gauge // utilization as last published by heartbeatLoop
 
-	latSearch *telemetry.Histogram
-	latInsert *telemetry.Histogram
-	latDelete *telemetry.Histogram
-	latMove   *telemetry.Histogram
-	latKNN    *telemetry.Histogram
-	start     time.Time
+	// lat is catfish_request_latency_seconds{op} by request type (nil
+	// entries — everything, without a registry — record nothing).
+	lat   [wire.MsgKNNFetch + 1]*telemetry.Histogram
+	start time.Time
 
 	// Replication and failover state (nil repl = replication disabled);
 	// the machinery lives in replica.go.
@@ -236,9 +226,6 @@ type Server struct {
 	replMu      sync.Mutex // serializes the backup stream (send order = seq order)
 	replSess    []*replSess
 	replDialed  bool
-	killed      atomic.Bool
-	promotions  atomic.Uint64
-	replRecords atomic.Uint64 // records applied as a backup
 	replShipped atomic.Uint64 // records shipped to backups
 	replResends atomic.Uint64 // gap-triggered op-log re-sends
 	replSpans   atomic.Uint64 // coalesced dirty spans behind the stream
@@ -291,15 +278,6 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxSegmentItems == 0 {
-		cfg.MaxSegmentItems = 4096 / wire.ItemSize
-	}
-	if cfg.FetchSlotChunks == 0 {
-		cfg.FetchSlotChunks = 64
-	}
-	if cfg.FetchInlineMax == 0 {
-		cfg.FetchInlineMax = cfg.MaxSegmentItems
-	}
 	s := &Server{
 		cfg:   cfg,
 		tree:  tree,
@@ -321,58 +299,36 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 		s.dirty = region.NewDirtyTracker()
 		tree.Region().Track(s.dirty)
 	}
-	if cfg.FetchSlots > 0 {
-		mreg, err := region.New(cfg.FetchSlots*cfg.FetchSlotChunks, tree.Region().ChunkSize())
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		mb, err := region.NewMailbox(mreg, cfg.FetchSlots, cfg.FetchSlotChunks)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.mreg = mreg
-		s.mailbox = mb
+	s.core, err = proto.NewServe[exec](proto.ServeConfig{
+		Tree:            tree,
+		Replica:         s.repl,
+		MaxSegmentItems: cfg.MaxSegmentItems,
+		FetchSlots:      cfg.FetchSlots,
+		FetchSlotChunks: cfg.FetchSlotChunks,
+		FetchInlineMax:  cfg.FetchInlineMax,
+		MaxBatch:        cfg.MaxBatch,
+	})
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
+	s.mailbox, s.mreg = s.core.Mailbox()
+	s.cfg.MaxSegmentItems = s.core.Config().MaxSegmentItems // cfg holds the resolved limit
 	if reg := cfg.Metrics; reg != nil {
-		reg.CounterFunc("catfish_server_fast_searches_total", s.searches.Load)
+		s.core.Register(reg)
 		reg.CounterFunc("catfish_server_offload_searches_total", s.offloadEst.Load)
 		reg.CounterFunc("catfish_server_offload_chunk_reads_total", s.reads.Load)
 		reg.CounterFunc("catfish_server_version_reads_total", s.verReads.Load)
 		reg.CounterFunc("catfish_server_span_reads_total", s.spanReads.Load)
 		reg.CounterFunc("catfish_server_span_chunks_total", s.spanChunks.Load)
-		reg.CounterFunc("catfish_server_inserts_total", s.inserts.Load)
-		reg.CounterFunc("catfish_server_deletes_total", s.deletes.Load)
-		reg.CounterFunc("catfish_server_moves_total", s.moves.Load)
-		reg.CounterFunc("catfish_server_knn_total", s.knns.Load)
-		reg.CounterFunc("catfish_server_batches_total", s.batches.Load)
-		reg.CounterFunc("catfish_server_batched_ops_total", s.batchedOps.Load)
-		reg.GaugeFunc("catfish_server_utilization", s.lastUtil.Load)
-		reg.GaugeFunc("catfish_server_tx_utilization", s.lastTXUtil.Load)
-		reg.CounterFunc("catfish_server_fetch_searches_total", s.fetchSearches.Load)
-		reg.CounterFunc("catfish_server_fetch_inline_total", s.fetchInline.Load)
-		reg.CounterFunc("catfish_server_fetch_bytes_total", s.fetchBytes.Load)
 		reg.CounterFunc("catfish_server_mailbox_reads_total", s.mailboxReads.Load)
-		if s.mailbox != nil {
-			reg.CounterFunc("catfish_server_fetch_exhausted_total", s.mailbox.Exhausted)
-			reg.GaugeFunc("catfish_server_mailbox_slots_used", func() float64 {
-				used, _ := s.mailbox.Occupancy()
-				return float64(used)
-			})
-			reg.GaugeFunc("catfish_server_mailbox_slots_total", func() float64 {
-				_, total := s.mailbox.Occupancy()
-				return float64(total)
-			})
+		for kind, op := range map[wire.MsgType]string{
+			wire.MsgSearch: "search", wire.MsgSearchFetch: "search", wire.MsgKNN: "knn", wire.MsgKNNFetch: "knn",
+			wire.MsgInsert: "insert", wire.MsgDelete: "delete", wire.MsgMove: "move",
+		} {
+			s.lat[kind] = reg.Histogram("catfish_request_latency_seconds", "op", op)
 		}
-		s.latSearch = reg.Histogram("catfish_request_latency_seconds", "op", "search")
-		s.latInsert = reg.Histogram("catfish_request_latency_seconds", "op", "insert")
-		s.latDelete = reg.Histogram("catfish_request_latency_seconds", "op", "delete")
-		s.latMove = reg.Histogram("catfish_request_latency_seconds", "op", "move")
-		s.latKNN = reg.Histogram("catfish_request_latency_seconds", "op", "knn")
 		if s.repl != nil {
-			reg.CounterFunc("catfish_server_promotions_total", s.promotions.Load)
-			reg.CounterFunc("catfish_server_repl_records_total", s.replRecords.Load)
 			reg.CounterFunc("catfish_server_repl_shipped_total", s.replShipped.Load)
 			reg.CounterFunc("catfish_server_repl_resends_total", s.replResends.Load)
 			reg.CounterFunc("catfish_server_repl_spans_total", s.replSpans.Load)
@@ -457,13 +413,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// ServerStats is a server counter snapshot.
+// ServerStats is a server counter snapshot: the request core's counters
+// (per-kind operation totals, batches, fetch deliveries, promotions,
+// replicated records — telemetry.ServerSnapshot) plus what only a socket
+// server counts.
 type ServerStats struct {
-	Searches     uint64
-	Inserts      uint64
-	Deletes      uint64
-	Moves        uint64
-	KNNs         uint64
+	telemetry.ServerSnapshot
 	ChunkReads   uint64
 	VersionReads uint64
 	// SpanReads counts READ_SPAN round trips; SpanChunks the chunks they
@@ -474,27 +429,14 @@ type ServerStats struct {
 	// reads (every traversal starts at the root; root-cache hits make this
 	// a lower bound).
 	OffloadSearches uint64
-	// Batches counts batch containers executed; BatchedOps the operations
-	// they carried (each also counted in its per-type counter above).
-	Batches    uint64
-	BatchedOps uint64
-	// FetchSearches counts SEARCH_FETCH requests; FetchInline the ones
-	// answered inline; FetchBytes the payload bytes deposited in mailbox
-	// slots; MailboxReads the READ_MAILBOX pulls served.
-	FetchSearches uint64
-	FetchInline   uint64
-	FetchBytes    uint64
-	MailboxReads  uint64
+	// MailboxReads counts the READ_MAILBOX pulls served.
+	MailboxReads uint64
 	// TXBytes counts every outbound frame byte the server sent (payload
 	// plus length prefixes) — the send-engine signal behind the
 	// heartbeat's TX-utilization word.
 	TXBytes uint64
-	// Promotions counts accepted MsgPromote requests; ReplRecords the
-	// op-log records applied as a backup; ReplShipped the records streamed
-	// to backups as a primary; ReshardMoved the entries streamed off this
-	// server by PrepareReshard.
-	Promotions   uint64
-	ReplRecords  uint64
+	// ReplShipped counts the records streamed to backups as a primary;
+	// ReshardMoved the entries streamed off this server by PrepareReshard.
 	ReplShipped  uint64
 	ReshardMoved uint64
 	// Overloaded counts operations the admission controller shed with
@@ -505,25 +447,14 @@ type ServerStats struct {
 // Stats returns a snapshot of the op counters.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Searches:        s.searches.Load(),
-		Inserts:         s.inserts.Load(),
-		Deletes:         s.deletes.Load(),
-		Moves:           s.moves.Load(),
-		KNNs:            s.knns.Load(),
+		ServerSnapshot:  s.core.Counters.Snapshot(),
 		ChunkReads:      s.reads.Load(),
 		VersionReads:    s.verReads.Load(),
 		SpanReads:       s.spanReads.Load(),
 		SpanChunks:      s.spanChunks.Load(),
 		OffloadSearches: s.offloadEst.Load(),
-		Batches:         s.batches.Load(),
-		BatchedOps:      s.batchedOps.Load(),
-		FetchSearches:   s.fetchSearches.Load(),
-		FetchInline:     s.fetchInline.Load(),
-		FetchBytes:      s.fetchBytes.Load(),
 		MailboxReads:    s.mailboxReads.Load(),
 		TXBytes:         s.txBytes.Load(),
-		Promotions:      s.promotions.Load(),
-		ReplRecords:     s.replRecords.Load(),
 		ReplShipped:     s.replShipped.Load(),
 		ReshardMoved:    s.reshardMoved.Load(),
 		Overloaded:      s.overloaded.Load(),
@@ -633,7 +564,7 @@ func (s *Server) serveConn(sc *srvConn) {
 			if err != nil {
 				return
 			}
-			if err := s.handleRequest(sc, req); err != nil {
+			if err := s.core.Request(exec{s: s, sc: sc}, req); err != nil {
 				return
 			}
 		case wire.MsgSearch, wire.MsgInsert, wire.MsgDelete, wire.MsgSearchFetch,
@@ -665,9 +596,7 @@ func (s *Server) serveConn(sc *srvConn) {
 			if err != nil {
 				return
 			}
-			if s.mailbox != nil {
-				s.mailbox.Reclaim(int(ack.Slot), ack.Seq)
-			}
+			s.core.Reclaim(ack)
 		case wire.MsgBatch:
 			if err := s.disp.submit(sc, typ, frame); err != nil {
 				return
@@ -695,7 +624,7 @@ func (s *Server) serveConn(sc *srvConn) {
 // reports an error status so misdirected routers fail loudly.
 func (s *Server) handleShardMap(req wire.ShardMapRequest, out []byte) []byte {
 	sm := s.servedShardMap()
-	if sm == nil || s.killed.Load() {
+	if sm == nil || s.core.Killed() {
 		return wire.ShardMapData{ID: req.ID, Status: wire.StatusError}.Encode(out)
 	}
 	md := wire.ShardMapData{
@@ -721,17 +650,17 @@ func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }
 // StatusUnavailable and heartbeats stop, simulating a failed primary while
 // keeping the TCP endpoint alive so the failure is observed as a missed
 // liveness window rather than a connection reset. Irreversible.
-func (s *Server) Kill() { s.killed.Store(true) }
+func (s *Server) Kill() { s.core.Kill() }
 
 // Killed reports whether Kill has been called.
-func (s *Server) Killed() bool { return s.killed.Load() }
+func (s *Server) Killed() bool { return s.core.Killed() }
 
 // The one-sided read handlers reserve the reply in out and let the region
 // fill its body in place: no staging buffer, no copy, and (out being the
 // connection's reused buffer) no allocation per read.
 
 func (s *Server) handleReadChunk(req wire.ReadChunk, out []byte) []byte {
-	if s.killed.Load() {
+	if s.core.Killed() {
 		return wire.ChunkData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
 	}
 	reg := s.tree.Region()
@@ -750,7 +679,7 @@ const maxSpanChunks = 64
 // the mailbox region, nil on a server without one) with a SPAN_DATA frame
 // carrying count consecutive raw chunk images starting at chunk.
 func (s *Server) readSpan(reg *region.Region, id uint64, chunk, count uint32, out []byte) []byte {
-	if s.killed.Load() {
+	if s.core.Killed() {
 		return wire.SpanData{ID: id, Status: wire.StatusUnavailable}.Encode(out)
 	}
 	if reg == nil || count == 0 || count > maxSpanChunks || int(chunk)+int(count) > reg.NumChunks() {
@@ -767,7 +696,7 @@ func (s *Server) readSpan(reg *region.Region, id uint64, chunk, count uint32, ou
 }
 
 func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
-	if s.killed.Load() {
+	if s.core.Killed() {
 		return wire.VersionData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
 	}
 	reg := s.tree.Region()
@@ -778,162 +707,61 @@ func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
 	return msg
 }
 
-func (s *Server) handleRequest(sc *srvConn, req wire.Request) error {
-	if s.killed.Load() {
-		return sc.sendStatus(req.ID, wire.StatusUnavailable)
-	}
-	switch req.Type {
-	case wire.MsgPromote:
-		// Router-driven failover: promote this backup to primary at the
-		// epoch carried in Ref, fencing the deposed primary's lineage.
-		if s.repl == nil {
-			return sc.sendStatus(req.ID, wire.StatusError)
-		}
-		if s.repl.Promote(req.Ref) {
-			s.promotions.Add(1)
-		}
-		return sc.sendStatus(req.ID, wire.StatusOK)
-
-	case wire.MsgSearch, wire.MsgSearchFetch, wire.MsgKNN, wire.MsgKNNFetch:
-		return s.serveQuery(sc, req)
-
-	case wire.MsgInsert, wire.MsgDelete, wire.MsgMove:
-		opStart := time.Now()
-		s.latch.Lock()
-		status := s.applyLocked(req)
-		s.latch.Unlock()
-		lat := s.latInsert
-		switch req.Type {
-		case wire.MsgDelete:
-			lat = s.latDelete
-		case wire.MsgMove:
-			lat = s.latMove
-		}
-		lat.Record(time.Since(opStart))
-		return sc.sendStatus(req.ID, status)
-	}
-	return fmt.Errorf("rpcnet: unhandled request type %d", req.Type)
+// exec is the TCP server's proto.Exec: the server, the connection the
+// request arrived on and, for a request outside a batch, when its execution
+// started (batched operations are not timed one by one).
+type exec struct {
+	s     *Server
+	sc    *srvConn
+	start time.Time
 }
 
-// serveQuery answers a search or kNN, plain or fetch, through a pooled sink.
-// SearchShared and NearestShared touch no tree scratch state, so concurrent
-// queries proceed in parallel under the read latch — which is held only
-// while the tree emits packed items into the sink. Mailbox delivery,
-// framing and the enqueue (which may block on a slow peer) all follow its
-// release, and the whole reply is enqueued at once. A fetch kNN's slot
-// keeps the ascending-distance order: slot packing preserves item order.
-func (s *Server) serveQuery(sc *srvConn, req wire.Request) error {
-	k := getSink()
-	defer putSink(k)
-	opStart := time.Now()
-	s.latch.RLock()
-	err := s.query(k, req)
-	s.latch.RUnlock()
-	lat := time.Since(opStart)
-	if req.Type == wire.MsgKNN || req.Type == wire.MsgKNNFetch {
-		s.latKNN.Record(lat)
-	} else {
-		s.latSearch.Record(lat)
+func (x exec) RLock()   { x.s.latch.RLock() }
+func (x exec) RUnlock() { x.s.latch.RUnlock() }
+func (x exec) Lock()    { x.s.latch.Lock() }
+func (x exec) Unlock()  { x.s.latch.Unlock() }
+
+func (x exec) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) { return x.s.tree.Insert(r, ref) }
+
+// Propagate streams one applied insert or delete to the backups and, during
+// a live split, to the shard taking over the entry's cell.
+func (x exec) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
+	if x.s.repl != nil {
+		if err := x.s.replicate(op, r, ref); err != nil {
+			return replica.StatusOf(err)
+		}
 	}
-	if s.cfg.Trace != nil {
+	if err := x.s.forwardSplit(op, r, ref); err != nil {
+		return wire.StatusError
+	}
+	return wire.StatusOK
+}
+
+// Account records a lone request's latency — execution start to the latch
+// dropping and, for a fetch query, its mailbox write — and traces a search.
+func (x exec) Account(kind wire.MsgType, _ int, _ rtree.OpStats, delivered bool) {
+	if x.start.IsZero() {
+		return
+	}
+	s, lat := x.s, time.Since(x.start)
+	s.lat[kind].Record(lat)
+	if s.cfg.Trace != nil && (kind == wire.MsgSearch || kind == wire.MsgSearchFetch) {
 		tr := telemetry.Trace{
 			Start:   time.Since(s.start) - lat,
 			Method:  "fast",
 			Shard:   int(s.shardIdx.Load()),
 			Latency: lat,
 		}
-		if isFetch(req.Type) {
+		if delivered {
 			tr.Method = "fetch"
-		}
-		if err != nil {
-			tr.Err = err.Error()
 		}
 		s.cfg.Trace.Record(tr)
 	}
-	if err != nil {
-		return sc.sendStatus(req.ID, wire.StatusError)
-	}
-	if isFetch(req.Type) {
-		if desc, ok := s.mailboxDeliver(req.ID, k.items); ok {
-			k.out = desc.Encode(k.out)
-			return sc.send(k.out)
-		}
-	}
-	k.out = appendSegments(k.out, req.ID, wire.StatusOK, k.items, s.cfg.MaxSegmentItems)
-	return sc.w.enqueueFramed(k.out)
 }
 
-// applyLocked executes one write — insert, delete or MOVE — with the
-// exclusive latch held and returns its status. A replicated write streams
-// to the backups before the latch drops: an acknowledged write is on every
-// live backup, so failover loses nothing.
-func (s *Server) applyLocked(req wire.Request) uint8 {
-	switch req.Type {
-	case wire.MsgInsert:
-		s.inserts.Add(1)
-	case wire.MsgDelete:
-		s.deletes.Add(1)
-	default:
-		s.moves.Add(1)
-	}
-	if s.repl != nil && !s.repl.Primary() {
-		return wire.StatusNotPrimary
-	}
-	switch req.Type {
-	case wire.MsgInsert:
-		if _, err := s.tree.Insert(req.Rect, req.Ref); err != nil {
-			return wire.StatusError
-		}
-	case wire.MsgDelete:
-		ok, _, err := s.tree.Delete(req.Rect, req.Ref)
-		if err != nil {
-			return wire.StatusError
-		}
-		if !ok {
-			return wire.StatusNotFound
-		}
-	default:
-		return s.moveLocked(req)
-	}
-	return s.propagate(req.Type, req.Rect, req.Ref)
-}
-
-// propagate carries one applied insert or delete to the backups and, during
-// a live split, to the shard taking over the entry's cell.
-func (s *Server) propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
-	if s.repl != nil {
-		if err := s.replicate(op, r, ref); err != nil {
-			return replStatus(err)
-		}
-	}
-	if err := s.forwardSplit(op, r, ref); err != nil {
-		return wire.StatusError
-	}
-	return wire.StatusOK
-}
-
-// moveLocked runs the delete+insert pair of a MOVE with the exclusive
-// latch already held, so no concurrent search can observe the entry
-// absent. A miss on the delete degrades the move to a plain insert (upsert
-// semantics — the exact state the equivalent delete-then-insert stream
-// reaches). Replication streams the pair as two op-log records under the
-// same latch hold: the delete record only when a source entry existed, the
-// insert record always.
-func (s *Server) moveLocked(req wire.Request) uint8 {
-	deleted, _, err := s.tree.Delete(req.Rect, req.Ref)
-	if err != nil {
-		return wire.StatusError
-	}
-	if deleted {
-		if st := s.propagate(wire.MsgDelete, req.Rect, req.Ref); st != wire.StatusOK {
-			return st
-		}
-	}
-	if _, err := s.tree.Insert(req.Rect2, req.Ref); err != nil {
-		return wire.StatusError
-	}
-	return s.propagate(wire.MsgInsert, req.Rect2, req.Ref)
-}
+// Reply enqueues every frame of the reply at once, so they normally leave
+// in one write.
+func (x exec) Reply(frames []byte) error { return x.sc.w.enqueueFramed(frames) }
 
 // heartbeatLoop pushes the server's busy fraction to every client.
 func (s *Server) heartbeatLoop() {
@@ -945,7 +773,7 @@ func (s *Server) heartbeatLoop() {
 		if s.closed.Load() {
 			return
 		}
-		if s.hbPaused.Load() || s.killed.Load() {
+		if s.hbPaused.Load() || s.core.Killed() {
 			// A killed server freezes its heartbeats so routers observe a
 			// missed liveness window, exactly like a crashed process.
 			continue
@@ -983,8 +811,8 @@ func (s *Server) heartbeatLoop() {
 		// whenever the scrape lands on an idle beat. Heartbeat wire values
 		// stay raw — the client's adaptive switch wants the instantaneous
 		// signal.
-		s.lastUtil.Set(smUtil)
-		s.lastTXUtil.Set(smTX)
+		s.core.Counters.Util.Set(smUtil)
+		s.core.Counters.TXUtil.Set(smTX)
 		// Heartbeats are the liveness signal: never block them on the
 		// latch, which PrepareReshard holds exclusively for the whole
 		// snapshot-and-stream. Under contention the last published root
@@ -1012,7 +840,9 @@ func (s *Server) heartbeatLoop() {
 			// Best effort and non-blocking: a connection whose writer is
 			// full (slow reader) skips this beat rather than stalling the
 			// broadcast for everyone else.
-			_ = sc.w.tryEnqueue(payload)
+			if sc.w.tryEnqueue(payload) == nil {
+				s.core.Counters.Heartbeat.Inc()
+			}
 		}
 		s.mu.Unlock()
 	}

@@ -30,6 +30,7 @@ import (
 	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/netmodel"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/ringbuf"
@@ -109,35 +110,9 @@ type Config struct {
 	Replicate func(p *sim.Proc, rec replica.Record) error
 }
 
-// Stats aggregates server-side counters. The server mutates them with
-// atomic operations so Stats() may be called from outside the simulation
-// (progress meters, tests under -race) while workers run.
-type Stats struct {
-	Searches  uint64
-	Inserts   uint64
-	Deletes   uint64
-	Results   uint64
-	Heartbeat uint64
-	Segments  uint64
-	// Moves counts MsgMove requests (single-latch delete+insert); KNNs
-	// counts MsgKNN/MsgKNNFetch nearest-neighbor queries.
-	Moves uint64
-	KNNs  uint64
-	// Batches counts batch containers executed; BatchedOps the operations
-	// they carried (single-latch, single-charge fast-messaging batching).
-	Batches    uint64
-	BatchedOps uint64
-	// FetchSearches counts MsgSearchFetch requests; FetchInline the subset
-	// answered inline (small result, no free slot, or fetch disabled);
-	// FetchBytes the payload bytes delivered through mailbox slots.
-	FetchSearches uint64
-	FetchInline   uint64
-	FetchBytes    uint64
-	// Promotions counts accepted MsgPromote requests; ReplRecords the
-	// replicated mutations applied on this server as a backup.
-	Promotions  uint64
-	ReplRecords uint64
-}
+// Stats is a snapshot of the server counters — the shared set the request
+// core keeps for both transports, plus Heartbeat.
+type Stats = telemetry.ServerSnapshot
 
 // Server is the Catfish R-tree server.
 type Server struct {
@@ -146,24 +121,22 @@ type Server struct {
 	tree  *rtree.Tree
 	latch *sim.RWLock
 	conns []*conn
-	stats Stats
+	// core executes every request (proto.Serve): this file is the sim's
+	// transport, clock and cost model around it.
+	core *proto.Serve[port]
 
 	regionMem  *fabric.RegionMemory
 	regionVers *fabric.RegionVersions
 	publishP   *sim.Proc // process context for staged publishes
 
-	// Fetch mailbox: a dedicated registered region divided into result
-	// slots (nil when FetchSlots is zero).
-	mailbox    *region.Mailbox
+	// mailboxMem registers the core's fetch mailbox region for one-sided
+	// pulls (nil when FetchSlots is zero).
 	mailboxMem *fabric.RegionMemory
 
-	hbSeq      uint64 // heartbeat sequence number (mailbox word 2)
-	hbPaused   atomic.Bool
-	killed     atomic.Bool
-	lastUtil   telemetry.Gauge // utilization as last published by heartbeatLoop
-	lastTXUtil telemetry.Gauge // TX (send engine) utilization as last published
-	hbTXBytes  uint64          // send-engine bytes at the previous heartbeat
-	hbTXTime   time.Duration   // virtual time of the previous heartbeat
+	hbSeq     uint64 // heartbeat sequence number (mailbox word 2)
+	hbPaused  atomic.Bool
+	hbTXBytes uint64        // send-engine bytes at the previous heartbeat
+	hbTXTime  time.Duration // virtual time of the previous heartbeat
 }
 
 // conn is the server side of one client connection.
@@ -175,22 +148,13 @@ type conn struct {
 	thread     *sim.PollThread
 	tcp        *fabric.TCPConn
 
-	// Reused batch-execution state (one worker per conn, so no locking).
-	batchReqs []wire.Request
-	batchRes  []batchResult
-	benc      wire.BatchEncoder
-	encBuf    []byte
-}
-
-// batchResult is one operation's outcome, buffered until the whole batch
-// has executed and the latch is released. A fetch-delivered search carries
-// its mailbox descriptor instead of items.
-type batchResult struct {
-	id      uint64
-	status  uint8
-	items   []wire.Item
-	desc    wire.FetchDesc
-	hasDesc bool
+	// limit caps one batch reply container: 16 KB, or less on a small ring.
+	limit int
+	// demand is the CPU service the operations of the request in hand have
+	// been accounted so far, owed says there is a charge to make; the worker
+	// pays it once, on Reply (one worker per conn, so no locking).
+	demand time.Duration
+	owed   bool
 }
 
 // Endpoint is what a client needs to talk to the server; returned by
@@ -236,32 +200,27 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RingSize == 0 {
 		cfg.RingSize = 256 << 10
 	}
-	if cfg.MaxSegmentItems == 0 {
-		cfg.MaxSegmentItems = 4096 / wire.ItemSize
-	}
-	if cfg.FetchSlotChunks == 0 {
-		cfg.FetchSlotChunks = 64
-	}
-	if cfg.FetchInlineMax == 0 {
-		cfg.FetchInlineMax = cfg.MaxSegmentItems
+	core, err := proto.NewServe[port](proto.ServeConfig{
+		Tree:            cfg.Tree,
+		Replica:         cfg.Replica,
+		MaxSegmentItems: cfg.MaxSegmentItems,
+		FetchSlots:      cfg.FetchSlots,
+		FetchSlotChunks: cfg.FetchSlotChunks,
+		FetchInlineMax:  cfg.FetchInlineMax,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
 		cfg:   cfg,
 		e:     cfg.Engine,
 		tree:  cfg.Tree,
 		latch: sim.NewRWLock(cfg.Engine),
+		core:  core,
 	}
 	s.regionMem = cfg.Host.RegisterRegion(cfg.Tree.Region())
 	s.regionVers = cfg.Host.RegisterRegionVersions(cfg.Tree.Region())
-	if cfg.FetchSlots > 0 {
-		mreg, err := region.New(cfg.FetchSlots*cfg.FetchSlotChunks, cfg.Tree.Region().ChunkSize())
-		if err != nil {
-			return nil, fmt.Errorf("server: mailbox region: %w", err)
-		}
-		s.mailbox, err = region.NewMailbox(mreg, cfg.FetchSlots, cfg.FetchSlotChunks)
-		if err != nil {
-			return nil, fmt.Errorf("server: mailbox: %w", err)
-		}
+	if _, mreg := core.Mailbox(); mreg != nil {
 		s.mailboxMem = cfg.Host.RegisterRegion(mreg)
 	}
 	if cfg.StagedNodeWrites {
@@ -270,83 +229,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HeartbeatInterval > 0 {
 		s.e.Spawn("server-heartbeat", s.heartbeatLoop)
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.CounterFunc("catfish_server_fast_searches_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Searches) })
-		reg.CounterFunc("catfish_server_inserts_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Inserts) })
-		reg.CounterFunc("catfish_server_deletes_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Deletes) })
-		reg.CounterFunc("catfish_server_moves_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Moves) })
-		reg.CounterFunc("catfish_server_knn_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.KNNs) })
-		reg.CounterFunc("catfish_server_results_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Results) })
-		reg.CounterFunc("catfish_server_heartbeats_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Heartbeat) })
-		reg.CounterFunc("catfish_server_segments_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Segments) })
-		reg.CounterFunc("catfish_server_batches_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.Batches) })
-		reg.CounterFunc("catfish_server_batched_ops_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.BatchedOps) })
-		reg.GaugeFunc("catfish_server_utilization", s.lastUtil.Load)
-		reg.GaugeFunc("catfish_server_tx_utilization", s.lastTXUtil.Load)
-		reg.CounterFunc("catfish_server_fetch_searches_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.FetchSearches) })
-		reg.CounterFunc("catfish_server_fetch_inline_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.FetchInline) })
-		reg.CounterFunc("catfish_server_fetch_bytes_total",
-			func() uint64 { return atomic.LoadUint64(&s.stats.FetchBytes) })
-		if s.mailbox != nil {
-			reg.CounterFunc("catfish_server_fetch_exhausted_total", s.mailbox.Exhausted)
-			reg.GaugeFunc("catfish_server_mailbox_slots_used", func() float64 {
-				used, _ := s.mailbox.Occupancy()
-				return float64(used)
-			})
-			reg.GaugeFunc("catfish_server_mailbox_slots_total", func() float64 {
-				_, total := s.mailbox.Occupancy()
-				return float64(total)
-			})
-		}
-	}
+	core.Register(cfg.Metrics) // a nil registry registers nothing
 	return s, nil
 }
 
 // Stats returns a snapshot of the server counters, safe to call while the
 // simulation runs.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Searches:   atomic.LoadUint64(&s.stats.Searches),
-		Inserts:    atomic.LoadUint64(&s.stats.Inserts),
-		Deletes:    atomic.LoadUint64(&s.stats.Deletes),
-		Results:    atomic.LoadUint64(&s.stats.Results),
-		Heartbeat:  atomic.LoadUint64(&s.stats.Heartbeat),
-		Segments:   atomic.LoadUint64(&s.stats.Segments),
-		Moves:      atomic.LoadUint64(&s.stats.Moves),
-		KNNs:       atomic.LoadUint64(&s.stats.KNNs),
-		Batches:    atomic.LoadUint64(&s.stats.Batches),
-		BatchedOps: atomic.LoadUint64(&s.stats.BatchedOps),
-
-		FetchSearches: atomic.LoadUint64(&s.stats.FetchSearches),
-		FetchInline:   atomic.LoadUint64(&s.stats.FetchInline),
-		FetchBytes:    atomic.LoadUint64(&s.stats.FetchBytes),
-
-		Promotions:  atomic.LoadUint64(&s.stats.Promotions),
-		ReplRecords: atomic.LoadUint64(&s.stats.ReplRecords),
-	}
-}
+func (s *Server) Stats() Stats { return s.core.Counters.Snapshot() }
 
 // Mailbox exposes the fetch mailbox (nil when fetch is disabled) for
 // instrumentation.
-func (s *Server) Mailbox() *region.Mailbox { return s.mailbox }
+func (s *Server) Mailbox() *region.Mailbox {
+	mb, _ := s.core.Mailbox()
+	return mb
+}
 
 // Tree returns the served tree (the harness pre-loads it).
 func (s *Server) Tree() *rtree.Tree { return s.tree }
-
-// Latch exposes the tree latch for test instrumentation.
-func (s *Server) Latch() *sim.RWLock { return s.latch }
 
 // Connect establishes an RDMA connection from clientHost: two ring buffers
 // (requests, responses), a data QP for one-sided reads with the given send
@@ -365,7 +264,8 @@ func (s *Server) Connect(clientHost *fabric.Host, net *fabric.Network, dataSQDep
 	dataQP, _ := net.ConnectQP(clientHost, s.cfg.Host, dataSQDepth)
 	hbMem := clientHost.RegisterMemory(HeartbeatMailboxSize)
 
-	c := &conn{id: id, reqReader: reqR, respWriter: respW, hbMem: hbMem}
+	c := &conn{id: id, reqReader: reqR, respWriter: respW, hbMem: hbMem,
+		limit: min(proto.BatchFrameLimit, respW.MaxPayload())}
 	if s.cfg.Mode == ModePolling {
 		c.thread = s.cfg.PollCPU.Register()
 	}
@@ -385,11 +285,11 @@ func (s *Server) Connect(clientHost *fabric.Host, net *fabric.Network, dataSQDep
 		ChunkSize:  s.tree.Region().ChunkSize(),
 		MaxEntries: s.tree.MaxEntries(),
 	}
-	if s.mailbox != nil {
+	if s.mailboxMem != nil {
 		fetchQP, _ := net.ConnectQP(clientHost, s.cfg.Host, dataSQDepth)
 		ep.MailboxMem = s.mailboxMem
 		ep.FetchQP = fetchQP
-		ep.FetchSlotChunks = s.cfg.FetchSlotChunks
+		ep.FetchSlotChunks = s.Mailbox().SlotChunks()
 	}
 	return ep, nil
 }
@@ -402,7 +302,7 @@ func (s *Server) ConnectTCP(clientHost *fabric.Host, net *fabric.Network) (*Endp
 	// tracking); with no QP to write through, the heartbeat loop fills it
 	// directly, modeling an out-of-band datagram.
 	hbMem := clientHost.RegisterMemory(HeartbeatMailboxSize)
-	c := &conn{id: id, tcp: sEnd, hbMem: hbMem}
+	c := &conn{id: id, tcp: sEnd, hbMem: hbMem, limit: proto.BatchFrameLimit}
 	if s.cfg.Mode == ModePolling {
 		return nil, errors.New("server: TCP workers are always event-based (blocking recv)")
 	}
@@ -421,9 +321,7 @@ func buildRing(net *fabric.Network, from, to *fabric.Host, size int) (*ringbuf.W
 
 // serveRDMA is the per-connection worker loop. In both modes it sleeps on
 // the CQ (costless in simulation); the difference is how request processing
-// is charged: event mode runs demands on the work-conserving CPU, polling
-// mode routes them through the connection's polling thread, which adds the
-// scheduling phase and per-rotation poll tax of the polling design.
+// is charged (port.Reply).
 func (s *Server) serveRDMA(p *sim.Proc, c *conn) {
 	for {
 		c.reqReader.CQ().Pop(p)
@@ -450,527 +348,113 @@ func (s *Server) serveTCP(p *sim.Proc, c *conn) {
 	}
 }
 
-// dispatch routes one incoming message: a batch container or a single
-// request.
+// dispatch routes one incoming message to the request core: a batch
+// container, a fire-and-forget slot release, or a single request. A request
+// that does not decode is answered with an error under id 0.
 func (s *Server) dispatch(p *sim.Proc, c *conn, payload []byte) {
-	if len(payload) > 0 && wire.MsgType(payload[0]) == wire.MsgBatch {
-		s.handleBatch(p, c, payload)
-		return
-	}
-	if len(payload) > 0 && wire.MsgType(payload[0]) == wire.MsgFetchAck {
-		// Fire-and-forget slot release; a malformed or stale ack is dropped.
-		if ack, err := wire.DecodeFetchAck(payload); err == nil && s.mailbox != nil {
-			s.mailbox.Reclaim(int(ack.Slot), ack.Seq)
+	x := port{s: s, p: p, c: c}
+	typ, _ := wire.PeekType(payload)
+	switch typ {
+	case wire.MsgBatch:
+		s.core.Batch(x, payload, c.limit) //nolint:errcheck // port.Reply never fails
+	case wire.MsgFetchAck:
+		if ack, err := wire.DecodeFetchAck(payload); err == nil {
+			s.core.Reclaim(ack)
 		}
-		return
-	}
-	req, err := wire.DecodeRequest(payload)
-	if err != nil {
-		s.respond(p, c, wire.Response{Status: wire.StatusError, Final: true}, nil)
-		return
-	}
-	s.handle(p, c, req)
-}
-
-// charge accounts CPU service for a request on this connection.
-func (s *Server) charge(p *sim.Proc, c *conn, demand time.Duration) {
-	if s.cfg.Mode == ModePolling {
-		c.thread.Process(p, demand)
-		return
-	}
-	s.cfg.Host.CPU().Run(p, demand)
-}
-
-// handle executes one request and sends the response.
-func (s *Server) handle(p *sim.Proc, c *conn, req wire.Request) {
-	if s.killed.Load() {
-		// A killed server still answers — a silently dropped request would
-		// wedge the discrete-event simulation — but refuses all work.
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusUnavailable, Final: true}, nil)
-		return
-	}
-	switch req.Type {
-	case wire.MsgSearch:
-		atomic.AddUint64(&s.stats.Searches, 1)
-		s.latch.RLock(p)
-		items, st, err := s.searchCollect(req.Rect)
-		s.latch.RUnlock()
-		if err != nil {
-			s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}, nil)
-			return
-		}
-		atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-		s.charge(p, c, s.cfg.Cost.SearchDemand(st.NodesRead, st.Results))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusOK}, items)
-
-	case wire.MsgSearchFetch:
-		atomic.AddUint64(&s.stats.Searches, 1)
-		atomic.AddUint64(&s.stats.FetchSearches, 1)
-		s.latch.RLock(p)
-		items, st, err := s.searchCollect(req.Rect)
-		s.latch.RUnlock()
-		if err != nil {
-			s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}, nil)
-			return
-		}
-		atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-		if desc, ok := s.tryMailboxDeliver(items); ok {
-			// Mailbox delivery: the per-item cost drops to a memcpy and the
-			// response is a FetchDescSize-byte descriptor; the client's
-			// one-sided pull is served by the NIC responder engine.
-			s.charge(p, c, s.cfg.Cost.FetchDemand(st.NodesRead, st.Results))
-			desc.ID = req.ID
-			s.send(p, c, desc.Encode(nil))
-			return
-		}
-		// Inline fallback: small result, oversized result, exhausted
-		// mailbox, or fetch disabled — same path as a plain search.
-		atomic.AddUint64(&s.stats.FetchInline, 1)
-		s.charge(p, c, s.cfg.Cost.SearchDemand(st.NodesRead, st.Results))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusOK}, items)
-
-	case wire.MsgInsert:
-		atomic.AddUint64(&s.stats.Inserts, 1)
-		s.latch.Lock(p)
-		status := wire.StatusOK
-		var st rtree.OpStats
-		if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-			status = wire.StatusNotPrimary
-		} else {
-			var err error
-			st, err = s.insertStaged(p, req.Rect, req.Ref)
-			if err != nil {
-				status = wire.StatusError
-			} else if rerr := s.replicate(p, wire.MsgInsert, req.Rect, req.Ref); rerr != nil {
-				status = replStatus(rerr)
-			}
-		}
-		s.latch.Unlock()
-		s.charge(p, c, s.cfg.Cost.InsertDemand(st.NodesRead, st.NodesWritten))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: status, Final: true}, nil)
-
-	case wire.MsgDelete:
-		atomic.AddUint64(&s.stats.Deletes, 1)
-		s.latch.Lock(p)
-		status := wire.StatusOK
-		var st rtree.OpStats
-		if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-			status = wire.StatusNotPrimary
-		} else {
-			ok, dst, err := s.tree.Delete(req.Rect, req.Ref)
-			st = dst
-			switch {
-			case err != nil:
-				status = wire.StatusError
-			case !ok:
-				status = wire.StatusNotFound
-			default:
-				if rerr := s.replicate(p, wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-					status = replStatus(rerr)
-				}
-			}
-		}
-		s.latch.Unlock()
-		s.charge(p, c, s.cfg.Cost.InsertDemand(st.NodesRead, st.NodesWritten))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: status, Final: true}, nil)
-
-	case wire.MsgMove:
-		atomic.AddUint64(&s.stats.Moves, 1)
-		s.latch.Lock(p)
-		status := wire.StatusOK
-		var st rtree.OpStats
-		if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-			status = wire.StatusNotPrimary
-		} else {
-			st, status = s.moveLocked(p, req)
-		}
-		s.latch.Unlock()
-		s.charge(p, c, s.cfg.Cost.InsertDemand(st.NodesRead, st.NodesWritten))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: status, Final: true}, nil)
-
-	case wire.MsgKNN:
-		atomic.AddUint64(&s.stats.KNNs, 1)
-		s.latch.RLock(p)
-		items, st, err := s.knnCollect(req)
-		s.latch.RUnlock()
-		if err != nil {
-			s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}, nil)
-			return
-		}
-		atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-		s.charge(p, c, s.cfg.Cost.SearchDemand(st.NodesRead, st.Results))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusOK}, items)
-
-	case wire.MsgKNNFetch:
-		atomic.AddUint64(&s.stats.KNNs, 1)
-		atomic.AddUint64(&s.stats.FetchSearches, 1)
-		s.latch.RLock(p)
-		items, st, err := s.knnCollect(req)
-		s.latch.RUnlock()
-		if err != nil {
-			s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}, nil)
-			return
-		}
-		atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-		// Mailbox packing preserves item order, so ascending-distance order
-		// survives the slot write and the client's one-sided pull.
-		if desc, ok := s.tryMailboxDeliver(items); ok {
-			s.charge(p, c, s.cfg.Cost.FetchDemand(st.NodesRead, st.Results))
-			desc.ID = req.ID
-			s.send(p, c, desc.Encode(nil))
-			return
-		}
-		atomic.AddUint64(&s.stats.FetchInline, 1)
-		s.charge(p, c, s.cfg.Cost.SearchDemand(st.NodesRead, st.Results))
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusOK}, items)
-
-	case wire.MsgPromote:
-		// Failover control plane: adopt req.Ref as the shard's new epoch and
-		// start accepting client writes. Riding the Request frame keeps the
-		// message inside the existing demux on both transports.
-		status := wire.StatusOK
-		if s.cfg.Replica == nil {
-			status = wire.StatusError
-		} else if s.cfg.Replica.Promote(req.Ref) {
-			atomic.AddUint64(&s.stats.Promotions, 1)
-		}
-		s.respond(p, c, wire.Response{ID: req.ID, Status: status, Final: true}, nil)
-
 	default:
-		s.respond(p, c, wire.Response{ID: req.ID, Status: wire.StatusError, Final: true}, nil)
+		if req, err := wire.DecodeRequest(payload); err != nil {
+			s.core.Status(x, 0, wire.StatusError) //nolint:errcheck
+		} else {
+			s.core.Request(x, req) //nolint:errcheck
+		}
 	}
 }
 
-// handleBatch executes a batch container under one latch acquisition and
-// one CPU charge: a batch carrying any write takes the exclusive latch,
-// a read-only batch shares the read latch. Results are buffered until the
-// latch is released, billed as a single charge whose per-operation fixed
-// costs are amortized (CostModel.BatchedOpFixed), and written back as
-// segmented batch responses.
-func (s *Server) handleBatch(p *sim.Proc, c *conn, payload []byte) {
-	it, err := wire.DecodeBatch(payload)
-	if err != nil {
-		s.respond(p, c, wire.Response{Status: wire.StatusError, Final: true}, nil)
-		return
-	}
-	reqs := c.batchReqs[:0]
-	hasWrite := false
-	for {
-		msg, ok := it.Next()
-		if !ok {
-			break
-		}
-		req, err := wire.DecodeRequest(msg)
-		if err != nil {
-			req = wire.Request{} // answered with an error response below
-		} else if req.Type != wire.MsgSearch && req.Type != wire.MsgSearchFetch &&
-			req.Type != wire.MsgKNN && req.Type != wire.MsgKNNFetch {
-			hasWrite = true
-		}
-		reqs = append(reqs, req)
-	}
-	c.batchReqs = reqs
-	if it.Err() != nil {
-		s.respond(p, c, wire.Response{Status: wire.StatusError, Final: true}, nil)
-		return
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	if s.killed.Load() {
-		res := c.batchRes[:0]
-		for _, req := range reqs {
-			res = append(res, batchResult{id: req.ID, status: wire.StatusUnavailable})
-		}
-		c.batchRes = res
-		s.respondBatch(p, c, res)
-		return
-	}
-	atomic.AddUint64(&s.stats.Batches, 1)
-	atomic.AddUint64(&s.stats.BatchedOps, uint64(len(reqs)))
-
-	if hasWrite {
-		s.latch.Lock(p)
-	} else {
-		s.latch.RLock(p)
-	}
-	var demand time.Duration
-	res := c.batchRes[:0]
-	for i, req := range reqs {
-		out := batchResult{id: req.ID, status: wire.StatusError}
-		switch req.Type {
-		case wire.MsgSearch:
-			atomic.AddUint64(&s.stats.Searches, 1)
-			items, st, err := s.searchCollect(req.Rect)
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = items
-				atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-				demand += s.cfg.Cost.SearchDemandBatched(i, st.NodesRead, st.Results)
-			}
-		case wire.MsgSearchFetch:
-			atomic.AddUint64(&s.stats.Searches, 1)
-			atomic.AddUint64(&s.stats.FetchSearches, 1)
-			items, st, err := s.searchCollect(req.Rect)
-			if err == nil {
-				out.status = wire.StatusOK
-				atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-				if desc, ok := s.tryMailboxDeliver(items); ok {
-					desc.ID = req.ID
-					out.desc, out.hasDesc = desc, true
-					demand += s.cfg.Cost.FetchDemandBatched(i, st.NodesRead, st.Results)
-				} else {
-					atomic.AddUint64(&s.stats.FetchInline, 1)
-					out.items = items
-					demand += s.cfg.Cost.SearchDemandBatched(i, st.NodesRead, st.Results)
-				}
-			}
-		case wire.MsgKNN:
-			atomic.AddUint64(&s.stats.KNNs, 1)
-			items, st, err := s.knnCollect(req)
-			if err == nil {
-				out.status = wire.StatusOK
-				out.items = items
-				atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-				demand += s.cfg.Cost.SearchDemandBatched(i, st.NodesRead, st.Results)
-			}
-		case wire.MsgKNNFetch:
-			atomic.AddUint64(&s.stats.KNNs, 1)
-			atomic.AddUint64(&s.stats.FetchSearches, 1)
-			items, st, err := s.knnCollect(req)
-			if err == nil {
-				out.status = wire.StatusOK
-				atomic.AddUint64(&s.stats.Results, uint64(len(items)))
-				if desc, ok := s.tryMailboxDeliver(items); ok {
-					desc.ID = req.ID
-					out.desc, out.hasDesc = desc, true
-					demand += s.cfg.Cost.FetchDemandBatched(i, st.NodesRead, st.Results)
-				} else {
-					atomic.AddUint64(&s.stats.FetchInline, 1)
-					out.items = items
-					demand += s.cfg.Cost.SearchDemandBatched(i, st.NodesRead, st.Results)
-				}
-			}
-		case wire.MsgMove:
-			atomic.AddUint64(&s.stats.Moves, 1)
-			if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-				out.status = wire.StatusNotPrimary
-				break
-			}
-			st, status := s.moveLocked(p, req)
-			out.status = status
-			demand += s.cfg.Cost.InsertDemandBatched(i, st.NodesRead, st.NodesWritten)
-		case wire.MsgInsert:
-			atomic.AddUint64(&s.stats.Inserts, 1)
-			if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-				out.status = wire.StatusNotPrimary
-				break
-			}
-			st, err := s.insertStaged(p, req.Rect, req.Ref)
-			if err == nil {
-				out.status = wire.StatusOK
-				if rerr := s.replicate(p, wire.MsgInsert, req.Rect, req.Ref); rerr != nil {
-					out.status = replStatus(rerr)
-				}
-			}
-			demand += s.cfg.Cost.InsertDemandBatched(i, st.NodesRead, st.NodesWritten)
-		case wire.MsgDelete:
-			atomic.AddUint64(&s.stats.Deletes, 1)
-			if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
-				out.status = wire.StatusNotPrimary
-				break
-			}
-			ok, st, err := s.tree.Delete(req.Rect, req.Ref)
-			switch {
-			case err != nil:
-			case !ok:
-				out.status = wire.StatusNotFound
-			default:
-				out.status = wire.StatusOK
-				if rerr := s.replicate(p, wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-					out.status = replStatus(rerr)
-				}
-			}
-			demand += s.cfg.Cost.InsertDemandBatched(i, st.NodesRead, st.NodesWritten)
-		}
-		res = append(res, out)
-	}
-	c.batchRes = res
-	if hasWrite {
-		s.latch.Unlock()
-	} else {
-		s.latch.RUnlock()
-	}
-	s.charge(p, c, demand)
-	s.respondBatch(p, c, res)
+// port is the sim's proto.Exec: the server, the worker process executing
+// the request, and the connection it arrived on (nil for ApplyReplica).
+type port struct {
+	s *Server
+	p *sim.Proc
+	c *conn
 }
 
-// respondBatch writes buffered batch results back as batch containers of
-// response segments. Each operation keeps its own CONT/END segmentation
-// inside the container; containers flush below the transport frame limit
-// so a large batch response never exceeds what one ring frame may carry.
-func (s *Server) respondBatch(p *sim.Proc, c *conn, res []batchResult) {
-	limit := 16 << 10
-	if c.respWriter != nil {
-		if mp := c.respWriter.MaxPayload(); mp < limit {
-			limit = mp
-		}
+func (x port) RLock()   { x.s.latch.RLock(x.p) }
+func (x port) RUnlock() { x.s.latch.RUnlock() }
+func (x port) Lock()    { x.s.latch.Lock(x.p) }
+func (x port) Unlock()  { x.s.latch.Unlock() }
+
+// Insert runs the insert; when StagedNodeWrites is on, each node publish is
+// spread over the PerNodeWrite window via a staged region write, opening a
+// real torn-read window for concurrent one-sided readers. Deletes stay
+// atomic.
+func (x port) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) {
+	if x.s.cfg.StagedNodeWrites {
+		x.s.publishP = x.p
+		defer func() { x.s.publishP = nil }()
 	}
-	maxItems := s.cfg.MaxSegmentItems
-	hdr := wire.Response{}.EncodedSize()
-	if fit := (limit - wire.BatchOverhead(1) - hdr) / wire.ItemSize; fit < maxItems {
-		maxItems = fit
-	}
-	if maxItems < 1 {
-		maxItems = 1
-	}
-	enc := &c.benc
-	enc.Reset(c.encBuf[:0])
-	flush := func() {
-		if enc.Count() == 0 {
-			return
-		}
-		s.send(p, c, enc.Bytes())
-		c.encBuf = enc.Buf[:0]
-		enc.Reset(c.encBuf)
-	}
-	for _, r := range res {
-		if r.hasDesc {
-			// Fetch-delivered: one descriptor sub-message replaces the
-			// response segments.
-			if enc.Count() > 0 && enc.Len()+wire.FetchDescSize+wire.BatchOverhead(1) > limit {
-				flush()
-			}
-			enc.Begin()
-			enc.Buf = r.desc.Encode(enc.Buf)
-			enc.End()
-			continue
-		}
-		items := r.items
-		for {
-			seg := wire.Response{ID: r.id, Status: r.status}
-			if len(items) > maxItems {
-				seg.Items = items[:maxItems]
-				items = items[maxItems:]
-			} else {
-				seg.Items = items
-				items = nil
-				seg.Final = true
-			}
-			if enc.Count() > 0 && enc.Len()+seg.EncodedSize()+wire.BatchOverhead(1) > limit {
-				flush()
-			}
-			enc.Begin()
-			enc.Buf = seg.Encode(enc.Buf)
-			enc.End()
-			atomic.AddUint64(&s.stats.Segments, 1)
-			if seg.Final {
-				break
-			}
-		}
-	}
-	flush()
-	c.encBuf = enc.Buf[:0]
+	return x.s.tree.Insert(r, ref)
 }
 
-// tryMailboxDeliver attempts mailbox delivery of a fetch search's result:
-// grant a slot, write the packed items under a fresh sequence number, and
-// return the descriptor. It declines (inline fallback) when the result is
-// small enough that sending beats pulling, when no slot is free, when the
-// payload exceeds slot capacity, or when fetch is disabled.
-func (s *Server) tryMailboxDeliver(items []wire.Item) (wire.FetchDesc, bool) {
-	if s.mailbox == nil || len(items) <= s.cfg.FetchInlineMax {
-		return wire.FetchDesc{}, false
+// Propagate stamps one applied mutation with the shard's (epoch, seq) and
+// ships it to the backups via the Replicate hook. The exclusive latch is
+// held, so sequence order matches apply order. A nil Replica makes this a
+// no-op, keeping unreplicated deployments untouched.
+func (x port) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
+	cfg := &x.s.cfg
+	if cfg.Replica == nil {
+		return wire.StatusOK
 	}
-	if len(items)*wire.ItemSize > s.mailbox.Capacity() {
-		return wire.FetchDesc{}, false
+	epoch, seq, err := cfg.Replica.Next()
+	if err == nil && cfg.Replicate != nil {
+		err = cfg.Replicate(x.p, replica.Record{Epoch: epoch, Seq: seq, Op: op, Rect: r, Ref: ref})
 	}
-	slot, ok := s.mailbox.Grant()
-	if !ok {
-		return wire.FetchDesc{}, false
-	}
-	ref, err := s.mailbox.WriteResult(slot, wire.EncodeItems(nil, items))
-	if err != nil {
-		s.mailbox.Cancel(slot)
-		return wire.FetchDesc{}, false
-	}
-	atomic.AddUint64(&s.stats.FetchBytes, uint64(ref.Bytes))
-	return wire.FetchDesc{
-		Status: wire.StatusOK,
-		Slot:   uint32(ref.Slot),
-		Bytes:  uint32(ref.Bytes),
-		Count:  uint32(len(items)),
-		Seq:    ref.Seq,
-	}, true
+	return replica.StatusOf(err)
 }
 
-// moveLocked relocates entry (req.Rect, req.Ref) to (req.Rect2, req.Ref).
-// The caller holds the exclusive tree latch, so no concurrent search can
-// observe the object absent between the delete and the insert. A missing
-// source entry degrades the move to a plain insert — exactly the state the
-// equivalent delete-then-insert stream reaches, since a failed delete does
-// not suppress the insert that follows it. The fixed ReplRecord layout
-// carries one rectangle, so a move replicates as two op-log records
-// (delete, then insert) under the same latch hold; a backup read may
-// observe the inter-record gap, which replication already tolerates for
-// unbatched delete+insert pairs.
-func (s *Server) moveLocked(p *sim.Proc, req wire.Request) (rtree.OpStats, uint8) {
-	deleted, st, err := s.tree.Delete(req.Rect, req.Ref)
-	if err != nil {
-		return st, wire.StatusError
+// Account adds one executed operation's CPU demand to the connection's
+// bill. Operations past a batch's first pay the amortized fixed cost
+// (CostModel.BatchedOpFixed); a mailbox-delivered query pays a memcpy per
+// item instead of marshalling it, its reply being a FetchDescSize-byte
+// descriptor the client's one-sided pull follows.
+func (x port) Account(kind wire.MsgType, i int, st rtree.OpStats, delivered bool) {
+	cost := x.s.cfg.Cost
+	switch {
+	case delivered:
+		x.c.demand += cost.FetchDemandBatched(i, st.NodesRead, st.Results)
+	case kind == wire.MsgInsert || kind == wire.MsgDelete || kind == wire.MsgMove:
+		x.c.demand += cost.InsertDemandBatched(i, st.NodesRead, st.NodesWritten)
+	default:
+		x.c.demand += cost.SearchDemandBatched(i, st.NodesRead, st.Results)
 	}
-	if deleted {
-		if rerr := s.replicate(p, wire.MsgDelete, req.Rect, req.Ref); rerr != nil {
-			return st, replStatus(rerr)
+	x.c.owed = true
+}
+
+// Reply pays the bill — one charge for the whole request or batch, after
+// the latch has dropped and every delivery is decided, exactly where the
+// reply used to be charged — and then writes each frame as one message.
+// Event mode runs the demand on the work-conserving CPU; polling mode routes
+// it through the connection's polling thread, which adds the scheduling
+// phase and per-rotation poll tax of the polling design.
+func (x port) Reply(frames []byte) error {
+	c := x.c
+	if c.owed {
+		if x.s.cfg.Mode == ModePolling {
+			c.thread.Process(x.p, c.demand)
+		} else {
+			x.s.cfg.Host.CPU().Run(x.p, c.demand)
 		}
+		c.demand, c.owed = 0, false
 	}
-	ist, err := s.insertStaged(p, req.Rect2, req.Ref)
-	st.NodesRead += ist.NodesRead
-	st.NodesWritten += ist.NodesWritten
-	if err != nil {
-		return st, wire.StatusError
+	for len(frames) > 0 {
+		n := 4 + int(binary.LittleEndian.Uint32(frames))
+		if c.tcp != nil {
+			c.tcp.Send(x.p, frames[4:n])
+		} else if err := c.respWriter.Send(x.p, frames[4:n], 0, true); err != nil {
+			panic(fmt.Sprintf("server: response send failed: %v", err))
+		}
+		frames = frames[n:]
 	}
-	if rerr := s.replicate(p, wire.MsgInsert, req.Rect2, req.Ref); rerr != nil {
-		return st, replStatus(rerr)
-	}
-	return st, wire.StatusOK
-}
-
-// knnCollect runs the k-nearest-neighbor query encoded in req (the query
-// point is Rect's center, Ref carries k), returning the neighbors as
-// response items in ascending distance order.
-func (s *Server) knnCollect(req wire.Request) ([]wire.Item, rtree.OpStats, error) {
-	x, y := req.Rect.Center()
-	nbrs, st, err := s.tree.Nearest(int(req.Ref), x, y)
-	if err != nil {
-		return nil, st, err
-	}
-	items := make([]wire.Item, len(nbrs))
-	for i, nb := range nbrs {
-		items[i] = wire.Item{Rect: nb.Rect, Ref: nb.Ref}
-	}
-	return items, st, nil
-}
-
-// searchCollect runs the search, collecting items.
-func (s *Server) searchCollect(q geo.Rect) ([]wire.Item, rtree.OpStats, error) {
-	var items []wire.Item
-	st, err := s.tree.Search(q, func(r geo.Rect, ref uint64) bool {
-		items = append(items, wire.Item{Rect: r, Ref: ref})
-		return true
-	})
-	return items, st, err
-}
-
-// insertStaged runs the insert; when StagedNodeWrites is on, each node
-// publish is spread over the PerNodeWrite window via a staged region write,
-// opening a real torn-read window for concurrent one-sided readers.
-func (s *Server) insertStaged(p *sim.Proc, r geo.Rect, ref uint64) (rtree.OpStats, error) {
-	if s.cfg.StagedNodeWrites {
-		s.publishP = p
-		defer func() { s.publishP = nil }()
-	}
-	return s.tree.Insert(r, ref)
+	return nil
 }
 
 // stagedPublish is the tree publisher installed under StagedNodeWrites:
@@ -987,39 +471,6 @@ func (s *Server) stagedPublish(chunkID int, payload []byte) error {
 	s.publishP.Sleep(s.cfg.Cost.PerNodeWrite)
 	w.Finish()
 	return nil
-}
-
-// respond sends the response, segmenting large result sets with the
-// CONT/END scheme (Final marks the last segment).
-func (s *Server) respond(p *sim.Proc, c *conn, resp wire.Response, items []wire.Item) {
-	max := s.cfg.MaxSegmentItems
-	for {
-		seg := wire.Response{ID: resp.ID, Status: resp.Status}
-		if len(items) > max {
-			seg.Items = items[:max]
-			items = items[max:]
-		} else {
-			seg.Items = items
-			items = nil
-			seg.Final = true
-		}
-		atomic.AddUint64(&s.stats.Segments, 1)
-		s.send(p, c, seg.Encode(nil))
-		if seg.Final {
-			return
-		}
-	}
-}
-
-// send transmits an encoded message over the connection's transport.
-func (s *Server) send(p *sim.Proc, c *conn, payload []byte) {
-	if c.tcp != nil {
-		c.tcp.Send(p, payload)
-		return
-	}
-	if err := c.respWriter.Send(p, payload, 0, true); err != nil {
-		panic(fmt.Sprintf("server: response send failed: %v", err))
-	}
 }
 
 // HeartbeatMailboxSize is the registered per-client heartbeat mailbox:
@@ -1078,42 +529,10 @@ func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }
 // StatusUnavailable. Requests must still be answered: a silent drop would
 // leave the waiting client proc blocked forever and wedge the
 // discrete-event engine.
-func (s *Server) Kill() { s.killed.Store(true) }
+func (s *Server) Kill() { s.core.Kill() }
 
 // Killed reports whether Kill has been called.
-func (s *Server) Killed() bool { return s.killed.Load() }
-
-// replicate stamps one applied mutation with the shard's (epoch, seq) and
-// ships it to the backups via the Replicate hook. The caller holds the
-// exclusive tree latch, so sequence order matches apply order. A nil
-// Replica makes this a no-op, keeping unreplicated deployments untouched.
-func (s *Server) replicate(p *sim.Proc, op wire.MsgType, r geo.Rect, ref uint64) error {
-	if s.cfg.Replica == nil {
-		return nil
-	}
-	epoch, seq, err := s.cfg.Replica.Next()
-	if err != nil {
-		return err
-	}
-	if s.cfg.Replicate == nil {
-		return nil
-	}
-	return s.cfg.Replicate(p, replica.Record{Epoch: epoch, Seq: seq, Op: op, Rect: r, Ref: ref})
-}
-
-// replStatus maps a replication error to the wire status a client decodes
-// back into the same sentinel (replica.StatusError is the inverse).
-func replStatus(err error) uint8 {
-	switch {
-	case errors.Is(err, replica.ErrNotPrimary):
-		return wire.StatusNotPrimary
-	case errors.Is(err, replica.ErrFenced):
-		return wire.StatusFenced
-	case errors.Is(err, replica.ErrUnavailable):
-		return wire.StatusUnavailable
-	}
-	return wire.StatusError
-}
+func (s *Server) Killed() bool { return s.core.Killed() }
 
 // ApplyReplica applies one replicated mutation on a backup: epoch fencing
 // and sequence validation through the replica state, then the tree write
@@ -1124,28 +543,15 @@ func (s *Server) ApplyReplica(p *sim.Proc, rec replica.Record) error {
 	if s.cfg.Replica == nil {
 		return errors.New("server: not a replica member")
 	}
-	if s.killed.Load() {
+	if s.core.Killed() {
 		return replica.ErrUnavailable
 	}
 	s.latch.Lock(p)
 	defer s.latch.Unlock()
-	if err := s.cfg.Replica.Accept(rec.Epoch, rec.Seq); err != nil {
-		return err
-	}
-	var st rtree.OpStats
-	var err error
-	switch rec.Op {
-	case wire.MsgInsert:
-		st, err = s.insertStaged(p, rec.Rect, rec.Ref)
-	case wire.MsgDelete:
-		_, st, err = s.tree.Delete(rec.Rect, rec.Ref)
-	default:
-		err = fmt.Errorf("server: replicated op %d not a mutation", rec.Op)
-	}
+	st, err := s.core.ApplyRecord(port{s: s, p: p}, rec)
 	if err != nil {
 		return err
 	}
-	atomic.AddUint64(&s.stats.ReplRecords, 1)
 	if s.cfg.Mode == ModeEvent {
 		s.cfg.Host.CPU().Run(p, s.cfg.Cost.InsertDemand(st.NodesRead, st.NodesWritten))
 	}
@@ -1159,16 +565,16 @@ func (s *Server) ApplyReplica(p *sim.Proc, rec replica.Record) error {
 func (s *Server) heartbeatLoop(p *sim.Proc) {
 	for {
 		p.Sleep(s.cfg.HeartbeatInterval)
-		if s.hbPaused.Load() || s.killed.Load() {
+		if s.hbPaused.Load() || s.core.Killed() {
 			continue
 		}
 		util := s.utilization()
 		if util < 1e-6 {
 			util = 1e-6
 		}
-		s.lastUtil.Set(util)
+		s.core.Counters.Util.Set(util)
 		txUtil := s.txUtilization()
-		s.lastTXUtil.Set(txUtil)
+		s.core.Counters.TXUtil.Set(txUtil)
 		var buf [HeartbeatMailboxSize]byte
 		putFloat(buf[:8], util)
 		rootVer, err := s.tree.Region().Version(s.tree.RootChunk())
@@ -1186,16 +592,12 @@ func (s *Server) heartbeatLoop(p *sim.Proc) {
 				// Simulated-TCP endpoint: no QP to write through, so the
 				// heartbeat lands in the mailbox directly.
 				copy(c.hbMem.Bytes(), buf[:])
-				atomic.AddUint64(&s.stats.Heartbeat, 1)
-				continue
-			}
-			// One small RDMA Write into the client's mailbox; no notify —
-			// the client reads u_serv when it next runs Algorithm 1.
-			qp := c.respWriter.QP()
-			if err := qp.Write(p, c.hbMem, 0, buf[:], fabric.WriteOpts{}); err != nil {
+			} else if err := c.respWriter.QP().Write(p, c.hbMem, 0, buf[:], fabric.WriteOpts{}); err != nil {
+				// One small RDMA Write into the client's mailbox; no notify —
+				// the client reads u_serv when it next runs Algorithm 1.
 				panic(fmt.Sprintf("server: heartbeat write failed: %v", err))
 			}
-			atomic.AddUint64(&s.stats.Heartbeat, 1)
+			s.core.Counters.Heartbeat.Inc()
 		}
 	}
 }
