@@ -1,8 +1,8 @@
-// Package client implements the Catfish client: fast-messaging requests
-// over ring buffers, client-side R-tree traversal over one-sided RDMA Reads
-// (single-issue baseline and the multi-issue pipeline of §IV-C), and the
-// adaptive back-off coordination of Algorithm 1 that switches each search
-// between the two based on the server's heartbeat-reported CPU utilization.
+// Package client is the Catfish client on the simulated fabric: the rings
+// fast-messaging requests travel over, the heartbeat mailbox, and the
+// post/pop of one-sided RDMA Reads, under the shared client operations of
+// internal/proto — Algorithm 1's adaptive back-off and the single- and
+// multi-issue (§IV-C) client-side R-tree traversal live there.
 package client
 
 import (
@@ -13,11 +13,9 @@ import (
 
 	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/fabric"
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/proto"
-	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/telemetry"
@@ -140,34 +138,24 @@ type Config struct {
 
 // Client is one Catfish client (the paper runs up to 32 per machine): the
 // simulated-fabric adapter of the shared client operations (proto.Ops). It
-// holds the ring-buffer and RDMA endpoints and the offloaded traversal's
-// caches; On binds it to the simulation process that drives an operation.
+// holds the ring-buffer and RDMA endpoints; On binds it to the simulation
+// process that drives an operation.
 type Client struct {
 	*proto.Core
 	cfg Config
 	ep  *server.Endpoint
 
 	reqID  uint64
-	tagSeq uint64
-
-	// rootCache holds the last consistent root image (CacheRoot);
-	// rootVerSeen is the root version last observed in the heartbeat
-	// mailbox's second word, used for lease-like invalidation of both
-	// rootCache and ncache.
-	rootCache   *rtree.Node
-	rootVerSeen uint64
+	tagSeq uint64 // mailbox-pull read tags
 
 	// ncache is the bounded version-validated cache of decoded internal
-	// nodes (nil when Config.NodeCache is 0: every lookup misses).
+	// nodes the core's offloaded traversals consult (nil when
+	// Config.NodeCache is 0: every lookup misses).
 	ncache *nodecache.Cache
 
-	encBuf  []byte
-	payload []byte
-	node    rtree.Node
-	nodeVer uint64 // region version of the chunk last decoded into node
-
-	// readBatch is the doorbell batch under construction during multi-issue
-	// traversal and mailbox pulls.
+	encBuf []byte
+	// readBatch is the doorbell batch under construction: a traversal wave
+	// or a mailbox pull.
 	readBatch []fabric.ReadReq
 }
 
@@ -178,12 +166,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.HeartbeatInv == 0 {
 		cfg.HeartbeatInv = 10 * time.Millisecond
-	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 8
-	}
-	if cfg.MaxChunkRetries == 0 {
-		cfg.MaxChunkRetries = 64
 	}
 	c := &Client{cfg: cfg, ep: cfg.Endpoint}
 	if cfg.NodeCache > 0 && cfg.Endpoint.RegionVers != nil {
@@ -204,11 +186,19 @@ func New(cfg Config) (*Client, error) {
 		Rand:            cfg.Engine.Rand(),
 		Messaging:       MethodFast,
 		Prefetch:        cfg.Prefetch,
+		MultiIssue:      cfg.MultiIssue,
+		CacheRoot:       cfg.CacheRoot,
+		MaxRestarts:     cfg.MaxRestarts,
 		MaxChunkRetries: cfg.MaxChunkRetries,
 		Cache:           c.ncache,
 		Metrics:         cfg.Metrics,
 		Trace:           cfg.Trace,
 		Shard:           cfg.Shard,
+	}
+	if c.ep.DataQP != nil {
+		ocfg.Tree = proto.Tree{RootChunk: c.ep.RootChunk,
+			NumChunks: c.ep.RegionMem.Region().NumChunks(), MaxEntries: c.ep.MaxEntries}
+		ocfg.MergeSpan = c.ep.DataQP.Profile().MergeSpan
 	}
 	if c.ep.TCP != nil {
 		ocfg.Messaging = MethodTCP
@@ -245,7 +235,35 @@ func (h port) NextID() uint64 {
 	return h.c.reqID
 }
 
-func (h port) SearchOffload(q geo.Rect) ([]wire.Item, error) { return h.c.searchOffload(h.p, q) }
+// Post posts the wave as one doorbell-batched submission on the data QP:
+// full reads against the chunk region, version reads against its
+// versions-only surface. The fabric merges consecutive adjacent requests up
+// to its profile's span.
+func (h port) Post(wave []proto.Read) (posted, wqes int, err error) {
+	c, ep := h.c, h.c.ep
+	c.readBatch = c.readBatch[:0]
+	for _, r := range wave {
+		req := fabric.ReadReq{Src: ep.RegionMem, Off: ep.RegionMem.ChunkOffset(r.Chunk), Size: ep.ChunkSize, Tag: r.Tag}
+		if r.Versions {
+			rv := ep.RegionVers
+			req = fabric.ReadReq{Src: rv, Off: rv.VersionsOffset(r.Chunk), Size: rv.VersionsSize(), Tag: r.Tag}
+		}
+		c.readBatch = append(c.readBatch, req)
+	}
+	return ep.DataQP.ReadBatch(h.p, c.readBatch)
+}
+
+// Pop blocks on the data QP's completion queue.
+func (h port) Pop() (proto.Done, error) {
+	comp := h.c.ep.DataQP.CQ().Pop(h.p)
+	return proto.Done{Tag: comp.Tag, Data: comp.Data, Err: comp.Err}, nil
+}
+
+func (h port) Charge() {
+	if cpu := h.c.cfg.Host.CPU(); cpu != nil {
+		cpu.Run(h.p, h.c.cfg.Cost.ClientTraversalDemand(1))
+	}
+}
 
 // Heartbeat reads the mailbox's utilization words (the TX word is 0
 // against servers whose mailboxes predate the widened layout).
@@ -286,10 +304,10 @@ func (c *Client) HeartbeatSeq() uint64 {
 	return binary.LittleEndian.Uint64(b[16:])
 }
 
-// heartbeatRootVersion reads the root version published alongside the
-// utilization (0 when the server has not heartbeated yet).
-func (c *Client) heartbeatRootVersion() uint64 {
-	b := c.ep.HeartbeatM.Bytes()
+// RootVersion reads the root version published alongside the utilization
+// (0 when the server has not heartbeated yet).
+func (h port) RootVersion() uint64 {
+	b := h.c.ep.HeartbeatM.Bytes()
 	if len(b) < 16 {
 		return 0
 	}

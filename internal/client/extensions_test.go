@@ -45,7 +45,7 @@ func TestHeartbeatWords(t *testing.T) {
 		if cpu, tx := h.Heartbeat(); cpu != 0 || tx != wantTX {
 			t.Errorf("mailbox %d B: after clear = (%v, %v), want (0, %v)", size, cpu, tx, wantTX)
 		}
-		if size >= server.HeartbeatMailboxSize && c.heartbeatRootVersion() != 42 {
+		if size >= server.HeartbeatMailboxSize && h.RootVersion() != 42 {
 			t.Errorf("clear wiped the root version word")
 		}
 		if n := c.Stats().HeartbeatsSeen; n != 1 {

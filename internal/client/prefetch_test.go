@@ -168,7 +168,7 @@ func TestPrefetchBudgetBounds(t *testing.T) {
 }
 
 // TestStaleBetweenIssueAndFlush is the regression test for the mid-wave
-// cleanup in traverseMultiIssue: a child hitting a poisoned (wrong-level)
+// cleanup in the multi-issue walk (proto): a child hitting a poisoned (wrong-level)
 // cache entry aborts the wave AFTER a sibling's read was issued into the
 // batch but BEFORE the batch was posted. fail() must drop the never-posted
 // read instead of draining the CQ for a completion that cannot arrive, and

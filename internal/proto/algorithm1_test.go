@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // fakeTransport is a Transport whose clock and heartbeat words the test
 // sets directly, isolating Algorithm 1 from the rest of the system. The
-// byte-moving half is never reached by decide.
+// message-moving half is never reached by decide; the one-sided read half
+// (fakeReads, offload_test.go) serves a tree from local memory.
 type fakeTransport struct {
 	now     time.Duration
 	cpu, tx float64
+	fakeReads
 }
 
 func (f *fakeTransport) Now() time.Duration            { return f.now }
@@ -30,7 +31,6 @@ func (f *fakeTransport) ReadMailbox(int, [][]byte) (bool, error) { panic("unused
 func (f *fakeTransport) Batch([]byte, []uint64, func(), func([]byte) bool) error {
 	panic("unused")
 }
-func (f *fakeTransport) SearchOffload(geo.Rect) ([]wire.Item, error) { panic("unused") }
 
 // algoOps builds adaptive operations over a fake transport with a 1 ms
 // heartbeat interval.

@@ -18,10 +18,11 @@ import (
 var ErrGaveUp = errors.New("catfish: one-sided reads exceeded retry budget")
 
 // Transport is everything the client operations (Ops) need from a
-// transport: a clock, the server's heartbeat words, and five ways to move
-// bytes. The simulated fabric implements it over ring buffers and RDMA
-// reads driven by a *sim.Proc (which rides in the implementing value); real
-// sockets implement it over a multiplexed TCP connection and the wall clock.
+// transport: a clock, the server's heartbeat words, four ways to move
+// message bytes and the post/pop primitives of one-sided tree reads. The
+// simulated fabric implements it over ring buffers and RDMA reads driven by
+// a *sim.Proc (which rides in the implementing value); real sockets
+// implement it over a multiplexed TCP connection and the wall clock.
 type Transport interface {
 	// Now is the time heartbeat intervals and latencies are measured in.
 	Now() time.Duration
@@ -47,9 +48,23 @@ type Transport interface {
 	// fails), and then hands every reply message addressed to one of ids to
 	// deliver until it reports done.
 	Batch(container []byte, ids []uint64, overlap func(), deliver func(msg []byte) (done bool)) error
-	// SearchOffload traverses the server's tree from the client with
-	// one-sided reads.
-	SearchOffload(q geo.Rect) ([]wire.Item, error)
+	// Post submits one wave of one-sided tree reads in the order given and
+	// returns how many of them — always a prefix — were posted and how many
+	// requests (WQEs, frames) carried them: consecutive reads of adjacent
+	// chunks coalesce up to the transport's merge span. Reads past the prefix
+	// will never complete. An empty wave posts nothing; like every Post it
+	// ends the validity of the last completion's bytes.
+	Post(wave []Read) (posted, wqes int, err error)
+	// Pop blocks for one completion of a posted read, in arrival order; its
+	// bytes are valid until the next Pop or Post. An error means the
+	// transport failed and has dropped every outstanding read.
+	Pop() (Done, error)
+	// Charge accounts the client-side work of examining one node (decode +
+	// intersection checks); real sockets spend it rather than model it.
+	Charge()
+	// RootVersion is the root chunk's version as of the latest heartbeat (0
+	// before the first).
+	RootVersion() uint64
 }
 
 // Mailbox is the geometry of the server's fetch mailbox as a client sees
@@ -78,10 +93,24 @@ type OpsConfig struct {
 	DeadlineUS uint32
 	// Prefetch is the speculative-read token bucket's capacity (0 = none).
 	Prefetch int
-	// MaxChunkRetries bounds torn or stale mailbox pulls (default 64).
+	// Tree is the served tree's geometry, for offloaded traversals.
+	// MultiIssue posts the reads for every intersecting child at once (§IV-C)
+	// instead of one node per round trip (the FaRM-style baseline); CacheRoot
+	// keeps the last consistently-read root and starts traversals from it;
+	// MergeSpan (> 1) is how many adjacent chunk reads the transport folds
+	// into one, and so whether waves are sorted to line them up.
+	Tree       Tree
+	MultiIssue bool
+	CacheRoot  bool
+	MergeSpan  int
+	// MaxRestarts bounds full-traversal restarts after structural staleness
+	// (default 8); MaxChunkRetries bounds per-chunk torn-read retries and
+	// torn or stale mailbox pulls (default 64).
+	MaxRestarts     int
 	MaxChunkRetries int
-	// Cache, when non-nil, is the transport's node cache; its counters are
-	// folded into Stats and exported next to the client's.
+	// Cache, when non-nil, is the version-validated cache of decoded
+	// internal nodes offloaded traversals consult; its counters are folded
+	// into Stats and exported next to the client's.
 	Cache *nodecache.Cache
 	// Metrics, Trace and Shard are the telemetry sinks (nil = off) and the
 	// shard index stamped into trace records.
@@ -91,15 +120,16 @@ type OpsConfig struct {
 }
 
 // Core is the transport-independent state of one client: configuration,
-// the Algorithm 1 switch, counters and the prefetch token bucket. Bind
-// attaches it to a transport.
+// the Algorithm 1 switch, counters, the prefetch token bucket and the
+// offloaded traversal's state. Bind attaches it to a transport.
 type Core struct {
 	cfg OpsConfig
 	sw  *adaptive.Switch
-	// Counters is the live counter set; transports bump the traversal and
-	// read counters they own.
+	// Counters is the live counter set; transports bump the heartbeat and
+	// mailbox-pull counters they own.
 	Counters telemetry.ClientMetrics
 	latHist  *telemetry.Histogram
+	tr       traversal
 
 	// Prefetch token bucket: prefTokens remain (≤ cfg.Prefetch), refilled
 	// lazily at prefLast.
@@ -110,6 +140,9 @@ type Core struct {
 // NewCore applies defaults and registers the client's metrics.
 func NewCore(cfg OpsConfig) *Core {
 	cfg.Switch = cfg.Switch.WithDefaults()
+	if cfg.MaxRestarts == 0 {
+		cfg.MaxRestarts = 8
+	}
 	if cfg.MaxChunkRetries == 0 {
 		cfg.MaxChunkRetries = 64
 	}
@@ -117,6 +150,7 @@ func NewCore(cfg OpsConfig) *Core {
 		cfg.Forced = cfg.Messaging
 	}
 	c := &Core{cfg: cfg, sw: adaptive.New(cfg.Switch, cfg.Rand)}
+	c.tr.inflight, c.tr.chunkTag, c.tr.spare = map[uint64]pending{}, map[int]uint64{}, map[int][]byte{}
 	c.prefTokens = float64(cfg.Prefetch) // start full: idle until told otherwise
 	if cfg.Metrics != nil {
 		c.Counters.Register(cfg.Metrics)
@@ -282,7 +316,7 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	var err error
 	if m == MethodOffload {
 		o.Counters.OffloadSearches.Inc()
-		items, err = o.t.SearchOffload(q)
+		items, err = o.searchOffload(q)
 	} else {
 		m = o.countRead(m)
 		items, err = o.serverRead(wire.Request{Type: wire.MsgSearch, Rect: q}, m == MethodFetch)

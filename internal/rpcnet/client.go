@@ -1,21 +1,18 @@
 package rpcnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
-	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
-	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -77,17 +74,15 @@ type ClientConfig struct {
 	NodeCache int
 
 	// MergeSpan is the maximum number of physically-adjacent chunk reads
-	// one multi-issue frontier folds into a single READ_SPAN round trip —
+	// of one multi-issue wave folded into a single READ_SPAN round trip —
 	// the TCP analogue of merged adjacent RDMA reads. 0 or 1 disables
 	// merging, leaving the read path identical to per-chunk READ_CHUNK.
 	MergeSpan int
 
-	// Prefetch is the token-bucket capacity for speculative span
-	// extensions: a span read behind an internal node is stretched past
-	// its demand chunks to cover the node's preorder-contiguous children,
-	// and the extra raw chunks are kept for the next frontier round. The
-	// bucket refills proportionally to the heartbeat-reported idle
-	// fraction. 0 disables prefetching.
+	// Prefetch is the token-bucket capacity for speculative chunk reads
+	// during multi-issue traversal (DESIGN.md §5.9); the bucket refills
+	// proportionally to the heartbeat-reported idle fraction. 0 disables
+	// prefetching.
 	Prefetch int
 
 	// Metrics, when non-nil, exposes the client counters, the predicted
@@ -146,13 +141,16 @@ type Client struct {
 	hbApplied atomic.Uint64
 	hbMapVer  atomic.Uint64
 
-	// ncache is the version-validated internal-node cache (nil when
-	// disabled); rootVer tracks the heartbeat's root version so a root
-	// rewrite demotes every entry within one heartbeat.
+	// ncache is the version-validated internal-node cache the core's
+	// offloaded traversals consult (nil when disabled); rootVer is the
+	// heartbeat's root version, which the next traversal applies to it.
 	ncache  *nodecache.Cache
 	rootVer atomic.Uint64
 
-	cfg ClientConfig
+	// span is how many adjacent chunk reads one READ_SPAN carries (1 =
+	// per-chunk READ_CHUNK only); reads is the traversal's read queue.
+	span  int
+	reads readQueue
 }
 
 // dialClient connects to a server and performs the hello exchange. The client
@@ -176,12 +174,6 @@ func dialClient(addr string, cfg ClientConfig) (*Client, error) {
 // allocating it a stream id. Fails with ErrStreamsExhausted once
 // MaxStreams clients are attached (detached ids are reused).
 func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 8
-	}
-	if cfg.MaxChunkRetries == 0 {
-		cfg.MaxChunkRetries = 64
-	}
 	stream, seq, err := m.allocStream()
 	if err != nil {
 		return nil, err
@@ -191,7 +183,8 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 		stream: stream,
 		hello:  m.hello,
 		start:  time.Now(),
-		cfg:    cfg,
+		span:   max(1, min(cfg.MergeSpan, maxSpanChunks)),
+		reads:  readQueue{pend: make(map[uint64]readSpan)},
 	}
 	c.seq.Store(seq)
 	hello := m.hello
@@ -214,6 +207,10 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 		Messaging:       MethodFast,
 		DeadlineUS:      deadlineUS(cfg.Deadline),
 		Prefetch:        cfg.Prefetch,
+		Tree:            proto.Tree{RootChunk: int(hello.RootChunk), NumChunks: int(hello.NumChunks), MaxEntries: int(hello.MaxEntries)},
+		MultiIssue:      cfg.MultiIssue,
+		MergeSpan:       c.span,
+		MaxRestarts:     cfg.MaxRestarts,
 		MaxChunkRetries: cfg.MaxChunkRetries,
 		Cache:           c.ncache,
 		Metrics:         cfg.Metrics,
@@ -266,11 +263,7 @@ func (c *Client) noteHeartbeat(hb wire.Heartbeat) {
 	c.hbMapVer.Store(hb.MapVersion)
 	c.lastHB.Store(int64(time.Since(c.start)))
 	c.Counters.HeartbeatsSeen.Inc()
-	// A root rewrite demotes every cached node to the revalidation tier
-	// within one heartbeat.
-	if old := c.rootVer.Swap(hb.RootVer); old != hb.RootVer {
-		c.ncache.DemoteAll()
-	}
+	c.rootVer.Store(hb.RootVer)
 }
 
 // Hello returns the server's connection bootstrap info.
@@ -353,8 +346,8 @@ func (c *Client) call(id uint64, payload []byte) (delivery, error) {
 
 // port is the real-socket proto.Transport: the wall clock, the heartbeat
 // words the connection's read loop stores, request frames on the shared
-// writer with replies routed back by id, and READ_MAILBOX round trips as
-// the stand-in for one-sided reads.
+// writer with replies routed back by id, and READ_* round trips as the
+// stand-in for one-sided reads.
 type port struct{ c *Client }
 
 func (t port) Now() time.Duration { return time.Since(t.c.start) }
@@ -366,8 +359,6 @@ func (t port) Heartbeat() (cpu, tx float64) {
 }
 
 func (t port) ClearHeartbeat() { t.c.heartbeat.Store(0) }
-
-func (t port) SearchOffload(q geo.Rect) ([]wire.Item, error) { return t.c.searchOffload(q) }
 
 // Exchange sends one request and folds its reply.
 func (t port) Exchange(req wire.Request) (wire.Response, wire.FetchDesc, bool, error) {
@@ -480,19 +471,13 @@ func (c *Client) pullSpan(chunk int, payloads [][]byte) (torn bool, err error) {
 		return false, err
 	}
 	defer d.release()
-	sd, err := wire.DecodeSpanData(d.msg)
+	raw, err := c.rawReply(d.msg, wire.MsgSpanData, len(payloads))
 	if err != nil {
 		return false, err
 	}
-	if sd.Status != wire.StatusOK {
-		return false, proto.StatusError(sd.Status, "mailbox read")
-	}
 	cs := int(c.hello.ChunkSize)
-	if len(sd.Raw) != len(payloads)*cs {
-		return false, fmt.Errorf("%w: mailbox read short reply", ErrServer)
-	}
 	for k := range payloads {
-		payload, _, derr := region.DecodeChunk(sd.Raw[k*cs:(k+1)*cs], nil)
+		payload, _, derr := region.DecodeChunk(raw[k*cs:(k+1)*cs], nil)
 		if derr != nil {
 			if errors.Is(derr, region.ErrTornRead) {
 				torn = true
@@ -511,483 +496,168 @@ func (t port) AckFetch(desc wire.FetchDesc, _ int) {
 	_ = t.c.mx.send(wire.FetchAck{Slot: desc.Slot, Seq: desc.Seq}.Encode(nil))
 }
 
-// fetchChunk reads one chunk with version validation and decodes it,
-// retrying torn reads. The node cache is consulted first: a lease-fresh
-// entry costs zero network, a demoted entry is revalidated with a
-// READ_VERSIONS round trip, and only a miss pays for the full chunk.
-func (c *Client) fetchChunk(id int, expectLevel int, node *rtree.Node) error {
-	if c.ncache != nil {
-		if cached, err := c.fetchCached(id, expectLevel, node); cached || err != nil {
-			return err
-		}
-	}
-	for retry := 0; retry <= c.cfg.MaxChunkRetries; retry++ {
-		c.Counters.NodesFetched.Inc()
-		c.Counters.ReadWQEs.Inc()
-		tag := c.nextID()
-		d, err := c.call(tag, wire.ReadChunk{ID: tag, Chunk: uint32(id)}.Encode(nil))
-		if err != nil {
-			return err
-		}
-		cd, err := wire.DecodeChunkData(d.msg)
-		if err == nil && cd.Status != wire.StatusOK {
-			err = proto.StatusError(cd.Status, "chunk read")
-		}
-		if err != nil {
-			d.release()
-			return err
-		}
-		// DecodeChunk copies the payload out, so the frame's job ends here.
-		payload, ver, derr := region.DecodeChunk(cd.Raw, nil)
-		d.release()
-		if derr != nil {
-			if errors.Is(derr, region.ErrTornRead) {
-				c.Counters.TornRetries.Inc()
-				continue
-			}
-			return derr
-		}
-		if err := rtree.DecodeNode(payload, node, int(c.hello.MaxEntries)); err != nil {
-			return errStale
-		}
-		if expectLevel >= 0 && node.Level != expectLevel {
-			return errStale
-		}
-		if c.ncache != nil && !node.IsLeaf() {
-			cp := &rtree.Node{
-				Level:   node.Level,
-				Entries: append([]rtree.Entry(nil), node.Entries...),
-			}
-			c.ncache.Put(id, cp, ver, time.Since(c.start))
-		}
-		return nil
-	}
-	return ErrGaveUp
+// readQueue is the socket's stand-in for the completion queue of one-sided
+// tree reads: every READ_CHUNK / READ_SPAN / READ_VERSIONS request of the
+// running traversal is registered on one waiter, and replies are handed out
+// one chunk at a time as they arrive.
+type readQueue struct {
+	w *waiter // nil while nothing is outstanding
+	// ids are the request ids registered on w since it was taken; pend maps
+	// each unanswered one to its reads, posted[at : at+n].
+	ids    []uint64
+	pend   map[uint64]readSpan
+	posted []proto.Read
+
+	// cur is the reply being handed out: run its reads not yet popped, raw
+	// their bytes, err what failed all of them. The frame is held until the
+	// call after its last chunk's Pop.
+	cur delivery
+	run []proto.Read
+	raw []byte
+	err error
 }
 
-// fetchCached tries to serve chunk id from the node cache, reporting
-// whether it did. Cached nodes are copied out: the cached image is shared
-// read-only across the multi-issue goroutines.
-func (c *Client) fetchCached(id int, expectLevel int, node *rtree.Node) (bool, error) {
-	copyOut := func(v any) (bool, error) {
-		n := v.(*rtree.Node)
-		if expectLevel >= 0 && n.Level != expectLevel {
-			c.ncache.Evict(id)
-			return false, errStale
-		}
-		node.Level = n.Level
-		node.Entries = append(node.Entries[:0], n.Entries...)
-		return true, nil
+type readSpan struct{ at, n int }
+
+// release drops the reply frame once every chunk in it has been popped.
+func (q *readQueue) release() {
+	if q.cur.f != nil && len(q.run) == 0 {
+		q.cur.release()
+		q.cur = delivery{}
 	}
-	switch v, out := c.ncache.Lookup(id, time.Since(c.start)); out {
-	case nodecache.Fresh:
-		return copyOut(v)
-	case nodecache.Verify:
-		ver, err := c.fetchVersions(id)
-		if err != nil {
-			// Transport errors surface; a torn fingerprint just falls
-			// back to the full validated fetch.
-			if errors.Is(err, region.ErrTornRead) {
-				return false, nil
-			}
-			return false, err
-		}
-		if v, ok := c.ncache.Confirm(id, ver, time.Since(c.start)); ok {
-			return copyOut(v)
-		}
-	}
-	return false, nil
 }
 
-// fetchVersions performs a READ_VERSIONS round trip for chunk id and
-// returns its version fingerprint.
-func (c *Client) fetchVersions(id int) (uint64, error) {
-	c.Counters.VersionReads.Inc()
-	c.Counters.ReadWQEs.Inc()
-	tag := c.nextID()
-	d, err := c.call(tag, wire.ReadVersions{ID: tag, Chunk: uint32(id)}.Encode(nil))
+// idle returns the waiter once nothing is outstanding (or the connection
+// failed): its ids leave the mux's table first, so no push can be in flight.
+func (q *readQueue) idle(mx *Mux) {
+	mx.unregisterAll(q.ids)
+	putWaiter(q.w)
+	clear(q.pend)
+	q.w, q.ids = nil, q.ids[:0]
+}
+
+// Post sends the wave as one write of frames — a READ_VERSIONS per version
+// read, a READ_SPAN per run of up to span consecutive adjacent chunk reads, a
+// READ_CHUNK per lone one — with every id registered first, so no reply can
+// slip past. The write is all or nothing.
+func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
+	c, q := t.c, &t.c.reads
+	q.release()
+	if q.w == nil && len(q.run) == 0 {
+		q.posted = q.posted[:0] // nothing refers to the reads of answered requests any more
+	}
+	if len(wave) == 0 {
+		return 0, 0, nil
+	}
+	if q.w == nil {
+		q.w = getWaiter()
+	}
+	buf := wire.GetBuf()
+	frames := (*buf)[:0]
+	base, first := len(q.posted), len(q.ids)
+	q.posted = append(q.posted, wave...)
+	for at := 0; at < len(wave); wqes++ {
+		n, id := 1, c.nextID()
+		chunk := uint32(wave[at].Chunk)
+		for !wave[at].Versions && at+n < len(wave) && n < c.span &&
+			!wave[at+n].Versions && wave[at+n].Chunk == wave[at].Chunk+n {
+			n++
+		}
+		switch {
+		case wave[at].Versions:
+			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadVersionsSize)
+			frames = wire.ReadVersions{ID: id, Chunk: chunk}.Encode(frames)
+		case n == 1:
+			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadChunkSize)
+			frames = wire.ReadChunk{ID: id, Chunk: chunk}.Encode(frames)
+		default:
+			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadSpanSize)
+			frames = wire.ReadSpan{ID: id, Chunk: chunk, Count: uint32(n)}.Encode(frames)
+		}
+		q.ids = append(q.ids, id)
+		q.pend[id] = readSpan{at: base + at, n: n}
+		at += n
+	}
+	if err = c.mx.registerAll(q.ids[first:], q.w); err == nil {
+		err = c.mx.w.enqueueFramed(frames)
+	}
+	*buf = frames
+	wire.PutBuf(buf)
 	if err != nil {
-		return 0, err
+		for _, id := range q.ids[first:] {
+			delete(q.pend, id)
+		}
+		if len(q.pend) == 0 {
+			q.idle(c.mx)
+		}
+		return 0, 0, err
 	}
-	defer d.release()
-	vd, err := wire.DecodeVersionData(d.msg)
-	if err != nil {
-		return 0, err
-	}
-	if vd.Status != wire.StatusOK {
-		return 0, proto.StatusError(vd.Status, "version read")
-	}
-	return region.DecodeVersions(vd.Versions)
+	return len(wave), wqes, nil
 }
 
-var errStale = errors.New("rpcnet: stale node during traversal")
-
-// searchOffload traverses the server tree with chunk reads, restarting on
-// structural staleness.
-func (c *Client) searchOffload(q geo.Rect) ([]wire.Item, error) {
-	for attempt := 0; attempt <= c.cfg.MaxRestarts; attempt++ {
-		items, err := c.traverse(q)
-		if err == nil {
-			return items, nil
+// Pop hands out the next chunk of the reply being demuxed, waiting for the
+// next reply frame when that one is used up. A closed connection ends every
+// outstanding read.
+func (t port) Pop() (proto.Done, error) {
+	c, q := t.c, &t.c.reads
+	for len(q.run) == 0 {
+		q.release()
+		if q.w == nil {
+			return proto.Done{}, fmt.Errorf("%w: no read outstanding", ErrClosed)
 		}
-		if !errors.Is(err, errStale) {
-			return nil, err
+		d, ok := q.w.recv()
+		if !ok {
+			q.idle(c.mx)
+			return proto.Done{}, ErrClosed
 		}
-		// Conservative: the stale entry's ancestors are unknown, so drop
-		// the whole cache before retrying.
-		c.ncache.Flush()
-		c.Counters.StaleRestarts.Inc()
-	}
-	return nil, ErrGaveUp
-}
-
-type chunkRef struct {
-	id        int
-	level     int
-	contained bool // the query fully contains this subtree's MBR
-}
-
-func (c *Client) traverse(q geo.Rect) ([]wire.Item, error) {
-	if c.cfg.MultiIssue {
-		return c.traverseMulti(q)
-	}
-	var items []wire.Item
-	stack := []chunkRef{{id: int(c.hello.RootChunk), level: -1}}
-	var node rtree.Node
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if err := c.fetchChunk(r.id, r.level, &node); err != nil {
-			return nil, err
-		}
-		if node.IsLeaf() {
-			for _, e := range node.Entries {
-				if q.Intersects(e.Rect) {
-					items = append(items, wire.Item{Rect: e.Rect, Ref: e.Ref})
-				}
-			}
+		_, id, _ := wire.PeekID(d.msg)
+		sp, ok := q.pend[id]
+		if !ok {
+			d.release() // a second reply to an answered request
 			continue
 		}
-		for _, e := range node.Entries {
-			if q.Intersects(e.Rect) {
-				stack = append(stack, chunkRef{id: int(e.Ref), level: node.Level - 1})
-			}
+		delete(q.pend, id)
+		q.cur, q.run = d, q.posted[sp.at:sp.at+sp.n]
+		switch {
+		case q.run[0].Versions:
+			q.raw, q.err = c.rawReply(d.msg, wire.MsgVersionData, 0)
+		case sp.n == 1:
+			q.raw, q.err = c.rawReply(d.msg, wire.MsgChunkData, 1)
+		default:
+			q.raw, q.err = c.rawReply(d.msg, wire.MsgSpanData, sp.n)
+		}
+		if len(q.pend) == 0 {
+			q.idle(c.mx)
 		}
 	}
-	return items, nil
-}
-
-// traverseMulti fetches each BFS frontier concurrently — the real-network
-// analogue of §IV-C's multi-issue pipeline (requests for all intersecting
-// children are in flight simultaneously over the shared connection).
-func (c *Client) traverseMulti(q geo.Rect) ([]wire.Item, error) {
-	if c.cfg.MergeSpan > 1 || c.cfg.Prefetch > 0 {
-		return c.traverseMultiSpans(q)
-	}
-	var items []wire.Item
-	frontier := []chunkRef{{id: int(c.hello.RootChunk), level: -1}}
-	for len(frontier) > 0 {
-		nodes := make([]rtree.Node, len(frontier))
-		errs := make([]error, len(frontier))
-		var wg sync.WaitGroup
-		for i, r := range frontier {
-			i, r := i, r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = c.fetchChunk(r.id, r.level, &nodes[i])
-			}()
-		}
-		wg.Wait()
-		var next []chunkRef
-		for i := range nodes {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			n := &nodes[i]
-			if n.IsLeaf() {
-				for _, e := range n.Entries {
-					if q.Intersects(e.Rect) {
-						items = append(items, wire.Item{Rect: e.Rect, Ref: e.Ref})
-					}
-				}
-				continue
-			}
-			for _, e := range n.Entries {
-				if q.Intersects(e.Rect) {
-					next = append(next, chunkRef{id: int(e.Ref), level: n.Level - 1})
-				}
-			}
-		}
-		frontier = next
-	}
-	return items, nil
-}
-
-// spanRun is one contiguous stretch of a multi-issue frontier: demand
-// chunks (frontier indices idxs) plus ext speculative chunks extending the
-// span past its last demand chunk, all fetched in one READ_SPAN.
-type spanRun struct {
-	idxs []int  // indices into the frontier, contiguous ascending chunk ids
-	ext  int    // speculative chunks appended past the last demand chunk
-	spec []byte // raw bytes of those ext chunks, filled after the fetch
-}
-
-// traverseMultiSpans is traverseMulti with merged reads and speculative
-// span extension — the TCP analogue of the simulated client's coalesced
-// doorbell batch (DESIGN.md §5.9). Each frontier round sorts the uncached
-// refs by chunk id, folds physically-adjacent ones into spans of at most
-// MergeSpan chunks (one round trip each), and — budget permitting —
-// stretches a span behind an internal node to cover that node's
-// preorder-contiguous children. The extra raw chunks are parked in spare
-// and adopted by the next round; leftovers at the end are waste.
-func (c *Client) traverseMultiSpans(q geo.Rect) ([]wire.Item, error) {
-	span := c.cfg.MergeSpan
-	if span < 1 {
-		span = 1
-	}
-	if span > maxSpanChunks {
-		span = maxSpanChunks
-	}
-	spanK := 2
-	if span > 1 {
-		spanK = span - 1
-	}
-	numChunks := int(c.hello.NumChunks)
-	spare := make(map[int][]byte)
-	defer func() {
-		for range spare {
-			c.Counters.PrefetchWaste.Inc()
-		}
-	}()
-	var items []wire.Item
-	frontier := []chunkRef{{id: int(c.hello.RootChunk), level: -1}}
-	for len(frontier) > 0 {
-		nodes := make([]*rtree.Node, len(frontier))
-		// Serve what we can without the network: parked speculative
-		// chunks first, then the node cache.
-		var fetchIdx []int
-		for i, r := range frontier {
-			if raw, ok := spare[r.id]; ok {
-				delete(spare, r.id)
-				if n := c.adoptSpare(r, raw); n != nil {
-					nodes[i] = n
-					continue
-				}
-			}
-			if c.ncache != nil {
-				var n rtree.Node
-				cached, err := c.fetchCached(r.id, r.level, &n)
-				if err != nil {
-					return nil, err
-				}
-				if cached {
-					nodes[i] = &n
-					continue
-				}
-			}
-			fetchIdx = append(fetchIdx, i)
-		}
-		// Group the remaining refs into contiguous runs of ≤ span chunks.
-		sort.Slice(fetchIdx, func(a, b int) bool {
-			return frontier[fetchIdx[a]].id < frontier[fetchIdx[b]].id
-		})
-		var runs []*spanRun
-		for k := 0; k < len(fetchIdx); {
-			j := k + 1
-			for j < len(fetchIdx) && j-k < span &&
-				frontier[fetchIdx[j]].id == frontier[fetchIdx[j-1]].id+1 {
-				j++
-			}
-			runs = append(runs, &spanRun{idxs: fetchIdx[k:j]})
-			k = j
-		}
-		// Stretch runs that end on an internal node: its children sit at
-		// the immediately following chunks (preorder layout), so a few
-		// extra chunks on the same round trip pre-pay the next frontier.
-		if c.cfg.Prefetch > 0 {
-			budget := c.PrefetchBudget()
-			spent := 0
-			for _, r := range runs {
-				if budget <= 0 {
-					break
-				}
-				last := frontier[r.idxs[len(r.idxs)-1]]
-				if last.level != -1 && last.level < 1 {
-					continue // leaves have no children to prefetch
-				}
-				// Only stretch behind a subtree the query CONTAINS:
-				// every descendant intersects, so the preorder chunks
-				// right after it are all wanted. A partially-overlapped
-				// child would gamble on which leaves the query clips.
-				if !last.contained {
-					continue
-				}
-				ext := spanK
-				if ext > budget {
-					ext = budget
-				}
-				if len(r.idxs)+ext > maxSpanChunks {
-					ext = maxSpanChunks - len(r.idxs)
-				}
-				if last.id+ext >= numChunks {
-					ext = numChunks - 1 - last.id
-				}
-				if ext <= 0 {
-					continue
-				}
-				r.ext = ext
-				budget -= ext
-				spent += ext
-				c.Counters.PrefetchIssued.Add(uint64(ext))
-			}
-			c.SpendPrefetch(spent)
-		}
-		// Fetch every run concurrently, one round trip per run.
-		errs := make([]error, len(runs))
-		var wg sync.WaitGroup
-		for ri, r := range runs {
-			ri, r := ri, r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[ri] = c.fetchRun(frontier, r, nodes)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Park the speculative tails for the next round.
+	r := q.run[0]
+	q.run = q.run[1:]
+	done := proto.Done{Tag: r.Tag, Data: q.raw, Err: q.err}
+	if q.err == nil && !r.Versions {
 		cs := int(c.hello.ChunkSize)
-		for _, r := range runs {
-			base := frontier[r.idxs[len(r.idxs)-1]].id + 1
-			for e := 0; e < r.ext; e++ {
-				spare[base+e] = r.spec[e*cs : (e+1)*cs]
-			}
-		}
-		var next []chunkRef
-		for i := range nodes {
-			n := nodes[i]
-			if n.IsLeaf() {
-				for _, e := range n.Entries {
-					if q.Intersects(e.Rect) {
-						items = append(items, wire.Item{Rect: e.Rect, Ref: e.Ref})
-					}
-				}
-				continue
-			}
-			for _, e := range n.Entries {
-				if q.Intersects(e.Rect) {
-					next = append(next, chunkRef{id: int(e.Ref), level: n.Level - 1,
-						contained: q.Contains(e.Rect)})
-				}
-			}
-		}
-		frontier = next
+		done.Data, q.raw = q.raw[:cs], q.raw[cs:]
 	}
-	return items, nil
+	return done, nil
 }
 
-// fetchRun resolves one spanRun. Single-chunk runs with no extension fall
-// back to the ordinary READ_CHUNK path; everything else is one READ_SPAN
-// whose reply is demuxed — and version-validated — per chunk. A torn chunk
-// inside the span taints only itself: just that chunk is re-read through
-// fetchChunk's retry loop.
-func (c *Client) fetchRun(frontier []chunkRef, r *spanRun, nodes []*rtree.Node) error {
-	if len(r.idxs) == 1 && r.ext == 0 {
-		i := r.idxs[0]
-		nodes[i] = new(rtree.Node)
-		return c.fetchChunk(frontier[i].id, frontier[i].level, nodes[i])
+// rawReply checks msg as a reply of type typ carrying chunks whole chunk
+// images (0 = any length) and returns its body: a refusal, the wrong message
+// type or the wrong length is an ErrServer-class error.
+func (c *Client) rawReply(msg []byte, typ wire.MsgType, chunks int) ([]byte, error) {
+	_, status, raw, err := wire.DecodeRawReply(msg, typ)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrServer, err)
+	case status != wire.StatusOK:
+		return nil, proto.StatusError(status, "one-sided read")
+	case chunks > 0 && len(raw) != chunks*int(c.hello.ChunkSize):
+		return nil, fmt.Errorf("%w: read of %d chunks answered with %d bytes", ErrServer, chunks, len(raw))
 	}
-	total := len(r.idxs) + r.ext
-	first := frontier[r.idxs[0]].id
-	c.Counters.ReadWQEs.Inc()
-	c.Counters.NodesFetched.Add(uint64(len(r.idxs)))
-	tag := c.nextID()
-	d, err := c.call(tag, wire.ReadSpan{ID: tag, Chunk: uint32(first), Count: uint32(total)}.Encode(nil))
-	if err != nil {
-		return err
-	}
-	defer d.release()
-	sd, err := wire.DecodeSpanData(d.msg)
-	if err != nil {
-		return err
-	}
-	if sd.Status != wire.StatusOK {
-		return proto.StatusError(sd.Status, "span read")
-	}
-	cs := int(c.hello.ChunkSize)
-	if len(sd.Raw) != total*cs {
-		return fmt.Errorf("%w: span %d+%d short reply", ErrServer, first, total)
-	}
-	for k, i := range r.idxs {
-		ref := frontier[i]
-		nodes[i] = new(rtree.Node)
-		if err := c.decodeSpanChunk(ref, sd.Raw[k*cs:(k+1)*cs], nodes[i]); err != nil {
-			return err
-		}
-	}
-	if r.ext > 0 {
-		// The speculative tail outlives the frame: it is parked until the
-		// next frontier round adopts it.
-		r.spec = append([]byte(nil), sd.Raw[len(r.idxs)*cs:]...)
-	}
-	return nil
+	return raw, nil
 }
 
-// decodeSpanChunk validates and decodes one demand chunk out of a span
-// reply, retrying through the single-chunk path if the image was torn.
-func (c *Client) decodeSpanChunk(ref chunkRef, raw []byte, node *rtree.Node) error {
-	payload, ver, derr := region.DecodeChunk(raw, nil)
-	if derr != nil {
-		if errors.Is(derr, region.ErrTornRead) {
-			c.Counters.TornRetries.Inc()
-			return c.fetchChunk(ref.id, ref.level, node)
-		}
-		return derr
-	}
-	if err := rtree.DecodeNode(payload, node, int(c.hello.MaxEntries)); err != nil {
-		return errStale
-	}
-	if ref.level >= 0 && node.Level != ref.level {
-		return errStale
-	}
-	if c.ncache != nil && !node.IsLeaf() {
-		cp := &rtree.Node{
-			Level:   node.Level,
-			Entries: append([]rtree.Entry(nil), node.Entries...),
-		}
-		c.ncache.Put(ref.id, cp, ver, time.Since(c.start))
-	}
-	return nil
-}
+// Charge is a no-op: a real client spends its traversal CPU, it does not
+// model it.
+func (t port) Charge() {}
 
-// adoptSpare tries to turn a parked speculative chunk into this frontier
-// ref's node. Any mismatch (torn image, garbage, wrong level) silently
-// falls back to a normal fetch and counts as waste — speculation must
-// never fail a search.
-func (c *Client) adoptSpare(ref chunkRef, raw []byte) *rtree.Node {
-	payload, ver, derr := region.DecodeChunk(raw, nil)
-	if derr != nil {
-		c.Counters.PrefetchWaste.Inc()
-		return nil
-	}
-	var n rtree.Node
-	if err := rtree.DecodeNode(payload, &n, int(c.hello.MaxEntries)); err != nil {
-		c.Counters.PrefetchWaste.Inc()
-		return nil
-	}
-	if ref.level >= 0 && n.Level != ref.level {
-		c.Counters.PrefetchWaste.Inc()
-		return nil
-	}
-	c.Counters.PrefetchHits.Inc()
-	if c.ncache != nil && !n.IsLeaf() {
-		cp := &rtree.Node{Level: n.Level, Entries: append([]rtree.Entry(nil), n.Entries...)}
-		c.ncache.Put(ref.id, cp, ver, time.Since(c.start))
-	}
-	return &n
-}
+func (t port) RootVersion() uint64 { return t.c.rootVer.Load() }

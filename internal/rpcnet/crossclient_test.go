@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	simclient "github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/fabric"
@@ -106,8 +107,10 @@ func errClass(err error) string {
 // runCrossClient replays the script on c and returns the observation log:
 // per op its method, error class and items — a search's as a sorted ref
 // set (traversal order is the transport's own), a kNN's in rank order —
-// then the op-count counters, which must not depend on the transport.
-func runCrossClient(c clientOps, batched bool) []string {
+// then the op-count counters, which must not depend on the transport. pause,
+// when non-nil, runs between groups: a caching client's reads are allowed to
+// trail a write by one lease, so its script waits the lease out.
+func runCrossClient(c clientOps, batched bool, pause func()) []string {
 	var obs []string
 	logf := func(format string, args ...any) { obs = append(obs, fmt.Sprintf(format, args...)) }
 	observe := func(op BatchOp, m proto.Method, items []wire.Item, err error) {
@@ -126,6 +129,9 @@ func runCrossClient(c clientOps, batched bool) []string {
 	}
 	var results []BatchResult
 	for _, group := range crossClientScript() {
+		if pause != nil {
+			pause()
+		}
 		if batched {
 			results = c.ExecBatch(group, results)
 			for i, res := range results {
@@ -175,7 +181,12 @@ func runCrossClient(c clientOps, batched bool) []string {
 // The script covers MOVE of a known and an unknown ref, a delete that
 // misses, kNN with k of 1, 10 and past the dataset, a batch of one, fetch
 // with results inline and pulled, fetch against a server without a mailbox
-// (degrading to fast), and an oversize batch.
+// (degrading to fast), and an oversize batch. Offloading runs single-issue,
+// multi-issue (where the demand chunk reads must agree too: with no cache and
+// no speculation they are exactly the nodes the query visits) and multi-issue
+// with node cache, merge span 4 and prefetching on both sides — there only
+// the log is compared, the read counters depending on lease timing and the
+// order completions arrive in.
 func TestClientCrossTransport(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]rtree.Entry, crossClientItems)
@@ -200,11 +211,15 @@ func TestClientCrossTransport(t *testing.T) {
 		name       string
 		forced     Method
 		fetchSlots int
+		multi      bool
+		cache      int // node-cache capacity; with it merge span 4 and a prefetch budget of 8
 	}{
-		{"fast", MethodFast, 0},
-		{"offload", MethodOffload, 0},
-		{"fetch", MethodFetch, crossClientSlots},
-		{"fetch-nomailbox", MethodFetch, 0},
+		{name: "fast", forced: MethodFast},
+		{name: "offload", forced: MethodOffload},
+		{name: "offload-multi", forced: MethodOffload, multi: true},
+		{name: "offload-multi-cached-span", forced: MethodOffload, multi: true, cache: 64},
+		{name: "fetch", forced: MethodFetch, fetchSlots: crossClientSlots},
+		{name: "fetch-nomailbox", forced: MethodFetch},
 	}
 	for _, v := range variants {
 		for _, batched := range []bool{false, true} {
@@ -213,18 +228,28 @@ func TestClientCrossTransport(t *testing.T) {
 				name += "-batched"
 			}
 			t.Run(name, func(t *testing.T) {
-				srv, err := Listen("127.0.0.1:0", loadTree(), ServerConfig{
+				span, prefetch := 0, 0
+				var lease time.Duration
+				var netPause func()
+				if v.cache > 0 {
+					span, prefetch, lease = 4, 8, 2*time.Millisecond
+					netPause = func() { time.Sleep(2 * lease) }
+				}
+				srv, err := Listen("127.0.0.1:0", loadTree(), ServerConfig{HeartbeatInterval: lease,
 					FetchSlots: v.fetchSlots, FetchInlineMax: crossInlineMax})
 				if err != nil {
 					t.Fatal(err)
 				}
 				go srv.Serve() //nolint:errcheck // returns on Close
 				defer srv.Close()
-				nc := dial(t, srv, ClientConfig{Forced: v.forced})
-				netObs := runCrossClient(nc, batched)
+				nc := dial(t, srv, ClientConfig{Forced: v.forced, MultiIssue: v.multi,
+					NodeCache: v.cache, MergeSpan: span, Prefetch: prefetch})
+				netObs := runCrossClient(nc, batched, netPause)
 
 				e := sim.New(7)
-				net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
+				prof := netmodel.InfiniBand100G
+				prof.MergeSpan = span
+				net := fabric.NewNetwork(e, prof)
 				ssrv, err := simserver.New(simserver.Config{
 					Engine: e, Host: net.NewHost("server", sim.NewCPU(e, 8)), Tree: loadTree(),
 					Cost: netmodel.DefaultCostModel(), Mode: simserver.ModeEvent,
@@ -239,14 +264,19 @@ func TestClientCrossTransport(t *testing.T) {
 					t.Fatal(err)
 				}
 				sc, err := simclient.New(simclient.Config{Engine: e, Host: host, Endpoint: ep,
-					Cost: netmodel.DefaultCostModel(), Forced: v.forced})
+					Cost: netmodel.DefaultCostModel(), Forced: v.forced, MultiIssue: v.multi,
+					NodeCache: v.cache, Prefetch: prefetch, HeartbeatInv: lease})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var simObs []string
 				e.Spawn("script", func(p *sim.Proc) {
 					defer e.Stop()
-					simObs = runCrossClient(sc.On(p), batched)
+					var simPause func()
+					if lease > 0 {
+						simPause = func() { p.Sleep(2 * lease) }
+					}
+					simObs = runCrossClient(sc.On(p), batched, simPause)
 				})
 				if err := e.Run(); err != nil {
 					t.Fatal(err)
@@ -263,6 +293,9 @@ func TestClientCrossTransport(t *testing.T) {
 					if !strings.Contains(log, want) {
 						t.Errorf("log lacks %q:\n%s", want, log)
 					}
+				}
+				if nf, sf := nc.Stats().NodesFetched, sc.Stats().NodesFetched; v.multi && v.cache == 0 && (nf != sf || nf == 0) {
+					t.Errorf("demand chunk reads: %d over sockets, %d on the fabric", nf, sf)
 				}
 				if v.fetchSlots > 0 {
 					if st := nc.Stats(); st.FetchBytes == 0 || st.FetchInline == 0 {

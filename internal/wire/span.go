@@ -77,16 +77,6 @@ func (s SpanData) Encode(buf []byte) []byte {
 
 // DecodeSpanData parses a span-data message. The Raw slice aliases b.
 func DecodeSpanData(b []byte) (SpanData, error) {
-	if len(b) < spanDataHeader || MsgType(b[0]) != MsgSpanData {
-		return SpanData{}, fmt.Errorf("%w: span-data", ErrCorrupt)
-	}
-	n := int(binary.LittleEndian.Uint32(b[10:]))
-	if len(b) < spanDataHeader+n {
-		return SpanData{}, fmt.Errorf("%w: span-data truncated", ErrCorrupt)
-	}
-	return SpanData{
-		ID:     binary.LittleEndian.Uint64(b[1:]),
-		Status: b[9],
-		Raw:    b[spanDataHeader : spanDataHeader+n],
-	}, nil
+	id, status, raw, err := DecodeRawReply(b, MsgSpanData)
+	return SpanData{ID: id, Status: status, Raw: raw}, err
 }

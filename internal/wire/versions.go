@@ -72,16 +72,6 @@ func (v VersionData) Encode(buf []byte) []byte {
 // DecodeVersionData parses a version-data message. The Versions slice
 // aliases b.
 func DecodeVersionData(b []byte) (VersionData, error) {
-	if len(b) < versionDataHeader || MsgType(b[0]) != MsgVersionData {
-		return VersionData{}, fmt.Errorf("%w: version-data", ErrCorrupt)
-	}
-	n := int(binary.LittleEndian.Uint32(b[10:]))
-	if len(b) < versionDataHeader+n {
-		return VersionData{}, fmt.Errorf("%w: version-data truncated", ErrCorrupt)
-	}
-	return VersionData{
-		ID:       binary.LittleEndian.Uint64(b[1:]),
-		Status:   b[9],
-		Versions: b[versionDataHeader : versionDataHeader+n],
-	}, nil
+	id, status, raw, err := DecodeRawReply(b, MsgVersionData)
+	return VersionData{ID: id, Status: status, Versions: raw}, err
 }

@@ -529,20 +529,23 @@ func AppendRawReply(buf []byte, typ MsgType, id uint64, status uint8, n int) (ms
 	return buf, b[chunkDataHeader:]
 }
 
-// DecodeChunkData parses a chunk-data message. The Raw slice aliases b.
-func DecodeChunkData(b []byte) (ChunkData, error) {
-	if len(b) < chunkDataHeader || MsgType(b[0]) != MsgChunkData {
-		return ChunkData{}, fmt.Errorf("%w: chunk-data", ErrCorrupt)
+// DecodeRawReply parses a message of AppendRawReply's layout that must be of
+// type typ. The body aliases b.
+func DecodeRawReply(b []byte, typ MsgType) (id uint64, status uint8, body []byte, err error) {
+	if len(b) < chunkDataHeader || MsgType(b[0]) != typ {
+		return 0, 0, nil, fmt.Errorf("%w: not a raw reply of type %d", ErrCorrupt, typ)
 	}
 	n := int(binary.LittleEndian.Uint32(b[10:]))
 	if len(b) < chunkDataHeader+n {
-		return ChunkData{}, fmt.Errorf("%w: chunk-data truncated", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: raw reply of type %d truncated", ErrCorrupt, typ)
 	}
-	return ChunkData{
-		ID:     binary.LittleEndian.Uint64(b[1:]),
-		Status: b[9],
-		Raw:    b[chunkDataHeader : chunkDataHeader+n],
-	}, nil
+	return binary.LittleEndian.Uint64(b[1:]), b[9], b[chunkDataHeader : chunkDataHeader+n], nil
+}
+
+// DecodeChunkData parses a chunk-data message. The Raw slice aliases b.
+func DecodeChunkData(b []byte) (ChunkData, error) {
+	id, status, raw, err := DecodeRawReply(b, MsgChunkData)
+	return ChunkData{ID: id, Status: status, Raw: raw}, err
 }
 
 func putRect(b []byte, r geo.Rect) {
