@@ -50,7 +50,7 @@ func AblationMovingObjects(o Options) (*stats.Table, error) {
 		fleet = scenarioFleetCap
 	}
 	clients := o.ablationClients()
-	table := stats.NewTable("mode", "kops", "mean_lat_us", "p99_us", "server_moves", "serverCPU%")
+	table := stats.NewTable("mode", "kops", "mean_lat_us", "p99_us", "server_moves", "in_place%", "serverCPU%")
 	for _, mode := range []string{"move", "del+ins", "batched-move"} {
 		res, err := runMovingObjects(o, fleet, clients, mode)
 		if err != nil {
@@ -58,6 +58,7 @@ func AblationMovingObjects(o Options) (*stats.Table, error) {
 		}
 		table.AddRow(mode, fmtKops(res.kops), fmtDur(res.lat.Mean), fmtDur(res.lat.P99),
 			fmt.Sprintf("%d", res.serverMoves),
+			fmt.Sprintf("%.1f", res.inPlace*100),
 			fmt.Sprintf("%.1f", res.cpuUtil*100))
 	}
 	return table, nil
@@ -67,6 +68,7 @@ type movingResult struct {
 	kops        float64
 	lat         stats.Summary
 	serverMoves uint64
+	inPlace     float64 // share of the server's MOVEs written in place
 	cpuUtil     float64
 }
 
@@ -209,10 +211,14 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 	if runErr != nil {
 		return movingResult{}, runErr
 	}
+	st := srv.Stats()
 	out := movingResult{
 		lat:         lat.Summarize(),
-		serverMoves: srv.Stats().Moves,
+		serverMoves: st.Moves,
 		cpuUtil:     serverCPU.UtilizationTotal(),
+	}
+	if st.Moves > 0 {
+		out.inPlace = float64(st.MovesInPlace) / float64(st.Moves)
 	}
 	if makespan > 0 {
 		out.kops = float64(ops) / makespan.Seconds() / 1e3

@@ -20,6 +20,12 @@ type Read struct {
 	Tag      uint64 // traversal-chosen; comes back in the read's Done
 	Chunk    int
 	Versions bool
+	// Retry counts the torn images of this chunk the traversal has already
+	// thrown away (0 on a first read). A writer descheduled mid-publication
+	// leaves a chunk torn for milliseconds of real time, so a transport whose
+	// re-reads come back in microseconds paces them on it — MaxChunkRetries
+	// then spans time, not only attempts. The simulated fabric ignores it.
+	Retry int
 }
 
 // Done is one completed Read: the raw bytes (a chunk image for
@@ -247,10 +253,10 @@ func (o Ops[T]) pop() (Done, error) {
 // readSync posts one read and waits for its completion: the single-issue
 // walk's round trip, and the root-cache refresh of either walk (which runs
 // before the multi-issue walk has queued anything in the wave).
-func (o Ops[T]) readSync(chunk int, versions bool) (Done, error) {
+func (o Ops[T]) readSync(chunk int, versions bool, retry int) (Done, error) {
 	tr := &o.tr
 	tr.tagSeq++
-	tr.wave = append(tr.wave[:0], Read{Tag: tr.tagSeq, Chunk: chunk, Versions: versions})
+	tr.wave = append(tr.wave[:0], Read{Tag: tr.tagSeq, Chunk: chunk, Versions: versions, Retry: retry})
 	_, wqes, err := o.t.Post(tr.wave)
 	tr.wave = tr.wave[:0]
 	o.Counters.ReadWQEs.Add(uint64(wqes))
@@ -287,7 +293,7 @@ func (o Ops[T]) fetchChunk(r nodeRef) error {
 	tr := &o.tr
 	for retry := 0; retry <= o.cfg.MaxChunkRetries; retry++ {
 		o.Counters.NodesFetched.Inc()
-		d, err := o.readSync(r.id, false)
+		d, err := o.readSync(r.id, false, retry)
 		if err == nil {
 			err = d.Err
 		}
@@ -340,7 +346,7 @@ func (o Ops[T]) lookupNode(r nodeRef) (*rtree.Node, error) {
 	v, out := cache.Lookup(r.id, o.t.Now())
 	if out == nodecache.Verify {
 		o.Counters.VersionReads.Inc()
-		d, err := o.readSync(r.id, true)
+		d, err := o.readSync(r.id, true, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +537,7 @@ func (o Ops[T]) issue(pd pending) {
 		o.Counters.NodesFetched.Inc()
 		tr.chunkTag[pd.id] = tr.tagSeq
 	}
-	tr.wave = append(tr.wave, Read{Tag: tr.tagSeq, Chunk: pd.id, Versions: pd.verify})
+	tr.wave = append(tr.wave, Read{Tag: tr.tagSeq, Chunk: pd.id, Versions: pd.verify, Retry: pd.tries})
 }
 
 // flush posts the accumulated wave as one submission. When merging is on,

@@ -424,27 +424,33 @@ func (s *Serve[X]) applyLocked(x X, req wire.Request) (st rtree.OpStats, status 
 
 // moveLocked relocates entry (req.Rect, req.Ref) to (req.Rect2, req.Ref).
 // The exclusive latch is held throughout, so no concurrent search observes
-// the object absent between the delete and the insert. A missing source
-// entry degrades the move to a plain insert — the state the equivalent
-// delete-then-insert stream reaches, since a failed delete does not
-// suppress the insert that follows it. The replication record carries one
-// rectangle, so a move propagates as two: the delete only when a source
-// entry existed, the insert always.
+// the object absent on the way. The tree finds the entry once: a destination
+// its leaf still covers is written into that leaf, any other takes a delete
+// and an insert. A missing source entry degrades the move to a plain insert —
+// the state the equivalent delete-then-insert stream reaches, since a failed
+// delete does not suppress the insert that follows it. The replication record
+// carries one rectangle, so a move propagates as two whichever way the tree
+// took it: the delete only when a source entry existed, the insert always.
 func (s *Serve[X]) moveLocked(x X, req wire.Request) (rtree.OpStats, uint8) {
-	deleted, st, err := s.cfg.Tree.Delete(req.Rect, req.Ref)
+	how, st, err := s.cfg.Tree.Relocate(req.Rect, req.Rect2, req.Ref)
 	if err != nil {
 		return st, wire.StatusError
 	}
-	if deleted {
+	if how == rtree.RelocateInPlace {
+		s.Counters.MovesInPlace.Inc()
+	}
+	if how != rtree.RelocateAbsent {
 		if status := x.Propagate(wire.MsgDelete, req.Rect, req.Ref); status != wire.StatusOK {
 			return st, status
 		}
 	}
-	ist, err := x.Insert(req.Rect2, req.Ref)
-	st.NodesRead += ist.NodesRead
-	st.NodesWritten += ist.NodesWritten
-	if err != nil {
-		return st, wire.StatusError
+	if how != rtree.RelocateInPlace {
+		ist, err := x.Insert(req.Rect2, req.Ref)
+		st.NodesRead += ist.NodesRead
+		st.NodesWritten += ist.NodesWritten
+		if err != nil {
+			return st, wire.StatusError
+		}
 	}
 	return st, x.Propagate(wire.MsgInsert, req.Rect2, req.Ref)
 }

@@ -536,10 +536,26 @@ func (q *readQueue) idle(mx *Mux) {
 	q.w, q.ids = nil, q.ids[:0]
 }
 
+// tornBackoff is how long Post waits before sending a wave whose most-retried
+// read has already come back torn retry times. A loopback re-read returns in
+// ≈15 µs, so 64 of them back to back last ≈1 ms — less than a writer
+// goroutine pre-empted between two line publications of that chunk stays
+// off-CPU, which is how a search ran out of MaxChunkRetries with nothing
+// wrong (DESIGN.md §5.17). The first few retries stay immediate, as a torn
+// read usually clears within one; from the fourth on the wait doubles from
+// 20 µs up to 1 ms, so the default budget spans ≈55 ms.
+func tornBackoff(retry int) time.Duration {
+	if retry < 4 {
+		return 0
+	}
+	return min(20*time.Microsecond<<min(retry-4, 6), time.Millisecond)
+}
+
 // Post sends the wave as one write of frames — a READ_VERSIONS per version
 // read, a READ_SPAN per run of up to span consecutive adjacent chunk reads, a
 // READ_CHUNK per lone one — with every id registered first, so no reply can
-// slip past. The write is all or nothing.
+// slip past. The write is all or nothing. A wave that re-reads a chunk torn
+// several times over is held back first (tornBackoff).
 func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
 	c, q := t.c, &t.c.reads
 	q.release()
@@ -548,6 +564,13 @@ func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
 	}
 	if len(wave) == 0 {
 		return 0, 0, nil
+	}
+	retry := 0
+	for _, r := range wave {
+		retry = max(retry, r.Retry)
+	}
+	if wait := tornBackoff(retry); wait > 0 {
+		time.Sleep(wait)
 	}
 	if q.w == nil {
 		q.w = getWaiter()

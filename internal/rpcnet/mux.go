@@ -19,6 +19,7 @@
 package rpcnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,7 +75,8 @@ func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = 1 << 16
 	}
-	frame, err := readFrame(conn, nil)
+	in := bufio.NewReaderSize(conn, frameReadBuf)
+	frame, err := readFrame(in, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpcnet: hello: %w", err)
@@ -94,7 +96,7 @@ func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 		streams: make(map[uint32]*Client),
 		done:    make(chan struct{}),
 	}
-	go m.readLoop()
+	go m.readLoop(in)
 	return m, nil
 }
 
@@ -227,11 +229,11 @@ func (m *Mux) detach(c *Client) {
 // every attached client, everything else routes to its request's waiter.
 // Delivery never blocks (waiter queues are unbounded), so a slow consumer
 // only grows its own queue.
-func (m *Mux) readLoop() {
+func (m *Mux) readLoop(in *bufio.Reader) {
 	defer close(m.done)
 	hdr := make([]byte, 4)
 	for {
-		f, err := readPooledFrame(m.conn, hdr)
+		f, err := readPooledFrame(in, hdr)
 		if err != nil {
 			m.mu.Lock()
 			m.readerr = err

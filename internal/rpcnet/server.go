@@ -12,6 +12,7 @@
 package rpcnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,6 +52,13 @@ func writeFrame(w io.Writer, payload []byte) error {
 	_, err := w.Write(payload)
 	return err
 }
+
+// frameReadBuf is the size of the one buffered reader on each connection's
+// read side: a length prefix and a whole chunk-data frame (pooledFrameCap)
+// arrive in one read(2) instead of two. No larger — a C10K server holds one
+// per connection — and a body that exceeds it still lands directly in the
+// frame's own buffer.
+const frameReadBuf = 8 << 10
 
 // readFrame reads one frame, reusing buf when it has capacity. The length
 // prefix is read into buf too, so a warmed buffer reads without allocating.
@@ -497,11 +505,12 @@ func (s *Server) serveConn(sc *srvConn) {
 	// point are ordered behind it, so the broadcast may now include us.
 	sc.ready.Store(true)
 
+	in := bufio.NewReaderSize(sc.c, frameReadBuf)
 	var frame []byte
 	var out []byte
 	for {
 		var err error
-		frame, err = readFrame(sc.c, frame)
+		frame, err = readFrame(in, frame)
 		if err != nil {
 			return // EOF or closed
 		}

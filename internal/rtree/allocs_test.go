@@ -11,6 +11,8 @@ import (
 	"github.com/catfish-db/catfish/internal/geo"
 )
 
+const raceBuild = false
+
 // TestSharedReadsZeroAlloc: under a shared latch the tree's own part of a
 // point search, a 500-result scan and a warmed kNN(10) allocates nothing —
 // the traversal stack is array-backed and the kNN queue pooled.
@@ -106,4 +108,27 @@ func TestWritesZeroAlloc(t *testing.T) {
 		t.Errorf("a node split or condensed during the measured ops (%d → %d nodes)", nodes, tree.reg.Allocated())
 	}
 	t.Logf("%d nodes read, %d written by the warm-up and measured ops", written.NodesRead, written.NodesWritten)
+}
+
+// TestRelocateInPlaceZeroAlloc: a MOVE that stays inside its leaf — found
+// once, overwritten, the one leaf republished — allocates nothing.
+func TestRelocateInPlaceZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	tree, entries := bulkLoadedTree(t, rng, 0)
+	e, _, mbr := interiorEntry(t, tree, entries)
+	w, h := e.Rect.Width(), e.Rect.Height()
+	at := e.Rect
+	step := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		step++
+		f := 0.2 + 0.6*float64(step%7)/7
+		x, y := mbr.MinX+f*(mbr.Width()-w), mbr.MinY+f*(mbr.Height()-h)
+		to := geo.Rect{MinX: x, MaxX: x + w, MinY: y, MaxY: y + h}
+		if how, _, err := tree.Relocate(at, to, e.Ref); err != nil || how != RelocateInPlace {
+			t.Errorf("relocate: outcome %d, err %v", how, err)
+		}
+		at = to
+	}); allocs != 0 {
+		t.Errorf("in-place Relocate allocates %.2f objects/op, want 0", allocs)
+	}
 }

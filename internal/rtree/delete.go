@@ -112,12 +112,58 @@ func (t *Tree) Delete(r geo.Rect, ref uint64) (bool, OpStats, error) {
 	}
 	t.stats = OpStats{}
 	p, entryIdx, err := t.findLeaf(r, ref)
-	if err != nil {
+	if err != nil || p == nil {
 		return false, t.stats, err
 	}
-	if p == nil {
-		return false, t.stats, nil
+	err = t.deleteAt(p, entryIdx)
+	return true, t.stats, err
+}
+
+// Relocation is what Relocate did with the entry it was asked to move.
+type Relocation int
+
+const (
+	// RelocateAbsent: no entry (from, ref) exists; the tree is untouched.
+	RelocateAbsent Relocation = iota
+	// RelocateDeleted: the entry was removed as Delete removes it; inserting
+	// it at its destination is left to the caller.
+	RelocateDeleted
+	// RelocateInPlace: the entry now holds its destination rectangle, in the
+	// leaf it was found in.
+	RelocateInPlace
+)
+
+// Relocate moves entry (from, ref) towards rectangle to with one findLeaf.
+// When the leaf's covering rectangle in its parent contains to (or the leaf
+// is the root) the entry's rectangle is overwritten where it is — the
+// bottom-up update of Lee et al. (VLDB 2003): the leaf is republished and
+// the ancestors whose rectangle the move shrank are tightened, up to the
+// first unchanged one. The leaf's rectangle can only shrink this way,
+// so no sibling overlap is added and search quality does not drift.
+// Otherwise the entry is deleted through the path already found and the
+// caller inserts it at to.
+func (t *Tree) Relocate(from, to geo.Rect, ref uint64) (Relocation, OpStats, error) {
+	if !from.Valid() || !to.Valid() {
+		return RelocateAbsent, OpStats{}, ErrInvalidRect
 	}
+	t.stats = OpStats{}
+	p, entryIdx, err := t.findLeaf(from, ref)
+	if err != nil || p == nil {
+		return RelocateAbsent, t.stats, err
+	}
+	d := p.depth() - 1
+	if d > 0 && !p.nodes[d-1].Entries[p.child[d-1]].Rect.Contains(to) {
+		err = t.deleteAt(p, entryIdx)
+		return RelocateDeleted, t.stats, err
+	}
+	p.nodes[d].Entries[entryIdx].Rect = to
+	err = t.republish(p, d)
+	return RelocateInPlace, t.stats, err
+}
+
+// deleteAt removes entry entryIdx of the leaf that ends path p and restores
+// the tree's invariants.
+func (t *Tree) deleteAt(p *path, entryIdx int) error {
 	d := p.depth() - 1
 	leaf := p.nodes[d]
 	leaf.Entries = append(leaf.Entries[:entryIdx], leaf.Entries[entryIdx+1:]...)
@@ -125,20 +171,17 @@ func (t *Tree) Delete(r geo.Rect, ref uint64) (bool, OpStats, error) {
 
 	var orphans []orphan
 	if err := t.condense(p, d, &orphans); err != nil {
-		return true, t.stats, err
+		return err
 	}
 	// Re-insert orphaned entries, deepest level first so internal entries
 	// land before the leaves they might have covered.
 	for i := len(orphans) - 1; i >= 0; i-- {
 		clear(t.reinsertedAt)
 		if err := t.insertEntry(orphans[i].e, orphans[i].level); err != nil {
-			return true, t.stats, err
+			return err
 		}
 	}
-	if err := t.shrinkRoot(); err != nil {
-		return true, t.stats, err
-	}
-	return true, t.stats, nil
+	return t.shrinkRoot()
 }
 
 type orphan struct {
@@ -186,29 +229,27 @@ func (t *Tree) findLeafFrom(p *path, id int, r geo.Rect, ref uint64) (*path, int
 	return nil, 0, nil
 }
 
-// condense walks from the modified node at depth d to the root: underfull
-// non-root nodes are removed (their entries orphaned, their chunks freed),
-// other nodes are republished and their ancestors' MBRs refreshed.
+// condense walks from the modified node at depth d towards the root:
+// underfull non-root nodes are removed (their entries orphaned, their chunks
+// freed) until one is left standing. That node is republished and, as it
+// takes no entry from its parent, nothing above it can underflow: the rest
+// of the walk is adjustUp's, which stops at the first ancestor whose
+// rectangle for the path did not change. The root is written only when it
+// lost an entry, a rectangle in it changed, or it is the modified node.
 func (t *Tree) condense(p *path, d int, orphans *[]orphan) error {
 	for i := d; i > 0; i-- {
 		n := p.nodes[i]
-		parent := p.nodes[i-1]
-		if len(n.Entries) < t.minEntries {
-			for _, e := range n.Entries {
-				*orphans = append(*orphans, orphan{e: e, level: n.Level})
-			}
-			childIdx := p.child[i-1]
-			parent.Entries = append(parent.Entries[:childIdx], parent.Entries[childIdx+1:]...)
-			if err := t.freeChunk(p.ids[i]); err != nil {
-				return fmt.Errorf("rtree: condense free: %w", err)
-			}
-			continue
+		if len(n.Entries) >= t.minEntries {
+			return t.republish(p, i)
 		}
-		if err := t.writeNode(p.ids[i], n); err != nil {
-			return err
+		for _, e := range n.Entries {
+			*orphans = append(*orphans, orphan{e: e, level: n.Level})
 		}
-		// Refresh this node's rectangle in its parent.
-		parent.Entries[p.child[i-1]].Rect = n.MBR()
+		parent, childIdx := p.nodes[i-1], p.child[i-1]
+		parent.Entries = append(parent.Entries[:childIdx], parent.Entries[childIdx+1:]...)
+		if err := t.freeChunk(p.ids[i]); err != nil {
+			return fmt.Errorf("rtree: condense free: %w", err)
+		}
 	}
 	return t.writeNode(p.ids[0], p.nodes[0])
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/region"
 )
 
 // TestShapeGolden pins the tree a seeded write script leaves behind to
@@ -100,8 +101,9 @@ func TestShapeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h := sha256.New()
+	h, masked := sha256.New(), sha256.New()
 	raw := make([]byte, tree.reg.ChunkSize())
+	var payload []byte
 	nodes := 0
 	var walk func(id int)
 	walk = func(id int) {
@@ -112,6 +114,12 @@ func TestShapeGolden(t *testing.T) {
 		binary.LittleEndian.PutUint64(idb[:], uint64(id))
 		h.Write(idb[:])
 		h.Write(raw)
+		var err error
+		if payload, _, err = region.DecodeChunk(raw, payload); err != nil {
+			t.Fatal(err)
+		}
+		masked.Write(idb[:])
+		masked.Write(payload)
 		nodes++
 		n, err := tree.readNode(id)
 		if err != nil {
@@ -131,8 +139,9 @@ func TestShapeGolden(t *testing.T) {
 		Items, Height, Nodes    int
 		NodesRead, NodesWritten int
 		ChunksSHA256            string
+		PayloadSHA256           string
 	}{tree.Len(), tree.Height(), nodes, total.NodesRead, total.NodesWritten,
-		hex.EncodeToString(h.Sum(nil))}, "", "  ")
+		hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(masked.Sum(nil))}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

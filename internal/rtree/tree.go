@@ -395,11 +395,16 @@ func (t *Tree) insertEntry(e Entry, level int) error {
 // finishInsert publishes the modified node at path depth d, handling
 // overflow and propagating MBR updates to the root.
 func (t *Tree) finishInsert(p *path, d int) error {
-	n := p.nodes[d]
-	if len(n.Entries) > t.maxEntries {
+	if len(p.nodes[d].Entries) > t.maxEntries {
 		return t.overflow(p, d)
 	}
-	if err := t.writeNode(p.ids[d], n); err != nil {
+	return t.republish(p, d)
+}
+
+// republish publishes the modified node at path depth d and refreshes the
+// rectangles its ancestors hold for the path (adjustUp).
+func (t *Tree) republish(p *path, d int) error {
+	if err := t.writeNode(p.ids[d], p.nodes[d]); err != nil {
 		return err
 	}
 	return t.adjustUp(p, d)

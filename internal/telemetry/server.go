@@ -14,7 +14,10 @@ type ServerMetrics struct {
 	Heartbeat Counter // heartbeats published, one per connection reached
 	Segments  Counter // response segments framed (CONT and END)
 	Moves     Counter
-	KNNs      Counter
+	// MovesInPlace counts the MOVEs whose destination the source leaf still
+	// covered, written into that leaf without a delete and reinsert.
+	MovesInPlace Counter
+	KNNs         Counter
 	// Batches counts batch containers executed; BatchedOps the operations
 	// they carried (each also counted under its own kind).
 	Batches    Counter
@@ -37,13 +40,16 @@ type ServerMetrics struct {
 // ServerSnapshot is a ServerMetrics snapshot: the simulated server's whole
 // Stats, and the transport-neutral part of rpcnet's ServerStats.
 type ServerSnapshot struct {
-	Searches      uint64
-	Inserts       uint64
-	Deletes       uint64
-	Results       uint64
-	Heartbeat     uint64
-	Segments      uint64
-	Moves         uint64
+	Searches  uint64
+	Inserts   uint64
+	Deletes   uint64
+	Results   uint64
+	Heartbeat uint64
+	Segments  uint64
+	Moves     uint64
+	// Left out of a JSON document while zero, so the run documents of
+	// deployments that never move in place read as they did before it existed.
+	MovesInPlace  uint64 `json:",omitempty"`
 	KNNs          uint64
 	Batches       uint64
 	BatchedOps    uint64
@@ -65,6 +71,7 @@ func (m *ServerMetrics) Snapshot() ServerSnapshot {
 		Heartbeat:     m.Heartbeat.Load(),
 		Segments:      m.Segments.Load(),
 		Moves:         m.Moves.Load(),
+		MovesInPlace:  m.MovesInPlace.Load(),
 		KNNs:          m.KNNs.Load(),
 		Batches:       m.Batches.Load(),
 		BatchedOps:    m.BatchedOps.Load(),
@@ -83,6 +90,7 @@ func (m *ServerMetrics) Register(reg *Registry) {
 	reg.CounterFunc("catfish_server_inserts_total", m.Inserts.Load)
 	reg.CounterFunc("catfish_server_deletes_total", m.Deletes.Load)
 	reg.CounterFunc("catfish_server_moves_total", m.Moves.Load)
+	reg.CounterFunc("catfish_moves_in_place_total", m.MovesInPlace.Load)
 	reg.CounterFunc("catfish_server_knn_total", m.KNNs.Load)
 	reg.CounterFunc("catfish_server_results_total", m.Results.Load)
 	reg.CounterFunc("catfish_server_heartbeats_total", m.Heartbeat.Load)
