@@ -7,14 +7,52 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/catfish-db/catfish/internal/cluster"
 	"github.com/catfish-db/catfish/internal/stats"
 	"github.com/catfish-db/catfish/internal/workload"
 )
 
 // quickOpts shrinks every figure to smoke-test size.
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
+
+// quickTables loads testdata/quick-tables.json: the rendered text of every
+// quick-scale figure and simulated ablation table, captured before the
+// cluster harness's run paths were folded into one deployment. The sim is
+// deterministic, so a refactor must leave every table as it is; a deliberate
+// behaviour change replaces the entry with the text the failing test prints.
+var quickTables = sync.OnceValues(func() (map[string]string, error) {
+	doc, err := os.ReadFile("testdata/quick-tables.json")
+	if err != nil {
+		return nil, err
+	}
+	var tables map[string]string
+	return tables, json.Unmarshal(doc, &tables)
+})
+
+// checkQuickTable compares one rendered table against its pinned text.
+func checkQuickTable(t *testing.T, name string, table fmt.Stringer) {
+	t.Helper()
+	want, err := quickTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := table.String(); got != want[name] {
+		t.Errorf("table %q diverges from testdata/quick-tables.json; got:\n%s", name, got)
+	}
+}
+
+// checkSweepTables pins a five-scheme sweep's two tables and the summaries
+// catfish-bench prints under them.
+func checkSweepTables(t *testing.T, thrName, latName string, thr, lat fmt.Stringer, results []cluster.Result) {
+	t.Helper()
+	checkQuickTable(t, thrName, thr)
+	checkQuickTable(t, latName, lat)
+	checkQuickTable(t, thrName+"-speedups", Speedups(results))
+	checkQuickTable(t, thrName+"-reads", ReadsPerSearch(results))
+}
 
 func TestFig2Quick(t *testing.T) {
 	table, results, err := Fig2(quickOpts())
@@ -24,6 +62,7 @@ func TestFig2Quick(t *testing.T) {
 	if len(results) != 4 { // 2 scales x 2 client counts
 		t.Fatalf("results = %d", len(results))
 	}
+	checkQuickTable(t, "fig2", table)
 	out := table.String()
 	for _, want := range []string{"scale", "serverTX_Gbps", "0.01", "1e-05"} {
 		if !strings.Contains(out, want) {
@@ -60,14 +99,15 @@ func TestFig7Quick(t *testing.T) {
 		t.Errorf("batched column sent %d containers carrying %d of %d ops",
 			batchedHi.Batches, batchedHi.BatchedOps, batchedHi.Ops)
 	}
-	_ = table
+	checkQuickTable(t, "fig7", table)
 }
 
 func TestFig8Quick(t *testing.T) {
-	_, results, err := Fig8(quickOpts())
+	table, results, err := Fig8(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQuickTable(t, "fig8", table)
 	// Pairs are [single, multi]: multi-issue must not be slower anywhere.
 	for i := 0; i+1 < len(results); i += 2 {
 		if results[i+1].Latency.Mean > results[i].Latency.Mean {
@@ -82,6 +122,7 @@ func TestFig9Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQuickTable(t, "fig9", table)
 	out := table.String()
 	for _, series := range []string{"tcp-1g", "tcp-40g", "rdma-read", "rdma-write"} {
 		if !strings.Contains(out, series) {
@@ -105,16 +146,15 @@ func TestFig10And11Quick(t *testing.T) {
 			t.Errorf("speedups missing %s:\n%s", base, sp)
 		}
 	}
-	if thr.String() == "" || lat.String() == "" {
-		t.Error("empty tables")
-	}
+	checkSweepTables(t, "fig10", "fig11", thr, lat, results)
 }
 
 func TestFig12And13Quick(t *testing.T) {
-	_, _, results, err := Fig12And13(quickOpts())
+	thr, lat, results, err := Fig12And13(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSweepTables(t, "fig12", "fig13", thr, lat, results)
 	// Hybrid runs must actually insert.
 	for _, r := range results {
 		if r.ServerStats.Inserts == 0 {
@@ -131,44 +171,36 @@ func TestFig14Quick(t *testing.T) {
 	if len(results) != 10 { // 2 client counts x 5 schemes
 		t.Fatalf("results = %d", len(results))
 	}
-	if thr.String() == "" || lat.String() == "" {
-		t.Error("empty tables")
-	}
+	checkSweepTables(t, "fig14a", "fig14b", thr, lat, results)
 }
 
+// TestAblationsQuick runs every ablation that lives on the simulated fabric
+// and pins its table; autoscale and hotspot run on wall-clock TCP and stay
+// out.
 func TestAblationsQuick(t *testing.T) {
-	for name, fn := range map[string]func(Options) (interface{ String() string }, error){
-		"n": func(o Options) (interface{ String() string }, error) { return AblationBackoffN(o) },
-		"t": func(o Options) (interface{ String() string }, error) { return AblationThresholdT(o) },
-		"heartbeat": func(o Options) (interface{ String() string }, error) {
-			return AblationHeartbeat(o)
-		},
-		"multiissue": func(o Options) (interface{ String() string }, error) {
-			return AblationMultiIssueDepth(o)
-		},
-		"chunk": func(o Options) (interface{ String() string }, error) {
-			return AblationChunkSize(o)
-		},
-		"rootcache": func(o Options) (interface{ String() string }, error) {
-			return AblationRootCache(o)
-		},
-		"nodecache": func(o Options) (interface{ String() string }, error) {
-			return AblationNodeCache(o)
-		},
-		"predictor": func(o Options) (interface{ String() string }, error) {
-			return AblationPredictor(o)
-		},
-		"framework": func(o Options) (interface{ String() string }, error) {
-			return Framework(o)
-		},
+	for name, fn := range map[string]func(Options) (*stats.Table, error){
+		"n":          AblationBackoffN,
+		"t":          AblationThresholdT,
+		"heartbeat":  AblationHeartbeat,
+		"multiissue": AblationMultiIssueDepth,
+		"batch":      AblationBatchSize,
+		"chunk":      AblationChunkSize,
+		"rootcache":  AblationRootCache,
+		"nodecache":  AblationNodeCache,
+		"prefetch":   AblationPrefetch,
+		"predictor":  AblationPredictor,
+		"fetch":      AblationFetch,
+		"shards":     AblationShards,
+		"failover":   AblationFailover,
+		"moving":     AblationMovingObjects,
+		"knn":        AblationKNN,
+		"framework":  Framework,
 	} {
 		table, err := fn(quickOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if table.String() == "" {
-			t.Errorf("%s: empty table", name)
-		}
+		checkQuickTable(t, "ablation-"+name, table)
 	}
 }
 

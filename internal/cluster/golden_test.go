@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -69,5 +71,75 @@ func TestShardedGolden(t *testing.T) {
 	}
 	if !bytes.Equal(doc, want) {
 		t.Errorf("sharded results diverge from testdata/sharded-golden.json; got:\n%s", doc)
+	}
+}
+
+// TestSingleGolden pins the single-server simulation — every exported
+// scheme on the small hybrid mix, unbatched and at B=16, plus one run with
+// the whole offload read path switched on (node cache, merged spans,
+// prefetch, root cache) and one with staged node writes over several client
+// hosts — to testdata/single-golden.json, captured before the single-server
+// and sharded run paths were folded into one deployment. One compact JSON
+// line per run; as in TestShardedGolden, equal text means equal bits.
+func TestSingleGolden(t *testing.T) {
+	runs := map[string]Config{}
+	for _, scheme := range []Scheme{
+		SchemeTCP1G, SchemeTCP40G, SchemeFastMessaging, SchemeOffloading, SchemeCatfish,
+		SchemeFastEvent, SchemeOffloadMulti, SchemeFetch, SchemeCatfish3,
+	} {
+		runs[scheme.Name] = hybridConfig(scheme, 4)
+		batched := hybridConfig(scheme, 4)
+		batched.BatchSize = 16
+		runs[scheme.Name+"-b16"] = batched
+	}
+	// Wide scans over 1 KB chunks: the regime where adjacent leaves merge
+	// and speculation fires (see bench.AblationPrefetch).
+	reads := hybridConfig(SchemeOffloadMulti, 4)
+	reads.Workload = workload.NewMix(workload.UniformScale{Scale: 0.05},
+		workload.SkewedInserts{Edge: 0.0001}, 0.1, 1<<32)
+	reads.ChunkSize = 1024
+	reads.MaxEntries = 22
+	reads.NodeCache = 1024
+	// A short interval so leases lapse and the prefetch bucket refills
+	// within the run.
+	reads.HeartbeatInv = 200 * time.Microsecond
+	reads.MergeSpan = 4
+	reads.Prefetch = 64
+	reads.CacheRoot = true
+	runs["offload-multi-readpath"] = reads
+	staged := hybridConfig(SchemeOffloadMulti, 6)
+	staged.StagedWrites = true
+	staged.ClientsPerHost = 2
+	runs["offload-multi-staged"] = staged
+
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var doc bytes.Buffer
+	doc.WriteString("{\n")
+	for i, name := range names {
+		res, err := Run(runs[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		line, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&doc, "  %q: %s", name, line)
+		if i < len(names)-1 {
+			doc.WriteByte(',')
+		}
+		doc.WriteByte('\n')
+	}
+	doc.WriteString("}\n")
+	want, err := os.ReadFile("testdata/single-golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Bytes(), want) {
+		t.Errorf("single-server results diverge from testdata/single-golden.json; got:\n%s", doc.Bytes())
 	}
 }
