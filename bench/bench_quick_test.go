@@ -248,7 +248,7 @@ func TestScenarioGolden(t *testing.T) {
 	}
 	data := workload.UniformRectsRand(rand.New(rand.NewSource(o.Seed)), o.DatasetSize, 0.0001)
 	for _, k := range []int{1, 10, 100} {
-		res, err := runKNNSharded(o, data, clients, k)
+		res, err := runKNN(o, data, clients, "sharded-4", k)
 		if err != nil {
 			t.Fatalf("knn sharded-4 k=%d: %v", k, err)
 		}

@@ -18,13 +18,11 @@ import (
 
 	"github.com/catfish-db/catfish/internal/autoscale"
 	"github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/fabric"
+	"github.com/catfish-db/catfish/internal/cluster"
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/rpcnet"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/scenario"
-	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/stats"
@@ -73,11 +71,6 @@ type movingResult struct {
 }
 
 func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult, error) {
-	e := sim.New(o.Seed)
-	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
-	serverCPU := sim.NewCPU(e, o.ServerCores)
-	serverHost := net.NewHost("server", serverCPU)
-
 	// Each driver owns a contiguous slice of the fleet, so no two clients
 	// ever race on the same object ref.
 	perClient := fleet / clients
@@ -97,131 +90,98 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 	if err != nil {
 		return movingResult{}, err
 	}
-	srv, err := server.New(server.Config{
-		Engine: e, Host: serverHost, Tree: tree,
-		Cost:              netmodel.DefaultCostModel(),
-		Mode:              server.ModeEvent,
-		HeartbeatInterval: o.HeartbeatInv,
+	d, err := cluster.Deploy(cluster.Config{
+		Scheme:         cluster.SchemeCatfish,
+		PrebuiltTree:   tree,
+		NumClients:     clients,
+		ClientsPerHost: 1,
+		ServerCores:    o.ServerCores,
+		HeartbeatInv:   o.HeartbeatInv,
+		Seed:           o.Seed,
 	})
 	if err != nil {
 		return movingResult{}, err
 	}
 
 	lat := stats.NewHistogram()
-	var ops uint64
-	var makespan time.Duration
-	var runErr error
-	wg := sim.NewWaitGroup(e)
-	for i := 0; i < clients; i++ {
-		i := i
-		host := net.NewHost(fmt.Sprintf("c%d", i/32), sim.NewCPU(e, 28))
-		ep, err := srv.Connect(host, net, 16)
-		if err != nil {
-			return movingResult{}, err
-		}
-		c, err := client.New(client.Config{
-			Engine: e, Host: host, Endpoint: ep,
-			Cost:         netmodel.DefaultCostModel(),
-			Adaptive:     true,
-			HeartbeatInv: o.HeartbeatInv,
-			MultiIssue:   true,
-		})
-		if err != nil {
-			return movingResult{}, err
-		}
-		wg.Add(1)
-		e.Spawn(fmt.Sprintf("geo-driver-%d", i), func(p *sim.Proc) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.Seed + 500 + int64(i)))
-			fl := fleets[i]
-			var pending []scenario.Move
-			var batch []client.BatchOp
-			var results []client.BatchResult
-			record := func(start time.Duration, n int) {
-				d := p.Now() - start
-				for j := 0; j < n; j++ {
-					lat.Record(d / time.Duration(n))
-				}
-				ops += uint64(n)
-				if p.Now() > makespan {
-					makespan = p.Now()
-				}
+	err = d.Drive(func(i int, p *sim.Proc) error {
+		c := d.On(i, p)
+		rng := rand.New(rand.NewSource(o.Seed + 500 + int64(i)))
+		fl := fleets[i]
+		var pending []scenario.Move
+		var batch []client.BatchOp
+		var results []client.BatchResult
+		record := func(start time.Duration, n int) {
+			elapsed := p.Now() - start
+			for j := 0; j < n; j++ {
+				lat.Record(elapsed / time.Duration(n))
 			}
-			for r := 0; r < o.Requests; r++ {
-				if r%2 == 1 {
-					// Odd ops: "what's around this vehicle" window search.
-					q := fl.Nearby(rng.Intn(fl.Len()), 0.002)
-					start := p.Now()
-					if _, _, err := c.On(p).Search(q); err != nil {
-						runErr = err
-						return
-					}
-					record(start, 1)
+			d.Count(p, n)
+		}
+		for r := 0; r < o.Requests; r++ {
+			if r%2 == 1 {
+				// Odd ops: "what's around this vehicle" window search.
+				q := fl.Nearby(rng.Intn(fl.Len()), 0.002)
+				start := p.Now()
+				if _, _, err := c.Search(q); err != nil {
+					return err
+				}
+				record(start, 1)
+				continue
+			}
+			if len(pending) == 0 {
+				pending = fl.Tick(rng, pending)
+			}
+			mv := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			switch mode {
+			case "move":
+				start := p.Now()
+				if err := c.Move(mv.From, mv.To, mv.Ref); err != nil {
+					return err
+				}
+				record(start, 1)
+			case "del+ins":
+				start := p.Now()
+				if err := c.Delete(mv.From, mv.Ref); err != nil && !errors.Is(err, client.ErrNotFound) {
+					return err
+				}
+				if err := c.Insert(mv.To, mv.Ref); err != nil {
+					return err
+				}
+				record(start, 1)
+			case "batched-move":
+				batch = append(batch, client.BatchOp{
+					Type: wire.MsgMove, Rect: mv.From, Rect2: mv.To, Ref: mv.Ref,
+				})
+				if len(batch) < o.BatchSize && r+2 < o.Requests {
 					continue
 				}
-				if len(pending) == 0 {
-					pending = fl.Tick(rng, pending)
+				start := p.Now()
+				results = c.ExecBatch(batch, results)
+				for _, res := range results {
+					if res.Err != nil {
+						return res.Err
+					}
 				}
-				mv := pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				switch mode {
-				case "move":
-					start := p.Now()
-					if err := c.On(p).Move(mv.From, mv.To, mv.Ref); err != nil {
-						runErr = err
-						return
-					}
-					record(start, 1)
-				case "del+ins":
-					start := p.Now()
-					if err := c.On(p).Delete(mv.From, mv.Ref); err != nil && !errors.Is(err, client.ErrNotFound) {
-						runErr = err
-						return
-					}
-					if err := c.On(p).Insert(mv.To, mv.Ref); err != nil {
-						runErr = err
-						return
-					}
-					record(start, 1)
-				case "batched-move":
-					batch = append(batch, client.BatchOp{
-						Type: wire.MsgMove, Rect: mv.From, Rect2: mv.To, Ref: mv.Ref,
-					})
-					if len(batch) < o.BatchSize && r+2 < o.Requests {
-						continue
-					}
-					start := p.Now()
-					results = c.On(p).ExecBatch(batch, results)
-					for _, res := range results {
-						if res.Err != nil {
-							runErr = res.Err
-							return
-						}
-					}
-					record(start, len(batch))
-					batch = batch[:0]
-				}
+				record(start, len(batch))
+				batch = batch[:0]
 			}
-		})
-	}
-	e.Spawn("stop", func(p *sim.Proc) { wg.Wait(p); e.Stop() })
-	if err := e.Run(); err != nil {
+		}
+		return nil
+	}, nil)
+	if err != nil {
 		return movingResult{}, err
 	}
-	if runErr != nil {
-		return movingResult{}, runErr
-	}
-	st := srv.Stats()
+	res := d.Result()
 	out := movingResult{
+		kops:        res.Kops,
 		lat:         lat.Summarize(),
-		serverMoves: st.Moves,
-		cpuUtil:     serverCPU.UtilizationTotal(),
+		serverMoves: res.ServerStats.Moves,
+		cpuUtil:     res.ServerCPUUtil,
 	}
-	if st.Moves > 0 {
-		out.inPlace = float64(st.MovesInPlace) / float64(st.Moves)
-	}
-	if makespan > 0 {
-		out.kops = float64(ops) / makespan.Seconds() / 1e3
+	if out.serverMoves > 0 {
+		out.inPlace = float64(res.ServerStats.MovesInPlace) / float64(out.serverMoves)
 	}
 	return out, nil
 }
@@ -267,215 +227,77 @@ type knnResult struct {
 }
 
 func runKNN(o Options, data []rtree.Entry, clients int, arm string, k int) (knnResult, error) {
-	if arm == "sharded-4" {
-		return runKNNSharded(o, data, clients, k)
-	}
-	e := sim.New(o.Seed)
-	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
-	serverCPU := sim.NewCPU(e, o.ServerCores)
-	serverHost := net.NewHost("server", serverCPU)
-	tree, err := buildTree(data)
-	if err != nil {
-		return knnResult{}, err
-	}
-	scfg := server.Config{
-		Engine: e, Host: serverHost, Tree: tree,
-		Cost:              netmodel.DefaultCostModel(),
-		Mode:              server.ModeEvent,
-		HeartbeatInterval: o.HeartbeatInv,
+	cfg := cluster.Config{
+		Scheme:         cluster.SchemeFastEvent,
+		NumClients:     clients,
+		ClientsPerHost: 1,
+		ServerCores:    o.ServerCores,
+		HeartbeatInv:   o.HeartbeatInv,
+		Seed:           o.Seed,
 	}
 	if arm == "adaptive-3way" {
-		scfg.FetchSlots = 64
+		cfg.Scheme = cluster.SchemeCatfish3
+		cfg.FetchSlots = 64
 	}
-	srv, err := server.New(scfg)
+	// The static arms heartbeat too, like any deployed server.
+	cfg.Scheme.Heartbeats = true
+	// The unsharded arms serve one tree, which the spot check below reads.
+	// The sharded arm draws its query points from its own seed range.
+	var tree *rtree.Tree
+	seedBase := o.Seed + 700
+	if arm == "sharded-4" {
+		cfg.Dataset, cfg.Shards = data, 4
+		seedBase = o.Seed + 900
+	} else {
+		var err error
+		if tree, err = buildTree(data); err != nil {
+			return knnResult{}, err
+		}
+		cfg.PrebuiltTree = tree
+	}
+	d, err := cluster.Deploy(cfg)
 	if err != nil {
 		return knnResult{}, err
 	}
 	lat := stats.NewHistogram()
-	var ops uint64
-	var makespan time.Duration
-	var runErr error
-	cs := make([]*client.Client, clients)
-	wg := sim.NewWaitGroup(e)
-	for i := range cs {
-		host := net.NewHost(fmt.Sprintf("c%d", i/32), sim.NewCPU(e, 28))
-		ep, err := srv.Connect(host, net, 16)
-		if err != nil {
-			return knnResult{}, err
-		}
-		ccfg := client.Config{
-			Engine: e, Host: host, Endpoint: ep,
-			Cost:         netmodel.DefaultCostModel(),
-			HeartbeatInv: o.HeartbeatInv,
-		}
-		if arm == "adaptive-3way" {
-			ccfg.Adaptive = true
-			ccfg.Fetch = true
-		} else {
-			ccfg.Forced = client.MethodFast
-		}
-		cs[i], err = client.New(ccfg)
-		if err != nil {
-			return knnResult{}, err
-		}
-	}
-	for i, c := range cs {
-		i, c := i, c
-		wg.Add(1)
-		e.Spawn(fmt.Sprintf("knn-driver-%d", i), func(p *sim.Proc) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.Seed + 700 + int64(i)))
-			for r := 0; r < o.Requests; r++ {
-				x, y := rng.Float64(), rng.Float64()
-				start := p.Now()
-				nbrs, _, err := c.On(p).Nearest(k, x, y)
+	err = d.Drive(func(i int, p *sim.Proc) error {
+		c := d.On(i, p)
+		rng := rand.New(rand.NewSource(seedBase + int64(i)))
+		for r := 0; r < o.Requests; r++ {
+			x, y := rng.Float64(), rng.Float64()
+			start := p.Now()
+			nbrs, _, err := c.Nearest(k, x, y)
+			if err != nil {
+				return err
+			}
+			lat.Record(p.Now() - start)
+			d.Count(p, 1)
+			if tree != nil && r%50 == 0 {
+				// Equivalence spot check: the remote answer must be the
+				// local best-first answer, bit for bit. The sim is
+				// cooperative, so reading the (static) tree here races
+				// with nothing.
+				want, _, err := tree.Nearest(k, x, y)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
-				lat.Record(p.Now() - start)
-				ops++
-				if p.Now() > makespan {
-					makespan = p.Now()
-				}
-				if r%50 == 0 {
-					// Equivalence spot check: the remote answer must be the
-					// local best-first answer, bit for bit. The sim is
-					// cooperative, so reading the (static) tree here races
-					// with nothing.
-					want, _, werr := tree.Nearest(k, x, y)
-					if werr != nil {
-						runErr = werr
-						return
-					}
-					if err := sameNeighbors(nbrs, want); err != nil {
-						runErr = fmt.Errorf("remote kNN diverged from local at (%g, %g): %w", x, y, err)
-						return
-					}
+				if err := sameNeighbors(nbrs, want); err != nil {
+					return fmt.Errorf("remote kNN diverged from local at (%g, %g): %w", x, y, err)
 				}
 			}
-		})
-	}
-	e.Spawn("stop", func(p *sim.Proc) { wg.Wait(p); e.Stop() })
-	if err := e.Run(); err != nil {
-		return knnResult{}, err
-	}
-	if runErr != nil {
-		return knnResult{}, runErr
-	}
-	var fast, fetch uint64
-	for _, c := range cs {
-		st := c.Stats()
-		fast += st.FastSearches
-		fetch += st.FetchSearches
-	}
-	out := knnResult{lat: lat.Summarize(), fanout: 1}
-	if makespan > 0 {
-		out.kops = float64(ops) / makespan.Seconds() / 1e3
-	}
-	if fast+fetch > 0 {
-		out.fetchFrac = float64(fetch) / float64(fast+fetch)
-	}
-	return out, nil
-}
-
-func runKNNSharded(o Options, data []rtree.Entry, clients, k int) (knnResult, error) {
-	const K = 4
-	e := sim.New(o.Seed)
-	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
-	smap, err := shard.Build(data, shard.Config{K: K})
+		}
+		return nil
+	}, nil)
 	if err != nil {
 		return knnResult{}, err
 	}
-	assign := smap.Assign(data)
-	servers := make([]*server.Server, K)
-	for s := 0; s < K; s++ {
-		host := net.NewHost(fmt.Sprintf("shard-%d", s), sim.NewCPU(e, o.ServerCores))
-		tree, err := buildTree(assign[s])
-		if err != nil {
-			return knnResult{}, err
-		}
-		servers[s], err = server.New(server.Config{
-			Engine: e, Host: host, Tree: tree,
-			Cost:              netmodel.DefaultCostModel(),
-			Mode:              server.ModeEvent,
-			HeartbeatInterval: o.HeartbeatInv,
-		})
-		if err != nil {
-			return knnResult{}, err
-		}
+	res := d.Result()
+	out := knnResult{kops: res.Kops, lat: lat.Summarize(), fanout: 1}
+	if tree == nil {
+		out.fanout = res.FanoutPerSearch
 	}
-	lat := stats.NewHistogram()
-	var ops uint64
-	var makespan time.Duration
-	var runErr error
-	routers := make([]*shard.Router, clients)
-	for i := range routers {
-		host := net.NewHost(fmt.Sprintf("c%d", i/32), sim.NewCPU(e, 28))
-		cs := make([]*client.Client, K)
-		for s := 0; s < K; s++ {
-			ep, err := servers[s].Connect(host, net, 16)
-			if err != nil {
-				return knnResult{}, err
-			}
-			cs[s], err = client.New(client.Config{
-				Engine: e, Host: host, Endpoint: ep,
-				Cost:         netmodel.DefaultCostModel(),
-				Forced:       client.MethodFast,
-				HeartbeatInv: o.HeartbeatInv,
-			})
-			if err != nil {
-				return knnResult{}, err
-			}
-		}
-		routers[i], err = shard.NewRouter(shard.RouterConfig{
-			Engine: e, Map: smap, Clients: cs,
-		})
-		if err != nil {
-			return knnResult{}, err
-		}
-	}
-	wg := sim.NewWaitGroup(e)
-	for i, r := range routers {
-		i, r := i, r
-		wg.Add(1)
-		e.Spawn(fmt.Sprintf("knn-router-%d", i), func(p *sim.Proc) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.Seed + 900 + int64(i)))
-			for q := 0; q < o.Requests; q++ {
-				x, y := rng.Float64(), rng.Float64()
-				start := p.Now()
-				if _, _, err := r.On(p).Nearest(k, x, y); err != nil {
-					runErr = err
-					return
-				}
-				lat.Record(p.Now() - start)
-				ops++
-				if p.Now() > makespan {
-					makespan = p.Now()
-				}
-			}
-		})
-	}
-	e.Spawn("stop", func(p *sim.Proc) { wg.Wait(p); e.Stop() })
-	if err := e.Run(); err != nil {
-		return knnResult{}, err
-	}
-	if runErr != nil {
-		return knnResult{}, runErr
-	}
-	var knns, fanout uint64
-	for _, r := range routers {
-		st := r.Stats()
-		knns += st.KNNs
-		fanout += st.Fanout
-	}
-	out := knnResult{lat: lat.Summarize()}
-	if makespan > 0 {
-		out.kops = float64(ops) / makespan.Seconds() / 1e3
-	}
-	if knns > 0 {
-		out.fanout = float64(fanout) / float64(knns)
+	if n := res.Client.FastSearches + res.Client.FetchSearches; n > 0 {
+		out.fetchFrac = float64(res.Client.FetchSearches) / float64(n)
 	}
 	return out, nil
 }

@@ -1,8 +1,9 @@
-// Package cluster assembles full Catfish experiments: one server plus up to
-// hundreds of clients spread over simulated hosts, running the paper's
-// workloads under one of the five evaluated schemes, and collecting the
-// metrics the paper plots — throughput (Kops), request latency, server CPU
-// utilization, and server NIC bandwidth.
+// Package cluster assembles full Catfish experiments: one server — or K
+// shards with R replicas each — plus up to hundreds of clients spread over
+// simulated hosts (Deploy), running the paper's workloads under one of the
+// evaluated schemes (Run), and collecting the metrics the paper plots —
+// throughput (Kops), request latency, server CPU utilization, and server
+// NIC bandwidth (Deployment.Result).
 package cluster
 
 import (
@@ -12,9 +13,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/netmodel"
-	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
@@ -95,9 +94,9 @@ type Config struct {
 	RequestsPerClient int
 	// BatchSize coalesces up to B consecutive requests per client into one
 	// batch container (one ring write / TCP frame, one server latch and
-	// charge). 0 runs the unbatched driver loop; 1 issues single-operation
-	// batches, which delegate to the unbatched path and reproduce it
-	// bit-for-bit (asserted by TestBatchSizeOneEquivalence).
+	// charge). 0 issues each request directly; 1 issues single-operation
+	// batches, which delegate to the unbatched operations and reproduce
+	// them bit-for-bit (asserted by TestBatchSizeOneEquivalence).
 	BatchSize int
 	// ClientsPerHost is how many client processes share one machine
 	// (paper: up to 32 per node).
@@ -161,17 +160,19 @@ type Config struct {
 	// Cost overrides the CPU cost model (zero value selects the default).
 	Cost netmodel.CostModel
 
-	// PrebuiltTree reuses an already-loaded tree (and its region) instead
-	// of bulk-loading Dataset. Only valid for workloads with no inserts:
-	// mutations would leak between runs. The benchmark harness uses this
-	// to amortize the 2M-rectangle load across a sweep. Incompatible with
-	// Shards > 1 (each K partitions the dataset differently).
+	// PrebuiltTree serves an already-loaded tree (and its region) instead
+	// of bulk-loading Dataset. Sharing one tree between runs is only valid
+	// for workloads with no writes: mutations would leak from run to run.
+	// The benchmark harness uses this to amortize the 2M-rectangle load
+	// across a sweep. Incompatible with Shards > 1 (each K partitions the
+	// dataset differently).
 	PrebuiltTree *rtree.Tree
 
 	// Shards partitions the dataset across K independent servers (each with
 	// its own host, CPU, NIC, and heartbeat stream); clients route through
 	// a scatter-gather shard.Router with one adaptive switch per shard.
-	// 0 or 1 runs the existing single-server path unchanged.
+	// 0 or 1 deploys one server and binds each client to it directly, with
+	// no router in between.
 	Shards int
 	// HealthMultiple is the shard-liveness window in heartbeat intervals
 	// (shard.DefaultHealthMultiple when 0). Only meaningful with Shards > 1
@@ -182,11 +183,13 @@ type Config struct {
 	// Replicas-1 synchronously updated backup servers, and routers promote
 	// the best backup when the primary refuses service or its health window
 	// lapses. 0 or 1 disables replication, leaving the sharded path
-	// bit-for-bit unchanged. Only meaningful with Shards > 1.
+	// bit-for-bit unchanged. Failover is the router's job, so Replicas > 1,
+	// FailAfter and VerifyQueries are rejected unless Shards > 1.
 	Replicas int
 	// FailAfter > 0 injects a primary crash: shard FailShard's primary is
 	// killed at that virtual time (heartbeats freeze, requests answer
-	// StatusUnavailable). Zero disables fault injection.
+	// StatusUnavailable). Zero disables fault injection. FailShard must name
+	// one of the Shards.
 	FailAfter time.Duration
 	FailShard int
 	// VerifyQueries > 0 replays that many random queries through a router
@@ -271,7 +274,8 @@ type Result struct {
 	// utilizations averaged, bandwidths summed); PerShard keeps the split
 	// so sweeps can plot load skew.
 	PerShard []ShardResult
-	// FanoutPerSearch is the mean number of shards each search scattered to.
+	// FanoutPerSearch is the mean number of shards each search or kNN
+	// query scattered to.
 	FanoutPerSearch float64
 	// SkippedSearches counts searches whose every target shard was
 	// unhealthy; UnhealthyWrites counts writes rejected for a dead owner.
@@ -395,236 +399,92 @@ func (c *Config) regionChunks() int {
 	return nodes * 2
 }
 
-// Run executes the experiment and returns its measurements.
+// Run executes the experiment and returns its measurements: Deploy, then a
+// closed loop per client issuing RequestsPerClient operations drawn from
+// the workload in containers of BatchSize (one at a time, directly, when
+// BatchSize is 0), then the roll-up.
 func Run(cfg Config) (Result, error) {
 	cfg.applyDefaults()
 	if cfg.Workload == nil {
 		return Result{}, errors.New("cluster: Workload is required")
 	}
-	// K>1 runs the sharded deployment; K<=1 stays on this single-server
-	// path, bit for bit.
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
-	}
-
-	e := sim.New(cfg.Seed)
-	// Scheme is held by value, so widening the merge span here never leaks
-	// into the shared scheme definitions.
-	cfg.Scheme.Profile.MergeSpan = cfg.MergeSpan
-	net := fabric.NewNetwork(e, cfg.Scheme.Profile)
-
-	serverCPU := sim.NewCPU(e, cfg.ServerCores)
-	serverHost := net.NewHost("server", serverCPU)
-
-	var tree *rtree.Tree
-	if cfg.PrebuiltTree != nil {
-		tree = cfg.PrebuiltTree
-		// The previous run's server may have left its staged publisher
-		// installed; restore the default before re-serving.
-		tree.SetPublisher(nil)
-	} else {
-		reg, err := region.New(cfg.regionChunks(), cfg.ChunkSize)
-		if err != nil {
-			return Result{}, err
-		}
-		tree, err = rtree.New(reg, rtree.Config{MaxEntries: cfg.MaxEntries})
-		if err != nil {
-			return Result{}, err
-		}
-		if len(cfg.Dataset) > 0 {
-			data := append([]rtree.Entry(nil), cfg.Dataset...)
-			if err := tree.BulkLoad(data, 0); err != nil {
-				return Result{}, fmt.Errorf("cluster: bulk load: %w", err)
-			}
-		}
-	}
-
-	srvCfg := server.Config{
-		Engine:           e,
-		Host:             serverHost,
-		Tree:             tree,
-		Cost:             cfg.Cost,
-		Mode:             cfg.Scheme.ServerMode,
-		RingSize:         cfg.RingSize,
-		StagedNodeWrites: cfg.StagedWrites,
-	}
-	if cfg.Scheme.Heartbeats {
-		srvCfg.HeartbeatInterval = cfg.HeartbeatInv
-	}
-	if cfg.Scheme.fetchEnabled() {
-		srvCfg.FetchSlots = cfg.FetchSlots
-		srvCfg.FetchSlotChunks = cfg.FetchSlotChunks
-		srvCfg.FetchInlineMax = cfg.FetchInlineMax
-	}
-	if cfg.Scheme.ServerMode == server.ModePolling {
-		srvCfg.PollCPU = sim.NewPollCPU(e, cfg.ServerCores, cfg.Cost.PollSlice)
-	}
-	srv, err := server.New(srvCfg)
+	d, err := Deploy(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-
-	// Client hosts: ClientsPerHost clients share each machine.
-	numHosts := (cfg.NumClients + cfg.ClientsPerHost - 1) / cfg.ClientsPerHost
-	hosts := make([]*fabric.Host, numHosts)
-	for i := range hosts {
-		hosts[i] = net.NewHost(fmt.Sprintf("client-host-%d", i), sim.NewCPU(e, cfg.ClientCores))
-	}
-
-	clients := make([]*client.Client, cfg.NumClients)
-	for i := range clients {
-		host := hosts[i/cfg.ClientsPerHost]
-		ccfg := client.Config{
-			Engine:        e,
-			Host:          host,
-			Cost:          cfg.Cost,
-			Adaptive:      cfg.Scheme.Adaptive,
-			Forced:        cfg.Scheme.Forced,
-			MultiIssue:    cfg.Scheme.MultiIssue,
-			N:             cfg.N,
-			T:             cfg.T,
-			HeartbeatInv:  cfg.HeartbeatInv,
-			CacheRoot:     cfg.CacheRoot,
-			NodeCache:     cfg.NodeCache,
-			PredSmoothing: cfg.PredSmoothing,
-			Prefetch:      cfg.Prefetch,
-			Fetch:         cfg.Scheme.fetchEnabled(),
-			TxT:           cfg.TxT,
-		}
-		if cfg.Scheme.TCP {
-			ep, err := srv.ConnectTCP(host, net)
-			if err != nil {
-				return Result{}, err
-			}
-			ccfg.Endpoint = ep
-		} else {
-			ep, err := srv.Connect(host, net, cfg.MultiIssueDepth)
-			if err != nil {
-				return Result{}, err
-			}
-			ccfg.Endpoint = ep
-		}
-		c, err := client.New(ccfg)
-		if err != nil {
-			return Result{}, err
-		}
-		clients[i] = c
-	}
-
 	searchLat := stats.NewHistogram()
 	insertLat := stats.NewHistogram()
-	var ops uint64
-	var makespan time.Duration
-	var runErr error
-	wg := sim.NewWaitGroup(e)
 
-	for i, c := range clients {
-		i, c := i, c
-		wg.Add(1)
-		e.Spawn(fmt.Sprintf("driver-%d", i), func(p *sim.Proc) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-			// Re-seed the per-client workload stream by cloning the mix.
-			mix := *cfg.Workload
-			if cfg.BatchSize >= 1 {
-				batch := make([]client.BatchOp, 0, cfg.BatchSize)
-				results := make([]client.BatchResult, 0, cfg.BatchSize)
-				for r := 0; r < cfg.RequestsPerClient; {
-					batch = batch[:0]
-					for len(batch) < cfg.BatchSize && r < cfg.RequestsPerClient {
-						op := mix.Next(rng)
-						if op.Type == workload.OpInsert {
-							batch = append(batch, client.BatchOp{
-								Type: wire.MsgInsert, Rect: op.Rect, Ref: op.Ref + uint64(i)<<32})
-						} else {
-							batch = append(batch, client.BatchOp{Type: wire.MsgSearch, Rect: op.Rect})
-						}
-						r++
-					}
-					start := p.Now()
-					results = c.On(p).ExecBatch(batch, results)
-					elapsed := p.Now() - start
-					// Batched ops complete together; each observes the
-					// batch's latency.
-					for j := range results {
-						if err := results[j].Err; err != nil {
-							runErr = fmt.Errorf("client %d batched op: %w", i, err)
-							return
-						}
-						if batch[j].Type == wire.MsgInsert {
-							insertLat.Record(elapsed)
-						} else {
-							searchLat.Record(elapsed)
-						}
-					}
-					ops += uint64(len(batch))
-					if p.Now() > makespan {
-						makespan = p.Now()
-					}
-				}
-				return
+	// Per-driver acknowledged inserts, recorded only when the post-run
+	// equivalence check is armed: an acked write that a later search cannot
+	// find is a lost write.
+	var acked [][]rtree.Entry
+	var verify func(p *sim.Proc) error
+	if cfg.VerifyQueries > 0 {
+		acked = make([][]rtree.Entry, cfg.NumClients)
+		verify = func(p *sim.Proc) error {
+			want := append([]rtree.Entry(nil), cfg.Dataset...)
+			for _, a := range acked {
+				want = append(want, a...)
 			}
-			for r := 0; r < cfg.RequestsPerClient; r++ {
-				op := mix.Next(rng)
-				start := p.Now()
-				switch op.Type {
-				case workload.OpInsert:
-					if err := c.On(p).Insert(op.Rect, op.Ref+uint64(i)<<32); err != nil {
-						runErr = fmt.Errorf("client %d insert: %w", i, err)
-						return
-					}
-					insertLat.Record(p.Now() - start)
-				default:
-					if _, _, err := c.On(p).Search(op.Rect); err != nil {
-						runErr = fmt.Errorf("client %d search: %w", i, err)
-						return
-					}
-					searchLat.Record(p.Now() - start)
-				}
-				ops++
-				if p.Now() > makespan {
-					makespan = p.Now()
-				}
-			}
-		})
+			return verifySharded(d.On(0, p), cfg, want)
+		}
 	}
-	e.Spawn("coordinator", func(p *sim.Proc) {
-		wg.Wait(p)
-		p.Engine().Stop()
-	})
-	if err := e.Run(); err != nil {
+
+	step := max(cfg.BatchSize, 1)
+	err = d.Drive(func(i int, p *sim.Proc) error {
+		ops := d.On(i, p)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+		// Re-seed the per-client workload stream by cloning the mix.
+		mix := *cfg.Workload
+		batch := make([]client.BatchOp, 0, step)
+		results := make([]client.BatchResult, 0, step)
+		for r := 0; r < cfg.RequestsPerClient; r += len(batch) {
+			batch = batch[:0]
+			for len(batch) < step && r+len(batch) < cfg.RequestsPerClient {
+				op := mix.Next(rng)
+				if op.Type == workload.OpInsert {
+					batch = append(batch, client.BatchOp{
+						Type: wire.MsgInsert, Rect: op.Rect, Ref: op.Ref + uint64(i)<<32})
+				} else {
+					batch = append(batch, client.BatchOp{Type: wire.MsgSearch, Rect: op.Rect})
+				}
+			}
+			start := p.Now()
+			switch {
+			case cfg.BatchSize > 0:
+				results = ops.ExecBatch(batch, results)
+			case batch[0].Type == wire.MsgInsert:
+				results = append(results[:0], client.BatchResult{Err: ops.Insert(batch[0].Rect, batch[0].Ref)})
+			default:
+				_, _, err := ops.Search(batch[0].Rect)
+				results = append(results[:0], client.BatchResult{Err: err})
+			}
+			elapsed := p.Now() - start
+			// Batched ops complete together; each observes the batch's
+			// latency.
+			for j, op := range batch {
+				if err := results[j].Err; err != nil {
+					return fmt.Errorf("op %d: %w", r+j, err)
+				}
+				if op.Type == wire.MsgInsert {
+					insertLat.Record(elapsed)
+					if acked != nil {
+						acked[i] = append(acked[i], rtree.Entry{Rect: op.Rect, Ref: op.Ref})
+					}
+				} else {
+					searchLat.Record(elapsed)
+				}
+			}
+			d.Count(p, len(batch))
+		}
+		return nil
+	}, verify)
+	if err != nil {
 		return Result{}, err
 	}
-	if runErr != nil {
-		return Result{}, runErr
-	}
-
-	res := Result{
-		Scheme:      cfg.Scheme.Name,
-		Clients:     cfg.NumClients,
-		Ops:         ops,
-		Makespan:    makespan,
-		Latency:     searchLat.Summarize(),
-		InsertLat:   insertLat.Summarize(),
-		ServerStats: srv.Stats(),
-	}
-	if makespan > 0 {
-		res.Kops = float64(ops) / makespan.Seconds() / 1e3
-		res.ServerTXGbps = serverHost.TXGbps(makespan)
-		res.ServerReadTXGbps = serverHost.ReadTXGbps(makespan)
-		res.ServerRXGbps = serverHost.RXGbps(makespan)
-	}
-	if cfg.Scheme.ServerMode == server.ModePolling {
-		res.ServerCPUUtil = 1.0
-		res.ServerUsefulCPU = srvCfg.PollCPU.UsefulUtilizationTotal()
-	} else {
-		res.ServerCPUUtil = serverCPU.UtilizationTotal()
-		res.ServerUsefulCPU = res.ServerCPUUtil
-	}
-	var agg telemetry.ClientSnapshot
-	for _, c := range clients {
-		agg = agg.Add(c.Stats())
-	}
-	res.applyClientSnapshot(agg)
+	res := d.Result()
+	res.Latency = searchLat.Summarize()
+	res.InsertLat = insertLat.Summarize()
 	return res, nil
 }

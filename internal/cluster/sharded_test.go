@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -121,10 +122,21 @@ func TestShardedRejectsPrebuiltTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := smallConfig(SchemeCatfish, 2)
-	bad.Shards = 2
-	bad.PrebuiltTree = tree
-	if _, err := Run(bad); err == nil {
-		t.Fatal("PrebuiltTree with Shards > 1 must be rejected")
+	// The rest would be silently dropped (failover is the router's job, and
+	// one server has no router) or index past the shards in the fault
+	// injector.
+	for name, mutate := range map[string]func(*Config){
+		"PrebuiltTree with Shards > 1":  func(c *Config) { c.Shards = 2; c.PrebuiltTree = tree },
+		"Replicas > 1 without shards":   func(c *Config) { c.Replicas = 2 },
+		"FailAfter without shards":      func(c *Config) { c.FailAfter = 50 * time.Microsecond },
+		"VerifyQueries with Shards = 1": func(c *Config) { c.Shards = 1; c.VerifyQueries = 10 },
+		"FailShard past the shards":     func(c *Config) { c.Shards = 2; c.Replicas = 2; c.FailAfter = time.Microsecond; c.FailShard = 2 },
+		"negative FailShard":            func(c *Config) { c.Shards = 2; c.Replicas = 2; c.FailAfter = time.Microsecond; c.FailShard = -1 },
+	} {
+		bad := smallConfig(SchemeCatfish, 2)
+		mutate(&bad)
+		if _, err := Run(bad); err == nil {
+			t.Errorf("%s must be rejected", name)
+		}
 	}
 }

@@ -125,16 +125,6 @@ func (m *Mux) Close() error {
 // send enqueues one frame on the shared writer (coalesced flush).
 func (m *Mux) send(payload []byte) error { return m.w.enqueue(payload) }
 
-// err returns the sticky read error wrapped as ErrClosed, or nil.
-func (m *Mux) err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.readerr != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, m.readerr)
-	}
-	return nil
-}
-
 // await registers a pooled waiter for one request id, failing if the
 // connection is already dead. Pair with settle.
 func (m *Mux) await(id uint64) (*waiter, error) {

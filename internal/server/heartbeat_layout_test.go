@@ -6,47 +6,28 @@ import (
 	"testing"
 )
 
-// encodeMailbox builds a heartbeat mailbox image of the given size (the
-// legacy 24-byte layout simply omits the TX word).
-func encodeMailbox(size int, util float64, rootVer, seq uint64, txUtil float64) []byte {
-	b := make([]byte, size)
+// encodeMailbox builds a heartbeat mailbox image.
+func encodeMailbox(util float64, rootVer, seq uint64, txUtil float64) []byte {
+	b := make([]byte, HeartbeatMailboxSize)
 	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(util))
 	binary.LittleEndian.PutUint64(b[8:], rootVer)
-	if size >= HeartbeatMailboxSizeLegacy {
-		binary.LittleEndian.PutUint64(b[16:], seq)
-	}
-	if size >= HeartbeatMailboxSize {
-		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(txUtil))
-	}
+	binary.LittleEndian.PutUint64(b[16:], seq)
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(txUtil))
 	return b
 }
 
-// TestHeartbeatMailboxWidening pins the widened 32-byte layout: the first
-// three words decode identically to the legacy 24-byte layout, and a legacy
-// image reads as TX utilization zero (which keeps the 3-way switch binary).
+// TestHeartbeatMailboxWidening pins the 32-byte layout word by word, and
+// that any shorter image — one byte short included — decodes to the zero
+// view ("no heartbeat yet") rather than to some of its words.
 func TestHeartbeatMailboxWidening(t *testing.T) {
-	legacy := DecodeHeartbeatMailbox(encodeMailbox(HeartbeatMailboxSizeLegacy, 0.75, 42, 7, 0.9))
-	if legacy.Util != 0.75 || legacy.RootVer != 42 || legacy.Seq != 7 {
-		t.Fatalf("legacy view = %+v", legacy)
+	img := encodeMailbox(0.75, 42, 7, 0.9)
+	if v := DecodeHeartbeatMailbox(img); v != (HeartbeatView{Util: 0.75, RootVer: 42, Seq: 7, TXUtil: 0.9}) {
+		t.Fatalf("view = %+v", v)
 	}
-	if legacy.TXUtil != 0 {
-		t.Fatalf("legacy TXUtil = %v, want 0", legacy.TXUtil)
-	}
-
-	wide := DecodeHeartbeatMailbox(encodeMailbox(HeartbeatMailboxSize, 0.75, 42, 7, 0.9))
-	if wide.Util != legacy.Util || wide.RootVer != legacy.RootVer || wide.Seq != legacy.Seq {
-		t.Fatalf("widened layout changed the legacy words: %+v vs %+v", wide, legacy)
-	}
-	if wide.TXUtil != 0.9 {
-		t.Fatalf("wide TXUtil = %v, want 0.9", wide.TXUtil)
-	}
-
-	// Shorter-than-legacy images decode to the zero view ("no heartbeat").
-	if v := DecodeHeartbeatMailbox(make([]byte, 8)); v.RootVer != 0 || v.Seq != 0 || v.TXUtil != 0 {
-		t.Fatalf("short view = %+v", v)
-	}
-	if v := DecodeHeartbeatMailbox(nil); v != (HeartbeatView{}) {
-		t.Fatalf("empty view = %+v", v)
+	for _, short := range [][]byte{img[:HeartbeatMailboxSize-1], img[:8], nil} {
+		if v := DecodeHeartbeatMailbox(short); v != (HeartbeatView{}) {
+			t.Fatalf("%d-byte image decoded to %+v, want the zero view", len(short), v)
+		}
 	}
 }
 
@@ -54,11 +35,11 @@ func TestHeartbeatMailboxWidening(t *testing.T) {
 // a wrap: liveness trackers detect arrival by change, so MaxUint64 → 0 must
 // decode as two distinct values, not saturate.
 func TestHeartbeatMailboxSeqWraparound(t *testing.T) {
-	before := DecodeHeartbeatMailbox(encodeMailbox(HeartbeatMailboxSize, 0.5, 1, math.MaxUint64, 0.1))
+	before := DecodeHeartbeatMailbox(encodeMailbox(0.5, 1, math.MaxUint64, 0.1))
 	if before.Seq != math.MaxUint64 {
 		t.Fatalf("seq = %d, want MaxUint64", before.Seq)
 	}
-	after := DecodeHeartbeatMailbox(encodeMailbox(HeartbeatMailboxSize, 0.5, 1, 0, 0.1))
+	after := DecodeHeartbeatMailbox(encodeMailbox(0.5, 1, 0, 0.1))
 	if after.Seq != 0 {
 		t.Fatalf("wrapped seq = %d, want 0", after.Seq)
 	}

@@ -481,13 +481,8 @@ func (s *Server) stagedPublish(chunkID int, payload []byte) error {
 // clear-after-read convention zeroes only word 0, and non-adaptive clients
 // never clear at all, so the utilization word cannot signal arrival), and
 // word 3 the send-engine (TX NIC) utilization feeding the 3-way switch's
-// TX predictor. Decoders tolerate the pre-fetch 24-byte layout — a short
-// mailbox simply reads as TX utilization zero (see DecodeHeartbeatMailbox).
+// TX predictor.
 const HeartbeatMailboxSize = 32
-
-// HeartbeatMailboxSizeLegacy is the pre-fetch mailbox layout without the
-// TX word, kept for layout-compatibility tests and mixed-version runs.
-const HeartbeatMailboxSizeLegacy = 24
 
 // HeartbeatView is a decoded heartbeat mailbox.
 type HeartbeatView struct {
@@ -497,26 +492,18 @@ type HeartbeatView struct {
 	TXUtil  float64
 }
 
-// DecodeHeartbeatMailbox decodes a heartbeat mailbox image, tolerating
-// both the legacy (24-byte, no TX word) and widened (32-byte) layouts; on
-// the legacy layout TXUtil reads as zero, which keeps the 3-way switch in
-// its binary behaviour. Shorter images decode to the zero view ("no
-// heartbeat yet").
+// DecodeHeartbeatMailbox decodes a heartbeat mailbox image; a short image
+// decodes to the zero view ("no heartbeat yet").
 func DecodeHeartbeatMailbox(b []byte) HeartbeatView {
-	var v HeartbeatView
-	if len(b) >= 8 {
-		v.Util = math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+	if len(b) < HeartbeatMailboxSize {
+		return HeartbeatView{}
 	}
-	if len(b) >= 16 {
-		v.RootVer = binary.LittleEndian.Uint64(b[8:])
+	return HeartbeatView{
+		Util:    math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
+		RootVer: binary.LittleEndian.Uint64(b[8:]),
+		Seq:     binary.LittleEndian.Uint64(b[16:]),
+		TXUtil:  math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
 	}
-	if len(b) >= HeartbeatMailboxSizeLegacy {
-		v.Seq = binary.LittleEndian.Uint64(b[16:])
-	}
-	if len(b) >= HeartbeatMailboxSize {
-		v.TXUtil = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
-	}
-	return v
 }
 
 // PauseHeartbeats suspends (true) or resumes (false) heartbeat publication,

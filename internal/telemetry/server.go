@@ -83,6 +83,28 @@ func (m *ServerMetrics) Snapshot() ServerSnapshot {
 	}
 }
 
+// Add accumulates other into s, field by field, and returns the sum, as
+// ClientSnapshot.Add does: a deployment's roll-up sums its servers with it.
+func (s ServerSnapshot) Add(other ServerSnapshot) ServerSnapshot {
+	s.Searches += other.Searches
+	s.Inserts += other.Inserts
+	s.Deletes += other.Deletes
+	s.Results += other.Results
+	s.Heartbeat += other.Heartbeat
+	s.Segments += other.Segments
+	s.Moves += other.Moves
+	s.MovesInPlace += other.MovesInPlace
+	s.KNNs += other.KNNs
+	s.Batches += other.Batches
+	s.BatchedOps += other.BatchedOps
+	s.FetchSearches += other.FetchSearches
+	s.FetchInline += other.FetchInline
+	s.FetchBytes += other.FetchBytes
+	s.Promotions += other.Promotions
+	s.ReplRecords += other.ReplRecords
+	return s
+}
+
 // Register exposes every counter and the two utilization gauges on reg under
 // the catfish_server_* names.
 func (m *ServerMetrics) Register(reg *Registry) {

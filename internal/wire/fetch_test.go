@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -62,57 +61,5 @@ func TestPackedItemsRoundtrip(t *testing.T) {
 	}
 	if _, err := DecodeItems(buf, len(items)+1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-count decode error = %v", err)
-	}
-}
-
-// TestHeartbeatLegacyLayout pins the widened heartbeat frame against the
-// pre-fetch layout: a legacy-length frame still decodes (TXUtil zero), and
-// the widened frame decodes the legacy words identically.
-func TestHeartbeatLegacyLayout(t *testing.T) {
-	h := Heartbeat{Util: 0.5, RootVer: 9, TXUtil: 0.25}
-	buf := h.Encode(nil)
-	if len(buf) != HeartbeatSize {
-		t.Fatalf("encoded size %d, want %d", len(buf), HeartbeatSize)
-	}
-	wide, err := DecodeHeartbeat(buf)
-	if err != nil || wide != h {
-		t.Fatalf("wide decode %+v, %v", wide, err)
-	}
-	legacy, err := DecodeHeartbeat(buf[:HeartbeatSizeLegacy])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Util != h.Util || legacy.RootVer != h.RootVer {
-		t.Fatalf("legacy words changed: %+v", legacy)
-	}
-	if legacy.TXUtil != 0 {
-		t.Fatalf("legacy TXUtil = %v, want 0", legacy.TXUtil)
-	}
-}
-
-// TestHelloLegacyLayout pins the widened hello against the pre-fetch layout:
-// a legacy-length hello reads as fetch-unsupported.
-func TestHelloLegacyLayout(t *testing.T) {
-	h := Hello{
-		RootChunk: 5, ChunkSize: 4096, MaxEntries: 64, NumChunks: 1000,
-		HeartbeatMs: 10, ServerEpoch: math.MaxUint64, ShardIndex: 1,
-		ShardCount: 4, MapVersion: 77, FetchSlots: 32, FetchSlotChunks: 64,
-	}
-	buf := h.Encode(nil)
-	if len(buf) != HelloSize {
-		t.Fatalf("encoded size %d, want %d", len(buf), HelloSize)
-	}
-	wide, err := DecodeHello(buf)
-	if err != nil || wide != h {
-		t.Fatalf("wide decode %+v, %v", wide, err)
-	}
-	legacy, err := DecodeHello(buf[:helloSizeLegacy])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := h
-	want.FetchSlots, want.FetchSlotChunks = 0, 0
-	if legacy != want {
-		t.Fatalf("legacy decode %+v, want %+v", legacy, want)
 	}
 }

@@ -305,29 +305,18 @@ type Heartbeat struct {
 	Util    float64
 	RootVer uint64
 	TXUtil  float64 // windowed send-engine (TX NIC) utilization, 0..1
-	// Replication words (zero against servers that predate them): the
-	// server's per-shard replication epoch and highest applied op-log
-	// sequence — routers pick the most-caught-up backup during failover —
-	// and the shard-map version the server currently serves, so routers
-	// detect a live reshard mid-run without polling MsgShardMap.
+	// Replication words: the server's per-shard replication epoch and
+	// highest applied op-log sequence — routers pick the most-caught-up
+	// backup during failover — and the shard-map version the server
+	// currently serves, so routers detect a live reshard mid-run without
+	// polling MsgShardMap.
 	Epoch      uint64
 	AppliedSeq uint64
 	MapVersion uint64
 }
 
-// HeartbeatSize is the encoded size of a Heartbeat (with the replication
-// words).
+// HeartbeatSize is the encoded size of a Heartbeat.
 const HeartbeatSize = 1 + 8 + 8 + 8 + 8 + 8 + 8
-
-// heartbeatSizeTX is the pre-replication layout (TX word, no replication
-// words); DecodeHeartbeat still accepts it.
-const heartbeatSizeTX = 1 + 8 + 8 + 8
-
-// HeartbeatSizeLegacy is the pre-fetch layout without the TX word.
-// DecodeHeartbeat still accepts it (later words read as zero) so widened
-// servers interoperate with clients speaking the old frame length and
-// vice versa.
-const HeartbeatSizeLegacy = 1 + 8 + 8
 
 // Encode appends the heartbeat encoding to buf and returns it.
 func (h Heartbeat) Encode(buf []byte) []byte {
@@ -344,25 +333,19 @@ func (h Heartbeat) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeHeartbeat parses a heartbeat, tolerating the legacy layouts (no TX
-// word; no replication words).
+// DecodeHeartbeat parses a heartbeat.
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
-	if len(b) < HeartbeatSizeLegacy || MsgType(b[0]) != MsgHeartbeat {
+	if len(b) < HeartbeatSize || MsgType(b[0]) != MsgHeartbeat {
 		return Heartbeat{}, fmt.Errorf("%w: heartbeat", ErrCorrupt)
 	}
-	h := Heartbeat{
-		Util:    math.Float64frombits(binary.LittleEndian.Uint64(b[1:])),
-		RootVer: binary.LittleEndian.Uint64(b[9:]),
-	}
-	if len(b) >= heartbeatSizeTX {
-		h.TXUtil = math.Float64frombits(binary.LittleEndian.Uint64(b[17:]))
-	}
-	if len(b) >= HeartbeatSize {
-		h.Epoch = binary.LittleEndian.Uint64(b[25:])
-		h.AppliedSeq = binary.LittleEndian.Uint64(b[33:])
-		h.MapVersion = binary.LittleEndian.Uint64(b[41:])
-	}
-	return h, nil
+	return Heartbeat{
+		Util:       math.Float64frombits(binary.LittleEndian.Uint64(b[1:])),
+		RootVer:    binary.LittleEndian.Uint64(b[9:]),
+		TXUtil:     math.Float64frombits(binary.LittleEndian.Uint64(b[17:])),
+		Epoch:      binary.LittleEndian.Uint64(b[25:]),
+		AppliedSeq: binary.LittleEndian.Uint64(b[33:]),
+		MapVersion: binary.LittleEndian.Uint64(b[41:]),
+	}, nil
 }
 
 // PeekType returns the type of an encoded message.
@@ -395,23 +378,15 @@ type Hello struct {
 	// means the server does not support result fetching.
 	FetchSlots      uint32
 	FetchSlotChunks uint32
-	// ReplicaEpoch is the server's replication epoch at connection time
-	// (0 against servers that predate replication). A router cross-checks
+	// ReplicaEpoch is the server's replication epoch at connection time. A
+	// router cross-checks
 	// it against heartbeats so a fenced zombie is recognizable from the
 	// hello alone.
 	ReplicaEpoch uint64
 }
 
-// HelloSize is the encoded size of a Hello (with the replica epoch).
+// HelloSize is the encoded size of a Hello.
 const HelloSize = 1 + 4*5 + 8 + 4 + 4 + 8 + 4 + 4 + 8
-
-// helloSizeFetch is the pre-replication layout (fetch geometry, no replica
-// epoch); DecodeHello still accepts it.
-const helloSizeFetch = 1 + 4*5 + 8 + 4 + 4 + 8 + 4 + 4
-
-// helloSizeLegacy is the pre-fetch layout; DecodeHello still accepts it
-// (fetch geometry reads as zero → fetch unsupported).
-const helloSizeLegacy = 1 + 4*5 + 8 + 4 + 4 + 8
 
 // Encode appends the hello encoding to buf and returns it.
 func (h Hello) Encode(buf []byte) []byte {
@@ -434,31 +409,25 @@ func (h Hello) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeHello parses a hello, tolerating the legacy layout without the
-// fetch geometry words.
+// DecodeHello parses a hello.
 func DecodeHello(b []byte) (Hello, error) {
-	if len(b) < helloSizeLegacy || MsgType(b[0]) != MsgHello {
+	if len(b) < HelloSize || MsgType(b[0]) != MsgHello {
 		return Hello{}, fmt.Errorf("%w: hello", ErrCorrupt)
 	}
-	h := Hello{
-		RootChunk:   binary.LittleEndian.Uint32(b[1:]),
-		ChunkSize:   binary.LittleEndian.Uint32(b[5:]),
-		MaxEntries:  binary.LittleEndian.Uint32(b[9:]),
-		NumChunks:   binary.LittleEndian.Uint32(b[13:]),
-		HeartbeatMs: binary.LittleEndian.Uint32(b[17:]),
-		ServerEpoch: binary.LittleEndian.Uint64(b[21:]),
-		ShardIndex:  binary.LittleEndian.Uint32(b[29:]),
-		ShardCount:  binary.LittleEndian.Uint32(b[33:]),
-		MapVersion:  binary.LittleEndian.Uint64(b[37:]),
-	}
-	if len(b) >= helloSizeFetch {
-		h.FetchSlots = binary.LittleEndian.Uint32(b[45:])
-		h.FetchSlotChunks = binary.LittleEndian.Uint32(b[49:])
-	}
-	if len(b) >= HelloSize {
-		h.ReplicaEpoch = binary.LittleEndian.Uint64(b[53:])
-	}
-	return h, nil
+	return Hello{
+		RootChunk:       binary.LittleEndian.Uint32(b[1:]),
+		ChunkSize:       binary.LittleEndian.Uint32(b[5:]),
+		MaxEntries:      binary.LittleEndian.Uint32(b[9:]),
+		NumChunks:       binary.LittleEndian.Uint32(b[13:]),
+		HeartbeatMs:     binary.LittleEndian.Uint32(b[17:]),
+		ServerEpoch:     binary.LittleEndian.Uint64(b[21:]),
+		ShardIndex:      binary.LittleEndian.Uint32(b[29:]),
+		ShardCount:      binary.LittleEndian.Uint32(b[33:]),
+		MapVersion:      binary.LittleEndian.Uint64(b[37:]),
+		FetchSlots:      binary.LittleEndian.Uint32(b[45:]),
+		FetchSlotChunks: binary.LittleEndian.Uint32(b[49:]),
+		ReplicaEpoch:    binary.LittleEndian.Uint64(b[53:]),
+	}, nil
 }
 
 // ReadChunk requests a raw chunk image (the rpcnet stand-in for a one-sided

@@ -117,13 +117,19 @@ func TestResponseDecodeErrors(t *testing.T) {
 
 func TestHeartbeatRoundTrip(t *testing.T) {
 	for _, util := range []float64{0, 0.5, 0.987, 1} {
-		buf := Heartbeat{Util: util}.Encode(nil)
-		got, err := DecodeHeartbeat(buf)
-		if err != nil {
-			t.Fatal(err)
+		want := Heartbeat{Util: util, RootVer: 9, TXUtil: 0.25, Epoch: 3, AppliedSeq: 1 << 40, MapVersion: 77}
+		buf := want.Encode(nil)
+		if len(buf) != HeartbeatSize {
+			t.Fatalf("encoded size %d, want %d", len(buf), HeartbeatSize)
 		}
-		if got.Util != util {
-			t.Errorf("util = %v, want %v", got.Util, util)
+		got, err := DecodeHeartbeat(buf)
+		if err != nil || got != want {
+			t.Errorf("got %+v, %v; want %+v", got, err, want)
+		}
+		// There is one layout: a frame one byte short is corrupt, not an
+		// older version.
+		if _, err := DecodeHeartbeat(buf[:HeartbeatSize-1]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("one byte short: err = %v, want ErrCorrupt", err)
 		}
 	}
 	if _, err := DecodeHeartbeat(nil); !errors.Is(err, ErrCorrupt) {
@@ -192,6 +198,8 @@ func TestHelloRoundTrip(t *testing.T) {
 		NumChunks:   1 << 20,
 		HeartbeatMs: 10,
 		ServerEpoch: 0xDEADBEEF12345678,
+		ShardIndex:  1, ShardCount: 4, MapVersion: 77,
+		FetchSlots: 32, FetchSlotChunks: 64, ReplicaEpoch: 5,
 	}
 	buf := want.Encode(nil)
 	if len(buf) != HelloSize {
@@ -201,8 +209,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil || got != want {
 		t.Errorf("got %+v, %v", got, err)
 	}
-	if _, err := DecodeHello(buf[:4]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("short err = %v", err)
+	// There is one layout: a hello one byte short is corrupt, not an older
+	// version.
+	if _, err := DecodeHello(buf[:HelloSize-1]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("one byte short: err = %v, want ErrCorrupt", err)
 	}
 	buf[0] = byte(MsgSearch)
 	if _, err := DecodeHello(buf); !errors.Is(err, ErrCorrupt) {
