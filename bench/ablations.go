@@ -23,7 +23,6 @@ func (o Options) ablationConfig(cache *datasetCache, clients int) (cluster.Confi
 		Workload:          searchMix(workload.UniformScale{Scale: 0.00001}),
 		NumClients:        clients,
 		RequestsPerClient: o.Requests,
-		ServerCores:       o.ServerCores,
 		HeartbeatInv:      o.HeartbeatInv,
 		Seed:              o.Seed,
 	}, nil
@@ -122,7 +121,6 @@ func AblationMultiIssueDepth(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.01}),
 			NumClients:        1,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			MultiIssueDepth:   depth,
 			Seed:              o.Seed,
 		})
@@ -151,7 +149,6 @@ func AblationRootCache(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.00001}),
 			NumClients:        8,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			HeartbeatInv:      o.HeartbeatInv,
 			CacheRoot:         cached,
 			Seed:              o.Seed,
@@ -184,7 +181,6 @@ func AblationNodeCache(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.00001}),
 			NumClients:        8,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			HeartbeatInv:      o.HeartbeatInv,
 			NodeCache:         capacity,
 			Seed:              o.Seed,
@@ -249,7 +245,6 @@ func AblationPrefetch(o Options) (*stats.Table, error) {
 				Workload:          searchMix(workload.UniformScale{Scale: rg.scale}),
 				NumClients:        clients,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				HeartbeatInv:      10 * time.Millisecond,
 				ChunkSize:         rg.chunk,
 				MaxEntries:        rg.maxEntries,
@@ -296,7 +291,6 @@ func AblationBatchSize(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.00001}),
 			NumClients:        clients,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			BatchSize:         b,
 			Seed:              o.Seed,
 		})
@@ -354,7 +348,6 @@ func AblationShards(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.00001}),
 			NumClients:        clients,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			HeartbeatInv:      o.HeartbeatInv,
 			Shards:            k,
 			Seed:              o.Seed,
@@ -427,7 +420,6 @@ func AblationFetch(o Options) (*stats.Table, error) {
 				Workload:          searchMix(rg.gen),
 				NumClients:        clients,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				HeartbeatInv:      o.HeartbeatInv,
 				FetchInlineMax:    16,
 				Seed:              o.Seed,
@@ -464,7 +456,6 @@ func AblationChunkSize(o Options) (*stats.Table, error) {
 			Workload:          searchMix(workload.UniformScale{Scale: 0.0001}),
 			NumClients:        8,
 			RequestsPerClient: o.Requests,
-			ServerCores:       o.ServerCores,
 			ChunkSize:         chunk,
 			MaxEntries:        maxEntries,
 			Seed:              o.Seed,
@@ -505,7 +496,6 @@ func AblationFailover(o Options) (*stats.Table, error) {
 					workload.SkewedInserts{Edge: 0.0001}, 0.1, 1<<32),
 				NumClients:        clients,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				HeartbeatInv:      o.HeartbeatInv,
 				Shards:            2,
 				Replicas:          r,

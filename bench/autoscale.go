@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -126,51 +125,26 @@ func (d *asDeploy) close() {
 	}
 }
 
-// Split implements autoscale.Actuator over the live resharding path:
-// start an empty server, stream the peeled half over under PrepareReshard,
-// publish the committed map to every server, and drain the dual-write once
-// the load routers have adopted the bumped version.
+// Split implements autoscale.Actuator: split shard s into an empty server
+// with a scraped /metrics endpoint (rpcnet.SplitShard) and drain the
+// dual-write once the load routers have adopted the bumped version.
 func (d *asDeploy) Split(s int) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s < 0 || s >= len(d.srvs) {
-		return d.m.K(), fmt.Errorf("split of unknown shard %d", s)
-	}
-	newSrv, newAddr, url, err := d.newASServer(nil, true)
+	var url string
+	newSrv, nm, addrs, err := rpcnet.SplitShard(d.srvs, d.addrs, s, func() (*rpcnet.Server, error) {
+		srv, _, u, err := d.newASServer(nil, true)
+		url = u
+		return srv, err
+	})
 	if err != nil {
 		return d.m.K(), err
 	}
-	nm, err := d.srvs[s].PrepareReshard(newAddr)
-	if err != nil {
-		newSrv.Close()
-		return d.m.K(), err
-	}
-	newAddrs := append(append([]string(nil), d.addrs...), newAddr)
-	if err := newSrv.AdoptShardMap(nm, nm.K()-1, newAddrs); err != nil {
-		newSrv.Close()
-		return d.m.K(), err
-	}
-	if _, err := d.srvs[s].CommitReshard(); err != nil {
-		newSrv.Close()
-		return d.m.K(), err
-	}
-	for i, srv := range d.srvs {
-		if i != s {
-			if err := srv.AdoptShardMap(nm, i, newAddrs); err != nil {
-				return d.m.K(), err
-			}
-		}
-	}
+	go d.drainAfterAdoption(d.srvs[s], nm.Version)
 	d.m = nm
 	d.srvs = append(d.srvs, newSrv)
-	d.addrs = newAddrs
+	d.addrs = addrs
 	d.urls = append(d.urls, url)
-	old := d.srvs[s]
-	go d.drainAfterAdoption(old, nm.Version)
-	if os.Getenv("CATFISH_AS_DEBUG") != "" {
-		fmt.Fprintf(os.Stderr, "[autoscale] split shard %d -> K=%d at %s\n",
-			s, nm.K(), time.Now().Format("15:04:05.000"))
-	}
 	return nm.K(), nil
 }
 
@@ -325,11 +299,7 @@ func runAutoscaleMode(o Options, data []rtree.Entry, staticK int,
 			r := routers[li]
 			nextRef := uint64(1<<30) + uint64(li)<<20
 			out.lats = make([]time.Duration, 0, opsPerLoader)
-			for phi, ph := range diurnalPhases {
-				if li == 0 && os.Getenv("CATFISH_AS_DEBUG") != "" {
-					fmt.Fprintf(os.Stderr, "[autoscale] loader0 phase %d (hot=%.2f) at %s\n",
-						phi, ph.hot, time.Now().Format("15:04:05.000"))
-				}
+			for _, ph := range diurnalPhases {
 				n := int(ph.frac * float64(opsPerLoader))
 				for i := 0; i < n; i++ {
 					var q geo.Rect

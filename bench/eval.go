@@ -48,7 +48,6 @@ func (o Options) sweep(cache *datasetCache, insertFraction float64,
 					Workload:          workload.NewMix(sc.gen, workload.SkewedInserts{Edge: 0.0001}, insertFraction, 1<<33),
 					NumClients:        n,
 					RequestsPerClient: o.Requests,
-					ServerCores:       o.ServerCores,
 					HeartbeatInv:      o.HeartbeatInv,
 					Seed:              o.Seed,
 				}
@@ -115,7 +114,6 @@ func Fig14(o Options) (thr, lat *stats.Table, results []cluster.Result, err erro
 				Workload:          workload.NewMix(queries, workload.SkewedInserts{Edge: 0.0001}, 0, 1<<33),
 				NumClients:        n,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				HeartbeatInv:      o.HeartbeatInv,
 				Seed:              o.Seed,
 			})

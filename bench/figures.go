@@ -50,7 +50,6 @@ func Fig2(o Options) (*stats.Table, []cluster.Result, error) {
 				Workload:          searchMix(workload.UniformScale{Scale: scale}),
 				NumClients:        n,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				Seed:              o.Seed,
 			})
 			if err != nil {
@@ -106,7 +105,6 @@ func Fig7(o Options) (*stats.Table, []cluster.Result, error) {
 					NumClients:        n,
 					RequestsPerClient: o.Requests,
 					BatchSize:         v.batch,
-					ServerCores:       o.ServerCores,
 					Seed:              o.Seed,
 				})
 				if err != nil {
@@ -145,7 +143,6 @@ func Fig8(o Options) (*stats.Table, []cluster.Result, error) {
 				Workload:          searchMix(workload.UniformScale{Scale: scale}),
 				NumClients:        1,
 				RequestsPerClient: o.Requests,
-				ServerCores:       o.ServerCores,
 				Seed:              o.Seed,
 			})
 			if err != nil {

@@ -49,7 +49,7 @@ type kvResult struct {
 func runKV(o Options, keys, clients int, mode string) (kvResult, error) {
 	e := sim.New(o.Seed)
 	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
-	serverCPU := sim.NewCPU(e, o.ServerCores)
+	serverCPU := sim.NewCPU(e, 28) // the paper's dual 14-core Broadwell
 	serverHost := net.NewHost("server", serverCPU)
 
 	perNode := 100

@@ -31,8 +31,6 @@ type Options struct {
 	// 10 ms against ~10 s runs; the scaled default keeps the same
 	// heartbeats-per-run ratio for the shorter default runs.
 	HeartbeatInv time.Duration
-	// ServerCores per the paper's dual 14-core Broadwell.
-	ServerCores int
 	// BatchSize is the client batch size B used by the batched figure
 	// columns (default 16); the batch ablation sweeps it explicitly.
 	BatchSize int
@@ -85,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HeartbeatInv == 0 {
 		o.HeartbeatInv = 2 * time.Millisecond
-	}
-	if o.ServerCores == 0 {
-		o.ServerCores = 28
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 16

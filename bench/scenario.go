@@ -95,7 +95,6 @@ func runMovingObjects(o Options, fleet, clients int, mode string) (movingResult,
 		PrebuiltTree:   tree,
 		NumClients:     clients,
 		ClientsPerHost: 1,
-		ServerCores:    o.ServerCores,
 		HeartbeatInv:   o.HeartbeatInv,
 		Seed:           o.Seed,
 	})
@@ -231,7 +230,6 @@ func runKNN(o Options, data []rtree.Entry, clients int, arm string, k int) (knnR
 		Scheme:         cluster.SchemeFastEvent,
 		NumClients:     clients,
 		ClientsPerHost: 1,
-		ServerCores:    o.ServerCores,
 		HeartbeatInv:   o.HeartbeatInv,
 		Seed:           o.Seed,
 	}

@@ -43,11 +43,9 @@ func run() error {
 		method     = flag.String("method", "fast", "search method: fast | offload | fetch")
 		adaptive   = flag.Bool("adaptive", false, "run Algorithm 1 (overrides -method)")
 		fetch      = flag.Bool("fetch", false, "with -adaptive: enable the 3-way fetch branch")
-		txT        = flag.Float64("txt", 0, "TX-utilization threshold for the fetch branch (0 = default)")
 		multiIssue = flag.Bool("multiissue", false, "pipeline offloaded chunk reads")
 		nodeCache  = flag.Int("nodecache", 0, "node cache capacity in decoded internal nodes (0 = off)")
-		prefetch   = flag.Bool("prefetch", false, "speculatively extend offload span reads over preorder-adjacent subtrees")
-		prefBudget = flag.Int("prefetch-budget", 64, "prefetch token-bucket capacity (with -prefetch)")
+		prefetch   = flag.Int("prefetch", 0, "speculatively extend offload span reads over preorder-adjacent subtrees, with a token bucket of N reads (0 = off)")
 		mergeSpan  = flag.Int("merge-span", 0, "fold up to N adjacent chunk reads into one span round trip (0/1 = off)")
 		insertFrac = flag.Float64("insert-fraction", 0, "fraction of requests that insert")
 		batch      = flag.Int("batch", 1, "batch size B: coalesce B requests per frame (1 = unbatched)")
@@ -55,8 +53,7 @@ func run() error {
 		maxConns   = flag.Int("max-conns", 0, "share at most N multiplexed TCP connections per server address across all workers (0 = one dedicated connection per worker)")
 		deadline   = flag.Duration("deadline", 0, "per-operation latency budget; admission-controlled servers shed late ops (counted as overloaded, not errors)")
 		healthMult = flag.Int("health-multiple", 0, "shard-liveness window in heartbeat intervals (0 = default 10); sharded runs only")
-		backupsFl  = flag.String("backups", "", "per-shard backup addresses for failover and replica reads: semicolon-separated groups (one per shard, in shard order) of comma-separated addresses; empty groups allowed")
-		replUtil   = flag.Float64("read-replica-util", 0, "predicted-utilization threshold above which searches route to the least-loaded backup (0 = off)")
+		backupsFl  = flag.String("backups", "", "per-shard backup addresses for failover and backup reads: semicolon-separated groups (one per shard, in shard order) of comma-separated addresses; empty groups allowed")
 
 		metricsAddr = flag.String("metrics-addr", "", "admin HTTP listen address serving live /metrics, /traces, and /debug/pprof for this driver (empty disables)")
 		traceCap    = flag.Int("trace-cap", 1024, "trace ring capacity for /traces")
@@ -134,14 +131,11 @@ func run() error {
 				Adaptive:   *adaptive,
 				Forced:     forced,
 				Fetch:      *fetch || forced == rpcnet.MethodFetch,
-				TxT:        *txT,
 				MultiIssue: *multiIssue,
 				NodeCache:  *nodeCache,
 				MergeSpan:  *mergeSpan,
+				Prefetch:   *prefetch,
 				Seed:       *seed + int64(i),
-			}
-			if *prefetch {
-				ccfg.Prefetch = *prefBudget
 			}
 			if reg != nil {
 				// Each worker gets its own labelled view so per-connection
@@ -160,9 +154,6 @@ func run() error {
 			}
 			if *healthMult > 0 {
 				opts = append(opts, catfish.WithHealthMultiple(*healthMult))
-			}
-			if *replUtil > 0 {
-				opts = append(opts, catfish.WithReadReplicaUtil(*replUtil))
 			}
 			if pool != nil {
 				opts = append(opts, catfish.WithMuxPool(pool))
@@ -296,7 +287,7 @@ func run() error {
 			agg.CacheHits, agg.CacheVerifiedHits, agg.CacheMisses, agg.VersionReads,
 			float64(agg.CacheBytesSaved)/1e6)
 	}
-	if *prefetch || *mergeSpan > 1 {
+	if *prefetch > 0 || *mergeSpan > 1 {
 		ratio := 0.0
 		if agg.ReadWQEs > 0 {
 			ratio = float64(agg.NodesFetched+agg.VersionReads+agg.PrefetchIssued) / float64(agg.ReadWQEs)

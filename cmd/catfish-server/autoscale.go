@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"log"
 	"net"
 	"sync"
@@ -10,14 +9,15 @@ import (
 
 	catfish "github.com/catfish-db/catfish"
 	"github.com/catfish-db/catfish/internal/autoscale"
+	"github.com/catfish-db/catfish/internal/rpcnet"
 )
 
 // selfScaler grows a single-process deployment: an autoscale.Controller
 // scrapes every in-process server's registry and, when one pegs past the
 // scale-up threshold, splits it through the live-resharding path into an
 // additional listener in this same process. Routers adopt the bumped map
-// from heartbeats, so a deployment started as one server scales to
-// -autoscale-max-k without restarting anything. Single-host by design —
+// from heartbeats, so a deployment started as one server scales to the
+// policy's shard cap without restarting anything. Single-host by design —
 // spawned listeners bind ephemeral ports on the same interface.
 type selfScaler struct {
 	mu    sync.Mutex
@@ -49,52 +49,32 @@ func (s *selfScaler) Scrape() ([]autoscale.Sample, error) {
 	return out, nil
 }
 
-// Split implements autoscale.Actuator: spawn an empty in-process server,
-// stream the peeled half over under PrepareReshard, publish the committed
-// map everywhere, and drain the dual-write once routers have had time to
-// adopt it from heartbeats.
+// Split implements autoscale.Actuator: split shard i into an empty
+// in-process server (rpcnet.SplitShard) and drain the dual-write once
+// routers have had time to adopt the map from heartbeats.
 func (s *selfScaler) Split(i int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.srvs) {
-		return len(s.srvs), fmt.Errorf("split of unknown shard %d", i)
-	}
-	tree, err := s.newTree()
-	if err != nil {
-		return len(s.srvs), err
-	}
 	reg := catfish.NewRegistry()
-	srv, err := catfish.Listen(net.JoinHostPort(s.host, "0"), tree, s.newCfg(reg))
-	if err != nil {
-		return len(s.srvs), err
-	}
-	go srv.Serve() //nolint:errcheck // returns on Close
-	newAddr := srv.Addr().String()
-	nm, err := s.srvs[i].PrepareReshard(newAddr)
-	if err != nil {
-		srv.Close()
-		return len(s.srvs), err
-	}
-	newAddrs := append(append([]string(nil), s.addrs...), newAddr)
-	if err := srv.AdoptShardMap(nm, nm.K()-1, newAddrs); err != nil {
-		srv.Close()
-		return len(s.srvs), err
-	}
-	if _, err := s.srvs[i].CommitReshard(); err != nil {
-		srv.Close()
-		return len(s.srvs), err
-	}
-	for j, other := range s.srvs {
-		if j != i {
-			if err := other.AdoptShardMap(nm, j, newAddrs); err != nil {
-				return len(s.srvs), err
-			}
+	srv, nm, addrs, err := rpcnet.SplitShard(s.srvs, s.addrs, i, func() (*catfish.NetServer, error) {
+		tree, err := s.newTree()
+		if err != nil {
+			return nil, err
 		}
+		srv, err := catfish.Listen(net.JoinHostPort(s.host, "0"), tree, s.newCfg(reg))
+		if err != nil {
+			return nil, err
+		}
+		go srv.Serve() //nolint:errcheck // returns on Close
+		return srv, nil
+	})
+	if err != nil {
+		return len(s.srvs), err
 	}
+	old := s.srvs[i]
 	s.srvs = append(s.srvs, srv)
 	s.regs = append(s.regs, reg)
-	s.addrs = newAddrs
-	old := s.srvs[i]
+	s.addrs = addrs
 	hb := s.hb
 	go func() {
 		// Routers adopt the bumped map from heartbeats; well past their
@@ -104,19 +84,14 @@ func (s *selfScaler) Split(i int) (int, error) {
 		time.Sleep(20 * hb)
 		old.DrainSplit() //nolint:errcheck // shed duplication is benign
 	}()
-	log.Printf("autoscale: split shard %d -> K=%d (new server on %s)", i, nm.K(), newAddr)
+	log.Printf("autoscale: split shard %d -> K=%d (new server on %s)", i, nm.K(), srv.Addr())
 	return nm.K(), nil
 }
 
-// runSelfScaler wires the controller and blocks forever (the server's
-// Serve loop runs elsewhere).
-func runSelfScaler(s *selfScaler, util float64, maxK int) {
-	ctl := autoscale.NewController(s, s, autoscale.PolicyConfig{
-		ScaleUpUtil: util,
-		TargetUtil:  util * 0.8,
-		MaxK:        maxK,
-		Cooldown:    10 * s.hb,
-	})
-	log.Printf("autoscale: controller on (threshold %.2f, max K %d)", util, maxK)
+// runSelfScaler wires the controller, on the policy's default thresholds,
+// and blocks forever (the server's Serve loop runs elsewhere).
+func runSelfScaler(s *selfScaler) {
+	ctl := autoscale.NewController(s, s, autoscale.PolicyConfig{Cooldown: 10 * s.hb})
+	log.Printf("autoscale: controller on")
 	ctl.Run(make(chan struct{}), 2*s.hb)
 }

@@ -37,8 +37,6 @@ func run() error {
 		dataset   = flag.String("dataset", "uniform", "dataset kind: uniform | rea02")
 		load      = flag.String("load", "", "load dataset from a catfish-gen file instead")
 		heartbeat = flag.Duration("heartbeat", 10*time.Millisecond, "heartbeat interval (0 disables)")
-		fanout    = flag.Int("fanout", 64, "R-tree fan-out M")
-		batch     = flag.Int("batch", 0, "max ops accepted per batch container (0 = wire limit)")
 		seed      = flag.Int64("seed", 1, "dataset seed")
 		shards    = flag.Int("shards", 1, "total shard count of the deployment (1 = unsharded)")
 		shardIdx  = flag.Int("shard-index", 0, "this server's shard index, 0-based; every shard must be started with identical dataset flags")
@@ -48,18 +46,12 @@ func run() error {
 		backups    = flag.String("backups", "", "comma-separated backup addresses this primary replicates to (arms replication)")
 		backup     = flag.Bool("backup", false, "start as a backup: reject client writes until promoted")
 		replEpoch  = flag.Uint64("repl-epoch", 0, "starting replication epoch (0 = 1); all replicas of a shard must agree")
-		healthMult = flag.Int("health-multiple", 0, "shard-liveness window in heartbeat intervals (0 = default); bounds the replication ack deadline")
 
-		fetchSlots  = flag.Int("fetch-slots", 0, "result-mailbox slots for remote result fetching (0 disables)")
-		fetchChunks = flag.Int("fetch-slot-chunks", 0, "chunks per mailbox slot (0 = default)")
-		fetchInline = flag.Int("fetch-inline", 0, "largest result answered inline instead of via the mailbox, in items (0 = default)")
-		txLineRate  = flag.Float64("tx-gbps", 0, "modelled NIC TX line rate in Gb/s for the heartbeat TX-utilization signal (0 disables the signal)")
+		fetchSlots = flag.Int("fetch-slots", 0, "result-mailbox slots for remote result fetching (0 disables)")
+		txLineRate = flag.Float64("tx-gbps", 0, "modelled NIC TX line rate in Gb/s for the heartbeat TX-utilization signal (0 disables the signal)")
 
-		maxConns      = flag.Int("max-conns", 0, "cap on concurrently accepted client connections (0 = unlimited); excess dials are refused at accept")
 		admissionUtil = flag.Float64("admission-util", 0, "smoothed utilization (CPU, or TX with -tx-gbps) past which deadline-aware admission control arms and sheds with Overloaded (0 disables)")
 		autoscaleOn   = flag.Bool("autoscale", false, "grow this process by splitting hot shards into additional in-process listeners (single host; requires -shards 1, heartbeats, no replication)")
-		autoscaleMaxK = flag.Int("autoscale-max-k", 4, "shard-count cap for -autoscale")
-		autoscaleUtil = flag.Float64("autoscale-util", 0.7, "utilization threshold past which -autoscale splits the hottest shard")
 
 		metricsAddr = flag.String("metrics-addr", "", "admin HTTP listen address serving /metrics (Prometheus text), /traces (JSON), and /debug/pprof (empty disables)")
 		traceCap    = flag.Int("trace-cap", 1024, "trace ring capacity for /traces")
@@ -108,13 +100,14 @@ func run() error {
 		entries = own
 	}
 
-	perLeaf := *fanout / 2
+	// Region sizing assumes leaves half full at the default fan-out of 64.
+	const perLeaf = 32
 	chunks := len(entries)/perLeaf + len(entries)/(perLeaf*perLeaf) + 4096
 	reg, err := catfish.NewMemoryRegion(chunks*2, 4096)
 	if err != nil {
 		return err
 	}
-	tree, err := catfish.NewTree(reg, catfish.TreeConfig{MaxEntries: *fanout})
+	tree, err := catfish.NewTree(reg, catfish.TreeConfig{})
 	if err != nil {
 		return err
 	}
@@ -129,14 +122,10 @@ func run() error {
 
 	srvCfg := catfish.NetServerConfig{
 		HeartbeatInterval: *heartbeat,
-		MaxBatch:          *batch,
 		ShardMap:          smap,
 		ShardIndex:        *shardIdx,
 		FetchSlots:        *fetchSlots,
-		FetchSlotChunks:   *fetchChunks,
-		FetchInlineMax:    *fetchInline,
 		TXLineRateBps:     *txLineRate * 1e9,
-		MaxConns:          *maxConns,
 		AdmissionUtil:     *admissionUtil,
 	}
 	if *shardAddrs != "" {
@@ -152,11 +141,6 @@ func run() error {
 		}
 		if *backups != "" {
 			rc.Backups = strings.Split(*backups, ",")
-		}
-		// The ack deadline mirrors the routers' liveness window: a backup
-		// slower than a missed-heartbeat verdict is dropped from the stream.
-		if *healthMult > 0 && *heartbeat > 0 {
-			rc.AckTimeout = time.Duration(*healthMult) * *heartbeat
 		}
 		srvCfg.Replica = rc
 		role := "primary"
@@ -245,10 +229,10 @@ func run() error {
 				if err != nil {
 					return nil, err
 				}
-				return catfish.NewTree(r, catfish.TreeConfig{MaxEntries: *fanout})
+				return catfish.NewTree(r, catfish.TreeConfig{})
 			},
 		}
-		go runSelfScaler(sc, *autoscaleUtil, *autoscaleMaxK)
+		go runSelfScaler(sc)
 	}
 	return srv.Serve()
 }

@@ -17,8 +17,6 @@ type Config struct {
 	// MaxEntries is the node capacity (0 selects the chunk capacity,
 	// capped at 224 — height 3 for tens of millions of keys).
 	MaxEntries int
-	// Publisher overrides how node payloads reach the region.
-	Publisher Publisher
 	// DisableCache turns off the server-side decoded-node cache.
 	DisableCache bool
 }
@@ -62,13 +60,9 @@ func New(reg *region.Region, cfg Config) (*Tree, error) {
 	if maxE > capacity {
 		return nil, fmt.Errorf("btree: MaxEntries %d exceeds chunk capacity %d", maxE, capacity)
 	}
-	pub := cfg.Publisher
-	if pub == nil {
-		pub = reg.WriteChunkPrefix
-	}
 	t := &Tree{
 		reg:        reg,
-		publish:    pub,
+		publish:    reg.WriteChunkPrefix,
 		maxEntries: maxE,
 		minEntries: maxE / 2,
 		height:     1,

@@ -18,7 +18,6 @@ import (
 	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
-	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -113,27 +112,8 @@ type Config struct {
 	// the adaptive switch says the system is busy. See DESIGN.md §5.9.
 	Prefetch int
 
-	// MaxRestarts bounds full-search restarts after structural staleness
-	// (default 8); MaxChunkRetries bounds per-chunk torn-read retries
-	// (default 64).
-	MaxRestarts     int
+	// MaxChunkRetries bounds per-chunk torn-read retries (default 64).
 	MaxChunkRetries int
-
-	// Metrics, when non-nil, exposes the client's counters, the predicted
-	// server utilization, and a search-latency histogram on the registry
-	// under catfish_client_* names. Callers running several clients against
-	// one registry should hand each client a scoped view (Registry.With) or
-	// accept that callback metrics register first-wins.
-	Metrics *telemetry.Registry
-
-	// Trace, when non-nil, receives one telemetry.Trace per search
-	// recording the adaptive decision path (method, back-off state,
-	// predicted utilization, reads issued, retries, latency).
-	Trace *telemetry.Tracer
-
-	// Shard is the shard index stamped into trace records (routers set it;
-	// 0 for unsharded clients).
-	Shard int
 }
 
 // Client is one Catfish client (the paper runs up to 32 per machine): the
@@ -188,12 +168,8 @@ func New(cfg Config) (*Client, error) {
 		Prefetch:        cfg.Prefetch,
 		MultiIssue:      cfg.MultiIssue,
 		CacheRoot:       cfg.CacheRoot,
-		MaxRestarts:     cfg.MaxRestarts,
 		MaxChunkRetries: cfg.MaxChunkRetries,
 		Cache:           c.ncache,
-		Metrics:         cfg.Metrics,
-		Trace:           cfg.Trace,
-		Shard:           cfg.Shard,
 	}
 	if c.ep.DataQP != nil {
 		ocfg.Tree = proto.Tree{RootChunk: c.ep.RootChunk,

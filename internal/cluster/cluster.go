@@ -102,13 +102,10 @@ type Config struct {
 	// (paper: up to 32 per node).
 	ClientsPerHost int
 
-	// ServerCores and ClientCores are per-machine core counts (paper
-	// nodes: 2x14-core Broadwell).
+	// ServerCores is the server machine's core count (paper nodes: 2x14-core
+	// Broadwell).
 	ServerCores int
-	ClientCores int
 
-	// RingSize is the per-direction ring size (paper: 256 KB).
-	RingSize int
 	// ChunkSize and MaxEntries shape the region/tree (defaults 4096/64).
 	ChunkSize  int
 	MaxEntries int
@@ -122,13 +119,11 @@ type Config struct {
 	// branch (0 selects the adaptive package default). Only meaningful on a
 	// scheme with Fetch and Adaptive set.
 	TxT float64
-	// FetchSlots / FetchSlotChunks / FetchInlineMax shape the server's
-	// result mailbox on fetch-enabled schemes (0 selects the server
-	// defaults: slots = 4×NumClients capped to 256, 64-chunk slots,
-	// inline below one response segment).
-	FetchSlots      int
-	FetchSlotChunks int
-	FetchInlineMax  int
+	// FetchSlots / FetchInlineMax shape the server's result mailbox on
+	// fetch-enabled schemes (0 selects the server defaults: slots =
+	// 4×NumClients capped to 256, inline below one response segment).
+	FetchSlots     int
+	FetchInlineMax int
 
 	// MultiIssueDepth is the data QP send-queue depth (outstanding reads).
 	MultiIssueDepth int
@@ -157,9 +152,6 @@ type Config struct {
 	// publishes (meaningful for workloads with inserts).
 	StagedWrites bool
 
-	// Cost overrides the CPU cost model (zero value selects the default).
-	Cost netmodel.CostModel
-
 	// PrebuiltTree serves an already-loaded tree (and its region) instead
 	// of bulk-loading Dataset. Sharing one tree between runs is only valid
 	// for workloads with no writes: mutations would leak from run to run.
@@ -174,10 +166,6 @@ type Config struct {
 	// 0 or 1 deploys one server and binds each client to it directly, with
 	// no router in between.
 	Shards int
-	// HealthMultiple is the shard-liveness window in heartbeat intervals
-	// (shard.DefaultHealthMultiple when 0). Only meaningful with Shards > 1
-	// on a heartbeating scheme.
-	HealthMultiple int
 
 	// Replicas is the per-shard replication factor: each shard gets
 	// Replicas-1 synchronously updated backup servers, and routers promote
@@ -351,12 +339,6 @@ func (c *Config) applyDefaults() {
 	if c.ServerCores == 0 {
 		c.ServerCores = 28
 	}
-	if c.ClientCores == 0 {
-		c.ClientCores = 28
-	}
-	if c.RingSize == 0 {
-		c.RingSize = 256 << 10
-	}
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 4096
 	}
@@ -374,9 +356,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MultiIssueDepth == 0 {
 		c.MultiIssueDepth = 16
-	}
-	if c.Cost == (netmodel.CostModel{}) {
-		c.Cost = netmodel.DefaultCostModel()
 	}
 	if c.Scheme.fetchEnabled() && c.FetchSlots == 0 {
 		// Enough slots that a full client population in fetch mode rarely

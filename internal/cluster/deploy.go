@@ -9,6 +9,7 @@ import (
 	"github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -85,6 +86,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	}
 
 	e := sim.New(cfg.Seed)
+	cost := netmodel.DefaultCostModel()
 	d := &Deployment{cfg: cfg, e: e, assign: [][]rtree.Entry{cfg.Dataset}}
 	if sharded {
 		scfg := shard.Config{K: k}
@@ -133,9 +135,8 @@ func Deploy(cfg Config) (*Deployment, error) {
 			Engine:           e,
 			Host:             st.host,
 			Tree:             tree,
-			Cost:             cfg.Cost,
+			Cost:             cost,
 			Mode:             cfg.Scheme.ServerMode,
-			RingSize:         cfg.RingSize,
 			StagedNodeWrites: cfg.StagedWrites,
 			Replica:          rep,
 			Replicate:        hook,
@@ -145,11 +146,10 @@ func Deploy(cfg Config) (*Deployment, error) {
 		}
 		if cfg.Scheme.fetchEnabled() {
 			srvCfg.FetchSlots = cfg.FetchSlots
-			srvCfg.FetchSlotChunks = cfg.FetchSlotChunks
 			srvCfg.FetchInlineMax = cfg.FetchInlineMax
 		}
 		if cfg.Scheme.ServerMode == server.ModePolling {
-			st.poll = sim.NewPollCPU(e, cfg.ServerCores, cfg.Cost.PollSlice)
+			st.poll = sim.NewPollCPU(e, cfg.ServerCores, cost.PollSlice)
 			srvCfg.PollCPU = st.poll
 		}
 		var err error
@@ -191,10 +191,11 @@ func Deploy(cfg Config) (*Deployment, error) {
 		}
 	}
 
-	// Client hosts: ClientsPerHost clients share each machine.
+	// Client hosts: ClientsPerHost clients share each 28-core machine (the
+	// paper's 2x14-core Broadwell nodes).
 	hosts := make([]*fabric.Host, (cfg.NumClients+cfg.ClientsPerHost-1)/cfg.ClientsPerHost)
 	for i := range hosts {
-		hosts[i] = net.NewHost(fmt.Sprintf("client-host-%d", i), sim.NewCPU(e, cfg.ClientCores))
+		hosts[i] = net.NewHost(fmt.Sprintf("client-host-%d", i), sim.NewCPU(e, 28))
 	}
 	connect := func(host *fabric.Host, srv *server.Server) (*client.Client, error) {
 		var ep *server.Endpoint
@@ -211,7 +212,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 			Engine:        e,
 			Host:          host,
 			Endpoint:      ep,
-			Cost:          cfg.Cost,
+			Cost:          cost,
 			Adaptive:      cfg.Scheme.Adaptive,
 			Forced:        cfg.Scheme.Forced,
 			MultiIssue:    cfg.Scheme.MultiIssue,
@@ -264,7 +265,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 			Map:               d.smap,
 			Clients:           cs,
 			HeartbeatInterval: hbForHealth,
-			HealthMultiple:    cfg.HealthMultiple,
 			Backups:           bcs,
 		})
 		if err != nil {

@@ -135,7 +135,7 @@ func (s *Server) respondBatch(p *sim.Proc, c *conn, res []kvBatchResult) {
 	if mp := c.respWriter.MaxPayload(); mp < limit {
 		limit = mp
 	}
-	maxPairs := s.cfg.MaxSegmentPairs
+	maxPairs := maxSegmentPairs
 	hdr := wire.KVResponse{}.EncodedSize()
 	if fit := (limit - wire.BatchOverhead(1) - hdr) / 16; fit < maxPairs {
 		maxPairs = fit

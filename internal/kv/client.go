@@ -43,11 +43,9 @@ type ClientConfig struct {
 	// Adaptive runs Algorithm 1 for reads; otherwise Forced applies.
 	Adaptive bool
 	Forced   Method
-	// N, T, HeartbeatInv, PredSmoothing parametrize the switch.
-	N             int
-	T             float64
-	HeartbeatInv  time.Duration
-	PredSmoothing float64
+	// T and HeartbeatInv parametrize the switch.
+	T            float64
+	HeartbeatInv time.Duration
 
 	// NodeCache is the capacity (in nodes) of the client-side cache of
 	// internal B+-tree nodes used by the offloaded read path; 0 disables
@@ -107,12 +105,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.Forced = MethodFast
 	}
 	c := &Client{cfg: cfg, ep: cfg.Endpoint}
-	c.sw = adaptive.New(adaptive.Config{
-		N:             cfg.N,
-		T:             cfg.T,
-		Inv:           cfg.HeartbeatInv,
-		PredSmoothing: cfg.PredSmoothing,
-	}, cfg.Engine.Rand())
+	c.sw = adaptive.New(adaptive.Config{T: cfg.T, Inv: cfg.HeartbeatInv}, cfg.Engine.Rand())
 	c.reader = &btree.Reader{
 		Fetch:      c.fetchChunk,
 		RootChunk:  cfg.Endpoint.RootChunk,

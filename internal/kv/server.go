@@ -30,13 +30,16 @@ type ServerConfig struct {
 	// HeartbeatInterval between utilization pushes (0 disables, which also
 	// disables adaptive clients).
 	HeartbeatInterval time.Duration
-	// RingSize per direction (0 selects 256 KB).
-	RingSize int
 	// StagedNodeWrites opens torn-read windows on node publishes.
 	StagedNodeWrites bool
-	// MaxSegmentPairs caps pairs per response segment (0 selects ~4 KB).
-	MaxSegmentPairs int
 }
+
+// ringSize is the per-direction ring size; maxSegmentPairs caps the pairs
+// of one response segment (~4 KB).
+const (
+	ringSize        = 256 << 10
+	maxSegmentPairs = 4096 / 16
+)
 
 // ServerStats aggregates server-side counters.
 type ServerStats struct {
@@ -101,12 +104,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Host.CPU() == nil {
 		return nil, errors.New("kv: server host needs a CPU")
 	}
-	if cfg.RingSize == 0 {
-		cfg.RingSize = 256 << 10
-	}
-	if cfg.MaxSegmentPairs == 0 {
-		cfg.MaxSegmentPairs = 4096 / 16
-	}
 	s := &Server{
 		cfg:   cfg,
 		e:     cfg.Engine,
@@ -135,11 +132,11 @@ func (s *Server) Tree() *btree.Tree { return s.tree }
 // connection.
 func (s *Server) Connect(clientHost *fabric.Host, net *fabric.Network, dataSQDepth int) (*Endpoint, error) {
 	id := len(s.conns)
-	reqW, reqR, err := buildRing(net, clientHost, s.cfg.Host, s.cfg.RingSize)
+	reqW, reqR, err := buildRing(net, clientHost, s.cfg.Host, ringSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: request ring: %w", err)
 	}
-	respW, respR, err := buildRing(net, s.cfg.Host, clientHost, s.cfg.RingSize)
+	respW, respR, err := buildRing(net, s.cfg.Host, clientHost, ringSize)
 	if err != nil {
 		return nil, fmt.Errorf("kv: response ring: %w", err)
 	}
@@ -300,12 +297,11 @@ func (s *Server) stagedPublish(chunkID int, payload []byte) error {
 }
 
 func (s *Server) respond(p *sim.Proc, c *conn, resp wire.KVResponse, pairs []wire.KVPair) {
-	max := s.cfg.MaxSegmentPairs
 	for {
 		seg := wire.KVResponse{ID: resp.ID, Status: resp.Status}
-		if len(pairs) > max {
-			seg.Pairs = pairs[:max]
-			pairs = pairs[max:]
+		if len(pairs) > maxSegmentPairs {
+			seg.Pairs = pairs[:maxSegmentPairs]
+			pairs = pairs[maxSegmentPairs:]
 		} else {
 			seg.Pairs = pairs
 			pairs = nil

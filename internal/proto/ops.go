@@ -181,10 +181,6 @@ func (c *Core) Stats() telemetry.ClientSnapshot {
 	return out
 }
 
-// PredictedUtil returns the switch's estimate of the server's utilization —
-// the signal a router's read-replica policy keys on.
-func (c *Core) PredictedUtil() float64 { return c.sw.PredictedUtil() }
-
 // SpendPrefetch consumes n tokens after a wave posted n speculative reads.
 func (c *Core) SpendPrefetch(n int) {
 	c.prefTokens = max(c.prefTokens-float64(n), 0)

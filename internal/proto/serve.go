@@ -57,8 +57,6 @@ type ServeConfig struct {
 	// what fits one segment is cheaper sent than pulled) is answered inline
 	// all the same.
 	FetchSlots, FetchSlotChunks, FetchInlineMax int
-	// MaxBatch, when positive, caps the operations of one batch container.
-	MaxBatch int
 }
 
 // BatchFrameLimit is the size past which a batch reply opens a new
@@ -292,9 +290,8 @@ func (s *Serve[X]) status(x X, k *sink, id uint64, status uint8) error {
 
 // Batch executes a batch container under one latch hold — exclusive when
 // any operation may write, shared for a read-only batch — and replies with
-// batch containers of at most limit bytes. An oversized batch, or any batch
-// at a killed server, still answers every operation id so the client's
-// collector terminates.
+// batch containers of at most limit bytes. A batch at a killed server still
+// answers every operation id so the client's collector terminates.
 func (s *Serve[X]) Batch(x X, container []byte, limit int) error {
 	k := getSink()
 	defer putSink(k)
@@ -304,8 +301,6 @@ func (s *Serve[X]) Batch(x X, container []byte, limit int) error {
 		return s.status(x, k, 0, wire.StatusError)
 	case len(k.ops) == 0:
 		return nil
-	case s.cfg.MaxBatch > 0 && len(k.ops) > s.cfg.MaxBatch:
-		return s.refuse(x, k, wire.StatusError, limit)
 	case s.killed.Load():
 		return s.refuse(x, k, wire.StatusUnavailable, limit)
 	}

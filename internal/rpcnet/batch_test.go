@@ -166,32 +166,6 @@ func TestExecBatchLargeResponses(t *testing.T) {
 	}
 }
 
-func TestExecBatchMaxBatchExceeded(t *testing.T) {
-	// The server answers every operation of an oversized batch with an
-	// error (rather than a stray unmatched response that would hang the
-	// collector).
-	srv, _ := startServer(t, 100, ServerConfig{MaxBatch: 4})
-	c := dial(t, srv, ClientConfig{})
-	rng := rand.New(rand.NewSource(33))
-	var ops []BatchOp
-	for i := 0; i < 8; i++ {
-		ops = append(ops, BatchOp{Type: wire.MsgSearch, Rect: randRect(rng, 0.1)})
-	}
-	results := c.ExecBatch(ops, nil)
-	for i, res := range results {
-		if !errors.Is(res.Err, ErrServer) {
-			t.Errorf("op %d: err = %v, want ErrServer", i, res.Err)
-		}
-	}
-	// Batches within the cap still succeed on the same connection.
-	results = c.ExecBatch(ops[:4], results)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Errorf("op %d after rejection: %v", i, res.Err)
-		}
-	}
-}
-
 // TestExecBatchUndecodableReply answers a 3-op batch from a raw-socket fake
 // server with one sub-response whose item count overruns its frame. The
 // batch must return — that op carrying the decode error, the other two

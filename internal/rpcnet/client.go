@@ -55,10 +55,9 @@ type ClientConfig struct {
 	N int
 	T float64
 	// Fetch arms the 3-way switch's fetch branch (effective only against a
-	// server whose hello advertises mailbox slots); TxT is its threshold on
-	// the heartbeat's predicted TX utilization (default 0.8).
+	// server whose hello advertises mailbox slots), taken past the adaptive
+	// package's threshold on the heartbeat's predicted TX utilization.
 	Fetch bool
-	TxT   float64
 	// MultiIssue pipelines chunk reads during offloaded traversal.
 	MultiIssue bool
 	// MaxRestarts / MaxChunkRetries bound staleness recovery.
@@ -157,7 +156,7 @@ type Client struct {
 // owns its connection; use DialMux + (*Mux).Client (or a MuxPool) to
 // share one connection among many logical clients.
 func dialClient(addr string, cfg ClientConfig) (*Client, error) {
-	m, err := DialMux(addr, MuxConfig{})
+	m, err := DialMux(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +171,7 @@ func dialClient(addr string, cfg ClientConfig) (*Client, error) {
 
 // Client attaches a new logical client to the multiplexed connection,
 // allocating it a stream id. Fails with ErrStreamsExhausted once
-// MaxStreams clients are attached (detached ids are reused).
+// 65536 clients are attached (detached ids are reused).
 func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 	stream, seq, err := m.allocStream()
 	if err != nil {
@@ -201,7 +200,6 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 			T:           cfg.T,
 			Inv:         inv,
 			EnableFetch: cfg.Fetch && hello.FetchSlots > 0,
-			TxT:         cfg.TxT,
 		},
 		Rand:            rand.New(rand.NewSource(cfg.Seed + time.Now().UnixNano())),
 		Messaging:       MethodFast,

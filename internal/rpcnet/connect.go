@@ -67,8 +67,7 @@ type connectOptions struct {
 // routed reports whether any router-only behavior was requested, forcing
 // the Router shape even for a single address.
 func (o *connectOptions) routed() bool {
-	return len(o.router.Backups) > 0 || o.router.HealthMultiple > 0 ||
-		o.router.ReadReplicaUtil > 0
+	return len(o.router.Backups) > 0 || o.router.HealthMultiple > 0
 }
 
 // Option tunes Connect. Options apply in order, so later options override
@@ -120,13 +119,6 @@ func WithHealthMultiple(n int) Option {
 	return func(o *connectOptions) { o.router.HealthMultiple = n }
 }
 
-// WithReadReplicaUtil routes sub-searches to the least-loaded replica
-// whenever the active server's predicted utilization exceeds u. Forces the
-// Router shape even for a single address.
-func WithReadReplicaUtil(u float64) Option {
-	return func(o *connectOptions) { o.router.ReadReplicaUtil = u }
-}
-
 // WithMuxPool attaches the connection's logical clients to pooled
 // multiplexed transports instead of dedicated sockets, so thousands of
 // Conns share a bounded set of TCP connections (the C10K shape). The pool
@@ -138,9 +130,8 @@ func WithMuxPool(p *MuxPool) Option {
 
 // Connect is the unified entry point to a Catfish deployment over real
 // sockets: one address yields a direct client, several (or any
-// router-only option — backups, health tracking, read replicas) yield a
-// scatter-gather router, and a MuxPool multiplexes either shape over
-// shared connections.
+// router-only option — backups, health tracking) yield a scatter-gather
+// router, and a MuxPool multiplexes either shape over shared connections.
 func Connect(addrs []string, opts ...Option) (Conn, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("rpcnet: connect needs at least one address")

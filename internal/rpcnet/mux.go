@@ -33,18 +33,8 @@ import (
 )
 
 // ErrStreamsExhausted reports that a Mux has no free stream ids left
-// (MaxStreams logical clients are attached).
+// (maxStreams logical clients are attached).
 var ErrStreamsExhausted = errors.New("rpcnet: stream ids exhausted")
-
-// MuxConfig tunes a multiplexed connection.
-type MuxConfig struct {
-	// MaxStreams caps concurrently-attached logical clients (default
-	// 65536; the hard ceiling is 2^32).
-	MaxStreams int
-	// WriteBuffer bounds the connection's pending outbound bytes before
-	// senders block (0 = 1 MiB).
-	WriteBuffer int
-}
 
 // Mux is one shared TCP connection carrying many logical clients. Attach
 // clients with Client; they detach on Close and their stream ids are
@@ -54,7 +44,9 @@ type Mux struct {
 	addr  string
 	hello wire.Hello
 	w     *connWriter
-	cfg   MuxConfig
+	// maxStreams caps concurrently-attached logical clients (1<<16); tests
+	// lower it to reach exhaustion.
+	maxStreams int
 
 	mu         sync.Mutex
 	waiters    map[uint64]*waiter
@@ -67,13 +59,10 @@ type Mux struct {
 
 // DialMux connects to a server and performs the hello exchange, returning
 // a connection ready for Client attachments.
-func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
+func DialMux(addr string) (*Mux, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxStreams <= 0 {
-		cfg.MaxStreams = 1 << 16
 	}
 	in := bufio.NewReaderSize(conn, frameReadBuf)
 	frame, err := readFrame(in, nil)
@@ -87,14 +76,14 @@ func DialMux(addr string, cfg MuxConfig) (*Mux, error) {
 		return nil, err
 	}
 	m := &Mux{
-		conn:    conn,
-		addr:    addr,
-		hello:   hello,
-		cfg:     cfg,
-		w:       newConnWriter(conn, nil, cfg.WriteBuffer, nil),
-		waiters: make(map[uint64]*waiter),
-		streams: make(map[uint32]*Client),
-		done:    make(chan struct{}),
+		conn:       conn,
+		addr:       addr,
+		hello:      hello,
+		maxStreams: 1 << 16,
+		w:          newConnWriter(conn, nil, nil),
+		waiters:    make(map[uint64]*waiter),
+		streams:    make(map[uint32]*Client),
+		done:       make(chan struct{}),
 	}
 	go m.readLoop(in)
 	return m, nil
@@ -190,7 +179,7 @@ func (m *Mux) allocStream() (id, seq uint32, err error) {
 		m.free = m.free[:n-1]
 		return f.id, f.seq, nil
 	}
-	if uint64(m.nextStream) >= uint64(m.cfg.MaxStreams) {
+	if int(m.nextStream) >= m.maxStreams {
 		return 0, 0, ErrStreamsExhausted
 	}
 	id = m.nextStream
@@ -453,12 +442,11 @@ func (w *waiter) recv() (delivery, bool) {
 }
 
 // MuxPool shares a bounded set of multiplexed connections per address:
-// Client attachments round-robin over up to MaxConnsPerAddr lazily-dialed
+// Client attachments round-robin over up to maxPerAddr lazily-dialed
 // connections, so any number of logical clients stays under the
 // connection cap (the C10K deployment shape: 10k clients, ≤64 conns).
 type MuxPool struct {
 	maxPerAddr int
-	cfg        MuxConfig
 
 	mu    sync.Mutex
 	muxes map[string][]*Mux
@@ -467,13 +455,12 @@ type MuxPool struct {
 
 // NewMuxPool returns a pool dialing at most maxPerAddr connections per
 // server address (<=0 selects 1).
-func NewMuxPool(maxPerAddr int, cfg MuxConfig) *MuxPool {
+func NewMuxPool(maxPerAddr int) *MuxPool {
 	if maxPerAddr <= 0 {
 		maxPerAddr = 1
 	}
 	return &MuxPool{
 		maxPerAddr: maxPerAddr,
-		cfg:        cfg,
 		muxes:      make(map[string][]*Mux),
 		next:       make(map[string]int),
 	}
@@ -486,7 +473,7 @@ func (p *MuxPool) Mux(addr string) (*Mux, error) {
 	defer p.mu.Unlock()
 	ms := p.muxes[addr]
 	if len(ms) < p.maxPerAddr {
-		m, err := DialMux(addr, p.cfg)
+		m, err := DialMux(addr)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ import (
 // connection and checks every stream's answers against the tree.
 func TestMuxSharedConnection(t *testing.T) {
 	srv, tree := startServer(t, 500, ServerConfig{})
-	m, err := DialMux(srv.Addr().String(), MuxConfig{})
+	m, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,12 @@ func TestMuxSharedConnection(t *testing.T) {
 // attach fails typed, and that closing a client returns its id for reuse.
 func TestStreamIDExhaustion(t *testing.T) {
 	srv, _ := startServer(t, 50, ServerConfig{})
-	m, err := DialMux(srv.Addr().String(), MuxConfig{MaxStreams: 4})
+	m, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	m.maxStreams = 4
 
 	cs := make([]*Client, 4)
 	for i := range cs {
@@ -161,7 +162,7 @@ func TestStreamSeqWraparound(t *testing.T) {
 // verifies reads stayed exact and every write landed.
 func TestMuxInterleavedBatchedUnbatched(t *testing.T) {
 	srv, tree := startServer(t, 300, ServerConfig{})
-	m, err := DialMux(srv.Addr().String(), MuxConfig{})
+	m, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func randRectIn(rng *rand.Rand, area geo.Rect, maxEdge float64) geo.Rect {
 // on a slow stream (per-stream queues, no head-of-line blocking).
 func TestSlowReaderNoHOL(t *testing.T) {
 	srv, _ := startServer(t, 500, ServerConfig{})
-	m, err := DialMux(srv.Addr().String(), MuxConfig{})
+	m, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestAdmissionShedsTyped(t *testing.T) {
 		HeartbeatInterval: time.Millisecond,
 		AdmissionUtil:     1e-9, // arms on the first busy heartbeat window
 		DispatchWorkers:   2,
-		DispatchQueue:     4,
+		dispatchQueue:     4,
 	})
 
 	var overloaded, ok atomic.Uint64
@@ -505,7 +506,7 @@ func TestMuxOffAdmissionOffMatchesBaseline(t *testing.T) {
 	srvB, _ := startServer(t, 400, ServerConfig{})
 
 	base := dial(t, srvA, ClientConfig{}) // owns its connection: baseline
-	m, err := DialMux(srvB.Addr().String(), MuxConfig{})
+	m, err := DialMux(srvB.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +593,7 @@ func TestC10K(t *testing.T) {
 		clients = 1_000
 	}
 	srv, _ := startServer(t, 1_000, ServerConfig{})
-	pool := NewMuxPool(64, MuxConfig{})
+	pool := NewMuxPool(64)
 	defer pool.Close()
 	addr := srv.Addr().String()
 

@@ -24,7 +24,7 @@ func (discardConn) Close() error                { return nil }
 // own, exactly as a dispatcher worker would, and reports the framed reply
 // bytes each one queued.
 func replySizer(t *testing.T, srv *Server) (one func(wire.Request) int, batch func([]byte) int) {
-	sc := &srvConn{c: discardConn{}, w: newConnWriter(discardConn{}, &srv.txBytes, 0, nil)}
+	sc := &srvConn{c: discardConn{}, w: newConnWriter(discardConn{}, &srv.txBytes, nil)}
 	t.Cleanup(sc.close)
 	sized := func(serve func() error) int {
 		tx := srv.txBytes.Load()

@@ -439,7 +439,7 @@ func TestFrameOwnershipHammer(t *testing.T) {
 	srv, tree := startServer(t, 6000, ServerConfig{
 		HeartbeatInterval: 2 * time.Millisecond, FetchSlots: 4, FetchInlineMax: 8,
 	})
-	m, err := DialMux(srv.Addr().String(), MuxConfig{})
+	m, err := DialMux(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,11 @@ type ReplicaConfig struct {
 	// Epoch is the shard's starting replication epoch (0 selects 1). All
 	// replicas of a shard must start at the same epoch.
 	Epoch uint64
-	// AckTimeout bounds one replication exchange (0 selects 2s). A backup
-	// that misses it is dropped from the stream.
-	AckTimeout time.Duration
 }
 
-const defaultAckTimeout = 2 * time.Second
+// ackTimeout bounds one replication exchange; a backup that misses it is
+// dropped from the stream.
+const ackTimeout = 2 * time.Second
 
 // replSess is one primary→backup replication session: a dedicated
 // connection (the backup's hello and heartbeat pushes are skipped when
@@ -71,13 +70,6 @@ type replSess struct {
 	conn  net.Conn
 	acked uint64 // highest sequence the backup acknowledged
 	dead  bool   // dropped after a transport error or a stuck gap
-}
-
-func (s *Server) ackTimeout() time.Duration {
-	if s.cfg.Replica != nil && s.cfg.Replica.AckTimeout > 0 {
-		return s.cfg.Replica.AckTimeout
-	}
-	return defaultAckTimeout
 }
 
 // ensureSessions dials the configured backups once, lazily. Callers hold
@@ -212,7 +204,7 @@ func (s *Server) shipTo(sess *replSess, wr []wire.ReplRecord, lastSeq uint64) er
 // skipping the hello and heartbeat frames the backup server pushes on the
 // same connection.
 func (s *Server) replExchange(sess *replSess, msg wire.Replicate) (wire.ReplAck, error) {
-	if err := sess.conn.SetDeadline(time.Now().Add(s.ackTimeout())); err != nil {
+	if err := sess.conn.SetDeadline(time.Now().Add(ackTimeout)); err != nil {
 		return wire.ReplAck{}, err
 	}
 	defer sess.conn.SetDeadline(time.Time{})
@@ -503,4 +495,43 @@ func (s *Server) AdoptShardMap(m *shard.Map, idx int, addrs []string) error {
 	s.shardIdx.Store(int32(idx))
 	s.served.Store(&servedMap{m: m, addrs: addrs})
 	return nil
+}
+
+// SplitShard grows a live deployment by one shard: it starts an empty server
+// with listen, streams shard i's peeled half to it (PrepareReshard), gives it
+// the successor map, commits the split on srvs[i] and publishes the map to
+// every other server. srvs and addrs are the deployment in shard order, each
+// server already serving a map with the address table. A failure up to the
+// commit closes the new server. On success the caller owns the new server,
+// adopts the grown address table, and drains srvs[i] (DrainSplit) once its
+// routers have adopted the returned map.
+func SplitShard(srvs []*Server, addrs []string, i int, listen func() (*Server, error)) (*Server, *shard.Map, []string, error) {
+	if i < 0 || i >= len(srvs) {
+		return nil, nil, nil, fmt.Errorf("rpcnet: split of unknown shard %d", i)
+	}
+	srv, err := listen()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	newAddr := srv.Addr().String()
+	nm, err := srvs[i].PrepareReshard(newAddr)
+	if err == nil {
+		addrs = append(append([]string(nil), addrs...), newAddr)
+		err = srv.AdoptShardMap(nm, nm.K()-1, addrs)
+	}
+	if err == nil {
+		_, err = srvs[i].CommitReshard()
+	}
+	if err != nil {
+		srv.Close()
+		return nil, nil, nil, err
+	}
+	for j, other := range srvs {
+		if j != i {
+			if err := other.AdoptShardMap(nm, j, addrs); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	return srv, nm, addrs, nil
 }

@@ -356,3 +356,46 @@ func TestNetAvailabilityMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitShard drives the split sequence the autoscalers share: a bad
+// shard index starts nothing, a refused prepare closes the server it
+// started, and a split of shard 0 of two serves the three-cell map with the
+// grown address table from every server, each at its own index.
+func TestSplitShard(t *testing.T) {
+	addrs, srvs, m, _ := startShardedDeploy(t, 500, 2, 0)
+	var started []*Server
+	listen := func() (*Server, error) {
+		srv, _ := startServer(t, 0, ServerConfig{})
+		started = append(started, srv)
+		return srv, nil
+	}
+	if _, _, _, err := SplitShard(srvs, addrs, 2, listen); err == nil || len(started) != 0 {
+		t.Fatalf("split of shard 2 of 2: err %v, %d servers started", err, len(started))
+	}
+	// The servers do not serve the address table yet, so PrepareReshard
+	// refuses.
+	if _, _, _, err := SplitShard(srvs, addrs, 0, listen); err == nil || !started[0].closed.Load() {
+		t.Fatalf("refused split: err %v, new server closed %v", err, started[0].closed.Load())
+	}
+	for s, srv := range srvs {
+		if err := srv.AdoptShardMap(m, s, addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, nm, grown, err := SplitShard(srvs, addrs, 0, listen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nm.K() != 3 || len(grown) != 3 || grown[2] != srv.Addr().String() || len(addrs) != 2 {
+		t.Fatalf("K=%d, addresses %v (was %v)", nm.K(), grown, addrs)
+	}
+	for i, s := range append(srvs, srv) {
+		sm := s.servedShardMap()
+		if sm.m != nm || strings.Join(sm.addrs, ",") != strings.Join(grown, ",") || int(s.shardIdx.Load()) != i {
+			t.Errorf("server %d serves map %#x as shard %d with %v", i, sm.m.Version, s.shardIdx.Load(), sm.addrs)
+		}
+	}
+	if err := srvs[0].DrainSplit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -25,11 +25,6 @@ type RouterConfig struct {
 	// order. Nil (or empty inner slices) disables failover for that shard,
 	// leaving routing identical to an unreplicated deployment.
 	Backups [][]string
-	// ReadReplicaUtil, when > 0, routes a sub-search to the least-loaded
-	// replica of its shard whenever the active server's predicted
-	// utilization exceeds this threshold — backups absorb reads from a
-	// predicted-hot primary without any failover.
-	ReadReplicaUtil float64
 	// Pool, when non-nil, attaches each per-shard client to a pooled
 	// multiplexed connection instead of dialing its own socket, so many
 	// routers (and plain clients) share a bounded set of TCP connections.
@@ -137,7 +132,6 @@ func connectRouter(addrs []string, cfg RouterConfig) (*Router, error) {
 		Epochs:            epochs,
 		HeartbeatInterval: hbInv,
 		HealthMultiple:    cfg.HealthMultiple,
-		ReadReplicaUtil:   cfg.ReadReplicaUtil,
 	}, wallExec{r})
 	if err != nil {
 		return nil, err
@@ -277,8 +271,8 @@ func (r *Router) adoptFrom(from *Client, cur *shard.Map) bool {
 
 // wallExec is real sockets' shard.Exec: the wall clock since the router
 // connected, goroutines as forks, a torn-down connection as one more
-// reason to fail over, and liveness, applied sequence and utilization as
-// each connection's heartbeats last reported them.
+// reason to fail over, and liveness and applied sequence as each
+// connection's heartbeats last reported them.
 type wallExec struct{ r *Router }
 
 func (x wallExec) Now() time.Duration    { return time.Since(x.r.start) }
@@ -311,7 +305,7 @@ func (x wallExec) Overloaded(err error) bool { return errors.Is(err, ErrOverload
 func (x wallExec) Bind(c *Client) shard.Replica { return c }
 
 func (x wallExec) Report(c *Client) shard.Report {
-	rep := shard.Report{Alive: x.r.alive(c), Util: c.PredictedUtil()}
+	rep := shard.Report{Alive: x.r.alive(c)}
 	_, rep.Applied = c.ReplicaState()
 	if age, seen := c.HeartbeatAge(); seen {
 		rep.HeardAt, rep.Heard = x.Now()-age, true

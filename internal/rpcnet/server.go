@@ -89,9 +89,6 @@ type ServerConfig struct {
 	HeartbeatInterval time.Duration
 	// MaxSegmentItems caps items per response segment (0 selects ~4 KB).
 	MaxSegmentItems int
-	// MaxBatch caps operations per batch container; an oversized batch is
-	// answered with a single error response (0 selects the wire limit).
-	MaxBatch int
 
 	// FetchSlots enables remote result fetching (DESIGN.md §5.10): the
 	// server keeps that many mailbox slots in a dedicated region and
@@ -111,11 +108,6 @@ type ServerConfig struct {
 	// never picks fetch adaptively; forced fetch still works).
 	TXLineRateBps float64
 
-	// MaxConns caps concurrently-accepted connections; excess accepts are
-	// closed immediately (0 = unlimited). Pair with client-side connection
-	// multiplexing (MuxPool) to keep thousands of logical clients under
-	// the cap.
-	MaxConns int
 	// AdmissionUtil arms deadline-aware admission control (DESIGN.md
 	// §5.12): once the smoothed heartbeat utilization — CPU or TX — meets
 	// this threshold, requests queue earliest-deadline-first and the
@@ -127,11 +119,9 @@ type ServerConfig struct {
 	// DispatchWorkers sizes the shared request-execution pool replacing
 	// the per-connection serial model (0 = NumCPU, min 2).
 	DispatchWorkers int
-	// DispatchQueue bounds the admission queue in tasks (0 = 1024).
-	DispatchQueue int
-	// WriteBuffer bounds each connection's pending outbound bytes before
-	// responders block (0 = 1 MiB).
-	WriteBuffer int
+	// dispatchQueue bounds the admission queue in tasks (0 selects
+	// defaultDispatchQueue); tests shrink it to reach the full-queue shed.
+	dispatchQueue int
 	// PaceTX, when true, enforces TXLineRateBps as an actual outbound
 	// budget: each connection's flusher sleeps out the wire time its bytes
 	// would occupy at that rate. Loopback deployments (bench, tests) use
@@ -314,7 +304,6 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 		FetchSlots:      cfg.FetchSlots,
 		FetchSlotChunks: cfg.FetchSlotChunks,
 		FetchInlineMax:  cfg.FetchInlineMax,
-		MaxBatch:        cfg.MaxBatch,
 	})
 	if err != nil {
 		ln.Close()
@@ -364,7 +353,7 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 			return float64(n)
 		})
 	}
-	s.disp = newDispatcher(s, cfg.DispatchQueue, cfg.DispatchWorkers)
+	s.disp = newDispatcher(s, cfg.dispatchQueue, cfg.DispatchWorkers)
 	if cfg.PaceTX && cfg.TXLineRateBps > 0 {
 		s.pacer = newTXPacer(cfg.TXLineRateBps)
 	}
@@ -391,12 +380,12 @@ func (s *Server) Serve() error {
 		// sweep would otherwise escape both the connection sweep and
 		// wg.Wait (the shutdown leak window).
 		s.mu.Lock()
-		if s.closed.Load() || (s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns) {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			continue
 		}
-		sc := &srvConn{c: conn, w: newConnWriter(conn, &s.txBytes, s.cfg.WriteBuffer, s.pacer)}
+		sc := &srvConn{c: conn, w: newConnWriter(conn, &s.txBytes, s.pacer)}
 		s.conns[sc] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()

@@ -12,9 +12,9 @@ import (
 // ErrWriterFull reports a non-blocking enqueue against a full writer.
 var ErrWriterFull = errors.New("rpcnet: connection writer full")
 
-// defaultWriteBuffer bounds the bytes a connWriter may hold before
-// enqueuers block (per-connection backpressure).
-const defaultWriteBuffer = 1 << 20
+// writeBuffer bounds the bytes a connWriter may hold before enqueuers
+// block (per-connection backpressure).
+const writeBuffer = 1 << 20
 
 // connWriter is a bounded per-connection writer with coalesced flushes:
 // producers append length-prefixed frames to a pending buffer and a single
@@ -58,8 +58,7 @@ func (p *txPacer) reserve(n int) time.Duration {
 type connWriter struct {
 	c    net.Conn
 	tx   *atomic.Uint64 // server/client-wide outbound byte counter (nil ok)
-	max  int
-	pace *txPacer // shared outbound budget (nil = unpaced)
+	pace *txPacer       // shared outbound budget (nil = unpaced)
 
 	mu       sync.Mutex
 	nonEmpty sync.Cond // signals the flusher
@@ -73,11 +72,8 @@ type connWriter struct {
 
 // newConnWriter starts the flusher. pace, when non-nil, budgets this
 // connection's flushes against the shared line rate.
-func newConnWriter(c net.Conn, tx *atomic.Uint64, max int, pace *txPacer) *connWriter {
-	if max <= 0 {
-		max = defaultWriteBuffer
-	}
-	w := &connWriter{c: c, tx: tx, max: max, pace: pace, done: make(chan struct{})}
+func newConnWriter(c net.Conn, tx *atomic.Uint64, pace *txPacer) *connWriter {
+	w := &connWriter{c: c, tx: tx, pace: pace, done: make(chan struct{})}
 	w.nonEmpty.L = &w.mu
 	w.notFull.L = &w.mu
 	go w.flushLoop()
@@ -109,14 +105,14 @@ func (w *connWriter) enqueueFramed(frames []byte) error {
 func (w *connWriter) tryEnqueue(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.pending) >= w.max {
+	if len(w.pending) >= writeBuffer {
 		return ErrWriterFull
 	}
 	return w.appendLocked(payload, true)
 }
 
 func (w *connWriter) waitRoomLocked() {
-	for len(w.pending) >= w.max && w.err == nil && !w.closed {
+	for len(w.pending) >= writeBuffer && w.err == nil && !w.closed {
 		w.notFull.Wait()
 	}
 }

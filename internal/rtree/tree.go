@@ -22,8 +22,6 @@ type Config struct {
 	// MinEntries is the underflow bound m. 0 selects 40% of MaxEntries,
 	// the R*-tree recommendation.
 	MinEntries int
-	// Publisher overrides how node payloads are written to the region.
-	Publisher Publisher
 	// ReinsertFraction is the share of entries force-reinserted on first
 	// overflow per level (R* recommends 0.3). 0 selects 0.3; negative
 	// disables forced reinsertion.
@@ -127,13 +125,9 @@ func New(reg *region.Region, cfg Config) (*Tree, error) {
 			reinsertN = maxE + 1 - minE
 		}
 	}
-	pub := cfg.Publisher
-	if pub == nil {
-		pub = reg.WriteChunkPrefix
-	}
 	t := &Tree{
 		reg:          reg,
-		publish:      pub,
+		publish:      reg.WriteChunkPrefix,
 		maxEntries:   maxE,
 		minEntries:   minE,
 		reinsertN:    reinsertN,

@@ -39,10 +39,11 @@ type MovingObjects struct {
 	// refBase offsets the object index into the entry ref space, so a
 	// fleet can coexist with a static dataset.
 	refBase uint64
-	// edge is the indexed rectangle's edge length (objects are near-point
-	// rects, like the dataset's street segments).
-	edge float64
 }
+
+// objectEdge is the indexed rectangle's edge length: objects are near-point
+// rects, like the paper's street segments.
+const objectEdge = 1e-5
 
 // MovingConfig shapes a fleet.
 type MovingConfig struct {
@@ -51,9 +52,6 @@ type MovingConfig struct {
 	// Speed is the per-tick step length drawn uniform in (0, Speed]
 	// (default 0.002 — a vehicle crossing the city in ~500 ticks).
 	Speed float64
-	// Edge is the indexed rectangle edge (default 1e-5, matching the
-	// paper's dataset scale).
-	Edge float64
 	// RefBase offsets object refs (default 0).
 	RefBase uint64
 }
@@ -64,16 +62,12 @@ func NewMovingObjects(rng *rand.Rand, cfg MovingConfig) *MovingObjects {
 	if cfg.Speed == 0 {
 		cfg.Speed = 0.002
 	}
-	if cfg.Edge == 0 {
-		cfg.Edge = 1e-5
-	}
 	m := &MovingObjects{
 		X:       make([]float64, cfg.N),
 		Y:       make([]float64, cfg.N),
 		vx:      make([]float64, cfg.N),
 		vy:      make([]float64, cfg.N),
 		refBase: cfg.RefBase,
-		edge:    cfg.Edge,
 	}
 	for i := 0; i < cfg.N; i++ {
 		m.X[i] = rng.Float64()
@@ -99,7 +93,7 @@ func (m *MovingObjects) Rect(i int) geo.Rect {
 
 func (m *MovingObjects) rectAt(x, y float64) geo.Rect {
 	return geo.Rect{MinX: x, MinY: y,
-		MaxX: math.Min(x+m.edge, 1), MaxY: math.Min(y+m.edge, 1)}
+		MaxX: math.Min(x+objectEdge, 1), MaxY: math.Min(y+objectEdge, 1)}
 }
 
 // Seed returns the fleet's initial entries, for bulk loading or streaming

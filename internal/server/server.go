@@ -91,11 +91,6 @@ type Config struct {
 	// response segment stays inline).
 	FetchInlineMax int
 
-	// Metrics, when non-nil, exposes the server counters and the
-	// heartbeat-published utilization on the registry under
-	// catfish_server_* names.
-	Metrics *telemetry.Registry
-
 	// Replica, when non-nil, arms the availability subsystem on this
 	// server: epoch fencing, op-log sequencing, and rejection of client
 	// writes while the state says backup (StatusNotPrimary). Nil leaves
@@ -229,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HeartbeatInterval > 0 {
 		s.e.Spawn("server-heartbeat", s.heartbeatLoop)
 	}
-	core.Register(cfg.Metrics) // a nil registry registers nothing
 	return s, nil
 }
 

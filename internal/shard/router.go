@@ -76,9 +76,6 @@ type Report struct {
 	// election prefers the most caught-up. All-equal reports elect in
 	// preference order.
 	Applied uint64
-	// Util is the replica's predicted utilization (the ReadReplicaUtil
-	// signal).
-	Util float64
 }
 
 // CoreConfig parametrizes NewCore.
@@ -98,10 +95,6 @@ type CoreConfig[C any] struct {
 	// intervals (DefaultHealthMultiple when 0).
 	HeartbeatInterval time.Duration
 	HealthMultiple    int
-	// ReadReplicaUtil, when > 0, hands a sub-read to the least-loaded live
-	// replica of its shard whenever the serving replica's predicted
-	// utilization exceeds it.
-	ReadReplicaUtil float64
 }
 
 // RouterStats counts router-level outcomes. Per-shard transport and
@@ -125,7 +118,7 @@ type RouterStats struct {
 	// Promotions counts successful backup promotions (failovers).
 	Promotions uint64
 	// BackupReads counts sub-reads answered by a replica other than the
-	// serving one (it refused service, shed, or was predicted hot).
+	// serving one (it refused service or shed).
 	BackupReads uint64
 	// MapAdoptions counts successor shard maps adopted mid-run during live
 	// resharding.
@@ -151,11 +144,10 @@ type state[C snapshotter] struct {
 	active []int    // index into cands[s] of the serving replica
 	epochs []uint64 // epoch this router last knew (or promoted) the shard to
 
-	health          *Health
-	hbInterval      time.Duration
-	healthMultiple  int
-	readReplicaUtil float64
-	stats           RouterStats
+	health         *Health
+	hbInterval     time.Duration
+	healthMultiple int
+	stats          RouterStats
 
 	// dedup turns on merged-result deduplication after the first map
 	// adoption: between a reshard's commit and its drain the moved entries
@@ -203,13 +195,12 @@ func NewCore[C snapshotter](cfg CoreConfig[C], x Exec[C]) (Core[C], error) {
 		return Core[C]{}, fmt.Errorf("shard: %d clients for %d shards", len(cfg.Replicas), k)
 	}
 	s := &state[C]{
-		m:               cfg.Map,
-		cands:           cfg.Replicas,
-		active:          make([]int, k),
-		epochs:          make([]uint64, k),
-		hbInterval:      cfg.HeartbeatInterval,
-		healthMultiple:  cfg.HealthMultiple,
-		readReplicaUtil: cfg.ReadReplicaUtil,
+		m:              cfg.Map,
+		cands:          cfg.Replicas,
+		active:         make([]int, k),
+		epochs:         make([]uint64, k),
+		hbInterval:     cfg.HeartbeatInterval,
+		healthMultiple: cfg.HealthMultiple,
 	}
 	for i := range s.epochs {
 		s.epochs[i] = 1
@@ -388,35 +379,17 @@ const (
 	overloadBackoff  = 2 * time.Millisecond
 )
 
-// readShard runs one sub-read on shard s, on context x. A predicted-hot
-// serving replica (past ReadReplicaUtil) hands the read to the least
-// loaded live one. A shed first tries every other live replica — backups
-// absorb reads from a saturated primary without promotion — then retries
-// the serving replica with doubling backoff. A replica refusing service
-// (killed, fenced, demoted) makes the read retry on the shard's others:
-// backups answer reads without promotion, so read availability outlives a
-// dying primary. Runs on forked contexts: reads the shape, never mutates
-// it.
+// readShard runs one sub-read on shard s, on context x. A shed first tries
+// every other live replica — backups absorb reads from a saturated primary
+// without promotion — then retries the serving replica with doubling
+// backoff. A replica refusing service (killed, fenced, demoted) makes the
+// read retry on the shard's others: backups answer reads without
+// promotion, so read availability outlives a dying primary. Runs on forked
+// contexts: reads the shape, never mutates it.
 func readShard[C snapshotter, T any](r Core[C], x Exec[C], s int,
 	read func(Replica) (T, proto.Method, error)) (T, proto.Method, error) {
 	var zero T
 	cands, active := r.cands[s], r.active[s]
-	if u := r.readReplicaUtil; u > 0 && len(cands) > 1 {
-		if util := x.Report(cands[active]).Util; util > u {
-			best, bestUtil := active, util
-			for i, c := range cands {
-				if rep := x.Report(c); rep.Alive && rep.Util < bestUtil {
-					best, bestUtil = i, rep.Util
-				}
-			}
-			if best != active {
-				if v, m, err := read(x.Bind(cands[best])); err == nil {
-					atomic.AddUint64(&r.stats.BackupReads, 1)
-					return v, m, nil
-				}
-			}
-		}
-	}
 	v, m, err := read(x.Bind(cands[active]))
 	if x.Overloaded(err) {
 		for i, c := range cands {

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
+
+	"github.com/catfish-db/catfish/internal/geo"
 )
 
 // fuzzSeeds are well-formed and near-miss reply frames: each reply type, a
@@ -206,6 +209,157 @@ func FuzzDecodeFetchDesc(f *testing.F) {
 		}
 		if typ, id, perr := PeekID(b); perr != nil || typ != MsgFetchDesc || id != d.ID {
 			t.Fatalf("PeekID = (%d, %d, %v), decoder says id %d", typ, id, perr, d.ID)
+		}
+	})
+}
+
+// prefixOf fails t unless enc, what a decoded message re-encodes to, is the
+// prefix of the frame b the decoder read.
+func prefixOf(t *testing.T, enc, b []byte) {
+	t.Helper()
+	if len(enc) > len(b) || !bytes.Equal(enc, b[:len(enc)]) {
+		t.Fatalf("accepted %d-byte frame does not round-trip:\n got %x\nwant %x", len(b), enc, b)
+	}
+}
+
+// corrupt fails t unless err, a decoder's refusal, is ErrCorrupt.
+func corrupt(t *testing.T, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("error %v is not ErrCorrupt", err)
+	}
+}
+
+// FuzzDecodeRequest: the server decodes every request frame a client sends,
+// so the decoder takes arbitrary bytes. It never panics or reads past the
+// frame, fails only with ErrCorrupt, accepts only request types, reads a
+// MOVE's destination and, when the frame carries one, the deadline word, and
+// what it accepts re-encodes to the bytes it read (a zero deadline word
+// re-encodes as the layout without one). The seed corpus in
+// testdata/fuzz/FuzzDecodeRequest holds a search and a MOVE, each with and
+// without a deadline, a kNN, a zero deadline word, truncations of both
+// layouts and a reply type in a request-sized frame.
+func FuzzDecodeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		r, err := DecodeRequest(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		size := RequestSize
+		if r.Type == MsgMove {
+			size = MoveRequestSize
+		} else if r.Rect2 != (geo.Rect{}) {
+			t.Fatalf("type %d request decoded a destination", r.Type)
+		}
+		if len(b) >= size+4 && binary.LittleEndian.Uint32(b[size:]) != r.DeadlineUS {
+			t.Fatalf("deadline word %d decoded as %d", binary.LittleEndian.Uint32(b[size:]), r.DeadlineUS)
+		}
+		enc := r.Encode(nil)
+		prefixOf(t, enc, b)
+		if back, err := DecodeRequest(enc); err != nil || !bytes.Equal(back.Encode(nil), enc) {
+			t.Fatalf("re-encoded request does not decode to itself: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeHello: a client decodes the server's hello before anything
+// else. The decoder never panics or over-reads, fails only with ErrCorrupt,
+// and what it accepts re-encodes to the bytes it read. The seed corpus holds
+// a sharded, fetch-enabled hello, a truncated one and a heartbeat in a
+// hello-sized frame.
+func FuzzDecodeHello(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		h, err := DecodeHello(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		prefixOf(t, h.Encode(nil), b)
+	})
+}
+
+// FuzzDecodeHeartbeat: every connection's reader decodes heartbeats pushed
+// between replies. The decoder never panics or over-reads, fails only with
+// ErrCorrupt, and what it accepts — NaN utilization words included —
+// re-encodes to the bytes it read. The seed corpus holds a heartbeat with
+// every replication word set, a truncated one and a hello in its place.
+func FuzzDecodeHeartbeat(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		hb, err := DecodeHeartbeat(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		prefixOf(t, hb.Encode(nil), b)
+	})
+}
+
+// FuzzDecodeReplicate: a backup decodes the record batches its primary
+// streams. The decoder never panics or over-reads, fails only with
+// ErrCorrupt, never accepts more than MaxReplRecords records, and what it
+// accepts re-encodes to the bytes it read. The seed corpus holds a
+// two-record batch, an empty one, a batch one byte short, a wrong type and a
+// count of 2^32-1 over one record.
+func FuzzDecodeReplicate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		r, err := DecodeReplicate(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		if len(r.Records) > MaxReplRecords {
+			t.Fatalf("accepted %d records", len(r.Records))
+		}
+		prefixOf(t, r.Encode(nil), b)
+	})
+}
+
+// FuzzDecodeReplAck: a primary decodes each backup's ack. The decoder never
+// panics or over-reads, fails only with ErrCorrupt, and what it accepts
+// re-encodes to the bytes it read. The seed corpus holds a fenced ack, a
+// truncated one and a replicate header in its place.
+func FuzzDecodeReplAck(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		a, err := DecodeReplAck(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		prefixOf(t, a.Encode(nil), b)
+	})
+}
+
+// FuzzDecodeRawReply: every one-sided read's reply (chunk, span and version
+// data) goes through DecodeRawReply. For each of the three types it never
+// panics or over-reads, fails only with ErrCorrupt, accepts only a frame of
+// that type holding the body length it announces, hands back a body that
+// aliases the frame, and what it accepts re-encodes to the bytes it read.
+// The seed corpus holds one reply of each type, a truncated body, a
+// response in their place and a body length of 2^32-1.
+func FuzzDecodeRawReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		for _, typ := range []MsgType{MsgChunkData, MsgSpanData, MsgVersionData} {
+			id, status, body, err := DecodeRawReply(b, typ)
+			if err != nil {
+				corrupt(t, err)
+				continue
+			}
+			if MsgType(b[0]) != typ {
+				t.Fatalf("type %d frame accepted as type %d", b[0], typ)
+			}
+			if len(body) > 0 && &body[0] != &b[chunkDataHeader] {
+				t.Fatal("body does not alias the frame")
+			}
+			msg, dst := AppendRawReply(nil, typ, id, status, len(body))
+			copy(dst, body)
+			prefixOf(t, msg, b)
 		}
 	})
 }

@@ -48,14 +48,13 @@ type (
 
 // Connect options, re-exported from internal/rpcnet.
 var (
-	WithClientConfig    = rpcnet.WithClientConfig
-	WithForced          = rpcnet.WithForced
-	WithSeed            = rpcnet.WithSeed
-	WithDeadline        = rpcnet.WithDeadline
-	WithBackups         = rpcnet.WithBackups
-	WithHealthMultiple  = rpcnet.WithHealthMultiple
-	WithReadReplicaUtil = rpcnet.WithReadReplicaUtil
-	WithMuxPool         = rpcnet.WithMuxPool
+	WithClientConfig   = rpcnet.WithClientConfig
+	WithForced         = rpcnet.WithForced
+	WithSeed           = rpcnet.WithSeed
+	WithDeadline       = rpcnet.WithDeadline
+	WithBackups        = rpcnet.WithBackups
+	WithHealthMultiple = rpcnet.WithHealthMultiple
+	WithMuxPool        = rpcnet.WithMuxPool
 )
 
 // Connect is the unified entry point to a Catfish deployment over real
@@ -69,7 +68,7 @@ func Connect(addrs []string, opts ...Option) (Conn, error) {
 // NewMuxPool builds a connection pool capped at maxPerAddr multiplexed
 // connections per server address, for WithMuxPool.
 func NewMuxPool(maxPerAddr int) *MuxPool {
-	return rpcnet.NewMuxPool(maxPerAddr, rpcnet.MuxConfig{})
+	return rpcnet.NewMuxPool(maxPerAddr)
 }
 
 // Listen binds addr and returns a real-network server for tree; call
