@@ -101,6 +101,8 @@ func run() error {
 	}
 
 	// Region sizing assumes leaves half full at the default fan-out of 64.
+	// The ×2 insert headroom reserves address space only: the region
+	// commits memory a slab at a time as nodes take chunks.
 	const perLeaf = 32
 	chunks := len(entries)/perLeaf + len(entries)/(perLeaf*perLeaf) + 4096
 	reg, err := catfish.NewMemoryRegion(chunks*2, 4096)

@@ -367,7 +367,9 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// regionChunks sizes the region for the dataset plus insert headroom.
+// regionChunks sizes the region for the dataset plus insert headroom. The
+// ×2 margin costs address space, not memory: the region commits a slab only
+// when a node first takes a chunk in it.
 func (c *Config) regionChunks() int {
 	items := len(c.Dataset) + c.NumClients*c.RequestsPerClient/4
 	perLeaf := c.MaxEntries / 2

@@ -14,10 +14,10 @@ import (
 // refWriteLine is writeLine as it stood before delta publishing: every line
 // goes odd, has all seven payload words re-stored byte by byte, and goes
 // even. It is the oracle for what a write must leave in the region.
-func refWriteLine(r *Region, id, l int, newVersion uint64, payload []byte) {
-	base := r.lineBase(id, l)
-	old := atomic.LoadUint64(&r.words[base])
-	atomic.StoreUint64(&r.words[base], old|1)
+func refWriteLine(c []uint64, l int, newVersion uint64, payload []byte) {
+	base := l * wordsPerLine
+	old := atomic.LoadUint64(&c[base])
+	atomic.StoreUint64(&c[base], old|1)
 	start := l * LineData
 	for w := 0; w < payloadWords; w++ {
 		var word uint64
@@ -27,20 +27,24 @@ func refWriteLine(r *Region, id, l int, newVersion uint64, payload []byte) {
 				word |= uint64(payload[off+b]) << (8 * b)
 			}
 		}
-		atomic.StoreUint64(&r.words[base+1+w], word)
+		atomic.StoreUint64(&c[base+1+w], word)
 	}
-	atomic.StoreUint64(&r.words[base], newVersion)
+	atomic.StoreUint64(&c[base], newVersion)
 }
 
 // refWrite publishes lines [from, to) of chunk id with refWriteLine and
 // stamps lines [to, stampTo) with the version alone, which is all that
 // WriteChunk, WriteChunkPrefix and the two halves of a staged write differ in.
+// It commits the chunk's slab first, as every write path does: stamping
+// through the read-side view of an uncommitted chunk would write the
+// region's shared zero chunk.
 func refWrite(r *Region, id int, v uint64, payload []byte, from, to, stampTo int) {
+	c := r.writable(id)
 	for l := from; l < to; l++ {
-		refWriteLine(r, id, l, v, payload)
+		refWriteLine(c, l, v, payload)
 	}
 	for l := to; l < stampTo; l++ {
-		atomic.StoreUint64(&r.words[r.lineBase(id, l)], v)
+		atomic.StoreUint64(&c[l*wordsPerLine], v)
 	}
 }
 
@@ -98,7 +102,7 @@ func TestDeltaPublishMatchesReference(t *testing.T) {
 			}
 		}
 		covered := (size + LineData - 1) / LineData
-		v := ref.nextVersion(id)
+		v := nextVersion(ref.chunk(id))
 		switch rng.Intn(3) {
 		case 0:
 			if err := got.WriteChunk(id, payload); err != nil {

@@ -72,3 +72,55 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssembleMailbox: a fetching client assembles a pulled mailbox slot
+// from its chunk payloads against the descriptor the server sent, so the
+// slot header and the descriptor's length are both untrusted. The input
+// splits into payloads of per bytes (the last one shorter). The assembler
+// never panics or reads past a payload, fails only with ErrStaleSlot, and
+// accepts exactly when the header's seq and length match the descriptor
+// and the payloads hold that many bytes after the header; what it accepts
+// is those bytes. A mailbox that delivers them hands the client the same
+// bytes back. The seed corpus in testdata/fuzz/FuzzAssembleMailbox holds a
+// slot spanning three chunks, one cut short of its length, a stale seq, and
+// a length word of 2^32-1 over a one-chunk slot.
+func FuzzAssembleMailbox(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte, per uint16, wantSeq uint64, wantBytes uint32) {
+		size := 1 + int(per)%4096
+		var payloads [][]byte
+		for off := 0; off < len(b); off += size {
+			end := min(off+size, len(b))
+			payloads = append(payloads, b[off:end:end])
+		}
+		got, err := AssembleMailbox(payloads, wantSeq, int(wantBytes))
+		accept := len(payloads) > 0 && len(payloads[0]) >= MailboxHeaderSize &&
+			binary.LittleEndian.Uint64(b) == wantSeq &&
+			binary.LittleEndian.Uint32(b[8:]) == wantBytes &&
+			len(b)-MailboxHeaderSize >= int(wantBytes)
+		if !accept {
+			if !errors.Is(err, ErrStaleSlot) {
+				t.Fatalf("err %v, want ErrStaleSlot", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("matching slot rejected: %v", err)
+		}
+		if !bytes.Equal(got, b[MailboxHeaderSize:MailboxHeaderSize+int(wantBytes)]) {
+			t.Fatalf("assembled %x, want the %d bytes after the header", got, wantBytes)
+		}
+		m := newTestMailbox(t, 1, 8, 256)
+		if len(got) > m.Capacity() {
+			return
+		}
+		slot, _ := m.Grant()
+		ref, err := m.WriteResult(slot, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := pullSlot(t, m, ref)
+		if err != nil || !bytes.Equal(back, got) {
+			t.Fatalf("delivered slot pulls back %x, %v; want %x", back, err, got)
+		}
+	})
+}

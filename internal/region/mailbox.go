@@ -175,10 +175,7 @@ func (m *Mailbox) WriteResult(slot int, payload []byte) (SlotRef, error) {
 	if n > len(payload) {
 		n = len(payload)
 	}
-	buf := make([]byte, MailboxHeaderSize+n)
-	copy(buf, hdr[:])
-	copy(buf[MailboxHeaderSize:], payload[:n])
-	if err := m.reg.WriteChunkPrefix(first, buf); err != nil {
+	if err := m.reg.writePrefix(first, hdr[:], payload[:n]); err != nil {
 		return SlotRef{}, err
 	}
 	// Remaining chunks: raw payload continuation.
@@ -258,13 +255,19 @@ func AssembleMailbox(payloads [][]byte, wantSeq uint64, wantBytes int) ([]byte, 
 		return nil, fmt.Errorf("%w: header (seq=%d len=%d) vs descriptor (seq=%d len=%d)",
 			ErrStaleSlot, seq, length, wantSeq, wantBytes)
 	}
-	out := make([]byte, 0, wantBytes)
-	out = append(out, hdr[MailboxHeaderSize:]...)
+	// Count before allocating: the length word came off the wire, and a
+	// slot that cannot hold it must not size the buffer.
+	have := len(hdr) - MailboxHeaderSize
 	for _, p := range payloads[1:] {
-		out = append(out, p...)
+		have += len(p)
 	}
-	if len(out) < wantBytes {
-		return nil, fmt.Errorf("%w: assembled %d of %d bytes", ErrStaleSlot, len(out), wantBytes)
+	if have < wantBytes {
+		return nil, fmt.Errorf("%w: assembled %d of %d bytes", ErrStaleSlot, have, wantBytes)
 	}
-	return out[:wantBytes], nil
+	out := make([]byte, 0, wantBytes)
+	out = append(out, hdr[MailboxHeaderSize:min(len(hdr), MailboxHeaderSize+wantBytes)]...)
+	for _, p := range payloads[1:] {
+		out = append(out, p[:min(len(p), wantBytes-len(out))]...)
+	}
+	return out, nil
 }

@@ -1,9 +1,22 @@
 // Package region implements the server's RDMA-registered memory region.
 //
-// Following the paper's memory-management design (§III-B), the region is a
-// single flat buffer, registered with the NIC once, and divided into
-// fixed-size chunks — one chunk per R-tree node. A client addresses any node
-// as (region base, chunk ID × chunk size) with a one-sided RDMA Read.
+// Following the paper's memory-management design (§III-B), the region is
+// registered with the NIC once and divided into fixed-size chunks — one
+// chunk per R-tree node. A client addresses any node as (region base, chunk
+// ID × chunk size) with a one-sided RDMA Read.
+//
+// The address space is fixed at New; the memory behind it is not. The
+// chunks are grouped into slabs of about a MiB (slabBytes, at least one
+// chunk), and a slab's memory is committed the first time a chunk in it is
+// allocated or written — the Go analogue of an on-demand-paging
+// registration. A slab is never released: freeing every chunk in it leaves
+// it committed, so a committed chunk's words never move. Until then its
+// chunks read as zeros at version 0, exactly what a committed chunk that
+// was never written holds, so readers cannot tell the difference. Reads
+// take no lock: the slab table is a slice of atomic pointers, and a writer
+// installs a slab with one CompareAndSwap (two writers racing to commit the
+// same slab both write into the one that won), so a reader sees either no
+// slab or a complete one whose words carry the seqlock versions below.
 //
 // Concurrency between server-side writers (CPU) and client-side readers
 // (RDMA Read, which bypasses the server CPU entirely) uses the FaRM-style
@@ -12,7 +25,7 @@
 // bumps the version of every cacheline it rewrites; a reader accepts a chunk
 // only when all cacheline versions agree. On hardware this is sound because
 // both RDMA Reads and CPU writes are cacheline-atomic. Go cannot express
-// cacheline atomicity, so this package backs the region with a []uint64
+// cacheline atomicity, so this package backs each chunk with []uint64 words
 // accessed via sync/atomic and gives each cacheline seqlock semantics
 // (odd version = write in progress); the observable property — a reader
 // either sees a fully consistent chunk or detects the tear and retries — is
@@ -45,6 +58,10 @@ const (
 	wordsPerLine   = CacheLine / 8
 	payloadWords   = wordsPerLine - 1
 	stableAttempts = 1 << 16
+
+	// slabBytes is the commit unit: a slab holds the largest power-of-two
+	// number of chunks that fits, and never fewer than one.
+	slabBytes = 1 << 20
 )
 
 // Errors returned by region operations.
@@ -63,10 +80,13 @@ var (
 // externally serialized — exactly the guarantee the server's tree latch
 // provides. The chunk allocator must likewise be serialized by the caller.
 type Region struct {
-	words     []uint64
-	chunkSize int
-	lines     int // cachelines per chunk
-	nchunks   int
+	slabs      []atomic.Pointer[[]uint64] // nil until the slab's first Alloc or write
+	slabShift  uint                       // log2 of chunks per slab
+	zero       []uint64                   // what an uncommitted chunk reads as; never written
+	chunkWords int
+	chunkSize  int
+	lines      int // cachelines per chunk
+	nchunks    int
 
 	freeHead int32
 	freeNext []int32
@@ -91,12 +111,17 @@ func New(nchunks, chunkSize int) (*Region, error) {
 		return nil, fmt.Errorf("region: invalid geometry %d x %d", nchunks, chunkSize)
 	}
 	r := &Region{
-		words:     make([]uint64, nchunks*chunkSize/8),
-		chunkSize: chunkSize,
-		lines:     chunkSize / CacheLine,
-		nchunks:   nchunks,
-		freeNext:  make([]int32, nchunks),
+		zero:       make([]uint64, chunkSize/8),
+		chunkWords: chunkSize / 8,
+		chunkSize:  chunkSize,
+		lines:      chunkSize / CacheLine,
+		nchunks:    nchunks,
+		freeNext:   make([]int32, nchunks),
 	}
+	for chunkSize<<(r.slabShift+1) <= slabBytes {
+		r.slabShift++
+	}
+	r.slabs = make([]atomic.Pointer[[]uint64], (nchunks-1)>>r.slabShift+1)
 	for i := 0; i < nchunks-1; i++ {
 		r.freeNext[i] = int32(i + 1)
 	}
@@ -120,12 +145,13 @@ func (r *Region) Allocated() int { return r.allocs }
 // Size returns the total registered bytes.
 func (r *Region) Size() int { return r.nchunks * r.chunkSize }
 
-// Alloc takes a chunk from the free list.
+// Alloc takes a chunk from the free list and commits its slab.
 func (r *Region) Alloc() (int, error) {
 	if r.freeHead < 0 {
 		return 0, ErrOutOfChunks
 	}
 	id := int(r.freeHead)
+	r.writable(id)
 	r.freeHead = r.freeNext[id]
 	r.freeNext[id] = -2 // allocated marker
 	r.allocs++
@@ -171,9 +197,50 @@ func (r *Region) checkID(id int) error {
 	return nil
 }
 
-// lineBase returns the word offset of cacheline l of chunk id.
-func (r *Region) lineBase(id, l int) int {
-	return (id*r.chunkSize)/8 + l*wordsPerLine
+// checkWrite validates a write of n payload bytes to chunk id.
+func (r *Region) checkWrite(id, n int) error {
+	if err := r.checkID(id); err != nil {
+		return err
+	}
+	if n > r.PayloadSize() {
+		return ErrPayloadSize
+	}
+	return nil
+}
+
+// chunk returns the words of chunk id for reading: the shared zero chunk
+// while its slab is uncommitted, which nothing may write through. Callers
+// resolve a chunk once per operation and index its lines from there.
+func (r *Region) chunk(id int) []uint64 {
+	slab := r.slabs[id>>r.slabShift].Load()
+	if slab == nil {
+		return r.zero
+	}
+	off := (id & (1<<r.slabShift - 1)) * r.chunkWords
+	return (*slab)[off : off+r.chunkWords : off+r.chunkWords]
+}
+
+// writable returns the words of chunk id for writing, committing its slab
+// first when nothing has yet.
+func (r *Region) writable(id int) []uint64 {
+	slab := r.slabs[id>>r.slabShift].Load()
+	if slab == nil {
+		slab = r.commit(id >> r.slabShift)
+	}
+	off := (id & (1<<r.slabShift - 1)) * r.chunkWords
+	return (*slab)[off : off+r.chunkWords : off+r.chunkWords]
+}
+
+// commit installs zeroed memory for slab s (the last slab holds only the
+// chunks left over) and returns the slab that won: writers racing to commit
+// one slab all write into the one whose CompareAndSwap succeeded.
+func (r *Region) commit(s int) *[]uint64 {
+	chunks := min(r.nchunks-s<<r.slabShift, 1<<r.slabShift)
+	fresh := make([]uint64, chunks*r.chunkWords)
+	if r.slabs[s].CompareAndSwap(nil, &fresh) {
+		return &fresh
+	}
+	return r.slabs[s].Load()
 }
 
 // Version returns the current version of chunk id (the version of its first
@@ -182,20 +249,18 @@ func (r *Region) Version(id int) (uint64, error) {
 	if err := r.checkID(id); err != nil {
 		return 0, err
 	}
-	return atomic.LoadUint64(&r.words[r.lineBase(id, 0)]), nil
+	return atomic.LoadUint64(&r.chunk(id)[0]), nil
 }
 
-// writeLine publishes cacheline l with its slice of payload (zero-filled
-// past the payload's end) at newVersion. A line whose resident payload words
-// already equal the new ones is delta-published: one store moves its version
-// and it never goes odd — a reader's copy of it is the same bytes on either
-// side of that store, and its version still tells the reader which write of
-// the chunk it belongs to. Any other line takes the seqlock: version goes
-// odd, payload words land, version goes even (new).
-func (r *Region) writeLine(id, l int, newVersion uint64, payload []byte) {
-	base := r.lineBase(id, l)
-	line := r.words[base : base+wordsPerLine]
-	src := payload[min(l*LineData, len(payload)):]
+// writeLine publishes one cacheline's words from src, the payload bytes from
+// the line's start (zero-filled past src's end), at newVersion. A line whose
+// resident payload words already equal the new ones is delta-published: one
+// store moves its version and it never goes odd — a reader's copy of it is
+// the same bytes on either side of that store, and its version still tells
+// the reader which write of the chunk it belongs to. Any other line takes
+// the seqlock: version goes odd, payload words land, version goes even
+// (new).
+func writeLine(line []uint64, newVersion uint64, src []byte) {
 	if len(src) < LineData { // the partial tail line, or one past the payload
 		var tail [LineData]byte
 		copy(tail[:], src)
@@ -216,11 +281,34 @@ func (r *Region) writeLine(id, l int, newVersion uint64, payload []byte) {
 	atomic.StoreUint64(&line[0], newVersion)
 }
 
-// nextVersion returns the version a fresh write of chunk id should publish:
+// publish writes lines [from, to) of chunk c at version v from the payload
+// hdr followed by body. The split lets a caller put a short header in front
+// of a payload without first copying the two into one buffer.
+func publish(c []uint64, from, to int, v uint64, hdr, body []byte) {
+	for l := from; l < to; l++ {
+		line := c[l*wordsPerLine : (l+1)*wordsPerLine]
+		start := l * LineData
+		if start >= len(hdr) {
+			writeLine(line, v, body[min(start-len(hdr), len(body)):])
+			continue
+		}
+		var joined [LineData]byte
+		n := copy(joined[:], hdr[start:])
+		copy(joined[n:], body)
+		writeLine(line, v, joined[:])
+	}
+}
+
+// nextVersion returns the version a fresh write of chunk c should publish:
 // the current (even) version plus 2.
-func (r *Region) nextVersion(id int) uint64 {
-	v := atomic.LoadUint64(&r.words[r.lineBase(id, 0)])
-	return (v &^ 1) + 2
+func nextVersion(c []uint64) uint64 {
+	return (atomic.LoadUint64(&c[0]) &^ 1) + 2
+}
+
+func (r *Region) markDirty(id int) {
+	if r.dirty != nil {
+		r.dirty.Mark(id)
+	}
 }
 
 // WriteChunk publishes payload into chunk id, bumping every cacheline's
@@ -228,19 +316,12 @@ func (r *Region) nextVersion(id int) uint64 {
 // All lines are published in one call; in the simulation this is a single
 // virtual instant.
 func (r *Region) WriteChunk(id int, payload []byte) error {
-	if err := r.checkID(id); err != nil {
+	if err := r.checkWrite(id, len(payload)); err != nil {
 		return err
 	}
-	if len(payload) > r.PayloadSize() {
-		return ErrPayloadSize
-	}
-	v := r.nextVersion(id)
-	for l := 0; l < r.lines; l++ {
-		r.writeLine(id, l, v, payload)
-	}
-	if r.dirty != nil {
-		r.dirty.Mark(id)
-	}
+	c := r.writable(id)
+	publish(c, 0, r.lines, nextVersion(c), nil, payload)
+	r.markDirty(id)
 	return nil
 }
 
@@ -252,24 +333,23 @@ func (r *Region) WriteChunk(id int, payload []byte) error {
 // 4 KB chunk on every small update. Consistency detection is unaffected: all
 // lines still share one version.
 func (r *Region) WriteChunkPrefix(id int, payload []byte) error {
-	if err := r.checkID(id); err != nil {
+	return r.writePrefix(id, nil, payload)
+}
+
+// writePrefix is WriteChunkPrefix of the payload hdr followed by body.
+func (r *Region) writePrefix(id int, hdr, body []byte) error {
+	n := len(hdr) + len(body)
+	if err := r.checkWrite(id, n); err != nil {
 		return err
 	}
-	if len(payload) > r.PayloadSize() {
-		return ErrPayloadSize
-	}
-	v := r.nextVersion(id)
-	covered := (len(payload) + LineData - 1) / LineData
-	for l := 0; l < covered; l++ {
-		r.writeLine(id, l, v, payload)
-	}
+	c := r.writable(id)
+	v := nextVersion(c)
+	covered := (n + LineData - 1) / LineData
+	publish(c, 0, covered, v, hdr, body)
 	for l := covered; l < r.lines; l++ {
-		base := r.lineBase(id, l)
-		atomic.StoreUint64(&r.words[base], v)
+		atomic.StoreUint64(&c[l*wordsPerLine], v)
 	}
-	if r.dirty != nil {
-		r.dirty.Mark(id)
-	}
+	r.markDirty(id)
 	return nil
 }
 
@@ -278,8 +358,8 @@ func (r *Region) WriteChunkPrefix(id int, payload []byte) error {
 // BeginWrite and Finish, the chunk's first half is at the new version and
 // the second half at the old one.
 type StagedWrite struct {
-	r       *Region
-	id      int
+	chunk   []uint64
+	lines   int
 	payload []byte
 	version uint64
 	half    int
@@ -289,25 +369,19 @@ type StagedWrite struct {
 // BeginWrite starts a staged write of payload to chunk id and publishes the
 // first half of the cachelines. Call Finish to publish the rest.
 func (r *Region) BeginWrite(id int, payload []byte) (*StagedWrite, error) {
-	if err := r.checkID(id); err != nil {
+	if err := r.checkWrite(id, len(payload)); err != nil {
 		return nil, err
 	}
-	if len(payload) > r.PayloadSize() {
-		return nil, ErrPayloadSize
-	}
+	c := r.writable(id)
 	w := &StagedWrite{
-		r:       r,
-		id:      id,
+		chunk:   c,
+		lines:   r.lines,
 		payload: append([]byte(nil), payload...),
-		version: r.nextVersion(id),
+		version: nextVersion(c),
 		half:    (r.lines + 1) / 2,
 	}
-	for l := 0; l < w.half; l++ {
-		r.writeLine(id, l, w.version, w.payload)
-	}
-	if r.dirty != nil {
-		r.dirty.Mark(id)
-	}
+	publish(c, 0, w.half, w.version, nil, w.payload)
+	r.markDirty(id)
 	return w, nil
 }
 
@@ -318,24 +392,21 @@ func (w *StagedWrite) Finish() {
 		return
 	}
 	w.done = true
-	for l := w.half; l < w.r.lines; l++ {
-		w.r.writeLine(w.id, l, w.version, w.payload)
-	}
+	publish(w.chunk, w.half, w.lines, w.version, nil, w.payload)
 }
 
-// readLineStable copies cacheline l of chunk id into dst (CacheLine bytes),
+// readLineStable copies one cacheline's words into dst (CacheLine bytes),
 // retrying while a writer holds the line's seqlock so the line image is
 // internally consistent. Cross-line consistency is the caller's concern
 // (DecodeChunk).
-func (r *Region) readLineStable(id, l int, dst []byte) {
-	base := r.lineBase(id, l)
+func readLineStable(line []uint64, dst []byte) {
 	for attempt := 0; ; attempt++ {
-		v1 := atomic.LoadUint64(&r.words[base])
+		v1 := atomic.LoadUint64(&line[0])
 		var words [payloadWords]uint64
 		for w := 0; w < payloadWords; w++ {
-			words[w] = atomic.LoadUint64(&r.words[base+1+w])
+			words[w] = atomic.LoadUint64(&line[1+w])
 		}
-		v2 := atomic.LoadUint64(&r.words[base])
+		v2 := atomic.LoadUint64(&line[0])
 		stable := v1&1 == 0 && v1 == v2
 		if stable || attempt >= stableAttempts {
 			if !stable {
@@ -360,8 +431,9 @@ func (r *Region) ReadChunkRaw(id int, dst []byte) error {
 	if len(dst) != r.chunkSize {
 		return ErrSizeMismatch
 	}
+	c := r.chunk(id)
 	for l := 0; l < r.lines; l++ {
-		r.readLineStable(id, l, dst[l*CacheLine:(l+1)*CacheLine])
+		readLineStable(c[l*wordsPerLine:(l+1)*wordsPerLine], dst[l*CacheLine:(l+1)*CacheLine])
 	}
 	return nil
 }
@@ -383,9 +455,9 @@ func (r *Region) ReadVersions(id int, dst []byte) error {
 	if len(dst) != r.VersionsSize() {
 		return ErrSizeMismatch
 	}
+	c := r.chunk(id)
 	for l := 0; l < r.lines; l++ {
-		v := atomic.LoadUint64(&r.words[r.lineBase(id, l)])
-		binary.LittleEndian.PutUint64(dst[l*VersionSize:], v)
+		binary.LittleEndian.PutUint64(dst[l*VersionSize:], atomic.LoadUint64(&c[l*wordsPerLine]))
 	}
 	return nil
 }

@@ -363,3 +363,43 @@ func FuzzDecodeRawReply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeShardMapRequest: a server decodes the shard-map request any
+// router sends. The decoder never panics or over-reads, fails only with
+// ErrCorrupt, and what it accepts re-encodes to the bytes it read. The seed
+// corpus holds a request, a truncated one and a shard-map reply in its
+// place.
+func FuzzDecodeShardMapRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		r, err := DecodeShardMapRequest(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		prefixOf(t, r.Encode(nil), b)
+	})
+}
+
+// FuzzDecodeShardMapData: a router adopts the shard map a server sends,
+// cells and address table included. The decoder never panics or
+// over-reads, fails only with ErrCorrupt, never accepts more than
+// MaxShardCells cells, and what it accepts — NaN and infinite coordinates
+// included — re-encodes to the bytes it read. The seed corpus holds a map
+// with infinite boundary cells and an address table, one without the
+// table, one cut inside the table, a cell count of 2^32-1 and a request in
+// its place.
+func FuzzDecodeShardMapData(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		m, err := DecodeShardMapData(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		if len(m.Cells) > MaxShardCells {
+			t.Fatalf("accepted %d cells", len(m.Cells))
+		}
+		prefixOf(t, m.Encode(nil), b)
+	})
+}
