@@ -85,10 +85,10 @@ func (r Rect) ContainsPoint(x, y float64) bool {
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MaxX: max(r.MaxX, s.MaxX),
+		MinY: min(r.MinY, s.MinY),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -100,21 +100,21 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MaxX: min(r.MaxX, s.MaxX),
+		MinY: max(r.MinY, s.MinY),
+		MaxY: min(r.MaxY, s.MaxY),
 	}, true
 }
 
 // OverlapArea returns the area of the intersection of r and s, or 0 when
 // they do not intersect.
 func (r Rect) OverlapArea(s Rect) float64 {
-	iw := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+	iw := min(r.MaxX, s.MaxX) - max(r.MinX, s.MinX)
 	if iw <= 0 {
 		return 0
 	}
-	ih := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+	ih := min(r.MaxY, s.MaxY) - max(r.MinY, s.MinY)
 	if ih <= 0 {
 		return 0
 	}

@@ -136,6 +136,36 @@ func TestUnionIntersection(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchMath pins the builtin min/max that Union, Intersection and
+// OverlapArea use bit-equal to math.Min/math.Max on signed zeros, infinities
+// and ordinary values. The two differ only on NaN, which Valid rejects.
+func TestMinMaxMatchMath(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{negZero, 0, math.Inf(-1), math.Inf(1), -1.5, 0.25, 1, math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := min(a, b), math.Min(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("min(%v, %v) = %v, math.Min = %v", a, b, got, want)
+			}
+			if got, want := max(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("max(%v, %v) = %v, math.Max = %v", a, b, got, want)
+			}
+			r, s := Rect{a, a, a, a}, Rect{b, b, b, b}
+			want := Rect{math.Min(a, b), math.Max(a, b), math.Min(a, b), math.Max(a, b)}
+			if u := r.Union(s); !sameBits(u, want) {
+				t.Errorf("Union(%v, %v) = %v, want %v", r, s, u, want)
+			}
+		}
+	}
+}
+
+func sameBits(a, b Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
+}
+
 func TestEnlargement(t *testing.T) {
 	a := Rect{0, 1, 0, 1}
 	if got := a.Enlargement(Rect{0.2, 0.8, 0.2, 0.8}); got != 0 {

@@ -15,7 +15,7 @@ const raceBuild = false
 
 // TestSharedReadsZeroAlloc: under a shared latch the tree's own part of a
 // point search, a 500-result scan and a warmed kNN(10) allocates nothing —
-// the traversal stack is array-backed and the kNN queue pooled.
+// the traversal stack is array-backed and the kNN scratch pooled.
 func TestSharedReadsZeroAlloc(t *testing.T) {
 	tree := newTestTree(t, 1<<13, 0)
 	rng := rand.New(rand.NewSource(8))
@@ -44,7 +44,7 @@ func TestSharedReadsZeroAlloc(t *testing.T) {
 		t.Logf("%s: %d results per search", tc.name, results/101)
 	}
 	near := func(Neighbor) { results++ }
-	if _, err := tree.NearestShared(10, 0.5, 0.5, near); err != nil { // warms the queue pool
+	if _, err := tree.NearestShared(10, 0.5, 0.5, near); err != nil { // warms the scratch pool
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -53,6 +53,23 @@ func TestSharedReadsZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("NearestShared(10) allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestNearestOneAlloc: a warmed Nearest(10) allocates one object, the slice
+// it returns — its queue and candidate heap come from the pool NearestShared
+// draws on.
+func TestNearestOneAlloc(t *testing.T) {
+	tree, _ := bulkLoadedTree(t, rand.New(rand.NewSource(11)), 0)
+	if _, _, err := tree.Nearest(10, 0.5, 0.5); err != nil { // warms the scratch pool
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := tree.Nearest(10, 0.5, 0.5); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("Nearest(10) allocates %.1f objects/op, want 1", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -18,145 +19,238 @@ type Neighbor struct {
 	DistSq float64 // squared Euclidean distance to the query point
 }
 
-// knnItem is a priority-queue element: either a node to expand or a
-// candidate leaf entry.
-type knnItem struct {
-	distSq float64
-	isItem bool
-	// node expansion:
-	chunk int
-	// leaf entry:
-	entry Entry
+// NeighborLess is the order every kNN answer follows: ascending DistSq, ties
+// broken by Ref, then Rect.MinX, then Rect.MinY. The tree's search, the shard
+// gather's merge and the batched k-best reduction all use it, so which of
+// several equidistant entries make the k-th place — and the order they come
+// out in — is fixed by the data, never by a heap's pop order, and a K-shard
+// gather returns exactly the single-tree answer.
+func NeighborLess(a, b Neighbor) bool {
+	if a.DistSq != b.DistSq {
+		return a.DistSq < b.DistSq
+	}
+	if a.Ref != b.Ref {
+		return a.Ref < b.Ref
+	}
+	if a.Rect.MinX != b.Rect.MinX {
+		return a.Rect.MinX < b.Rect.MinX
+	}
+	return a.Rect.MinY < b.Rect.MinY
 }
 
-// knnHeap is a binary min-heap on distSq. push and pop are container/heap's
-// Push and Pop written out for the element type, so nothing is boxed per
-// node expansion and ties resolve exactly as they always have.
-type knnHeap []knnItem
+// nodeRef is a subtree waiting in the kNN queue: its chunk and the least
+// squared distance any entry under it can have.
+type nodeRef struct {
+	distSq float64
+	chunk  int
+}
 
-func (h *knnHeap) push(it knnItem) {
-	*h = append(*h, it)
-	s := *h
-	for j := len(s) - 1; j > 0; {
+// knnScratch is one kNN's working set: a min-queue of subtrees still to
+// expand and a max-heap of the k best candidates seen so far, whose root is
+// the current k-th neighbor.
+type knnScratch struct {
+	queue []nodeRef
+	best  []Neighbor
+}
+
+// maxPooledScratch caps the capacity, in elements, of a queue or candidate
+// heap that goes back to the pool: a kNN with k near Len() grows both to
+// tree size, and pooling them would pin that memory for every later query.
+const maxPooledScratch = 1024
+
+var knnScratches = sync.Pool{New: func() any { return new(knnScratch) }}
+
+func getKNNScratch() *knnScratch { return knnScratches.Get().(*knnScratch) }
+
+func putKNNScratch(s *knnScratch) {
+	if cap(s.queue) > maxPooledScratch || cap(s.best) > maxPooledScratch {
+		return
+	}
+	s.queue, s.best = s.queue[:0], s.best[:0]
+	knnScratches.Put(s)
+}
+
+func (s *knnScratch) pushNode(r nodeRef) {
+	s.queue = append(s.queue, r)
+	q := s.queue
+	for j := len(q) - 1; j > 0; {
 		i := (j - 1) / 2 // parent
-		if !(s[j].distSq < s[i].distSq) {
+		if !(q[j].distSq < q[i].distSq) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		q[i], q[j] = q[j], q[i]
 		j = i
 	}
 }
 
-func (h *knnHeap) pop() knnItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+func (s *knnScratch) popNode() nodeRef {
+	q := s.queue
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
 	for i := 0; ; {
 		j := 2*i + 1 // left child
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && s[j2].distSq < s[j].distSq {
+		if j2 := j + 1; j2 < n && q[j2].distSq < q[j].distSq {
 			j = j2
 		}
-		if !(s[j].distSq < s[i].distSq) {
+		if !(q[j].distSq < q[i].distSq) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		q[i], q[j] = q[j], q[i]
 		i = j
 	}
-	*h = s[:n]
-	return s[n]
+	s.queue = q[:n]
+	return q[n]
 }
 
-// expand pushes n's entries: candidates for a leaf, child nodes otherwise.
-func (h *knnHeap) expand(n *Node, x, y float64) {
-	for _, e := range n.Entries {
-		child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
-		if n.IsLeaf() {
-			child.isItem = true
-			child.entry = e
-		} else {
-			child.chunk = int(e.Ref)
+// offer keeps nb if it is among the k best seen so far.
+func (s *knnScratch) offer(k int, nb Neighbor) {
+	b := s.best
+	if len(b) < k {
+		b = append(b, nb)
+		for j := len(b) - 1; j > 0; {
+			i := (j - 1) / 2 // parent
+			if !NeighborLess(b[i], b[j]) {
+				break
+			}
+			b[i], b[j] = b[j], b[i]
+			j = i
 		}
-		h.push(child)
+		s.best = b
+		return
+	}
+	if NeighborLess(nb, b[0]) {
+		b[0] = nb
+		siftDownWorst(b, 0)
 	}
 }
 
-// knnHeaps recycles NearestShared's priority queues: concurrent readers
-// each take their own, and a warmed one serves a kNN without allocating.
-var knnHeaps = sync.Pool{New: func() any { return new(knnHeap) }}
+// siftDownWorst restores the max-heap property of b below index i.
+func siftDownWorst(b []Neighbor, i int) {
+	n := len(b)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && NeighborLess(b[j], b[j2]) {
+			j = j2
+		}
+		if !NeighborLess(b[i], b[j]) {
+			return
+		}
+		b[i], b[j] = b[j], b[i]
+		i = j
+	}
+}
+
+// sortBest heap-sorts the candidates in place into NeighborLess order.
+func (s *knnScratch) sortBest() {
+	b := s.best
+	for end := len(b) - 1; end > 0; end-- {
+		b[0], b[end] = b[end], b[0]
+		siftDownWorst(b[:end], 0)
+	}
+}
+
+// nearest is the one kNN traversal, a bounded best-first search
+// (Roussopoulos et al. 1995; Hjaltason & Samet 1999). Subtrees are expanded
+// in ascending order of their least possible distance. bound is the k-th
+// candidate's distance once k are held, +Inf before: a leaf entry is offered
+// to the candidate heap, and a child subtree queued, only if it lies within
+// bound, and the walk stops at the first subtree beyond it. So it reads
+// exactly the nodes whose rectangles lie within the k-th neighbor's distance
+// (all of them when the tree holds fewer than k items), and s.best ends as
+// the k least entries under NeighborLess, in that order. read supplies
+// decoded nodes by chunk.
+func (t *Tree) nearest(k int, x, y float64, read func(chunk int) (*Node, error), s *knnScratch) (OpStats, error) {
+	var st OpStats
+	bound := math.Inf(1)
+	s.pushNode(nodeRef{chunk: t.rootChunk})
+	for len(s.queue) > 0 {
+		r := s.popNode()
+		if r.distSq > bound {
+			break
+		}
+		n, err := read(r.chunk)
+		if err != nil {
+			return st, err
+		}
+		st.NodesRead++
+		if !n.IsLeaf() {
+			for _, e := range n.Entries {
+				if d := e.Rect.DistSqToPoint(x, y); d <= bound {
+					s.pushNode(nodeRef{distSq: d, chunk: int(e.Ref)})
+				}
+			}
+			continue
+		}
+		for _, e := range n.Entries {
+			if d := e.Rect.DistSqToPoint(x, y); d <= bound {
+				s.offer(k, Neighbor{Rect: e.Rect, Ref: e.Ref, DistSq: d})
+				if len(s.best) == k {
+					bound = s.best[0].DistSq
+				}
+			}
+		}
+	}
+	s.sortBest()
+	st.Results = len(s.best)
+	return st, nil
+}
+
+// cachedNode is NearestShared's node source: the write-through cache, read
+// and never filled, so concurrent readers touch no shared mutable state.
+func (t *Tree) cachedNode(id int) (*Node, error) {
+	if n := t.cache[id]; n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("rtree: chunk %d missing from cache", id)
+}
 
 // Nearest returns the k stored entries whose rectangles lie nearest to the
-// point (x, y), in ascending distance order (fewer when the tree holds
-// fewer items). It runs the classic best-first search: a priority queue
-// ordered by minimum possible distance, expanding nodes lazily, so it
-// touches only the nodes whose bounding boxes could contain a result.
+// point (x, y), in NeighborLess order (fewer when the tree holds fewer
+// items). It reads nodes through readNode, so it also serves trees built
+// with DisableCache; a warmed call on a cached tree allocates only the result.
 func (t *Tree) Nearest(k int, x, y float64) ([]Neighbor, OpStats, error) {
 	if k <= 0 {
 		return nil, OpStats{}, ErrBadK
 	}
-	t.stats = OpStats{}
-	var pq knnHeap
-	pq.push(knnItem{distSq: 0, chunk: t.rootChunk})
-	out := make([]Neighbor, 0, k)
-	for len(pq) > 0 {
-		it := pq.pop()
-		if it.isItem {
-			out = append(out, Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
-			t.stats.Results++
-			if len(out) == k {
-				return out, t.stats, nil
-			}
-			continue
-		}
-		n, err := t.readNode(it.chunk)
-		if err != nil {
-			return out, t.stats, err
-		}
-		pq.expand(n, x, y)
+	s := getKNNScratch()
+	defer putKNNScratch(s)
+	st, err := t.nearest(k, x, y, t.readNode, s)
+	if err != nil {
+		return nil, st, err
 	}
-	return out, t.stats, nil
+	out := make([]Neighbor, len(s.best))
+	copy(out, s.best)
+	return out, st, nil
 }
 
 // NearestShared is Nearest for concurrent callers, emitting the neighbors
-// to fn in ascending distance order instead of returning a slice: it serves
-// nodes from the write-through cache and keeps its statistics in locals,
-// touching no tree scratch state, so parallel kNNs can run under a shared
-// read latch exactly like SearchShared. Requires the node cache
-// (ErrNeedCache). The traversal — heap, push order, tie resolution — is
-// Nearest's, so the two produce bit-identical results for the same tree
-// state.
+// to fn in NeighborLess order instead of returning a slice: it serves nodes
+// from the write-through cache and keeps its statistics in locals, touching
+// no tree scratch state, so parallel kNNs can run under a shared read latch
+// exactly like SearchShared. Requires the node cache (ErrNeedCache). It runs
+// Nearest's traversal, so the two return the same neighbors and statistics
+// for the same tree state, and a warmed call allocates nothing.
 func (t *Tree) NearestShared(k int, x, y float64, fn func(Neighbor)) (OpStats, error) {
-	var st OpStats
 	if k <= 0 {
-		return st, ErrBadK
+		return OpStats{}, ErrBadK
 	}
 	if t.cache == nil {
-		return st, ErrNeedCache
+		return OpStats{}, ErrNeedCache
 	}
-	pq := knnHeaps.Get().(*knnHeap)
-	defer func() {
-		*pq = (*pq)[:0]
-		knnHeaps.Put(pq)
-	}()
-	pq.push(knnItem{distSq: 0, chunk: t.rootChunk})
-	for len(*pq) > 0 {
-		it := pq.pop()
-		if it.isItem {
-			fn(Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
-			st.Results++
-			if st.Results == k {
-				return st, nil
-			}
-			continue
-		}
-		n := t.cache[it.chunk]
-		if n == nil {
-			return st, fmt.Errorf("rtree: chunk %d missing from cache", it.chunk)
-		}
-		st.NodesRead++
-		pq.expand(n, x, y)
+	s := getKNNScratch()
+	defer putKNNScratch(s)
+	st, err := t.nearest(k, x, y, t.cachedNode, s)
+	if err != nil {
+		return st, err
+	}
+	for _, nb := range s.best {
+		fn(nb)
 	}
 	return st, nil
 }

@@ -1,13 +1,15 @@
 package rtree
 
 import (
-	"container/heap"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/region"
 )
 
 func TestNearestValidation(t *testing.T) {
@@ -116,59 +118,77 @@ func TestDistSqToPoint(t *testing.T) {
 	}
 }
 
-// refHeap is container/heap over knnItem: the queue Nearest used before its
-// heap was written out for the element type, kept here as the reference for
-// pop order — which, among equal distances, decides which entries a kNN
-// returns and in what order.
-type refHeap []knnItem
-
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].distSq < h[j].distSq }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(knnItem)) }
-func (h *refHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-func refNearest(t *Tree, k int, x, y float64) []Neighbor {
-	var pq refHeap
-	heap.Push(&pq, knnItem{chunk: t.rootChunk})
-	var out []Neighbor
-	for pq.Len() > 0 && len(out) < k {
-		it := heap.Pop(&pq).(knnItem)
-		if it.isItem {
-			out = append(out, Neighbor{Rect: it.entry.Rect, Ref: it.entry.Ref, DistSq: it.distSq})
-			continue
-		}
-		n := t.cache[it.chunk]
-		for _, e := range n.Entries {
-			child := knnItem{distSq: e.Rect.DistSqToPoint(x, y)}
-			if n.IsLeaf() {
-				child.isItem, child.entry = true, e
-			} else {
-				child.chunk = int(e.Ref)
-			}
-			heap.Push(&pq, child)
-		}
+// bruteNearest is the kNN contract stated directly: every entry, sorted by
+// NeighborLess, cut to k.
+func bruteNearest(entries []Entry, k int, x, y float64) []Neighbor {
+	all := make([]Neighbor, len(entries))
+	for i, e := range entries {
+		all[i] = Neighbor{Rect: e.Rect, Ref: e.Ref, DistSq: e.Rect.DistSqToPoint(x, y)}
 	}
-	return out
+	sort.Slice(all, func(a, b int) bool { return NeighborLess(all[a], all[b]) })
+	return all[:min(k, len(all))]
 }
 
-// TestNearestVariantsAgree: Nearest, NearestShared and the container/heap
-// reference return the same neighbors in the same order — including on a
-// dataset that is mostly ties (points on a coarse grid, many coincident).
+// nodesWithin counts the nodes whose rectangle, as their parent holds it,
+// lies within distSq of (x, y) — the root always — walking every node: the
+// nodes an optimal kNN must read when distSq is the k-th neighbor's.
+func nodesWithin(t *testing.T, tree *Tree, distSq, x, y float64) int {
+	t.Helper()
+	count := 0
+	stack := []int{tree.RootChunk()}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		count++
+		n, err := tree.readNodeRegion(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.IsLeaf() {
+			continue
+		}
+		for _, e := range n.Entries {
+			if e.Rect.DistSqToPoint(x, y) <= distSq {
+				stack = append(stack, int(e.Ref))
+			}
+		}
+	}
+	return count
+}
+
+// TestNearestVariantsAgree is the kNN contract on a dataset that is mostly
+// ties (points on a coarse grid, many coincident): Nearest, NearestShared and
+// Nearest on a tree without the node cache return exactly the brute-force
+// NeighborLess answer with the same statistics, for k from 1 to 60 and past
+// Len(), and read exactly the nodes whose rectangles lie within the k-th
+// neighbor's distance.
 func TestNearestVariantsAgree(t *testing.T) {
 	tree := newTestTree(t, 4096, 16)
+	reg, err := region.New(4096, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncached, err := New(reg, Config{MaxEntries: 16, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(21))
 	entries := make([]Entry, 4000)
 	for i := range entries {
 		entries[i] = Entry{Rect: geo.PointRect(float64(rng.Intn(20))/20, float64(rng.Intn(20))/20), Ref: uint64(i)}
 	}
-	if err := tree.BulkLoad(entries, 0); err != nil {
-		t.Fatal(err)
+	for _, tr := range []*Tree{tree, uncached} {
+		if err := tr.BulkLoad(append([]Entry(nil), entries...), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 220; trial++ {
 		x, y := float64(rng.Intn(41))/40, float64(rng.Intn(41))/40
 		k := 1 + rng.Intn(60)
-		want := refNearest(tree, k, x, y)
+		if trial >= 200 {
+			k = len(entries) + rng.Intn(100)
+		}
+		want := bruteNearest(entries, k, x, y)
 		got, st, err := tree.Nearest(k, x, y)
 		if err != nil {
 			t.Fatal(err)
@@ -178,19 +198,112 @@ func TestNearestVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) || len(shared) != len(want) {
-			t.Fatalf("trial %d: %d / %d neighbors, want %d", trial, len(got), len(shared), len(want))
+		plain, ust, err := uncached.Nearest(k, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(shared) != len(want) || len(plain) != len(want) {
+			t.Fatalf("trial %d: %d / %d / %d neighbors, want %d", trial, len(got), len(shared), len(plain), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] || shared[i] != want[i] {
-				t.Fatalf("trial %d: neighbor %d = %+v / %+v, want %+v", trial, i, got[i], shared[i], want[i])
+			if got[i] != want[i] || shared[i] != want[i] || plain[i] != want[i] {
+				t.Fatalf("trial %d: neighbor %d = %+v / %+v / %+v, want %+v", trial, i, got[i], shared[i], plain[i], want[i])
 			}
 		}
-		if sst != st {
-			t.Fatalf("trial %d: stats %+v vs %+v", trial, sst, st)
+		if sst != st || ust != st || st.Results != len(want) {
+			t.Fatalf("trial %d: stats %+v / %+v / %+v, want %d results", trial, st, sst, ust, len(want))
+		}
+		bound := math.Inf(1)
+		if len(want) == k {
+			bound = want[k-1].DistSq
+		}
+		if optimal := nodesWithin(t, tree, bound, x, y); st.NodesRead != optimal {
+			t.Fatalf("trial %d (k=%d): read %d nodes, %d lie within the k-th distance", trial, k, st.NodesRead, optimal)
 		}
 	}
 	if _, err := tree.NearestShared(0, 0, 0, func(Neighbor) {}); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0 err = %v", err)
 	}
+	if _, err := uncached.NearestShared(1, 0, 0, func(Neighbor) {}); !errors.Is(err, ErrNeedCache) {
+		t.Errorf("uncached NearestShared err = %v", err)
+	}
+}
+
+// TestNearestSharedConcurrent: kNNs on several goroutines at once, k up to
+// past the pooled-scratch cap, each get the answer Nearest gives alone — no
+// two calls share pooled scratch.
+func TestNearestSharedConcurrent(t *testing.T) {
+	tree := newTestTree(t, 4096, 16)
+	rng := rand.New(rand.NewSource(22))
+	entries := make([]Entry, 3000)
+	for i := range entries {
+		entries[i] = Entry{Rect: uniformRect(rng, 0.01), Ref: uint64(i)}
+	}
+	if err := tree.BulkLoad(entries, 0); err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		k    int
+		x, y float64
+		want []Neighbor
+	}
+	queries := make([]query, 64)
+	for i := range queries {
+		q := query{k: 1 + rng.Intn(2*maxPooledScratch), x: rng.Float64(), y: rng.Float64()}
+		var err error
+		if q.want, _, err = tree.Nearest(q.k, q.x, q.y); err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				q := queries[(i+g*16)%len(queries)]
+				j := 0
+				_, err := tree.NearestShared(q.k, q.x, q.y, func(n Neighbor) {
+					if j >= len(q.want) || n != q.want[j] {
+						t.Errorf("goroutine %d, k=%d: neighbor %d differs from Nearest", g, q.k, j)
+					}
+					j++
+				})
+				if err != nil || j != len(q.want) {
+					t.Errorf("goroutine %d, k=%d: %d neighbors, want %d (err %v)", g, q.k, j, len(q.want), err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// BenchmarkNearest times a kNN(10) at uniform random points on 200k bulk-
+// loaded items, through both entry points.
+func BenchmarkNearest(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	tree, _ := bulkLoadedTree(b, rng, 0)
+	pts := make([][2]float64, 1024)
+	for i := range pts {
+		pts[i] = [2]float64{rng.Float64(), rng.Float64()}
+	}
+	b.Run("Nearest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pts[i%len(pts)]
+			if _, _, err := tree.Nearest(10, p[0], p[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("NearestShared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pts[i%len(pts)]
+			if _, err := tree.NearestShared(10, p[0], p[1], func(Neighbor) {}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

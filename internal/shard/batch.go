@@ -7,6 +7,7 @@ import (
 
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/proto"
+	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -188,25 +189,15 @@ func resetEach[T any](s [][]T, k int) [][]T {
 	return s
 }
 
-// KBestItems reduces the concatenation of per-shard ascending k-best lists
-// to the global k nearest: sort by recomputed distance (ties by ref, then
-// rect, the same total order MergeNeighbors uses), dedup identical entries
-// from reshard dual-write windows, keep k.
+// KBestItems reduces the concatenation of per-shard k-best lists to the
+// global k nearest: sort by recomputed distance in rtree.NeighborLess order,
+// dedup identical entries from reshard dual-write windows, keep k.
 func KBestItems(items []wire.Item, k int, q geo.Rect) []wire.Item {
 	x, y := q.Center()
-	sort.Slice(items, func(a, b int) bool {
-		da, db := items[a].Rect.DistSqToPoint(x, y), items[b].Rect.DistSqToPoint(x, y)
-		if da != db {
-			return da < db
-		}
-		if items[a].Ref != items[b].Ref {
-			return items[a].Ref < items[b].Ref
-		}
-		if items[a].Rect.MinX != items[b].Rect.MinX {
-			return items[a].Rect.MinX < items[b].Rect.MinX
-		}
-		return items[a].Rect.MinY < items[b].Rect.MinY
-	})
+	neighbor := func(it wire.Item) rtree.Neighbor {
+		return rtree.Neighbor{Rect: it.Rect, Ref: it.Ref, DistSq: it.Rect.DistSqToPoint(x, y)}
+	}
+	sort.Slice(items, func(a, b int) bool { return rtree.NeighborLess(neighbor(items[a]), neighbor(items[b])) })
 	out := items[:0]
 	for _, it := range items {
 		if len(out) > 0 {

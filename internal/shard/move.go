@@ -59,10 +59,12 @@ func (r Core[C]) moveAcross(from, to geo.Rect, ref uint64) error {
 // soon as k results are held and the next shard's bound exceeds the
 // current kth distance. On typical point queries that prunes the scatter
 // to one or two shards, versus the full fan-out a range search needs.
-// Partial results merge in (distance, ref) order and dedup by identity, so
-// an entry dual-written during a reshard window counts once. An unhealthy
-// shard without backups is skipped (counted in Stats().Skipped): kNN
-// availability degrades like Search availability rather than blocking.
+// Partial results merge in rtree.NeighborLess order and dedup by identity,
+// so an entry dual-written during a reshard window counts once; every
+// shard's tree answers in that order too, so the gather returns exactly
+// what one tree over the union of the shards would, ties included. An
+// unhealthy shard without backups is skipped (counted in Stats().Skipped):
+// kNN availability degrades like Search availability rather than blocking.
 // The reported method is the first visited shard's (kNN never offloads, so
 // it is fast, tcp or fetch).
 func (r Core[C]) Nearest(k int, x, y float64) ([]rtree.Neighbor, proto.Method, error) {
@@ -113,10 +115,9 @@ func (r Core[C]) knnShard(s, k int, x, y float64) ([]rtree.Neighbor, proto.Metho
 	})
 }
 
-// MergeNeighbors merges two ascending-distance neighbor lists, keeping at
-// most k. Ties break by (ref, rect) so the merge is a total order and
-// identical entries land adjacent, where the dedup drops the copy a
-// reshard dual-write window may have produced.
+// MergeNeighbors merges two neighbor lists in rtree.NeighborLess order,
+// keeping at most k. Identical entries land adjacent, where the dedup drops
+// the copy a reshard dual-write window may have produced.
 func MergeNeighbors(a, b []rtree.Neighbor, k int) []rtree.Neighbor {
 	out := make([]rtree.Neighbor, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -127,7 +128,7 @@ func MergeNeighbors(a, b []rtree.Neighbor, k int) []rtree.Neighbor {
 			n, i = a[i], i+1
 		case i >= len(a):
 			n, j = b[j], j+1
-		case neighborLess(a[i], b[j]):
+		case rtree.NeighborLess(a[i], b[j]):
 			n, i = a[i], i+1
 		default:
 			n, j = b[j], j+1
@@ -141,19 +142,6 @@ func MergeNeighbors(a, b []rtree.Neighbor, k int) []rtree.Neighbor {
 		}
 	}
 	return out
-}
-
-func neighborLess(a, b rtree.Neighbor) bool {
-	if a.DistSq != b.DistSq {
-		return a.DistSq < b.DistSq
-	}
-	if a.Ref != b.Ref {
-		return a.Ref < b.Ref
-	}
-	if a.Rect.MinX != b.Rect.MinX {
-		return a.Rect.MinX < b.Rect.MinX
-	}
-	return a.Rect.MinY < b.Rect.MinY
 }
 
 func sameNeighbor(a, b rtree.Neighbor) bool {

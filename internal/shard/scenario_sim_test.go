@@ -186,17 +186,10 @@ func TestMoveEquivalenceSim(t *testing.T) {
 	}
 }
 
-// TestKNNEquivalenceSim checks remote kNN on the simulated fabric: the
-// sharded router's best-first cross-shard gather reproduces a local
-// rtree.Tree.Nearest over the union dataset exactly, and prunes — the
-// average fanout at small k stays far below the shard count.
-func TestKNNEquivalenceSim(t *testing.T) {
-	const hbInv = 2 * time.Millisecond
-	rng := rand.New(rand.NewSource(71))
-	data := make([]rtree.Entry, 3000)
-	for i := range data {
-		data[i] = rtree.Entry{Rect: randRect(rng, 0.002), Ref: uint64(i)}
-	}
+// unionTree is one tree over the whole dataset, the reference a sharded kNN
+// must reproduce.
+func unionTree(t *testing.T, data []rtree.Entry) *rtree.Tree {
+	t.Helper()
 	reg, err := region.New(1<<14, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +201,21 @@ func TestKNNEquivalenceSim(t *testing.T) {
 	if err := ref.BulkLoad(append([]rtree.Entry(nil), data...), 0); err != nil {
 		t.Fatal(err)
 	}
+	return ref
+}
+
+// TestKNNEquivalenceSim checks remote kNN on the simulated fabric: the
+// sharded router's best-first cross-shard gather reproduces a local
+// rtree.Tree.Nearest over the union dataset exactly, and prunes — the
+// average fanout at small k stays far below the shard count.
+func TestKNNEquivalenceSim(t *testing.T) {
+	const hbInv = 2 * time.Millisecond
+	rng := rand.New(rand.NewSource(71))
+	data := make([]rtree.Entry, 3000)
+	for i := range data {
+		data[i] = rtree.Entry{Rect: randRect(rng, 0.002), Ref: uint64(i)}
+	}
+	ref := unionTree(t, data)
 	type query struct {
 		k    int
 		x, y float64
@@ -256,5 +264,84 @@ func TestKNNEquivalenceSim(t *testing.T) {
 	}
 	if avg := float64(st.Fanout) / float64(st.KNNs); avg >= 3.5 {
 		t.Errorf("best-first gather averaged %.2f shard visits of 4 — pruning is not engaging", avg)
+	}
+}
+
+// TestKNNTiesSim: on a grid dataset where most points coincide with others,
+// so nearly every query has ties at the k-th distance, a K=4 deployment's
+// best-first gather and its batched kNN path both return exactly — same
+// entries, same order — what one tree over the union returns: every stage
+// orders neighbors by rtree.NeighborLess.
+func TestKNNTiesSim(t *testing.T) {
+	const hbInv = 2 * time.Millisecond
+	rng := rand.New(rand.NewSource(73))
+	data := make([]rtree.Entry, 3000)
+	for i := range data {
+		data[i] = rtree.Entry{Rect: geo.PointRect(float64(rng.Intn(20))/20, float64(rng.Intn(20))/20), Ref: uint64(i)}
+	}
+	ref := unionTree(t, data)
+	type query struct {
+		k    int
+		x, y float64
+	}
+	queries := make([]query, 96)
+	for i := range queries {
+		queries[i] = query{k: 1 + rng.Intn(60), x: float64(rng.Intn(41)) / 40, y: float64(rng.Intn(41)) / 40}
+	}
+	for _, batched := range []bool{false, true} {
+		d := buildSimDeploy(t, data, 4, simTransports[0], hbInv, 0)
+		got := make([][]wire.Item, len(queries))
+		var runErr error
+		d.e.Spawn("knn-ties", func(p *sim.Proc) {
+			defer p.Engine().Stop()
+			if !batched {
+				for i, q := range queries {
+					nbrs, _, err := d.router.On(p).Nearest(q.k, q.x, q.y)
+					if err != nil {
+						runErr = err
+						return
+					}
+					for _, n := range nbrs {
+						got[i] = append(got[i], wire.Item{Rect: n.Rect, Ref: n.Ref})
+					}
+				}
+				return
+			}
+			var results []client.BatchResult
+			for i := 0; i < len(queries); i += 8 {
+				var ops []client.BatchOp
+				for _, q := range queries[i : i+8] {
+					ops = append(ops, client.BatchOp{Type: wire.MsgKNN, Rect: geo.PointRect(q.x, q.y), Ref: uint64(q.k)})
+				}
+				results = d.router.On(p).ExecBatch(ops, results)
+				for j, res := range results {
+					if res.Err != nil {
+						runErr = res.Err
+						return
+					}
+					got[i+j] = append([]wire.Item(nil), res.Items...)
+				}
+			}
+		})
+		if err := d.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		for i, q := range queries {
+			want, _, err := ref.Nearest(q.k, q.x, q.y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got[i]) != len(want) {
+				t.Fatalf("batched=%v query %d (k=%d): %d neighbors, want %d", batched, i, q.k, len(got[i]), len(want))
+			}
+			for j, w := range want {
+				if got[i][j].Rect != w.Rect || got[i][j].Ref != w.Ref {
+					t.Fatalf("batched=%v query %d (k=%d) neighbor %d: %+v, want %+v", batched, i, q.k, j, got[i][j], w)
+				}
+			}
+		}
 	}
 }
