@@ -66,7 +66,7 @@ type Deployment struct {
 // the recursive longest-axis splitter; each shard gets its own server stack
 // (host, CPU, NIC, region, tree, heartbeat stream) and, with Replicas > 1,
 // backup stacks bulk-loaded from the same partition that the primary's
-// Replicate hook keeps synchronously updated under its write latch, so an
+// replication core keeps synchronously updated under its write latch, so an
 // acknowledged write is always on every live backup. Objects are created in
 // one fixed order — servers (each primary, then its backups), client hosts,
 // then per client its connections shard by shard and its router — because
@@ -107,8 +107,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 
 	// Regions keep the whole-dataset insert headroom on every shard:
 	// ownership skew means one shard can absorb most of the write stream.
-	build := func(s int, name string, rep *replica.State,
-		hook func(*sim.Proc, replica.Record) error) (stack, error) {
+	build := func(s int, name string, rep *replica.State) (stack, error) {
 		st := stack{cpu: sim.NewCPU(e, cfg.ServerCores)}
 		st.host = net.NewHost(name, st.cpu)
 		tree := cfg.PrebuiltTree
@@ -139,7 +138,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 			Mode:             cfg.Scheme.ServerMode,
 			StagedNodeWrites: cfg.StagedWrites,
 			Replica:          rep,
-			Replicate:        hook,
 		}
 		if cfg.Scheme.Heartbeats {
 			srvCfg.HeartbeatInterval = cfg.HeartbeatInv
@@ -160,34 +158,26 @@ func Deploy(cfg Config) (*Deployment, error) {
 	d.backups = make([][]*server.Server, k)
 	for s := range d.shards {
 		var rep *replica.State
-		var hook func(*sim.Proc, replica.Record) error
 		if reps > 1 {
 			rep = replica.NewState(1, true)
-			// The hook runs under the primary's exclusive latch before the
-			// write is acknowledged. A killed backup is dropped from the
-			// stream; a fencing rejection (the backup was promoted past us)
-			// surfaces to the client, which never acks the write.
-			hook = func(p *sim.Proc, rec replica.Record) error {
-				var firstErr error
-				for _, b := range d.backups[s] {
-					if err := b.ApplyReplica(p, rec); err != nil &&
-						!errors.Is(err, replica.ErrUnavailable) && firstErr == nil {
-						firstErr = err
-					}
-				}
-				return firstErr
-			}
 		}
 		var err error
-		if d.shards[s], err = build(s, fmt.Sprintf("shard-%d", s), rep, hook); err != nil {
+		if d.shards[s], err = build(s, fmt.Sprintf("shard-%d", s), rep); err != nil {
 			return nil, err
 		}
 		for b := 1; b < reps; b++ {
-			st, err := build(s, fmt.Sprintf("shard-%d-backup-%d", s, b), replica.NewState(1, false), nil)
+			st, err := build(s, fmt.Sprintf("shard-%d-backup-%d", s, b), replica.NewState(1, false))
 			if err != nil {
 				return nil, err
 			}
 			d.backups[s] = append(d.backups[s], st.srv)
+		}
+		// The primary ships to its backups through the replication core,
+		// under its exclusive latch, before a write is acknowledged. The
+		// backups themselves get no peers, so a promoted one ships to nobody.
+		pr := d.shards[s].srv
+		for _, b := range d.backups[s] {
+			pr.Replication().Attach(pr.Peer(b))
 		}
 	}
 

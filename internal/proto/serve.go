@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,9 +17,9 @@ import (
 
 // Exec is everything the server core (Serve) needs from the server it runs
 // in. The simulated server implements it over a *sim.Proc, a sim latch and
-// its cost model; the TCP server over a sync.RWMutex, its replication
-// sessions and a connection writer. Like Transport it is reached through a
-// type parameter, as a small value, so a call neither boxes nor allocates.
+// its cost model; the TCP server over a sync.RWMutex and a connection
+// writer. Like Transport it is reached through a type parameter, as a small
+// value, so a call neither boxes nor allocates.
 type Exec interface {
 	// The tree latch, shaped like sync.RWMutex: exclusive for anything that
 	// may write, shared for queries.
@@ -46,8 +47,8 @@ type Exec interface {
 type ServeConfig struct {
 	Tree *rtree.Tree
 	// Replica, when non-nil, makes client writes conditional on being the
-	// primary and lets MsgPromote and ApplyRecord through.
-	Replica *replica.State
+	// primary and lets MsgPromote and ApplyRecords through.
+	Replica *replica.Primary
 	// MaxSegmentItems caps the items of one response segment (0 selects a
 	// segment of ~4 KB).
 	MaxSegmentItems int
@@ -68,7 +69,7 @@ const BatchFrameLimit = 16 << 10
 // through a pooled flat sink into response segments or a mailbox slot, a
 // write is propagated, and the reply leaves as frames — written once for
 // the simulated and the TCP server, which keep only what is theirs (rings
-// and cost model; sockets, dispatcher and replication sessions).
+// and cost model; sockets and dispatcher).
 type Serve[X Exec] struct {
 	cfg     ServeConfig
 	mailbox *region.Mailbox
@@ -107,9 +108,15 @@ func NewServe[X Exec](cfg ServeConfig) (*Serve[X], error) {
 // Config returns the configuration with its defaults resolved.
 func (s *Serve[X]) Config() ServeConfig { return s.cfg }
 
-// Register exposes the counters and the mailbox occupancy on reg.
+// Register exposes the counters, the replication gauges and the mailbox
+// occupancy on reg.
 func (s *Serve[X]) Register(reg *telemetry.Registry) {
 	s.Counters.Register(reg)
+	if pr := s.cfg.Replica; pr != nil {
+		reg.CounterFunc("catfish_server_repl_shipped_total", pr.Shipped)
+		reg.CounterFunc("catfish_server_repl_resends_total", pr.Resends)
+		reg.GaugeFunc("catfish_server_repl_lag", pr.Lag)
+	}
 	if s.mailbox == nil {
 		return
 	}
@@ -267,7 +274,7 @@ func (s *Serve[X]) Request(x X, req wire.Request) error {
 	case req.Type == wire.MsgPromote && s.cfg.Replica != nil:
 		// Failover control plane: adopt Ref as the shard's epoch and start
 		// accepting client writes, fencing lower-epoch lineages.
-		if s.cfg.Replica.Promote(req.Ref) {
+		if s.cfg.Replica.State().Promote(req.Ref) {
 			s.Counters.Promotions.Inc()
 		}
 		status = wire.StatusOK
@@ -395,7 +402,7 @@ func (s *Serve[X]) applyLocked(x X, req wire.Request) (st rtree.OpStats, status 
 	default:
 		s.Counters.Moves.Inc()
 	}
-	if s.cfg.Replica != nil && !s.cfg.Replica.Primary() {
+	if s.cfg.Replica != nil && !s.cfg.Replica.State().Primary() {
 		return st, wire.StatusNotPrimary
 	}
 	var err error
@@ -450,25 +457,54 @@ func (s *Serve[X]) moveLocked(x X, req wire.Request) (rtree.OpStats, uint8) {
 	return st, x.Propagate(wire.MsgInsert, req.Rect2, req.Ref)
 }
 
-// ApplyRecord applies one replicated mutation on a backup, the exclusive
-// latch held by the caller: epoch fence and sequence check through the
-// replica state, then the tree write.
-func (s *Serve[X]) ApplyRecord(x X, rec replica.Record) (st rtree.OpStats, err error) {
-	if err = s.cfg.Replica.Accept(rec.Epoch, rec.Seq); err != nil {
-		return st, err
+// ApplyRecords is the backup half of replication, behind both transports:
+// it applies a record batch, the exclusive latch held by the caller, and
+// returns the ack with the backup's (epoch, applied) and how many records it
+// applied at what cost. Each record goes through the replica state's epoch
+// fence and sequence check, then into the tree and the op-log; a duplicate
+// from a resend overlap is skipped, and a gap, a fence or a record that is
+// no mutation stops the batch with StatusError or StatusFenced. A server
+// that is no replica answers StatusError, a killed one StatusUnavailable.
+func (s *Serve[X]) ApplyRecords(x X, recs []replica.Record) (ack wire.ReplAck, n int, st rtree.OpStats) {
+	pr := s.cfg.Replica
+	if pr == nil {
+		return wire.ReplAck{Status: wire.StatusError}, 0, st
 	}
-	switch rec.Op {
-	case wire.MsgInsert:
-		st, err = x.Insert(rec.Rect, rec.Ref)
-	case wire.MsgDelete:
-		_, st, err = s.cfg.Tree.Delete(rec.Rect, rec.Ref)
-	default:
-		err = fmt.Errorf("server: replicated op %d not a mutation", rec.Op)
+	ack.Status = wire.StatusOK
+	if s.killed.Load() {
+		ack.Status, recs = wire.StatusUnavailable, nil // answered, nothing applied
 	}
-	if err == nil {
+	for _, rec := range recs {
+		if err := pr.State().Accept(rec.Epoch, rec.Seq); err != nil {
+			var gap *replica.GapError
+			if errors.As(err, &gap) && gap.Got <= gap.Applied {
+				continue // a duplicate from a resend overlap
+			}
+			ack.Status = replica.StatusOf(err)
+			break
+		}
+		var rst rtree.OpStats
+		var err error
+		switch rec.Op {
+		case wire.MsgInsert:
+			rst, err = x.Insert(rec.Rect, rec.Ref)
+		case wire.MsgDelete:
+			_, rst, err = s.cfg.Tree.Delete(rec.Rect, rec.Ref)
+		default:
+			err = fmt.Errorf("proto: replicated op %d not a mutation", rec.Op)
+		}
+		if err != nil {
+			ack.Status = wire.StatusError
+			break
+		}
 		s.Counters.ReplRecords.Inc()
+		pr.Append(rec)
+		n++
+		st.NodesRead += rst.NodesRead
+		st.NodesWritten += rst.NodesWritten
 	}
-	return st, err
+	ack.Epoch, ack.AppliedSeq = pr.State().Snapshot()
+	return ack, n, st
 }
 
 // deliver resolves a query's delivery once the latch has dropped (a grant

@@ -16,12 +16,14 @@ import (
 )
 
 // fakeExec is the least server a Serve runs in: no latch (the test is one
-// goroutine), inserts straight into the tree, every propagated record kept,
-// the last accounted OpStats and reply status remembered.
+// goroutine), inserts straight into the tree, every propagated record kept —
+// or, with repl set, replicated through it — the last accounted OpStats and
+// reply status remembered.
 type fakeExec struct {
 	tree    *rtree.Tree
 	records []replica.Record
 	refuse  wire.MsgType // Propagate of this op answers StatusUnavailable
+	repl    *replica.Primary
 	st      rtree.OpStats
 	status  uint8
 }
@@ -38,6 +40,9 @@ func (x *fakeExec) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) {
 func (x *fakeExec) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
 	if op == x.refuse {
 		return wire.StatusUnavailable
+	}
+	if x.repl != nil {
+		return replica.StatusOf(x.repl.Replicate(op, r, ref))
 	}
 	x.records = append(x.records, replica.Record{Op: op, Rect: r, Ref: ref})
 	return wire.StatusOK

@@ -91,18 +91,7 @@ type Region struct {
 	freeHead int32
 	freeNext []int32
 	allocs   int
-
-	// dirty, when attached via Track, records every chunk mutated through
-	// the write paths so a replication stream can coalesce the touched
-	// chunks into merged spans (DESIGN.md §5.11).
-	dirty *DirtyTracker
 }
-
-// Track attaches a DirtyTracker that is marked on every chunk write
-// (WriteChunk, WriteChunkPrefix, and staged writes). Nil detaches. Attach
-// before the region sees writes; the tracker itself is safe for concurrent
-// marking.
-func (r *Region) Track(t *DirtyTracker) { r.dirty = t }
 
 // New returns a region with nchunks chunks of chunkSize bytes each.
 // chunkSize must be a positive multiple of CacheLine.
@@ -305,12 +294,6 @@ func nextVersion(c []uint64) uint64 {
 	return (atomic.LoadUint64(&c[0]) &^ 1) + 2
 }
 
-func (r *Region) markDirty(id int) {
-	if r.dirty != nil {
-		r.dirty.Mark(id)
-	}
-}
-
 // WriteChunk publishes payload into chunk id, bumping every cacheline's
 // version. Payload shorter than the chunk's capacity zero-fills the rest.
 // All lines are published in one call; in the simulation this is a single
@@ -321,7 +304,6 @@ func (r *Region) WriteChunk(id int, payload []byte) error {
 	}
 	c := r.writable(id)
 	publish(c, 0, r.lines, nextVersion(c), nil, payload)
-	r.markDirty(id)
 	return nil
 }
 
@@ -349,7 +331,6 @@ func (r *Region) writePrefix(id int, hdr, body []byte) error {
 	for l := covered; l < r.lines; l++ {
 		atomic.StoreUint64(&c[l*wordsPerLine], v)
 	}
-	r.markDirty(id)
 	return nil
 }
 
@@ -381,7 +362,6 @@ func (r *Region) BeginWrite(id int, payload []byte) (*StagedWrite, error) {
 		half:    (r.lines + 1) / 2,
 	}
 	publish(c, 0, w.half, w.version, nil, w.payload)
-	r.markDirty(id)
 	return w, nil
 }
 

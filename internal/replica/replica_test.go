@@ -11,17 +11,11 @@ import (
 
 func TestLogSince(t *testing.T) {
 	var l Log
-	if l.LastSeq() != 0 {
-		t.Fatalf("empty log LastSeq = %d", l.LastSeq())
-	}
 	if got := l.Since(0); got != nil {
 		t.Fatalf("empty log Since(0) = %v", got)
 	}
 	for i := uint64(1); i <= 10; i++ {
 		l.Append(Record{Epoch: 1, Seq: i, Op: wire.MsgInsert, Ref: i})
-	}
-	if l.LastSeq() != 10 {
-		t.Fatalf("LastSeq = %d, want 10", l.LastSeq())
 	}
 	for _, tc := range []struct {
 		since uint64
@@ -37,6 +31,14 @@ func TestLogSince(t *testing.T) {
 		if tc.n > 0 && got[0].Seq != tc.first {
 			t.Fatalf("Since(%d): first seq %d, want %d", tc.since, got[0].Seq, tc.first)
 		}
+	}
+	l.Trim(4)
+	if got := l.Since(0); len(got) != 6 || got[0].Seq != 5 {
+		t.Fatalf("after Trim(4): Since(0) = %v, want seqs 5..10", got)
+	}
+	l.Trim(99)
+	if got := l.Since(0); got != nil {
+		t.Fatalf("after Trim(99): Since(0) = %v", got)
 	}
 }
 
@@ -186,7 +188,7 @@ func TestStatusOfRoundTrip(t *testing.T) {
 func TestRecordWireRoundTrip(t *testing.T) {
 	rec := Record{Epoch: 3, Seq: 42, Op: wire.MsgDelete,
 		Rect: geo.Rect{MinX: 1, MaxX: 2, MinY: 3, MaxY: 4}, Ref: 99}
-	enc := wire.Replicate{ID: 7, Records: []wire.ReplRecord{rec.Wire()}}.Encode(nil)
+	enc := wire.Replicate{ID: 7, Records: []Record{rec}}.Encode(nil)
 	dec, err := wire.DecodeReplicate(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +196,122 @@ func TestRecordWireRoundTrip(t *testing.T) {
 	if dec.ID != 7 || len(dec.Records) != 1 {
 		t.Fatalf("decoded %+v", dec)
 	}
-	if got := FromWire(dec.Records[0]); got != rec {
+	if got := dec.Records[0]; got != rec {
 		t.Fatalf("round trip: got %+v, want %+v", got, rec)
+	}
+}
+
+// memBackup is the least backup a Primary ships to: the state machine's
+// checks and nothing else. drop makes it lose the next record it is sent.
+type memBackup struct {
+	st   *State
+	drop bool
+}
+
+func (b *memBackup) Exchange(recs []Record) (wire.ReplAck, error) {
+	ack := wire.ReplAck{Status: wire.StatusOK}
+	for _, r := range recs {
+		if b.drop {
+			b.drop = false
+			continue
+		}
+		if err := b.st.Accept(r.Epoch, r.Seq); err != nil {
+			var gap *GapError
+			if errors.As(err, &gap) && gap.Got <= gap.Applied {
+				continue
+			}
+			ack.Status = StatusOf(err)
+			break
+		}
+	}
+	ack.Epoch, ack.AppliedSeq = b.st.Snapshot()
+	return ack, nil
+}
+
+// TestPrimaryTrimsLog: at R = 2 the op-log never holds more than the record
+// in flight, however many writes pass; a record lost after the log was
+// trimmed is still resent from it and the backup converges; a server with no
+// live backup keeps nothing, and a backup started with a peer list keeps
+// what it applies until it first ships.
+func TestPrimaryTrimsLog(t *testing.T) {
+	pr := NewPrimary(NewState(1, true))
+	b := &memBackup{st: NewState(1, false)}
+	pr.Attach(b)
+	r := geo.Rect{MaxX: 1, MaxY: 1}
+	for i := uint64(1); i <= 10_000; i++ {
+		if err := pr.Replicate(wire.MsgInsert, r, i); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(pr.log.recs); n > 1 {
+			t.Fatalf("after write %d the log holds %d records", i, n)
+		}
+	}
+	b.drop = true
+	if err := pr.Replicate(wire.MsgDelete, r, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.st.Applied(); got != 10_001 || pr.Resends() != 1 || pr.Lag() != 0 {
+		t.Fatalf("after a lost record: backup at %d, %d resends, lag %v; want 10001, 1, 0", got, pr.Resends(), pr.Lag())
+	}
+
+	alone := NewPrimary(NewState(1, true))
+	for i := uint64(1); i <= 5; i++ {
+		if err := alone.Replicate(wire.MsgInsert, r, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(alone.log.recs); n != 0 {
+		t.Fatalf("a primary with no backup logged %d records", n)
+	}
+
+	standby := NewPrimary(NewState(1, false))
+	c := &memBackup{st: NewState(1, false)}
+	standby.Attach(c)
+	for i := uint64(1); i <= 5; i++ {
+		if err := standby.State().Accept(1, i); err != nil {
+			t.Fatal(err)
+		}
+		standby.Append(Record{Epoch: 1, Seq: i, Op: wire.MsgInsert, Rect: r, Ref: i})
+	}
+	if n := len(standby.log.recs); n != 5 {
+		t.Fatalf("a backup with a peer list logged %d of 5 records", n)
+	}
+	standby.State().Promote(2)
+	if err := standby.Replicate(wire.MsgInsert, r, 6); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := c.st.Applied(), len(standby.log.recs); got != 6 || n != 0 {
+		t.Fatalf("after promotion: its peer at %d (want 6), %d records logged (want 0)", got, n)
+	}
+}
+
+// TestPrimaryGaugesConcurrent reads the lag and the counters, as a metrics
+// scrape does, while writes ship.
+func TestPrimaryGaugesConcurrent(t *testing.T) {
+	pr := NewPrimary(NewState(1, true))
+	pr.Attach(&memBackup{st: NewState(1, false)})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(1); i <= 2000; i++ {
+			if err := pr.Replicate(wire.MsgInsert, geo.Rect{MaxX: 1, MaxY: 1}, i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if pr.Lag() != 0 || pr.Shipped() != 2000 {
+				t.Fatalf("after the writes: lag %v, shipped %d; want 0, 2000", pr.Lag(), pr.Shipped())
+			}
+			return
+		default:
+			if lag := pr.Lag(); lag > 1 {
+				t.Fatalf("lag %v with one write in flight", lag)
+			}
+			_ = pr.Resends()
+		}
 	}
 }

@@ -131,7 +131,7 @@ func runNet(t *testing.T, k, replicas int, hbInv time.Duration, multiple int, fo
 
 // runSim runs script against the simulated-fabric deployment built from the
 // same map and dataset: one server stack per replica, backups kept in sync
-// by the primary's Replicate hook exactly as internal/cluster wires them.
+// by the primary's replication core exactly as internal/cluster wires them.
 func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv time.Duration, multiple int, forced Method, script func(*crossDeploy)) *crossDeploy {
 	t.Helper()
 	k := m.K()
@@ -173,16 +173,6 @@ func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv 
 			if replicas > 1 {
 				scfg.Replica = replica.NewState(1, b == 0)
 			}
-			if replicas > 1 && b == 0 {
-				scfg.Replicate = func(p *sim.Proc, rec replica.Record) error {
-					for _, bk := range servers[s][1:] {
-						if err := bk.ApplyReplica(p, rec); err != nil && !errors.Is(err, replica.ErrUnavailable) {
-							return err
-						}
-					}
-					return nil
-				}
-			}
 			srv, err := simserver.New(scfg)
 			if err != nil {
 				t.Fatal(err)
@@ -204,6 +194,9 @@ func runSim(t *testing.T, m *shard.Map, data []rtree.Entry, replicas int, hbInv 
 			}
 			servers[s] = append(servers[s], srv)
 			clients[s] = append(clients[s], c)
+		}
+		for _, b := range servers[s][1:] {
+			servers[s][0].Replication().Attach(servers[s][0].Peer(b))
 		}
 	}
 	rc := shard.RouterConfig{Engine: e, Map: m, HeartbeatInterval: hbInv, HealthMultiple: multiple}

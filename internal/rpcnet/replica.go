@@ -1,22 +1,9 @@
 // Shard replication, failover, and live resharding over real TCP
 // (DESIGN.md §5.11).
 //
-// Replication is synchronous: a primary applies a write under the exclusive
-// tree latch, stamps it with (epoch, seq) from its replica.State, appends it
-// to the op-log, and streams it to every backup session before the latch
-// drops and the client sees an acknowledgement. An acknowledged write is
-// therefore already applied on every live backup, so promoting one after a
-// primary failure loses nothing. The dirty-chunk tracker coalesces the
-// chunks each mutation touched into merged spans — the write schedule an
-// RDMA transport would post as one-sided span writes; over TCP the record
-// itself carries the mutation and the spans feed telemetry.
-//
-// Fencing: every record carries the primary's epoch. A promoted backup is
-// at a higher epoch, so a deposed primary's stream comes back StatusFenced;
-// it demotes itself and fails the in-flight client write with the same
-// status. Gaps (a backup that missed records after a resend race) come back
-// StatusError with the backup's applied sequence; the primary re-sends the
-// op-log suffix once.
+// Replication runs in the transport-neutral core (replica.Primary ships,
+// proto.Serve.ApplyRecords applies); this file only carries its record
+// batches and acks over a socket.
 //
 // Live resharding is a three-step state machine: PrepareReshard snapshots
 // the shard under the exclusive latch, computes the successor map by
@@ -34,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -49,8 +37,9 @@ type ReplicaConfig struct {
 	// Backups; false starts it as a backup that rejects client writes with
 	// StatusNotPrimary until promoted.
 	Primary bool
-	// Backups lists the addresses this primary replicates to (ignored on a
-	// backup). Sessions are dialed lazily on the first write.
+	// Backups lists the addresses this server replicates to while it is
+	// primary, from the start or once promoted. Each is dialed on its first
+	// exchange.
 	Backups []string
 	// Epoch is the shard's starting replication epoch (0 selects 1). All
 	// replicas of a shard must start at the same epoch.
@@ -61,236 +50,72 @@ type ReplicaConfig struct {
 // dropped from the stream.
 const ackTimeout = 2 * time.Second
 
-// replSess is one primary→backup replication session: a dedicated
-// connection (the backup's hello and heartbeat pushes are skipped when
-// reading acks) plus the backup's acknowledged high-water mark. Guarded by
-// Server.replMu.
-type replSess struct {
-	addr  string
-	conn  net.Conn
-	acked uint64 // highest sequence the backup acknowledged
-	dead  bool   // dropped after a transport error or a stuck gap
+// sockPeer is one backup as a primary reaches it over TCP: a dedicated
+// connection, dialed on the first exchange, on which the backup's hello and
+// heartbeat pushes are skipped while an ack is awaited. The replication core
+// (replica.Primary) does everything else.
+type sockPeer struct {
+	addr   string
+	mu     sync.Mutex // held for a whole exchange, so Close waits one out
+	conn   net.Conn
+	closed bool
+	buf    []byte
 }
 
-// ensureSessions dials the configured backups once, lazily. Callers hold
-// replMu. A backup that cannot be dialed is recorded dead; replication
-// degrades rather than blocking writes forever.
-func (s *Server) ensureSessions() {
-	if s.replDialed {
-		return
-	}
-	s.replDialed = true
-	for _, addr := range s.cfg.Replica.Backups {
-		sess := &replSess{addr: addr}
-		conn, err := net.Dial("tcp", addr)
+// Exchange ships one record batch and reads until the backup's ack.
+func (p *sockPeer) Exchange(recs []replica.Record) (wire.ReplAck, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == nil {
+		if p.closed {
+			return wire.ReplAck{}, net.ErrClosed
+		}
+		conn, err := net.Dial("tcp", p.addr)
 		if err != nil {
-			sess.dead = true
-		} else {
-			sess.conn = conn
+			return wire.ReplAck{}, err
 		}
-		s.replSess = append(s.replSess, sess)
+		p.conn = conn
 	}
-}
-
-// closeReplSessions tears down the backup stream on Close.
-func (s *Server) closeReplSessions() {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	for _, sess := range s.replSess {
-		if sess.conn != nil {
-			sess.conn.Close()
-		}
-	}
-}
-
-// replicate stamps one applied mutation, appends it to the op-log, and
-// streams it to every live backup. The caller holds the exclusive tree
-// latch, so sequence order matches apply order and the client's
-// acknowledgement cannot outrun the backups. A fenced stream (a backup was
-// promoted above us) is the only error surfaced: the deposed primary must
-// fail the client write.
-func (s *Server) replicate(op wire.MsgType, rect geo.Rect, ref uint64) error {
-	epoch, seq, err := s.repl.Next()
-	if err != nil {
-		return err
-	}
-	rec := replica.Record{Epoch: epoch, Seq: seq, Op: op, Rect: rect, Ref: ref}
-	s.rlog.Append(rec)
-	return s.ship([]replica.Record{rec})
-}
-
-// ship streams records to every live backup session, in sequence order
-// (replMu serializes senders). Dirty chunks accumulated since the last ship
-// are drained into merged spans for the telemetry counters.
-func (s *Server) ship(recs []replica.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	s.ensureSessions()
-	if s.dirty != nil {
-		spans := s.dirty.TakeSpans()
-		s.replSpans.Add(uint64(len(spans)))
-		for _, sp := range spans {
-			s.replSpanCh.Add(uint64(sp.Count))
-		}
-	}
-	wr := make([]wire.ReplRecord, len(recs))
-	for i, r := range recs {
-		wr[i] = r.Wire()
-	}
-	var fenced error
-	for _, sess := range s.replSess {
-		if sess.dead {
-			continue
-		}
-		if err := s.shipTo(sess, wr, recs[len(recs)-1].Seq); err != nil {
-			if errors.Is(err, replica.ErrFenced) {
-				fenced = err
-				continue
-			}
-			sess.dead = true
-		}
-	}
-	return fenced
-}
-
-// shipTo sends one record batch to a backup and folds its ack: OK advances
-// the session's high-water mark, Fenced demotes this server, and a gap
-// triggers exactly one op-log resend from the backup's applied sequence (a
-// second gap marks the session dead — the backup is wedged).
-func (s *Server) shipTo(sess *replSess, wr []wire.ReplRecord, lastSeq uint64) error {
-	ack, err := s.replExchange(sess, wire.Replicate{ID: lastSeq, Records: wr})
-	if err != nil {
-		return err
-	}
-	switch ack.Status {
-	case wire.StatusOK:
-		sess.acked = ack.AppliedSeq
-		s.replShipped.Add(uint64(len(wr)))
-		return nil
-	case wire.StatusFenced:
-		s.repl.Fence(ack.Epoch)
-		return fmt.Errorf("%w: backup %s at epoch %d", replica.ErrFenced, sess.addr, ack.Epoch)
-	case wire.StatusError:
-		s.replResends.Add(1)
-		missing := s.rlog.Since(ack.AppliedSeq)
-		mw := make([]wire.ReplRecord, len(missing))
-		for i, r := range missing {
-			mw[i] = r.Wire()
-		}
-		ack, err = s.replExchange(sess, wire.Replicate{ID: lastSeq, Records: mw})
-		if err != nil {
-			return err
-		}
-		switch ack.Status {
-		case wire.StatusOK:
-			sess.acked = ack.AppliedSeq
-			s.replShipped.Add(uint64(len(mw)))
-			return nil
-		case wire.StatusFenced:
-			s.repl.Fence(ack.Epoch)
-			return fmt.Errorf("%w: backup %s at epoch %d", replica.ErrFenced, sess.addr, ack.Epoch)
-		}
-		return fmt.Errorf("rpcnet: backup %s stuck at seq %d after resend", sess.addr, ack.AppliedSeq)
-	case wire.StatusUnavailable:
-		return fmt.Errorf("rpcnet: backup %s unavailable", sess.addr)
-	}
-	return fmt.Errorf("rpcnet: unexpected repl ack status %d from %s", ack.Status, sess.addr)
-}
-
-// replExchange performs one replicate→ack round trip on a session,
-// skipping the hello and heartbeat frames the backup server pushes on the
-// same connection.
-func (s *Server) replExchange(sess *replSess, msg wire.Replicate) (wire.ReplAck, error) {
-	if err := sess.conn.SetDeadline(time.Now().Add(ackTimeout)); err != nil {
+	if err := p.conn.SetDeadline(time.Now().Add(ackTimeout)); err != nil {
 		return wire.ReplAck{}, err
 	}
-	defer sess.conn.SetDeadline(time.Time{})
-	if err := writeFrame(sess.conn, msg.Encode(nil)); err != nil {
+	if err := writeFrame(p.conn, wire.Replicate{Records: recs}.Encode(nil)); err != nil {
 		return wire.ReplAck{}, err
 	}
-	var buf []byte
 	for {
 		var err error
-		buf, err = readFrame(sess.conn, buf)
-		if err != nil {
+		if p.buf, err = readFrame(p.conn, p.buf); err != nil {
 			return wire.ReplAck{}, err
 		}
-		typ, err := wire.PeekType(buf)
-		if err != nil {
-			return wire.ReplAck{}, err
+		if typ, err := wire.PeekType(p.buf); err != nil || typ == wire.MsgReplAck {
+			return wire.DecodeReplAck(p.buf)
 		}
-		if typ != wire.MsgReplAck {
-			continue // hello or heartbeat push from the backup server
-		}
-		return wire.DecodeReplAck(buf)
 	}
 }
 
-// replLag is the replication-lag gauge: the op-log high-water mark minus
-// the slowest live backup's acknowledged sequence (0 with no live backups,
-// i.e. nothing to lag behind).
-func (s *Server) replLag() float64 {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	last := s.rlog.LastSeq()
-	min := last
-	live := false
-	for _, sess := range s.replSess {
-		if sess.dead {
-			continue
-		}
-		live = true
-		if sess.acked < min {
-			min = sess.acked
-		}
+// Close tears the connection down; a later exchange fails.
+func (p *sockPeer) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	if p.conn == nil {
+		return nil
 	}
-	if !live {
-		return 0
-	}
-	return float64(last - min)
+	return p.conn.Close()
 }
 
-// handleReplicate applies an incoming record batch on a backup and answers
-// with the backup's (epoch, applied) so the primary can detect fencing and
-// resume across gaps. Records at or below the applied sequence (resend
-// overlap) are skipped silently.
+// handleReplicate is the socket side of a backup: it decodes a record batch,
+// applies it through the server core under the exclusive latch, and answers
+// with the ack the core returns.
 func (s *Server) handleReplicate(sc *srvConn, frame []byte) error {
 	msg, err := wire.DecodeReplicate(frame)
 	if err != nil {
 		return err
 	}
-	ack := wire.ReplAck{ID: msg.ID, Status: wire.StatusOK}
-	if s.repl == nil {
-		ack.Status = wire.StatusError
-		return sc.send(ack.Encode(nil))
-	}
-	if s.core.Killed() {
-		ack.Status = wire.StatusUnavailable
-		ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
-		return sc.send(ack.Encode(nil))
-	}
 	s.latch.Lock()
-	for _, wr := range msg.Records {
-		rec := replica.FromWire(wr)
-		if _, aerr := s.core.ApplyRecord(exec{s: s, sc: sc}, rec); aerr != nil {
-			var gap *replica.GapError
-			if errors.As(aerr, &gap) && gap.Got <= gap.Applied {
-				continue // duplicate from a resend overlap
-			}
-			if errors.Is(aerr, replica.ErrFenced) {
-				ack.Status = wire.StatusFenced
-			} else {
-				ack.Status = wire.StatusError // gap: primary resends from AppliedSeq
-			}
-			break
-		}
-		s.rlog.Append(rec)
-	}
+	ack, _, _ := s.core.ApplyRecords(exec{s: s, sc: sc}, msg.Records)
 	s.latch.Unlock()
-	ack.Epoch, ack.AppliedSeq = s.repl.Snapshot()
+	ack.ID = msg.ID
 	return sc.send(ack.Encode(nil))
 }
 
@@ -463,10 +288,10 @@ func (s *Server) DrainSplit() error {
 				err = derr
 				break
 			}
-			if s.repl != nil && s.repl.Primary() {
+			if s.repl != nil {
 				// Best effort: a fenced stream here means we were deposed
 				// mid-drain; the new primary re-drains from its own state.
-				_ = s.replicate(wire.MsgDelete, e.Rect, e.Ref)
+				_ = s.repl.Replicate(wire.MsgDelete, e.Rect, e.Ref)
 			}
 		}
 	}

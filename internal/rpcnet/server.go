@@ -216,18 +216,9 @@ type Server struct {
 	lat   [wire.MsgKNNFetch + 1]*telemetry.Histogram
 	start time.Time
 
-	// Replication and failover state (nil repl = replication disabled);
-	// the machinery lives in replica.go.
-	repl        *replica.State
-	rlog        *replica.Log
-	dirty       *region.DirtyTracker
-	replMu      sync.Mutex // serializes the backup stream (send order = seq order)
-	replSess    []*replSess
-	replDialed  bool
-	replShipped atomic.Uint64 // records shipped to backups
-	replResends atomic.Uint64 // gap-triggered op-log re-sends
-	replSpans   atomic.Uint64 // coalesced dirty spans behind the stream
-	replSpanCh  atomic.Uint64 // chunks those spans covered
+	// repl is the replication core (nil = replication disabled); its
+	// backups are sockPeers (replica.go).
+	repl *replica.Primary
 
 	// Live resharding state (PrepareReshard/CommitReshard/DrainSplit in
 	// replica.go). served is the shard identity currently advertised —
@@ -290,12 +281,10 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 		s.served.Store(&servedMap{m: cfg.ShardMap, addrs: cfg.ShardAddrs})
 	}
 	if cfg.Replica != nil {
-		s.repl = replica.NewState(cfg.Replica.Epoch, cfg.Replica.Primary)
-		s.rlog = &replica.Log{}
-		// Every chunk the tree mutates is recorded so the replication
-		// stream can coalesce the touched chunks into merged spans.
-		s.dirty = region.NewDirtyTracker()
-		tree.Region().Track(s.dirty)
+		s.repl = replica.NewPrimary(replica.NewState(cfg.Replica.Epoch, cfg.Replica.Primary))
+		for _, addr := range cfg.Replica.Backups {
+			s.repl.Attach(&sockPeer{addr: addr})
+		}
 	}
 	s.core, err = proto.NewServe[exec](proto.ServeConfig{
 		Tree:            tree,
@@ -324,13 +313,6 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 			wire.MsgInsert: "insert", wire.MsgDelete: "delete", wire.MsgMove: "move",
 		} {
 			s.lat[kind] = reg.Histogram("catfish_request_latency_seconds", "op", op)
-		}
-		if s.repl != nil {
-			reg.CounterFunc("catfish_server_repl_shipped_total", s.replShipped.Load)
-			reg.CounterFunc("catfish_server_repl_resends_total", s.replResends.Load)
-			reg.CounterFunc("catfish_server_repl_spans_total", s.replSpans.Load)
-			reg.CounterFunc("catfish_server_repl_span_chunks_total", s.replSpanCh.Load)
-			reg.GaugeFunc("catfish_server_repl_lag", s.replLag)
 		}
 		reg.CounterFunc("catfish_server_reshard_moved_total", s.reshardMoved.Load)
 		reg.GaugeFunc("catfish_server_reshard_state", func() float64 {
@@ -404,7 +386,9 @@ func (s *Server) Close() error {
 		sc.close()
 	}
 	s.mu.Unlock()
-	s.closeReplSessions()
+	if s.repl != nil {
+		s.repl.Close()
+	}
 	s.disp.close()
 	s.wg.Wait()
 	return err
@@ -443,7 +427,7 @@ type ServerStats struct {
 
 // Stats returns a snapshot of the op counters.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{
+	st := ServerStats{
 		ServerSnapshot:  s.core.Counters.Snapshot(),
 		ChunkReads:      s.reads.Load(),
 		VersionReads:    s.verReads.Load(),
@@ -452,10 +436,13 @@ func (s *Server) Stats() ServerStats {
 		OffloadSearches: s.offloadEst.Load(),
 		MailboxReads:    s.mailboxReads.Load(),
 		TXBytes:         s.txBytes.Load(),
-		ReplShipped:     s.replShipped.Load(),
 		ReshardMoved:    s.reshardMoved.Load(),
 		Overloaded:      s.overloaded.Load(),
 	}
+	if s.repl != nil {
+		st.ReplShipped = s.repl.Shipped()
+	}
+	return st
 }
 
 func (s *Server) serveConn(sc *srvConn) {
@@ -481,7 +468,7 @@ func (s *Server) serveConn(sc *srvConn) {
 		hello.MapVersion = sm.m.Version
 	}
 	if s.repl != nil {
-		hello.ReplicaEpoch, _ = s.repl.Snapshot()
+		hello.ReplicaEpoch, _ = s.repl.State().Snapshot()
 	}
 	if s.mailbox != nil {
 		hello.FetchSlots = uint32(s.mailbox.Slots())
@@ -721,11 +708,11 @@ func (x exec) Unlock()  { x.s.latch.Unlock() }
 
 func (x exec) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) { return x.s.tree.Insert(r, ref) }
 
-// Propagate streams one applied insert or delete to the backups and, during
-// a live split, to the shard taking over the entry's cell.
+// Propagate replicates one applied insert or delete to the backups and,
+// during a live split, forwards it to the shard taking over the entry's cell.
 func (x exec) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
 	if x.s.repl != nil {
-		if err := x.s.replicate(op, r, ref); err != nil {
+		if err := x.s.repl.Replicate(op, r, ref); err != nil {
 			return replica.StatusOf(err)
 		}
 	}
@@ -824,7 +811,7 @@ func (s *Server) heartbeatLoop() {
 		rootVer, _ := s.tree.Region().Version(rootChunk)
 		hb := wire.Heartbeat{Util: util, RootVer: rootVer, TXUtil: txUtil}
 		if s.repl != nil {
-			hb.Epoch, hb.AppliedSeq = s.repl.Snapshot()
+			hb.Epoch, hb.AppliedSeq = s.repl.State().Snapshot()
 		}
 		if sm := s.servedShardMap(); sm != nil {
 			hb.MapVersion = sm.m.Version

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -265,6 +264,40 @@ func goldenSide(p *sim.Proc, w *goldenWire) {
 	w.ack(p, "side-ack")
 }
 
+// scriptedPeer is a backup that answers a primary's exchanges from a script:
+// each exchange takes 2 µs of the primary's proc, under its latch, and the
+// n-th answers faults[n] — a gap leaves the backup where it was, a fence
+// names epoch 5 — or acknowledges the whole batch. Faults are noted.
+type scriptedPeer struct {
+	name    string
+	srv     *Server
+	faults  map[int]uint8
+	calls   int
+	applied uint64
+	notes   *[]string
+}
+
+func (sp *scriptedPeer) Exchange(recs []replica.Record) (wire.ReplAck, error) {
+	sp.calls++
+	p := sp.srv.shipP
+	p.Sleep(2 * time.Microsecond)
+	ack := wire.ReplAck{Status: sp.faults[sp.calls], Epoch: 1} // StatusOK is 0
+	switch ack.Status {
+	case wire.StatusOK:
+		if len(recs) > 0 {
+			sp.applied = recs[len(recs)-1].Seq
+		}
+	case wire.StatusFenced:
+		ack.Epoch = 5
+	}
+	ack.AppliedSeq = sp.applied
+	if sp.faults[sp.calls] != 0 || sp.faults[sp.calls-1] == wire.StatusError {
+		*sp.notes = append(*sp.notes, fmt.Sprintf("%s exchange %d at %d: %d records, answered status %d, applied %d",
+			sp.name, sp.calls, p.Now(), len(recs), ack.Status, ack.AppliedSeq))
+	}
+	return ack, nil
+}
+
 // TestServerSimGolden pins the simulated server to
 // testdata/server-golden.json, captured before the sim and TCP servers were
 // folded onto one request-execution core: per configuration, every reply
@@ -272,8 +305,9 @@ func goldenSide(p *sim.Proc, w *goldenWire) {
 // counters, and a hash of every region chunk. The configurations are event
 // mode, polling mode, the simulated socket, staged node writes, a two-slot
 // fetch mailbox, a backup that refuses writes until promoted (and applies
-// replicated records meanwhile), a primary whose replication hook fails on
-// a schedule, and a server killed half way. A deliberate behaviour change
+// replicated records meanwhile), a primary whose backups answer from a
+// script (refusal, gap and resend, stuck gap, fence), and a server killed
+// half way. A deliberate behaviour change
 // regenerates the file from the "got" document this test prints.
 func TestServerSimGolden(t *testing.T) {
 	type row struct {
@@ -319,29 +353,27 @@ func TestServerSimGolden(t *testing.T) {
 						{Epoch: 1, Seq: 3, Op: wire.MsgSearch, Rect: goldenRect(0.1, 0.1, 0.001)},
 						{Epoch: 1, Seq: 4, Op: wire.MsgInsert, Rect: goldenRect(0.2, 0.7, 0.001), Ref: 1<<45 + 3},
 					} {
-						err := srv.ApplyReplica(p, rec)
-						*notes = append(*notes, fmt.Sprintf("apply seq %d at %d: %v", rec.Seq, p.Now(), err))
+						ack := srv.applyReplicated(p, []replica.Record{rec})
+						*notes = append(*notes, fmt.Sprintf("apply seq %d at %d: status %d, applied %d",
+							rec.Seq, p.Now(), ack.Status, ack.AppliedSeq))
 					}
 				}
 			}},
-		{name: "primary", cfg: func(_ *sim.Engine, c *Config) {
-			c.Replica = replica.NewState(1, true)
-			calls := 0
-			c.Replicate = func(p *sim.Proc, rec replica.Record) error {
-				calls++
-				p.Sleep(2 * time.Microsecond) // the ship, under the latch
-				switch calls {
-				case 4:
-					return replica.ErrUnavailable
-				case 6:
-					return errors.New("backup stuck")
-				case 30:
-					c.Replica.Fence(5)
-					return replica.ErrFenced
+		{name: "primary", cfg: func(_ *sim.Engine, c *Config) { c.Replica = replica.NewState(1, true) },
+			mid: func(srv *Server, notes *[]string) func(p *sim.Proc) {
+				// Three backups answer from a script: one refuses service, one
+				// misses a record that the resend brings, then misses one the
+				// resend cannot bring, and one has been promoted past us.
+				for _, sp := range []*scriptedPeer{
+					{name: "a", faults: map[int]uint8{4: wire.StatusUnavailable}},
+					{name: "b", faults: map[int]uint8{6: wire.StatusError, 12: wire.StatusError, 13: wire.StatusError}},
+					{name: "c", faults: map[int]uint8{30: wire.StatusFenced}},
+				} {
+					sp.srv, sp.notes = srv, notes
+					srv.repl.Attach(sp)
 				}
-				return nil
-			}
-		}},
+				return func(*sim.Proc) {}
+			}},
 		{name: "killed", cfg: func(_ *sim.Engine, c *Config) { c.FetchSlots = 4; c.Replica = replica.NewState(1, true) },
 			mid: func(srv *Server, _ *[]string) func(p *sim.Proc) {
 				return func(*sim.Proc) { srv.Kill() }

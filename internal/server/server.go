@@ -94,15 +94,9 @@ type Config struct {
 	// Replica, when non-nil, arms the availability subsystem on this
 	// server: epoch fencing, op-log sequencing, and rejection of client
 	// writes while the state says backup (StatusNotPrimary). Nil leaves
-	// every path bit-for-bit identical to an unreplicated server.
+	// every path bit-for-bit identical to an unreplicated server. Backups
+	// to ship to are attached to Replication.
 	Replica *replica.State
-	// Replicate, when non-nil, ships one applied mutation to the shard's
-	// backups. A primary invokes it under the exclusive tree latch, before
-	// the write is acknowledged, so an acked write is on every live backup
-	// (synchronous replication — the sim stand-in for the one-sided
-	// dirty-span write plus op-log record of DESIGN.md §5.11). A non-nil
-	// error is surfaced to the client as the corresponding status.
-	Replicate func(p *sim.Proc, rec replica.Record) error
 }
 
 // Stats is a snapshot of the server counters — the shared set the request
@@ -127,6 +121,11 @@ type Server struct {
 	// mailboxMem registers the core's fetch mailbox region for one-sided
 	// pulls (nil when FetchSlots is zero).
 	mailboxMem *fabric.RegionMemory
+
+	// repl is the replication core (nil without Replica); shipP is the proc
+	// its exchanges run on, the one holding the exclusive latch.
+	repl  *replica.Primary
+	shipP *sim.Proc
 
 	hbSeq     uint64 // heartbeat sequence number (mailbox word 2)
 	hbPaused  atomic.Bool
@@ -195,9 +194,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RingSize == 0 {
 		cfg.RingSize = 256 << 10
 	}
+	var repl *replica.Primary
+	if cfg.Replica != nil {
+		repl = replica.NewPrimary(cfg.Replica)
+	}
 	core, err := proto.NewServe[port](proto.ServeConfig{
 		Tree:            cfg.Tree,
-		Replica:         cfg.Replica,
+		Replica:         repl,
 		MaxSegmentItems: cfg.MaxSegmentItems,
 		FetchSlots:      cfg.FetchSlots,
 		FetchSlotChunks: cfg.FetchSlotChunks,
@@ -212,6 +215,7 @@ func New(cfg Config) (*Server, error) {
 		tree:  cfg.Tree,
 		latch: sim.NewRWLock(cfg.Engine),
 		core:  core,
+		repl:  repl,
 	}
 	s.regionMem = cfg.Host.RegisterRegion(cfg.Tree.Region())
 	s.regionVers = cfg.Host.RegisterRegionVersions(cfg.Tree.Region())
@@ -365,7 +369,8 @@ func (s *Server) dispatch(p *sim.Proc, c *conn, payload []byte) {
 }
 
 // port is the sim's proto.Exec: the server, the worker process executing
-// the request, and the connection it arrived on (nil for ApplyReplica).
+// the request, and the connection it arrived on (nil for a replicated
+// batch).
 type port struct {
 	s *Server
 	p *sim.Proc
@@ -389,20 +394,16 @@ func (x port) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) {
 	return x.s.tree.Insert(r, ref)
 }
 
-// Propagate stamps one applied mutation with the shard's (epoch, seq) and
-// ships it to the backups via the Replicate hook. The exclusive latch is
-// held, so sequence order matches apply order. A nil Replica makes this a
-// no-op, keeping unreplicated deployments untouched.
+// Propagate hands one applied mutation to the replication core, which
+// ships it to the backups on this proc. The exclusive latch is held, so
+// sequence order matches apply order. A nil Replica makes this a no-op,
+// keeping unreplicated deployments untouched.
 func (x port) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
-	cfg := &x.s.cfg
-	if cfg.Replica == nil {
+	if x.s.repl == nil {
 		return wire.StatusOK
 	}
-	epoch, seq, err := cfg.Replica.Next()
-	if err == nil && cfg.Replicate != nil {
-		err = cfg.Replicate(x.p, replica.Record{Epoch: epoch, Seq: seq, Op: op, Rect: r, Ref: ref})
-	}
-	return replica.StatusOf(err)
+	x.s.shipP = x.p
+	return replica.StatusOf(x.s.repl.Replicate(op, r, ref))
 }
 
 // Account adds one executed operation's CPU demand to the connection's
@@ -515,28 +516,34 @@ func (s *Server) Kill() { s.core.Kill() }
 // Killed reports whether Kill has been called.
 func (s *Server) Killed() bool { return s.core.Killed() }
 
-// ApplyReplica applies one replicated mutation on a backup: epoch fencing
-// and sequence validation through the replica state, then the tree write
-// under the exclusive latch with the same CPU charge a client write pays.
-// It is the simulation's stand-in for the backup-side apply of the
-// primary's streamed dirty spans (DESIGN.md §5.11).
-func (s *Server) ApplyReplica(p *sim.Proc, rec replica.Record) error {
-	if s.cfg.Replica == nil {
-		return errors.New("server: not a replica member")
-	}
-	if s.core.Killed() {
-		return replica.ErrUnavailable
-	}
+// Replication returns the server's replication core (nil without Replica);
+// a backup attached to it gets every write the server applies as primary,
+// before the write is acknowledged.
+func (s *Server) Replication() *replica.Primary { return s.repl }
+
+// Peer returns backup b as this server reaches it: each exchange runs on the
+// proc that holds this server's exclusive latch.
+func (s *Server) Peer(b *Server) replica.Peer { return peer{from: s, to: b} }
+
+type peer struct{ from, to *Server }
+
+func (pe peer) Exchange(recs []replica.Record) (wire.ReplAck, error) {
+	return pe.to.applyReplicated(pe.from.shipP, recs), nil
+}
+
+// applyReplicated is a backup's side of one exchange, on the primary's proc
+// p: the backup's exclusive latch, the batch through the server core, and —
+// still under the latch, in event mode — the CPU charge of a client write
+// for each record applied.
+func (s *Server) applyReplicated(p *sim.Proc, recs []replica.Record) wire.ReplAck {
 	s.latch.Lock(p)
 	defer s.latch.Unlock()
-	st, err := s.core.ApplyRecord(port{s: s, p: p}, rec)
-	if err != nil {
-		return err
+	ack, n, st := s.core.ApplyRecords(port{s: s, p: p}, recs)
+	if n > 0 && s.cfg.Mode == ModeEvent {
+		cost := s.cfg.Cost
+		s.cfg.Host.CPU().Run(p, time.Duration(n-1)*cost.InsertFixed+cost.InsertDemand(st.NodesRead, st.NodesWritten))
 	}
-	if s.cfg.Mode == ModeEvent {
-		s.cfg.Host.CPU().Run(p, s.cfg.Cost.InsertDemand(st.NodesRead, st.NodesWritten))
-	}
-	return nil
+	return ack
 }
 
 // heartbeatLoop periodically publishes the CPU utilization to every
