@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -17,7 +15,6 @@ import (
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/stats"
-	"github.com/catfish-db/catfish/internal/telemetry"
 )
 
 // The autoscale ablation runs on real localhost TCP (unlike the simulated
@@ -56,163 +53,77 @@ var diurnalPhases = []struct {
 // through it and divide the peak load.
 var hotDistrict = geo.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5}
 
-// asDeploy is one live localhost deployment under the ablation: servers,
-// their addresses and scrape URLs, and the routers driving load (read by
-// the drain goroutine to wait for map convergence).
-type asDeploy struct {
-	mu      sync.Mutex
-	m       *shard.Map
-	srvs    []*rpcnet.Server
-	addrs   []string
-	urls    []string
-	metrics []*http.Server
-	hb      time.Duration
-	srvCfg  func() rpcnet.ServerConfig
-
-	routers []*rpcnet.Router // fixed after load start; drain polls Map()
-}
-
-// newASServer starts one server over its assigned entries (nil for an
-// empty reshard target) and, when scraped is true, an HTTP /metrics
-// endpoint for its registry.
-func (d *asDeploy) newASServer(entries []rtree.Entry, scraped bool) (*rpcnet.Server, string, string, error) {
-	reg, err := region.New(1<<15, 4096)
-	if err != nil {
-		return nil, "", "", err
-	}
-	tree, err := rtree.New(reg, rtree.Config{MaxEntries: 16})
-	if err != nil {
-		return nil, "", "", err
-	}
-	if len(entries) > 0 {
-		if err := tree.BulkLoad(append([]rtree.Entry(nil), entries...), 0); err != nil {
-			return nil, "", "", err
-		}
-	}
-	cfg := d.srvCfg()
-	cfg.Metrics = telemetry.NewRegistry()
-	srv, err := rpcnet.Listen("127.0.0.1:0", tree, cfg)
-	if err != nil {
-		return nil, "", "", err
-	}
-	go srv.Serve() //nolint:errcheck // returns on Close
-	url := ""
-	if scraped {
-		ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-		if lerr != nil {
-			srv.Close()
-			return nil, "", "", lerr
-		}
-		mux := http.NewServeMux()
-		mreg := cfg.Metrics
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			mreg.WritePrometheus(w) //nolint:errcheck // scrape best-effort
-		})
-		hs := &http.Server{Handler: mux}
-		go hs.Serve(ln) //nolint:errcheck // returns on Close
-		d.metrics = append(d.metrics, hs)
-		url = "http://" + ln.Addr().String() + "/metrics"
-	}
-	return srv, srv.Addr().String(), url, nil
-}
-
-func (d *asDeploy) close() {
-	for _, hs := range d.metrics {
-		hs.Close()
-	}
-	for _, s := range d.srvs {
-		s.Close()
-	}
-}
-
-// Split implements autoscale.Actuator: split shard s into an empty server
-// with a scraped /metrics endpoint (rpcnet.SplitShard) and drain the
-// dual-write once the load routers have adopted the bumped version.
-func (d *asDeploy) Split(s int) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var url string
-	newSrv, nm, addrs, err := rpcnet.SplitShard(d.srvs, d.addrs, s, func() (*rpcnet.Server, error) {
-		srv, _, u, err := d.newASServer(nil, true)
-		url = u
-		return srv, err
-	})
-	if err != nil {
-		return d.m.K(), err
-	}
-	go d.drainAfterAdoption(d.srvs[s], nm.Version)
-	d.m = nm
-	d.srvs = append(d.srvs, newSrv)
-	d.addrs = addrs
-	d.urls = append(d.urls, url)
-	return nm.K(), nil
-}
-
-// drainAfterAdoption ends a split's dual-write window once every load
-// router serves the committed map (bounded wait: a router that never
-// converges still gets correct answers from the dual-written old shard, so
-// draining on timeout costs only the moved region's duplication).
-func (d *asDeploy) drainAfterAdoption(old *rpcnet.Server, version uint64) {
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		all := true
-		for _, r := range d.routers {
-			if r.Map().Version != version {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		time.Sleep(d.hb)
-	}
-	old.DrainSplit() //nolint:errcheck // shed duplication is benign here
-}
-
-// scrape implements autoscale.Scraper over the deployment's current (and
-// growing) endpoint set.
-type asScraper struct{ d *asDeploy }
-
-func (a asScraper) Scrape() ([]autoscale.Sample, error) {
-	a.d.mu.Lock()
-	urls := append([]string(nil), a.d.urls...)
-	a.d.mu.Unlock()
-	h := &autoscale.HTTPScraper{URLs: urls, Client: &http.Client{Timeout: time.Second}}
-	return h.Scrape()
-}
-
-// asResult aggregates one deployment run.
-type asResult struct {
+// elasticResult rolls up one wall-clock deployment run.
+type elasticResult struct {
 	ops, violations, overloaded int
 	finalK                      int
 	splits                      uint64
-	p99                         time.Duration
+	// p99 is over every operation, crowdP99 over those after the first
+	// phase.
+	p99, crowdP99 time.Duration
+	m             *shard.Map // the final map
 }
 
-// runAutoscaleMode replays the diurnal workload against one deployment:
-// staticK > 0 serves a fixed map, staticK == 0 starts at K=1 under the
-// controller. SLO violations count operations that errored (admission
-// sheds included, after the router's retry budget) or exceeded slo.
-func runAutoscaleMode(o Options, data []rtree.Entry, staticK int,
-	loaders, opsPerLoader int, deadline, slo time.Duration) (asResult, error) {
-	var res asResult
-	k := staticK
-	autoscaled := staticK == 0
-	if autoscaled {
-		k = 1
+// opLog is one loader's record of the operations it ran.
+type opLog struct {
+	slo                         time.Duration
+	ops, violations, overloaded int
+	lats, crowdLats             []time.Duration
+}
+
+// record books one operation of the given phase, started at t0, that
+// returned err. SLO violations count operations that errored (admission
+// sheds included, after the router's retry budget) or exceeded the SLO. Any
+// non-shed error is a correctness failure of the deployment, not load, so it
+// is returned to stop the loader.
+func (l *opLog) record(phase int, t0 time.Time, err error) error {
+	lat := time.Since(t0)
+	l.ops++
+	l.lats = append(l.lats, lat)
+	if phase > 0 {
+		l.crowdLats = append(l.crowdLats, lat)
 	}
-	hb := o.HeartbeatInv
-	if hb < 2*time.Millisecond {
-		hb = 2 * time.Millisecond
+	shed := errors.Is(err, rpcnet.ErrOverloaded)
+	if shed {
+		l.overloaded++
 	}
-	m, err := shard.Build(data, shard.Config{K: k, MaxInsertEdge: 0.01})
+	if err != nil || lat > l.slo {
+		l.violations++
+	}
+	if err != nil && !shed {
+		return err
+	}
+	return nil
+}
+
+// runElastic is the wall-clock driver of both live-resharding ablations. It
+// deploys data on localhost TCP — staticK > 0 serves a fixed K-shard map,
+// staticK == 0 starts at K = 1 and lets an autoscale controller under policy
+// grow it through rpcnet.Elastic — connects one router per loader, runs
+// load on each, and rolls their logs up.
+func runElastic(o Options, data []rtree.Entry, staticK, loaders int, policy autoscale.PolicyConfig,
+	deadline, slo time.Duration, load func(li int, r *rpcnet.Router, log *opLog) error) (elasticResult, error) {
+	var res elasticResult
+	hb := elasticHeartbeat(o)
+	m, err := shard.Build(data, shard.Config{K: max(staticK, 1), MaxInsertEdge: 0.01})
 	if err != nil {
 		return res, err
 	}
-	d := &asDeploy{m: m, hb: hb}
-	d.srvCfg = func() rpcnet.ServerConfig {
-		return rpcnet.ServerConfig{
+	newServer := func(entries []rtree.Entry) (*rpcnet.Server, error) {
+		reg, err := region.New(1<<15, 4096)
+		if err != nil {
+			return nil, err
+		}
+		tree, err := rtree.New(reg, rtree.Config{MaxEntries: 16})
+		if err != nil {
+			return nil, err
+		}
+		if len(entries) > 0 {
+			if err := tree.BulkLoad(append([]rtree.Entry(nil), entries...), 0); err != nil {
+				return nil, err
+			}
+		}
+		srv, err := rpcnet.Listen("127.0.0.1:0", tree, rpcnet.ServerConfig{
 			HeartbeatInterval: hb,
 			// The modeled per-server capacity is the TX line: PaceTX
 			// enforces a 100 Mbps NIC per server, so splitting a hot shard
@@ -223,32 +134,56 @@ func runAutoscaleMode(o Options, data []rtree.Entry, staticK int,
 			TXLineRateBps: 100e6,
 			PaceTX:        true,
 			AdmissionUtil: 0.75,
-		}
-	}
-	defer d.close()
-
-	assign := m.Assign(data)
-	for s := 0; s < k; s++ {
-		srv, addr, url, err := d.newASServer(assign[s], autoscaled)
+		})
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		d.srvs = append(d.srvs, srv)
-		d.addrs = append(d.addrs, addr)
-		if autoscaled {
-			d.urls = append(d.urls, url)
+		go srv.Serve() //nolint:errcheck // returns on Close
+		return srv, nil
+	}
+	// The routers are local, so a split shard drains as soon as all of them
+	// serve the new map, or after 2 s: a router that never converges still
+	// gets correct answers from the dual-written old shard, so draining on
+	// timeout costs only the moved region's duplication.
+	var routers []*rpcnet.Router
+	wait := func(stop <-chan struct{}, version uint64) {
+		for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
+			converged := true
+			for _, r := range routers {
+				converged = converged && r.Map().Version == version
+			}
+			if converged {
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(hb):
+			}
 		}
 	}
-	// The committed map must carry the address table for resharding.
-	for s, srv := range d.srvs {
-		if err := srv.AdoptShardMap(m, s, d.addrs); err != nil {
-			return res, err
+	var srvs []*rpcnet.Server
+	e, err := func() (*rpcnet.Elastic, error) {
+		for _, entries := range m.Assign(data) {
+			srv, err := newServer(entries)
+			if err != nil {
+				return nil, err
+			}
+			srvs = append(srvs, srv)
 		}
+		return rpcnet.NewElastic(m, srvs, func() (*rpcnet.Server, error) { return newServer(nil) }, wait)
+	}()
+	if err != nil {
+		for _, s := range srvs {
+			s.Close()
+		}
+		return res, err
 	}
+	defer e.Close()
 
-	routers := make([]*rpcnet.Router, loaders)
+	routers = make([]*rpcnet.Router, loaders)
 	for i := range routers {
-		c, err := rpcnet.Connect(d.addrs,
+		c, err := rpcnet.Connect(e.Addrs(),
 			rpcnet.WithDeadline(deadline),
 			rpcnet.WithSeed(o.Seed+int64(i)),
 			// No replicas to fail over to: a generous liveness window keeps
@@ -263,107 +198,105 @@ func runAutoscaleMode(o Options, data []rtree.Entry, staticK int,
 		defer c.Close()
 		routers[i] = c.(*rpcnet.Router)
 	}
-	d.routers = routers
 
 	var ctl *autoscale.Controller
-	var stop chan struct{}
-	if autoscaled {
-		ctl = autoscale.NewController(asScraper{d}, d, autoscale.PolicyConfig{
-			TargetUtil:  0.5,
-			ScaleUpUtil: 0.7,
-			MaxK:        4,
-			Cooldown:    10 * hb,
-			// The modeled capacity is the paced TX line; CPU on the
-			// shared bench box reflects every co-located server plus the
-			// loaders and would nominate hot shards at random.
-			TXOnly: true,
-		})
-		stop = make(chan struct{})
-		go ctl.Run(stop, 2*hb)
+	stop := make(chan struct{})
+	var ran sync.WaitGroup
+	if staticK == 0 {
+		ctl = autoscale.NewController(e, e, policy)
+		ran.Add(1)
+		go func() {
+			defer ran.Done()
+			ctl.Run(stop, 2*hb)
+		}()
 	}
 
-	type loadOut struct {
-		ops, violations, overloaded int
-		lats                        []time.Duration
-		err                         error
-	}
-	outs := make([]loadOut, loaders)
+	logs := make([]opLog, loaders)
+	errs := make([]error, loaders)
 	var wg sync.WaitGroup
-	for li := 0; li < loaders; li++ {
-		li := li
+	for li, r := range routers {
+		li, r := li, r
+		logs[li].slo = slo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := &outs[li]
-			rng := rand.New(rand.NewSource(o.Seed + 1000 + int64(li)))
-			r := routers[li]
-			nextRef := uint64(1<<30) + uint64(li)<<20
-			out.lats = make([]time.Duration, 0, opsPerLoader)
-			for _, ph := range diurnalPhases {
-				n := int(ph.frac * float64(opsPerLoader))
-				for i := 0; i < n; i++ {
-					var q geo.Rect
-					if rng.Float64() < ph.hot {
-						// Hot queries are broad district scans: ~100-item
-						// results whose responses saturate the TX line.
-						q = randRectIn(rng, hotDistrict, 0.07)
-					} else {
-						q = randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.03)
-					}
-					t0 := time.Now()
-					var err error
-					if rng.Float64() < 0.1 {
-						err = r.Insert(randRectIn(rng, q, 0.001), nextRef)
-						nextRef++
-					} else {
-						_, _, err = r.Search(q)
-					}
-					lat := time.Since(t0)
-					out.ops++
-					out.lats = append(out.lats, lat)
-					if errors.Is(err, rpcnet.ErrOverloaded) {
-						out.overloaded++
-					}
-					if err != nil || lat > slo {
-						out.violations++
-					}
-					if err != nil && !errors.Is(err, rpcnet.ErrOverloaded) {
-						// Any non-shed error is a correctness failure of the
-						// deployment, not load: surface it.
-						out.err = err
-						return
-					}
-					if ph.pause > 0 {
-						time.Sleep(ph.pause)
-					}
-				}
-			}
+			errs[li] = load(li, r, &logs[li])
 		}()
 	}
 	wg.Wait()
-	if stop != nil {
-		close(stop)
+	close(stop)
+	ran.Wait()
+	if ctl != nil {
 		res.splits = ctl.Stats().Splits
 	}
+	if err := errors.Join(errs...); err != nil {
+		return res, err
+	}
 
-	var lats []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return res, outs[i].err
-		}
-		res.ops += outs[i].ops
-		res.violations += outs[i].violations
-		res.overloaded += outs[i].overloaded
-		lats = append(lats, outs[i].lats...)
+	var lats, crowd []time.Duration
+	for _, l := range logs {
+		res.ops += l.ops
+		res.violations += l.violations
+		res.overloaded += l.overloaded
+		lats = append(lats, l.lats...)
+		crowd = append(crowd, l.crowdLats...)
+	}
+	res.p99, res.crowdP99 = p99(lats), p99(crowd)
+	res.m = e.Map()
+	res.finalK = res.m.K()
+	return res, nil
+}
+
+// elasticHeartbeat is the heartbeat interval of both live-resharding
+// ablations: the options', at least 2 ms.
+func elasticHeartbeat(o Options) time.Duration {
+	return max(o.HeartbeatInv, 2*time.Millisecond)
+}
+
+// p99 is the 99th-percentile latency (0 for none); it sorts lats.
+func p99(lats []time.Duration) time.Duration {
+	if len(lats) == 0 {
+		return 0
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		res.p99 = lats[len(lats)*99/100]
+	return lats[len(lats)*99/100]
+}
+
+// autoscaleLoad is one loader's diurnal replay: hot-district scans and
+// uniform scans with 10 % inserts, paced per phase.
+func autoscaleLoad(o Options, opsPerLoader int) func(li int, r *rpcnet.Router, log *opLog) error {
+	return func(li int, r *rpcnet.Router, log *opLog) error {
+		rng := rand.New(rand.NewSource(o.Seed + 1000 + int64(li)))
+		nextRef := uint64(1<<30) + uint64(li)<<20
+		for phase, ph := range diurnalPhases {
+			n := int(ph.frac * float64(opsPerLoader))
+			for i := 0; i < n; i++ {
+				var q geo.Rect
+				if rng.Float64() < ph.hot {
+					// Hot queries are broad district scans: ~100-item
+					// results whose responses saturate the TX line.
+					q = randRectIn(rng, hotDistrict, 0.07)
+				} else {
+					q = randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.03)
+				}
+				t0 := time.Now()
+				var err error
+				if rng.Float64() < 0.1 {
+					err = r.Insert(randRectIn(rng, q, 0.001), nextRef)
+					nextRef++
+				} else {
+					_, _, err = r.Search(q)
+				}
+				if err := log.record(phase, t0, err); err != nil {
+					return err
+				}
+				if ph.pause > 0 {
+					time.Sleep(ph.pause)
+				}
+			}
+		}
+		return nil
 	}
-	d.mu.Lock()
-	res.finalK = d.m.K()
-	d.mu.Unlock()
-	return res, nil
 }
 
 // randRectIn draws a query rect of the given edge whose origin falls
@@ -411,7 +344,20 @@ func AblationAutoscale(o Options) (*stats.Table, error) {
 	)
 
 	table := stats.NewTable("mode", "finalK", "splits", "ops", "violations", "viol%", "overloaded", "p99_us")
-	addRow := func(mode string, r asResult) {
+	run := func(mode string, staticK int) error {
+		r, err := runElastic(o, data, staticK, loaders, autoscale.PolicyConfig{
+			TargetUtil:  0.5,
+			ScaleUpUtil: 0.7,
+			MaxK:        4,
+			Cooldown:    10 * elasticHeartbeat(o),
+			// The modeled capacity is the paced TX line; CPU on the shared
+			// bench box reflects every co-located server plus the loaders
+			// and would nominate hot shards at random.
+			TXOnly: true,
+		}, deadline, slo, autoscaleLoad(o, opsPerLoader))
+		if err != nil {
+			return fmt.Errorf("ablation autoscale %s: %w", mode, err)
+		}
 		table.AddRow(mode,
 			fmt.Sprintf("%d", r.finalK),
 			fmt.Sprintf("%d", r.splits),
@@ -420,18 +366,15 @@ func AblationAutoscale(o Options) (*stats.Table, error) {
 			fmt.Sprintf("%.2f", 100*float64(r.violations)/float64(max(r.ops, 1))),
 			fmt.Sprintf("%d", r.overloaded),
 			fmtDur(r.p99))
+		return nil
 	}
 	for _, k := range []int{1, 2, 4} {
-		r, err := runAutoscaleMode(o, data, k, loaders, opsPerLoader, deadline, slo)
-		if err != nil {
-			return nil, fmt.Errorf("ablation autoscale static K=%d: %w", k, err)
+		if err := run(fmt.Sprintf("static-%d", k), k); err != nil {
+			return nil, err
 		}
-		addRow(fmt.Sprintf("static-%d", k), r)
 	}
-	r, err := runAutoscaleMode(o, data, 0, loaders, opsPerLoader, deadline, slo)
-	if err != nil {
-		return nil, fmt.Errorf("ablation autoscale: %w", err)
+	if err := run("autoscale", 0); err != nil {
+		return nil, err
 	}
-	addRow("autoscale", r)
 	return table, nil
 }

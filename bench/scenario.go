@@ -11,9 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/autoscale"
@@ -26,7 +23,6 @@ import (
 	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/stats"
-	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 	"github.com/catfish-db/catfish/internal/workload"
 )
@@ -347,9 +343,26 @@ func AblationHotspot(o Options) (*stats.Table, error) {
 		deadline = 5 * time.Millisecond
 		slo      = 5 * time.Millisecond
 	)
+	hb := elasticHeartbeat(o)
 	table := stats.NewTable("mode", "finalK", "splits", "ops", "viol%", "overloaded",
 		"p99_us", "crowd_p99_us", "hotshard")
-	addRow := func(mode string, r hotspotResult) {
+	run := func(mode string, staticK int) error {
+		// MaxK leaves headroom beyond the first hotspot's splits (the crowd
+		// migrates twice more, and a controller that spent its whole split
+		// budget on phase 0 cannot chase it), but not much more: every
+		// split stalls in-flight ops while the peeled half streams over,
+		// so an over-eager policy buys its extra shards with a reshard
+		// tail that swamps the p99 it was meant to cut.
+		r, err := runElastic(o, data, staticK, loaders, autoscale.PolicyConfig{
+			TargetUtil:  0.5,
+			ScaleUpUtil: 0.8,
+			MaxK:        8,
+			Cooldown:    25 * hb,
+			TXOnly:      true,
+		}, deadline, slo, hotspotLoad(o, opsPerLoader))
+		if err != nil {
+			return fmt.Errorf("ablation hotspot %s: %w", mode, err)
+		}
 		table.AddRow(mode,
 			fmt.Sprintf("%d", r.finalK),
 			fmt.Sprintf("%d", r.splits),
@@ -358,20 +371,17 @@ func AblationHotspot(o Options) (*stats.Table, error) {
 			fmt.Sprintf("%d", r.overloaded),
 			fmtDur(r.p99),
 			fmtDur(r.crowdP99),
-			fmt.Sprintf("%d", r.hotShard))
+			fmt.Sprintf("%d", hotOwner(o, r.m)))
+		return nil
 	}
 	for _, k := range []int{1, 4} {
-		r, err := runHotspotMode(o, data, k, loaders, opsPerLoader, deadline, slo)
-		if err != nil {
-			return nil, fmt.Errorf("ablation hotspot static K=%d: %w", k, err)
+		if err := run(fmt.Sprintf("static-%d", k), k); err != nil {
+			return nil, err
 		}
-		addRow(fmt.Sprintf("static-%d", k), r)
 	}
-	r, err := runHotspotMode(o, data, 0, loaders, opsPerLoader, deadline, slo)
-	if err != nil {
-		return nil, fmt.Errorf("ablation hotspot: %w", err)
+	if err := run("autoscale", 0); err != nil {
+		return nil, err
 	}
-	addRow("autoscale", r)
 	return table, nil
 }
 
@@ -385,244 +395,62 @@ const hotspotPhases = 3
 // isolates it).
 const hotspotGrid = 4
 
-type hotspotResult struct {
-	ops, violations, overloaded int
-	finalK                      int
-	splits                      uint64
-	p99, crowdP99               time.Duration
-	hotShard                    int
+// phaseGrid is the flash crowd's Zipf grid in one phase. Every loader
+// derives it from the same seed, so the whole fleet agrees on where the
+// crowd is — that agreement is what makes it a flash crowd — while each
+// samples from its own instance (rand.Zipf is not goroutine-safe).
+func phaseGrid(o Options, phase int) *scenario.ZipfGrid {
+	return scenario.NewZipfGrid(rand.New(rand.NewSource(o.Seed*31+int64(phase))), hotspotGrid, 1.4)
 }
 
-// runHotspotMode replays the flash-crowd trace against one deployment
-// (staticK > 0 fixed, 0 autoscaled from K=1), reusing the autoscale
-// ablation's live-resharding deployment machinery. Every loader derives
-// each phase's Zipf grid from the same seed, so the whole fleet agrees on
-// where the crowd is — that agreement is what makes it a flash crowd.
-func runHotspotMode(o Options, data []rtree.Entry, staticK, loaders, opsPerLoader int,
-	deadline, slo time.Duration) (hotspotResult, error) {
-	var res hotspotResult
-	k := staticK
-	autoscaled := staticK == 0
-	if autoscaled {
-		k = 1
-	}
-	hb := o.HeartbeatInv
-	if hb < 2*time.Millisecond {
-		hb = 2 * time.Millisecond
-	}
-	m, err := shard.Build(data, shard.Config{K: k, MaxInsertEdge: 0.01})
-	if err != nil {
-		return res, err
-	}
-	d := &asDeploy{m: m, hb: hb}
-	d.srvCfg = func() rpcnet.ServerConfig {
-		return rpcnet.ServerConfig{
-			HeartbeatInterval: hb,
-			TXLineRateBps:     100e6,
-			PaceTX:            true,
-			AdmissionUtil:     0.75,
-		}
-	}
-	defer d.close()
+// hotOwner is the shard of m that owns the last phase's hot cell.
+func hotOwner(o Options, m *shard.Map) int {
+	return m.Owner(geo.PointRect(phaseGrid(o, hotspotPhases-1).HotCell().Center()))
+}
 
-	assign := m.Assign(data)
-	for s := 0; s < k; s++ {
-		srv, addr, url, err := d.newASServer(assign[s], autoscaled)
-		if err != nil {
-			return res, err
-		}
-		d.srvs = append(d.srvs, srv)
-		d.addrs = append(d.addrs, addr)
-		if autoscaled {
-			d.urls = append(d.urls, url)
-		}
-	}
-	for s, srv := range d.srvs {
-		if err := srv.AdoptShardMap(m, s, d.addrs); err != nil {
-			return res, err
-		}
-	}
-
-	routers := make([]*rpcnet.Router, loaders)
-	for i := range routers {
-		c, err := rpcnet.Connect(d.addrs,
-			rpcnet.WithDeadline(deadline),
-			rpcnet.WithSeed(o.Seed+int64(i)),
-			rpcnet.WithHealthMultiple(100),
-		)
-		if err != nil {
-			return res, err
-		}
-		defer c.Close()
-		routers[i] = c.(*rpcnet.Router)
-	}
-	d.routers = routers
-
-	// Hotspot-shard telemetry: where the crowd is, and which shard owns it.
-	// The gauges read only atomics, so a scrape never touches router state.
-	var hotCellBits atomic.Uint64 // packed (phase<<32 | cell) of the current hot cell
-	hotOps := make([]atomic.Uint64, 16)
-	reg := telemetry.NewRegistry()
-	hotOwner := func() int {
-		cell := int(hotCellBits.Load() & 0xffffffff)
-		cw := 1.0 / hotspotGrid
-		cx := (float64(cell%hotspotGrid) + 0.5) * cw
-		cy := (float64(cell/hotspotGrid) + 0.5) * cw
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.m.Owner(geo.PointRect(cx, cy))
-	}
-	reg.GaugeFunc("catfish_hotspot_shard", func() float64 { return float64(hotOwner()) })
-	for s := range hotOps {
-		s := s
-		reg.With("shard", fmt.Sprintf("%d", s)).CounterFunc("catfish_hotspot_ops_total", func() uint64 {
-			return hotOps[s].Load()
+// hotspotLoad is one loader's flash-crowd replay: broad scans at the
+// phase's hotspot, courier MOVEs, kNN at the hotspot and uniform scans.
+func hotspotLoad(o Options, opsPerLoader int) func(li int, r *rpcnet.Router, log *opLog) error {
+	return func(li int, r *rpcnet.Router, log *opLog) error {
+		rng := rand.New(rand.NewSource(o.Seed + 2000 + int64(li)))
+		// Each loader's courier fleet: MOVEs are upserts, so the first
+		// move of each object inserts it into the live tree.
+		fleet := scenario.NewMovingObjects(rng, scenario.MovingConfig{
+			N: 64, RefBase: uint64(1<<30) + uint64(li)<<20,
 		})
-	}
-
-	var ctl *autoscale.Controller
-	var stop chan struct{}
-	if autoscaled {
-		// MaxK leaves headroom beyond the first hotspot's splits (the crowd
-		// migrates twice more, and a controller that spent its whole split
-		// budget on phase 0 cannot chase it), but not much more: every
-		// split stalls in-flight ops while the peeled half streams over,
-		// so an over-eager policy buys its extra shards with a reshard
-		// tail that swamps the p99 it was meant to cut.
-		ctl = autoscale.NewController(asScraper{d}, d, autoscale.PolicyConfig{
-			TargetUtil:  0.5,
-			ScaleUpUtil: 0.8,
-			MaxK:        8,
-			Cooldown:    25 * hb,
-			TXOnly:      true,
-		})
-		stop = make(chan struct{})
-		go ctl.Run(stop, 2*hb)
-	}
-
-	phaseGrid := func(phase int) *scenario.ZipfGrid {
-		// Same seed across loaders ⇒ same permutation ⇒ the fleet agrees
-		// on the hotspot; each loader still samples from its own instance
-		// (rand.Zipf is not goroutine-safe).
-		return scenario.NewZipfGrid(rand.New(rand.NewSource(o.Seed*31+int64(phase))), hotspotGrid, 1.4)
-	}
-
-	type loadOut struct {
-		ops, violations, overloaded int
-		lats, crowdLats             []time.Duration
-		err                         error
-	}
-	outs := make([]loadOut, loaders)
-	var wg sync.WaitGroup
-	for li := 0; li < loaders; li++ {
-		li := li
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := &outs[li]
-			rng := rand.New(rand.NewSource(o.Seed + 2000 + int64(li)))
-			r := routers[li]
-			// Each loader's courier fleet: MOVEs are upserts, so the first
-			// move of each object inserts it into the live tree.
-			fleet := scenario.NewMovingObjects(rng, scenario.MovingConfig{
-				N: 64, RefBase: uint64(1<<30) + uint64(li)<<20,
-			})
-			var pending []scenario.Move
-			opsPerPhase := opsPerLoader / hotspotPhases
-			for phase := 0; phase < hotspotPhases; phase++ {
-				grid := phaseGrid(phase)
-				if li == 0 {
-					hotCellBits.Store(uint64(phase)<<32 | uint64(gridCell(grid)))
+		var pending []scenario.Move
+		for phase := 0; phase < hotspotPhases; phase++ {
+			grid := phaseGrid(o, phase)
+			for i := 0; i < opsPerLoader/hotspotPhases; i++ {
+				t0 := time.Now()
+				var err error
+				switch draw := rng.Float64(); {
+				case draw < 0.70:
+					// The crowd: broad scans at the hotspot saturate the
+					// hot shard's TX line.
+					x, y := grid.Point(rng)
+					_, _, err = r.Search(randRectIn(rng, geo.PointRect(x, y), 0.07))
+				case draw < 0.80:
+					// Courier position updates ride along.
+					if len(pending) == 0 {
+						pending = fleet.Tick(rng, pending)
+					}
+					mv := pending[len(pending)-1]
+					pending = pending[:len(pending)-1]
+					err = r.Move(mv.From, mv.To, mv.Ref)
+				case draw < 0.90:
+					// "Nearest drivers" at the hotspot.
+					x, y := grid.Point(rng)
+					_, _, err = r.Nearest(8, x, y)
+				default:
+					q := randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.03)
+					_, _, err = r.Search(q)
 				}
-				for i := 0; i < opsPerPhase; i++ {
-					t0 := time.Now()
-					var err error
-					switch draw := rng.Float64(); {
-					case draw < 0.70:
-						// The crowd: broad scans at the hotspot saturate the
-						// hot shard's TX line.
-						x, y := grid.Point(rng)
-						q := randRectIn(rng, geo.PointRect(x, y), 0.07)
-						hotOps[ownerOf(d, q)%16].Add(1)
-						_, _, err = r.Search(q)
-					case draw < 0.80:
-						// Courier position updates ride along.
-						if len(pending) == 0 {
-							pending = fleet.Tick(rng, pending)
-						}
-						mv := pending[len(pending)-1]
-						pending = pending[:len(pending)-1]
-						err = r.Move(mv.From, mv.To, mv.Ref)
-					case draw < 0.90:
-						// "Nearest drivers" at the hotspot.
-						x, y := grid.Point(rng)
-						_, _, err = r.Nearest(8, x, y)
-					default:
-						q := randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.03)
-						_, _, err = r.Search(q)
-					}
-					lat := time.Since(t0)
-					out.ops++
-					out.lats = append(out.lats, lat)
-					if phase > 0 {
-						out.crowdLats = append(out.crowdLats, lat)
-					}
-					if errors.Is(err, rpcnet.ErrOverloaded) {
-						out.overloaded++
-					}
-					if err != nil || lat > slo {
-						out.violations++
-					}
-					if err != nil && !errors.Is(err, rpcnet.ErrOverloaded) {
-						out.err = err
-						return
-					}
+				if err := log.record(phase, t0, err); err != nil {
+					return err
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	if stop != nil {
-		close(stop)
-		res.splits = ctl.Stats().Splits
-	}
-
-	var lats, crowd []time.Duration
-	for i := range outs {
-		if outs[i].err != nil {
-			return res, outs[i].err
 		}
-		res.ops += outs[i].ops
-		res.violations += outs[i].violations
-		res.overloaded += outs[i].overloaded
-		lats = append(lats, outs[i].lats...)
-		crowd = append(crowd, outs[i].crowdLats...)
+		return nil
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	sort.Slice(crowd, func(i, j int) bool { return crowd[i] < crowd[j] })
-	if len(lats) > 0 {
-		res.p99 = lats[len(lats)*99/100]
-	}
-	if len(crowd) > 0 {
-		res.crowdP99 = crowd[len(crowd)*99/100]
-	}
-	res.hotShard = hotOwner()
-	d.mu.Lock()
-	res.finalK = d.m.K()
-	d.mu.Unlock()
-	return res, nil
-}
-
-// gridCell returns the hot (rank-1) cell index of g.
-func gridCell(g *scenario.ZipfGrid) int {
-	hot := g.HotCell()
-	x, y := hot.Center()
-	return int(y*hotspotGrid)*hotspotGrid + int(x*hotspotGrid)
-}
-
-// ownerOf looks up q's owning shard under the deployment's current map.
-func ownerOf(d *asDeploy, q geo.Rect) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m.Owner(q)
 }

@@ -21,7 +21,9 @@ import (
 	"time"
 
 	catfish "github.com/catfish-db/catfish"
+	"github.com/catfish-db/catfish/internal/autoscale"
 	"github.com/catfish-db/catfish/internal/dataio"
+	"github.com/catfish-db/catfish/internal/rpcnet"
 )
 
 func main() {
@@ -184,12 +186,6 @@ func run() error {
 		}()
 	}
 
-	// The autoscaler scrapes the server's own registry in-process, so it
-	// works without -metrics-addr — but the gauges must exist before Listen.
-	if *autoscaleOn && srvCfg.Metrics == nil {
-		srvCfg.Metrics = catfish.NewRegistry()
-	}
-
 	srv, err := catfish.Listen(*addr, tree, srvCfg)
 	if err != nil {
 		return err
@@ -198,43 +194,70 @@ func run() error {
 		srv.Addr(), tree.RootChunk(), reg.ChunkSize())
 
 	if *autoscaleOn {
-		// A committed K=1 map (carrying the address table) is what
-		// PrepareReshard subdivides on the first split.
-		m, err := catfish.BuildShardMap(entries, catfish.ShardConfig{K: 1, MaxInsertEdge: *maxInsert})
-		if err != nil {
+		if err := startAutoscaler(srv, srvCfg, entries, *maxInsert, chunks); err != nil {
 			return err
 		}
-		if err := srv.AdoptShardMap(m, 0, []string{srv.Addr().String()}); err != nil {
-			return err
-		}
-		host, _, err := net.SplitHostPort(srv.Addr().String())
-		if err != nil {
-			return err
-		}
-		base := srvCfg
-		base.ShardMap = nil
-		base.ShardIndex = 0
-		base.Trace = nil
-		sc := &selfScaler{
-			srvs:  []*catfish.NetServer{srv},
-			regs:  []*catfish.Registry{srvCfg.Metrics},
-			addrs: []string{srv.Addr().String()},
-			hb:    *heartbeat,
-			host:  host,
-			newCfg: func(r *catfish.Registry) catfish.NetServerConfig {
-				cfg := base
-				cfg.Metrics = r
-				return cfg
-			},
-			newTree: func() (*catfish.Tree, error) {
-				r, err := catfish.NewMemoryRegion(chunks*2, 4096)
-				if err != nil {
-					return nil, err
-				}
-				return catfish.NewTree(r, catfish.TreeConfig{})
-			},
-		}
-		go runSelfScaler(sc)
 	}
 	return srv.Serve()
+}
+
+// startAutoscaler grows this process from its one server: an
+// autoscale.Controller on the policy's default thresholds drives an
+// rpcnet.Elastic that splits a hot shard into another listener on the same
+// interface. Routers adopt the bumped map from heartbeats; they are remote,
+// so the old shard drains after a fixed 20 heartbeats, well past their
+// liveness window (a straggler still reads the dual-written old shard until
+// it converges).
+func startAutoscaler(srv *catfish.NetServer, cfg catfish.NetServerConfig, entries []catfish.Entry, maxInsert float64, chunks int) error {
+	m, err := catfish.BuildShardMap(entries, catfish.ShardConfig{K: 1, MaxInsertEdge: maxInsert})
+	if err != nil {
+		return err
+	}
+	host, _, err := net.SplitHostPort(srv.Addr().String())
+	if err != nil {
+		return err
+	}
+	hb := cfg.HeartbeatInterval
+	cfg.Metrics, cfg.Trace = nil, nil // the admin endpoint serves the first server's
+	listen := func() (*catfish.NetServer, error) {
+		reg, err := catfish.NewMemoryRegion(chunks*2, 4096)
+		if err != nil {
+			return nil, err
+		}
+		tree, err := catfish.NewTree(reg, catfish.TreeConfig{})
+		if err != nil {
+			return nil, err
+		}
+		s, err := catfish.Listen(net.JoinHostPort(host, "0"), tree, cfg)
+		if err != nil {
+			return nil, err
+		}
+		go s.Serve() //nolint:errcheck // returns on Close
+		return s, nil
+	}
+	wait := func(stop <-chan struct{}, _ uint64) {
+		select {
+		case <-time.After(20 * hb):
+		case <-stop:
+		}
+	}
+	e, err := rpcnet.NewElastic(m, []*catfish.NetServer{srv}, listen, wait)
+	if err != nil {
+		return err
+	}
+	ctl := autoscale.NewController(e, loggedSplits{e}, autoscale.PolicyConfig{Cooldown: 10 * hb})
+	log.Printf("autoscale: controller on")
+	go ctl.Run(make(chan struct{}), 2*hb)
+	return nil
+}
+
+// loggedSplits logs each split that succeeds.
+type loggedSplits struct{ *rpcnet.Elastic }
+
+func (l loggedSplits) Split(i int) (int, error) {
+	k, err := l.Elastic.Split(i)
+	if err == nil {
+		log.Printf("autoscale: split shard %d -> K=%d (new server on %s)", i, k, l.Addrs()[k-1])
+	}
+	return k, err
 }

@@ -1,36 +1,31 @@
 // Package autoscale is the telemetry-driven shard autoscaler (DESIGN.md
-// §5.12): a control loop scrapes every shard's /metrics endpoint for the
-// heartbeat utilization gauges, computes a utilization-based desired shard
-// count, and — when a shard pegs past the scale-up threshold — drives the
-// deployment through the live-resharding path (PrepareReshard →
-// CommitReshard → DrainSplit) to split the hottest shard. Scaling is
-// split-only: cells subdivide under load and stay subdivided, so the
-// desired K is monotone within a run.
+// §5.12): a control loop scrapes every shard's smoothed heartbeat
+// utilization, computes a utilization-based desired shard count, and — when
+// a shard pegs past the scale-up threshold — splits the hottest shard
+// through the live-resharding path. Scaling is split-only: cells subdivide
+// under load and stay subdivided, so the desired K is monotone within a run.
 //
 // The loop is deliberately split into pure pieces — Scraper (observation),
 // Decide (policy), Actuator (actuation) — so the policy is unit-testable
-// without sockets and the actuator is swappable between an in-process
-// split (bench, cmd/catfish-server -autoscale) and an operator-driven one.
+// without sockets. rpcnet.Elastic is both the Scraper and the Actuator of a
+// live deployment: it reads each server's utilization gauges in-process and
+// splits a shard with the dual-write, commit and drain sequence; both
+// autoscalers (catfish-server -autoscale and the bench's wall-clock
+// ablations) run it.
 package autoscale
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
 // Sample is one shard's scraped utilization observation. Util and TXUtil
 // mirror the catfish_server_utilization and catfish_server_tx_utilization
-// gauges — the same EWMA'd heartbeat words Algorithm 1 and the admission
-// controller consume, so the autoscaler reacts to exactly the signal that
-// makes servers shed.
+// gauges — the smoothed heartbeat utilizations the admission controller
+// arms on, so the autoscaler reacts to exactly the signal that makes
+// servers shed.
 type Sample struct {
 	Shard  int
 	Util   float64
@@ -44,88 +39,6 @@ func (s Sample) Peak() float64 { return math.Max(s.Util, s.TXUtil) }
 // Scraper observes the current utilization of every shard, in shard order.
 type Scraper interface {
 	Scrape() ([]Sample, error)
-}
-
-// HTTPScraper scrapes Prometheus text /metrics endpoints, one per shard.
-type HTTPScraper struct {
-	// URLs holds one metrics endpoint per shard, in shard order (e.g.
-	// "http://10.0.0.1:9090/metrics").
-	URLs []string
-	// Client overrides http.DefaultClient (set a Timeout in production).
-	Client *http.Client
-}
-
-// Scrape fetches every endpoint; per-shard failures are recorded in the
-// sample rather than failing the sweep, so one dead scrape target does not
-// blind the controller to the others.
-func (h *HTTPScraper) Scrape() ([]Sample, error) {
-	if len(h.URLs) == 0 {
-		return nil, errors.New("autoscale: no scrape targets")
-	}
-	cli := h.Client
-	if cli == nil {
-		cli = http.DefaultClient
-	}
-	out := make([]Sample, len(h.URLs))
-	for i, url := range h.URLs {
-		out[i].Shard = i
-		resp, err := cli.Get(url)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		u, tx, perr := ParseUtilization(resp.Body)
-		resp.Body.Close()
-		if perr != nil {
-			out[i].Err = perr
-			continue
-		}
-		out[i].Util, out[i].TXUtil = u, tx
-	}
-	return out, nil
-}
-
-// ParseUtilization extracts the utilization gauges from a Prometheus text
-// (0.0.4) exposition. Labelled variants ({shard="0"} etc.) are accepted;
-// a missing gauge reads as 0 (servers without heartbeats never move it).
-func ParseUtilization(r io.Reader) (util, tx float64, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		name, val, ok := splitSeries(line)
-		if !ok {
-			continue
-		}
-		switch name {
-		case "catfish_server_utilization":
-			util = val
-		case "catfish_server_tx_utilization":
-			tx = val
-		}
-	}
-	return util, tx, sc.Err()
-}
-
-// splitSeries parses one exposition line into its base metric name
-// (labels stripped) and value.
-func splitSeries(line string) (name string, val float64, ok bool) {
-	sp := strings.LastIndexByte(line, ' ')
-	if sp < 0 {
-		return "", 0, false
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(line[sp+1:]), 64)
-	if err != nil {
-		return "", 0, false
-	}
-	name = line[:sp]
-	if br := strings.IndexByte(name, '{'); br >= 0 {
-		name = name[:br]
-	}
-	return name, v, true
 }
 
 // PolicyConfig tunes the scaling policy.

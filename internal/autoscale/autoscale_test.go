@@ -2,47 +2,9 @@ package autoscale
 
 import (
 	"errors"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestParseUtilization(t *testing.T) {
-	exposition := `# TYPE catfish_server_utilization gauge
-catfish_server_utilization 0.42
-# TYPE catfish_server_tx_utilization gauge
-catfish_server_tx_utilization 0.17
-# TYPE catfish_server_searches_total counter
-catfish_server_searches_total 12345
-`
-	u, tx, err := ParseUtilization(strings.NewReader(exposition))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 0.42 || tx != 0.17 {
-		t.Fatalf("parsed util=%g tx=%g, want 0.42 0.17", u, tx)
-	}
-
-	// Labelled series (a registry shared with per-shard labels) parse too.
-	labelled := `catfish_server_utilization{shard="3"} 0.9
-catfish_server_tx_utilization{shard="3"} 0.5
-`
-	u, tx, err = ParseUtilization(strings.NewReader(labelled))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 0.9 || tx != 0.5 {
-		t.Fatalf("labelled parse util=%g tx=%g, want 0.9 0.5", u, tx)
-	}
-
-	// Missing gauges read as zero, not an error.
-	u, tx, err = ParseUtilization(strings.NewReader("other_metric 1\n"))
-	if err != nil || u != 0 || tx != 0 {
-		t.Fatalf("missing gauges: util=%g tx=%g err=%v, want zeros", u, tx, err)
-	}
-}
 
 func TestDecide(t *testing.T) {
 	cfg := PolicyConfig{TargetUtil: 0.6, ScaleUpUtil: 0.8, MaxK: 4}
@@ -158,24 +120,5 @@ func TestControllerCooldown(t *testing.T) {
 	}
 	if got := c.Stats().Splits; got != 2 {
 		t.Fatalf("stats splits = %d, want 2", got)
-	}
-}
-
-func TestHTTPScraper(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("catfish_server_utilization 0.7\ncatfish_server_tx_utilization 0.3\n"))
-	}))
-	defer srv.Close()
-
-	h := &HTTPScraper{URLs: []string{srv.URL, "http://127.0.0.1:1/metrics"}}
-	samples, err := h.Scrape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples[0].Err != nil || samples[0].Util != 0.7 || samples[0].TXUtil != 0.3 {
-		t.Fatalf("good endpoint: %+v", samples[0])
-	}
-	if samples[1].Err == nil {
-		t.Fatal("dead endpoint scraped without error")
 	}
 }

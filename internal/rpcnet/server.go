@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -139,7 +138,7 @@ type ServerConfig struct {
 	// ShardAddrs optionally lists every shard's client-reachable address,
 	// in cell order. It is served with the shard map so routers can dial
 	// shards that appear mid-run (live resharding), and it seeds the
-	// address table PrepareReshard extends.
+	// address table a split extends.
 	ShardAddrs []string
 
 	// Replica arms shard replication (DESIGN.md §5.11): a primary streams
@@ -178,11 +177,8 @@ type Server struct {
 	disp   *dispatcher
 	pacer  *txPacer // shared outbound budget (nil unless PaceTX)
 
-	// Admission control: smoothed heartbeat utilizations (float bits) the
-	// armed check reads, and the shed-operation counter.
-	admitUtilBits atomic.Uint64
-	admitTXBits   atomic.Uint64
-	overloaded    atomic.Uint64
+	// overloaded counts the operations admission control shed.
+	overloaded atomic.Uint64
 
 	epoch      uint64
 	hbPaused   atomic.Bool
@@ -220,8 +216,8 @@ type Server struct {
 	// backups are sockPeers (replica.go).
 	repl *replica.Primary
 
-	// Live resharding state (PrepareReshard/CommitReshard/DrainSplit in
-	// replica.go). served is the shard identity currently advertised —
+	// Live resharding state (prepareReshard/commitReshard/drainSplit in
+	// elastic.go). served is the shard identity currently advertised —
 	// hello, MsgShardMap, and heartbeats all read it — swapped atomically
 	// when a reshard commits or a fresh server adopts a map.
 	served       atomic.Pointer[servedMap]
@@ -391,6 +387,9 @@ func (s *Server) Close() error {
 	}
 	s.disp.close()
 	s.wg.Wait()
+	if sp := s.split.Swap(nil); sp != nil {
+		sp.cli.Close() // a split closed before its drain
+	}
 	return err
 }
 
@@ -417,7 +416,7 @@ type ServerStats struct {
 	// heartbeat's TX-utilization word.
 	TXBytes uint64
 	// ReplShipped counts the records streamed to backups as a primary;
-	// ReshardMoved the entries streamed off this server by PrepareReshard.
+	// ReshardMoved the entries streamed off this server by a split.
 	ReplShipped  uint64
 	ReshardMoved uint64
 	// Overloaded counts operations the admission controller shed with
@@ -783,23 +782,19 @@ func (s *Server) heartbeatLoop() {
 				txUtil = 1
 			}
 		}
-		// Exponentially-smoothed copies for the admission controller, so a
-		// single idle (or busy) tick doesn't flap the armed state.
+		// The gauges hold exponentially-smoothed copies, the one signal the
+		// admission controller and the autoscaler read: a single idle (or
+		// busy) tick must not flap the armed state, and a single-window
+		// sample would make the autoscaler's comparison of shards a coin
+		// flip whenever its scrape lands on an idle beat. Heartbeat wire
+		// values stay raw — the client's adaptive switch wants the
+		// instantaneous signal.
 		const alpha = 0.5
-		smUtil := alpha*math.Float64frombits(s.admitUtilBits.Load()) + (1-alpha)*util
-		smTX := alpha*math.Float64frombits(s.admitTXBits.Load()) + (1-alpha)*txUtil
-		s.admitUtilBits.Store(math.Float64bits(smUtil))
-		s.admitTXBits.Store(math.Float64bits(smTX))
-		// The scrape gauges publish the smoothed copies: the autoscaler
-		// compares shards against each other to nominate the hottest, and
-		// a single-window sample would make that comparison a coin flip
-		// whenever the scrape lands on an idle beat. Heartbeat wire values
-		// stay raw — the client's adaptive switch wants the instantaneous
-		// signal.
-		s.core.Counters.Util.Set(smUtil)
-		s.core.Counters.TXUtil.Set(smTX)
+		c := &s.core.Counters
+		c.Util.Set(alpha*c.Util.Load() + (1-alpha)*util)
+		c.TXUtil.Set(alpha*c.TXUtil.Load() + (1-alpha)*txUtil)
 		// Heartbeats are the liveness signal: never block them on the
-		// latch, which PrepareReshard holds exclusively for the whole
+		// latch, which prepareReshard holds exclusively for the whole
 		// snapshot-and-stream. Under contention the last published root
 		// chunk serves — the tree cannot change while the latch is held.
 		rootChunk := int(s.rootChunkA.Load())
@@ -841,6 +836,5 @@ func (s *Server) admissionArmed() bool {
 	if th <= 0 {
 		return false
 	}
-	return math.Float64frombits(s.admitUtilBits.Load()) >= th ||
-		math.Float64frombits(s.admitTXBits.Load()) >= th
+	return s.core.Counters.Util.Load() >= th || s.core.Counters.TXUtil.Load() >= th
 }
