@@ -3,8 +3,8 @@
 // B+-tree and a cuckoo hash table. A server owns both structures in
 // registered memory; a client performs one-sided lookups over the simulated
 // RDMA fabric (point gets against the hash table, ordered scans against the
-// B+-tree) while the server keeps writing, with cacheline version checks
-// absorbing every torn read.
+// B+-tree by the R-tree's offloaded walk) while the server keeps writing,
+// with cacheline version checks absorbing every torn read.
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	catfish "github.com/catfish-db/catfish"
-	"github.com/catfish-db/catfish/internal/btree"
 	"github.com/catfish-db/catfish/internal/cuckoo"
 )
 
@@ -62,10 +61,26 @@ func run() error {
 	fmt.Printf("server: B+-tree %d keys (height %d), cuckoo %d keys (load %.0f%%)\n",
 		bt.Len(), bt.Height(), ck.Len(), ck.LoadFactor()*100)
 
-	// Register both regions; the client reads them one-sided.
-	btMem := serverHost.RegisterRegion(btReg)
+	// A KV server serves the B+-tree: the client scans it through a
+	// forced-offload KV client, and reads the cuckoo table's registered
+	// region with raw one-sided reads.
+	srv, err := catfish.NewKVServer(catfish.KVServerConfig{
+		Engine: engine, Host: serverHost, Tree: bt, Cost: catfish.DefaultCostModel(),
+	})
+	if err != nil {
+		return err
+	}
+	ep, err := srv.Connect(clientHost, net, 16)
+	if err != nil {
+		return err
+	}
+	scanner, err := catfish.NewKVClient(catfish.KVClientConfig{
+		Engine: engine, Host: clientHost, Endpoint: ep, Cost: catfish.DefaultCostModel(), Forced: catfish.MethodOffload,
+	})
+	if err != nil {
+		return err
+	}
 	ckMem := serverHost.RegisterRegion(ckReg)
-	btQP, _ := net.ConnectQP(clientHost, serverHost, 8)
 	ckQP, _ := net.ConnectQP(clientHost, serverHost, 8)
 
 	var runErr error
@@ -86,13 +101,6 @@ func run() error {
 	})
 	engine.Spawn("client", func(p *catfish.Proc) {
 		defer engine.Stop()
-		btReader := &catfish.BTreeReader{
-			Fetch: func(id int) ([]byte, error) {
-				return btQP.ReadSync(p, btMem, id*btReg.ChunkSize(), btReg.ChunkSize())
-			},
-			RootChunk:  bt.RootChunk(),
-			MaxEntries: bt.MaxEntries(),
-		}
 		ckReader := &catfish.CuckooReader{
 			Fetch: func(id int) ([]byte, error) {
 				return ckQP.ReadSync(p, ckMem, id*ckReg.ChunkSize(), ckReg.ChunkSize())
@@ -120,7 +128,7 @@ func run() error {
 		hashDur := p.Now() - start
 		start = p.Now()
 		scanned := 0
-		if err := btReader.Range(1000, 1500, func(k, v uint64) bool {
+		if _, err := scanner.Range(p, 1000, 1500, func(k, v uint64) bool {
 			if v != k*2 && v != k*3 {
 				runErr = fmt.Errorf("btree scan %d = %d", k, v)
 				return false
@@ -134,7 +142,7 @@ func run() error {
 		fmt.Printf("client: %d one-sided hash gets in %v (%.1fµs avg, %d torn retries)\n",
 			gets, hashDur, float64(hashDur.Microseconds())/gets, ckReader.TornRetries)
 		fmt.Printf("client: ordered scan of %d keys via B+-tree leaf chain in %v (%d torn retries)\n",
-			scanned, scanDur, btReader.TornRetries)
+			scanned, scanDur, scanner.Stats().TornRetries)
 	})
 	if err := engine.Run(); err != nil {
 		return err
@@ -149,7 +157,6 @@ func run() error {
 	if _, err := ck.Get(keys - 1); err != nil && !errors.Is(err, cuckoo.ErrNotFound) {
 		return err
 	}
-	_ = btree.ErrNotFound
 
 	// --- The full adaptive stack over the B+-tree ------------------------
 	// The same Algorithm 1 switch that drives the R-tree drives a KV

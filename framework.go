@@ -9,15 +9,14 @@ import (
 
 // The paper's §VI frames Catfish as a framework for link-based data
 // structures beyond R-trees; these exports provide two more structures over
-// the same region/version machinery — a B+-tree and a cuckoo hash table —
-// each with a transport-agnostic remote Reader for one-sided lookups.
+// the same region/version machinery: a B+-tree, which a KVClient reads
+// one-sided by the R-tree's offloaded walk, and a cuckoo hash table, whose
+// two-bucket probe is no rooted walk and keeps its own CuckooReader.
 type (
 	// BTree is a B+-tree stored node-per-chunk in a Region.
 	BTree = btree.Tree
 	// BTreeConfig tunes a BTree.
 	BTreeConfig = btree.Config
-	// BTreeReader performs one-sided remote B+-tree lookups and scans.
-	BTreeReader = btree.Reader
 	// CuckooTable is a two-choice cuckoo hash table over a Region.
 	CuckooTable = cuckoo.Table
 	// CuckooConfig tunes a CuckooTable.

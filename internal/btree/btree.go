@@ -162,7 +162,7 @@ func (t *Tree) Get(key uint64) (uint64, error) {
 			return 0, err
 		}
 		if n.IsLeaf() {
-			i := n.search(key)
+			i := n.Search(key)
 			if i < len(n.Entries) && n.Entries[i].Key == key {
 				return n.Entries[i].Val, nil
 			}
@@ -171,7 +171,7 @@ func (t *Tree) Get(key uint64) (uint64, error) {
 		if len(n.Entries) == 0 {
 			return 0, ErrNotFound
 		}
-		id = int(n.Entries[n.childIndex(key)].Val)
+		id = int(n.Entries[n.ChildIndex(key)].Val)
 	}
 }
 
@@ -195,7 +195,7 @@ func (t *Tree) descend(key uint64) ([]pathElem, error) {
 			path = append(path, pe)
 			return path, nil
 		}
-		pe.child = n.childIndex(key)
+		pe.child = n.ChildIndex(key)
 		path = append(path, pe)
 		id = int(n.Entries[pe.child].Val)
 	}
@@ -225,7 +225,7 @@ func (t *Tree) put(key, val uint64, overwrite bool) error {
 		return err
 	}
 	leaf := path[len(path)-1]
-	i := leaf.node.search(key)
+	i := leaf.node.Search(key)
 	if i < len(leaf.node.Entries) && leaf.node.Entries[i].Key == key {
 		if !overwrite {
 			return ErrExists
@@ -356,7 +356,7 @@ func (t *Tree) Range(from, to uint64, fn func(key, val uint64) bool) error {
 	id, n := leaf.id, leaf.node
 	_ = id
 	for {
-		for i := n.search(from); i < len(n.Entries); i++ {
+		for i := n.Search(from); i < len(n.Entries); i++ {
 			e := n.Entries[i]
 			if e.Key > to {
 				return nil

@@ -13,7 +13,7 @@ func (t *Tree) Delete(key uint64) error {
 		return err
 	}
 	leaf := path[len(path)-1]
-	i := leaf.node.search(key)
+	i := leaf.node.Search(key)
 	if i >= len(leaf.node.Entries) || leaf.node.Entries[i].Key != key {
 		return ErrNotFound
 	}

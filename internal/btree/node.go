@@ -9,13 +9,15 @@
 // into, as in the key-value stores the paper cites). Leaves are chained
 // left-to-right for range scans. Like the R-tree, the tree performs no
 // synchronization itself: a server serializes writers, and lock-free remote
-// readers validate per-cacheline versions and retry (see Reader).
+// readers validate per-cacheline versions and retry — the offloaded walk of
+// internal/proto, which internal/kv instantiates over this tree.
 package btree
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // On-chunk node layout (little-endian), inside the region chunk payload:
@@ -95,8 +97,11 @@ func DecodeNode(payload []byte, n *Node, maxEntries int) error {
 	if int(count) > limit || (maxEntries > 0 && int(count) > maxEntries) {
 		return fmt.Errorf("%w: count %d", ErrCorruptNode, count)
 	}
-	n.Level = int(level)
 	next := binary.LittleEndian.Uint64(payload[8:])
+	if next > math.MaxInt {
+		return fmt.Errorf("%w: next %d", ErrCorruptNode, next)
+	}
+	n.Level = int(level)
 	n.Next = int(next) - 1
 	if cap(n.Entries) < int(count) {
 		n.Entries = make([]Entry, count)
@@ -128,8 +133,8 @@ func NodeCapacity(payloadSize int) int {
 	return (payloadSize - headerSize) / entrySize
 }
 
-// search returns the index of the first entry with key >= k, in [0, count].
-func (n *Node) search(k uint64) int {
+// Search returns the index of the first entry with key >= k, in [0, count].
+func (n *Node) Search(k uint64) int {
 	lo, hi := 0, len(n.Entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -142,10 +147,10 @@ func (n *Node) search(k uint64) int {
 	return lo
 }
 
-// childIndex returns the index of the child subtree that may contain k:
+// ChildIndex returns the index of the child subtree that may contain k:
 // the rightmost entry with separator <= k (0 when k precedes all).
-func (n *Node) childIndex(k uint64) int {
-	i := n.search(k)
+func (n *Node) ChildIndex(k uint64) int {
+	i := n.Search(k)
 	if i < len(n.Entries) && n.Entries[i].Key == k {
 		return i
 	}

@@ -8,7 +8,6 @@ package client
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
@@ -134,9 +133,7 @@ type Client struct {
 	ncache *nodecache.Cache
 
 	encBuf []byte
-	// readBatch is the doorbell batch under construction: a traversal wave
-	// or a mailbox pull.
-	readBatch []fabric.ReadReq
+	reads  ReadPort
 }
 
 // New validates the configuration and returns a client.
@@ -148,6 +145,7 @@ func New(cfg Config) (*Client, error) {
 		cfg.HeartbeatInv = 10 * time.Millisecond
 	}
 	c := &Client{cfg: cfg, ep: cfg.Endpoint}
+	c.reads = NewReadPort(cfg.Host, cfg.Cost, c.ep)
 	if cfg.NodeCache > 0 && cfg.Endpoint.RegionVers != nil {
 		c.ncache = nodecache.New(cfg.NodeCache, cfg.HeartbeatInv,
 			cfg.Endpoint.ChunkSize, cfg.Endpoint.RegionVers.VersionsSize())
@@ -193,75 +191,28 @@ func New(cfg Config) (*Client, error) {
 type Handle = proto.Ops[port]
 
 // On returns the client driven by process p; call its operations from p.
-func (c *Client) On(p *sim.Proc) Handle { return proto.Bind(c.Core, port{c: c, p: p}) }
-
-// port is the simulated fabric's proto.Transport: virtual time, the
-// heartbeat mailbox the server writes into client memory, the request and
-// response rings (or the socket baseline's connection), and one-sided reads
-// on the fetch QP.
-type port struct {
-	c *Client
-	p *sim.Proc
+func (c *Client) On(p *sim.Proc) Handle {
+	return proto.Bind(c.Core, port{ReadPort: c.reads.On(p), c: c})
 }
 
-func (h port) Now() time.Duration { return h.p.Now() }
+// port is the simulated fabric's proto.Transport: the offloaded walk's
+// ReadPort, the request and response rings (or the socket baseline's
+// connection), and one-sided mailbox pulls on the fetch QP.
+type port struct {
+	ReadPort
+	c *Client
+}
 
 func (h port) NextID() uint64 {
 	h.c.reqID++
 	return h.c.reqID
 }
 
-// Post posts the wave as one doorbell-batched submission on the data QP:
-// full reads against the chunk region, version reads against its
-// versions-only surface. The fabric merges consecutive adjacent requests up
-// to its profile's span.
-func (h port) Post(wave []proto.Read) (posted, wqes int, err error) {
-	c, ep := h.c, h.c.ep
-	c.readBatch = c.readBatch[:0]
-	for _, r := range wave {
-		req := fabric.ReadReq{Src: ep.RegionMem, Off: ep.RegionMem.ChunkOffset(r.Chunk), Size: ep.ChunkSize, Tag: r.Tag}
-		if r.Versions {
-			rv := ep.RegionVers
-			req = fabric.ReadReq{Src: rv, Off: rv.VersionsOffset(r.Chunk), Size: rv.VersionsSize(), Tag: r.Tag}
-		}
-		c.readBatch = append(c.readBatch, req)
-	}
-	return ep.DataQP.ReadBatch(h.p, c.readBatch)
-}
-
-// Pop blocks on the data QP's completion queue.
-func (h port) Pop() (proto.Done, error) {
-	comp := h.c.ep.DataQP.CQ().Pop(h.p)
-	return proto.Done{Tag: comp.Tag, Data: comp.Data, Err: comp.Err}, nil
-}
-
-func (h port) Charge() {
-	if cpu := h.c.cfg.Host.CPU(); cpu != nil {
-		cpu.Run(h.p, h.c.cfg.Cost.ClientTraversalDemand(1))
-	}
-}
-
-// Heartbeat reads the mailbox's utilization words (the TX word is 0
-// against servers whose mailboxes predate the widened layout).
-func (h port) Heartbeat() (cpu, tx float64) {
-	b := h.c.ep.HeartbeatM.Bytes()
-	cpu = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	if len(b) >= server.HeartbeatMailboxSize {
-		tx = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
-	}
-	return cpu, tx
-}
-
-// ClearHeartbeat clears only the utilization word: the mailbox's second
-// word carries the root version and must persist for the root-cache
-// invalidation check. The switch invokes it exactly once per consumed
-// heartbeat, so it doubles as the counting point.
+// ClearHeartbeat consumes a heartbeat. The switch invokes it exactly once
+// per consumed heartbeat, so it doubles as the counting point.
 func (h port) ClearHeartbeat() {
 	h.c.Counters.HeartbeatsSeen.Inc()
-	b := h.c.ep.HeartbeatM.Bytes()
-	for i := 0; i < 8 && i < len(b); i++ {
-		b[i] = 0
-	}
+	h.ReadPort.ClearHeartbeat()
 }
 
 // HeartbeatSeq returns the sequence number of the last heartbeat written
@@ -278,16 +229,6 @@ func (c *Client) HeartbeatSeq() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b[16:])
-}
-
-// RootVersion reads the root version published alongside the utilization
-// (0 when the server has not heartbeated yet).
-func (h port) RootVersion() uint64 {
-	b := h.c.ep.HeartbeatM.Bytes()
-	if len(b) < 16 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[8:])
 }
 
 // send writes one request frame to the server: the request ring, or the

@@ -37,7 +37,7 @@ func TestHeartbeatWords(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[24:], math.Float64bits(0.5))
 			wantTX = 0.5
 		}
-		h := port{c: c}
+		h := port{ReadPort: c.reads, c: c}
 		if cpu, tx := h.Heartbeat(); cpu != 0.75 || tx != wantTX {
 			t.Errorf("mailbox %d B: heartbeat = (%v, %v), want (0.75, %v)", size, cpu, tx, wantTX)
 		}

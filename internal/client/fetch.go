@@ -16,14 +16,14 @@ func (h port) ReadMailbox(chunk int, payloads [][]byte) (torn bool, err error) {
 	c, mem, qp := h.c, h.c.ep.MailboxMem, h.c.ep.FetchQP
 	cs := mem.Region().ChunkSize()
 	firstTag := c.tagSeq + 1
-	c.readBatch = c.readBatch[:0]
+	h.batch = h.batch[:0]
 	for i := range payloads {
 		c.tagSeq++
-		c.readBatch = append(c.readBatch, fabric.ReadReq{
+		h.batch = append(h.batch, fabric.ReadReq{
 			Src: mem, Off: (chunk + i) * cs, Size: cs, Tag: c.tagSeq,
 		})
 	}
-	posted, wqes, err := qp.ReadBatch(h.p, c.readBatch)
+	posted, wqes, err := qp.ReadBatch(h.p, h.batch)
 	c.Counters.FetchPulls.Add(uint64(posted))
 	c.Counters.ReadWQEs.Add(uint64(wqes))
 	var readErr error

@@ -249,17 +249,9 @@ func (c *Client) GetBatch(p *sim.Proc, keys []uint64, results []GetResult) []Get
 	}
 
 	if len(offload) > 0 {
-		c.proc = p
-		c.syncLease()
 		for _, i := range offload {
-			val, err := c.reader.Get(keys[i])
-			if errors.Is(err, btree.ErrNotFound) {
-				err = ErrNotFound
-			}
-			results[i].Val = val
-			results[i].Err = err
+			results[i].Val, results[i].Err = c.get(p, keys[i])
 		}
-		c.proc = nil
 	}
 
 	if len(fast) == 0 {

@@ -1,19 +1,18 @@
 package kv
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
-	"github.com/catfish-db/catfish/internal/btree"
+	"github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/sim"
+	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -81,14 +80,16 @@ type ClientStats struct {
 // server's lock discipline covers them), reads switch adaptively between
 // fast messaging and one-sided B+-tree traversal.
 type Client struct {
-	cfg    ClientConfig
-	ep     *Endpoint
-	sw     *adaptive.Switch
-	reader *btree.Reader
-	proc   *sim.Proc // bound during reader fetches
+	cfg ClientConfig
+	ep  *Endpoint
+	sw  *adaptive.Switch
 
-	ncache    *nodecache.Cache
-	hbRootVer uint64 // root version last observed in the heartbeat mailbox
+	// The offloaded read path: the walk over the B+-tree, the port its reads
+	// go through, its counters and its node cache.
+	walk   *proto.KeyWalk
+	reads  client.ReadPort
+	walked telemetry.ClientMetrics
+	ncache *nodecache.Cache
 
 	reqID  uint64
 	encBuf []byte
@@ -106,23 +107,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{cfg: cfg, ep: cfg.Endpoint}
 	c.sw = adaptive.New(adaptive.Config{T: cfg.T, Inv: cfg.HeartbeatInv}, cfg.Engine.Rand())
-	c.reader = &btree.Reader{
-		Fetch:      c.fetchChunk,
-		RootChunk:  cfg.Endpoint.RootChunk,
-		MaxEntries: cfg.Endpoint.MaxEntries,
+	ep := cfg.Endpoint
+	c.reads = client.NewReadPort(cfg.Host, cfg.Cost, ep)
+	if cfg.NodeCache > 0 && ep.RegionVers != nil {
+		c.ncache = nodecache.New(cfg.NodeCache, cfg.HeartbeatInv, ep.ChunkSize, ep.RegionVers.VersionsSize())
 	}
-	if cfg.NodeCache > 0 && cfg.Endpoint.RegionVers != nil {
-		c.ncache = nodecache.New(cfg.NodeCache, cfg.HeartbeatInv,
-			cfg.Endpoint.ChunkSize, cfg.Endpoint.RegionVers.VersionsSize())
-		c.reader.Cache = c.ncache
-		c.reader.FetchVersions = c.fetchVersions
-		c.reader.Now = func() time.Duration { return c.proc.Now() }
-		c.reader.Charge = func() {
-			if cpu := c.cfg.Host.CPU(); cpu != nil {
-				cpu.Run(c.proc, c.cfg.Cost.ClientTraversalDemand(1))
-			}
-		}
-	}
+	c.walk = proto.NewKeyWalk(proto.OpsConfig{
+		Tree:  proto.Tree{RootChunk: ep.RootChunk, NumChunks: ep.RegionMem.Region().NumChunks(), MaxEntries: ep.MaxEntries},
+		Cache: c.ncache,
+	}, &c.walked)
 	return c, nil
 }
 
@@ -130,9 +123,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 func (c *Client) Stats() ClientStats {
 	out := c.stats
 	out.HeartbeatsSeen = c.sw.HeartbeatsSeen
-	out.TornRetries = c.reader.TornRetries
-	out.StaleRestarts = c.reader.StaleRestarts
-	out.VersionReads = c.reader.VersionReads
+	out.TornRetries = c.walked.TornRetries.Load()
+	out.StaleRestarts = c.walked.StaleRestarts.Load()
+	out.VersionReads = c.walked.VersionReads.Load()
 	ns := c.ncache.Stats()
 	out.CacheHits = ns.Hits
 	out.CacheVerifiedHits = ns.VerifiedHits
@@ -147,64 +140,15 @@ func (c *Client) nextID() uint64 {
 	return c.reqID
 }
 
-// fetchChunk is the btree.Reader transport hook: a one-sided RDMA Read of
-// one region chunk, charged lightly to the client CPU.
-func (c *Client) fetchChunk(id int) ([]byte, error) {
-	p := c.proc
-	raw, err := c.ep.DataQP.ReadSync(p, c.ep.RegionMem,
-		id*c.ep.ChunkSize, c.ep.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	if cpu := c.cfg.Host.CPU(); cpu != nil {
-		cpu.Run(p, c.cfg.Cost.ClientTraversalDemand(1))
-	}
-	return raw, nil
-}
-
-func (c *Client) readHeartbeat() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.ep.HeartbeatM.Bytes()))
-}
-
-// fetchVersions is the btree.Reader revalidation hook: a version-only
-// one-sided read of a chunk's cacheline version words.
-func (c *Client) fetchVersions(id int) ([]byte, error) {
-	rv := c.ep.RegionVers
-	return c.ep.DataQP.ReadSync(c.proc, rv, rv.VersionsOffset(id), rv.VersionsSize())
-}
-
-// syncLease demotes every cached node to the Verify tier whenever the
-// heartbeat mailbox shows a root version we have not seen: the tree grew (or
-// shrank) a level, so leases issued before the change are suspect.
-func (c *Client) syncLease() {
-	if c.ncache == nil {
-		return
-	}
-	b := c.ep.HeartbeatM.Bytes()
-	if len(b) < 16 {
-		return
-	}
-	if ver := binary.LittleEndian.Uint64(b[8:16]); ver != c.hbRootVer {
-		c.hbRootVer = ver
-		c.ncache.DemoteAll()
-	}
-}
-
-func (c *Client) clearHeartbeat() {
-	b := c.ep.HeartbeatM.Bytes()
-	for i := 0; i < 8 && i < len(b); i++ {
-		b[i] = 0
-	}
-}
-
 func (c *Client) decide(p *sim.Proc) Method {
-	if c.cfg.Adaptive {
-		if c.sw.Decide(p.Now(), c.readHeartbeat, c.clearHeartbeat) {
-			return MethodOffload
-		}
-		return MethodFast
+	if !c.cfg.Adaptive {
+		return c.cfg.Forced
 	}
-	return c.cfg.Forced
+	hb := c.reads.On(p)
+	if c.sw.DecideMethod(p.Now(), hb.Heartbeat, hb.ClearHeartbeat) == adaptive.ChooseOffload {
+		return MethodOffload
+	}
+	return MethodFast
 }
 
 // Get returns the value stored under key, adaptively choosing fast
@@ -213,13 +157,7 @@ func (c *Client) Get(p *sim.Proc, key uint64) (uint64, Method, error) {
 	m := c.decide(p)
 	if m == MethodOffload {
 		c.stats.OffloadReads++
-		c.proc = p
-		defer func() { c.proc = nil }()
-		c.syncLease()
-		val, err := c.reader.Get(key)
-		if errors.Is(err, btree.ErrNotFound) {
-			return 0, m, ErrNotFound
-		}
+		val, err := c.get(p, key)
 		return val, m, err
 	}
 	c.stats.FastReads++
@@ -240,16 +178,33 @@ func (c *Client) Get(p *sim.Proc, key uint64) (uint64, Method, error) {
 	}
 }
 
+// get reads key's value with one-sided reads: the offloaded walk's scan of
+// [key, key].
+func (c *Client) get(p *sim.Proc, key uint64) (uint64, error) {
+	found, err := proto.ScanKeys(c.walk, c.reads.On(p), key, key)
+	if err != nil {
+		return 0, err
+	}
+	if len(found) == 0 {
+		return 0, ErrNotFound
+	}
+	return found[0].Val, nil
+}
+
 // Range invokes fn for every key in [from, to] in ascending order,
-// adaptively choosing the read path.
+// adaptively choosing the read path; an offloaded range is delivered once
+// its walk completes.
 func (c *Client) Range(p *sim.Proc, from, to uint64, fn func(key, val uint64) bool) (Method, error) {
 	m := c.decide(p)
 	if m == MethodOffload {
 		c.stats.OffloadReads++
-		c.proc = p
-		defer func() { c.proc = nil }()
-		c.syncLease()
-		return m, c.reader.Range(from, to, fn)
+		pairs, err := proto.ScanKeys(c.walk, c.reads.On(p), from, to)
+		for _, kvp := range pairs {
+			if !fn(kvp.Key, kvp.Val) {
+				break
+			}
+		}
+		return m, err
 	}
 	c.stats.FastReads++
 	resp, err := c.roundTrip(p, wire.KVRequest{Type: wire.MsgKVRange, ID: c.nextID(), Key: from, End: to})

@@ -310,3 +310,101 @@ func TestRangeOffloadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOffloadMoveRightUnderSplits: a fast-messaging writer inserts the odd
+// keys between the preloaded even keys — splitting leaves, every node publish
+// staged across a torn-read window — while offloaded readers get preloaded
+// keys and scan ranges next to the key being inserted, in the leaf the insert
+// may split. A reader that descends through a parent the split has not
+// updated yet lands left of its key and must move right (B-link), so every
+// get of a preloaded key returns its value, and every range is strictly
+// ascending and holds every preloaded key in it with its value.
+func TestOffloadMoveRightUnderSplits(t *testing.T) {
+	const keys = 3000 // preloaded: k*2 -> k, in random order so leaves fill unevenly
+	r := newRig(t, rigOpts{staged: true})
+	for _, k := range rand.New(rand.NewSource(3)).Perm(keys) {
+		if err := r.tree.Insert(uint64(k)*2, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer := r.newClient(t, ClientConfig{Forced: MethodFast})
+	var readers []*Client
+	for range 4 {
+		readers = append(readers, r.newClient(t, ClientConfig{Forced: MethodOffload}))
+	}
+	chunks := r.tree.Region().Allocated()
+	writing, hot := true, 0 // hot: the preloaded key below the insert in flight
+	wg := sim.NewWaitGroup(r.e)
+	wg.Add(1 + len(readers))
+	r.e.Spawn("writer", func(p *sim.Proc) {
+		defer wg.Done()
+		defer func() { writing = false }()
+		for _, k := range rand.New(rand.NewSource(1)).Perm(keys) {
+			hot = k
+			if err := writer.Put(p, uint64(k)*2+1, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	gets, scans := 0, 0
+	for i, c := range readers {
+		r.e.Spawn("reader", func(p *sim.Proc) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i) + 2))
+			near := func() int { return min(max(hot+rng.Intn(33)-16, 0), keys-1) }
+			for writing {
+				k := uint64(near()) * 2
+				if v, _, err := c.Get(p, k); err != nil || v != k/2 {
+					t.Errorf("get %d = %d, %v; want %d", k, v, err, k/2)
+					return
+				}
+				gets++
+				from := uint64(near()) * 2
+				to := from + uint64(rng.Intn(64))
+				var got []uint64
+				if _, err := c.Range(p, from, to, func(k, v uint64) bool {
+					if len(got) > 0 && k <= got[len(got)-1] {
+						t.Errorf("range [%d, %d]: %d after %d", from, to, k, got[len(got)-1])
+					}
+					if k%2 == 0 && v != k/2 {
+						t.Errorf("range [%d, %d]: %d = %d", from, to, k, v)
+					}
+					got = append(got, k)
+					return true
+				}); err != nil {
+					t.Errorf("range [%d, %d]: %v", from, to, err)
+					return
+				}
+				if even, want := countEven(got), int(min(to, 2*keys-1)/2-from/2+1); even != want {
+					t.Errorf("range [%d, %d]: %d preloaded keys, want %d", from, to, even, want)
+					return
+				}
+				scans++
+			}
+		})
+	}
+	r.e.Spawn("stop", func(p *sim.Proc) { wg.Wait(p); r.e.Stop() })
+	if err := r.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := r.tree.Region().Allocated() - chunks; grown < keys/32 {
+		t.Errorf("the writer added %d nodes: too few leaf splits to test move-right", grown)
+	}
+	st := readers[0].Stats()
+	t.Logf("%d gets, %d scans beside %d inserts that added %d nodes; reader 0: %d torn retries, %d stale restarts",
+		gets, scans, keys, r.tree.Region().Allocated()-chunks, st.TornRetries, st.StaleRestarts)
+}
+
+func countEven(keys []uint64) int {
+	n := 0
+	for _, k := range keys {
+		if k%2 == 0 {
+			n++
+		}
+	}
+	return n
+}

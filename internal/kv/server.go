@@ -82,19 +82,9 @@ type conn struct {
 	encBuf    []byte
 }
 
-// Endpoint is the client's connection handle.
-type Endpoint struct {
-	ConnID     int
-	ReqWriter  *ringbuf.Writer
-	RespReader *ringbuf.Reader
-	DataQP     *fabric.QP
-	RegionMem  *fabric.RegionMemory
-	RegionVers *fabric.RegionVersions
-	HeartbeatM *fabric.Memory
-	RootChunk  int
-	ChunkSize  int
-	MaxEntries int
-}
+// Endpoint is the client's connection handle: the R-tree server's, with the
+// rings, data QP, heartbeat mailbox and tree geometry filled in.
+type Endpoint = server.Endpoint
 
 // NewServer creates a KV server over tree.
 func NewServer(cfg ServerConfig) (*Server, error) {

@@ -1,7 +1,7 @@
 // Package nodecache is a bounded, version-validated LRU cache of decoded
-// internal index nodes, shared by every remote reader of a Catfish region:
-// the simulated R-tree client, the real-TCP rpcnet client, and the B+-tree
-// remote Reader backing the KV service.
+// internal index nodes, consulted by the one offloaded walk (internal/proto)
+// behind every remote reader of a Catfish region: the simulated R-tree
+// client, the real-TCP rpcnet client, and the KV service's B+-tree client.
 //
 // DESIGN.md §5.3 pins the offloading path's throughput ceiling at
 // NIC bandwidth / (nodesRead · chunkSize): on a height-4 tree every

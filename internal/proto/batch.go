@@ -73,7 +73,7 @@ func (o Ops[T]) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 	}
 	overlap := func() {
 		for _, i := range offload {
-			results[i].Items, results[i].Err = o.searchOffload(ops[i].Rect)
+			results[i].Items, results[i].Err = Offload(o.walk, o.t, ops[i].Rect)
 		}
 	}
 	if len(wired) == 0 {

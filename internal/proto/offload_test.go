@@ -13,6 +13,7 @@ import (
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
+	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -188,11 +189,7 @@ func (r *offloadRig) checkSearch(t *testing.T, q geo.Rect) {
 // checkQuiet requires that no read is queued, tracked or parked.
 func (r *offloadRig) checkQuiet(t *testing.T) {
 	t.Helper()
-	tr := &r.o.tr
-	if len(r.ft.cq)+len(tr.inflight)+len(tr.chunkTag)+len(tr.spare)+len(tr.wave) != 0 {
-		t.Fatalf("traversal left %d completions queued, %d reads in flight, %d chunk tags, %d spares, %d unposted",
-			len(r.ft.cq), len(tr.inflight), len(tr.chunkTag), len(tr.spare), len(tr.wave))
-	}
+	quiet(t, r.ft, r.o.walk)
 }
 
 func (r *offloadRig) whole() geo.Rect { return geo.NewRect(0, 0, 1, 1) }
@@ -216,16 +213,103 @@ func (r *offloadRig) rootChild(t *testing.T, i int) int {
 	return int(root.Entries[i].Ref)
 }
 
-// TestOffloadMatchesBruteForce: 1 000 random windows per configuration of
-// node cache, merge span, prefetch budget and issue mode, completions popped
-// in random order, the clock running past cache leases and an insert (with
-// the root-version bump its heartbeat would carry) every 50 searches — every
-// result equals a brute-force scan and every traversal ends with nothing in
-// flight.
+// walkRig is one index served through the fake transport — the R-tree
+// (offloadRig) or the B+-tree (keyRig) — as the walk's tests drive it.
+type walkRig interface {
+	fake() *fakeTransport
+	stats() telemetry.ClientSnapshot
+	nodes() *nodecache.Cache
+	// runWhole runs the query that reads the tree's leftmost path and, on
+	// the R-tree, every subtree, on the B+-tree the whole leaf chain; an
+	// answer it returns must be the tree's own. checkWhole also requires
+	// that it returns one and leaves the walk quiet.
+	runWhole(t *testing.T) error
+	checkWhole(t *testing.T)
+	// checkRandom runs one random query — wide ones span many leaves — and
+	// requires the tree's own answer and a quiet walk; grow inserts one
+	// random entry.
+	checkRandom(t *testing.T, rng *rand.Rand, wide bool)
+	grow(t *testing.T, rng *rand.Rand)
+	checkQuiet(t *testing.T)
+	// victim is the i-th node the whole query reads below the root, and
+	// rootChunk where the root lives.
+	victim(t *testing.T, i int) int
+	rootChunk() int
+	region() *region.Region
+}
+
+// quiet requires that no read of w is queued, tracked or parked.
+func quiet[N, Q, R any](t *testing.T, ft *fakeTransport, w *Walk[N, Q, R]) {
+	t.Helper()
+	if len(ft.cq)+len(w.inflight)+len(w.chunkTag)+len(w.spare)+len(w.wave) != 0 {
+		t.Fatalf("traversal left %d completions queued, %d reads in flight, %d chunk tags, %d spares, %d unposted",
+			len(ft.cq), len(w.inflight), len(w.chunkTag), len(w.spare), len(w.wave))
+	}
+}
+
+func (r *offloadRig) fake() *fakeTransport            { return r.ft }
+func (r *offloadRig) stats() telemetry.ClientSnapshot { return r.o.Stats() }
+func (r *offloadRig) nodes() *nodecache.Cache         { return r.cache }
+func (r *offloadRig) runWhole(t *testing.T) error {
+	t.Helper()
+	items, _, err := r.o.Search(r.whole())
+	if err == nil && !slices.Equal(sortedRefs(items), r.want(r.whole())) {
+		t.Fatalf("whole-space search: %d items, brute force finds %d", len(items), len(r.want(r.whole())))
+	}
+	return err
+}
+func (r *offloadRig) checkWhole(t *testing.T) { r.checkSearch(t, r.whole()) }
+func (r *offloadRig) checkRandom(t *testing.T, rng *rand.Rand, wide bool) {
+	edge := 0.02
+	if wide {
+		edge = 0.5 // wide enough to contain level-1 subtrees
+	}
+	r.checkSearch(t, testRect(rng, edge))
+}
+func (r *offloadRig) grow(t *testing.T, rng *rand.Rand) {
+	e := rtree.Entry{Rect: testRect(rng, 0.02), Ref: uint64(len(r.entries))}
+	if _, err := r.tree.Insert(e.Rect, e.Ref); err != nil {
+		t.Fatal(err)
+	}
+	r.entries = append(r.entries, e)
+}
+func (r *offloadRig) victim(t *testing.T, i int) int { return r.rootChild(t, i) }
+func (r *offloadRig) rootChunk() int                 { return r.tree.RootChunk() }
+func (r *offloadRig) region() *region.Region         { return r.tree.Region() }
+
+// driveRandom runs 1 000 random queries through r, completions popped in
+// random order, the clock running past cache leases and an insert (with the
+// root-version bump its heartbeat would carry) every 50 queries.
+func driveRandom(t *testing.T, r walkRig, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	ft := r.fake()
+	ft.pick = rng.Intn
+	for i := 0; i < 1000; i++ {
+		r.checkRandom(t, rng, i%10 == 0)
+		ft.now += 300 * time.Microsecond
+		if i%50 == 49 {
+			r.grow(t, rng)
+			ft.rootVer++
+		}
+	}
+}
+
+// TestOffloadMatchesBruteForce: 1 000 random queries per configuration of
+// node cache, merge span, prefetch budget and issue mode (driveRandom) —
+// windows over the R-tree, every result equal to a brute-force scan; key
+// ranges and point gets over the B+-tree, every result equal to the tree's
+// own Range and Get — and every walk ends with nothing in flight.
 func TestOffloadMatchesBruteForce(t *testing.T) {
 	type variant struct {
 		cache, span, prefetch int
 		single                bool
+	}
+	name := func(v variant) string {
+		name := fmt.Sprintf("cache%d-span%d-prefetch%d", v.cache, v.span, v.prefetch)
+		if v.single {
+			name += "-single"
+		}
+		return name
 	}
 	var variants []variant
 	for _, cache := range []int{0, 8} {
@@ -237,31 +321,10 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 	}
 	variants = append(variants, variant{single: true}, variant{cache: 8, single: true})
 	for _, v := range variants {
-		name := fmt.Sprintf("cache%d-span%d-prefetch%d", v.cache, v.span, v.prefetch)
-		if v.single {
-			name += "-single"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(name(v), func(t *testing.T) {
 			r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: !v.single, CacheRoot: v.cache > 0,
 				MergeSpan: v.span, Prefetch: v.prefetch}, v.cache)
-			rng := rand.New(rand.NewSource(int64(v.cache*100 + v.span*10 + v.prefetch)))
-			r.ft.pick = rng.Intn
-			for i := 0; i < 1000; i++ {
-				edge := 0.02
-				if i%10 == 0 {
-					edge = 0.5 // wide enough to contain level-1 subtrees
-				}
-				r.checkSearch(t, testRect(rng, edge))
-				r.ft.now += 300 * time.Microsecond
-				if i%50 == 49 {
-					e := rtree.Entry{Rect: testRect(rng, 0.02), Ref: uint64(len(r.entries))}
-					if _, err := r.tree.Insert(e.Rect, e.Ref); err != nil {
-						t.Fatal(err)
-					}
-					r.entries = append(r.entries, e)
-					r.ft.rootVer++
-				}
-			}
+			driveRandom(t, r, int64(v.cache*100+v.span*10+v.prefetch))
 			st := r.o.Stats()
 			if v.cache > 0 && (st.CacheHits == 0 || st.CacheVerifiedHits == 0 || st.RootCacheHits == 0) {
 				t.Errorf("cache never exercised: %d hits, %d verified, %d root hits", st.CacheHits, st.CacheVerifiedHits, st.RootCacheHits)
@@ -271,6 +334,25 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 			}
 			if posted := st.NodesFetched + st.VersionReads + st.PrefetchIssued; (v.span > 1) != (st.ReadWQEs < posted) {
 				t.Errorf("merge span %d: %d reads in %d requests", v.span, posted, st.ReadWQEs)
+			}
+		})
+	}
+	// The B+-tree yields one ref per node: nothing to merge or to span
+	// behind, so only the cache (and the revalidation hints it prefetches)
+	// and the issue mode vary.
+	for _, v := range []variant{{}, {cache: 8}, {cache: 8, prefetch: 8}, {single: true}, {cache: 8, single: true}} {
+		t.Run("btree-"+name(v), func(t *testing.T) {
+			r := newKeyRig(t, 3000, OpsConfig{MultiIssue: !v.single, CacheRoot: v.cache > 0, Prefetch: v.prefetch}, v.cache)
+			driveRandom(t, r, int64(v.cache*100+v.prefetch+1))
+			st := r.stats()
+			if v.cache > 0 && (st.CacheHits == 0 || st.CacheVerifiedHits == 0 || st.RootCacheHits == 0) {
+				t.Errorf("cache never exercised: %d hits, %d verified, %d root hits", st.CacheHits, st.CacheVerifiedHits, st.RootCacheHits)
+			}
+			if v.prefetch > 0 && st.PrefetchIssued == 0 {
+				t.Error("revalidation never hinted a read")
+			}
+			if v.cache == 0 && st.VersionReads != 0 {
+				t.Errorf("no cache, yet %d version reads", st.VersionReads)
 			}
 		})
 	}
@@ -299,98 +381,123 @@ func TestOffloadCompletionOrder(t *testing.T) {
 	}
 }
 
+// indexes names the walk's two indexes; newWalkRig serves one of them, 3 000
+// entries, through the fake transport.
+var indexes = []string{"rtree", "btree"}
+
+func newWalkRig(t *testing.T, index string, cfg OpsConfig, cacheCap int) walkRig {
+	if index == "btree" {
+		return newKeyRig(t, 3000, cfg, cacheCap)
+	}
+	return newOffloadRig(t, 3000, cfg, cacheCap)
+}
+
 // TestOffloadTornBudget: a chunk that reads torn every time is retried up to
-// MaxChunkRetries, then the search gives up — with its sibling reads drained,
-// not left in flight — and the next search, the chunk readable again, works.
+// MaxChunkRetries, then the query gives up — with its sibling reads drained,
+// not left in flight — and the next query, the chunk readable again, works.
 func TestOffloadTornBudget(t *testing.T) {
-	r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: true, MaxChunkRetries: 3}, 0)
-	victim := r.rootChild(t, 0)
-	r.ft.mangle = func(rd Read, d *Done) {
-		if rd.Chunk == victim && !rd.Versions {
-			tear(d.Data)
-		}
+	for _, index := range indexes {
+		t.Run(index, func(t *testing.T) {
+			r := newWalkRig(t, index, OpsConfig{MultiIssue: true, MaxChunkRetries: 3}, 0)
+			victim, ft := r.victim(t, 0), r.fake()
+			ft.mangle = func(rd Read, d *Done) {
+				if rd.Chunk == victim && !rd.Versions {
+					tear(d.Data)
+				}
+			}
+			if err := r.runWhole(t); !errors.Is(err, ErrGaveUp) {
+				t.Fatalf("query over a wedged chunk: err = %v, want ErrGaveUp", err)
+			}
+			r.checkQuiet(t)
+			if st := r.stats(); st.TornRetries != 4 || ft.reads[victim] != 4 {
+				t.Errorf("%d torn retries over %d reads of the chunk, want 4 and 4 (budget 3)", st.TornRetries, ft.reads[victim])
+			}
+			ft.mangle = nil
+			r.checkWhole(t)
+		})
 	}
-	if _, _, err := r.o.Search(r.whole()); !errors.Is(err, ErrGaveUp) {
-		t.Fatalf("search over a wedged chunk: err = %v, want ErrGaveUp", err)
-	}
-	r.checkQuiet(t)
-	if st := r.o.Stats(); st.TornRetries != 4 || r.ft.reads[victim] != 4 {
-		t.Errorf("%d torn retries over %d reads of the chunk, want 4 and 4 (budget 3)", st.TornRetries, r.ft.reads[victim])
-	}
-	r.ft.mangle = nil
-	r.checkSearch(t, r.whole())
 }
 
 // TestOffloadStaleRestarts: a chunk at the wrong level, or one that does not
 // decode, flushes the caches and restarts the traversal from the root; the
 // restarts are bounded by MaxRestarts, and damage that passes lets the
-// search finish with the right answer.
+// query finish with the right answer.
 func TestOffloadStaleRestarts(t *testing.T) {
-	damage := map[string]func(r *offloadRig, raw []byte){
-		"wrong-level": func(r *offloadRig, raw []byte) { // the root's image where a level-1 node belongs
-			if err := r.tree.Region().ReadChunkRaw(r.tree.RootChunk(), raw); err != nil {
+	damage := map[string]func(r walkRig, raw []byte){
+		"wrong-level": func(r walkRig, raw []byte) { // the root's image where a lower node belongs
+			if err := r.region().ReadChunkRaw(r.rootChunk(), raw); err != nil {
 				panic(err)
 			}
 		},
-		"undecodable": func(_ *offloadRig, raw []byte) { // entry count far past the chunk's capacity
+		"undecodable": func(_ walkRig, raw []byte) { // entry count far past the chunk's capacity
 			copy(raw[region.VersionSize+4:], []byte{0xFF, 0xFF, 0xFF, 0x7F})
 		},
 	}
-	for name, hurt := range damage {
-		for _, times := range []int{2, 1 << 30} {
-			t.Run(fmt.Sprintf("%s-x%d", name, times), func(t *testing.T) {
-				r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: true, MaxRestarts: 3}, 64)
-				r.checkSearch(t, r.whole()) // warm the cache: the root is served from it until a flush
-				rootReads := r.ft.reads[r.tree.RootChunk()]
-				victim, left := r.rootChild(t, 1), times
-				r.cache.Evict(victim)
-				r.ft.mangle = func(rd Read, d *Done) {
-					if rd.Chunk == victim && !rd.Versions && left > 0 {
-						left--
-						hurt(r, d.Data)
+	for _, index := range indexes {
+		for name, hurt := range damage {
+			if index == "btree" {
+				name = "btree-" + name
+			}
+			for _, times := range []int{2, 1 << 30} {
+				t.Run(fmt.Sprintf("%s-x%d", name, times), func(t *testing.T) {
+					r := newWalkRig(t, index, OpsConfig{MultiIssue: true, MaxRestarts: 3}, 64)
+					r.checkWhole(t) // warm the cache: the root is served from it until a flush
+					ft := r.fake()
+					rootReads := ft.reads[r.rootChunk()]
+					victim, left := r.victim(t, 1), times
+					r.nodes().Evict(victim)
+					ft.mangle = func(rd Read, d *Done) {
+						if rd.Chunk == victim && !rd.Versions && left > 0 {
+							left--
+							hurt(r, d.Data)
+						}
 					}
-				}
-				items, _, err := r.o.Search(r.whole())
-				r.checkQuiet(t)
-				st := r.o.Stats()
-				wantRestarts := uint64(min(times, 4))
-				if st.StaleRestarts != wantRestarts {
-					t.Errorf("%d restarts, want %d", st.StaleRestarts, wantRestarts)
-				}
-				// Every attempt after a restart finds the cache flushed and
-				// reads the root again (MaxRestarts such attempts at most).
-				if got := r.ft.reads[r.tree.RootChunk()] - rootReads; got != min(times, 3) {
-					t.Errorf("root re-read %d times over %d restarts: the cache was not flushed each time", got, wantRestarts)
-				}
-				if times > 4 {
-					if !errors.Is(err, ErrGaveUp) {
-						t.Fatalf("err = %v, want ErrGaveUp after MaxRestarts", err)
+					err := r.runWhole(t)
+					r.checkQuiet(t)
+					st := r.stats()
+					wantRestarts := uint64(min(times, 4))
+					if st.StaleRestarts != wantRestarts {
+						t.Errorf("%d restarts, want %d", st.StaleRestarts, wantRestarts)
 					}
-					return
-				}
-				if err != nil || !slices.Equal(sortedRefs(items), r.want(r.whole())) {
-					t.Fatalf("search after %d restarts: %d items, err %v", times, len(items), err)
-				}
-			})
+					// Every attempt after a restart finds the cache flushed and
+					// reads the root again (MaxRestarts such attempts at most).
+					if got := ft.reads[r.rootChunk()] - rootReads; got != min(times, 3) {
+						t.Errorf("root re-read %d times over %d restarts: the cache was not flushed each time", got, wantRestarts)
+					}
+					if times > 4 {
+						if !errors.Is(err, ErrGaveUp) {
+							t.Fatalf("err = %v, want ErrGaveUp after MaxRestarts", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("query after %d restarts: err %v", times, err)
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestOffloadPostFailsAfterPrefix: a Post that fails part way through a wave
-// ends the search with that error; the reads of the posted prefix are
+// ends the query with that error; the reads of the posted prefix are
 // drained, the unposted suffix is forgotten, and nothing hangs.
 func TestOffloadPostFailsAfterPrefix(t *testing.T) {
 	for _, multi := range []bool{true, false} {
-		r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: multi}, 0)
-		r.ft.failAt = 3 // the root posts, then one child of several
-		if _, _, err := r.o.Search(r.whole()); !errors.Is(err, errFakePost) {
-			t.Fatalf("multi-issue %v: err = %v, want the post error", multi, err)
+		for _, index := range indexes {
+			t.Run(fmt.Sprintf("%s-multi-%v", index, multi), func(t *testing.T) {
+				r := newWalkRig(t, index, OpsConfig{MultiIssue: multi}, 0)
+				r.fake().failAt = 3 // the root posts, then one child (of several, on the R-tree)
+				if err := r.runWhole(t); !errors.Is(err, errFakePost) {
+					t.Fatalf("err = %v, want the post error", err)
+				}
+				r.checkQuiet(t)
+				if st := r.stats(); st.NodesFetched < 3 {
+					t.Errorf("%d demand reads issued, want the failing wave to have held several", st.NodesFetched)
+				}
+				r.checkWhole(t)
+			})
 		}
-		r.checkQuiet(t)
-		if st := r.o.Stats(); st.NodesFetched < 3 {
-			t.Errorf("multi-issue %v: %d demand reads issued, want the failing wave to have held several", multi, st.NodesFetched)
-		}
-		r.checkSearch(t, r.whole())
 	}
 }
 
@@ -403,7 +510,7 @@ func TestOffloadSpeculationNeverFails(t *testing.T) {
 	r.ft.pick = rng.Intn
 	spoiled := 0
 	r.ft.mangle = func(rd Read, d *Done) {
-		if !r.o.tr.inflight[rd.Tag].prefetch {
+		if !r.o.walk.inflight[rd.Tag].prefetch {
 			return
 		}
 		if spoiled++; spoiled%2 == 0 {

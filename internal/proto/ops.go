@@ -24,12 +24,8 @@ var ErrGaveUp = errors.New("catfish: one-sided reads exceeded retry budget")
 // a *sim.Proc (which rides in the implementing value); real sockets
 // implement it over a multiplexed TCP connection and the wall clock.
 type Transport interface {
-	// Now is the time heartbeat intervals and latencies are measured in.
-	Now() time.Duration
-	// Heartbeat returns the latest unconsumed heartbeat's CPU and TX
-	// utilization words (cpu 0 = none, per the paper's u_serv != 0 check);
+	ReadPort
 	// ClearHeartbeat is the paper's memset(u_serv, 0).
-	Heartbeat() (cpu, tx float64)
 	ClearHeartbeat()
 	// NextID stamps the next request id.
 	NextID() uint64
@@ -48,23 +44,6 @@ type Transport interface {
 	// fails), and then hands every reply message addressed to one of ids to
 	// deliver until it reports done.
 	Batch(container []byte, ids []uint64, overlap func(), deliver func(msg []byte) (done bool)) error
-	// Post submits one wave of one-sided tree reads in the order given and
-	// returns how many of them — always a prefix — were posted and how many
-	// requests (WQEs, frames) carried them: consecutive reads of adjacent
-	// chunks coalesce up to the transport's merge span. Reads past the prefix
-	// will never complete. An empty wave posts nothing; like every Post it
-	// ends the validity of the last completion's bytes.
-	Post(wave []Read) (posted, wqes int, err error)
-	// Pop blocks for one completion of a posted read, in arrival order; its
-	// bytes are valid until the next Pop or Post. An error means the
-	// transport failed and has dropped every outstanding read.
-	Pop() (Done, error)
-	// Charge accounts the client-side work of examining one node (decode +
-	// intersection checks); real sockets spend it rather than model it.
-	Charge()
-	// RootVersion is the root chunk's version as of the latest heartbeat (0
-	// before the first).
-	RootVersion() uint64
 }
 
 // Mailbox is the geometry of the server's fetch mailbox as a client sees
@@ -120,8 +99,8 @@ type OpsConfig struct {
 }
 
 // Core is the transport-independent state of one client: configuration,
-// the Algorithm 1 switch, counters, the prefetch token bucket and the
-// offloaded traversal's state. Bind attaches it to a transport.
+// the Algorithm 1 switch, counters and the offloaded R-tree walk. Bind
+// attaches it to a transport.
 type Core struct {
 	cfg OpsConfig
 	sw  *adaptive.Switch
@@ -129,16 +108,11 @@ type Core struct {
 	// mailbox-pull counters they own.
 	Counters telemetry.ClientMetrics
 	latHist  *telemetry.Histogram
-	tr       traversal
-
-	// Prefetch token bucket: prefTokens remain (≤ cfg.Prefetch), refilled
-	// lazily at prefLast.
-	prefTokens float64
-	prefLast   time.Duration
+	walk     *Walk[rtree.Node, geo.Rect, wire.Item]
 }
 
-// NewCore applies defaults and registers the client's metrics.
-func NewCore(cfg OpsConfig) *Core {
+// withDefaults fills the switch's and the retry budgets' zero fields.
+func (cfg OpsConfig) withDefaults() OpsConfig {
 	cfg.Switch = cfg.Switch.WithDefaults()
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 8
@@ -146,12 +120,17 @@ func NewCore(cfg OpsConfig) *Core {
 	if cfg.MaxChunkRetries == 0 {
 		cfg.MaxChunkRetries = 64
 	}
+	return cfg
+}
+
+// NewCore applies defaults and registers the client's metrics.
+func NewCore(cfg OpsConfig) *Core {
+	cfg = cfg.withDefaults()
 	if !cfg.Adaptive && cfg.Forced == 0 {
 		cfg.Forced = cfg.Messaging
 	}
 	c := &Core{cfg: cfg, sw: adaptive.New(cfg.Switch, cfg.Rand)}
-	c.tr.inflight, c.tr.chunkTag, c.tr.spare = map[uint64]pending{}, map[int]uint64{}, map[int][]byte{}
-	c.prefTokens = float64(cfg.Prefetch) // start full: idle until told otherwise
+	c.walk = NewWalk[rtree.Node, geo.Rect, wire.Item](rtreeIndex{}, cfg, &c.Counters)
 	if cfg.Metrics != nil {
 		c.Counters.Register(cfg.Metrics)
 		telemetry.RegisterCacheFuncs(cfg.Metrics, func() telemetry.CacheStats {
@@ -181,11 +160,6 @@ func (c *Core) Stats() telemetry.ClientSnapshot {
 	return out
 }
 
-// SpendPrefetch consumes n tokens after a wave posted n speculative reads.
-func (c *Core) SpendPrefetch(n int) {
-	c.prefTokens = max(c.prefTokens-float64(n), 0)
-}
-
 // Ops is the Catfish client module over transport T: Algorithm 1's method
 // choice, reads by fast messaging, offloading or remote result fetching,
 // writes — always by messaging, so the server's lock discipline covers
@@ -198,26 +172,6 @@ type Ops[T Transport] struct {
 
 // Bind returns c's operations over transport t.
 func Bind[T Transport](c *Core, t T) Ops[T] { return Ops[T]{Core: c, t: t} }
-
-// PrefetchBudget refills the token bucket and returns how many speculative
-// reads the current wave may post (≤ the remaining whole tokens). The
-// refill rate is Prefetch tokens per heartbeat interval scaled by the
-// server's idle fraction (1 − u_serv): an idle server earns the full rate,
-// a server past the busy threshold T earns nothing — RFP-style speculation
-// that never recreates the congestion the adaptive switch avoids.
-func (o Ops[T]) PrefetchBudget() int {
-	if o.cfg.Prefetch <= 0 {
-		return 0
-	}
-	now := o.t.Now()
-	elapsed := now - o.prefLast
-	o.prefLast = now
-	if util, _ := o.t.Heartbeat(); util < o.cfg.Switch.T && elapsed > 0 {
-		rate := float64(o.cfg.Prefetch) * (1 - util) / float64(o.cfg.Switch.Inv)
-		o.prefTokens = min(o.prefTokens+rate*float64(elapsed), float64(o.cfg.Prefetch))
-	}
-	return int(o.prefTokens)
-}
 
 // decide runs the client module of the adaptive coordination (Algorithm 1
 // extended with the 3-way fetch branch) on the shared adaptive.Switch — see
@@ -312,7 +266,7 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	var err error
 	if m == MethodOffload {
 		o.Counters.OffloadSearches.Inc()
-		items, err = o.searchOffload(q)
+		items, err = Offload(o.walk, o.t, q)
 	} else {
 		m = o.countRead(m)
 		items, err = o.serverRead(wire.Request{Type: wire.MsgSearch, Rect: q}, m == MethodFetch)
