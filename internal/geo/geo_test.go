@@ -95,6 +95,30 @@ func TestIntersects(t *testing.T) {
 	}
 }
 
+// refIntersects is Intersects as it stood before its comparisons were
+// combined without short-circuiting: the oracle for every search that
+// tests entries with it.
+func refIntersects(r, s Rect) bool {
+	return r.MinX <= s.MaxX && s.MinX <= r.MaxX &&
+		r.MinY <= s.MaxY && s.MinY <= r.MaxY
+}
+
+// TestIntersectsMatchesReference: over rectangle pairs whose coordinates
+// are drawn from signed zeros, infinities, NaN, shared edges and ordinary
+// values, Intersects agrees with the short-circuit reference.
+func TestIntersectsMatchesReference(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), math.NaN(), -1, 0.25, 0.5, 1}
+	rng := rand.New(rand.NewSource(36))
+	pick := func() float64 { return vals[rng.Intn(len(vals))] }
+	for i := 0; i < 200_000; i++ {
+		r := Rect{pick(), pick(), pick(), pick()}
+		s := Rect{pick(), pick(), pick(), pick()}
+		if got, want := r.Intersects(s), refIntersects(r, s); got != want {
+			t.Fatalf("Intersects(%v, %v) = %v, reference %v", r, s, got, want)
+		}
+	}
+}
+
 func TestContains(t *testing.T) {
 	outer := Rect{0, 10, 0, 10}
 	if !outer.Contains(Rect{1, 9, 1, 9}) {

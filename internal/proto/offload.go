@@ -899,13 +899,17 @@ func (rtreeIndex) Clone(n *rtree.Node) *rtree.Node {
 }
 
 func (rtreeIndex) Expand(n *rtree.Node, q geo.Rect, refs []Ref, out []wire.Item) ([]Ref, []wire.Item, error) {
-	for _, e := range n.Entries {
-		if !q.Intersects(e.Rect) {
-			continue
+	entries := n.Entries
+	if n.IsLeaf() {
+		for i := range entries {
+			if e := &entries[i]; q.Intersects(e.Rect) {
+				out = append(out, wire.Item{Rect: e.Rect, Ref: e.Ref})
+			}
 		}
-		if n.IsLeaf() {
-			out = append(out, wire.Item{Rect: e.Rect, Ref: e.Ref})
-		} else {
+		return refs, out, nil
+	}
+	for i := range entries {
+		if e := &entries[i]; q.Intersects(e.Rect) {
 			refs = append(refs, Ref{Chunk: int(e.Ref), Level: n.Level - 1,
 				Rank: q.OverlapArea(e.Rect), Covered: q.Contains(e.Rect)})
 		}

@@ -3,6 +3,7 @@ package proto
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -529,5 +530,84 @@ func TestOffloadSpeculationNeverFails(t *testing.T) {
 	}
 	if st.StaleRestarts != 0 || st.TornRetries != 0 {
 		t.Errorf("spoiled speculation leaked into the demand path: %d restarts, %d torn retries", st.StaleRestarts, st.TornRetries)
+	}
+}
+
+// refExpand is rtreeIndex.Expand as it stood before the scan indexed
+// entries in place: each entry copied out of the node, then tested with the
+// short-circuit intersection test geo.Rect.Intersects used to be. It is the
+// oracle for what the walk must collect.
+func refExpand(n *rtree.Node, q geo.Rect, refs []Ref, out []wire.Item) ([]Ref, []wire.Item, error) {
+	for _, e := range n.Entries {
+		if !(q.MinX <= e.Rect.MaxX && e.Rect.MinX <= q.MaxX &&
+			q.MinY <= e.Rect.MaxY && e.Rect.MinY <= q.MaxY) {
+			continue
+		}
+		if n.IsLeaf() {
+			out = append(out, wire.Item{Rect: e.Rect, Ref: e.Ref})
+		} else {
+			refs = append(refs, Ref{Chunk: int(e.Ref), Level: n.Level - 1,
+				Rank: q.OverlapArea(e.Rect), Covered: q.Contains(e.Rect)})
+		}
+	}
+	return refs, out, nil
+}
+
+// TestExpandMatchesReference: over random windows — points, scans, the
+// whole square, and degenerate windows on a stored rectangle's edge — and
+// every node of a bulk-loaded tree, rtreeIndex.Expand collects the same
+// items and child refs, in the same order and bit for bit, as refExpand.
+func TestExpandMatchesReference(t *testing.T) {
+	r := newOffloadRig(t, 3000, OpsConfig{}, 0)
+	reg := r.tree.Region()
+	raw := make([]byte, reg.ChunkSize())
+	var nodes []*rtree.Node
+	for stack := []int{r.tree.RootChunk()}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		payload, _, err := reg.ReadChunk(id, raw, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := &rtree.Node{}
+		if err := rtree.DecodeNode(payload, n, 0); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		if !n.IsLeaf() {
+			for _, e := range n.Entries {
+				stack = append(stack, int(e.Ref))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	windows := []geo.Rect{r.whole()}
+	for i := 0; i < 300; i++ {
+		e := r.entries[rng.Intn(len(r.entries))].Rect
+		windows = append(windows, testRect(rng, 1e-3), testRect(rng, 0.1),
+			geo.Rect{MinX: e.MaxX, MaxX: e.MaxX + 0.01, MinY: e.MaxY, MaxY: e.MaxY})
+	}
+	seed := []Ref{{Chunk: -1}}
+	for _, q := range windows {
+		for _, n := range nodes {
+			gotRefs, gotItems, gerr := rtreeIndex{}.Expand(n, q, slices.Clone(seed), nil)
+			wantRefs, wantItems, werr := refExpand(n, q, slices.Clone(seed), nil)
+			if gerr != werr || len(gotRefs) != len(wantRefs) || len(gotItems) != len(wantItems) {
+				t.Fatalf("window %+v, level-%d node: %d refs, %d items, %v; reference %d, %d, %v",
+					q, n.Level, len(gotRefs), len(gotItems), gerr, len(wantRefs), len(wantItems), werr)
+			}
+			for i, g := range gotRefs {
+				w := wantRefs[i]
+				if g.Chunk != w.Chunk || g.Level != w.Level || g.Covered != w.Covered ||
+					math.Float64bits(g.Rank) != math.Float64bits(w.Rank) {
+					t.Fatalf("window %+v: ref %d = %+v, reference %+v", q, i, g, w)
+				}
+			}
+			for i, g := range gotItems {
+				if string(wire.AppendItem(nil, g.Rect, g.Ref)) != string(wire.AppendItem(nil, wantItems[i].Rect, wantItems[i].Ref)) {
+					t.Fatalf("window %+v: item %d = %+v, reference %+v", q, i, g, wantItems[i])
+				}
+			}
+		}
 	}
 }

@@ -18,11 +18,17 @@ import (
 // testdata/fuzz/FuzzDecodeChunk holds a written chunk, a torn one (a line at
 // an older version), one caught mid-write (odd version), a truncated one,
 // and consistent chunks whose node payload carries an oversized count or
-// level 65 — bytes the chunk layer passes on for DecodeNode to refuse.
+// level 65 — bytes the chunk layer passes on for DecodeNode to refuse. It
+// also returns exactly what refDecodeChunk, the per-line append loop it
+// replaced, returns: the same payload bytes, version and error.
 func FuzzDecodeChunk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		raw = raw[:len(raw):len(raw)]
 		payload, version, err := DecodeChunk(raw, make([]byte, 7, 64))
+		want, wantVersion, wantErr := refDecodeChunk(raw, make([]byte, 7, 64))
+		if err != wantErr || version != wantVersion || !bytes.Equal(payload, want) || (payload == nil) != (want == nil) {
+			t.Fatalf("DecodeChunk = %x, v%d, %v; reference %x, v%d, %v", payload, version, err, want, wantVersion, wantErr)
+		}
 		if len(raw) == 0 || len(raw)%CacheLine != 0 {
 			if !errors.Is(err, ErrSizeMismatch) {
 				t.Fatalf("%d-byte image: err %v, want ErrSizeMismatch", len(raw), err)

@@ -377,25 +377,32 @@ func (w *StagedWrite) Finish() {
 
 // readLineStable copies one cacheline's words into dst (CacheLine bytes),
 // retrying while a writer holds the line's seqlock so the line image is
-// internally consistent. Cross-line consistency is the caller's concern
-// (DecodeChunk).
+// internally consistent. Each payload word is stored straight into dst
+// between two loads of the version word; the image stands only when both
+// loads agree on an even version, and a retry overwrites it. After
+// stableAttempts retries the reader gives up and stamps the version odd, so
+// an image that may mix two writes can only decode as torn. Cross-line
+// consistency is the caller's concern (DecodeChunk).
 func readLineStable(line []uint64, dst []byte) {
+	words := (*[wordsPerLine]uint64)(line)
+	img := (*[CacheLine]byte)(dst)
+	le := binary.LittleEndian
 	for attempt := 0; ; attempt++ {
-		v1 := atomic.LoadUint64(&line[0])
-		var words [payloadWords]uint64
-		for w := 0; w < payloadWords; w++ {
-			words[w] = atomic.LoadUint64(&line[1+w])
-		}
-		v2 := atomic.LoadUint64(&line[0])
+		v1 := atomic.LoadUint64(&words[0])
+		le.PutUint64(img[8:16], atomic.LoadUint64(&words[1]))
+		le.PutUint64(img[16:24], atomic.LoadUint64(&words[2]))
+		le.PutUint64(img[24:32], atomic.LoadUint64(&words[3]))
+		le.PutUint64(img[32:40], atomic.LoadUint64(&words[4]))
+		le.PutUint64(img[40:48], atomic.LoadUint64(&words[5]))
+		le.PutUint64(img[48:56], atomic.LoadUint64(&words[6]))
+		le.PutUint64(img[56:64], atomic.LoadUint64(&words[7]))
+		v2 := atomic.LoadUint64(&words[0])
 		stable := v1&1 == 0 && v1 == v2
 		if stable || attempt >= stableAttempts {
 			if !stable {
-				v1 |= 1 // giving up: the image may mix two writes, so it must decode as torn
+				v1 |= 1
 			}
-			binary.LittleEndian.PutUint64(dst, v1)
-			for w := 0; w < payloadWords; w++ {
-				binary.LittleEndian.PutUint64(dst[8+w*8:], words[w])
-			}
+			le.PutUint64(img[0:8], v1)
 			return
 		}
 	}
@@ -483,9 +490,18 @@ func DecodeChunk(raw []byte, dst []byte) ([]byte, uint64, error) {
 	if cap(dst) < lines*LineData {
 		dst = make([]byte, 0, lines*LineData)
 	}
-	dst = dst[:0]
+	dst = dst[:lines*LineData]
+	le := binary.LittleEndian
 	for l := 0; l < lines; l++ {
-		dst = append(dst, raw[l*CacheLine+VersionSize:(l+1)*CacheLine]...)
+		line := (*[CacheLine]byte)(raw[l*CacheLine:])
+		out := (*[LineData]byte)(dst[l*LineData:])
+		le.PutUint64(out[0:8], le.Uint64(line[8:16]))
+		le.PutUint64(out[8:16], le.Uint64(line[16:24]))
+		le.PutUint64(out[16:24], le.Uint64(line[24:32]))
+		le.PutUint64(out[24:32], le.Uint64(line[32:40]))
+		le.PutUint64(out[32:40], le.Uint64(line[40:48]))
+		le.PutUint64(out[40:48], le.Uint64(line[48:56]))
+		le.PutUint64(out[48:56], le.Uint64(line[56:64]))
 	}
 	return dst, version, nil
 }

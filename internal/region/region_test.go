@@ -432,3 +432,52 @@ func TestWriteChunkPrefix(t *testing.T) {
 		t.Errorf("oversize err = %v", err)
 	}
 }
+
+// BenchmarkReadChunkRaw times the copy half of ReadChunk: every line read
+// under its seqlock into the raw image.
+func BenchmarkReadChunkRaw(b *testing.B) {
+	r, err := New(64, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, r.PayloadSize())
+	for i := 0; i < 64; i++ {
+		if err := r.WriteChunk(i, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	raw := make([]byte, r.ChunkSize())
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.ReadChunkRaw(i%64, raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeChunk times the validate half of ReadChunk: the version
+// check and the payload gathered out of a raw image.
+func BenchmarkDecodeChunk(b *testing.B) {
+	r, err := New(1, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, r.PayloadSize())
+	rand.New(rand.NewSource(1)).Read(payload)
+	if err := r.WriteChunk(0, payload); err != nil {
+		b.Fatal(err)
+	}
+	raw := make([]byte, r.ChunkSize())
+	if err := r.ReadChunkRaw(0, raw); err != nil {
+		b.Fatal(err)
+	}
+	out := make([]byte, 0, len(payload))
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeChunk(raw, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

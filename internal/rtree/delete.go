@@ -24,8 +24,10 @@ func (t *Tree) Search(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats
 		if err != nil {
 			return t.stats, err
 		}
+		entries := n.Entries
 		if n.IsLeaf() {
-			for _, e := range n.Entries {
+			for i := range entries {
+				e := &entries[i]
 				if q.Intersects(e.Rect) {
 					t.stats.Results++
 					if fn != nil && !fn(e.Rect, e.Ref) {
@@ -35,8 +37,8 @@ func (t *Tree) Search(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats
 			}
 			continue
 		}
-		for _, e := range n.Entries {
-			if q.Intersects(e.Rect) {
+		for i := range entries {
+			if e := &entries[i]; q.Intersects(e.Rect) {
 				stack = append(stack, int(e.Ref))
 			}
 		}
@@ -72,8 +74,10 @@ func (t *Tree) SearchShared(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (O
 			return st, fmt.Errorf("rtree: chunk %d missing from cache", id)
 		}
 		st.NodesRead++
+		entries := n.Entries
 		if n.IsLeaf() {
-			for _, e := range n.Entries {
+			for i := range entries {
+				e := &entries[i]
 				if q.Intersects(e.Rect) {
 					st.Results++
 					if fn != nil && !fn(e.Rect, e.Ref) {
@@ -83,8 +87,8 @@ func (t *Tree) SearchShared(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (O
 			}
 			continue
 		}
-		for _, e := range n.Entries {
-			if q.Intersects(e.Rect) {
+		for i := range entries {
+			if e := &entries[i]; q.Intersects(e.Rect) {
 				stack = append(stack, int(e.Ref))
 			}
 		}

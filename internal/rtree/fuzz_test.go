@@ -13,12 +13,25 @@ import (
 // holds, replaces whatever the node held before, and what it accepts
 // re-encodes to the bytes it read (the reserved word aside, which it
 // ignores) and decodes back to itself. A maxEntries bound below the count
-// rejects the image. The seed corpus in testdata/fuzz/FuzzDecodeNode holds a
-// valid leaf and internal node, a torn image (the header of one write over
-// the entries of another), a truncated one, an oversized count and level 65.
+// rejects the image. It returns exactly what refDecodeNode, the decoder it
+// replaced, returns from the same starting node: the same error text, level
+// and bit-identical entries. The seed corpus in
+// testdata/fuzz/FuzzDecodeNode holds a valid leaf and internal node, a torn
+// image (the header of one write over the entries of another), a truncated
+// one, an oversized count and level 65.
 func FuzzDecodeNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = b[:len(b):len(b)]
+		for _, maxEntries := range []int{0, 8} {
+			got := Node{Level: 7, Entries: make([]Entry, 3, 8)}
+			want := Node{Level: 7, Entries: make([]Entry, 3, 8)}
+			gerr, werr := DecodeNode(b, &got, maxEntries), refDecodeNode(b, &want, maxEntries)
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) ||
+				got.Level != want.Level || cap(got.Entries) != cap(want.Entries) || !sameEntries(got.Entries, want.Entries) {
+				t.Fatalf("maxEntries %d: DecodeNode = level %d, %d entries, %v; reference level %d, %d entries, %v",
+					maxEntries, got.Level, len(got.Entries), gerr, want.Level, len(want.Entries), werr)
+			}
+		}
 		n := Node{Level: 7, Entries: make([]Entry, 3, 8)}
 		if err := DecodeNode(b, &n, 0); err != nil {
 			if !errors.Is(err, ErrCorruptNode) {

@@ -125,18 +125,17 @@ func DecodeNode(payload []byte, n *Node, maxEntries int) error {
 		n.Entries = make([]Entry, count)
 	}
 	n.Entries = n.Entries[:count]
-	off := headerSize
+	// Fields are stored straight into each slot: no Entry is built and
+	// copied, and one bounds check per entry covers its five loads.
+	body := payload[headerSize : headerSize+int(count)*EntrySize]
 	for i := range n.Entries {
-		n.Entries[i] = Entry{
-			Rect: geo.Rect{
-				MinX: math.Float64frombits(binary.LittleEndian.Uint64(payload[off+0:])),
-				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:])),
-				MinY: math.Float64frombits(binary.LittleEndian.Uint64(payload[off+16:])),
-				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(payload[off+24:])),
-			},
-			Ref: binary.LittleEndian.Uint64(payload[off+32:]),
-		}
-		off += EntrySize
+		p := (*[EntrySize]byte)(body[i*EntrySize:])
+		e := &n.Entries[i]
+		e.Rect.MinX = math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
+		e.Rect.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
+		e.Rect.MinY = math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
+		e.Rect.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(p[24:32]))
+		e.Ref = binary.LittleEndian.Uint64(p[32:40])
 	}
 	return nil
 }

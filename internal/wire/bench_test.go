@@ -121,3 +121,24 @@ func BenchmarkFastMessageUnbatched(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeResponseAppend times the client's decode of a 500-item
+// result segment into a slice already sized for it, as rpcnet's fold does.
+func BenchmarkDecodeResponseAppend(b *testing.B) {
+	items := make([]Item, 500)
+	for i := range items {
+		x := float64(i) / 500
+		items[i] = Item{Rect: geo.NewRect(x, x, x+1e-4, x+1e-4), Ref: uint64(i)}
+	}
+	frame := Response{ID: 1, Status: StatusOK, Final: true, Items: items}.Encode(nil)
+	dst := make([]Item, 0, len(items))
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := DecodeResponseAppend(frame, dst[:0])
+		if err != nil || len(r.Items) != len(items) {
+			b.Fatalf("%d items, %v", len(r.Items), err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -103,16 +104,84 @@ func FuzzPeekID(f *testing.F) {
 	})
 }
 
+// refAppendItems is appendItems as it stood before the field-wise rewrite:
+// each item built as a struct value and copied into its slot. It is the
+// oracle for what the decoder must return.
+func refAppendItems(dst []Item, b []byte, count int) []Item {
+	if count == 0 {
+		return dst
+	}
+	n := len(dst)
+	if cap(dst)-n < count {
+		grown := make([]Item, n, n+count)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:n+count]
+	for i := n; i < len(dst); i++ {
+		p := b[:ItemSize:ItemSize]
+		dst[i] = Item{Rect: getRect(p), Ref: binary.LittleEndian.Uint64(p[32:])}
+		b = b[ItemSize:]
+	}
+	return dst
+}
+
+// refDecodeResponseAppend is DecodeResponseAppend over refAppendItems.
+func refDecodeResponseAppend(b []byte, dst []Item) (Response, error) {
+	count, err := responseCount(b)
+	if err != nil {
+		return Response{Items: dst}, err
+	}
+	return Response{
+		ID:     binary.LittleEndian.Uint64(b[1:]),
+		Final:  b[9] == 1,
+		Status: b[10],
+		Items:  refAppendItems(dst, b[respHeader:], count),
+	}, nil
+}
+
+// sameItems reports whether a and b hold bit-identical items: NaN payloads
+// and the sign of zero count.
+func sameItems(a, b []Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if math.Float64bits(x.Rect.MinX) != math.Float64bits(y.Rect.MinX) ||
+			math.Float64bits(x.Rect.MaxX) != math.Float64bits(y.Rect.MaxX) ||
+			math.Float64bits(x.Rect.MinY) != math.Float64bits(y.Rect.MinY) ||
+			math.Float64bits(x.Rect.MaxY) != math.Float64bits(y.Rect.MaxY) ||
+			x.Ref != y.Ref {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzDecodeResponseAppend: the in-place segment decoder never panics or
 // over-reads, accepts exactly what DecodeResponse accepts, returns the same
 // header and items, leaves what dst already held alone, and hands dst back
-// unextended on error.
+// unextended on error. It returns exactly what refDecodeResponseAppend, the
+// decoder it replaced, returns — into spare capacity and into a slice it
+// must grow alike: the same error, header and bit-identical items.
 func FuzzDecodeResponseAppend(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = b[:len(b):len(b)]
 		want, werr := DecodeResponse(b)
 		prior := []Item{{Ref: 0xfeed}, {Ref: 0xbeef}}
+		for _, capacity := range []int{2, 64} {
+			ref, rerr := refDecodeResponseAppend(b, append(make([]Item, 0, capacity), prior...))
+			got, gerr := DecodeResponseAppend(b, append(make([]Item, 0, capacity), prior...))
+			if (rerr == nil) != (gerr == nil) || (rerr != nil && rerr.Error() != gerr.Error()) {
+				t.Fatalf("reference err %v, DecodeResponseAppend err %v", rerr, gerr)
+			}
+			if got.ID != ref.ID || got.Final != ref.Final || got.Status != ref.Status ||
+				cap(got.Items) != cap(ref.Items) || !sameItems(got.Items, ref.Items) {
+				t.Fatalf("cap %d: decoded %+v, reference %+v", capacity, got, ref)
+			}
+		}
 		got, gerr := DecodeResponseAppend(b, prior[:2:2])
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("DecodeResponse err %v, DecodeResponseAppend err %v", werr, gerr)

@@ -260,7 +260,9 @@ func responseCount(b []byte) (int, error) {
 }
 
 // appendItems decodes count packed items from b (which must hold them) onto
-// dst, growing dst at most once and to exactly the capacity needed.
+// dst, growing dst at most once and to exactly the capacity needed. Each
+// item's fields are stored straight into its slot: no Item is built and
+// copied, and one bounds check per item covers its five loads.
 func appendItems(dst []Item, b []byte, count int) []Item {
 	if count == 0 {
 		return dst
@@ -272,10 +274,16 @@ func appendItems(dst []Item, b []byte, count int) []Item {
 		dst = grown
 	}
 	dst = dst[:n+count]
-	for i := n; i < len(dst); i++ {
-		p := b[:ItemSize:ItemSize]
-		dst[i] = Item{Rect: getRect(p), Ref: binary.LittleEndian.Uint64(p[32:])}
-		b = b[ItemSize:]
+	items := dst[n:]
+	b = b[:count*ItemSize]
+	for i := range items {
+		p := (*[ItemSize]byte)(b[i*ItemSize:])
+		it := &items[i]
+		it.Rect.MinX = math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))
+		it.Rect.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
+		it.Rect.MinY = math.Float64frombits(binary.LittleEndian.Uint64(p[16:24]))
+		it.Rect.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(p[24:32]))
+		it.Ref = binary.LittleEndian.Uint64(p[32:40])
 	}
 	return dst
 }
