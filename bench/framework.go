@@ -10,6 +10,7 @@ import (
 	"github.com/catfish-db/catfish/internal/kv"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/region"
+	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/stats"
 )
@@ -66,8 +67,8 @@ func runKV(o Options, keys, clients int, mode string) (kvResult, error) {
 			return kvResult{}, err
 		}
 	}
-	srv, err := kv.NewServer(kv.ServerConfig{
-		Engine: e, Host: serverHost, Tree: tree,
+	srv, err := server.New(server.Config{
+		Engine: e, Host: serverHost, Tree: kv.NewStore(tree),
 		Cost:              netmodel.DefaultCostModel(),
 		HeartbeatInterval: o.HeartbeatInv,
 	})
@@ -137,8 +138,8 @@ func runKV(o Options, keys, clients int, mode string) (kvResult, error) {
 	var fast, off uint64
 	for _, c := range kvClients {
 		st := c.Stats()
-		fast += st.FastReads
-		off += st.OffloadReads
+		fast += st.FastSearches
+		off += st.OffloadSearches
 	}
 	out := kvResult{
 		meanLat: lat.Summarize().Mean,

@@ -144,7 +144,7 @@ func DefaultCostModel() CostModel { return netmodel.DefaultCostModel() }
 
 // Server and client types.
 type (
-	// Server is the Catfish R-tree server.
+	// Server is the Catfish server.
 	Server = server.Server
 	// ServerConfig configures a Server.
 	ServerConfig = server.Config

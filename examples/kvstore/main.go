@@ -1,21 +1,18 @@
 // Kvstore: the paper's §VI framework claim in action — the same
 // region/version/offload machinery that serves the R-tree also serves a
-// B+-tree and a cuckoo hash table. A server owns both structures in
-// registered memory; a client performs one-sided lookups over the simulated
-// RDMA fabric (point gets against the hash table, ordered scans against the
-// B+-tree by the R-tree's offloaded walk) while the server keeps writing,
+// B+-tree key-value store, through the same server core. A client scans the
+// B+-tree with one-sided reads over the simulated RDMA fabric (the R-tree's
+// offloaded walk, taking the leaf chain) while the server keeps writing,
 // with cacheline version checks absorbing every torn read.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
 	catfish "github.com/catfish-db/catfish"
-	"github.com/catfish-db/catfish/internal/cuckoo"
 )
 
 const keys = 50_000
@@ -41,31 +38,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Cuckoo region: 256 B chunks = one 14-slot bucket each.
-	ckReg, err := catfish.NewMemoryRegion(8192, 256)
-	if err != nil {
-		return err
-	}
-	ck, err := catfish.NewCuckooTable(ckReg, catfish.CuckooConfig{Seed: 9})
-	if err != nil {
-		return err
-	}
 	for k := uint64(0); k < keys; k++ {
 		if err := bt.Insert(k, k*2); err != nil {
 			return err
 		}
-		if err := ck.Put(k, k*2); err != nil {
-			return err
-		}
 	}
-	fmt.Printf("server: B+-tree %d keys (height %d), cuckoo %d keys (load %.0f%%)\n",
-		bt.Len(), bt.Height(), ck.Len(), ck.LoadFactor()*100)
+	fmt.Printf("server: B+-tree %d keys (height %d)\n", bt.Len(), bt.Height())
 
-	// A KV server serves the B+-tree: the client scans it through a
-	// forced-offload KV client, and reads the cuckoo table's registered
-	// region with raw one-sided reads.
-	srv, err := catfish.NewKVServer(catfish.KVServerConfig{
-		Engine: engine, Host: serverHost, Tree: bt, Cost: catfish.DefaultCostModel(),
+	// The server core serves the B+-tree as a key-value store; the client
+	// scans it through a forced-offload KV client.
+	srv, err := catfish.NewServer(catfish.ServerConfig{
+		Engine: engine, Host: serverHost, Tree: catfish.NewKVStore(bt), Cost: catfish.DefaultCostModel(),
 	})
 	if err != nil {
 		return err
@@ -80,8 +63,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ckMem := serverHost.RegisterRegion(ckReg)
-	ckQP, _ := net.ConnectQP(clientHost, serverHost, 8)
 
 	var runErr error
 	engine.Spawn("server-writer", func(p *catfish.Proc) {
@@ -92,41 +73,13 @@ func run() error {
 				runErr = err
 				return
 			}
-			if err := ck.Update(k, k*3); err != nil {
-				runErr = err
-				return
-			}
 			p.Sleep(500 * time.Nanosecond)
 		}
 	})
 	engine.Spawn("client", func(p *catfish.Proc) {
 		defer engine.Stop()
-		ckReader := &catfish.CuckooReader{
-			Fetch: func(id int) ([]byte, error) {
-				return ckQP.ReadSync(p, ckMem, id*ckReg.ChunkSize(), ckReg.ChunkSize())
-			},
-			Buckets:     ck.Buckets(),
-			Slots:       ck.SlotsPerBucket(),
-			Seed:        9,
-			BucketChunk: ck.BucketChunk,
-		}
-		rng := rand.New(rand.NewSource(2))
+		p.Sleep(100 * time.Microsecond) // let the writer get going
 		start := p.Now()
-		const gets = 2000
-		for i := 0; i < gets; i++ {
-			k := uint64(rng.Intn(keys))
-			v, err := ckReader.Get(k)
-			if err != nil {
-				runErr = fmt.Errorf("cuckoo get %d: %w", k, err)
-				return
-			}
-			if v != k*2 && v != k*3 {
-				runErr = fmt.Errorf("cuckoo get %d = %d, want %d or %d", k, v, k*2, k*3)
-				return
-			}
-		}
-		hashDur := p.Now() - start
-		start = p.Now()
 		scanned := 0
 		if _, err := scanner.Range(p, 1000, 1500, func(k, v uint64) bool {
 			if v != k*2 && v != k*3 {
@@ -138,11 +91,8 @@ func run() error {
 		}); err != nil && runErr == nil {
 			runErr = err
 		}
-		scanDur := p.Now() - start
-		fmt.Printf("client: %d one-sided hash gets in %v (%.1fµs avg, %d torn retries)\n",
-			gets, hashDur, float64(hashDur.Microseconds())/gets, ckReader.TornRetries)
 		fmt.Printf("client: ordered scan of %d keys via B+-tree leaf chain in %v (%d torn retries)\n",
-			scanned, scanDur, scanner.Stats().TornRetries)
+			scanned, p.Now()-start, scanner.Stats().TornRetries)
 	})
 	if err := engine.Run(); err != nil {
 		return err
@@ -150,11 +100,8 @@ func run() error {
 	if runErr != nil {
 		return runErr
 	}
-	// Sanity: structures still intact after the concurrent writes.
+	// Sanity: the tree is still intact after the concurrent writes.
 	if err := bt.CheckInvariants(); err != nil {
-		return err
-	}
-	if _, err := ck.Get(keys - 1); err != nil && !errors.Is(err, cuckoo.ErrNotFound) {
 		return err
 	}
 
@@ -181,8 +128,8 @@ func adaptiveKVDemo() error {
 			return err
 		}
 	}
-	srv, err := catfish.NewKVServer(catfish.KVServerConfig{
-		Engine: engine, Host: serverHost, Tree: tree,
+	srv, err := catfish.NewServer(catfish.ServerConfig{
+		Engine: engine, Host: serverHost, Tree: catfish.NewKVStore(tree),
 		Cost:              catfish.DefaultCostModel(),
 		HeartbeatInterval: time.Millisecond,
 	})
@@ -234,8 +181,8 @@ func adaptiveKVDemo() error {
 	var fast, off uint64
 	for _, c := range clients {
 		st := c.Stats()
-		fast += st.FastReads
-		off += st.OffloadReads
+		fast += st.FastSearches
+		off += st.OffloadSearches
 	}
 	fmt.Printf("adaptive KV: %d gets via fast messaging, %d offloaded (%.0f%%) on a saturated 2-core server\n",
 		fast, off, 100*float64(off)/float64(fast+off))

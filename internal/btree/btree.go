@@ -10,7 +10,7 @@ import (
 // Publisher writes a node's encoded payload into a region chunk (the same
 // hook the R-tree exposes; a Catfish-style server can stage writes through
 // it to open torn-read windows).
-type Publisher func(chunkID int, payload []byte) error
+type Publisher = func(chunkID int, payload []byte) error
 
 // Config tunes a Tree.
 type Config struct {

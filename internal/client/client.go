@@ -171,7 +171,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	if c.ep.DataQP != nil {
 		ocfg.Tree = proto.Tree{RootChunk: c.ep.RootChunk,
-			NumChunks: c.ep.RegionMem.Region().NumChunks(), MaxEntries: c.ep.MaxEntries}
+			NumChunks: c.ep.RegionMem.Region().NumChunks(), MaxEntries: c.ep.MaxEntries, Kind: c.ep.Index}
 		ocfg.MergeSpan = c.ep.DataQP.Profile().MergeSpan
 	}
 	if c.ep.TCP != nil {

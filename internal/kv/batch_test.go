@@ -90,8 +90,8 @@ func TestGetBatchOffloadRoutesOneSided(t *testing.T) {
 	if c.Stats().BatchesSent != 0 {
 		t.Errorf("offload-only batch sent %d containers", c.Stats().BatchesSent)
 	}
-	if c.Stats().OffloadReads != 4 {
-		t.Errorf("offload reads = %d, want 4", c.Stats().OffloadReads)
+	if c.Stats().OffloadSearches != 4 {
+		t.Errorf("offload reads = %d, want 4", c.Stats().OffloadSearches)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestGetBatchAdaptiveSplit(t *testing.T) {
 	var fast, off, hb uint64
 	for _, c := range clients {
 		st := c.Stats()
-		fast += st.FastReads
-		off += st.OffloadReads
+		fast += st.FastSearches
+		off += st.OffloadSearches
 		hb += st.HeartbeatsSeen
 	}
 	if fast+off != 8*rounds*batch {

@@ -1,15 +1,7 @@
 package kv
 
 import (
-	"errors"
-	"fmt"
-	"time"
-
-	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/client"
-	"github.com/catfish-db/catfish/internal/fabric"
-	"github.com/catfish-db/catfish/internal/netmodel"
-	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/telemetry"
@@ -28,275 +20,149 @@ const (
 
 // Errors.
 var (
-	ErrServer   = errors.New("kv: server reported an error")
-	ErrNotFound = errors.New("kv: key not found")
+	ErrServer   = proto.ErrServer
+	ErrNotFound = proto.ErrNotFound
 )
 
-// ClientConfig configures a KV client.
-type ClientConfig struct {
-	Engine   *sim.Engine
-	Host     *fabric.Host
-	Endpoint *Endpoint
-	Cost     netmodel.CostModel
+// Ops is the key codec over one client's operations, on either transport: a
+// Get is a search of [key, key], a Range a search of [from, to], a Put an
+// insert (the store's upsert) and a Delete a delete, each pair coming back
+// as an item. Reads take Algorithm 1's choice, by fast messaging or by the
+// B+-tree walk the server announced; writes always travel by messaging.
+type Ops[T proto.Transport] struct{ o proto.Ops[T] }
 
-	// Adaptive runs Algorithm 1 for reads; otherwise Forced applies.
-	Adaptive bool
-	Forced   Method
-	// T and HeartbeatInv parametrize the switch.
-	T            float64
-	HeartbeatInv time.Duration
+// On returns the key operations over o. Against a server that serves no
+// B+-tree every operation fails with proto.ErrIndex.
+func On[T proto.Transport](o proto.Ops[T]) Ops[T] { return Ops[T]{o} }
 
-	// NodeCache is the capacity (in nodes) of the client-side cache of
-	// internal B+-tree nodes used by the offloaded read path; 0 disables
-	// it. Entries are lease-fresh for one HeartbeatInv after validation
-	// and revalidated by version-only reads afterwards.
-	NodeCache int
-}
-
-// ClientStats counts client events.
-type ClientStats struct {
-	FastReads      uint64
-	OffloadReads   uint64
-	Puts           uint64
-	Deletes        uint64
-	TornRetries    uint64
-	StaleRestarts  uint64
-	HeartbeatsSeen uint64
-	// BatchesSent counts GetBatch containers; BatchedOps the gets they
-	// carried (each also counted in FastReads).
-	BatchesSent uint64
-	BatchedOps  uint64
-
-	// Node-cache counters (all zero when the cache is disabled).
-	VersionReads      uint64
-	CacheHits         uint64
-	CacheVerifiedHits uint64
-	CacheMisses       uint64
-	CacheEvictions    uint64
-	CacheBytesSaved   uint64
-}
-
-// Client is one key-value client: writes travel by fast messaging (the
-// server's lock discipline covers them), reads switch adaptively between
-// fast messaging and one-sided B+-tree traversal.
-type Client struct {
-	cfg ClientConfig
-	ep  *Endpoint
-	sw  *adaptive.Switch
-
-	// The offloaded read path: the walk over the B+-tree, the port its reads
-	// go through, its counters and its node cache.
-	walk   *proto.KeyWalk
-	reads  client.ReadPort
-	walked telemetry.ClientMetrics
-	ncache *nodecache.Cache
-
-	reqID  uint64
-	encBuf []byte
-	benc   wire.BatchEncoder
-	stats  ClientStats
-}
-
-// NewClient validates the configuration and returns a client.
-func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Engine == nil || cfg.Host == nil || cfg.Endpoint == nil {
-		return nil, errors.New("kv: Engine, Host and Endpoint are required")
-	}
-	if !cfg.Adaptive && cfg.Forced == 0 {
-		cfg.Forced = MethodFast
-	}
-	c := &Client{cfg: cfg, ep: cfg.Endpoint}
-	c.sw = adaptive.New(adaptive.Config{T: cfg.T, Inv: cfg.HeartbeatInv}, cfg.Engine.Rand())
-	ep := cfg.Endpoint
-	c.reads = client.NewReadPort(cfg.Host, cfg.Cost, ep)
-	if cfg.NodeCache > 0 && ep.RegionVers != nil {
-		c.ncache = nodecache.New(cfg.NodeCache, cfg.HeartbeatInv, ep.ChunkSize, ep.RegionVers.VersionsSize())
-	}
-	c.walk = proto.NewKeyWalk(proto.OpsConfig{
-		Tree:  proto.Tree{RootChunk: ep.RootChunk, NumChunks: ep.RegionMem.Region().NumChunks(), MaxEntries: ep.MaxEntries},
-		Cache: c.ncache,
-	}, &c.walked)
-	return c, nil
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Client) Stats() ClientStats {
-	out := c.stats
-	out.HeartbeatsSeen = c.sw.HeartbeatsSeen
-	out.TornRetries = c.walked.TornRetries.Load()
-	out.StaleRestarts = c.walked.StaleRestarts.Load()
-	out.VersionReads = c.walked.VersionReads.Load()
-	ns := c.ncache.Stats()
-	out.CacheHits = ns.Hits
-	out.CacheVerifiedHits = ns.VerifiedHits
-	out.CacheMisses = ns.Misses
-	out.CacheEvictions = ns.Evictions
-	out.CacheBytesSaved = ns.BytesSaved
-	return out
-}
-
-func (c *Client) nextID() uint64 {
-	c.reqID++
-	return c.reqID
-}
-
-func (c *Client) decide(p *sim.Proc) Method {
-	if !c.cfg.Adaptive {
-		return c.cfg.Forced
-	}
-	hb := c.reads.On(p)
-	if c.sw.DecideMethod(p.Now(), hb.Heartbeat, hb.ClearHeartbeat) == adaptive.ChooseOffload {
-		return MethodOffload
-	}
-	return MethodFast
-}
-
-// Get returns the value stored under key, adaptively choosing fast
-// messaging or offloaded traversal.
-func (c *Client) Get(p *sim.Proc, key uint64) (uint64, Method, error) {
-	m := c.decide(p)
-	if m == MethodOffload {
-		c.stats.OffloadReads++
-		val, err := c.get(p, key)
-		return val, m, err
-	}
-	c.stats.FastReads++
-	resp, err := c.roundTrip(p, wire.KVRequest{Type: wire.MsgKVGet, ID: c.nextID(), Key: key})
-	if err != nil {
-		return 0, m, err
-	}
-	switch resp.Status {
-	case wire.StatusOK:
-		if len(resp.Pairs) != 1 {
-			return 0, m, fmt.Errorf("%w: malformed get response", ErrServer)
-		}
-		return resp.Pairs[0].Val, m, nil
-	case wire.StatusNotFound:
-		return 0, m, ErrNotFound
-	default:
-		return 0, m, fmt.Errorf("%w: get status %d", ErrServer, resp.Status)
-	}
-}
-
-// get reads key's value with one-sided reads: the offloaded walk's scan of
-// [key, key].
-func (c *Client) get(p *sim.Proc, key uint64) (uint64, error) {
-	found, err := proto.ScanKeys(c.walk, c.reads.On(p), key, key)
-	if err != nil {
-		return 0, err
-	}
-	if len(found) == 0 {
-		return 0, ErrNotFound
-	}
-	return found[0].Val, nil
-}
-
-// Range invokes fn for every key in [from, to] in ascending order,
-// adaptively choosing the read path; an offloaded range is delivered once
-// its walk completes.
-func (c *Client) Range(p *sim.Proc, from, to uint64, fn func(key, val uint64) bool) (Method, error) {
-	m := c.decide(p)
-	if m == MethodOffload {
-		c.stats.OffloadReads++
-		pairs, err := proto.ScanKeys(c.walk, c.reads.On(p), from, to)
-		for _, kvp := range pairs {
-			if !fn(kvp.Key, kvp.Val) {
-				break
-			}
-		}
-		return m, err
-	}
-	c.stats.FastReads++
-	resp, err := c.roundTrip(p, wire.KVRequest{Type: wire.MsgKVRange, ID: c.nextID(), Key: from, End: to})
-	if err != nil {
-		return m, err
-	}
-	if resp.Status != wire.StatusOK {
-		return m, fmt.Errorf("%w: range status %d", ErrServer, resp.Status)
-	}
-	for _, kvp := range resp.Pairs {
-		if !fn(kvp.Key, kvp.Val) {
-			break
-		}
-	}
-	return m, nil
-}
-
-// Put upserts key -> val (always fast messaging, like R-tree writes).
-func (c *Client) Put(p *sim.Proc, key, val uint64) error {
-	c.stats.Puts++
-	resp, err := c.roundTrip(p, wire.KVRequest{Type: wire.MsgKVPut, ID: c.nextID(), Key: key, Val: val})
-	if err != nil {
-		return err
-	}
-	if resp.Status != wire.StatusOK {
-		return fmt.Errorf("%w: put status %d", ErrServer, resp.Status)
+func (k Ops[T]) check() error {
+	if k.o.Index() != wire.IndexBTree {
+		return proto.ErrIndex
 	}
 	return nil
 }
 
-// Delete removes key.
-func (c *Client) Delete(p *sim.Proc, key uint64) error {
-	c.stats.Deletes++
-	resp, err := c.roundTrip(p, wire.KVRequest{Type: wire.MsgKVDelete, ID: c.nextID(), Key: key})
-	if err != nil {
+// Get returns the value stored under key.
+func (k Ops[T]) Get(key uint64) (uint64, Method, error) {
+	items, m, err := k.search(key, key)
+	switch {
+	case err != nil:
+		return 0, m, err
+	case len(items) == 0:
+		return 0, m, ErrNotFound
+	}
+	return items[0].Ref, m, nil
+}
+
+// Range invokes fn for every key in [from, to] in ascending order until fn
+// returns false; the pairs are delivered once the whole read is in.
+func (k Ops[T]) Range(from, to uint64, fn func(key, val uint64) bool) (Method, error) {
+	items, m, err := k.search(from, to)
+	for _, it := range items {
+		if key, _ := proto.KeyBounds(it.Rect); !fn(key, it.Ref) {
+			break
+		}
+	}
+	return m, err
+}
+
+func (k Ops[T]) search(from, to uint64) ([]wire.Item, Method, error) {
+	if err := k.check(); err != nil {
+		return nil, 0, err
+	}
+	return k.o.Search(proto.KeyRange(from, to))
+}
+
+// Put stores val under key, overwriting a present one.
+func (k Ops[T]) Put(key, val uint64) error {
+	if err := k.check(); err != nil {
 		return err
 	}
-	switch resp.Status {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusNotFound:
-		return ErrNotFound
-	default:
-		return fmt.Errorf("%w: delete status %d", ErrServer, resp.Status)
-	}
+	return k.o.Insert(proto.KeyRange(key, key), val)
 }
 
-// roundTrip performs one fast-messaging exchange, folding segments.
-func (c *Client) roundTrip(p *sim.Proc, req wire.KVRequest) (wire.KVResponse, error) {
-	c.encBuf = req.Encode(c.encBuf[:0])
-	if err := c.ep.ReqWriter.Send(p, c.encBuf, req.ID, true); err != nil {
-		return wire.KVResponse{}, err
+// Delete removes key; an absent key is ErrNotFound.
+func (k Ops[T]) Delete(key uint64) error {
+	if err := k.check(); err != nil {
+		return err
 	}
-	var out wire.KVResponse
-	for {
-		c.ep.RespReader.CQ().Pop(p)
-		done, err := c.drain(req.ID, &out)
-		if rerr := c.ep.RespReader.ReportHead(p); rerr != nil {
-			return out, rerr
-		}
-		if err != nil {
-			return out, err
-		}
-		if done {
-			return out, nil
-		}
-	}
+	return k.o.Delete(proto.KeyRange(key, key), 0)
 }
 
-func (c *Client) drain(id uint64, out *wire.KVResponse) (bool, error) {
-	done := false
-	for {
-		payload, err, ok := c.ep.RespReader.TryRecv()
-		if err != nil {
-			return done, err
+// GetResult is the outcome of one batched Get, in submission order.
+type GetResult struct {
+	Method Method
+	Val    uint64
+	Err    error
+}
+
+// GetBatch executes point gets as one client batch (proto.Ops.ExecBatch):
+// each key consults the adaptive switch individually, messaging-routed gets
+// share one container while offload-routed ones walk the tree overlapped
+// with it, and a batch of one is a plain Get.
+func (k Ops[T]) GetBatch(keys []uint64, results []GetResult) []GetResult {
+	results = results[:0]
+	if err := k.check(); err != nil {
+		for range keys {
+			results = append(results, GetResult{Err: err})
 		}
-		if !ok {
-			return done, nil
-		}
-		resp, err := wire.DecodeKVResponse(payload)
-		if err != nil {
-			return done, err
-		}
-		if resp.ID != id {
-			continue
-		}
-		out.ID = resp.ID
-		out.Status = resp.Status
-		out.Pairs = append(out.Pairs, resp.Pairs...)
-		if resp.Final {
-			out.Final = true
-			done = true
-		}
+		return results
 	}
+	ops := make([]proto.BatchOp, len(keys))
+	for i, key := range keys {
+		ops[i] = proto.BatchOp{Type: wire.MsgSearch, Rect: proto.KeyRange(key, key)}
+	}
+	for _, r := range k.o.ExecBatch(ops, nil) {
+		g := GetResult{Method: r.Method, Err: r.Err}
+		switch {
+		case g.Err != nil:
+		case len(r.Items) == 0:
+			g.Err = ErrNotFound
+		default:
+			g.Val = r.Items[0].Ref
+		}
+		results = append(results, g)
+	}
+	return results
+}
+
+// ClientConfig configures a Client: the simulated client's, its Endpoint
+// one a server.Server over a Store returned.
+type ClientConfig = client.Config
+
+// ClientStats is a snapshot of a client's counters.
+type ClientStats = telemetry.ClientSnapshot
+
+// Client is a key-value client on the simulated fabric: the simulated
+// client driven through the key codec by the process each call names.
+type Client struct{ *client.Client }
+
+// NewClient validates the configuration and returns a client.
+func NewClient(cfg ClientConfig) (*Client, error) {
+	c, err := client.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Client{c}, nil
+}
+
+// Get returns the value stored under key, read as Algorithm 1 chooses.
+func (c *Client) Get(p *sim.Proc, key uint64) (uint64, Method, error) {
+	return On(c.On(p)).Get(key)
+}
+
+// Range invokes fn for every key in [from, to] in ascending order.
+func (c *Client) Range(p *sim.Proc, from, to uint64, fn func(key, val uint64) bool) (Method, error) {
+	return On(c.On(p)).Range(from, to, fn)
+}
+
+// Put stores val under key.
+func (c *Client) Put(p *sim.Proc, key, val uint64) error { return On(c.On(p)).Put(key, val) }
+
+// Delete removes key.
+func (c *Client) Delete(p *sim.Proc, key uint64) error { return On(c.On(p)).Delete(key) }
+
+// GetBatch executes point gets as one client batch.
+func (c *Client) GetBatch(p *sim.Proc, keys []uint64, results []GetResult) []GetResult {
+	return On(c.On(p)).GetBatch(keys, results)
 }

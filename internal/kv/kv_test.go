@@ -10,13 +10,14 @@ import (
 	"github.com/catfish-db/catfish/internal/fabric"
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/region"
+	"github.com/catfish-db/catfish/internal/server"
 	"github.com/catfish-db/catfish/internal/sim"
 )
 
 type rig struct {
 	e    *sim.Engine
 	net  *fabric.Network
-	srv  *Server
+	srv  *server.Server
 	tree *btree.Tree
 }
 
@@ -49,8 +50,8 @@ func newRig(t testing.TB, o rigOpts) *rig {
 			t.Fatal(err)
 		}
 	}
-	srv, err := NewServer(ServerConfig{
-		Engine: e, Host: host, Tree: tree,
+	srv, err := server.New(server.Config{
+		Engine: e, Host: host, Tree: NewStore(tree),
 		Cost:              netmodel.DefaultCostModel(),
 		HeartbeatInterval: o.heartbeat,
 		StagedNodeWrites:  o.staged,
@@ -82,7 +83,7 @@ func (r *rig) newClient(t testing.TB, cfg ClientConfig) *Client {
 }
 
 func TestServerValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{}); err == nil {
+	if _, err := server.New(server.Config{}); err == nil {
 		t.Error("empty config should fail")
 	}
 	if _, err := NewClient(ClientConfig{}); err == nil {
@@ -160,7 +161,7 @@ func TestPutDeleteRange(t *testing.T) {
 	if err := r.e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.srv.Stats().Puts != 2 || r.srv.Stats().Deletes != 2 {
+	if r.srv.Stats().Inserts != 2 || r.srv.Stats().Deletes != 2 {
 		t.Errorf("server stats = %+v", r.srv.Stats())
 	}
 	if err := r.tree.CheckInvariants(); err != nil {
@@ -223,8 +224,8 @@ func TestAdaptiveKVOffloadsUnderLoad(t *testing.T) {
 	var fast, off, hb uint64
 	for _, c := range clients {
 		st := c.Stats()
-		fast += st.FastReads
-		off += st.OffloadReads
+		fast += st.FastSearches
+		off += st.OffloadSearches
 		hb += st.HeartbeatsSeen
 	}
 	if hb == 0 {

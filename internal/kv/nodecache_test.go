@@ -36,7 +36,7 @@ func TestKVNodeCacheSavesFetches(t *testing.T) {
 		t.Error("no bytes saved recorded")
 	}
 	t.Logf("cache: hits=%d verified=%d misses=%d versionReads=%d saved=%dB (plain offloads=%d)",
-		cs.CacheHits, cs.CacheVerifiedHits, cs.CacheMisses, cs.VersionReads, cs.CacheBytesSaved, ps.OffloadReads)
+		cs.CacheHits, cs.CacheVerifiedHits, cs.CacheMisses, cs.VersionReads, cs.CacheBytesSaved, ps.OffloadSearches)
 }
 
 func TestKVNodeCacheCoherentUnderWrites(t *testing.T) {

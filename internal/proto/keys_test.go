@@ -2,25 +2,28 @@ package proto
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/adaptive"
 	"github.com/catfish-db/catfish/internal/btree"
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/telemetry"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // keyRig is a B+-tree served through the fake transport — the walk's second
-// index — answered against the tree's own Get and Range.
+// index, which a client core takes when the server announces it — answered
+// against the tree's own Get and Range.
 type keyRig struct {
 	tree  *btree.Tree
 	ft    *fakeTransport
 	cache *nodecache.Cache
-	ctr   telemetry.ClientMetrics
-	w     *KeyWalk
+	o     Ops[*fakeTransport]
 	span  uint64 // preloaded keys are the even keys below span
 }
 
@@ -44,18 +47,45 @@ func newKeyRig(t *testing.T, keys int, cfg OpsConfig, cacheCap int) *keyRig {
 	r := &keyRig{tree: tree, span: uint64(keys) * 2,
 		ft:    &fakeTransport{fakeReads: fakeReads{reg: reg, reads: map[int]int{}}},
 		cache: nodecache.New(cacheCap, time.Millisecond, reg.ChunkSize(), reg.VersionsSize())}
-	cfg.Switch.Inv = time.Millisecond
-	cfg.Tree = Tree{RootChunk: tree.RootChunk(), NumChunks: reg.NumChunks(), MaxEntries: tree.MaxEntries()}
+	cfg.Forced = MethodOffload
+	cfg.Switch = adaptive.Config{Inv: time.Millisecond}
+	cfg.Tree = Tree{RootChunk: tree.RootChunk(), NumChunks: reg.NumChunks(), MaxEntries: tree.MaxEntries(),
+		Kind: wire.IndexBTree}
 	cfg.Cache = r.cache
-	r.w = NewKeyWalk(cfg, &r.ctr)
+	r.o = Bind(NewCore(cfg), r.ft)
+	if r.o.walk != nil || r.o.keyWalk == nil {
+		t.Fatal("a B+-tree server's client took the R-tree walk")
+	}
 	return r
+}
+
+// scan reads [from, to] by the offloaded walk.
+func (r *keyRig) scan(from, to uint64) ([]btree.Entry, error) {
+	items, m, err := r.o.Search(KeyRange(from, to))
+	if err == nil && m != MethodOffload {
+		err = fmt.Errorf("scan ran %v", m)
+	}
+	return entries(items), err
+}
+
+// entries decodes items through the key codec.
+func entries(items []wire.Item) []btree.Entry {
+	var out []btree.Entry
+	for _, it := range items {
+		from, to := KeyBounds(it.Rect)
+		if from != to {
+			panic("a pair's item carries an interval")
+		}
+		out = append(out, btree.Entry{Key: from, Val: it.Ref})
+	}
+	return out
 }
 
 // check scans [from, to] and requires the tree's own answer — and, for a
 // point, its Get — and a quiet walk.
 func (r *keyRig) check(t *testing.T, from, to uint64) {
 	t.Helper()
-	got, err := ScanKeys(r.w, r.ft, from, to)
+	got, err := r.scan(from, to)
 	if err != nil {
 		t.Fatalf("scan [%d, %d]: %v", from, to, err)
 	}
@@ -88,20 +118,16 @@ func (r *keyRig) nodes() *nodecache.Cache { return r.cache }
 func (r *keyRig) rootChunk() int          { return r.tree.RootChunk() }
 func (r *keyRig) region() *region.Region  { return r.tree.Region() }
 
-func (r *keyRig) stats() telemetry.ClientSnapshot {
-	out, ns := r.ctr.Snapshot(), r.cache.Stats()
-	out.CacheHits, out.CacheVerifiedHits = ns.Hits, ns.VerifiedHits
-	return out
-}
+func (r *keyRig) stats() telemetry.ClientSnapshot { return r.o.Stats() }
 
 func (r *keyRig) checkQuiet(t *testing.T) {
 	t.Helper()
-	quiet(t, r.ft, r.w.w)
+	quiet(t, r.ft, r.o.keyWalk)
 }
 
 func (r *keyRig) runWhole(t *testing.T) error {
 	t.Helper()
-	got, err := ScanKeys(r.w, r.ft, 0, ^uint64(0))
+	got, err := r.scan(0, ^uint64(0))
 	if err == nil {
 		r.same(t, 0, ^uint64(0), got)
 	}
@@ -186,10 +212,10 @@ func TestOffloadChainSelfLoop(t *testing.T) {
 	for _, multi := range []bool{true, false} {
 		ft := &fakeTransport{fakeReads: fakeReads{reg: reg, reads: map[int]int{}}}
 		var ctr telemetry.ClientMetrics
-		w := NewKeyWalk(OpsConfig{MultiIssue: multi, Tree: Tree{RootChunk: root, NumChunks: 8, MaxEntries: 8}}, &ctr)
+		w := newKeyWalk(OpsConfig{MultiIssue: multi, Tree: Tree{RootChunk: root, NumChunks: 8, MaxEntries: 8}}, &ctr)
 		for _, q := range [][2]uint64{{5, 5}, {5, 9}, {0, 9}} {
 			before := ctr.NodesFetched.Load()
-			if got, err := ScanKeys(w, ft, q[0], q[1]); !errors.Is(err, ErrGaveUp) {
+			if got, err := Offload(w, ft, KeyRange(q[0], q[1])); !errors.Is(err, ErrGaveUp) {
 				t.Fatalf("multi-issue %v, scan %v over a looping chain: %v, %v; want ErrGaveUp", multi, q, got, err)
 			}
 			// Each of the 9 attempts reads the root and, at most, the
@@ -197,7 +223,7 @@ func TestOffloadChainSelfLoop(t *testing.T) {
 			if reads := ctr.NodesFetched.Load() - before; reads > 9*(2+maxMoveRight) {
 				t.Errorf("multi-issue %v, scan %v: %d reads, past the budgets", multi, q, reads)
 			}
-			quiet(t, ft, w.w)
+			quiet(t, ft, w)
 		}
 	}
 }

@@ -41,11 +41,13 @@ type Done struct {
 }
 
 // Tree is the geometry of the served tree as an offloading client sees it:
-// where the root lives, how many chunks the region has, and the node fan-out
-// a chunk may decode to. The zero value means the transport has no one-sided
-// view of the tree.
+// where the root lives, how many chunks the region has, the node fan-out a
+// chunk may decode to, and which index the server announced, so which walk
+// reads the chunks. The zero value means the transport has no one-sided
+// view of an R-tree.
 type Tree struct {
 	RootChunk, NumChunks, MaxEntries int
+	Kind                             wire.IndexKind
 }
 
 // ReadPort is what an offloaded walk needs from a transport: the clock cache

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/adaptive"
+	"github.com/catfish-db/catfish/internal/btree"
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/nodecache"
 	"github.com/catfish-db/catfish/internal/rtree"
@@ -99,8 +100,8 @@ type OpsConfig struct {
 }
 
 // Core is the transport-independent state of one client: configuration,
-// the Algorithm 1 switch, counters and the offloaded R-tree walk. Bind
-// attaches it to a transport.
+// the Algorithm 1 switch, counters and the offloaded walk. Bind attaches it
+// to a transport.
 type Core struct {
 	cfg OpsConfig
 	sw  *adaptive.Switch
@@ -108,7 +109,10 @@ type Core struct {
 	// mailbox-pull counters they own.
 	Counters telemetry.ClientMetrics
 	latHist  *telemetry.Histogram
-	walk     *Walk[rtree.Node, geo.Rect, wire.Item]
+	// Exactly one walk is set, by the index the server announced
+	// (Tree.Kind): the R-tree's, or the B+-tree's through the key codec.
+	walk    *Walk[rtree.Node, geo.Rect, wire.Item]
+	keyWalk *Walk[btree.Node, geo.Rect, wire.Item]
 }
 
 // withDefaults fills the switch's and the retry budgets' zero fields.
@@ -130,7 +134,11 @@ func NewCore(cfg OpsConfig) *Core {
 		cfg.Forced = cfg.Messaging
 	}
 	c := &Core{cfg: cfg, sw: adaptive.New(cfg.Switch, cfg.Rand)}
-	c.walk = NewWalk[rtree.Node, geo.Rect, wire.Item](rtreeIndex{}, cfg, &c.Counters)
+	if cfg.Tree.Kind == wire.IndexBTree {
+		c.keyWalk = newKeyWalk(cfg, &c.Counters)
+	} else {
+		c.walk = NewWalk[rtree.Node, geo.Rect, wire.Item](rtreeIndex{}, cfg, &c.Counters)
+	}
 	if cfg.Metrics != nil {
 		c.Counters.Register(cfg.Metrics)
 		telemetry.RegisterCacheFuncs(cfg.Metrics, func() telemetry.CacheStats {
@@ -144,6 +152,9 @@ func NewCore(cfg OpsConfig) *Core {
 	}
 	return c
 }
+
+// Index is the index the server announced.
+func (c *Core) Index() wire.IndexKind { return c.cfg.Tree.Kind }
 
 // Stats returns a snapshot of the client counters, node cache included.
 // Counters are mutated atomically, so it is safe while operations run.
@@ -266,7 +277,7 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	var err error
 	if m == MethodOffload {
 		o.Counters.OffloadSearches.Inc()
-		items, err = Offload(o.walk, o.t, q)
+		items, err = o.offload(q)
 	} else {
 		m = o.countRead(m)
 		items, err = o.serverRead(wire.Request{Type: wire.MsgSearch, Rect: q}, m == MethodFetch)
@@ -297,10 +308,21 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	return items, m, err
 }
 
+// offload answers q with the walk of the served index.
+func (o Ops[T]) offload(q geo.Rect) ([]wire.Item, error) {
+	if o.keyWalk != nil {
+		return Offload(o.keyWalk, o.t, q)
+	}
+	return Offload(o.walk, o.t, q)
+}
+
 // Nearest returns the k entries nearest to (x, y) in ascending distance
 // order, exactly as the server's local rtree.Tree.Nearest would, over fast
 // messaging or the fetch/mailbox path (see readMethod).
 func (o Ops[T]) Nearest(k int, x, y float64) ([]rtree.Neighbor, Method, error) {
+	if o.Index() != wire.IndexRTree {
+		return nil, 0, ErrIndex
+	}
 	items, m, err := o.knn(wire.KNNRequest(0, k, x, y))
 	return NeighborsOfItems(items, x, y), m, err
 }
@@ -328,6 +350,9 @@ func (o Ops[T]) Delete(r geo.Rect, ref uint64) error {
 // move of an unknown entry degrades to a plain insert (upsert semantics —
 // the same state a delete-then-insert pair reaches).
 func (o Ops[T]) Move(from, to geo.Rect, ref uint64) error {
+	if o.Index() != wire.IndexRTree {
+		return ErrIndex
+	}
 	return o.write(wire.Request{Type: wire.MsgMove, Rect: from, Ref: ref, Rect2: to})
 }
 

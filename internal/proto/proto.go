@@ -84,6 +84,10 @@ var (
 	// the server is alive, just saturated; retry (ideally elsewhere)
 	// with backoff.
 	ErrOverloaded = errors.New("catfish: server overloaded")
+	// ErrIndex refuses what the served index has no meaning for — a kNN
+	// or MOVE against a B+-tree, a key operation against an R-tree, a
+	// spatial router or split over a B+-tree server — without sending it.
+	ErrIndex = errors.New("catfish: operation not served by this index")
 )
 
 // StatusError maps a non-OK response status to the typed error clients

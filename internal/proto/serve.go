@@ -27,7 +27,7 @@ type Exec interface {
 	RUnlock()
 	Lock()
 	Unlock()
-	// Insert is Tree.Insert run where the transport's node publisher wants
+	// Insert is Store.Insert run where the transport's node publisher wants
 	// it (the sim's staged-publish window); the exclusive latch is held.
 	Insert(r geo.Rect, ref uint64) (rtree.OpStats, error)
 	// Propagate carries one applied insert or delete to whoever mirrors
@@ -42,10 +42,38 @@ type Exec interface {
 	Reply(frames []byte) error
 }
 
+// Store is the index a Serve executes requests against — the server side's
+// seam, as Index is the offloaded walk's (DESIGN.md §5.16). *rtree.Tree is
+// one; the B+-tree key-value store (internal/kv) is the other. Every method
+// runs under the latch the request takes: Query under the shared one, so it
+// may only read, the rest under the exclusive one. No closure crosses the
+// seam — Query appends packed items to the caller's bytes — so a warmed
+// query allocates nothing.
+type Store interface {
+	// Query runs one search or kNN request (plain or fetch), appending the
+	// packed wire items it matches to items; on an error the caller drops
+	// whatever was appended.
+	Query(req wire.Request, items []byte) ([]byte, rtree.OpStats, error)
+	// Insert adds (r, ref); Delete removes it, found false when nothing
+	// matched; Relocate moves it to to (MsgMove).
+	Insert(r geo.Rect, ref uint64) (rtree.OpStats, error)
+	Delete(r geo.Rect, ref uint64) (found bool, st rtree.OpStats, err error)
+	Relocate(from, to geo.Rect, ref uint64) (rtree.Relocation, rtree.OpStats, error)
+	// SetPublisher replaces how node payloads reach the region (nil
+	// restores the atomic default): the sim's staged-write window.
+	SetPublisher(pub func(chunkID int, payload []byte) error)
+	// The geometry one-sided readers are told: the region the nodes live
+	// in, the root's stable chunk, the fan-out, and which walk reads them.
+	Region() *region.Region
+	RootChunk() int
+	MaxEntries() int
+	Kind() wire.IndexKind
+}
+
 // ServeConfig configures a Serve; both servers' own configurations resolve
 // to it, zero values and all.
 type ServeConfig struct {
-	Tree *rtree.Tree
+	Tree Store
 	// Replica, when non-nil, makes client writes conditional on being the
 	// primary and lets MsgPromote and ApplyRecords through.
 	Replica *replica.Primary
@@ -189,15 +217,6 @@ func putSink(k *sink) {
 	}
 	k.items, k.out, k.ops = k.items[:0], k.out[:0], k.ops[:0]
 	sinkPool.Put(k)
-}
-
-func (k *sink) emit(r geo.Rect, ref uint64) bool {
-	k.items = wire.AppendItem(k.items, r, ref)
-	return true
-}
-
-func (k *sink) emitNeighbor(n rtree.Neighbor) {
-	k.items = wire.AppendItem(k.items, n.Rect, n.Ref)
 }
 
 // decode unpacks a batch container into k.ops, each failed until it runs.
@@ -359,32 +378,25 @@ func (s *Serve[X]) refuse(x X, k *sink, status uint8, limit int) error {
 	return s.respondBatch(x, k, limit)
 }
 
-// query runs one search or kNN (plain or fetch) with the latch held,
-// appending the matches to k.items; a failed query leaves none behind.
-// SearchShared and NearestShared touch no tree scratch state, so queries
-// under a shared latch run in parallel. For a kNN the query point is the
-// degenerate rect's center and k rides Ref; neighbors are emitted in
-// ascending distance, the order every later stage — slot packing included —
-// preserves.
+// query runs one search or kNN (plain or fetch) against the store with the
+// latch held, appending the matches to k.items; a failed query leaves none
+// behind.
 func (s *Serve[X]) query(k *sink, req wire.Request) (rtree.OpStats, error) {
 	from := len(k.items)
-	var st rtree.OpStats
-	var err error
 	if isFetch(req.Type) {
 		s.Counters.FetchSearches.Inc()
 	}
 	if req.Type == wire.MsgSearch || req.Type == wire.MsgSearchFetch {
 		s.Counters.Searches.Inc()
-		st, err = s.cfg.Tree.SearchShared(req.Rect, k.emit)
 	} else {
 		s.Counters.KNNs.Inc()
-		x, y := req.Rect.Center()
-		st, err = s.cfg.Tree.NearestShared(int(req.Ref), x, y, k.emitNeighbor)
 	}
+	items, st, err := s.cfg.Tree.Query(req, k.items)
 	if err != nil {
-		k.items = k.items[:from]
+		k.items = items[:from]
 		return st, err
 	}
+	k.items = items
 	s.Counters.Results.Add(uint64(st.Results))
 	return st, nil
 }

@@ -201,11 +201,12 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 			Inv:         inv,
 			EnableFetch: cfg.Fetch && hello.FetchSlots > 0,
 		},
-		Rand:            rand.New(rand.NewSource(cfg.Seed + time.Now().UnixNano())),
-		Messaging:       MethodFast,
-		DeadlineUS:      deadlineUS(cfg.Deadline),
-		Prefetch:        cfg.Prefetch,
-		Tree:            proto.Tree{RootChunk: int(hello.RootChunk), NumChunks: int(hello.NumChunks), MaxEntries: int(hello.MaxEntries)},
+		Rand:       rand.New(rand.NewSource(cfg.Seed + time.Now().UnixNano())),
+		Messaging:  MethodFast,
+		DeadlineUS: deadlineUS(cfg.Deadline),
+		Prefetch:   cfg.Prefetch,
+		Tree: proto.Tree{RootChunk: int(hello.RootChunk), NumChunks: int(hello.NumChunks),
+			MaxEntries: int(hello.MaxEntries), Kind: hello.Index},
 		MultiIssue:      cfg.MultiIssue,
 		MergeSpan:       c.span,
 		MaxRestarts:     cfg.MaxRestarts,

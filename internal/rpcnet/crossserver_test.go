@@ -232,7 +232,7 @@ func runOnBoth(t *testing.T, loadTree func() *rtree.Tree, f crossFetch, backup b
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	simulated.tree, simulated.stats = contents(ssrv.Tree()), ssrv.Stats()
+	simulated.tree, simulated.stats = contents(ssrv.Tree().(*rtree.Tree)), ssrv.Stats()
 	return tcp, simulated
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"github.com/catfish-db/catfish/internal/autoscale"
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
@@ -60,6 +61,9 @@ func NewElastic(m *shard.Map, srvs []*Server, listen func() (*Server, error),
 	}
 	addrs := make([]string, len(srvs))
 	for i, srv := range srvs {
+		if srv.rtree == nil {
+			return nil, fmt.Errorf("rpcnet: shard %d serves no R-tree: %w", i, proto.ErrIndex)
+		}
 		addrs[i] = srv.Addr().String()
 	}
 	for i, srv := range srvs {
@@ -248,7 +252,7 @@ func (s *Server) prepareReshard(newAddr string) (*shard.Map, error) {
 	s.latch.Lock()
 	defer s.latch.Unlock()
 	var entries []rtree.Entry
-	if _, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	if _, err := s.rtree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
 		entries = append(entries, rtree.Entry{Rect: r, Ref: ref})
 		return true
 	}); err != nil {
@@ -355,7 +359,7 @@ func (s *Server) drainSplit() error {
 		return nil
 	}
 	var doomed []rtree.Entry
-	_, err := s.tree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	_, err := s.rtree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
 		if sp.m.Owner(r) == sp.newIdx {
 			doomed = append(doomed, rtree.Entry{Rect: r, Ref: ref})
 		}

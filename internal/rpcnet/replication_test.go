@@ -187,7 +187,7 @@ func TestReplicationCrossTransport(t *testing.T) {
 	}
 	simulated.core = replCore(ssrvs[0].Replication())
 	for _, srv := range ssrvs {
-		simulated.trees = append(simulated.trees, replContents(t, srv.Tree()))
+		simulated.trees = append(simulated.trees, replContents(t, srv.Tree().(*rtree.Tree)))
 		simulated.stats = append(simulated.stats, srv.Stats())
 	}
 	simulated.obs = slog.obs

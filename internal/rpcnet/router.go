@@ -7,8 +7,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/replica"
 	"github.com/catfish-db/catfish/internal/shard"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // RouterConfig tunes a Router.
@@ -75,6 +77,9 @@ func connectRouter(addrs []string, cfg RouterConfig) (*Router, error) {
 		}
 		replicas = append(replicas, []*Client{c})
 		h := c.Hello()
+		if h.Index != wire.IndexRTree {
+			return nil, fmt.Errorf("rpcnet: shard %d (%s): %w", i, addr, proto.ErrIndex)
+		}
 		if h.ShardCount <= 1 && len(addrs) == 1 {
 			continue // unsharded single server: trivial map below
 		}

@@ -159,11 +159,14 @@ type ServerConfig struct {
 	Trace *telemetry.Tracer
 }
 
-// Server serves a Catfish R-tree over TCP.
+// Server serves a Catfish index over TCP.
 type Server struct {
 	cfg  ServerConfig
-	tree *rtree.Tree
-	ln   net.Listener
+	tree proto.Store
+	// rtree is tree when it is an R-tree, nil otherwise: what a live split
+	// carves up (Elastic is R-tree-only).
+	rtree *rtree.Tree
+	ln    net.Listener
 
 	latch sync.RWMutex // the tree latch (writers exclusive)
 	// core executes every data request and batch (proto.Serve): this
@@ -256,9 +259,10 @@ func (sc *srvConn) close() {
 	sc.w.close()
 }
 
-// Listen binds addr and returns a server ready to Serve. The tree (and its
-// region) must outlive the server; the server becomes the tree's writer.
-func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
+// Listen binds addr and returns a server of tree — an *rtree.Tree, or a
+// B+-tree store (kv.Store) — ready to Serve. The tree (and its region) must
+// outlive the server; the server becomes the tree's writer.
+func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -271,6 +275,7 @@ func Listen(addr string, tree *rtree.Tree, cfg ServerConfig) (*Server, error) {
 		epoch: uint64(time.Now().UnixNano()),
 		start: time.Now(),
 	}
+	s.rtree, _ = tree.(*rtree.Tree)
 	s.rootChunkA.Store(int64(tree.RootChunk()))
 	s.shardIdx.Store(int32(cfg.ShardIndex))
 	if cfg.ShardMap != nil {
@@ -460,6 +465,7 @@ func (s *Server) serveConn(sc *srvConn) {
 		NumChunks:   uint32(s.tree.Region().NumChunks()),
 		HeartbeatMs: uint32(s.cfg.HeartbeatInterval / time.Millisecond),
 		ServerEpoch: s.epoch,
+		Index:       s.tree.Kind(),
 	}
 	if sm := s.servedShardMap(); sm != nil {
 		hello.ShardIndex = uint32(s.shardIdx.Load())

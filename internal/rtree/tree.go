@@ -12,7 +12,7 @@ import (
 // publisher writes atomically; the simulation server installs a staged
 // publisher that spreads the write over a virtual-time window so offloaded
 // readers can observe (and retry) genuinely torn reads.
-type Publisher func(chunkID int, payload []byte) error
+type Publisher = func(chunkID int, payload []byte) error
 
 // Config tunes a Tree.
 type Config struct {

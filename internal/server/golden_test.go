@@ -16,6 +16,7 @@ import (
 	"github.com/catfish-db/catfish/internal/netmodel"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/replica"
+	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/wire"
 )
@@ -428,7 +429,7 @@ func TestServerSimGolden(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		if v.name != "killed" {
-			if err := srv.Tree().CheckInvariants(); err != nil {
+			if err := srv.Tree().(*rtree.Tree).CheckInvariants(); err != nil {
 				t.Errorf("%s: %v", v.name, err)
 			}
 		}

@@ -1,7 +1,8 @@
-// Package server implements the Catfish R-tree server.
+// Package server implements the Catfish server on the simulated fabric.
 //
-// The server owns the R*-tree (stored in the RDMA-registered region) and
-// serves three kinds of traffic:
+// The server owns the index — the R*-tree, or the B+-tree key-value store
+// of internal/kv, either stored in the RDMA-registered region and run by the
+// one server core, proto.Serve — and serves three kinds of traffic:
 //
 //   - fast-messaging requests arriving in per-connection ring buffers via
 //     RDMA Write, processed by a worker thread per connection and answered
@@ -57,9 +58,11 @@ const (
 type Config struct {
 	Engine *sim.Engine
 	Host   *fabric.Host // server host; its CPU serves event-mode work
-	Tree   *rtree.Tree
-	Cost   netmodel.CostModel
-	Mode   Mode
+	// Tree is the served index: an *rtree.Tree, or a B+-tree store
+	// (kv.Store).
+	Tree proto.Store
+	Cost netmodel.CostModel
+	Mode Mode
 	// PollCPU must be set in ModePolling.
 	PollCPU *sim.PollCPU
 	// HeartbeatInterval is the heartbeat period (paper: 10 ms). Zero
@@ -103,11 +106,11 @@ type Config struct {
 // core keeps for both transports, plus Heartbeat.
 type Stats = telemetry.ServerSnapshot
 
-// Server is the Catfish R-tree server.
+// Server is the Catfish server.
 type Server struct {
 	cfg   Config
 	e     *sim.Engine
-	tree  *rtree.Tree
+	tree  proto.Store
 	latch *sim.RWLock
 	conns []*conn
 	// core executes every request (proto.Serve): this file is the sim's
@@ -164,6 +167,7 @@ type Endpoint struct {
 	RootChunk  int
 	ChunkSize  int
 	MaxEntries int
+	Index      wire.IndexKind  // which walk reads the region
 	TCP        *fabric.TCPConn // client endpoint (TCP mode only)
 
 	// Fetch access method (nil/0 when the server has no mailbox): the
@@ -242,8 +246,8 @@ func (s *Server) Mailbox() *region.Mailbox {
 	return mb
 }
 
-// Tree returns the served tree (the harness pre-loads it).
-func (s *Server) Tree() *rtree.Tree { return s.tree }
+// Tree returns the served index (the harness pre-loads it).
+func (s *Server) Tree() proto.Store { return s.tree }
 
 // Connect establishes an RDMA connection from clientHost: two ring buffers
 // (requests, responses), a data QP for one-sided reads with the given send
@@ -282,6 +286,7 @@ func (s *Server) Connect(clientHost *fabric.Host, net *fabric.Network, dataSQDep
 		RootChunk:  s.tree.RootChunk(),
 		ChunkSize:  s.tree.Region().ChunkSize(),
 		MaxEntries: s.tree.MaxEntries(),
+		Index:      s.tree.Kind(),
 	}
 	if s.mailboxMem != nil {
 		fetchQP, _ := net.ConnectQP(clientHost, s.cfg.Host, dataSQDepth)

@@ -5,7 +5,7 @@
 // Write, one doorbell, and one immediate-data completion event instead of
 // B of each. The container is transport-neutral: the same layout travels
 // in a ring-buffer frame and in an rpcnet TCP frame, and the sub-messages
-// are ordinary encoded wire messages (Request, Response, KVRequest, ...),
+// are ordinary encoded wire messages (Request, Response, ...),
 // so CONT/END response segmentation nests unchanged inside a batch.
 //
 // Layout (little-endian):

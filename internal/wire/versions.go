@@ -5,13 +5,15 @@ import (
 	"fmt"
 )
 
-// Version-read message types (the rpcnet READ_VERSIONS op), appended after
-// the KV types so existing on-wire values never change.
+// Version-read message types (the rpcnet READ_VERSIONS op). The five values
+// after MsgChunkData belonged to a retired key-value message format (a key
+// operation now travels as an ordinary Request); they stay unused so existing
+// on-wire values never change.
 const (
 	// MsgReadVersions requests only a chunk's per-cacheline version words
 	// (region.ReadVersions): the node cache's cheap revalidation read,
 	// 512 B instead of a 4 KB chunk for the default geometry.
-	MsgReadVersions MsgType = iota + MsgKVResponse + 1
+	MsgReadVersions MsgType = iota + MsgChunkData + 6
 	// MsgVersionData carries the raw version vector back to the reader.
 	MsgVersionData
 )

@@ -391,10 +391,25 @@ type Hello struct {
 	// it against heartbeats so a fenced zombie is recognizable from the
 	// hello alone.
 	ReplicaEpoch uint64
+	// Index is the index the server serves, and so the walk an offloading
+	// client must read its chunks with.
+	Index IndexKind
 }
 
+// IndexKind names the index a server serves (DESIGN.md §5.16). The zero
+// value is the R-tree.
+type IndexKind uint8
+
+// Index kinds.
+const (
+	IndexRTree IndexKind = iota
+	// IndexBTree is the B+-tree key-value store (internal/kv): a key
+	// interval rides a request's Rect.MinX/MaxX as float64 bit patterns.
+	IndexBTree
+)
+
 // HelloSize is the encoded size of a Hello.
-const HelloSize = 1 + 4*5 + 8 + 4 + 4 + 8 + 4 + 4 + 8
+const HelloSize = 1 + 4*5 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + 1
 
 // Encode appends the hello encoding to buf and returns it.
 func (h Hello) Encode(buf []byte) []byte {
@@ -414,6 +429,7 @@ func (h Hello) Encode(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(b[45:], h.FetchSlots)
 	binary.LittleEndian.PutUint32(b[49:], h.FetchSlotChunks)
 	binary.LittleEndian.PutUint64(b[53:], h.ReplicaEpoch)
+	b[61] = byte(h.Index)
 	return buf
 }
 
@@ -435,6 +451,7 @@ func DecodeHello(b []byte) (Hello, error) {
 		FetchSlots:      binary.LittleEndian.Uint32(b[45:]),
 		FetchSlotChunks: binary.LittleEndian.Uint32(b[49:]),
 		ReplicaEpoch:    binary.LittleEndian.Uint64(b[53:]),
+		Index:           IndexKind(b[61]),
 	}, nil
 }
 

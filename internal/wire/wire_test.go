@@ -200,6 +200,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		ServerEpoch: 0xDEADBEEF12345678,
 		ShardIndex:  1, ShardCount: 4, MapVersion: 77,
 		FetchSlots: 32, FetchSlotChunks: 64, ReplicaEpoch: 5,
+		Index: IndexBTree,
 	}
 	buf := want.Encode(nil)
 	if len(buf) != HelloSize {

@@ -71,8 +71,8 @@ func NewMuxPool(maxPerAddr int) *MuxPool {
 	return rpcnet.NewMuxPool(maxPerAddr)
 }
 
-// Listen binds addr and returns a real-network server for tree; call
-// Serve to accept connections.
-func Listen(addr string, tree *Tree, cfg NetServerConfig) (*NetServer, error) {
+// Listen binds addr and returns a real-network server for tree — a *Tree,
+// or a *KVStore; call Serve to accept connections.
+func Listen(addr string, tree Store, cfg NetServerConfig) (*NetServer, error) {
 	return rpcnet.Listen(addr, tree, cfg)
 }
