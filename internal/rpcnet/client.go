@@ -109,7 +109,7 @@ type ClientConfig struct {
 // the shared client operations (proto.Ops), whose Search, Insert, Delete,
 // Move, Nearest, ExecBatch and Promote it promotes. It is safe for use by
 // one goroutine at a time (like net.Conn-based request/response clients);
-// the connection's reader goroutine handles asynchronous heartbeats.
+// whoever holds the connection's read token applies asynchronous heartbeats.
 // Request ids are stream<<32 | seq, so many clients demultiplex over one
 // Mux.
 type Client struct {
@@ -224,6 +224,12 @@ func (m *Mux) Client(cfg ClientConfig) (*Client, error) {
 		}
 	}
 	c.Ops = proto.Bind(proto.NewCore(ocfg), port{c})
+	if reg := cfg.Metrics; reg != nil {
+		// Counted per connection: streams sharing one read the same counts.
+		for by, name := range [...]string{readBySelf: "self", readByOther: "other", readByIdle: "idle"} {
+			reg.CounterFunc("catfish_client_reply_reads_total", m.replyReads[by].Load, "by", name)
+		}
+	}
 	m.mu.Lock()
 	if m.readerr != nil {
 		err := m.readerr
@@ -253,7 +259,7 @@ func (c *Client) Close() error {
 }
 
 // noteHeartbeat applies one heartbeat frame to this stream's adaptive
-// state (called by the connection read loop for every attached client).
+// state (called by the connection's token holder for every attached client).
 func (c *Client) noteHeartbeat(hb wire.Heartbeat) {
 	c.heartbeat.Store(math.Float64bits(hb.Util))
 	c.heartbeatTX.Store(math.Float64bits(hb.TXUtil))
@@ -344,7 +350,7 @@ func (c *Client) call(id uint64, payload []byte) (delivery, error) {
 }
 
 // port is the real-socket proto.Transport: the wall clock, the heartbeat
-// words the connection's read loop stores, request frames on the shared
+// words the connection's token holder stores, request frames on the shared
 // writer with replies routed back by id, and READ_* round trips as the
 // stand-in for one-sided reads.
 type port struct{ c *Client }
@@ -381,7 +387,7 @@ func (t port) Exchange(req wire.Request) (wire.Response, wire.FetchDesc, bool, e
 // Batch registers every sub-request on one shared waiter before the single
 // frame write, so no response can slip past, and collects after the
 // overlapped traversals: deliveries queue on the waiter meanwhile (it is
-// unbounded, so the connection's read loop never stalls on them).
+// unbounded, so the connection's token holder never stalls on them).
 func (t port) Batch(container []byte, ids []uint64, overlap func(), deliver func(msg []byte) bool) error {
 	mx := t.c.mx
 	w := getWaiter()
@@ -601,7 +607,7 @@ func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
 		at += n
 	}
 	if err = c.mx.registerAll(q.ids[first:], q.w); err == nil {
-		err = c.mx.w.enqueueFramed(frames)
+		err = c.mx.sendFramed(frames)
 	}
 	*buf = frames
 	wire.PutBuf(buf)

@@ -1,8 +1,11 @@
-// Shared request dispatcher: instead of each connection executing its
-// requests serially on its own reader goroutine, readers hand request
-// frames to one server-wide queue drained by a fixed worker pool, so ten
-// thousand mostly-idle connections cost ten thousand parked readers but
-// only DispatchWorkers running stacks — the C10K half of DESIGN.md §5.12.
+// Shared request dispatcher: readers hand request frames to one
+// server-wide queue drained by a fixed worker pool, so ten thousand
+// mostly-idle connections cost ten thousand parked readers but only
+// DispatchWorkers running stacks — the C10K half of DESIGN.md §5.12. A lone
+// data request on an idle server skips the queue: its reader runs it to
+// completion and writes the reply itself (run), the TCP analogue of the
+// paper's event-based fast messaging. One count of executing requests,
+// workers and readers alike, keeps the DispatchWorkers bound.
 //
 // The queue doubles as the admission controller: tasks are ordered
 // earliest-deadline-first (deadline-free tasks keep FIFO order among
@@ -39,6 +42,7 @@ type dispTask struct {
 	sc       *srvConn
 	req      wire.Request // the operation (zero for a batch)
 	batch    []byte       // the batch container (nil for a single operation)
+	read     time.Time    // when the reader had the whole frame
 	seq      uint64       // submission order; tie-break for equal deadlines
 	deadline int64        // absolute UnixNano, noDeadline when unset
 }
@@ -46,25 +50,41 @@ type dispTask struct {
 type dispatcher struct {
 	s        *Server
 	mu       sync.Mutex
-	nonEmpty sync.Cond
+	nonEmpty sync.Cond // a task is queued, or a slot freed for one
 	notFull  sync.Cond
 	heap     []dispTask // min-heap on (deadline, seq)
 	seq      uint64
 	max      int
-	closed   bool
+	// workers bounds running, the requests executing on workers and run
+	// to completion on readers together.
+	workers, running int
+	closed           bool
 }
+
+// Indexes of Server.rtc.
+const (
+	rtcInline = iota
+	rtcQueued
+)
+
+// Stages of a lone data request, the index of Server.stages.
+const (
+	stageQueue = iota // frame read → execution start (0 when run inline)
+	stageExec         // execution start → latch dropped (the request latency)
+	stageSend         // reply handed to the writer → its write(2) returned
+	numStages
+)
+
+var stageNames = [numStages]string{"queue", "exec", "send"}
 
 func newDispatcher(s *Server, queue, workers int) *dispatcher {
 	if queue <= 0 {
 		queue = defaultDispatchQueue
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = max(2, runtime.NumCPU())
 	}
-	if workers < 2 {
-		workers = 2
-	}
-	d := &dispatcher{s: s, max: queue}
+	d := &dispatcher{s: s, max: queue, workers: workers}
 	d.nonEmpty.L = &d.mu
 	d.notFull.L = &d.mu
 	for i := 0; i < workers; i++ {
@@ -82,13 +102,60 @@ func (d *dispatcher) depth() int {
 	return n
 }
 
+// run executes one data request on the calling connection reader — reply
+// written before the reader reads on — when nothing is queued, fewer than
+// the worker bound are executing and no further frame is buffered behind
+// it (behind false). Otherwise it queues the request like submit, and so
+// it does while admission control is armed: a saturated server orders and
+// sheds by deadline, which only the queue does. A frame that arrives
+// meanwhile waits at most this one request.
+func (d *dispatcher) run(sc *srvConn, typ wire.MsgType, frame []byte, read time.Time, behind bool) error {
+	if behind || d.s.admissionArmed() || !d.enter() {
+		return d.submit(sc, typ, frame, read)
+	}
+	defer d.leave()
+	req, err := wire.DecodeRequest(frame)
+	if err != nil {
+		return err
+	}
+	s := d.s
+	s.rtc[rtcInline].Add(1)
+	s.stages[stageQueue][req.Type].Record(0)
+	err = d.exec(dispTask{sc: sc, req: req}, read)
+	s.busyNanos.Add(int64(time.Since(read)))
+	return err
+}
+
+// enter takes an execution slot for a request run on its reader, if the
+// queue is empty and one is free.
+func (d *dispatcher) enter() bool {
+	d.mu.Lock()
+	ok := len(d.heap) == 0 && d.running < d.workers && !d.closed
+	if ok {
+		d.running++
+	}
+	d.mu.Unlock()
+	return ok
+}
+
+// leave frees a slot taken by enter, waking a worker when a task queued
+// meanwhile.
+func (d *dispatcher) leave() {
+	d.mu.Lock()
+	d.running--
+	if len(d.heap) > 0 {
+		d.nonEmpty.Signal()
+	}
+	d.mu.Unlock()
+}
+
 // submit queues one request frame for execution, decoding a single
 // operation here so no worker has to (a batch is copied instead: the caller
 // reuses its buffer). When the queue is full an armed admission controller
 // sheds the incoming task with StatusOverloaded; otherwise the caller
-// blocks until a slot frees (backpressure).
-func (d *dispatcher) submit(sc *srvConn, typ wire.MsgType, frame []byte) error {
-	t := dispTask{sc: sc, deadline: noDeadline}
+// blocks until a slot frees (backpressure). read is when the frame was read.
+func (d *dispatcher) submit(sc *srvConn, typ wire.MsgType, frame []byte, read time.Time) error {
+	t := dispTask{sc: sc, read: read, deadline: noDeadline}
 	minUS := uint32(0)
 	if typ == wire.MsgBatch {
 		t.batch = append([]byte(nil), frame...)
@@ -99,6 +166,7 @@ func (d *dispatcher) submit(sc *srvConn, typ wire.MsgType, frame []byte) error {
 			return err
 		}
 		t.req, minUS = req, req.DeadlineUS
+		d.s.rtc[rtcQueued].Add(1)
 	}
 	if minUS != 0 {
 		t.deadline = time.Now().Add(time.Duration(minUS) * time.Microsecond).UnixNano()
@@ -133,33 +201,39 @@ func (d *dispatcher) close() {
 	d.mu.Unlock()
 }
 
+// worker executes queued tasks while fewer than the bound are executing;
+// on close it drains the queue regardless.
 func (d *dispatcher) worker() {
 	defer d.s.wg.Done()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
-		d.mu.Lock()
-		for len(d.heap) == 0 && !d.closed {
+		for (len(d.heap) == 0 || d.running >= d.workers) && !d.closed {
 			d.nonEmpty.Wait()
 		}
-		if len(d.heap) == 0 && d.closed {
-			d.mu.Unlock()
-			return
+		if len(d.heap) == 0 {
+			return // closed and drained
 		}
 		t := d.pop()
+		d.running++
 		d.notFull.Signal()
 		d.mu.Unlock()
 
 		if t.deadline != noDeadline && time.Now().UnixNano() > t.deadline {
 			_ = d.shed(t)
-			continue
+		} else {
+			start := time.Now()
+			d.s.stages[stageQueue][t.req.Type].Record(start.Sub(t.read))
+			err := d.exec(t, start)
+			d.s.busyNanos.Add(int64(time.Since(start)))
+			if err != nil {
+				// The connection is unusable (its writer failed); close it
+				// so the reader reaps it.
+				t.sc.close()
+			}
 		}
-		start := time.Now()
-		err := d.exec(t, start)
-		d.s.busyNanos.Add(int64(time.Since(start)))
-		if err != nil {
-			// The connection is unusable (its writer failed); close it so
-			// the reader reaps it.
-			t.sc.close()
-		}
+		d.mu.Lock()
+		d.running--
 	}
 }
 
@@ -167,7 +241,7 @@ func (d *dispatcher) exec(t dispTask, start time.Time) error {
 	if t.batch != nil {
 		return d.s.core.Batch(exec{s: d.s, sc: t.sc}, t.batch, proto.BatchFrameLimit)
 	}
-	return d.s.core.Request(exec{s: d.s, sc: t.sc, start: start}, t.req)
+	return d.s.core.Request(exec{s: d.s, sc: t.sc, op: t.req.Type, start: start}, t.req)
 }
 
 // shed answers every operation in the task with StatusOverloaded without

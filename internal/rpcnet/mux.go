@@ -2,19 +2,28 @@
 // one TCP connection. Each attached Client owns a 32-bit stream id; the
 // request ids it stamps into frames are stream<<32 | seq, so the existing
 // request-id demultiplexer doubles as the stream demultiplexer and the
-// wire format is unchanged. One reader goroutine and one coalescing
-// writer serve the whole connection regardless of how many logical
-// clients ride it — 10k clients over 64 connections cost 128 connection
+// wire format is unchanged.
+//
+// The connection has no dedicated reader. Its inbound side is a read
+// token: a caller waiting for a reply that has not arrived takes the token
+// and reads and routes frames — its own and its siblings' — until its own
+// is there, then hands the token on, so a lone round trip is sent, read and
+// decoded on the caller's goroutine (run to completion, DESIGN.md §5.12).
+// A caller that finds the token taken parks until either a delivery or the
+// token reaches it. An idle goroutine takes the token only after half a
+// heartbeat interval with no caller reading, so heartbeats, EOF and Close
+// are still seen on a quiet connection. One coalescing writer serves every
+// stream, so 10k clients over 64 connections cost at most 128 connection
 // goroutines, not 20k.
 //
 // Frame delivery uses unbounded per-request queues (waiter) instead of
 // blocking channel sends, so one slow logical client can never stall the
-// connection's read loop — and with it every other stream (no
-// head-of-line blocking across streams).
+// token holder — and with it every other stream (no head-of-line blocking
+// across streams).
 //
 // Inbound frames live in pooled, reference-counted buffers (frameBuf): the
-// read loop routes each message by the id in its fixed header and passes a
-// reference to the waiter, whose consumer decodes the message once and
+// token holder routes each message by the id in its fixed header and passes
+// a reference to the waiter, whose consumer decodes the message once and
 // releases it (DESIGN.md §5.14).
 package rpcnet
 
@@ -48,14 +57,34 @@ type Mux struct {
 	// lower it to reach exhaustion.
 	maxStreams int
 
+	// tok holds the read token while nobody reads; in and hdr belong to
+	// whoever has taken it.
+	tok chan struct{}
+	in  *bufio.Reader
+	hdr []byte
+	// reads counts tokens taken by callers: the idle reader's sign of life.
+	reads atomic.Uint64
+	// replyReads counts deliveries by who read them: the waiter's own
+	// caller, another caller, or the idle reader.
+	replyReads [3]atomic.Uint64
+
 	mu         sync.Mutex
 	waiters    map[uint64]*waiter
 	streams    map[uint32]*Client
 	free       []freeStream
 	nextStream uint32
 	readerr    error
-	done       chan struct{}
+	closing    chan struct{}
+	closeOnce  sync.Once
+	done       chan struct{} // the idle reader has exited
 }
+
+// Indexes of Mux.replyReads.
+const (
+	readBySelf = iota
+	readByOther
+	readByIdle
+)
 
 // DialMux connects to a server and performs the hello exchange, returning
 // a connection ready for Client attachments.
@@ -81,11 +110,20 @@ func DialMux(addr string) (*Mux, error) {
 		hello:      hello,
 		maxStreams: 1 << 16,
 		w:          newConnWriter(conn, nil, nil),
+		tok:        make(chan struct{}, 1),
+		in:         in,
+		hdr:        make([]byte, 4),
 		waiters:    make(map[uint64]*waiter),
 		streams:    make(map[uint32]*Client),
+		closing:    make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	go m.readLoop(in)
+	m.tok <- struct{}{}
+	if hb := time.Duration(hello.HeartbeatMs) * time.Millisecond; hb > 0 {
+		go m.idleReader(hb / 2)
+	} else {
+		close(m.done) // nothing arrives unasked; the next caller reads EOF
+	}
 	return m, nil
 }
 
@@ -103,21 +141,35 @@ func (m *Mux) Streams() int {
 }
 
 // Close tears down the connection and every attached client's pending
-// calls.
+// calls. A caller blocked reading is unblocked with ErrClosed.
 func (m *Mux) Close() error {
 	err := m.conn.Close()
+	m.fail(net.ErrClosed)
 	m.w.close()
+	m.closeOnce.Do(func() { close(m.closing) })
 	<-m.done
 	return err
 }
 
-// send enqueues one frame on the shared writer (coalesced flush).
-func (m *Mux) send(payload []byte) error { return m.w.enqueue(payload) }
+// send writes one frame on the shared writer; sendFramed writes frames
+// that carry their length prefixes. A failed write means a dead connection:
+// it reports ErrClosed.
+func (m *Mux) send(payload []byte) error { return closedErr(m.w.enqueue(payload)) }
+
+func (m *Mux) sendFramed(frames []byte) error { return closedErr(m.w.enqueueFramed(frames, nil)) }
+
+func closedErr(err error) error {
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return nil
+}
 
 // await registers a pooled waiter for one request id, failing if the
 // connection is already dead. Pair with settle.
 func (m *Mux) await(id uint64) (*waiter, error) {
 	w := getWaiter()
+	w.m = m
 	m.mu.Lock()
 	if m.readerr != nil {
 		err := m.readerr
@@ -141,6 +193,7 @@ func (m *Mux) settle(id uint64, w *waiter) {
 
 // registerAll installs one shared waiter for many request ids (batch).
 func (m *Mux) registerAll(ids []uint64, w *waiter) error {
+	w.m = m
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.readerr != nil {
@@ -204,35 +257,84 @@ func (m *Mux) detach(c *Client) {
 	m.mu.Unlock()
 }
 
-// readLoop demultiplexes the shared connection: heartbeats fan out to
-// every attached client, everything else routes to its request's waiter.
-// Delivery never blocks (waiter queues are unbounded), so a slow consumer
-// only grows its own queue.
-func (m *Mux) readLoop(in *bufio.Reader) {
-	defer close(m.done)
-	hdr := make([]byte, 4)
-	for {
-		f, err := readPooledFrame(in, hdr)
-		if err != nil {
-			m.mu.Lock()
-			m.readerr = err
-			for id, w := range m.waiters {
-				w.closeW()
-				delete(m.waiters, id)
-			}
-			m.mu.Unlock()
+// readFor reads and routes frames, holding the read token, until w has a
+// delivery or is closed. A read error fails the connection, w included.
+func (m *Mux) readFor(w *waiter) {
+	m.reads.Add(1)
+	for !w.ready() {
+		if !m.readOne(w) {
+			w.closeW() // also when w is registered nowhere
 			return
 		}
-		m.route(f)
-		f.release() // the read loop's own reference
+	}
+}
+
+// readOne reads and routes one frame for self (nil: the idle reader),
+// holding the read token. It reports false once the connection has failed.
+// Delivery never blocks (waiter queues are unbounded), so a slow consumer
+// only grows its own queue.
+func (m *Mux) readOne(self *waiter) bool {
+	f, err := readPooledFrame(m.in, m.hdr)
+	if err != nil {
+		m.fail(err)
+		return false
+	}
+	m.route(f, self)
+	f.release() // the reader's own reference
+	return true
+}
+
+// fail records the connection's first error and closes every pending
+// waiter; later calls fail at registration.
+func (m *Mux) fail(err error) {
+	m.mu.Lock()
+	if m.readerr == nil {
+		m.readerr = err
+	}
+	for id, w := range m.waiters {
+		w.closeW()
+		delete(m.waiters, id)
+	}
+	m.mu.Unlock()
+}
+
+// idleReader takes the read token whenever a period passes without a
+// caller taking it, and reads one frame: a heartbeat nobody is waiting
+// for, or the EOF of a connection the server closed.
+func (m *Mux) idleReader(period time.Duration) {
+	defer close(m.done)
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	seen := m.reads.Load()
+	for {
+		select {
+		case <-tick.C:
+		case <-m.closing:
+			return
+		}
+		if n := m.reads.Load(); n != seen {
+			seen = n
+			continue
+		}
+		select {
+		case <-m.tok:
+		case <-m.closing:
+			return
+		}
+		ok := m.readOne(nil)
+		m.tok <- struct{}{}
+		if !ok {
+			return
+		}
 	}
 }
 
 // route dispatches one inbound frame on its type byte and, for replies, the
 // id in the fixed header — no body is decoded here. A batch container's
 // sub-messages are delivered one by one (so segmentation folds per
-// operation), each holding its own reference to the shared frame.
-func (m *Mux) route(f *frameBuf) {
+// operation), each holding its own reference to the shared frame. self is
+// the waiter whose caller is reading (nil: the idle reader).
+func (m *Mux) route(f *frameBuf, self *waiter) {
 	typ, err := wire.PeekType(f.b)
 	if err != nil {
 		return
@@ -256,18 +358,18 @@ func (m *Mux) route(f *frameBuf) {
 			if !ok {
 				return
 			}
-			m.deliver(msg, f)
+			m.deliver(msg, f, self)
 		}
 	default:
-		m.deliver(f.b, f)
+		m.deliver(f.b, f, self)
 	}
 }
 
 // deliver passes msg — all or part of frame f — to the waiter registered
 // for the id in its header, along with a reference to f. The push happens
 // under m.mu so that settle can recycle a waiter the moment its id is
-// unregistered.
-func (m *Mux) deliver(msg []byte, f *frameBuf) {
+// unregistered. A caller reading for itself needs no wake-up.
+func (m *Mux) deliver(msg []byte, f *frameBuf, self *waiter) {
 	_, id, err := wire.PeekID(msg)
 	if err != nil {
 		return
@@ -275,13 +377,21 @@ func (m *Mux) deliver(msg []byte, f *frameBuf) {
 	m.mu.Lock()
 	if w, ok := m.waiters[id]; ok {
 		f.refs.Add(1)
-		w.push(delivery{msg: msg, f: f})
+		by := readByOther
+		switch self {
+		case w:
+			by = readBySelf
+		case nil:
+			by = readByIdle
+		}
+		m.replyReads[by].Add(1)
+		w.push(delivery{msg: msg, f: f}, w != self)
 	}
 	m.mu.Unlock()
 }
 
 // frameBuf is one pooled inbound frame. Ownership is by reference count:
-// the read loop holds one reference while it routes the frame and every
+// the token holder holds one reference while it routes the frame and every
 // delivery adds one, so a plain reply has a single consumer and a batch
 // container is shared by its sub-messages. Whoever drops the last
 // reference returns the buffer to the pool; nobody may touch a message
@@ -356,7 +466,7 @@ type delivery struct {
 func (d delivery) release() { d.f.release() }
 
 // waiter is an unbounded delivery queue with channel-like semantics: push
-// never blocks (the read loop must not stall on a slow consumer), recv
+// never blocks (the token holder must not stall on a slow consumer), recv
 // blocks until a delivery or close, and a closed drained waiter reports
 // !ok like a closed channel. Waiters are pooled: await/settle (or
 // getWaiter/putWaiter around registerAll) bracket one call.
@@ -366,6 +476,7 @@ type waiter struct {
 	head   int // queue[:head] has been received
 	closed bool
 	sig    chan struct{} // capacity 1: "state changed" doorbell
+	m      *Mux          // whose read token recv takes; set on registration
 }
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{sig: make(chan struct{}, 1)} }}
@@ -379,7 +490,7 @@ func putWaiter(w *waiter) {
 		d.release()
 	}
 	clear(w.queue)
-	w.queue, w.head, w.closed = w.queue[:0], 0, false
+	w.queue, w.head, w.closed, w.m = w.queue[:0], 0, false, nil
 	if cap(w.queue) > 64 {
 		w.queue = nil // a parked backlog's array is not worth pinning
 	}
@@ -390,7 +501,9 @@ func putWaiter(w *waiter) {
 	waiterPool.Put(w)
 }
 
-func (w *waiter) push(d delivery) {
+// push queues d, ringing the doorbell when wake is set (the consumer may
+// be parked).
+func (w *waiter) push(d delivery, wake bool) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -399,10 +512,20 @@ func (w *waiter) push(d delivery) {
 	}
 	w.queue = append(w.queue, d)
 	w.mu.Unlock()
+	if !wake {
+		return
+	}
 	select {
 	case w.sig <- struct{}{}:
 	default:
 	}
+}
+
+// ready reports whether recv would return without waiting.
+func (w *waiter) ready() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.head < len(w.queue) || w.closed
 }
 
 func (w *waiter) closeW() {
@@ -417,6 +540,9 @@ func (w *waiter) closeW() {
 
 // recv pops the next delivery, blocking until one arrives or the waiter
 // closes (then ok is false once the queue drains). The caller releases it.
+// While it has nothing, it reads for itself whenever it holds its Mux's
+// read token, and hands the token on — to a parked caller still waiting,
+// if there is one — once its delivery is there.
 func (w *waiter) recv() (delivery, bool) {
 	for {
 		w.mu.Lock()
@@ -437,7 +563,12 @@ func (w *waiter) recv() (delivery, bool) {
 			return delivery{}, false
 		}
 		w.mu.Unlock()
-		<-w.sig
+		select {
+		case <-w.sig:
+		case <-w.m.tok:
+			w.m.readFor(w)
+			w.m.tok <- struct{}{}
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestClientFoldOneAlloc(t *testing.T) {
 			f := framePool.Get().(*frameBuf)
 			f.b = append(f.b[:0], seg...)
 			f.refs.Store(1)
-			w.push(delivery{msg: f.b, f: f})
+			w.push(delivery{msg: f.b, f: f}, true)
 		}
 		var err error
 		if got, _, _, err = fold(w); err != nil {
@@ -141,5 +141,28 @@ func TestClientFoldOneAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs != 1 {
 		t.Errorf("folding a 6-segment response allocates %.1f objects/op, want exactly 1 (the result)", allocs)
+	}
+}
+
+// TestFastSearchOverTCPOneAlloc: a warm fast-messaging search over loopback
+// — the server's reader running it to completion and writing the reply, the
+// caller reading its own — allocates exactly its result in the whole
+// process when the server is unmetered: stage stamps cost nothing then.
+func TestFastSearchOverTCPOneAlloc(t *testing.T) {
+	srv, _ := lineServer(t, 100, ServerConfig{})
+	c := dial(t, srv, ClientConfig{})
+	search := func() {
+		if items, _, err := c.Search(firstK(5)); err != nil || len(items) != 5 {
+			t.Fatalf("%d items, err %v", len(items), err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		search() // warm every pool
+	}
+	if allocs := testing.AllocsPerRun(512, search); allocs != 1 {
+		t.Errorf("fast search over TCP allocates %.2f objects/op, want exactly 1 (the result)", allocs)
+	}
+	if inline := srv.rtc[rtcInline].Load(); inline == 0 {
+		t.Error("no search ran to completion on its reader")
 	}
 }

@@ -52,6 +52,16 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameBuffered reports whether a whole further frame is already buffered
+// in r — a pipelined request the reader would otherwise make wait.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered()-4 >= int(binary.LittleEndian.Uint32(hdr))
+}
+
 // frameReadBuf is the size of the one buffered reader on each connection's
 // read side: a length prefix and a whole chunk-data frame (pooledFrameCap)
 // arrive in one read(2) instead of two. No larger — a C10K server holds one
@@ -115,8 +125,9 @@ type ServerConfig struct {
 	// queue. 0 disables shedding on queue pressure; expired deadlines are
 	// always shed. Requires heartbeats (the utilization signal).
 	AdmissionUtil float64
-	// DispatchWorkers sizes the shared request-execution pool replacing
-	// the per-connection serial model (0 = NumCPU, min 2).
+	// DispatchWorkers bounds how many data requests execute at once — on
+	// the shared worker pool, or run to completion on a connection's reader
+	// — and sizes the pool (0 = NumCPU, at least 2).
 	DispatchWorkers int
 	// dispatchQueue bounds the admission queue in tasks (0 selects
 	// defaultDispatchQueue); tests shrink it to reach the full-queue shed.
@@ -210,10 +221,16 @@ type Server struct {
 	offloadEst atomic.Uint64
 	rootChunkA atomic.Int64
 
-	// lat is catfish_request_latency_seconds{op} by request type (nil
+	// lat is catfish_request_latency_seconds{op} by request type and stages
+	// catfish_stage_seconds{stage,op} by stage and request type (nil
 	// entries — everything, without a registry — record nothing).
-	lat   [wire.MsgKNNFetch + 1]*telemetry.Histogram
-	start time.Time
+	lat    [wire.MsgKNNFetch + 1]*telemetry.Histogram
+	stages [numStages][wire.MsgKNNFetch + 1]*telemetry.Histogram
+	start  time.Time
+
+	// rtc counts the lone data requests run to completion on their
+	// connection's reader (rtcInline) and queued for a worker (rtcQueued).
+	rtc [2]atomic.Uint64
 
 	// repl is the replication core (nil = replication disabled); its
 	// backups are sockPeers (replica.go).
@@ -314,7 +331,12 @@ func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 			wire.MsgInsert: "insert", wire.MsgDelete: "delete", wire.MsgMove: "move",
 		} {
 			s.lat[kind] = reg.Histogram("catfish_request_latency_seconds", "op", op)
+			for st, stage := range stageNames {
+				s.stages[st][kind] = reg.Histogram("catfish_stage_seconds", "stage", stage, "op", op)
+			}
 		}
+		reg.CounterFunc("catfish_rtc_total", s.rtc[rtcInline].Load, "path", "inline")
+		reg.CounterFunc("catfish_rtc_total", s.rtc[rtcQueued].Load, "path", "queued")
 		reg.CounterFunc("catfish_server_reshard_moved_total", s.reshardMoved.Load)
 		reg.GaugeFunc("catfish_server_reshard_state", func() float64 {
 			return float64(s.reshardPhase.Load())
@@ -559,9 +581,11 @@ func (s *Server) serveConn(sc *srvConn) {
 			}
 		case wire.MsgSearch, wire.MsgInsert, wire.MsgDelete, wire.MsgSearchFetch,
 			wire.MsgMove, wire.MsgKNN, wire.MsgKNNFetch:
-			// Data operations go through the shared dispatcher (workers
-			// account their own busy time).
-			if err := s.disp.submit(sc, typ, frame); err != nil {
+			// A data operation runs to completion here when the dispatcher
+			// is idle and no further request is already buffered behind it;
+			// otherwise it is queued. Either way its busy time is accounted
+			// where it executes.
+			if err := s.disp.run(sc, typ, frame, start, frameBuffered(in)); err != nil {
 				return
 			}
 			continue
@@ -588,7 +612,7 @@ func (s *Server) serveConn(sc *srvConn) {
 			}
 			s.core.Reclaim(ack)
 		case wire.MsgBatch:
-			if err := s.disp.submit(sc, typ, frame); err != nil {
+			if err := s.disp.submit(sc, typ, frame, start); err != nil {
 				return
 			}
 			continue
@@ -698,11 +722,12 @@ func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
 }
 
 // exec is the TCP server's proto.Exec: the server, the connection the
-// request arrived on and, for a request outside a batch, when its execution
-// started (batched operations are not timed one by one).
+// request arrived on and, for a request outside a batch, its type and when
+// its execution started (batched operations are not timed one by one).
 type exec struct {
 	s     *Server
 	sc    *srvConn
+	op    wire.MsgType
 	start time.Time
 }
 
@@ -735,6 +760,7 @@ func (x exec) Account(kind wire.MsgType, _ int, _ rtree.OpStats, delivered bool)
 	}
 	s, lat := x.s, time.Since(x.start)
 	s.lat[kind].Record(lat)
+	s.stages[stageExec][kind].Record(lat)
 	if s.cfg.Trace != nil && (kind == wire.MsgSearch || kind == wire.MsgSearchFetch) {
 		tr := telemetry.Trace{
 			Start:   time.Since(s.start) - lat,
@@ -750,8 +776,10 @@ func (x exec) Account(kind wire.MsgType, _ int, _ rtree.OpStats, delivered bool)
 }
 
 // Reply enqueues every frame of the reply at once, so they normally leave
-// in one write.
-func (x exec) Reply(frames []byte) error { return x.sc.w.enqueueFramed(frames) }
+// in one write; a lone request's wait for that write is its send stage.
+func (x exec) Reply(frames []byte) error {
+	return x.sc.w.enqueueFramed(frames, x.s.stages[stageSend][x.op])
+}
 
 // heartbeatLoop pushes the server's busy fraction to every client.
 func (s *Server) heartbeatLoop() {
