@@ -186,60 +186,61 @@ func (c *Cache) Confirm(chunk int, version uint64, now time.Duration) (any, bool
 // validated at now. The least recently used entry is evicted on overflow.
 // Callers must only Put internal (non-leaf) nodes, and must pass a node
 // the cache may retain (not a reused decode buffer).
-func (c *Cache) Put(chunk int, node any, version uint64, now time.Duration) {
+//
+// Put returns the node it dropped — the one chunk held before, or the one
+// evicted — or nil. The cache keeps no reference to it, so a caller that is
+// the cache's only reader may reuse its storage once nothing it is still
+// walking can point at it.
+func (c *Cache) Put(chunk int, node any, version uint64, now time.Duration) (dropped any) {
+	return c.put(chunk, node, version, now, false)
+}
+
+// PutPrefetched inserts a speculatively fetched node, marked so the stats
+// can attribute its eventual hit or waste to prefetching. An existing
+// entry is refreshed in place and keeps its current attribution. It returns
+// what it dropped, as Put does.
+func (c *Cache) PutPrefetched(chunk int, node any, version uint64, now time.Duration) (dropped any) {
+	return c.put(chunk, node, version, now, true)
+}
+
+func (c *Cache) put(chunk int, node any, version uint64, now time.Duration, prefetched bool) (dropped any) {
 	if c == nil {
-		return
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[chunk]; ok {
 		// A demand fetch replacing a still-unused speculative entry means
 		// the prefetched bytes never saved a read.
-		if e.prefetched {
+		if e.prefetched && !prefetched {
 			e.prefetched = false
 			c.stats.PrefetchWaste++
+		}
+		if e.node != node {
+			dropped = e.node
 		}
 		e.node = node
 		e.version = version
 		e.validated = now
 		e.epoch = c.epoch
 		c.moveFront(e)
-		return
+		return dropped
 	}
+	var e *entry
 	if len(c.entries) >= c.capacity {
+		// The evicted entry struct carries the new node.
+		e = c.tail
 		c.stats.Evictions++
-		c.removeLocked(c.tail)
+		c.removeLocked(e)
+		dropped = e.node
+	} else {
+		e = new(entry)
 	}
-	e := &entry{chunk: chunk, node: node, version: version, validated: now, epoch: c.epoch}
+	*e = entry{chunk: chunk, node: node, version: version, validated: now,
+		epoch: c.epoch, prefetched: prefetched}
 	c.entries[chunk] = e
 	c.pushFront(e)
-}
-
-// PutPrefetched inserts a speculatively fetched node, marked so the stats
-// can attribute its eventual hit or waste to prefetching. An existing
-// entry is refreshed in place and keeps its current attribution.
-func (c *Cache) PutPrefetched(chunk int, node any, version uint64, now time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[chunk]; ok {
-		e.node = node
-		e.version = version
-		e.validated = now
-		e.epoch = c.epoch
-		c.moveFront(e)
-		return
-	}
-	if len(c.entries) >= c.capacity {
-		c.stats.Evictions++
-		c.removeLocked(c.tail)
-	}
-	e := &entry{chunk: chunk, node: node, version: version, validated: now,
-		epoch: c.epoch, prefetched: true}
-	c.entries[chunk] = e
-	c.pushFront(e)
+	return dropped
 }
 
 // Peek reports whether chunk is cached, without touching LRU order or
@@ -294,7 +295,7 @@ func (c *Cache) Flush() {
 			c.stats.PrefetchWaste++
 		}
 	}
-	c.entries = make(map[int]*entry, c.capacity)
+	clear(c.entries)
 	c.head, c.tail = nil, nil
 }
 

@@ -178,3 +178,53 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("cache overflowed capacity: %d", c.Len())
 	}
 }
+
+// TestPutReturnsDropped: Put and PutPrefetched hand back the node they drop
+// — the one the chunk held before, or the LRU entry they evict — and nil
+// when they drop none; the counters move exactly as they did when nothing
+// was handed back.
+func TestPutReturnsDropped(t *testing.T) {
+	c := newCache(2)
+	steps := []struct {
+		prefetched bool
+		chunk      int
+		node, want any
+	}{
+		{false, 1, "a", nil},
+		{false, 2, "b", nil},
+		{false, 1, "a2", "a"},  // replaced; 1 becomes MRU
+		{false, 3, "c", "b"},   // evicts 2, the LRU
+		{true, 4, "d", "a2"},   // evicts 1
+		{true, 4, "d2", "d"},   // replaced, still speculative
+		{false, 4, "d3", "d2"}, // a demand fill over an unused speculation: waste
+		{false, 4, "d3", nil},  // the node it already holds
+		{true, 5, "e", "c"},    // evicts 3
+		{false, 6, "f", "d3"},  // evicts 4
+		{false, 7, "g", "e"},   // evicts the unused speculation 5: waste
+	}
+	for i, s := range steps {
+		put := c.Put
+		if s.prefetched {
+			put = c.PutPrefetched
+		}
+		if got := put(s.chunk, s.node, 1, 0); got != s.want {
+			t.Fatalf("step %d: put %d %v dropped %v, want %v", i, s.chunk, s.node, got, s.want)
+		}
+	}
+	want := Stats{Evictions: 5, PrefetchWaste: 2}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	for chunk, node := range map[int]any{6: "f", 7: "g"} {
+		if n, out := c.Lookup(chunk, 0); out != Fresh || n != node {
+			t.Fatalf("chunk %d = (%v, %v), want %v", chunk, n, out, node)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+	var nilCache *Cache
+	if got := nilCache.Put(1, "x", 1, 0); got != nil {
+		t.Fatalf("nil cache dropped %v", got)
+	}
+}

@@ -15,6 +15,7 @@ import (
 // (fakeReads, offload_test.go) serves a tree from local memory.
 type fakeTransport struct {
 	now     time.Duration
+	charge  time.Duration // clock advance per Charge
 	cpu, tx float64
 	fakeReads
 }

@@ -73,7 +73,7 @@ func (o Ops[T]) ExecBatch(ops []BatchOp, results []BatchResult) []BatchResult {
 	}
 	overlap := func() {
 		for _, i := range offload {
-			results[i].Items, results[i].Err = o.offload(ops[i].Rect)
+			results[i].Items, _, results[i].Err = o.offload(ops[i].Rect)
 		}
 	}
 	if len(wired) == 0 {

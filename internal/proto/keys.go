@@ -60,8 +60,12 @@ func (*keys) Decode(payload []byte, n *btree.Node, maxEntries int) error {
 
 func (*keys) Level(n *btree.Node) int { return n.Level }
 
-func (*keys) Clone(n *btree.Node) *btree.Node {
-	return &btree.Node{Level: n.Level, Next: n.Next, Entries: append([]btree.Entry(nil), n.Entries...)}
+func (*keys) Clone(dst, n *btree.Node) *btree.Node {
+	if dst == nil {
+		dst = new(btree.Node)
+	}
+	dst.Level, dst.Next, dst.Entries = n.Level, n.Next, append(dst.Entries[:0], n.Entries...)
+	return dst
 }
 
 func (k *keys) Expand(n *btree.Node, q geo.Rect, refs []Ref, out []wire.Item) ([]Ref, []wire.Item, error) {

@@ -104,8 +104,9 @@ type Index[N, Q, R any] interface {
 	Decode(payload []byte, n *N, maxEntries int) error
 	// Level is n's level, 0 for a leaf.
 	Level(n *N) int
-	// Clone copies n out of a reused decode buffer for the caches.
-	Clone(n *N) *N
+	// Clone copies n out of a reused decode buffer for the caches: into dst,
+	// reusing its storage, or into a new node when dst is nil.
+	Clone(dst, n *N) *N
 	// Expand appends to refs the children of n that q visits and to out the
 	// results n contributes to q. An error means the structure changed under
 	// the walk, which restarts it.
@@ -125,14 +126,24 @@ type pending struct {
 	prefetch bool // speculative; not yet claimed by the traversal
 }
 
+// maxKeptResults bounds the result buffer a walk keeps between queries: a
+// larger one, grown by a wide offloaded scan, is dropped rather than pinned.
+const maxKeptResults = 4096
+
+// maxFreeNodes bounds the dropped cache nodes a walk keeps for reuse; a scan
+// that evicts more leaves the rest to the collector.
+const maxFreeNodes = 64
+
 // Walk is the state of one client's offloaded walk over an index, kept
-// across queries so a query allocates its result and what it adds to the
-// caches, nothing else. Offload runs it; like the client that owns it, it
-// serves one caller at a time.
+// across queries so a query allocates its result and nothing else. Offload
+// runs it; like the client that owns it, it serves one caller at a time.
 type Walk[N, Q, R any] struct {
 	ix       Index[N, Q, R]
 	cfg      OpsConfig
 	counters *telemetry.ClientMetrics
+	// waited sums the time the current query blocked in Pop, on a metered
+	// client (cfg.Metrics set); it stays 0 otherwise.
+	waited time.Duration
 
 	// root is the last consistent root image (CacheRoot); rootVer the root
 	// version last seen in the heartbeat, whose change ends the lease of
@@ -140,7 +151,8 @@ type Walk[N, Q, R any] struct {
 	root    *N
 	rootVer uint64
 
-	q      Q
+	q Q
+	// items collects the current attempt's results; Offload returns a copy.
 	items  []R
 	tagSeq uint64
 	// inflight is every posted-or-about-to-be read by tag; chunkTag the
@@ -168,6 +180,12 @@ type Walk[N, Q, R any] struct {
 	nodeVer uint64
 	spec    N
 	payload []byte
+
+	// Node storage for cache fills. parked holds the nodes the node cache
+	// and the root cache dropped during the current query — the traversal
+	// may still hold them — and free those of earlier queries, which
+	// nothing references any more: Clone fills reuse them.
+	parked, free []*N
 
 	// Prefetch token bucket: prefTokens remain (≤ cfg.Prefetch), refilled
 	// lazily at prefLast.
@@ -198,13 +216,16 @@ type walker[N, Q, R any, P ReadPort] struct {
 // with the walk's expectation, that does not decode, or that the index finds
 // inconsistent means the structure changed under the reader: the whole walk
 // restarts from the root, bounded by MaxRestarts, and what it collected is
-// thrown away.
+// thrown away. The result is the one allocation: an exact-size copy, or nil
+// when nothing matched.
 func Offload[N, Q, R any, P ReadPort](w *Walk[N, Q, R], p P, q Q) ([]R, error) {
 	o := walker[N, Q, R, P]{w, p}
 	o.q = q
+	o.waited = 0
+	o.recycle()
 	for attempt := 0; attempt <= o.cfg.MaxRestarts; attempt++ {
 		var err error
-		o.items = nil
+		o.items = o.items[:0]
 		o.syncLease()
 		if o.cfg.MultiIssue {
 			err = o.walkMultiIssue()
@@ -214,7 +235,7 @@ func Offload[N, Q, R any, P ReadPort](w *Walk[N, Q, R], p P, q Q) ([]R, error) {
 		// Nothing to post: the last completion's bytes are done with.
 		o.p.Post(nil) //nolint:errcheck // an empty wave cannot fail
 		if err == nil {
-			return o.items, nil
+			return o.result(), nil
 		}
 		if !errors.Is(err, errStale) {
 			return nil, err
@@ -222,11 +243,64 @@ func Offload[N, Q, R any, P ReadPort](w *Walk[N, Q, R], p P, q Q) ([]R, error) {
 		// The tree changed shape under us: drop the cached root and flush
 		// the node cache — the stale entry's ancestors are unknown, so the
 		// full flush conservatively covers them all.
-		o.root = nil
+		o.dropRoot()
 		o.cfg.Cache.Flush()
 		o.counters.StaleRestarts.Inc()
 	}
 	return nil, ErrGaveUp
+}
+
+// result copies the query's results out of the kept buffer, which is
+// dropped when a wide scan grew it past maxKeptResults.
+func (w *Walk[N, Q, R]) result() []R {
+	var out []R
+	if len(w.items) > 0 {
+		out = slices.Clone(w.items)
+	}
+	if cap(w.items) > maxKeptResults {
+		w.items = nil
+	}
+	return out
+}
+
+// recycle starts a query: the nodes dropped during the previous one are no
+// longer referenced by any traversal, so their storage may take fills.
+func (w *Walk[N, Q, R]) recycle() {
+	w.free = append(w.free, w.parked...)
+	clear(w.parked)
+	w.parked = w.parked[:0]
+	if len(w.free) > maxFreeNodes {
+		clear(w.free[maxFreeNodes:])
+		w.free = w.free[:maxFreeNodes]
+	}
+}
+
+// park keeps a node a cache dropped for reuse from the next query on: the
+// current traversal may still hold it. Anything else — nil, or nothing
+// dropped — is ignored.
+func (w *Walk[N, Q, R]) park(dropped any) {
+	if n, ok := dropped.(*N); ok && n != nil {
+		w.parked = append(w.parked, n)
+	}
+}
+
+// clone copies n into storage a cache dropped before this query, or into a
+// new node.
+func (w *Walk[N, Q, R]) clone(n *N) *N {
+	var dst *N
+	if k := len(w.free); k > 0 {
+		dst, w.free[k-1] = w.free[k-1], nil
+		w.free = w.free[:k-1]
+	}
+	return w.ix.Clone(dst, n)
+}
+
+// dropRoot forgets the cached root, parking its storage.
+func (w *Walk[N, Q, R]) dropRoot() {
+	if w.root != nil {
+		w.park(w.root)
+		w.root = nil
+	}
 }
 
 // syncLease applies the heartbeat's root-version word to both client-side
@@ -240,7 +314,7 @@ func Offload[N, Q, R any, P ReadPort](w *Walk[N, Q, R], p P, q Q) ([]R, error) {
 func (o walker[N, Q, R, P]) syncLease() {
 	if ver := o.p.RootVersion(); ver != o.rootVer {
 		o.rootVer = ver
-		o.root = nil
+		o.dropRoot()
 		o.cfg.Cache.DemoteAll()
 	}
 }
@@ -264,14 +338,15 @@ func (o walker[N, Q, R, P]) cachedRoot() (*N, error) {
 	if err := o.fetchChunk(Ref{Chunk: o.cfg.Tree.RootChunk, Level: -1}); err != nil {
 		return nil, err
 	}
-	root := o.ix.Clone(&o.node)
 	// A leaf root is never invalidated by child-level mismatches (there are
-	// no child reads), so growth would go unnoticed; serve it fresh but do
-	// not retain it.
-	if o.ix.Level(root) > 0 {
-		o.root = root
+	// no child reads), so growth would go unnoticed; serve it fresh out of
+	// the decode buffer — rootFrontier expands it before the next read —
+	// but do not retain it.
+	if o.ix.Level(&o.node) == 0 {
+		return &o.node, nil
 	}
-	return root, nil
+	o.root = o.clone(&o.node)
+	return o.root, nil
 }
 
 // rootFrontier resolves the start of a traversal into o.refs, shared by the
@@ -305,9 +380,18 @@ func (o walker[N, Q, R, P]) children(n *N, refs []Ref) ([]Ref, error) {
 }
 
 // pop takes one completion off the transport. A transport error means every
-// outstanding read is gone with it: nothing is left to drain.
+// outstanding read is gone with it: nothing is left to drain. A metered walk
+// adds the time it blocked to waited.
 func (o walker[N, Q, R, P]) pop() (Done, error) {
+	timed := o.cfg.Metrics != nil
+	var start time.Duration
+	if timed {
+		start = o.p.Now()
+	}
 	d, err := o.p.Pop()
+	if timed {
+		o.waited += o.p.Now() - start
+	}
 	if err != nil {
 		clear(o.inflight)
 	}
@@ -383,7 +467,7 @@ func (o walker[N, Q, R, P]) cachePut(id int) {
 	if o.cfg.Cache == nil || o.ix.Level(&o.node) == 0 {
 		return
 	}
-	o.cfg.Cache.Put(id, o.ix.Clone(&o.node), o.nodeVer, o.p.Now())
+	o.park(o.cfg.Cache.Put(id, o.clone(&o.node), o.nodeVer, o.p.Now()))
 }
 
 // cached unwraps a node-cache value for r, evicting it as stale when its
@@ -850,9 +934,11 @@ func (o walker[N, Q, R, P]) adoptSpare(r Ref, raw []byte) *N {
 		return nil
 	}
 	o.counters.PrefetchHits.Inc()
-	n := o.ix.Clone(&o.spec)
+	n := o.clone(&o.spec)
 	if o.ix.Level(n) > 0 {
-		o.cfg.Cache.Put(r.Chunk, n, ver, o.p.Now())
+		o.park(o.cfg.Cache.Put(r.Chunk, n, ver, o.p.Now()))
+	} else {
+		o.park(n) // on the stack until expanded, this query only
 	}
 	return n
 }
@@ -879,7 +965,7 @@ func (o walker[N, Q, R, P]) absorbSpare() {
 			o.counters.PrefetchWaste.Inc()
 			continue
 		}
-		o.cfg.Cache.PutPrefetched(id, o.ix.Clone(&o.spec), ver, o.p.Now())
+		o.park(o.cfg.Cache.PutPrefetched(id, o.clone(&o.spec), ver, o.p.Now()))
 	}
 	clear(o.spare)
 }
@@ -896,8 +982,12 @@ func (rtreeIndex) Decode(payload []byte, n *rtree.Node, maxEntries int) error {
 
 func (rtreeIndex) Level(n *rtree.Node) int { return n.Level }
 
-func (rtreeIndex) Clone(n *rtree.Node) *rtree.Node {
-	return &rtree.Node{Level: n.Level, Entries: append([]rtree.Entry(nil), n.Entries...)}
+func (rtreeIndex) Clone(dst, n *rtree.Node) *rtree.Node {
+	if dst == nil {
+		dst = new(rtree.Node)
+	}
+	dst.Level, dst.Entries = n.Level, append(dst.Entries[:0], n.Entries...)
+	return dst
 }
 
 func (rtreeIndex) Expand(n *rtree.Node, q geo.Rect, refs []Ref, out []wire.Item) ([]Ref, []wire.Item, error) {

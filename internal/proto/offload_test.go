@@ -100,8 +100,10 @@ func (f *fakeReads) Pop() (Done, error) {
 	return fd.d, nil
 }
 
-func (f *fakeReads) Charge()             {}
 func (f *fakeReads) RootVersion() uint64 { return f.rootVer }
+
+// Charge advances the clock by the node examination cost the test set.
+func (f *fakeTransport) Charge() { f.now += f.charge }
 
 // tear makes a raw chunk image fail validation as a torn read.
 func tear(raw []byte) { raw[0] |= 1 }
@@ -609,5 +611,116 @@ func TestExpandMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOffloadEvictionMidTraversal: with a node cache of one or two entries,
+// multi-issue waves and merge span 8, almost every fill evicts a node that
+// the same traversal may still hold on its stack; the walk reuses what the
+// cache drops only from its next query on. 1 000 random queries per index,
+// completions in random order, the clock running past leases, answer
+// exactly what the tree itself answers: SearchCollect on the R-tree, Range
+// on the B+-tree.
+func TestOffloadEvictionMidTraversal(t *testing.T) {
+	for _, index := range indexes {
+		for _, capacity := range []int{1, 2} {
+			for _, prefetch := range []int{0, 8} {
+				t.Run(fmt.Sprintf("%s-cache%d-prefetch%d", index, capacity, prefetch), func(t *testing.T) {
+					cfg := OpsConfig{MultiIssue: true, CacheRoot: true, MergeSpan: 8, Prefetch: prefetch}
+					rng := rand.New(rand.NewSource(int64(capacity*10 + prefetch)))
+					var r walkRig
+					check := func(wide bool) { r.checkRandom(t, rng, wide) }
+					if index == "rtree" {
+						or := newOffloadRig(t, 3000, cfg, capacity)
+						r = or
+						check = func(wide bool) {
+							edge := 0.02
+							if wide {
+								edge = 0.5
+							}
+							q := testRect(rng, edge)
+							items, _, err := or.o.Search(q)
+							if err != nil {
+								t.Fatalf("search %v: %v", q, err)
+							}
+							want, _, err := or.tree.SearchCollect(q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							refs := make([]uint64, len(want))
+							for i, e := range want {
+								refs[i] = e.Ref
+							}
+							slices.Sort(refs)
+							if got := sortedRefs(items); !slices.Equal(got, refs) {
+								t.Fatalf("search %v: %d items, SearchCollect finds %d", q, len(got), len(refs))
+							}
+							or.checkQuiet(t)
+						}
+					} else {
+						r = newKeyRig(t, 3000, cfg, capacity)
+					}
+					r.fake().pick = rng.Intn
+					for i := 0; i < 1000; i++ {
+						check(i%10 == 0)
+						r.fake().now += 300 * time.Microsecond
+					}
+					if st := r.stats(); st.CacheEvictions == 0 {
+						t.Error("the cache never evicted")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOffloadStageStamps: a metered client records one wait sample — the
+// time blocked in Pop — and one walk sample — the rest — per offloaded
+// search, on the port's clock, and the two add up to the search's latency.
+// An unmetered client times nothing.
+func TestOffloadStageStamps(t *testing.T) {
+	const searches = 50
+	for _, metered := range []bool{true, false} {
+		t.Run(fmt.Sprintf("metered-%v", metered), func(t *testing.T) {
+			var reg *telemetry.Registry
+			if metered {
+				reg = telemetry.NewRegistry()
+			}
+			r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: true, MergeSpan: 4, Metrics: reg}, 8)
+			r.ft.charge = time.Microsecond
+			r.ft.mangle = func(Read, *Done) { r.ft.now += 5 * time.Microsecond }
+			rng := rand.New(rand.NewSource(9))
+			var total time.Duration
+			for i := 0; i < searches; i++ {
+				start := r.ft.now
+				r.checkSearch(t, testRect(rng, 0.1))
+				total += r.ft.now - start
+			}
+			if !metered {
+				if r.o.walk.waited != 0 {
+					t.Errorf("unmetered walk timed %v of waiting", r.o.walk.waited)
+				}
+				return
+			}
+			got := map[string]telemetry.Point{}
+			for _, p := range reg.Snapshot() {
+				got[p.Name] = p
+			}
+			lat := got["catfish_client_search_latency_seconds"].Summary
+			wait := got[`catfish_client_stage_seconds{stage="wait"}`].Summary
+			walk := got[`catfish_client_stage_seconds{stage="walk"}`].Summary
+			for name, s := range map[string]uint64{"latency": lat.Count, "wait": wait.Count, "walk": walk.Count} {
+				if s != searches {
+					t.Errorf("%s: %d samples over %d searches", name, s, searches)
+				}
+			}
+			if wait.Mean <= 0 || walk.Mean <= 0 {
+				t.Errorf("stage means wait %v, walk %v: both stages take clock time here", wait.Mean, walk.Mean)
+			}
+			// Means are sums divided by the count, rounded down.
+			if d := lat.Mean - wait.Mean - walk.Mean; d < 0 || d > 1 || lat.Mean != total/searches {
+				t.Errorf("mean latency %v (clock says %v) = wait %v + walk %v?", lat.Mean, total/searches, wait.Mean, walk.Mean)
+			}
+		})
 	}
 }

@@ -109,6 +109,10 @@ type Core struct {
 	// mailbox-pull counters they own.
 	Counters telemetry.ClientMetrics
 	latHist  *telemetry.Histogram
+	// waitHist and walkHist split a metered offloaded search's latency in
+	// two: the time it blocked on one-sided completions, and the rest
+	// (validate, decode, expand, cache).
+	waitHist, walkHist *telemetry.Histogram
 	// Exactly one walk is set, by the index the server announced
 	// (Tree.Kind): the R-tree's, or the B+-tree's through the key codec.
 	walk    *Walk[rtree.Node, geo.Rect, wire.Item]
@@ -149,6 +153,8 @@ func NewCore(cfg OpsConfig) *Core {
 		})
 		cfg.Metrics.GaugeFunc("catfish_client_pred_util", c.sw.PredictedUtil)
 		c.latHist = cfg.Metrics.Histogram("catfish_client_search_latency_seconds")
+		c.waitHist = cfg.Metrics.Histogram("catfish_client_stage_seconds", "stage", "wait")
+		c.walkHist = cfg.Metrics.Histogram("catfish_client_stage_seconds", "stage", "walk")
 	}
 	return c
 }
@@ -274,10 +280,11 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 		tornBefore = o.Counters.TornRetries.Load()
 	}
 	var items []wire.Item
+	var waited time.Duration
 	var err error
 	if m == MethodOffload {
 		o.Counters.OffloadSearches.Inc()
-		items, err = o.offload(q)
+		items, waited, err = o.offload(q)
 	} else {
 		m = o.countRead(m)
 		items, err = o.serverRead(wire.Request{Type: wire.MsgSearch, Rect: q}, m == MethodFetch)
@@ -285,6 +292,10 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	if tracing || o.latHist != nil {
 		lat := o.t.Now() - start
 		o.latHist.Record(lat)
+		if m == MethodOffload && o.waitHist != nil {
+			o.waitHist.Record(waited)
+			o.walkHist.Record(lat - waited)
+		}
 		if tracing {
 			rbusy, roff := o.sw.State()
 			tr := telemetry.Trace{
@@ -308,12 +319,15 @@ func (o Ops[T]) Search(q geo.Rect) ([]wire.Item, Method, error) {
 	return items, m, err
 }
 
-// offload answers q with the walk of the served index.
-func (o Ops[T]) offload(q geo.Rect) ([]wire.Item, error) {
+// offload answers q with the walk of the served index, and says how long
+// the walk blocked on completions (0 unless metered).
+func (o Ops[T]) offload(q geo.Rect) ([]wire.Item, time.Duration, error) {
 	if o.keyWalk != nil {
-		return Offload(o.keyWalk, o.t, q)
+		items, err := Offload(o.keyWalk, o.t, q)
+		return items, o.keyWalk.waited, err
 	}
-	return Offload(o.walk, o.t, q)
+	items, err := Offload(o.walk, o.t, q)
+	return items, o.walk.waited, err
 }
 
 // Nearest returns the k entries nearest to (x, y) in ascending distance

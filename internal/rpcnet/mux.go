@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,17 @@ import (
 // ErrStreamsExhausted reports that a Mux has no free stream ids left
 // (maxStreams logical clients are attached).
 var ErrStreamsExhausted = errors.New("rpcnet: stream ids exhausted")
+
+// ErrNoHello reports that a dialed server sent no hello within
+// helloTimeout.
+var ErrNoHello = errors.New("rpcnet: no hello from server")
+
+// helloTimeout bounds DialMux's wait for the hello. A server sends it as
+// soon as it accepts, so a live one answers in microseconds; unbounded, a
+// connection the kernel completed while the listener was closing — never
+// accepted, never written to — would be ended only by TCP keep-alive,
+// ≈15 s later.
+const helloTimeout = time.Second
 
 // Mux is one shared TCP connection carrying many logical clients. Attach
 // clients with Client; they detach on Close and their stream ids are
@@ -94,8 +106,16 @@ func DialMux(addr string) (*Mux, error) {
 		return nil, err
 	}
 	in := bufio.NewReaderSize(conn, frameReadBuf)
+	conn.SetReadDeadline(time.Now().Add(helloTimeout)) //nolint:errcheck // a failed set shows as a failed read
 	frame, err := readFrame(in, nil)
 	if err != nil {
+		conn.Close()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, fmt.Errorf("%w within %v", ErrNoHello, helloTimeout)
+		}
+		return nil, fmt.Errorf("rpcnet: hello: %w", err)
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("rpcnet: hello: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -429,6 +430,49 @@ func TestShutdownConcurrentDials(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestMuxDialNoHello: a peer that accepts and never writes — a connection
+// the kernel completed while a server's listener was closing looks the same
+// to the dialer — fails DialMux with ErrNoHello once helloTimeout has
+// passed, not at TCP keep-alive, and leaves no goroutine behind.
+func TestMuxDialNoHello(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err == nil {
+			accepted <- c
+		}
+		close(accepted)
+	}()
+	start := time.Now()
+	m, err := DialMux(ln.Addr().String())
+	took := time.Since(start)
+	if err == nil {
+		m.Close()
+		t.Fatal("DialMux succeeded against a peer that sends no hello")
+	}
+	if !errors.Is(err, ErrNoHello) {
+		t.Errorf("err = %v, want ErrNoHello", err)
+	}
+	if took < helloTimeout || took > helloTimeout+time.Second {
+		t.Errorf("DialMux gave up after %v, want just past %v", took, helloTimeout)
+	}
+	ln.Close()
+	for c := range accepted {
+		c.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

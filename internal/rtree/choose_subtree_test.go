@@ -42,7 +42,9 @@ func refChooseLeafSubtree(t *Tree, n *Node, r geo.Rect) int {
 
 // TestChooseLeafSubtreeMatchesReference: on random level-1 nodes of 4…65
 // entries — built to hit ties and both sides of every pruning rule — the
-// pruned ChooseSubtree picks the child the reference picks.
+// pruned ChooseSubtree picks the child the reference picks, whether it took
+// the least-area containing child outright (scoreChildren) or ran the sorted
+// loop; both branches are taken.
 func TestChooseLeafSubtreeMatchesReference(t *testing.T) {
 	tree := newTestTree(t, 16, 0)
 	rng := rand.New(rand.NewSource(15))
@@ -86,6 +88,16 @@ func TestChooseLeafSubtreeMatchesReference(t *testing.T) {
 			}
 			return rects, geo.Rect{MinX: 0.4, MaxX: 0.6, MinY: 0.4, MaxY: 0.6}
 		}},
+		{"many-contain-one-least", func(n int) ([]geo.Rect, geo.Rect) { // the least may fall outside the probe
+			n += chooseSubtreeProbe
+			rects := make([]geo.Rect, n)
+			for i := range rects {
+				pad := float64(1+rng.Intn(3)) / 16
+				rects[i] = geo.Rect{MinX: 0.25 - pad, MaxX: 0.75 + pad, MinY: 0.25 - pad, MaxY: 0.75 + pad}
+			}
+			rects[rng.Intn(n)] = geo.Rect{MinX: 0.25, MaxX: 0.75, MinY: 0.25, MaxY: 0.75}
+			return rects, geo.Rect{MinX: 0.4, MaxX: 0.6, MinY: 0.4, MaxY: 0.6}
+		}},
 		{"none-contains", func(n int) ([]geo.Rect, geo.Rect) {
 			rects := make([]geo.Rect, n)
 			for i := range rects {
@@ -114,8 +126,9 @@ func TestChooseLeafSubtreeMatchesReference(t *testing.T) {
 			return rects, geo.PointRect(grid(8), grid(8))
 		}},
 	}
+	shortcuts, trials := 0, 0
 	for _, shape := range shapes {
-		pruned := 0
+		pruned, shortcut := 0, 0
 		for trial := 0; trial < 400; trial++ {
 			rects, r := shape.gen(4 + rng.Intn(62))
 			n := &Node{Level: 1}
@@ -134,7 +147,14 @@ func TestChooseLeafSubtreeMatchesReference(t *testing.T) {
 			if contains > 0 {
 				pruned++
 			}
+			if tree.scoreChildren(n, r) >= 0 {
+				shortcut++
+			}
 		}
-		t.Logf("%s: 400 nodes agree, %d with a containing entry", shape.name, pruned)
+		t.Logf("%s: 400 nodes agree, %d with a containing entry, %d chosen without the sorted loop", shape.name, pruned, shortcut)
+		shortcuts, trials = shortcuts+shortcut, trials+400
+	}
+	if shortcuts == 0 || shortcuts == trials {
+		t.Errorf("%d of %d trials took the shortcut: one branch went unchecked", shortcuts, trials)
 	}
 }

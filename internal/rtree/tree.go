@@ -313,14 +313,13 @@ func (c *candidates) Swap(a, b int)      { c.idx[a], c.idx[b] = c.idx[b], c.idx[
 // which prunes the O(M²) overlap sums without changing the choice: a
 // containing child's sum is not computed, and once the best's is 0 a
 // candidate that does not beat it on (area enlargement, area) cannot win
-// whatever its own sum is, so it is skipped.
+// whatever its own sum is, so it is skipped. When scoreChildren finds the
+// answer outright, nothing is sorted or summed.
 func (t *Tree) chooseLeafSubtree(n *Node, r geo.Rect) int {
-	c := &t.cands
-	c.idx, c.enl = c.idx[:0], c.enl[:0]
-	for i := range n.Entries {
-		c.idx = append(c.idx, i)
-		c.enl = append(c.enl, n.Entries[i].Rect.Enlargement(r))
+	if best := t.scoreChildren(n, r); best >= 0 {
+		return best
 	}
+	c := &t.cands
 	if len(c.idx) > chooseSubtreeProbe {
 		sort.Sort(c)
 		c.idx = c.idx[:chooseSubtreeProbe]
@@ -340,6 +339,44 @@ func (t *Tree) chooseLeafSubtree(n *Node, r geo.Rect) int {
 		if best < 0 || ov < bestOverlap || (ov == bestOverlap && closer) {
 			best, bestOverlap, bestEnl, bestArea = i, ov, enl, area
 		}
+	}
+	return best
+}
+
+// scoreChildren fills t.cands with n's children and their area
+// enlargements for r. It returns the child chooseLeafSubtree would pick when
+// that needs no sort and no overlap sum, else -1: when every child of zero
+// enlargement contains r, there are at most chooseSubtreeProbe of them, and
+// one has the least area alone. Every other child then has a positive
+// enlargement, the probe keeps all the zero ones, and among those —
+// overlap enlargement 0 each — the least area wins with no tie to break.
+func (t *Tree) scoreChildren(n *Node, r geo.Rect) int {
+	c := &t.cands
+	c.idx, c.enl = c.idx[:0], c.enl[:0]
+	best, zero, unique, contained := -1, 0, false, true
+	var bestArea float64
+	for i := range n.Entries {
+		rect := &n.Entries[i].Rect
+		enl := rect.Enlargement(r)
+		c.idx = append(c.idx, i)
+		c.enl = append(c.enl, enl)
+		if enl != 0 || !contained {
+			continue
+		}
+		zero++
+		if !rect.Contains(r) {
+			contained = false // a degenerate child: the sorted loop decides
+			continue
+		}
+		switch area := rect.Area(); {
+		case best < 0 || area < bestArea:
+			best, bestArea, unique = i, area, true
+		case area == bestArea:
+			unique = false
+		}
+	}
+	if best < 0 || !contained || !unique || zero > chooseSubtreeProbe {
+		return -1
 	}
 	return best
 }
