@@ -61,7 +61,7 @@ type (
 	Entry = rtree.Entry
 	// Tree is the R*-tree stored node-per-chunk in a Region.
 	Tree = rtree.Tree
-	// TreeConfig tunes fan-out, underflow bound, and reinsertion.
+	// TreeConfig sets the node fan-out.
 	TreeConfig = rtree.Config
 	// OpStats reports the work one tree operation performed.
 	OpStats = rtree.OpStats

@@ -17,8 +17,6 @@ type Config struct {
 	// MaxEntries is the node capacity (0 selects the chunk capacity,
 	// capped at 224 — height 3 for tens of millions of keys).
 	MaxEntries int
-	// DisableCache turns off the server-side decoded-node cache.
-	DisableCache bool
 }
 
 // ErrExists is returned by Insert when the key is already present.
@@ -36,6 +34,10 @@ type Tree struct {
 	height    int
 	size      int
 
+	// cache holds the decoded node of every live chunk, by chunk ID: every
+	// node is published through writeNode, which stores it here, so the
+	// tree reads no node back from the region (the server is its only
+	// writer).
 	cache []*Node
 
 	rawBuf     []byte
@@ -66,11 +68,9 @@ func New(reg *region.Region, cfg Config) (*Tree, error) {
 		maxEntries: maxE,
 		minEntries: maxE / 2,
 		height:     1,
+		cache:      make([]*Node, reg.NumChunks()),
 		rawBuf:     make([]byte, reg.ChunkSize()),
 		payloadBuf: make([]byte, 0, reg.PayloadSize()),
-	}
-	if !cfg.DisableCache {
-		t.cache = make([]*Node, reg.NumChunks())
 	}
 	root, err := reg.Alloc()
 	if err != nil {
@@ -106,22 +106,17 @@ func (t *Tree) SetPublisher(pub Publisher) {
 	t.publish = pub
 }
 
+// readNode returns the decoded node for chunk id from the write-through
+// cache; a miss is an error.
 func (t *Tree) readNode(id int) (*Node, error) {
-	if t.cache != nil {
-		if n := t.cache[id]; n != nil {
-			return n, nil
-		}
+	if n := t.cache[id]; n != nil {
+		return n, nil
 	}
-	n, err := t.readNodeRegion(id)
-	if err != nil {
-		return nil, err
-	}
-	if t.cache != nil {
-		t.cache[id] = n
-	}
-	return n, nil
+	return nil, fmt.Errorf("btree: chunk %d missing from cache", id)
 }
 
+// readNodeRegion decodes chunk id from the region bytes. CheckInvariants
+// uses it to validate what one-sided readers would see.
 func (t *Tree) readNodeRegion(id int) (*Node, error) {
 	payload, _, err := t.reg.ReadChunk(id, t.rawBuf, t.payloadBuf)
 	if err != nil {
@@ -140,16 +135,12 @@ func (t *Tree) writeNode(id int, n *Node) error {
 	if err := t.publish(id, t.encodeBuf); err != nil {
 		return fmt.Errorf("btree: publish chunk %d: %w", id, err)
 	}
-	if t.cache != nil {
-		t.cache[id] = n
-	}
+	t.cache[id] = n
 	return nil
 }
 
 func (t *Tree) freeChunk(id int) error {
-	if t.cache != nil {
-		t.cache[id] = nil
-	}
+	t.cache[id] = nil
 	return t.reg.Free(id)
 }
 
@@ -348,14 +339,12 @@ func (t *Tree) splitUp(path []pathElem) error {
 // Range invokes fn for every key in [from, to] in ascending order; fn
 // returning false stops the scan. It walks the leaf chain.
 func (t *Tree) Range(from, to uint64, fn func(key, val uint64) bool) error {
-	path, err := t.descend(from)
-	if err != nil {
-		return err
+	// Find the first leaf the way Get does, then follow the chain.
+	n, err := t.readNode(t.rootChunk)
+	for err == nil && !n.IsLeaf() && len(n.Entries) > 0 {
+		n, err = t.readNode(int(n.Entries[n.ChildIndex(from)].Val))
 	}
-	leaf := path[len(path)-1]
-	id, n := leaf.id, leaf.node
-	_ = id
-	for {
+	for err == nil {
 		for i := n.Search(from); i < len(n.Entries); i++ {
 			e := n.Entries[i]
 			if e.Key > to {
@@ -369,8 +358,6 @@ func (t *Tree) Range(from, to uint64, fn func(key, val uint64) bool) error {
 			return nil
 		}
 		n, err = t.readNode(n.Next)
-		if err != nil {
-			return err
-		}
 	}
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/region"
@@ -84,6 +85,21 @@ func TestInsertGetBasic(t *testing.T) {
 	}
 	if v, _ := tree.Get(100); v != 777 {
 		t.Errorf("after update Get = %d", v)
+	}
+	// A custom publisher sees every node write; SetPublisher(nil)
+	// restores the default one.
+	published := 0
+	tree.SetPublisher(func(id int, payload []byte) error {
+		published++
+		return tree.Region().WriteChunkPrefix(id, payload)
+	})
+	if err := tree.Insert(5, 5); err != nil || published == 0 {
+		t.Fatalf("insert through a custom publisher: err %v, %d writes seen", err, published)
+	}
+	seen := published
+	tree.SetPublisher(nil)
+	if err := tree.Insert(6, 6); err != nil || published != seen {
+		t.Fatalf("insert after SetPublisher(nil): err %v, %d writes seen, want %d", err, published, seen)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -313,37 +329,26 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-func TestDisableCachePathsWork(t *testing.T) {
-	reg, err := region.New(2048, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := New(reg, Config{MaxEntries: 8, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if err := tree.Insert(k, k*10); err != nil {
+// TestCheckInvariantsCatchesMissingCacheSlot: every tree read is served
+// from the node cache, so a reachable chunk missing from it is an
+// incoherence CheckInvariants reports, not one it skips.
+func TestCheckInvariantsCatchesMissingCacheSlot(t *testing.T) {
+	tree := newTestTree(t, 256, 8)
+	for k := uint64(0); k < 200; k++ {
+		if err := tree.Insert(k, k); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for k := uint64(0); k < 500; k += 31 {
-		v, err := tree.Get(k)
-		if err != nil || v != k*10 {
-			t.Fatalf("uncached get %d = %d, %v", k, v, err)
-		}
-	}
-	for k := uint64(0); k < 500; k += 2 {
-		if err := tree.Delete(k); err != nil {
-			t.Fatalf("uncached delete %d: %v", k, err)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// SetPublisher(nil) restores the default path.
-	tree.SetPublisher(nil)
-	if err := tree.Insert(10_001, 1); err != nil {
+	root, err := tree.readNode(tree.RootChunk())
+	if err != nil {
 		t.Fatal(err)
+	}
+	child := int(root.Entries[len(root.Entries)-1].Val)
+	tree.cache[child] = nil
+	if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "cache incoherent") {
+		t.Fatalf("CheckInvariants with chunk %d missing from the cache = %v, want an incoherence error", child, err)
 	}
 }

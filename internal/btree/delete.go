@@ -156,8 +156,9 @@ func (t *Tree) fixUnderflow(parent, pe pathElem) error {
 }
 
 // CheckInvariants verifies structural invariants: sorted keys, separator
-// correctness, occupancy bounds, level consistency, leaf-chain order, and
-// the size count. Intended for tests.
+// correctness, occupancy bounds, level consistency, leaf-chain order, the
+// size count, and that every reachable chunk's cached node equals its
+// region bytes. Intended for tests.
 func (t *Tree) CheckInvariants() error {
 	seen := make(map[int]bool)
 	var leftmost []int // leftmost chunk per level for chain checking
@@ -171,15 +172,18 @@ func (t *Tree) CheckInvariants() error {
 		if err != nil {
 			return err
 		}
-		if t.cache != nil && t.cache[id] != nil {
-			c := t.cache[id]
-			if c.Level != n.Level || len(c.Entries) != len(n.Entries) || c.Next != n.Next {
-				return fmt.Errorf("btree: chunk %d cache incoherent", id)
-			}
-			for i := range c.Entries {
-				if c.Entries[i] != n.Entries[i] {
-					return fmt.Errorf("btree: chunk %d cache entry %d differs", id, i)
-				}
+		// Every tree read is served from the cache: it must hold exactly
+		// the region bytes.
+		c := t.cache[id]
+		if c == nil {
+			return fmt.Errorf("btree: chunk %d cache incoherent (missing)", id)
+		}
+		if c.Level != n.Level || len(c.Entries) != len(n.Entries) || c.Next != n.Next {
+			return fmt.Errorf("btree: chunk %d cache incoherent", id)
+		}
+		for i := range c.Entries {
+			if c.Entries[i] != n.Entries[i] {
+				return fmt.Errorf("btree: chunk %d cache entry %d differs", id, i)
 			}
 		}
 		if n.Level != wantLevel {

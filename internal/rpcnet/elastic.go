@@ -252,7 +252,7 @@ func (s *Server) prepareReshard(newAddr string) (*shard.Map, error) {
 	s.latch.Lock()
 	defer s.latch.Unlock()
 	var entries []rtree.Entry
-	if _, err := s.rtree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	if _, err := s.rtree.Search(everything, func(r geo.Rect, ref uint64) bool {
 		entries = append(entries, rtree.Entry{Rect: r, Ref: ref})
 		return true
 	}); err != nil {
@@ -359,7 +359,7 @@ func (s *Server) drainSplit() error {
 		return nil
 	}
 	var doomed []rtree.Entry
-	_, err := s.rtree.SearchShared(everything, func(r geo.Rect, ref uint64) bool {
+	_, err := s.rtree.Search(everything, func(r geo.Rect, ref uint64) bool {
 		if sp.m.Owner(r) == sp.newIdx {
 			doomed = append(doomed, rtree.Entry{Rect: r, Ref: ref})
 		}

@@ -59,7 +59,7 @@ func firstK(k int) geo.Rect {
 func localSearch(t *testing.T, tree *rtree.Tree, q geo.Rect) []wire.Item {
 	t.Helper()
 	var items []wire.Item
-	if _, err := tree.SearchShared(q, func(r geo.Rect, ref uint64) bool {
+	if _, err := tree.Search(q, func(r geo.Rect, ref uint64) bool {
 		items = append(items, wire.Item{Rect: r, Ref: ref})
 		return true
 	}); err != nil {
@@ -453,7 +453,7 @@ func TestFrameOwnershipHammer(t *testing.T) {
 	// reference searches may run concurrently.
 	want := func(q geo.Rect) ([]uint64, error) {
 		var items []wire.Item
-		_, err := tree.SearchShared(q, func(r geo.Rect, ref uint64) bool {
+		_, err := tree.Search(q, func(r geo.Rect, ref uint64) bool {
 			items = append(items, wire.Item{Rect: r, Ref: ref})
 			return true
 		})

@@ -9,13 +9,15 @@ import (
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 const raceBuild = false
 
 // TestSharedReadsZeroAlloc: under a shared latch the tree's own part of a
-// point search, a 500-result scan and a warmed kNN(10) allocates nothing —
-// the traversal stack is array-backed and the kNN scratch pooled.
+// point search, a 500-result scan and a warmed kNN(10) allocates nothing,
+// called directly (Search) or as the server core calls it (Query) — the
+// traversal stack is array-backed and the kNN scratch pooled.
 func TestSharedReadsZeroAlloc(t *testing.T) {
 	tree := newTestTree(t, 1<<13, 0)
 	rng := rand.New(rand.NewSource(8))
@@ -28,6 +30,19 @@ func TestSharedReadsZeroAlloc(t *testing.T) {
 	}
 	results := 0
 	count := func(geo.Rect, uint64) bool { results++; return true }
+	items := make([]byte, 0, 1024*wire.ItemSize)
+	query := func(name string, req wire.Request) {
+		if _, _, err := tree.Query(req, items); err != nil { // warms the kNN scratch pool
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := tree.Query(req, items[:0]); err != nil {
+				t.Error(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s Query allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		edge float64
@@ -35,29 +50,20 @@ func TestSharedReadsZeroAlloc(t *testing.T) {
 		q := geo.Rect{MinX: 0.4, MaxX: 0.4 + tc.edge, MinY: 0.4, MaxY: 0.4 + tc.edge}
 		results = 0
 		if allocs := testing.AllocsPerRun(100, func() {
-			if _, err := tree.SearchShared(q, count); err != nil {
+			if _, err := tree.Search(q, count); err != nil {
 				t.Error(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s SearchShared allocates %.1f objects/op, want 0", tc.name, allocs)
+			t.Errorf("%s Search allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
 		t.Logf("%s: %d results per search", tc.name, results/101)
+		query(tc.name, wire.Request{Type: wire.MsgSearch, Rect: q})
 	}
-	near := func(Neighbor) { results++ }
-	if _, err := tree.NearestShared(10, 0.5, 0.5, near); err != nil { // warms the scratch pool
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := tree.NearestShared(10, 0.5, 0.5, near); err != nil {
-			t.Error(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("NearestShared(10) allocates %.1f objects/op, want 0", allocs)
-	}
+	query("kNN(10)", wire.KNNRequest(1, 10, 0.5, 0.5))
 }
 
 // TestNearestOneAlloc: a warmed Nearest(10) allocates one object, the slice
-// it returns — its queue and candidate heap come from the pool NearestShared
+// it returns — its queue and candidate heap come from the pool Query's kNN
 // draws on.
 func TestNearestOneAlloc(t *testing.T) {
 	tree, _ := bulkLoadedTree(t, rand.New(rand.NewSource(11)), 0)

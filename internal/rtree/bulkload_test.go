@@ -148,33 +148,6 @@ func TestBulkLoadFillFactors(t *testing.T) {
 	}
 }
 
-func TestBulkLoadDisabledCacheCoherent(t *testing.T) {
-	reg := mustNewRegion(t, 2048)
-	tree, err := New(reg, Config{MaxEntries: 16, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	items := make([]Entry, 3000)
-	for i := range items {
-		items[i] = Entry{Rect: uniformRect(rng, 0.02), Ref: uint64(i)}
-	}
-	if err := tree.BulkLoad(items, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if _, err := tree.Insert(uniformRect(rng, 0.02), uint64(10000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // refSTRTile is strTile before the radix sort: it pdqsorts the entries
 // themselves (in place) through center comparators. On distinct center keys
 // every correct sort yields one permutation, so strTile must return the same

@@ -19,7 +19,8 @@ import (
 //   - every parent entry's rectangle equals the child's MBR exactly;
 //   - all stored rectangles are valid;
 //   - the number of leaf entries equals Len();
-//   - no chunk is referenced twice.
+//   - no chunk is referenced twice;
+//   - every reachable chunk's cached node equals its region bytes.
 func (t *Tree) CheckInvariants() error {
 	seen := make(map[int]bool)
 	items, err := t.checkNode(t.rootChunk, t.height-1, true, seen)
@@ -38,21 +39,23 @@ func (t *Tree) checkNode(id, wantLevel int, isRoot bool, seen map[int]bool) (int
 	}
 	seen[id] = true
 	// Validate the region bytes — what an RDMA reader would decode — and
-	// their coherence with the server-side cache.
+	// that the server-side cache, which every tree read is served from,
+	// holds exactly them.
 	n, err := t.readNodeRegion(id)
 	if err != nil {
 		return 0, err
 	}
-	if t.cache != nil && t.cache[id] != nil {
-		c := t.cache[id]
-		if c.Level != n.Level || len(c.Entries) != len(n.Entries) {
-			return 0, fmt.Errorf("rtree: chunk %d cache incoherent (level %d/%d, count %d/%d)",
-				id, c.Level, n.Level, len(c.Entries), len(n.Entries))
-		}
-		for i := range c.Entries {
-			if c.Entries[i] != n.Entries[i] {
-				return 0, fmt.Errorf("rtree: chunk %d cache entry %d differs from region", id, i)
-			}
+	c := t.cache[id]
+	if c == nil {
+		return 0, fmt.Errorf("rtree: chunk %d cache incoherent (missing)", id)
+	}
+	if c.Level != n.Level || len(c.Entries) != len(n.Entries) {
+		return 0, fmt.Errorf("rtree: chunk %d cache incoherent (level %d/%d, count %d/%d)",
+			id, c.Level, n.Level, len(c.Entries), len(n.Entries))
+	}
+	for i := range c.Entries {
+		if c.Entries[i] != n.Entries[i] {
+			return 0, fmt.Errorf("rtree: chunk %d cache entry %d differs from region", id, i)
 		}
 	}
 	if n.Level != wantLevel {

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -10,57 +9,13 @@ import (
 // Search visits every stored item whose rectangle intersects q, invoking fn
 // for each. fn returning false stops the traversal early. Search follows
 // every qualifying path, as R-tree search must (the paper's Fig 3a shows two
-// paths for one query).
+// paths for one query). It keeps its statistics in locals and touches no
+// tree scratch state, so searches may run concurrently provided no writer
+// does (callers hold a shared latch, as the servers do).
 func (t *Tree) Search(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats, error) {
-	if !q.Valid() {
-		return OpStats{}, ErrInvalidRect
-	}
-	t.stats = OpStats{}
-	stack := []int{t.rootChunk}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNode(id)
-		if err != nil {
-			return t.stats, err
-		}
-		entries := n.Entries
-		if n.IsLeaf() {
-			for i := range entries {
-				e := &entries[i]
-				if q.Intersects(e.Rect) {
-					t.stats.Results++
-					if fn != nil && !fn(e.Rect, e.Ref) {
-						return t.stats, nil
-					}
-				}
-			}
-			continue
-		}
-		for i := range entries {
-			if e := &entries[i]; q.Intersects(e.Rect) {
-				stack = append(stack, int(e.Ref))
-			}
-		}
-	}
-	return t.stats, nil
-}
-
-// ErrNeedCache is returned by SearchShared when the node cache is disabled.
-var ErrNeedCache = errors.New("rtree: SearchShared requires the node cache")
-
-// SearchShared is a Search variant safe for concurrent use by multiple
-// readers, provided no writer runs concurrently (callers hold a shared
-// latch, as the rpcnet server does). It touches no Tree scratch state: node
-// images come from the write-through cache, whose slots only writers
-// mutate, so concurrent shared readers never race.
-func (t *Tree) SearchShared(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats, error) {
 	var st OpStats
 	if !q.Valid() {
 		return st, ErrInvalidRect
-	}
-	if t.cache == nil {
-		return st, ErrNeedCache
 	}
 	// Array-backed, so the stack of a point search — and of any scan whose
 	// pending subtrees fit — lives in this frame, not on the heap.
@@ -69,9 +24,9 @@ func (t *Tree) SearchShared(q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (O
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := t.cache[id]
-		if n == nil {
-			return st, fmt.Errorf("rtree: chunk %d missing from cache", id)
+		n, err := t.load(id)
+		if err != nil {
+			return st, err
 		}
 		st.NodesRead++
 		entries := n.Entries
@@ -286,8 +241,6 @@ func (t *Tree) shrinkRoot() error {
 
 // freeChunk releases a chunk back to the region and drops its cache slot.
 func (t *Tree) freeChunk(id int) error {
-	if t.cache != nil {
-		t.cache[id] = nil
-	}
+	t.cache[id] = nil
 	return t.reg.Free(id)
 }

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -163,9 +162,10 @@ func (s *knnScratch) sortBest() {
 // bound, and the walk stops at the first subtree beyond it. So it reads
 // exactly the nodes whose rectangles lie within the k-th neighbor's distance
 // (all of them when the tree holds fewer than k items), and s.best ends as
-// the k least entries under NeighborLess, in that order. read supplies
-// decoded nodes by chunk.
-func (t *Tree) nearest(k int, x, y float64, read func(chunk int) (*Node, error), s *knnScratch) (OpStats, error) {
+// the k least entries under NeighborLess, in that order. It keeps its
+// statistics in locals and its working set in s, touching no tree scratch
+// state, so kNNs may run concurrently provided no writer does.
+func (t *Tree) nearest(k int, x, y float64, s *knnScratch) (OpStats, error) {
 	var st OpStats
 	bound := math.Inf(1)
 	s.pushNode(nodeRef{chunk: t.rootChunk})
@@ -174,7 +174,7 @@ func (t *Tree) nearest(k int, x, y float64, read func(chunk int) (*Node, error),
 		if r.distSq > bound {
 			break
 		}
-		n, err := read(r.chunk)
+		n, err := t.load(r.chunk)
 		if err != nil {
 			return st, err
 		}
@@ -201,56 +201,31 @@ func (t *Tree) nearest(k int, x, y float64, read func(chunk int) (*Node, error),
 	return st, nil
 }
 
-// cachedNode is NearestShared's node source: the write-through cache, read
-// and never filled, so concurrent readers touch no shared mutable state.
-func (t *Tree) cachedNode(id int) (*Node, error) {
-	if n := t.cache[id]; n != nil {
-		return n, nil
-	}
-	return nil, fmt.Errorf("rtree: chunk %d missing from cache", id)
-}
-
 // Nearest returns the k stored entries whose rectangles lie nearest to the
 // point (x, y), in NeighborLess order (fewer when the tree holds fewer
-// items). It reads nodes through readNode, so it also serves trees built
-// with DisableCache; a warmed call on a cached tree allocates only the result.
+// items). A warmed call allocates only the result.
 func (t *Tree) Nearest(k int, x, y float64) ([]Neighbor, OpStats, error) {
-	if k <= 0 {
-		return nil, OpStats{}, ErrBadK
-	}
-	s := getKNNScratch()
-	defer putKNNScratch(s)
-	st, err := t.nearest(k, x, y, t.readNode, s)
-	if err != nil {
-		return nil, st, err
-	}
-	out := make([]Neighbor, len(s.best))
-	copy(out, s.best)
-	return out, st, nil
+	var out []Neighbor
+	st, err := t.nearestEach(k, x, y, func(best []Neighbor) {
+		out = make([]Neighbor, len(best))
+		copy(out, best)
+	})
+	return out, st, err
 }
 
-// NearestShared is Nearest for concurrent callers, emitting the neighbors
-// to fn in NeighborLess order instead of returning a slice: it serves nodes
-// from the write-through cache and keeps its statistics in locals, touching
-// no tree scratch state, so parallel kNNs can run under a shared read latch
-// exactly like SearchShared. Requires the node cache (ErrNeedCache). It runs
-// Nearest's traversal, so the two return the same neighbors and statistics
-// for the same tree state, and a warmed call allocates nothing.
-func (t *Tree) NearestShared(k int, x, y float64, fn func(Neighbor)) (OpStats, error) {
+// nearestEach runs one kNN and, when it succeeds, hands fn the neighbors in
+// NeighborLess order. The slice is pooled scratch, valid only during the
+// call: Nearest copies it out, Query packs it as wire items and allocates
+// nothing once warmed.
+func (t *Tree) nearestEach(k int, x, y float64, fn func([]Neighbor)) (OpStats, error) {
 	if k <= 0 {
 		return OpStats{}, ErrBadK
 	}
-	if t.cache == nil {
-		return OpStats{}, ErrNeedCache
-	}
 	s := getKNNScratch()
 	defer putKNNScratch(s)
-	st, err := t.nearest(k, x, y, t.cachedNode, s)
-	if err != nil {
-		return st, err
+	st, err := t.nearest(k, x, y, s)
+	if err == nil {
+		fn(s.best)
 	}
-	for _, nb := range s.best {
-		fn(nb)
-	}
-	return st, nil
+	return st, err
 }

@@ -5,11 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/region"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 func TestNearestValidation(t *testing.T) {
@@ -156,31 +155,45 @@ func nodesWithin(t *testing.T, tree *Tree, distSq, x, y float64) int {
 	return count
 }
 
+// queryKNN runs a kNN(k) at (x, y) through Query, the server core's entry
+// point, and decodes the items it packs.
+func queryKNN(tree *Tree, k int, x, y float64) ([]wire.Item, OpStats, error) {
+	packed, st, err := tree.Query(wire.KNNRequest(1, k, x, y), nil)
+	if err != nil {
+		return nil, st, err
+	}
+	items, err := wire.DecodeItems(packed, len(packed)/wire.ItemSize)
+	return items, st, err
+}
+
+// sameNeighbors reports whether items are nbs' rectangles and refs, in order.
+func sameNeighbors(items []wire.Item, nbs []Neighbor) bool {
+	if len(items) != len(nbs) {
+		return false
+	}
+	for i := range nbs {
+		if items[i].Rect != nbs[i].Rect || items[i].Ref != nbs[i].Ref {
+			return false
+		}
+	}
+	return true
+}
+
 // TestNearestVariantsAgree is the kNN contract on a dataset that is mostly
-// ties (points on a coarse grid, many coincident): Nearest, NearestShared and
-// Nearest on a tree without the node cache return exactly the brute-force
-// NeighborLess answer with the same statistics, for k from 1 to 60 and past
-// Len(), and read exactly the nodes whose rectangles lie within the k-th
-// neighbor's distance.
+// ties (points on a coarse grid, many coincident): Nearest and a kNN
+// request through Query return exactly the brute-force NeighborLess answer
+// with the same statistics, for k from 1 to 60 and past Len(), and read
+// exactly the nodes whose rectangles lie within the k-th neighbor's
+// distance.
 func TestNearestVariantsAgree(t *testing.T) {
 	tree := newTestTree(t, 4096, 16)
-	reg, err := region.New(4096, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := New(reg, Config{MaxEntries: 16, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(21))
 	entries := make([]Entry, 4000)
 	for i := range entries {
 		entries[i] = Entry{Rect: geo.PointRect(float64(rng.Intn(20))/20, float64(rng.Intn(20))/20), Ref: uint64(i)}
 	}
-	for _, tr := range []*Tree{tree, uncached} {
-		if err := tr.BulkLoad(append([]Entry(nil), entries...), 0); err != nil {
-			t.Fatal(err)
-		}
+	if err := tree.BulkLoad(append([]Entry(nil), entries...), 0); err != nil {
+		t.Fatal(err)
 	}
 	for trial := 0; trial < 220; trial++ {
 		x, y := float64(rng.Intn(41))/40, float64(rng.Intn(41))/40
@@ -193,25 +206,23 @@ func TestNearestVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var shared []Neighbor
-		sst, err := tree.NearestShared(k, x, y, func(n Neighbor) { shared = append(shared, n) })
+		served, qst, err := queryKNN(tree, k, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, ust, err := uncached.Nearest(k, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) || len(shared) != len(want) || len(plain) != len(want) {
-			t.Fatalf("trial %d: %d / %d / %d neighbors, want %d", trial, len(got), len(shared), len(plain), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d neighbors, want %d", trial, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] || shared[i] != want[i] || plain[i] != want[i] {
-				t.Fatalf("trial %d: neighbor %d = %+v / %+v / %+v, want %+v", trial, i, got[i], shared[i], plain[i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: neighbor %d = %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}
-		if sst != st || ust != st || st.Results != len(want) {
-			t.Fatalf("trial %d: stats %+v / %+v / %+v, want %d results", trial, st, sst, ust, len(want))
+		if !sameNeighbors(served, want) {
+			t.Fatalf("trial %d: Query's %d items differ from the %d neighbors", trial, len(served), len(want))
+		}
+		if qst != st || st.Results != len(want) {
+			t.Fatalf("trial %d: stats %+v / %+v, want %d results", trial, st, qst, len(want))
 		}
 		bound := math.Inf(1)
 		if len(want) == k {
@@ -221,66 +232,13 @@ func TestNearestVariantsAgree(t *testing.T) {
 			t.Fatalf("trial %d (k=%d): read %d nodes, %d lie within the k-th distance", trial, k, st.NodesRead, optimal)
 		}
 	}
-	if _, err := tree.NearestShared(0, 0, 0, func(Neighbor) {}); !errors.Is(err, ErrBadK) {
-		t.Errorf("k=0 err = %v", err)
+	if _, _, err := queryKNN(tree, 0, 0, 0); !errors.Is(err, ErrBadK) {
+		t.Errorf("Query k=0 err = %v", err)
 	}
-	if _, err := uncached.NearestShared(1, 0, 0, func(Neighbor) {}); !errors.Is(err, ErrNeedCache) {
-		t.Errorf("uncached NearestShared err = %v", err)
-	}
-}
-
-// TestNearestSharedConcurrent: kNNs on several goroutines at once, k up to
-// past the pooled-scratch cap, each get the answer Nearest gives alone — no
-// two calls share pooled scratch.
-func TestNearestSharedConcurrent(t *testing.T) {
-	tree := newTestTree(t, 4096, 16)
-	rng := rand.New(rand.NewSource(22))
-	entries := make([]Entry, 3000)
-	for i := range entries {
-		entries[i] = Entry{Rect: uniformRect(rng, 0.01), Ref: uint64(i)}
-	}
-	if err := tree.BulkLoad(entries, 0); err != nil {
-		t.Fatal(err)
-	}
-	type query struct {
-		k    int
-		x, y float64
-		want []Neighbor
-	}
-	queries := make([]query, 64)
-	for i := range queries {
-		q := query{k: 1 + rng.Intn(2*maxPooledScratch), x: rng.Float64(), y: rng.Float64()}
-		var err error
-		if q.want, _, err = tree.Nearest(q.k, q.x, q.y); err != nil {
-			t.Fatal(err)
-		}
-		queries[i] = q
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range queries {
-				q := queries[(i+g*16)%len(queries)]
-				j := 0
-				_, err := tree.NearestShared(q.k, q.x, q.y, func(n Neighbor) {
-					if j >= len(q.want) || n != q.want[j] {
-						t.Errorf("goroutine %d, k=%d: neighbor %d differs from Nearest", g, q.k, j)
-					}
-					j++
-				})
-				if err != nil || j != len(q.want) {
-					t.Errorf("goroutine %d, k=%d: %d neighbors, want %d (err %v)", g, q.k, j, len(q.want), err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // BenchmarkNearest times a kNN(10) at uniform random points on 200k bulk-
-// loaded items, through both entry points.
+// loaded items, through Nearest and through Query.
 func BenchmarkNearest(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	tree, _ := bulkLoadedTree(b, rng, 0)
@@ -297,11 +255,13 @@ func BenchmarkNearest(b *testing.B) {
 			}
 		}
 	})
-	b.Run("NearestShared", func(b *testing.B) {
+	b.Run("Query", func(b *testing.B) {
+		var items []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pts[i%len(pts)]
-			if _, err := tree.NearestShared(10, p[0], p[1], func(Neighbor) {}); err != nil {
+			var err error
+			if items, _, err = tree.Query(wire.KNNRequest(1, 10, p[0], p[1]), items[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}

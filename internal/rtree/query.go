@@ -6,8 +6,8 @@ import (
 )
 
 // Query runs one search or kNN request (plain or fetch) for the server core
-// (proto.Store), appending the packed items it matches to items. SearchShared
-// and NearestShared touch no tree scratch state, so queries under a shared
+// (proto.Store), appending the packed items it matches to items. Search and
+// the kNN traversal touch no tree scratch state, so queries under a shared
 // latch run in parallel. For a kNN the query point is the degenerate rect's
 // center and k rides Ref; neighbors are emitted in ascending distance, the
 // order every later stage — slot packing included — preserves. The emit
@@ -15,11 +15,11 @@ import (
 func (t *Tree) Query(req wire.Request, items []byte) ([]byte, OpStats, error) {
 	e := emitter{items}
 	if req.Type == wire.MsgSearch || req.Type == wire.MsgSearchFetch {
-		st, err := t.SearchShared(req.Rect, e.emit)
+		st, err := t.Search(req.Rect, e.emit)
 		return e.items, st, err
 	}
 	x, y := req.Rect.Center()
-	st, err := t.NearestShared(int(req.Ref), x, y, e.emitNeighbor)
+	st, err := t.nearestEach(int(req.Ref), x, y, e.emitNeighbors)
 	return e.items, st, err
 }
 
@@ -34,6 +34,8 @@ func (e *emitter) emit(r geo.Rect, ref uint64) bool {
 	return true
 }
 
-func (e *emitter) emitNeighbor(n Neighbor) {
-	e.items = wire.AppendItem(e.items, n.Rect, n.Ref)
+func (e *emitter) emitNeighbors(best []Neighbor) {
+	for _, n := range best {
+		e.items = wire.AppendItem(e.items, n.Rect, n.Ref)
+	}
 }

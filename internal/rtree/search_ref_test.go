@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/region"
 )
 
 // refDecodeNode is DecodeNode as it stood before the field-wise rewrite:
@@ -111,14 +110,13 @@ func refSearch(t *Tree, q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpSta
 	return t.stats, nil
 }
 
-// refSearchShared is SearchShared as it stood before the same rewrite.
-func refSearchShared(t *Tree, q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats, error) {
+// refSearchLocal is the shared-latch search — statistics in locals, an
+// array-backed stack — as it stood before the same rewrite; Search has
+// since taken its body.
+func refSearchLocal(t *Tree, q geo.Rect, fn func(r geo.Rect, ref uint64) bool) (OpStats, error) {
 	var st OpStats
 	if !q.Valid() {
 		return st, ErrInvalidRect
-	}
-	if t.cache == nil {
-		return st, ErrNeedCache
 	}
 	var backing [128]int
 	stack := append(backing[:0], t.rootChunk)
@@ -166,10 +164,9 @@ func collect(search searchFn, q geo.Rect, limit int) ([]Entry, OpStats, error) {
 
 // TestSearchMatchesReference: over random windows on a bulk-loaded tree —
 // points, scans, windows wider than the data, degenerate ones sharing an
-// edge with a stored rectangle, and an invalid one — Search (cached and
-// uncached) and SearchShared visit the same items in the same order, report
-// the same OpStats and error, and stop at the same place as the reference
-// loops.
+// edge with a stored rectangle, and an invalid one — Search visits the same
+// items in the same order, reports the same OpStats and error, and stops at
+// the same place as both reference loops.
 func TestSearchMatchesReference(t *testing.T) {
 	loaded := 50_000
 	if raceBuild {
@@ -180,34 +177,20 @@ func TestSearchMatchesReference(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Rect: uniformRect(rng, 1e-3), Ref: uint64(i)}
 	}
-	cached := newTestTree(t, loaded/20+64, 0)
-	if err := cached.BulkLoad(entries, 0); err != nil {
-		t.Fatal(err)
-	}
-	reg, err := region.New(loaded/20+64, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := New(reg, Config{DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := uncached.BulkLoad(entries, 0); err != nil {
+	tree := newTestTree(t, loaded/20+64, 0)
+	if err := tree.BulkLoad(entries, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	pairs := []struct {
-		name      string
-		got, want searchFn
+	refs := []struct {
+		name string
+		ref  searchFn
 	}{
-		{"SearchShared", cached.SearchShared, func(q geo.Rect, fn func(geo.Rect, uint64) bool) (OpStats, error) {
-			return refSearchShared(cached, q, fn)
+		{"refSearchLocal", func(q geo.Rect, fn func(geo.Rect, uint64) bool) (OpStats, error) {
+			return refSearchLocal(tree, q, fn)
 		}},
-		{"Search", cached.Search, func(q geo.Rect, fn func(geo.Rect, uint64) bool) (OpStats, error) {
-			return refSearch(cached, q, fn)
-		}},
-		{"Search/uncached", uncached.Search, func(q geo.Rect, fn func(geo.Rect, uint64) bool) (OpStats, error) {
-			return refSearch(uncached, q, fn)
+		{"refSearch", func(q geo.Rect, fn func(geo.Rect, uint64) bool) (OpStats, error) {
+			return refSearch(tree, q, fn)
 		}},
 	}
 	var windows []geo.Rect
@@ -219,17 +202,17 @@ func TestSearchMatchesReference(t *testing.T) {
 			geo.Rect{MinX: e.MinX, MaxX: e.MaxX, MinY: e.MaxY, MaxY: e.MaxY + 1e-3})
 	}
 	windows = append(windows, geo.Rect{MinX: -1, MaxX: 2, MinY: -1, MaxY: 2}, geo.Rect{MinX: 1, MaxX: 0})
-	for _, p := range pairs {
+	for _, r := range refs {
 		for i, q := range windows {
 			limit := 0
 			if i%5 == 4 {
 				limit = 1 + rng.Intn(8)
 			}
-			got, gst, gerr := collect(p.got, q, limit)
-			want, wst, werr := collect(p.want, q, limit)
+			got, gst, gerr := collect(tree.Search, q, limit)
+			want, wst, werr := collect(r.ref, q, limit)
 			if !errors.Is(gerr, werr) || gst != wst || !sameEntries(got, want) {
-				t.Fatalf("%s window %d %+v (limit %d): %d items, %+v, %v; reference %d items, %+v, %v",
-					p.name, i, q, limit, len(got), gst, gerr, len(want), wst, werr)
+				t.Fatalf("Search vs %s, window %d %+v (limit %d): %d items, %+v, %v; reference %d items, %+v, %v",
+					r.name, i, q, limit, len(got), gst, gerr, len(want), wst, werr)
 			}
 		}
 	}
@@ -252,11 +235,11 @@ func BenchmarkDecodeNode(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchShared times the server's fast-messaging search over the
+// BenchmarkSearch times the server's fast-messaging search over the
 // bulk-loaded fixture: a point lookup and a scan the size of the wall-clock
 // benchmark's scan-fast window (≈ 500 results out of a million, scaled to
 // the fixture's 200k objects).
-func BenchmarkSearchShared(b *testing.B) {
+func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	tree, _ := bulkLoadedTree(b, rng, 0)
 	for _, bc := range []struct {
@@ -273,7 +256,7 @@ func BenchmarkSearchShared(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := tree.SearchShared(windows[i%len(windows)], func(geo.Rect, uint64) bool { return true })
+				st, err := tree.Search(windows[i%len(windows)], func(geo.Rect, uint64) bool { return true })
 				if err != nil {
 					b.Fatal(err)
 				}

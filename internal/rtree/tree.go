@@ -18,19 +18,9 @@ type Publisher = func(chunkID int, payload []byte) error
 type Config struct {
 	// MaxEntries is the node fan-out M. 0 selects the chunk capacity,
 	// capped at 64 (the paper-scale default giving height 4 for 2M items).
+	// The underflow bound m is 40 % of M and forced reinsertion moves 30 %
+	// of an overflowing node's entries, the R*-tree recommendations.
 	MaxEntries int
-	// MinEntries is the underflow bound m. 0 selects 40% of MaxEntries,
-	// the R*-tree recommendation.
-	MinEntries int
-	// ReinsertFraction is the share of entries force-reinserted on first
-	// overflow per level (R* recommends 0.3). 0 selects 0.3; negative
-	// disables forced reinsertion.
-	ReinsertFraction float64
-	// DisableCache turns off the server-side decoded-node cache and makes
-	// every tree operation re-read node bytes from the region. The cache is
-	// sound because the tree is the region's only writer; disabling it is
-	// useful in tests that must exercise the serialized path.
-	DisableCache bool
 }
 
 // OpStats reports the work a single tree operation performed; the Catfish
@@ -48,10 +38,11 @@ func (s *OpStats) add(o OpStats) {
 	s.Results += o.Results
 }
 
-// Tree is an R*-tree stored node-per-chunk in a memory region. It is not
-// safe for concurrent use; Catfish serializes all tree mutations through the
-// server's latch, and lockless client reads go through the region layer
-// directly, never through Tree.
+// Tree is an R*-tree stored node-per-chunk in a memory region. Its reads —
+// Search, SearchCollect, Nearest and Query — may run concurrently with one
+// another but not with a write; Catfish serializes all tree mutations
+// through the server's latch (readers hold it shared), and lockless client
+// reads go through the region layer directly, never through Tree.
 type Tree struct {
 	reg        *region.Region
 	publish    Publisher
@@ -66,10 +57,11 @@ type Tree struct {
 	// Per-insertion forced-reinsertion marker (R*: once per level).
 	reinsertedAt map[int]bool
 
-	// cache holds decoded nodes by chunk ID (nil when disabled). The server
-	// is the sole writer of the region, so a write-through cache is always
-	// coherent; offloading clients never go through Tree and always read
-	// the region bytes.
+	// cache holds the decoded node of every live chunk, by chunk ID: every
+	// node is published through writeNode, which stores it here, so the
+	// tree reads no node back from the region. The server is the region's
+	// sole writer, so the cache is always coherent; offloading clients
+	// never go through Tree and always read the region bytes.
 	cache []*Node
 
 	// Scratch buffers to keep steady-state operations allocation-free.
@@ -104,40 +96,17 @@ func New(reg *region.Region, cfg Config) (*Tree, error) {
 	if maxE > capacity {
 		return nil, fmt.Errorf("rtree: MaxEntries %d exceeds chunk capacity %d", maxE, capacity)
 	}
-	minE := cfg.MinEntries
-	if minE == 0 {
-		minE = maxE * 2 / 5
-	}
-	if minE < 1 || minE > maxE/2 {
-		return nil, fmt.Errorf("rtree: MinEntries %d out of range [1, %d]", minE, maxE/2)
-	}
-	frac := cfg.ReinsertFraction
-	if frac == 0 {
-		frac = 0.3
-	}
-	reinsertN := 0
-	if frac > 0 {
-		reinsertN = int(frac * float64(maxE+1))
-		if reinsertN < 1 {
-			reinsertN = 1
-		}
-		if reinsertN > maxE+1-minE {
-			reinsertN = maxE + 1 - minE
-		}
-	}
 	t := &Tree{
 		reg:          reg,
 		publish:      reg.WriteChunkPrefix,
 		maxEntries:   maxE,
-		minEntries:   minE,
-		reinsertN:    reinsertN,
+		minEntries:   maxE * 2 / 5,
+		reinsertN:    int(reinsertShare * float64(maxE+1)),
 		height:       1,
 		reinsertedAt: make(map[int]bool),
+		cache:        make([]*Node, reg.NumChunks()),
 		rawBuf:       make([]byte, reg.ChunkSize()),
 		payloadBuf:   make([]byte, 0, reg.PayloadSize()),
-	}
-	if !cfg.DisableCache {
-		t.cache = make([]*Node, reg.NumChunks())
 	}
 	root, err := reg.Alloc()
 	if err != nil {
@@ -180,27 +149,39 @@ func (t *Tree) SetPublisher(pub Publisher) {
 	t.publish = pub
 }
 
-// readNode returns the decoded node for chunk id, from the write-through
-// cache when enabled, otherwise freshly decoded from the region.
+// reinsertShare is the share of an overflowing node's M+1 entries that
+// forced reinsertion moves (R* recommends 0.3). For every M ≥ 4 that is at
+// least one entry and leaves the node at least m = 40 % of M.
+const reinsertShare = 0.3
+
+// readNode returns the decoded node for chunk id and counts the read in
+// the operation's statistics.
 func (t *Tree) readNode(id int) (*Node, error) {
 	t.stats.NodesRead++
-	if t.cache != nil {
-		if n := t.cache[id]; n != nil {
-			return n, nil
-		}
-	}
-	n, err := t.readNodeRegion(id)
-	if err != nil {
-		return nil, err
-	}
-	if t.cache != nil {
-		t.cache[id] = n
-	}
-	return n, nil
+	return t.load(id)
 }
 
-// readNodeRegion decodes chunk id from the region bytes, bypassing the
-// cache. CheckInvariants uses it to validate what RDMA readers would see.
+// load returns the decoded node for chunk id from the write-through cache;
+// a miss is an error. It touches no tree state, so readers under a shared
+// latch call it concurrently.
+func (t *Tree) load(id int) (*Node, error) {
+	if n := t.cache[id]; n != nil {
+		return n, nil
+	}
+	return nil, missingError(id)
+}
+
+// missingError reports a chunk the cache does not hold: one that is not a
+// live node of this tree. It is a type rather than a fmt.Errorf call so that
+// load stays small enough to inline into the search and kNN loops.
+type missingError int
+
+func (id missingError) Error() string {
+	return fmt.Sprintf("rtree: chunk %d missing from cache", int(id))
+}
+
+// readNodeRegion decodes chunk id from the region bytes. CheckInvariants
+// uses it to validate what RDMA readers would see.
 func (t *Tree) readNodeRegion(id int) (*Node, error) {
 	payload, _, err := t.reg.ReadChunk(id, t.rawBuf, t.payloadBuf)
 	if err != nil {
@@ -220,9 +201,7 @@ func (t *Tree) writeNode(id int, n *Node) error {
 	if err := t.publish(id, t.encodeBuf); err != nil {
 		return fmt.Errorf("rtree: publish chunk %d: %w", id, err)
 	}
-	if t.cache != nil {
-		t.cache[id] = n
-	}
+	t.cache[id] = n
 	t.stats.NodesWritten++
 	return nil
 }
@@ -464,7 +443,7 @@ func (t *Tree) adjustUp(p *path, d int) error {
 // otherwise.
 func (t *Tree) overflow(p *path, d int) error {
 	n := p.nodes[d]
-	if d != 0 && t.reinsertN > 0 && !t.reinsertedAt[n.Level] {
+	if d != 0 && !t.reinsertedAt[n.Level] {
 		t.reinsertedAt[n.Level] = true
 		return t.reinsert(p, d)
 	}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/catfish-db/catfish/internal/geo"
@@ -30,34 +31,31 @@ func uniformRect(rng *rand.Rand, maxEdge float64) geo.Rect {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	reg, err := region.New(4, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tests := []struct {
 		name    string
 		cfg     Config
 		wantErr bool
 	}{
 		{"defaults", Config{}, false},
-		{"explicit", Config{MaxEntries: 16, MinEntries: 6}, false},
+		{"explicit", Config{MaxEntries: 16}, false},
 		{"tooSmallMax", Config{MaxEntries: 2}, true},
 		{"overCapacity", Config{MaxEntries: 1000}, true},
-		{"minTooLarge", Config{MaxEntries: 16, MinEntries: 9}, true},
-		{"noReinsert", Config{MaxEntries: 8, ReinsertFraction: -1}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			r2, err := region.New(4, 4096)
+			reg, err := region.New(4, 4096)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = reg
-			_, err = New(r2, tt.cfg)
+			_, err = New(reg, tt.cfg)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("New(%+v) err = %v", tt.cfg, err)
 			}
 		})
+	}
+	// m is derived: 40 % of M, rounded down.
+	if tree := newTestTree(t, 4, 16); tree.MinEntries() != 6 {
+		t.Errorf("MaxEntries 16: MinEntries = %d, want 6", tree.MinEntries())
 	}
 }
 
@@ -378,35 +376,28 @@ func TestOpStats(t *testing.T) {
 	}
 }
 
-func TestNoReinsertConfig(t *testing.T) {
+// TestCheckInvariantsCatchesMissingCacheSlot: every tree read is served
+// from the node cache, so a reachable chunk missing from it is an
+// incoherence CheckInvariants reports, not one it skips.
+func TestCheckInvariantsCatchesMissingCacheSlot(t *testing.T) {
 	tree := newTestTree(t, 512, 8)
-	plain, err := New(mustNewRegion(t, 512), Config{MaxEntries: 8, ReinsertFraction: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(21))
-	rng2 := rand.New(rand.NewSource(21))
 	for i := 0; i < 400; i++ {
 		if _, err := tree.Insert(uniformRect(rng, 0.05), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Insert(uniformRect(rng2, 0.05), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
-		t.Error(err)
+		t.Fatal(err)
 	}
-	if err := plain.CheckInvariants(); err != nil {
-		t.Error(err)
+	root, err := tree.load(tree.RootChunk())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same data, both valid; R* reinsertion typically yields equal-or-fewer
-	// nodes. Just verify both answer identically.
-	q := geo.NewRect(0.2, 0.2, 0.6, 0.6)
-	a, _, _ := tree.SearchCollect(q)
-	b, _, _ := plain.SearchCollect(q)
-	if len(a) != len(b) {
-		t.Errorf("reinsert/plain result counts differ: %d vs %d", len(a), len(b))
+	child := int(root.Entries[len(root.Entries)-1].Ref)
+	tree.cache[child] = nil
+	if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "cache incoherent") {
+		t.Fatalf("CheckInvariants with chunk %d missing from the cache = %v, want an incoherence error", child, err)
 	}
 }
 
