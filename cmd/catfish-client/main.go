@@ -45,7 +45,7 @@ func run() error {
 		fetch      = flag.Bool("fetch", false, "with -adaptive: enable the 3-way fetch branch")
 		multiIssue = flag.Bool("multiissue", false, "pipeline offloaded chunk reads")
 		nodeCache  = flag.Int("nodecache", 0, "node cache capacity in decoded internal nodes (0 = off)")
-		prefetch   = flag.Int("prefetch", 0, "speculatively extend offload span reads over preorder-adjacent subtrees, with a token bucket of N reads (0 = off)")
+		prefetch   = flag.Int("prefetch", 0, "with -multiissue: speculatively extend offload span reads over preorder-adjacent subtrees, with a token bucket of N reads (0 = off)")
 		mergeSpan  = flag.Int("merge-span", 0, "fold up to N adjacent chunk reads into one span round trip (0/1 = off)")
 		insertFrac = flag.Float64("insert-fraction", 0, "fraction of requests that insert")
 		batch      = flag.Int("batch", 1, "batch size B: coalesce B requests per frame (1 = unbatched)")

@@ -111,8 +111,9 @@ type Config struct {
 	// the adaptive switch says the system is busy. See DESIGN.md §5.9.
 	Prefetch int
 
-	// MaxChunkRetries bounds per-chunk torn-read retries (default 64).
-	MaxChunkRetries int
+	// maxChunkRetries bounds per-chunk torn-read retries (default 64); only
+	// in-package tests lower it.
+	maxChunkRetries int
 }
 
 // Client is one Catfish client (the paper runs up to 32 per machine): the
@@ -166,7 +167,7 @@ func New(cfg Config) (*Client, error) {
 		Prefetch:        cfg.Prefetch,
 		MultiIssue:      cfg.MultiIssue,
 		CacheRoot:       cfg.CacheRoot,
-		MaxChunkRetries: cfg.MaxChunkRetries,
+		MaxChunkRetries: cfg.maxChunkRetries,
 		Cache:           c.ncache,
 	}
 	if c.ep.DataQP != nil {

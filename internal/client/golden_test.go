@@ -184,7 +184,7 @@ func TestClientSimGolden(t *testing.T) {
 		{name: "offload", opts: rigOpts{}, cfg: Config{Forced: MethodOffload}},
 		{name: "offload-multi", opts: rigOpts{heartbeat: hb, mergeSpan: 4}, cfg: Config{
 			Forced: MethodOffload, MultiIssue: true, CacheRoot: true, NodeCache: 64, Prefetch: 8, HeartbeatInv: hb}},
-		{name: "fetch", opts: rigOpts{fetchSlots: 32}, cfg: Config{Forced: MethodFetch, Fetch: true, MaxChunkRetries: 3}, sabotage: 16},
+		{name: "fetch", opts: rigOpts{fetchSlots: 32}, cfg: Config{Forced: MethodFetch, Fetch: true, maxChunkRetries: 3}, sabotage: 16},
 		{name: "fetch-nomailbox", opts: rigOpts{}, cfg: Config{Forced: MethodFetch, Fetch: true}},
 		{name: "sim-tcp", opts: rigOpts{tcpNet: true}, tcp: true},
 		{name: "adaptive-3way", opts: rigOpts{heartbeat: hb, cores: 1, fetchSlots: 16}, cfg: Config{

@@ -182,7 +182,7 @@ func TestMultiIssueTornExhaustionDrainsCQ(t *testing.T) {
 	// and drain every outstanding completion so the next search cannot
 	// consume a stale one. After the writer finishes, searches must recover.
 	r := newRig(t, rigOpts{mode: server.ModeEvent, items: 2000})
-	c := r.newClient(t, "c0", Config{Forced: MethodOffload, MultiIssue: true, MaxChunkRetries: 3})
+	c := r.newClient(t, "c0", Config{Forced: MethodOffload, MultiIssue: true, maxChunkRetries: 3})
 	reg := r.tree.Region()
 	q := geo.NewRect(0, 0, 1, 1)
 	r.e.Spawn("driver", func(p *sim.Proc) {

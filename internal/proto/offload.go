@@ -168,16 +168,15 @@ type Walk[N, Q, R any] struct {
 	spare    map[int][]byte
 	spareIDs []int
 	stack    []*N   // consistent nodes awaiting expansion
-	refs     []Ref  // the root frontier; the single-issue walk's stack
-	kids     []Ref  // the refs of the node a multi-issue expansion visits
+	refs     []Ref  // the single-issue frontier, popped last first
+	kids     []Ref  // the refs of the node being expanded
 	cands    []Ref  // hintSpans' scratch
 	wave     []Read // reads accumulated since the last Post
 
-	// node and payload are the decode buffers of the chunk last fetched,
-	// nodeVer its region version; spec decodes speculative chunks, which
-	// arrive while node's entries are still being walked.
+	// node and payload are the decode buffers of the chunk last fetched;
+	// spec decodes speculative chunks, which arrive while node's entries are
+	// still being walked.
 	node    N
-	nodeVer uint64
 	spec    N
 	payload []byte
 
@@ -224,14 +223,9 @@ func Offload[N, Q, R any, P ReadPort](w *Walk[N, Q, R], p P, q Q) ([]R, error) {
 	o.waited = 0
 	o.recycle()
 	for attempt := 0; attempt <= o.cfg.MaxRestarts; attempt++ {
-		var err error
 		o.items = o.items[:0]
 		o.syncLease()
-		if o.cfg.MultiIssue {
-			err = o.walkMultiIssue()
-		} else {
-			err = o.walkSingleIssue()
-		}
+		err := o.walk()
 		// Nothing to post: the last completion's bytes are done with.
 		o.p.Post(nil) //nolint:errcheck // an empty wave cannot fail
 		if err == nil {
@@ -331,11 +325,11 @@ func (o walker[N, Q, R, P]) cachedRoot() (*N, error) {
 		// Examining the cached root costs the same decode/intersection work
 		// as any other node visit; without this charge the cached-leaf-root
 		// fast path would collect items at zero CPU cost, skewing sim
-		// fairness against the uncached path (which pays in fetchChunk).
+		// fairness against the uncached path (which pays in fetchRoot).
 		o.p.Charge()
 		return o.root, nil
 	}
-	if err := o.fetchChunk(Ref{Chunk: o.cfg.Tree.RootChunk, Level: -1}); err != nil {
+	if err := o.fetchRoot(); err != nil {
 		return nil, err
 	}
 	// A leaf root is never invalidated by child-level mismatches (there are
@@ -349,23 +343,39 @@ func (o walker[N, Q, R, P]) cachedRoot() (*N, error) {
 	return o.root, nil
 }
 
-// rootFrontier resolves the start of a traversal into o.refs, shared by the
-// single-issue and multi-issue walks. With a usable cached root, its
-// expansion forms the initial frontier (a leaf root answers the query
-// outright); otherwise the frontier is the root chunk itself, fetched by the
-// traversal like any other node.
+// rootFrontier dispatches the start of a traversal. With a usable cached
+// root, its expansion forms the initial frontier (a leaf root answers the
+// query outright); otherwise the frontier is the root chunk itself, fetched
+// by the traversal like any other node.
 func (o walker[N, Q, R, P]) rootFrontier() error {
-	o.refs = o.refs[:0]
 	root, err := o.cachedRoot()
 	switch {
 	case err != nil:
 		return err
 	case root == nil:
-		o.refs = append(o.refs, Ref{Chunk: o.cfg.Tree.RootChunk, Level: -1})
+		o.kids = append(o.kids[:0], Ref{Chunk: o.cfg.Tree.RootChunk, Level: -1})
+	default:
+		if o.kids, err = o.children(root, o.kids[:0]); err != nil {
+			return err
+		}
+	}
+	return o.dispatch(o.kids)
+}
+
+// dispatch hands the walk the refs of one expansion: multi-issue visits
+// them all in the current wave; single-issue pushes them on the frontier,
+// which the walk pops one at a time.
+func (o walker[N, Q, R, P]) dispatch(refs []Ref) error {
+	if !o.cfg.MultiIssue {
+		o.refs = append(o.refs, refs...)
 		return nil
 	}
-	o.refs, err = o.children(root, o.refs)
-	return err
+	for _, r := range refs {
+		if err := o.visit(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // children appends n's refs for the query to refs and folds its results
@@ -398,21 +408,6 @@ func (o walker[N, Q, R, P]) pop() (Done, error) {
 	return d, err
 }
 
-// readSync posts one read and waits for its completion: the single-issue
-// walk's round trip, and the root-cache refresh of either walk (which runs
-// before the multi-issue walk has queued anything in the wave).
-func (o walker[N, Q, R, P]) readSync(chunk int, versions bool, retry int) (Done, error) {
-	o.tagSeq++
-	o.wave = append(o.wave[:0], Read{Tag: o.tagSeq, Chunk: chunk, Versions: versions, Retry: retry})
-	_, wqes, err := o.p.Post(o.wave)
-	o.wave = o.wave[:0]
-	o.counters.ReadWQEs.Add(uint64(wqes))
-	if err != nil {
-		return Done{}, err
-	}
-	return o.pop()
-}
-
 // decode validates a raw chunk image against its cacheline versions and
 // decodes it into node, asserting level when level >= 0. A torn image is
 // region.ErrTornRead; a chunk that decodes as garbage — freed and reused —
@@ -432,20 +427,29 @@ func (o walker[N, Q, R, P]) decode(raw []byte, node *N, level int) (ver uint64, 
 	return ver, nil
 }
 
-// fetchChunk reads r's chunk with validation and decodes it into o.node,
-// retrying torn reads up to the configured budget. The observed chunk
-// version is left in o.nodeVer for cache population.
-func (o walker[N, Q, R, P]) fetchChunk(r Ref) error {
+// fetchRoot is the root cache's refresh: one validated read of the root
+// chunk into o.node, posted and waited for before the walk has queued
+// anything, torn reads retried up to the configured budget.
+func (o walker[N, Q, R, P]) fetchRoot() error {
+	chunk := o.cfg.Tree.RootChunk
 	for retry := 0; retry <= o.cfg.MaxChunkRetries; retry++ {
 		o.counters.NodesFetched.Inc()
-		d, err := o.readSync(r.Chunk, false, retry)
+		o.tagSeq++
+		o.wave = append(o.wave[:0], Read{Tag: o.tagSeq, Chunk: chunk, Retry: retry})
+		_, wqes, err := o.p.Post(o.wave)
+		o.wave = o.wave[:0]
+		o.counters.ReadWQEs.Add(uint64(wqes))
+		var d Done
+		if err == nil {
+			d, err = o.pop()
+		}
 		if err == nil {
 			err = d.Err
 		}
 		if err != nil {
-			return fmt.Errorf("catfish: chunk %d read: %w", r.Chunk, err)
+			return fmt.Errorf("catfish: chunk %d read: %w", chunk, err)
 		}
-		ver, err := o.decode(d.Data, &o.node, r.Level)
+		_, err = o.decode(d.Data, &o.node, -1)
 		if errors.Is(err, region.ErrTornRead) {
 			o.counters.TornRetries.Inc()
 			continue
@@ -453,21 +457,20 @@ func (o walker[N, Q, R, P]) fetchChunk(r Ref) error {
 		if err != nil {
 			return err
 		}
-		o.nodeVer = ver
 		o.p.Charge()
 		return nil
 	}
 	return ErrGaveUp
 }
 
-// cachePut retains the node just decoded into o.node when it is internal
-// (leaves absorb every insert and would thrash the cache). The cache gets
-// its own copy: o.node is a reused decode buffer.
-func (o walker[N, Q, R, P]) cachePut(id int) {
+// cachePut retains the node just decoded into o.node, at region version
+// ver, when it is internal (leaves absorb every insert and would thrash the
+// cache). The cache gets its own copy: o.node is a reused decode buffer.
+func (o walker[N, Q, R, P]) cachePut(id int, ver uint64) {
 	if o.cfg.Cache == nil || o.ix.Level(&o.node) == 0 {
 		return
 	}
-	o.park(o.cfg.Cache.Put(id, o.clone(&o.node), o.nodeVer, o.p.Now()))
+	o.park(o.cfg.Cache.Put(id, o.clone(&o.node), ver, o.p.Now()))
 }
 
 // cached unwraps a node-cache value for r, evicting it as stale when its
@@ -481,69 +484,18 @@ func (o walker[N, Q, R, P]) cached(v any, r Ref) (*N, error) {
 	return n, nil
 }
 
-// lookupNode resolves one single-issue step through the node cache: a
-// lease-fresh entry is served with zero network, a demoted entry is
-// revalidated with a version-only read, and a miss (or failed revalidation)
-// falls back to a full validated fetch that repopulates the cache. The
-// returned node is valid until the next lookupNode call.
-func (o walker[N, Q, R, P]) lookupNode(r Ref) (*N, error) {
-	cache := o.cfg.Cache
-	v, out := cache.Lookup(r.Chunk, o.p.Now())
-	if out == nodecache.Verify {
-		o.counters.VersionReads.Inc()
-		d, err := o.readSync(r.Chunk, true, 0)
-		if err != nil {
-			return nil, err
-		}
-		// Fingerprint unreadable, torn or changed: fall through to a full
-		// fetch.
-		if ver, derr := region.DecodeVersions(d.Data); d.Err == nil && derr == nil {
-			var ok bool
-			if v, ok = cache.Confirm(r.Chunk, ver, o.p.Now()); ok {
-				out = nodecache.Fresh
-			}
-		}
-	}
-	if out == nodecache.Fresh {
-		n, err := o.cached(v, r)
-		if err == nil {
-			o.p.Charge()
-		}
-		return n, err
-	}
-	if err := o.fetchChunk(r); err != nil {
-		return nil, err
-	}
-	o.cachePut(r.Chunk)
-	return &o.node, nil
-}
-
-// walkSingleIssue is the FaRM-style baseline: a depth-first walk fetching
-// one node per read round trip (cache hits skip the trip).
-func (o walker[N, Q, R, P]) walkSingleIssue() error {
-	if err := o.rootFrontier(); err != nil {
-		return err
-	}
-	for len(o.refs) > 0 {
-		r := o.refs[len(o.refs)-1]
-		o.refs = o.refs[:len(o.refs)-1]
-		n, err := o.lookupNode(r)
-		if err != nil {
-			return err
-		}
-		if o.refs, err = o.children(n, o.refs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// walkMultiIssue implements §IV-C: after checking a node, reads for all
-// the children it yields are posted at once; completions are processed as
-// they arrive, so the round trips of independent subtrees overlap in a
-// pipeline. Cache-fresh children are expanded immediately without touching
-// the network; demoted entries revalidate with pipelined version-only reads,
+// walk implements §IV-C: after checking a node, reads for all the children
+// it yields are posted at once; completions are processed as they arrive,
+// so the round trips of independent subtrees overlap in a pipeline.
+// Cache-fresh children are expanded immediately without touching the
+// network; demoted entries revalidate with pipelined version-only reads,
 // and only misses cost a full read.
+//
+// With MultiIssue off it is the FaRM-style single-issue baseline, the same
+// loop with one read in flight: an expansion pushes its children on the
+// refs frontier, and the loop pops the last one pushed — a depth-first
+// walk — only once nothing is waiting to be expanded, posted or completed.
+// Speculation stays off (specBudget).
 //
 // Reads are accumulated per expansion wave and posted as ONE submission (a
 // doorbell batch on the fabric, one write of frames on a socket): the full
@@ -564,16 +516,10 @@ func (o walker[N, Q, R, P]) walkSingleIssue() error {
 //     re-labelling it as a demand read — instead of posting a duplicate;
 //     completions nobody adopted park internal nodes in the node cache and
 //     count leaves/garbage as prefetch waste.
-func (o walker[N, Q, R, P]) walkMultiIssue() error {
-	o.stack = o.stack[:0]
-
+func (o walker[N, Q, R, P]) walk() error {
+	o.stack, o.refs = o.stack[:0], o.refs[:0]
 	if err := o.rootFrontier(); err != nil {
 		return o.fail(err)
-	}
-	for _, r := range o.refs {
-		if err := o.visit(r); err != nil {
-			return o.fail(err)
-		}
 	}
 	for {
 		for len(o.stack) > 0 {
@@ -589,7 +535,16 @@ func (o walker[N, Q, R, P]) walkMultiIssue() error {
 			return o.fail(err)
 		}
 		if len(o.inflight) == 0 {
-			break
+			k := len(o.refs)
+			if k == 0 {
+				break
+			}
+			r := o.refs[k-1]
+			o.refs = o.refs[:k-1]
+			if err := o.visit(r); err != nil {
+				return o.fail(err)
+			}
+			continue
 		}
 		comp, err := o.pop()
 		if err != nil {
@@ -626,12 +581,9 @@ func (o walker[N, Q, R, P]) complete(comp Done, ctx pending) error {
 		}
 		return nil
 	}
-	if comp.Err != nil {
-		return fmt.Errorf("catfish: chunk %d read: %w", ctx.Chunk, comp.Err)
-	}
 	r := ctx.Ref
 	if ctx.verify {
-		if ver, derr := region.DecodeVersions(comp.Data); derr == nil {
+		if ver, derr := region.DecodeVersions(comp.Data); comp.Err == nil && derr == nil {
 			if v, ok := o.cfg.Cache.Confirm(ctx.Chunk, ver, o.p.Now()); ok {
 				n, err := o.cached(v, r)
 				if err == nil {
@@ -640,9 +592,13 @@ func (o walker[N, Q, R, P]) complete(comp Done, ctx pending) error {
 				return err
 			}
 		}
-		// Fingerprint torn or changed: pay for the full read.
+		// Fingerprint unreadable, torn or changed: pay for the full read,
+		// which stays the authority — its own failure fails the search.
 		o.issue(pending{Ref: r})
 		return nil
+	}
+	if comp.Err != nil {
+		return fmt.Errorf("catfish: chunk %d read: %w", ctx.Chunk, comp.Err)
 	}
 	ver, err := o.decode(comp.Data, &o.node, ctx.Level)
 	if errors.Is(err, region.ErrTornRead) {
@@ -656,9 +612,17 @@ func (o walker[N, Q, R, P]) complete(comp Done, ctx pending) error {
 	if err != nil {
 		return err
 	}
-	o.nodeVer = ver
-	o.cachePut(ctx.Chunk)
-	return o.expand(&o.node)
+	// A multi-issue fill enters the cache before its children are visited;
+	// a single-issue one is stamped after the node's examination is charged
+	// (expand only pushes refs there, so o.node is still this node). The
+	// goldens pin both orders.
+	if o.cfg.MultiIssue {
+		o.cachePut(ctx.Chunk, ver)
+		return o.expand(&o.node)
+	}
+	err = o.expand(&o.node)
+	o.cachePut(ctx.Chunk, ver)
+	return err
 }
 
 // issue tags pd's read — demand, speculative or version-only — counts it and
@@ -720,10 +684,10 @@ func (w *Walk[N, Q, R]) forget(unposted []Read) {
 	}
 }
 
-// fail ends a multi-issue walk with err. Every outstanding completion is
-// drained first so a restart (or the next search) starts with nothing in
-// flight; wave entries never posted are dropped, since no completion will
-// ever arrive for them.
+// fail ends a walk with err. Every outstanding completion is drained first
+// so a restart (or the next search) starts with nothing in flight; wave
+// entries never posted are dropped, since no completion will ever arrive
+// for them.
 func (o walker[N, Q, R, P]) fail(err error) error {
 	o.forget(o.wave)
 	o.wave = o.wave[:0]
@@ -790,10 +754,8 @@ func (o walker[N, Q, R, P]) expand(n *N) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range kids {
-		if err := o.visit(r); err != nil {
-			return err
-		}
+	if err := o.dispatch(kids); err != nil {
+		return err
 	}
 	o.prefetchSpans(n, kids)
 	return nil
@@ -805,9 +767,10 @@ func (o walker[N, Q, R, P]) expand(n *N) error {
 func byRank(a, b Ref) int { return cmp.Compare(b.Rank, a.Rank) }
 
 // specBudget is how many speculative reads the expansion of n may post: none
-// with prefetching off or below minLevel, else what the token bucket allows.
+// with prefetching off, on a single-issue walk (whose one read in flight is
+// the demand read) or below minLevel, else what the token bucket allows.
 func (o walker[N, Q, R, P]) specBudget(n *N, minLevel int) int {
-	if o.cfg.Prefetch <= 0 || o.ix.Level(n) < minLevel {
+	if o.cfg.Prefetch <= 0 || !o.cfg.MultiIssue || o.ix.Level(n) < minLevel {
 		return 0
 	}
 	return o.prefetchBudget()

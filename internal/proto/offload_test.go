@@ -33,6 +33,7 @@ type fakeReads struct {
 	mangle func(r Read, d *Done) // called on each completion as it is popped
 	failAt int                   // the failAt-th read posted from now on fails its Post (0 = never)
 	reads  map[int]int           // full-chunk reads posted, per chunk
+	maxOut int                   // the most reads posted and not yet popped at once
 	last   []byte                // the last Pop's bytes
 }
 
@@ -77,6 +78,7 @@ func (f *fakeReads) Post(wave []Read) (posted, wqes int, err error) {
 			wqes, run = wqes+1, 1
 		}
 		f.cq = append(f.cq, fakeDone{r, d})
+		f.maxOut = max(f.maxOut, len(f.cq))
 		posted++
 	}
 	return posted, wqes, nil
@@ -322,7 +324,8 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	variants = append(variants, variant{single: true}, variant{cache: 8, single: true})
+	variants = append(variants, variant{single: true}, variant{cache: 8, single: true},
+		variant{cache: 8, prefetch: 8, single: true})
 	for _, v := range variants {
 		t.Run(name(v), func(t *testing.T) {
 			r := newOffloadRig(t, 3000, OpsConfig{MultiIssue: !v.single, CacheRoot: v.cache > 0,
@@ -332,7 +335,9 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 			if v.cache > 0 && (st.CacheHits == 0 || st.CacheVerifiedHits == 0 || st.RootCacheHits == 0) {
 				t.Errorf("cache never exercised: %d hits, %d verified, %d root hits", st.CacheHits, st.CacheVerifiedHits, st.RootCacheHits)
 			}
-			if v.prefetch > 0 && (st.PrefetchIssued == 0 || st.PrefetchHits == 0) {
+			if v.single {
+				checkSingleIssue(t, r)
+			} else if v.prefetch > 0 && (st.PrefetchIssued == 0 || st.PrefetchHits == 0) {
 				t.Errorf("speculation never exercised: %d issued, %d adopted", st.PrefetchIssued, st.PrefetchHits)
 			}
 			if posted := st.NodesFetched + st.VersionReads + st.PrefetchIssued; (v.span > 1) != (st.ReadWQEs < posted) {
@@ -343,7 +348,8 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 	// The B+-tree yields one ref per node: nothing to merge or to span
 	// behind, so only the cache (and the revalidation hints it prefetches)
 	// and the issue mode vary.
-	for _, v := range []variant{{}, {cache: 8}, {cache: 8, prefetch: 8}, {single: true}, {cache: 8, single: true}} {
+	for _, v := range []variant{{}, {cache: 8}, {cache: 8, prefetch: 8},
+		{single: true}, {cache: 8, single: true}, {cache: 8, prefetch: 8, single: true}} {
 		t.Run("btree-"+name(v), func(t *testing.T) {
 			r := newKeyRig(t, 3000, OpsConfig{MultiIssue: !v.single, CacheRoot: v.cache > 0, Prefetch: v.prefetch}, v.cache)
 			driveRandom(t, r, int64(v.cache*100+v.prefetch+1))
@@ -351,13 +357,59 @@ func TestOffloadMatchesBruteForce(t *testing.T) {
 			if v.cache > 0 && (st.CacheHits == 0 || st.CacheVerifiedHits == 0 || st.RootCacheHits == 0) {
 				t.Errorf("cache never exercised: %d hits, %d verified, %d root hits", st.CacheHits, st.CacheVerifiedHits, st.RootCacheHits)
 			}
-			if v.prefetch > 0 && st.PrefetchIssued == 0 {
+			if v.single {
+				checkSingleIssue(t, r)
+			} else if v.prefetch > 0 && st.PrefetchIssued == 0 {
 				t.Error("revalidation never hinted a read")
 			}
 			if v.cache == 0 && st.VersionReads != 0 {
 				t.Errorf("no cache, yet %d version reads", st.VersionReads)
 			}
 		})
+	}
+}
+
+// checkSingleIssue requires that r's walk kept one read in flight at a time
+// and never speculated, whatever its prefetch budget.
+func checkSingleIssue(t *testing.T, r walkRig) {
+	t.Helper()
+	if out := r.fake().maxOut; out != 1 {
+		t.Errorf("single-issue walk had %d reads in flight at once", out)
+	}
+	if st := r.stats(); st.PrefetchIssued != 0 {
+		t.Errorf("single-issue walk posted %d speculative reads", st.PrefetchIssued)
+	}
+}
+
+// TestOffloadFailedRevalidationFallsThrough: a version read that comes back
+// failed is a failed fingerprint, not a failed search. The walk pays the
+// full read, which stays the authority, in either issue mode. Every version
+// read is refused, and the leases of a warm 64-node cache have lapsed before
+// each query; every answer must be the tree's own.
+func TestOffloadFailedRevalidationFallsThrough(t *testing.T) {
+	for _, multi := range []bool{true, false} {
+		for _, index := range indexes {
+			t.Run(fmt.Sprintf("%s-multi-%v", index, multi), func(t *testing.T) {
+				r := newWalkRig(t, index, OpsConfig{MultiIssue: multi}, 64)
+				ft := r.fake()
+				r.checkWhole(t)
+				refused := 0
+				ft.mangle = func(rd Read, d *Done) {
+					if rd.Versions {
+						refused++
+						d.Err = errors.New("fake: version read refused")
+					}
+				}
+				rng := rand.New(rand.NewSource(13))
+				for i := 0; i < 50; i++ {
+					ft.now += 2 * time.Millisecond // past every lease
+					r.checkRandom(t, rng, i%10 == 0)
+				}
+				if st := r.stats(); refused == 0 || st.VersionReads != uint64(refused) || st.CacheVerifiedHits != 0 {
+					t.Errorf("%d version reads refused of %d issued, %d verified hits", refused, st.VersionReads, st.CacheVerifiedHits)
+				}
+			})
+		}
 	}
 }
 

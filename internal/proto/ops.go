@@ -72,6 +72,8 @@ type OpsConfig struct {
 	// relative latency budget.
 	DeadlineUS uint32
 	// Prefetch is the speculative-read token bucket's capacity (0 = none).
+	// Only a multi-issue walk speculates: a single-issue one keeps its one
+	// read in flight for demand, whatever Prefetch says.
 	Prefetch int
 	// Tree is the served tree's geometry, for offloaded traversals.
 	// MultiIssue posts the reads for every intersecting child at once (§IV-C)
