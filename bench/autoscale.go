@@ -346,7 +346,6 @@ func AblationAutoscale(o Options) (*stats.Table, error) {
 	table := stats.NewTable("mode", "finalK", "splits", "ops", "violations", "viol%", "overloaded", "p99_us")
 	run := func(mode string, staticK int) error {
 		r, err := runElastic(o, data, staticK, loaders, autoscale.PolicyConfig{
-			TargetUtil:  0.5,
 			ScaleUpUtil: 0.7,
 			MaxK:        4,
 			Cooldown:    10 * elasticHeartbeat(o),

@@ -354,7 +354,6 @@ func AblationHotspot(o Options) (*stats.Table, error) {
 		// so an over-eager policy buys its extra shards with a reshard
 		// tail that swamps the p99 it was meant to cut.
 		r, err := runElastic(o, data, staticK, loaders, autoscale.PolicyConfig{
-			TargetUtil:  0.5,
 			ScaleUpUtil: 0.8,
 			MaxK:        8,
 			Cooldown:    25 * hb,

@@ -1,9 +1,9 @@
 // Package autoscale is the telemetry-driven shard autoscaler (DESIGN.md
 // §5.12): a control loop scrapes every shard's smoothed heartbeat
-// utilization, computes a utilization-based desired shard count, and — when
-// a shard pegs past the scale-up threshold — splits the hottest shard
-// through the live-resharding path. Scaling is split-only: cells subdivide
-// under load and stay subdivided, so the desired K is monotone within a run.
+// utilization and — when a shard pegs past the scale-up threshold — splits
+// the hottest shard through the live-resharding path. Scaling is
+// split-only: cells subdivide under load and stay subdivided, so K is
+// monotone within a run.
 //
 // The loop is deliberately split into pure pieces — Scraper (observation),
 // Decide (policy), Actuator (actuation) — so the policy is unit-testable
@@ -43,10 +43,6 @@ type Scraper interface {
 
 // PolicyConfig tunes the scaling policy.
 type PolicyConfig struct {
-	// TargetUtil is the steady-state per-shard utilization the desired-K
-	// computation aims for (default 0.6): desiredK = ceil(total binding
-	// utilization / TargetUtil), never below the current K.
-	TargetUtil float64
 	// ScaleUpUtil is the peak (CPU or TX) utilization past which the
 	// hottest shard is split (default 0.8) — the same order as the
 	// server's admission threshold, so the autoscaler relieves pressure
@@ -69,9 +65,6 @@ type PolicyConfig struct {
 }
 
 func (c PolicyConfig) withDefaults() PolicyConfig {
-	if c.TargetUtil <= 0 {
-		c.TargetUtil = 0.6
-	}
 	if c.ScaleUpUtil <= 0 {
 		c.ScaleUpUtil = 0.8
 	}
@@ -83,8 +76,6 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 
 // Decision is one tick's policy output.
 type Decision struct {
-	// DesiredK is the utilization-based desired shard count.
-	DesiredK int
 	// Split is the index of the shard to split, or -1 to hold.
 	Split int
 	// Peak is the binding utilization of the hottest shard.
@@ -102,7 +93,6 @@ func Decide(cfg PolicyConfig, samples []Sample) Decision {
 	if k == 0 {
 		return d
 	}
-	total := 0.0
 	hot := -1
 	for i, s := range samples {
 		if s.Err != nil {
@@ -112,18 +102,10 @@ func Decide(cfg PolicyConfig, samples []Sample) Decision {
 		if cfg.TXOnly {
 			p = s.TXUtil
 		}
-		total += p
 		if p > d.Peak {
 			d.Peak = p
 			hot = i
 		}
-	}
-	d.DesiredK = int(math.Ceil(total / cfg.TargetUtil))
-	if d.DesiredK < k {
-		d.DesiredK = k
-	}
-	if d.DesiredK > cfg.MaxK {
-		d.DesiredK = cfg.MaxK
 	}
 	if hot >= 0 && d.Peak >= cfg.ScaleUpUtil && k < cfg.MaxK {
 		d.Split = hot
@@ -154,7 +136,6 @@ type Controller struct {
 	act Actuator
 
 	lastSplit time.Time
-	desiredK  atomic.Int64
 
 	ticks, splits, scrapeErrs, splitErrs atomic.Uint64
 }
@@ -163,10 +144,6 @@ type Controller struct {
 func NewController(scr Scraper, act Actuator, cfg PolicyConfig) *Controller {
 	return &Controller{cfg: cfg.withDefaults(), scr: scr, act: act}
 }
-
-// DesiredK returns the most recent tick's desired shard count (a metrics
-// hook; 0 before the first tick).
-func (c *Controller) DesiredK() int { return int(c.desiredK.Load()) }
 
 // Stats snapshots the controller's counters.
 func (c *Controller) Stats() Stats {
@@ -189,7 +166,6 @@ func (c *Controller) Tick(now time.Time) (Decision, error) {
 		return Decision{Split: -1}, err
 	}
 	d := Decide(c.cfg, samples)
-	c.desiredK.Store(int64(d.DesiredK))
 	if d.Split < 0 {
 		return d, nil
 	}

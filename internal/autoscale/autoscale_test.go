@@ -7,21 +7,18 @@ import (
 )
 
 func TestDecide(t *testing.T) {
-	cfg := PolicyConfig{TargetUtil: 0.6, ScaleUpUtil: 0.8, MaxK: 4}
+	cfg := PolicyConfig{ScaleUpUtil: 0.8, MaxK: 4}
 
 	// Cool deployment: hold.
 	d := Decide(cfg, []Sample{{Shard: 0, Util: 0.3}, {Shard: 1, Util: 0.2}})
-	if d.Split != -1 || d.DesiredK != 2 {
-		t.Fatalf("cool: %+v, want hold at K=2", d)
+	if d.Split != -1 {
+		t.Fatalf("cool: %+v, want hold", d)
 	}
 
-	// One pegged shard: split it, desired K grows from the load sum.
+	// One pegged shard: split it.
 	d = Decide(cfg, []Sample{{Shard: 0, Util: 0.95}, {Shard: 1, Util: 0.4}})
-	if d.Split != 0 {
-		t.Fatalf("hot: split=%d, want 0", d.Split)
-	}
-	if d.DesiredK != 3 { // ceil(1.35/0.6) = 3
-		t.Fatalf("hot: desiredK=%d, want 3", d.DesiredK)
+	if d.Split != 0 || d.Peak != 0.95 {
+		t.Fatalf("hot: %+v, want split 0 at peak 0.95", d)
 	}
 
 	// TX saturation alone nominates a split (the fetch-path bottleneck).
@@ -36,8 +33,8 @@ func TestDecide(t *testing.T) {
 		hot4[i].Shard = i
 	}
 	d = Decide(cfg, hot4)
-	if d.Split != -1 || d.DesiredK != 4 {
-		t.Fatalf("at cap: %+v, want hold at K=4", d)
+	if d.Split != -1 {
+		t.Fatalf("at cap: %+v, want hold", d)
 	}
 
 	// Errored samples are never nominated.

@@ -74,13 +74,13 @@ func TestFromLatLonCorners(t *testing.T) {
 		lat, lon float64
 		x, y     float64
 	}{
-		{0, 0, 0.5, 0.5},        // null island → center
-		{-90, -180, 0, 0},       // south-west corner
-		{90, 180, 1, 1},         // north-east corner
-		{90, -180, 0, 1},        // north-west corner
-		{-90, 180, 1, 0},        // south-east corner
-		{-91, -200, 0, 0},       // out-of-range clamps
-		{100, 400, 1, 1},        // out-of-range clamps
+		{0, 0, 0.5, 0.5},           // null island → center
+		{-90, -180, 0, 0},          // south-west corner
+		{90, 180, 1, 1},            // north-east corner
+		{90, -180, 0, 1},           // north-west corner
+		{-90, 180, 1, 0},           // south-east corner
+		{-91, -200, 0, 0},          // out-of-range clamps
+		{100, 400, 1, 1},           // out-of-range clamps
 		{37.7749, -122.4194, 0, 0}, // San Francisco — checked below
 	}
 	for _, c := range cases[:7] {

@@ -15,7 +15,7 @@ import (
 //
 // Each slot is a run of physically consecutive chunks, so a pull is a
 // single merged span read (fabric.ReadBatch/MergeSpan on the simulated
-// fabric, MsgReadMailbox over TCP) against the same seqlocked chunk format
+// fabric, a mailbox-space READ over TCP) against the same seqlocked chunk format
 // as the tree itself. The first chunk's payload begins with a
 // MailboxHeaderSize-byte slot header:
 //

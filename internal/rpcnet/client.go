@@ -68,14 +68,14 @@ type ClientConfig struct {
 	// NodeCache is the capacity, in nodes, of the client-side
 	// version-validated cache of decoded internal nodes (0 disables it).
 	// Entries are lease-fresh for one heartbeat interval; past the lease
-	// they are revalidated with a READ_VERSIONS round trip (an eighth of
-	// a chunk) before being trusted. See internal/nodecache.
+	// they are revalidated with a version-space READ (an eighth of a
+	// chunk) before being trusted. See internal/nodecache.
 	NodeCache int
 
 	// MergeSpan is the maximum number of physically-adjacent chunk reads
-	// of one multi-issue wave folded into a single READ_SPAN round trip —
-	// the TCP analogue of merged adjacent RDMA reads. 0 or 1 disables
-	// merging, leaving the read path identical to per-chunk READ_CHUNK.
+	// of one multi-issue wave folded into a single READ round trip (its
+	// Count) — the TCP analogue of merged adjacent RDMA reads. 0 or 1
+	// disables merging: every chunk READ then carries one chunk.
 	MergeSpan int
 
 	// Prefetch is the token-bucket capacity for speculative chunk reads
@@ -146,8 +146,8 @@ type Client struct {
 	ncache  *nodecache.Cache
 	rootVer atomic.Uint64
 
-	// span is how many adjacent chunk reads one READ_SPAN carries (1 =
-	// per-chunk READ_CHUNK only); reads is the traversal's read queue.
+	// span is how many adjacent chunk reads one READ carries at most (1 =
+	// one chunk per READ); reads is the traversal's read queue.
 	span  int
 	reads readQueue
 }
@@ -449,7 +449,7 @@ func fold(w *waiter) (resp wire.Response, desc wire.FetchDesc, isDesc bool, err 
 	return resp, desc, isDesc, err
 }
 
-// ReadMailbox reads the chunks with READ_MAILBOX round trips of at most
+// ReadMailbox reads the chunks with mailbox-space READs of at most
 // maxSpanChunks each.
 func (t port) ReadMailbox(chunk int, payloads [][]byte) (torn bool, err error) {
 	for at := 0; at < len(payloads); at += maxSpanChunks {
@@ -466,17 +466,17 @@ func (t port) ReadMailbox(chunk int, payloads [][]byte) (torn bool, err error) {
 }
 
 // pullSpan reads len(payloads) mailbox chunks starting at chunk in one
-// READ_MAILBOX round trip and copies each one's validated payload out of
+// mailbox-space READ and copies each one's validated payload out of
 // the reply frame; torn reports a chunk caught mid-write (its entry is left
 // as it was).
 func (c *Client) pullSpan(chunk int, payloads [][]byte) (torn bool, err error) {
 	tag := c.nextID()
-	d, err := c.call(tag, wire.ReadMailbox{ID: tag, Chunk: uint32(chunk), Count: uint32(len(payloads))}.Encode(nil))
+	d, err := c.call(tag, wire.Read{ID: tag, Space: wire.SpaceMailbox, Chunk: uint32(chunk), Count: uint32(len(payloads))}.Encode(nil))
 	if err != nil {
 		return false, err
 	}
 	defer d.release()
-	raw, err := c.rawReply(d.msg, wire.MsgSpanData, len(payloads))
+	raw, err := c.rawReply(d.msg, len(payloads))
 	if err != nil {
 		return false, err
 	}
@@ -502,9 +502,9 @@ func (t port) AckFetch(desc wire.FetchDesc, _ int) {
 }
 
 // readQueue is the socket's stand-in for the completion queue of one-sided
-// tree reads: every READ_CHUNK / READ_SPAN / READ_VERSIONS request of the
-// running traversal is registered on one waiter, and replies are handed out
-// one chunk at a time as they arrive.
+// tree reads: every chunk- or version-space READ of the running traversal
+// is registered on one waiter, and replies are handed out one chunk at a
+// time as they arrive.
 type readQueue struct {
 	w *waiter // nil while nothing is outstanding
 	// ids are the request ids registered on w since it was taken; pend maps
@@ -556,11 +556,12 @@ func tornBackoff(retry int) time.Duration {
 	return min(20*time.Microsecond<<min(retry-4, 6), time.Millisecond)
 }
 
-// Post sends the wave as one write of frames — a READ_VERSIONS per version
-// read, a READ_SPAN per run of up to span consecutive adjacent chunk reads, a
-// READ_CHUNK per lone one — with every id registered first, so no reply can
-// slip past. The write is all or nothing. A wave that re-reads a chunk torn
-// several times over is held back first (tornBackoff).
+// Post sends the wave as one write of READ frames — a version-space one per
+// version read, a chunk-space one per run of up to span consecutive
+// adjacent chunk reads (Count 1 for a lone one) — with every id registered
+// first, so no reply can slip past. The write is all or nothing. A wave
+// that re-reads a chunk torn several times over is held back first
+// (tornBackoff).
 func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
 	c, q := t.c, &t.c.reads
 	q.release()
@@ -585,23 +586,16 @@ func (t port) Post(wave []proto.Read) (posted, wqes int, err error) {
 	base, first := len(q.posted), len(q.ids)
 	q.posted = append(q.posted, wave...)
 	for at := 0; at < len(wave); wqes++ {
-		n, id := 1, c.nextID()
-		chunk := uint32(wave[at].Chunk)
-		for !wave[at].Versions && at+n < len(wave) && n < c.span &&
+		n, id, space := 1, c.nextID(), wire.SpaceChunks
+		if wave[at].Versions {
+			space = wire.SpaceVersions
+		}
+		for space == wire.SpaceChunks && at+n < len(wave) && n < c.span &&
 			!wave[at+n].Versions && wave[at+n].Chunk == wave[at].Chunk+n {
 			n++
 		}
-		switch {
-		case wave[at].Versions:
-			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadVersionsSize)
-			frames = wire.ReadVersions{ID: id, Chunk: chunk}.Encode(frames)
-		case n == 1:
-			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadChunkSize)
-			frames = wire.ReadChunk{ID: id, Chunk: chunk}.Encode(frames)
-		default:
-			frames = binary.LittleEndian.AppendUint32(frames, wire.ReadSpanSize)
-			frames = wire.ReadSpan{ID: id, Chunk: chunk, Count: uint32(n)}.Encode(frames)
-		}
+		frames = binary.LittleEndian.AppendUint32(frames, wire.ReadSize)
+		frames = wire.Read{ID: id, Space: space, Chunk: uint32(wave[at].Chunk), Count: uint32(n)}.Encode(frames)
 		q.ids = append(q.ids, id)
 		q.pend[id] = readSpan{at: base + at, n: n}
 		at += n
@@ -646,14 +640,11 @@ func (t port) Pop() (proto.Done, error) {
 		}
 		delete(q.pend, id)
 		q.cur, q.run = d, q.posted[sp.at:sp.at+sp.n]
-		switch {
-		case q.run[0].Versions:
-			q.raw, q.err = c.rawReply(d.msg, wire.MsgVersionData, 0)
-		case sp.n == 1:
-			q.raw, q.err = c.rawReply(d.msg, wire.MsgChunkData, 1)
-		default:
-			q.raw, q.err = c.rawReply(d.msg, wire.MsgSpanData, sp.n)
+		chunks := sp.n
+		if q.run[0].Versions {
+			chunks = 0
 		}
+		q.raw, q.err = c.rawReply(d.msg, chunks)
 		if len(q.pend) == 0 {
 			q.idle(c.mx)
 		}
@@ -668,11 +659,11 @@ func (t port) Pop() (proto.Done, error) {
 	return done, nil
 }
 
-// rawReply checks msg as a reply of type typ carrying chunks whole chunk
+// rawReply checks msg as a READ_DATA reply carrying chunks whole chunk
 // images (0 = any length) and returns its body: a refusal, the wrong message
 // type or the wrong length is an ErrServer-class error.
-func (c *Client) rawReply(msg []byte, typ wire.MsgType, chunks int) ([]byte, error) {
-	_, status, raw, err := wire.DecodeRawReply(msg, typ)
+func (c *Client) rawReply(msg []byte, chunks int) ([]byte, error) {
+	_, status, raw, err := wire.DecodeRawReply(msg)
 	switch {
 	case err != nil:
 		return nil, fmt.Errorf("%w: %v", ErrServer, err)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFetchOverTCPAgrees forces the fetch method over real TCP and checks
-// every result against the tree: descriptor + READ_MAILBOX pulls for large
+// every result against the tree: descriptor + mailbox READ pulls for large
 // results, inline responses at or below the threshold.
 func TestFetchOverTCPAgrees(t *testing.T) {
 	srv, tree := startServer(t, 5000, ServerConfig{FetchSlots: 8, FetchInlineMax: 4})
@@ -51,9 +51,9 @@ func TestFetchOverTCPAgrees(t *testing.T) {
 	if ss.FetchSearches != 25 {
 		t.Errorf("server fetch searches = %d", ss.FetchSearches)
 	}
-	if ss.FetchBytes == 0 || ss.MailboxReads == 0 {
-		t.Errorf("server mailbox counters zero: fetchBytes=%d mailboxReads=%d",
-			ss.FetchBytes, ss.MailboxReads)
+	if ss.FetchBytes == 0 || ss.Reads[wire.SpaceMailbox] == 0 {
+		t.Errorf("server mailbox counters zero: fetchBytes=%d mailbox reads=%d",
+			ss.FetchBytes, ss.Reads[wire.SpaceMailbox])
 	}
 }
 

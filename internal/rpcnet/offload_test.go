@@ -47,27 +47,29 @@ func TestLeaseSyncOnTraversal(t *testing.T) {
 	}
 }
 
-// sabotage is what the fake tree server does to the first READ_SPAN it sees.
+// sabotage is what the fake tree server does to the first READ of more than
+// one chunk it sees.
 type sabotage int
 
 const (
 	hangUp    sabotage = iota // close the connection with the rest of the wave unanswered
 	shortSpan                 // answer with one chunk too few, status OK
-	wrongType                 // answer with a CHUNK_DATA frame under the span's id
+	wrongType                 // answer under the read's id with a reply that is not READ_DATA
 )
 
-// serveTreeBadly is a raw-socket server that answers one-sided reads out of
-// reg faithfully until the first READ_SPAN, which it sabotages.
+// serveTreeBadly is a raw-socket server that answers chunk READs out of reg
+// faithfully until the first one of more than one chunk, which it sabotages.
 func serveTreeBadly(conn net.Conn, reg *region.Region, hello wire.Hello, how sabotage) error {
 	defer conn.Close()
 	if err := writeFrame(conn, hello.Encode(nil)); err != nil {
 		return err
 	}
 	span := func(id uint64, chunk, count int) []byte {
-		msg, raw := wire.AppendRawReply(nil, wire.MsgSpanData, id, wire.StatusOK, count*reg.ChunkSize())
+		msg, raw := wire.AppendRawReply(nil, id, wire.StatusOK, count*reg.ChunkSize())
 		for i := 0; i < count; i++ {
 			if err := reg.ReadChunkRaw(chunk+i, raw[i*reg.ChunkSize():(i+1)*reg.ChunkSize()]); err != nil {
-				return wire.SpanData{ID: id, Status: wire.StatusError}.Encode(nil)
+				msg, _ = wire.AppendRawReply(nil, id, wire.StatusError, 0)
+				return msg
 			}
 		}
 		return msg
@@ -78,28 +80,21 @@ func serveTreeBadly(conn net.Conn, reg *region.Region, hello wire.Hello, how sab
 		if err != nil {
 			return nil // the client hung up
 		}
-		var reply []byte
-		switch typ, _ := wire.PeekType(frame); typ {
-		case wire.MsgReadChunk:
-			req, _ := wire.DecodeReadChunk(frame)
-			reply = span(req.ID, int(req.Chunk), 1)
-			reply[0] = byte(wire.MsgChunkData) // the two replies share one layout
-		case wire.MsgReadSpan:
-			req, _ := wire.DecodeReadSpan(frame)
-			reply = span(req.ID, int(req.Chunk), int(req.Count))
-			if !sabotaged {
-				sabotaged = true
-				switch how {
-				case hangUp:
-					return nil
-				case shortSpan:
-					reply = span(req.ID, int(req.Chunk), int(req.Count)-1)
-				case wrongType:
-					reply[0] = byte(wire.MsgChunkData)
-				}
-			}
-		default:
+		req, err := wire.DecodeRead(frame)
+		if err != nil || req.Space != wire.SpaceChunks {
 			return errors.New("fake tree server: unexpected request")
+		}
+		reply := span(req.ID, int(req.Chunk), int(req.Count))
+		if req.Count > 1 && !sabotaged {
+			sabotaged = true
+			switch how {
+			case hangUp:
+				return nil
+			case shortSpan:
+				reply = span(req.ID, int(req.Chunk), int(req.Count)-1)
+			case wrongType:
+				reply[0] = byte(wire.MsgResponse)
+			}
 		}
 		if err := writeFrame(conn, reply); err != nil {
 			return err

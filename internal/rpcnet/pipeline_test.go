@@ -26,7 +26,7 @@ func init() { poisonFrames = true }
 
 // lineServer serves n items laid out on a line, item i at x=(i+0.5)/1000,
 // so the window [0, k/1000] selects exactly items 0..k-1.
-func lineServer(t *testing.T, n int, cfg ServerConfig) (*Server, *rtree.Tree) {
+func lineServer(t testing.TB, n int, cfg ServerConfig) (*Server, *rtree.Tree) {
 	t.Helper()
 	reg, err := region.New(1<<12, 4096)
 	if err != nil {
@@ -223,11 +223,11 @@ func TestStreamedSegmentsByteIdentical(t *testing.T) {
 	expectBytes(t, conn, "batch", ref)
 }
 
-// TestOneSidedReadRepliesByteIdentical pins the replies of the four
-// one-sided read emulations, which the server now assembles in place
-// (header reserved, region bytes read straight into the reply): each is
-// exactly ChunkData / SpanData / VersionData.Encode of the region's bytes,
-// and each refusal — bad range, no mailbox, killed server — the bare status.
+// TestOneSidedReadRepliesByteIdentical pins the READ replies of every space,
+// which the server assembles in place (header reserved, region bytes read
+// straight into the reply): each is exactly a READ_DATA message carrying
+// the region's bytes, and each refusal — bad range, no mailbox, an unknown
+// space, a killed server — the bare status.
 func TestOneSidedReadRepliesByteIdentical(t *testing.T) {
 	srv, tree := lineServer(t, 600, ServerConfig{FetchSlots: 2, FetchSlotChunks: 4})
 	bare, _ := lineServer(t, 10, ServerConfig{}) // no mailbox region
@@ -245,11 +245,26 @@ func TestOneSidedReadRepliesByteIdentical(t *testing.T) {
 		}
 		return raw
 	}
-	versions := make([]byte, reg.VersionsSize())
-	if err := reg.ReadVersions(tree.RootChunk(), versions); err != nil {
-		t.Fatal(err)
+	versions := func(chunk, count int) []byte {
+		raw := make([]byte, count*reg.VersionsSize())
+		for i := 0; i < count; i++ {
+			if err := reg.ReadVersions(chunk+i, raw[i*reg.VersionsSize():(i+1)*reg.VersionsSize()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return raw
+	}
+	data := func(id uint64, status uint8, body []byte) []byte {
+		msg, dst := wire.AppendRawReply(nil, id, status, len(body))
+		copy(dst, body)
+		return msg
+	}
+	read := func(id uint64, space wire.Space, chunk, count uint32) []byte {
+		return wire.Read{ID: id, Space: space, Chunk: chunk, Count: count}.Encode(nil)
 	}
 	root, past := uint32(tree.RootChunk()), uint32(reg.NumChunks())
+	unavailable := func(id uint64) []byte { return data(id, wire.StatusUnavailable, nil) }
+	refused := func(id uint64) []byte { return data(id, wire.StatusError, nil) }
 	cases := []struct {
 		name string
 		srv  *Server
@@ -257,32 +272,25 @@ func TestOneSidedReadRepliesByteIdentical(t *testing.T) {
 		ok   []byte // the reply while the server is up
 		dead []byte // the reply once it is killed
 	}{
-		{"chunk", srv, wire.ReadChunk{ID: 1, Chunk: root}.Encode(nil),
-			wire.ChunkData{ID: 1, Raw: span(reg, int(root), 1)}.Encode(nil),
-			wire.ChunkData{ID: 1, Status: wire.StatusUnavailable}.Encode(nil)},
-		{"chunk past the region", srv, wire.ReadChunk{ID: 2, Chunk: past}.Encode(nil),
-			wire.ChunkData{ID: 2, Status: wire.StatusError}.Encode(nil), nil},
-		{"span", srv, wire.ReadSpan{ID: 3, Chunk: 1, Count: 5}.Encode(nil),
-			wire.SpanData{ID: 3, Raw: span(reg, 1, 5)}.Encode(nil),
-			wire.SpanData{ID: 3, Status: wire.StatusUnavailable}.Encode(nil)},
-		{"span of none", srv, wire.ReadSpan{ID: 4, Chunk: 1}.Encode(nil),
-			wire.SpanData{ID: 4, Status: wire.StatusError}.Encode(nil), nil},
-		{"span too long", srv, wire.ReadSpan{ID: 5, Chunk: 1, Count: maxSpanChunks + 1}.Encode(nil),
-			wire.SpanData{ID: 5, Status: wire.StatusError}.Encode(nil), nil},
-		{"span past the region", srv, wire.ReadSpan{ID: 6, Chunk: past - 1, Count: 2}.Encode(nil),
-			wire.SpanData{ID: 6, Status: wire.StatusError}.Encode(nil), nil},
-		{"versions", srv, wire.ReadVersions{ID: 7, Chunk: root}.Encode(nil),
-			wire.VersionData{ID: 7, Versions: versions}.Encode(nil),
-			wire.VersionData{ID: 7, Status: wire.StatusUnavailable}.Encode(nil)},
-		{"versions past the region", srv, wire.ReadVersions{ID: 8, Chunk: past}.Encode(nil),
-			wire.VersionData{ID: 8, Status: wire.StatusError}.Encode(nil), nil},
-		{"mailbox", srv, wire.ReadMailbox{ID: 9, Chunk: uint32(slot * 4), Count: 2}.Encode(nil),
-			wire.SpanData{ID: 9, Raw: span(mreg, slot*4, 2)}.Encode(nil),
-			wire.SpanData{ID: 9, Status: wire.StatusUnavailable}.Encode(nil)},
-		{"mailbox past the region", srv, wire.ReadMailbox{ID: 10, Chunk: 7, Count: 2}.Encode(nil),
-			wire.SpanData{ID: 10, Status: wire.StatusError}.Encode(nil), nil},
-		{"mailbox of a server without one", bare, wire.ReadMailbox{ID: 11, Count: 1}.Encode(nil),
-			wire.SpanData{ID: 11, Status: wire.StatusError}.Encode(nil), nil},
+		{"chunk", srv, read(1, wire.SpaceChunks, root, 1),
+			data(1, wire.StatusOK, span(reg, int(root), 1)), unavailable(1)},
+		{"chunk past the region", srv, read(2, wire.SpaceChunks, past, 1), refused(2), unavailable(2)},
+		{"span", srv, read(3, wire.SpaceChunks, 1, 5),
+			data(3, wire.StatusOK, span(reg, 1, 5)), unavailable(3)},
+		{"span of none", srv, read(4, wire.SpaceChunks, 1, 0), refused(4), unavailable(4)},
+		{"span too long", srv, read(5, wire.SpaceChunks, 1, maxSpanChunks+1), refused(5), unavailable(5)},
+		{"span past the region", srv, read(6, wire.SpaceChunks, past-1, 2), refused(6), unavailable(6)},
+		{"versions", srv, read(7, wire.SpaceVersions, root, 1),
+			data(7, wire.StatusOK, versions(int(root), 1)), unavailable(7)},
+		{"versions of a span", srv, read(8, wire.SpaceVersions, 1, 3),
+			data(8, wire.StatusOK, versions(1, 3)), unavailable(8)},
+		{"versions past the region", srv, read(9, wire.SpaceVersions, past, 1), refused(9), unavailable(9)},
+		{"versions of none", srv, read(10, wire.SpaceVersions, root, 0), refused(10), unavailable(10)},
+		{"mailbox", srv, read(11, wire.SpaceMailbox, uint32(slot*4), 2),
+			data(11, wire.StatusOK, span(mreg, slot*4, 2)), unavailable(11)},
+		{"mailbox past the region", srv, read(12, wire.SpaceMailbox, 7, 2), refused(12), unavailable(12)},
+		{"mailbox of a server without one", bare, read(13, wire.SpaceMailbox, 0, 1), refused(13), nil},
+		{"unknown space", srv, read(14, wire.NumSpaces, root, 1), refused(14), unavailable(14)},
 	}
 	conns := map[*Server]net.Conn{srv: rawConn(t, srv), bare: rawConn(t, bare)}
 	for _, killed := range []bool{false, true} {

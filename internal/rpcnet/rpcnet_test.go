@@ -11,6 +11,7 @@ import (
 	"github.com/catfish-db/catfish/internal/geo"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // startServer builds a tree with n uniform items and serves it on a random
@@ -101,7 +102,7 @@ func TestSearchFastAndOffloadAgree(t *testing.T) {
 			}
 		}
 	}
-	if srv.Stats().ChunkReads == 0 {
+	if srv.Stats().Reads[wire.SpaceChunks] == 0 {
 		t.Error("offload clients performed no chunk reads")
 	}
 }
@@ -284,7 +285,7 @@ func TestAdaptiveOffloadsOverRealTCP(t *testing.T) {
 
 func TestNodeCacheOverTCP(t *testing.T) {
 	// Without heartbeats the cache lease is zero, so every hit must
-	// revalidate through a READ_VERSIONS round trip: results stay equal to
+	// revalidate through a version READ: results stay equal to
 	// the oracle while full chunk fetches drop.
 	srv, tree := startServer(t, 5000, ServerConfig{})
 	plain := dial(t, srv, ClientConfig{Forced: MethodOffload, MultiIssue: true})
@@ -315,8 +316,8 @@ func TestNodeCacheOverTCP(t *testing.T) {
 	if cs.CacheVerifiedHits == 0 {
 		t.Error("zero-lease cache recorded no verified hits")
 	}
-	if srv.Stats().VersionReads == 0 {
-		t.Error("server answered no READ_VERSIONS requests")
+	if srv.Stats().Reads[wire.SpaceVersions] == 0 {
+		t.Error("server answered no version READs")
 	}
 	t.Logf("plain=%d cached=%d chunks (verified=%d versionReads=%d saved=%dB)",
 		ps.NodesFetched, cs.NodesFetched, cs.CacheVerifiedHits, cs.VersionReads, cs.CacheBytesSaved)

@@ -1,8 +1,8 @@
 // Package rpcnet runs Catfish over real TCP sockets (stdlib net), letting
 // the library serve actual processes and machines rather than the simulated
 // fabric. The wire protocol is the same as the simulation's; one-sided RDMA
-// Reads are emulated by READ_CHUNK requests the server answers directly
-// from the registered region without taking the tree lock, so the FaRM
+// Reads are emulated by READ requests the server answers directly from the
+// registered region they name without taking the tree lock, so the FaRM
 // version-check concurrency (§III-B) is exercised under real goroutine
 // parallelism: a reader can genuinely race a writer and must retry torn
 // chunks.
@@ -102,7 +102,7 @@ type ServerConfig struct {
 	// FetchSlots enables remote result fetching (DESIGN.md §5.10): the
 	// server keeps that many mailbox slots in a dedicated region and
 	// answers SEARCH_FETCH requests with a descriptor instead of streaming
-	// items, the client pulling the slot with READ_MAILBOX requests. 0
+	// items, the client pulling the slot with mailbox-space READs. 0
 	// disables fetch (the hello advertises no mailbox).
 	FetchSlots int
 	// FetchSlotChunks is the size of one mailbox slot in region chunks
@@ -194,27 +194,25 @@ type Server struct {
 	// overloaded counts the operations admission control shed.
 	overloaded atomic.Uint64
 
-	epoch      uint64
-	hbPaused   atomic.Bool
-	busyNanos  atomic.Int64 // request-processing time, for heartbeats
-	hbWindow   atomic.Int64 // busyNanos at last heartbeat
-	reads      atomic.Uint64
-	verReads   atomic.Uint64
-	spanReads  atomic.Uint64
-	spanChunks atomic.Uint64
+	epoch     uint64
+	hbPaused  atomic.Bool
+	busyNanos atomic.Int64 // request-processing time, for heartbeats
+	hbWindow  atomic.Int64 // busyNanos at last heartbeat
+	// reads counts the READs per space, refused ones included; readChunks
+	// the chunks of those answered OK.
+	reads, readChunks [wire.NumSpaces]atomic.Uint64
 
 	// Remote result fetching: the core's mailbox lives in its own region so
 	// slot traffic never touches the tree region's allocator. txBytes counts
 	// every outbound frame byte (the send-engine analogue the heartbeat's
 	// TX word reports); hbTXBytes is its value at the last heartbeat.
-	mailbox      *region.Mailbox
-	mreg         *region.Region
-	txBytes      atomic.Uint64
-	hbTXBytes    atomic.Uint64
-	mailboxReads atomic.Uint64
+	mailbox   *region.Mailbox
+	mreg      *region.Region
+	txBytes   atomic.Uint64
+	hbTXBytes atomic.Uint64
 
 	// offloadEst estimates offloaded searches: every client traversal
-	// starts with a READ_CHUNK of the root, so root reads ≈ offloaded
+	// starts with a chunk READ of the root, so root reads ≈ offloaded
 	// searches (root-cache hits aside). rootChunkA mirrors the current root
 	// chunk id (refreshed by heartbeatLoop) so the lock-free read path
 	// doesn't race tree.RootChunk().
@@ -321,11 +319,10 @@ func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 	if reg := cfg.Metrics; reg != nil {
 		s.core.Register(reg)
 		reg.CounterFunc("catfish_server_offload_searches_total", s.offloadEst.Load)
-		reg.CounterFunc("catfish_server_offload_chunk_reads_total", s.reads.Load)
-		reg.CounterFunc("catfish_server_version_reads_total", s.verReads.Load)
-		reg.CounterFunc("catfish_server_span_reads_total", s.spanReads.Load)
-		reg.CounterFunc("catfish_server_span_chunks_total", s.spanChunks.Load)
-		reg.CounterFunc("catfish_server_mailbox_reads_total", s.mailboxReads.Load)
+		for sp, name := range spaceNames {
+			reg.CounterFunc("catfish_server_reads_total", s.reads[sp].Load, "space", name)
+			reg.CounterFunc("catfish_server_read_chunks_total", s.readChunks[sp].Load, "space", name)
+		}
 		for kind, op := range map[wire.MsgType]string{
 			wire.MsgSearch: "search", wire.MsgSearchFetch: "search", wire.MsgKNN: "knn", wire.MsgKNNFetch: "knn",
 			wire.MsgInsert: "insert", wire.MsgDelete: "delete", wire.MsgMove: "move",
@@ -426,18 +423,14 @@ func (s *Server) Close() error {
 // server counts.
 type ServerStats struct {
 	telemetry.ServerSnapshot
-	ChunkReads   uint64
-	VersionReads uint64
-	// SpanReads counts READ_SPAN round trips; SpanChunks the chunks they
-	// carried (merged adjacent reads plus speculative prefetch extensions).
-	SpanReads  uint64
-	SpanChunks uint64
+	// Reads counts the READ requests per wire.Space, refused ones
+	// included; ReadChunks the chunks of those answered OK (merged adjacent
+	// reads plus speculative prefetch extensions make it exceed Reads).
+	Reads, ReadChunks [wire.NumSpaces]uint64
 	// OffloadSearches estimates client-side traversals from root-chunk
 	// reads (every traversal starts at the root; root-cache hits make this
 	// a lower bound).
 	OffloadSearches uint64
-	// MailboxReads counts the READ_MAILBOX pulls served.
-	MailboxReads uint64
 	// TXBytes counts every outbound frame byte the server sent (payload
 	// plus length prefixes) — the send-engine signal behind the
 	// heartbeat's TX-utilization word.
@@ -455,15 +448,13 @@ type ServerStats struct {
 func (s *Server) Stats() ServerStats {
 	st := ServerStats{
 		ServerSnapshot:  s.core.Counters.Snapshot(),
-		ChunkReads:      s.reads.Load(),
-		VersionReads:    s.verReads.Load(),
-		SpanReads:       s.spanReads.Load(),
-		SpanChunks:      s.spanChunks.Load(),
 		OffloadSearches: s.offloadEst.Load(),
-		MailboxReads:    s.mailboxReads.Load(),
 		TXBytes:         s.txBytes.Load(),
 		ReshardMoved:    s.reshardMoved.Load(),
 		Overloaded:      s.overloaded.Load(),
+	}
+	for sp := range st.Reads {
+		st.Reads[sp], st.ReadChunks[sp] = s.reads[sp].Load(), s.readChunks[sp].Load()
 	}
 	if s.repl != nil {
 		st.ReplShipped = s.repl.Shipped()
@@ -523,48 +514,15 @@ func (s *Server) serveConn(sc *srvConn) {
 		}
 		start := time.Now()
 		switch typ {
-		case wire.MsgReadChunk:
-			// One-sided read emulation: answered from the region without
-			// the tree latch — concurrency is resolved by version checks
-			// on the client, exactly as over RDMA.
-			req, err := wire.DecodeReadChunk(frame)
+		case wire.MsgRead:
+			// One-sided read emulation: answered from the registered memory
+			// without the tree latch — concurrency is resolved by version
+			// checks on the client, exactly as over RDMA.
+			req, err := wire.DecodeRead(frame)
 			if err != nil {
 				return
 			}
-			s.reads.Add(1)
-			if int64(req.Chunk) == s.rootChunkA.Load() {
-				s.offloadEst.Add(1)
-			}
-			out = s.handleReadChunk(req, out[:0])
-			if err := sc.send(out); err != nil {
-				return
-			}
-		case wire.MsgReadSpan:
-			// Merged adjacent read: Count consecutive chunks in one round
-			// trip, answered latch-free like READ_CHUNK; the client
-			// validates each chunk's versions independently.
-			req, err := wire.DecodeReadSpan(frame)
-			if err != nil {
-				return
-			}
-			s.spanReads.Add(1)
-			s.spanChunks.Add(uint64(req.Count))
-			if rc := s.rootChunkA.Load(); int64(req.Chunk) <= rc && rc < int64(req.Chunk)+int64(req.Count) {
-				s.offloadEst.Add(1)
-			}
-			out = s.readSpan(s.tree.Region(), req.ID, req.Chunk, req.Count, out[:0])
-			if err := sc.send(out); err != nil {
-				return
-			}
-		case wire.MsgReadVersions:
-			// Version-only read: 8 B per cacheline instead of the full
-			// chunk, used by the client node cache to revalidate entries.
-			req, err := wire.DecodeReadVersions(frame)
-			if err != nil {
-				return
-			}
-			s.verReads.Add(1)
-			out = s.handleReadVersions(req, out[:0])
+			out = s.read(req, out[:0])
 			if err := sc.send(out); err != nil {
 				return
 			}
@@ -591,18 +549,6 @@ func (s *Server) serveConn(sc *srvConn) {
 			continue
 		case wire.MsgReplicate:
 			if err := s.handleReplicate(sc, frame); err != nil {
-				return
-			}
-		case wire.MsgReadMailbox:
-			// Mailbox pull: the TCP stand-in for the one-sided reads of the
-			// fetch path, answered from the mailbox region latch-free.
-			req, err := wire.DecodeReadMailbox(frame)
-			if err != nil {
-				return
-			}
-			s.mailboxReads.Add(1)
-			out = s.readSpan(s.mreg, req.ID, req.Chunk, req.Count, out[:0])
-			if err := sc.send(out); err != nil {
 				return
 			}
 		case wire.MsgFetchAck:
@@ -669,55 +615,66 @@ func (s *Server) Kill() { s.core.Kill() }
 // Killed reports whether Kill has been called.
 func (s *Server) Killed() bool { return s.core.Killed() }
 
-// The one-sided read handlers reserve the reply in out and let the region
-// fill its body in place: no staging buffer, no copy, and (out being the
-// connection's reused buffer) no allocation per read.
+// spaceNames label catfish_server_reads_total and
+// catfish_server_read_chunks_total by wire.Space.
+var spaceNames = [wire.NumSpaces]string{"chunks", "versions", "mailbox"}
 
-func (s *Server) handleReadChunk(req wire.ReadChunk, out []byte) []byte {
-	if s.core.Killed() {
-		return wire.ChunkData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
-	}
-	reg := s.tree.Region()
-	msg, raw := wire.AppendRawReply(out, wire.MsgChunkData, req.ID, wire.StatusOK, reg.ChunkSize())
-	if err := reg.ReadChunkRaw(int(req.Chunk), raw); err != nil {
-		return wire.ChunkData{ID: req.ID, Status: wire.StatusError}.Encode(out)
-	}
-	return msg
-}
-
-// maxSpanChunks bounds one READ_SPAN (a corrupt count would otherwise ask
-// the server to reserve Count × chunkSize bytes).
+// maxSpanChunks bounds one READ's Count (a corrupt count would otherwise
+// ask the server to reserve Count × chunkSize bytes).
 const maxSpanChunks = 64
 
-// readSpan answers READ_SPAN (reg the tree's region) and READ_MAILBOX (reg
-// the mailbox region, nil on a server without one) with a SPAN_DATA frame
-// carrying count consecutive raw chunk images starting at chunk.
-func (s *Server) readSpan(reg *region.Region, id uint64, chunk, count uint32, out []byte) []byte {
-	if s.core.Killed() {
-		return wire.SpanData{ID: id, Status: wire.StatusUnavailable}.Encode(out)
+// read answers a READ with Count consecutive units of the memory it names:
+// chunk images of the tree or mailbox region, or the tree's version words.
+// It reserves the reply in out and lets the region fill the body in place:
+// no staging buffer, no copy, and (out being the connection's reused
+// buffer) no allocation per read. A refusal carries no body.
+func (s *Server) read(req wire.Read, out []byte) []byte {
+	reg := s.tree.Region()
+	switch req.Space {
+	case wire.SpaceChunks:
+		if rc := s.rootChunkA.Load(); int64(req.Chunk) <= rc && rc < int64(req.Chunk)+int64(req.Count) {
+			s.offloadEst.Add(1)
+		}
+	case wire.SpaceVersions:
+	case wire.SpaceMailbox:
+		reg = s.mreg // nil on a server without a mailbox
+	default:
+		reg = nil
 	}
-	if reg == nil || count == 0 || count > maxSpanChunks || int(chunk)+int(count) > reg.NumChunks() {
-		return wire.SpanData{ID: id, Status: wire.StatusError}.Encode(out)
+	if req.Space < wire.NumSpaces {
+		s.reads[req.Space].Add(1)
 	}
-	cs := reg.ChunkSize()
-	msg, raw := wire.AppendRawReply(out, wire.MsgSpanData, id, wire.StatusOK, int(count)*cs)
-	for i := 0; i < int(count); i++ {
-		if err := reg.ReadChunkRaw(int(chunk)+i, raw[i*cs:(i+1)*cs]); err != nil {
-			return wire.SpanData{ID: id, Status: wire.StatusError}.Encode(out)
+	status := wire.StatusOK
+	switch {
+	case s.core.Killed():
+		status = wire.StatusUnavailable
+	case reg == nil || req.Count == 0 || req.Count > maxSpanChunks || int(req.Chunk)+int(req.Count) > reg.NumChunks():
+		status = wire.StatusError
+	}
+	if status != wire.StatusOK {
+		msg, _ := wire.AppendRawReply(out, req.ID, status, 0)
+		return msg
+	}
+	versions := req.Space == wire.SpaceVersions
+	unit := reg.ChunkSize()
+	if versions {
+		unit = reg.VersionsSize()
+	}
+	msg, body := wire.AppendRawReply(out, req.ID, wire.StatusOK, int(req.Count)*unit)
+	for i := 0; i < int(req.Count); i++ {
+		dst, chunk := body[i*unit:(i+1)*unit], int(req.Chunk)+i
+		var err error
+		if versions {
+			err = reg.ReadVersions(chunk, dst)
+		} else {
+			err = reg.ReadChunkRaw(chunk, dst)
+		}
+		if err != nil {
+			msg, _ = wire.AppendRawReply(out, req.ID, wire.StatusError, 0)
+			return msg
 		}
 	}
-	return msg
-}
-
-func (s *Server) handleReadVersions(req wire.ReadVersions, out []byte) []byte {
-	if s.core.Killed() {
-		return wire.VersionData{ID: req.ID, Status: wire.StatusUnavailable}.Encode(out)
-	}
-	reg := s.tree.Region()
-	msg, raw := wire.AppendRawReply(out, wire.MsgVersionData, req.ID, wire.StatusOK, reg.VersionsSize())
-	if err := reg.ReadVersions(int(req.Chunk), raw); err != nil {
-		return wire.VersionData{ID: req.ID, Status: wire.StatusError}.Encode(out)
-	}
+	s.readChunks[req.Space].Add(uint64(req.Count))
 	return msg
 }
 

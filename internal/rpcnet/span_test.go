@@ -18,7 +18,7 @@ func sortedRefs(items []wire.Item) map[uint64]int {
 }
 
 // TestSpanReadsOverTCP: a merge-span client answers every query exactly
-// like the per-chunk client while the server actually serves READ_SPAN —
+// like the per-chunk client while the server actually serves multi-chunk READs —
 // the TCP analogue of merged adjacent RDMA reads over the preorder layout.
 func TestSpanReadsOverTCP(t *testing.T) {
 	srv, tree := startServer(t, 5000, ServerConfig{})
@@ -52,19 +52,19 @@ func TestSpanReadsOverTCP(t *testing.T) {
 		}
 	}
 	ss := srv.Stats()
-	if ss.SpanReads == 0 {
-		t.Fatal("server served no span reads")
+	reads, chunks := ss.Reads[wire.SpaceChunks], ss.ReadChunks[wire.SpaceChunks]
+	if reads == 0 {
+		t.Fatal("server served no chunk reads")
 	}
-	if ss.SpanChunks <= ss.SpanReads {
-		t.Errorf("span reads carried %d chunks over %d round trips — no merging",
-			ss.SpanChunks, ss.SpanReads)
+	if chunks <= reads {
+		t.Errorf("chunk reads carried %d chunks over %d round trips — no merging", chunks, reads)
 	}
 	ps, zs := plain.Stats(), span.Stats()
 	if zs.ReadWQEs >= ps.ReadWQEs {
 		t.Errorf("span client made %d round trips, per-chunk client %d", zs.ReadWQEs, ps.ReadWQEs)
 	}
-	t.Logf("round trips: per-chunk=%d span=%d (server spans=%d chunks=%d)",
-		ps.ReadWQEs, zs.ReadWQEs, ss.SpanReads, ss.SpanChunks)
+	t.Logf("round trips: per-chunk=%d span=%d (server reads=%d chunks=%d)",
+		ps.ReadWQEs, zs.ReadWQEs, reads, chunks)
 }
 
 // TestPrefetchOverTCP: behind a demand run ending on a subtree the query
@@ -106,12 +106,13 @@ func TestPrefetchOverTCP(t *testing.T) {
 		s.PrefetchIssued, s.PrefetchHits, s.PrefetchWaste, s.ReadWQEs)
 }
 
-// TestSpanOutOfRangeRejected: the server bounds-checks spans.
+// TestSpanOutOfRangeRejected: the server bounds-checks spans, and counts
+// no chunk for a refusal.
 func TestSpanOutOfRangeRejected(t *testing.T) {
 	srv, tree := startServer(t, 100, ServerConfig{})
 	c := dial(t, srv, ClientConfig{})
 	n := tree.Region().NumChunks()
-	for _, bad := range []wire.ReadSpan{
+	for _, bad := range []wire.Read{
 		{Chunk: uint32(n - 1), Count: 2}, // crosses the region end
 		{Chunk: 0, Count: 0},
 		{Chunk: 0, Count: maxSpanChunks + 1},
@@ -121,14 +122,18 @@ func TestSpanOutOfRangeRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sd, err := wire.DecodeSpanData(d.msg)
+		_, status, _, err := wire.DecodeRawReply(d.msg)
 		d.release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sd.Status == wire.StatusOK {
+		if status == wire.StatusOK {
 			t.Errorf("span %+v accepted, want rejection", bad)
 		}
+	}
+	// Refused reads count as reads, and carry no chunks.
+	if st := srv.Stats(); st.Reads[wire.SpaceChunks] != 3 || st.ReadChunks[wire.SpaceChunks] != 0 {
+		t.Errorf("after 3 refused reads: %d reads, %d chunks; want 3, 0", st.Reads[wire.SpaceChunks], st.ReadChunks[wire.SpaceChunks])
 	}
 	// The connection survives: a normal search still works.
 	if _, _, err := c.Search(geo.NewRect(0, 0, 1, 1)); err != nil {

@@ -144,7 +144,7 @@ func RegisterCacheFuncs(reg *Registry, f func() CacheStats) {
 
 // ClientSnapshot is the unified client counter snapshot shared by both
 // transports. NodesFetched counts traversal chunk reads — RDMA Reads on
-// the simulated fabric, READ_CHUNK round trips over TCP (formerly rpcnet's
+// the simulated fabric, the chunks of chunk-space READs over TCP (formerly rpcnet's
 // "ChunksFetched"; the two were always the same quantity).
 type ClientSnapshot struct {
 	FastSearches    uint64

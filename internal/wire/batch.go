@@ -22,8 +22,8 @@ import (
 )
 
 // MsgBatch frames a batch container holding count length-prefixed
-// sub-messages.
-const MsgBatch MsgType = MsgVersionData + 1
+// sub-messages. It follows the unused 7–15.
+const MsgBatch MsgType = 16
 
 const (
 	// batchHeader is the container header: type byte + count.

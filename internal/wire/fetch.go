@@ -6,28 +6,24 @@ import (
 )
 
 // Remote-result-fetch message types (the RFP-style third access method),
-// appended after the span-read types so existing on-wire values never
-// change. A fetch search is executed by the server like a fast-messaging
-// search, but instead of streaming the result rectangles back in response
-// frames, the server writes them into a mailbox slot of its registered
-// mailbox region and answers with a tiny (slot, length, version)
-// descriptor; the client then pulls the slot with one-sided reads (merged
-// adjacent RDMA Reads on the simulated fabric, MsgReadMailbox spans over
-// TCP) and releases the slot with a fetch ack.
+// appended after the read types so existing on-wire values never change.
+// A fetch search is executed by the server like a fast-messaging search,
+// but instead of streaming the result rectangles back in response frames,
+// the server writes them into a mailbox slot of its registered mailbox
+// region and answers with a tiny (slot, length, version) descriptor; the
+// client then pulls the slot with one-sided reads (merged adjacent RDMA
+// Reads on the simulated fabric, SpaceMailbox Reads over TCP) and releases
+// the slot with a fetch ack.
 const (
 	// MsgSearchFetch is a search request asking for mailbox delivery. Its
 	// body is a plain Request; the server may still answer inline with
 	// MsgResponse segments when the result is small or no slot is free.
-	MsgSearchFetch MsgType = iota + MsgSpanData + 1
+	MsgSearchFetch MsgType = iota + MsgReadData + 1
 	// MsgFetchDesc is the descriptor reply: where the result landed.
 	MsgFetchDesc
 	// MsgFetchAck releases a mailbox slot after the client has pulled it.
 	// Fire-and-forget: the server sends no reply.
 	MsgFetchAck
-	// MsgReadMailbox requests Count consecutive raw mailbox-region chunks
-	// (the TCP emulation of the one-sided result pull); answered with a
-	// MsgSpanData frame exactly like a tree-region span read.
-	MsgReadMailbox
 )
 
 // FetchDesc tells the client where a fetch search's result landed: slot
@@ -106,42 +102,6 @@ func DecodeFetchAck(b []byte) (FetchAck, error) {
 	return FetchAck{
 		Slot: binary.LittleEndian.Uint32(b[1:]),
 		Seq:  binary.LittleEndian.Uint64(b[5:]),
-	}, nil
-}
-
-// ReadMailbox requests mailbox-region chunks [Chunk, Chunk+Count) in one
-// round trip — the TCP stand-in for the one-sided result pull. Answered
-// with a MsgSpanData frame carrying the concatenated raw chunk images.
-type ReadMailbox struct {
-	ID    uint64
-	Chunk uint32
-	Count uint32
-}
-
-// ReadMailboxSize is the encoded size of a ReadMailbox.
-const ReadMailboxSize = 1 + 8 + 4 + 4
-
-// Encode appends the read-mailbox encoding to buf and returns it.
-func (r ReadMailbox) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, ReadMailboxSize)...)
-	b := buf[off:]
-	b[0] = byte(MsgReadMailbox)
-	binary.LittleEndian.PutUint64(b[1:], r.ID)
-	binary.LittleEndian.PutUint32(b[9:], r.Chunk)
-	binary.LittleEndian.PutUint32(b[13:], r.Count)
-	return buf
-}
-
-// DecodeReadMailbox parses a read-mailbox request.
-func DecodeReadMailbox(b []byte) (ReadMailbox, error) {
-	if len(b) < ReadMailboxSize || MsgType(b[0]) != MsgReadMailbox {
-		return ReadMailbox{}, fmt.Errorf("%w: read-mailbox", ErrCorrupt)
-	}
-	return ReadMailbox{
-		ID:    binary.LittleEndian.Uint64(b[1:]),
-		Chunk: binary.LittleEndian.Uint32(b[9:]),
-		Count: binary.LittleEndian.Uint32(b[13:]),
 	}, nil
 }
 

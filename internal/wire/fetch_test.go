@@ -34,8 +34,8 @@ func TestFetchAckAndReadMailboxRoundtrip(t *testing.T) {
 	if err != nil || got != a {
 		t.Fatalf("ack roundtrip %+v, %v", got, err)
 	}
-	r := ReadMailbox{ID: 8, Chunk: 640, Count: 16}
-	rgot, err := DecodeReadMailbox(r.Encode(nil))
+	r := Read{ID: 8, Space: SpaceMailbox, Chunk: 640, Count: 16}
+	rgot, err := DecodeRead(r.Encode(nil))
 	if err != nil || rgot != r {
 		t.Fatalf("read-mailbox roundtrip %+v, %v", rgot, err)
 	}

@@ -24,9 +24,11 @@ func fuzzSeeds(f *testing.F) {
 	overrun[11], overrun[12], overrun[13], overrun[14] = 0xff, 0xff, 0xff, 0xff
 	f.Add(overrun)
 	f.Add(Response{ID: 9}.Encode(nil))
-	f.Add(ChunkData{ID: 2, Raw: []byte{1, 2, 3}}.Encode(nil))
-	f.Add(SpanData{ID: 3, Raw: []byte{4}}.Encode(nil))
-	f.Add(VersionData{ID: 4, Versions: []byte{5}}.Encode(nil))
+	for id, body := range [][]byte{{1, 2, 3}, {4}, {5}} {
+		msg, dst := AppendRawReply(nil, uint64(id+2), StatusOK, len(body))
+		copy(dst, body)
+		f.Add(msg)
+	}
 	desc := FetchDesc{ID: 5, Slot: 1, Bytes: 40, Count: 1, Seq: 2}.Encode(nil)
 	f.Add(desc)
 	f.Add(desc[:FetchDescSize-1])
@@ -75,18 +77,8 @@ func FuzzPeekID(f *testing.F) {
 			var r Response
 			r, derr = DecodeResponse(b)
 			want = r.ID
-		case MsgChunkData:
-			var r ChunkData
-			r, derr = DecodeChunkData(b)
-			want = r.ID
-		case MsgVersionData:
-			var r VersionData
-			r, derr = DecodeVersionData(b)
-			want = r.ID
-		case MsgSpanData:
-			var r SpanData
-			r, derr = DecodeSpanData(b)
-			want = r.ID
+		case MsgReadData:
+			want, _, _, derr = DecodeRawReply(b)
 		case MsgFetchDesc:
 			var r FetchDesc
 			r, derr = DecodeFetchDesc(b)
@@ -404,32 +396,47 @@ func FuzzDecodeReplAck(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRawReply: every one-sided read's reply (chunk, span and version
-// data) goes through DecodeRawReply. For each of the three types it never
-// panics or over-reads, fails only with ErrCorrupt, accepts only a frame of
-// that type holding the body length it announces, hands back a body that
-// aliases the frame, and what it accepts re-encodes to the bytes it read.
-// The seed corpus holds one reply of each type, a truncated body, a
-// response in their place and a body length of 2^32-1.
+// FuzzDecodeRawReply: every one-sided read's reply (READ_DATA, whatever the
+// space) goes through DecodeRawReply. It never panics or over-reads, fails
+// only with ErrCorrupt, accepts only a READ_DATA frame holding the body
+// length it announces, hands back a body that aliases the frame, and what
+// it accepts re-encodes to the bytes it read. The seed corpus holds a
+// chunk, a span of chunks, a refusal, a truncated body, a response in
+// their place and a body length of 2^32-1.
 func FuzzDecodeRawReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		b = b[:len(b):len(b)]
-		for _, typ := range []MsgType{MsgChunkData, MsgSpanData, MsgVersionData} {
-			id, status, body, err := DecodeRawReply(b, typ)
-			if err != nil {
-				corrupt(t, err)
-				continue
-			}
-			if MsgType(b[0]) != typ {
-				t.Fatalf("type %d frame accepted as type %d", b[0], typ)
-			}
-			if len(body) > 0 && &body[0] != &b[chunkDataHeader] {
-				t.Fatal("body does not alias the frame")
-			}
-			msg, dst := AppendRawReply(nil, typ, id, status, len(body))
-			copy(dst, body)
-			prefixOf(t, msg, b)
+		id, status, body, err := DecodeRawReply(b)
+		if err != nil {
+			corrupt(t, err)
+			return
 		}
+		if MsgType(b[0]) != MsgReadData {
+			t.Fatalf("type %d frame accepted", b[0])
+		}
+		if len(body) > 0 && &body[0] != &b[readDataHeader] {
+			t.Fatal("body does not alias the frame")
+		}
+		msg, dst := AppendRawReply(nil, id, status, len(body))
+		copy(dst, body)
+		prefixOf(t, msg, b)
+	})
+}
+
+// FuzzDecodeRead: a server decodes the one-sided read any client sends. The
+// decoder never panics or over-reads, fails only with ErrCorrupt, and what
+// it accepts re-encodes to the bytes it read. The seed corpus holds a read
+// of each space, one of an unknown space, a truncated one and a reply in
+// its place.
+func FuzzDecodeRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = b[:len(b):len(b)]
+		r, err := DecodeRead(b)
+		if err != nil {
+			corrupt(t, err)
+			return
+		}
+		prefixOf(t, r.Encode(nil), b)
 	})
 }
 

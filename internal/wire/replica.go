@@ -14,12 +14,12 @@ import (
 	"github.com/catfish-db/catfish/internal/geo"
 )
 
-// Replication message types, appended after the fetch group so existing
-// on-wire values never change.
+// Replication message types, appended after the fetch group and the unused
+// 24 so existing on-wire values never change.
 const (
 	// MsgReplicate carries a batch of sequenced op-log records from a
 	// shard primary to one of its backups.
-	MsgReplicate MsgType = iota + MsgReadMailbox + 1
+	MsgReplicate MsgType = iota + MsgFetchAck + 2
 	// MsgReplAck answers a MsgReplicate with the backup's replication
 	// epoch and highest contiguously-applied sequence number.
 	MsgReplAck

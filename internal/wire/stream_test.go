@@ -91,9 +91,8 @@ func TestDecodeResponseAppendFolds(t *testing.T) {
 func TestPeekID(t *testing.T) {
 	for _, msg := range [][]byte{
 		Response{ID: 11, Items: make([]Item, 2)}.Encode(nil),
-		ChunkData{ID: 11, Raw: []byte{1}}.Encode(nil),
-		VersionData{ID: 11}.Encode(nil),
-		SpanData{ID: 11}.Encode(nil),
+		readData(11, StatusOK, []byte{1}),
+		readData(11, StatusError, nil),
 		FetchDesc{ID: 11}.Encode(nil),
 		ShardMapData{ID: 11}.Encode(nil),
 	} {
@@ -108,6 +107,7 @@ func TestPeekID(t *testing.T) {
 	// Requests, heartbeats and containers carry no routable reply id.
 	for _, msg := range [][]byte{
 		Request{Type: MsgSearch, ID: 11}.Encode(nil),
+		Read{ID: 11, Count: 1}.Encode(nil),
 		Heartbeat{Util: 0.5}.Encode(nil),
 		{byte(MsgBatch), 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		nil,

@@ -19,7 +19,9 @@ import (
 // MsgType discriminates wire messages.
 type MsgType uint8
 
-// Message types.
+// Message types. Each later group is appended after the one before, so no
+// value ever changes; 7–15 and 24 belonged to retired messages and stay
+// unused rather than be reused (TestMsgTypeValues pins them all).
 const (
 	MsgSearch MsgType = iota + 1
 	MsgInsert
@@ -28,10 +30,6 @@ const (
 	MsgHeartbeat
 	// MsgHello is the rpcnet connection bootstrap (root chunk, geometry).
 	MsgHello
-	// MsgReadChunk is the rpcnet emulation of a one-sided chunk read.
-	MsgReadChunk
-	// MsgChunkData carries a raw chunk image back to the reader.
-	MsgChunkData
 )
 
 // Response status codes.
@@ -289,7 +287,7 @@ func appendItems(dst []Item, b []byte, count int) []Item {
 }
 
 // PeekID returns the type and request id of a reply frame — response,
-// chunk/version/span data, fetch descriptor, shard-map data — from its
+// read data, fetch descriptor, shard-map data — from its
 // fixed [type u8][id u64] header, without decoding the body. A
 // demultiplexer routes on it; the frame's consumer does the one full decode.
 func PeekID(b []byte) (MsgType, uint64, error) {
@@ -298,7 +296,7 @@ func PeekID(b []byte) (MsgType, uint64, error) {
 	}
 	t := MsgType(b[0])
 	switch t {
-	case MsgResponse, MsgChunkData, MsgVersionData, MsgSpanData, MsgFetchDesc, MsgShardMapData:
+	case MsgResponse, MsgReadData, MsgFetchDesc, MsgShardMapData:
 		return t, binary.LittleEndian.Uint64(b[1:]), nil
 	}
 	return 0, 0, fmt.Errorf("%w: type %d is not a reply", ErrCorrupt, t)
@@ -453,93 +451,6 @@ func DecodeHello(b []byte) (Hello, error) {
 		ReplicaEpoch:    binary.LittleEndian.Uint64(b[53:]),
 		Index:           IndexKind(b[61]),
 	}, nil
-}
-
-// ReadChunk requests a raw chunk image (the rpcnet stand-in for a one-sided
-// RDMA Read: the server answers from the region without taking the tree
-// lock).
-type ReadChunk struct {
-	ID    uint64 // request tag
-	Chunk uint32
-}
-
-// ReadChunkSize is the encoded size of a ReadChunk.
-const ReadChunkSize = 1 + 8 + 4
-
-// Encode appends the read-chunk encoding to buf and returns it.
-func (r ReadChunk) Encode(buf []byte) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, ReadChunkSize)...)
-	b := buf[off:]
-	b[0] = byte(MsgReadChunk)
-	binary.LittleEndian.PutUint64(b[1:], r.ID)
-	binary.LittleEndian.PutUint32(b[9:], r.Chunk)
-	return buf
-}
-
-// DecodeReadChunk parses a read-chunk request.
-func DecodeReadChunk(b []byte) (ReadChunk, error) {
-	if len(b) < ReadChunkSize || MsgType(b[0]) != MsgReadChunk {
-		return ReadChunk{}, fmt.Errorf("%w: read-chunk", ErrCorrupt)
-	}
-	return ReadChunk{
-		ID:    binary.LittleEndian.Uint64(b[1:]),
-		Chunk: binary.LittleEndian.Uint32(b[9:]),
-	}, nil
-}
-
-// ChunkData answers a ReadChunk with the raw chunk bytes (versions
-// included; the client validates consistency exactly as over RDMA).
-type ChunkData struct {
-	ID     uint64
-	Status uint8
-	Raw    []byte
-}
-
-const chunkDataHeader = 1 + 8 + 1 + 4
-
-// EncodedSize returns the encoded size of the chunk data message.
-func (c ChunkData) EncodedSize() int { return chunkDataHeader + len(c.Raw) }
-
-// Encode appends the chunk-data encoding to buf and returns it.
-func (c ChunkData) Encode(buf []byte) []byte {
-	buf, body := AppendRawReply(buf, MsgChunkData, c.ID, c.Status, len(c.Raw))
-	copy(body, c.Raw)
-	return buf
-}
-
-// AppendRawReply appends a CHUNK_DATA, SPAN_DATA or VERSION_DATA message
-// (one layout: type, id, status, body length) with an n-byte zeroed body and
-// returns the extended buffer and the body, so a server can have the region
-// fill the reply in place instead of staging the bytes and copying them in.
-func AppendRawReply(buf []byte, typ MsgType, id uint64, status uint8, n int) (msg, body []byte) {
-	off := len(buf)
-	buf = append(buf, make([]byte, chunkDataHeader+n)...)
-	b := buf[off:]
-	b[0] = byte(typ)
-	binary.LittleEndian.PutUint64(b[1:], id)
-	b[9] = status
-	binary.LittleEndian.PutUint32(b[10:], uint32(n))
-	return buf, b[chunkDataHeader:]
-}
-
-// DecodeRawReply parses a message of AppendRawReply's layout that must be of
-// type typ. The body aliases b.
-func DecodeRawReply(b []byte, typ MsgType) (id uint64, status uint8, body []byte, err error) {
-	if len(b) < chunkDataHeader || MsgType(b[0]) != typ {
-		return 0, 0, nil, fmt.Errorf("%w: not a raw reply of type %d", ErrCorrupt, typ)
-	}
-	n := int(binary.LittleEndian.Uint32(b[10:]))
-	if len(b) < chunkDataHeader+n {
-		return 0, 0, nil, fmt.Errorf("%w: raw reply of type %d truncated", ErrCorrupt, typ)
-	}
-	return binary.LittleEndian.Uint64(b[1:]), b[9], b[chunkDataHeader : chunkDataHeader+n], nil
-}
-
-// DecodeChunkData parses a chunk-data message. The Raw slice aliases b.
-func DecodeChunkData(b []byte) (ChunkData, error) {
-	id, status, raw, err := DecodeRawReply(b, MsgChunkData)
-	return ChunkData{ID: id, Status: status, Raw: raw}, err
 }
 
 func putRect(b []byte, r geo.Rect) {

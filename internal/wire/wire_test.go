@@ -221,55 +221,13 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadChunkRoundTrip(t *testing.T) {
-	want := ReadChunk{ID: 777, Chunk: 42}
-	buf := want.Encode(nil)
-	if len(buf) != ReadChunkSize {
-		t.Errorf("size = %d", len(buf))
+func TestHeartbeatCarriesRootVersion(t *testing.T) {
+	buf := Heartbeat{Util: 0.25, RootVer: 4242}.Encode(nil)
+	got, err := DecodeHeartbeat(buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := DecodeReadChunk(buf)
-	if err != nil || got != want {
-		t.Errorf("got %+v, %v", got, err)
-	}
-	if _, err := DecodeReadChunk(nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("nil err = %v", err)
-	}
-}
-
-func TestChunkDataRoundTrip(t *testing.T) {
-	raw := []byte{1, 2, 3, 4, 5}
-	want := ChunkData{ID: 9, Status: StatusOK, Raw: raw}
-	buf := want.Encode(nil)
-	if len(buf) != want.EncodedSize() {
-		t.Errorf("size = %d, want %d", len(buf), want.EncodedSize())
-	}
-	got, err := DecodeChunkData(buf)
-	if err != nil || got.ID != 9 || got.Status != StatusOK {
-		t.Fatalf("got %+v, %v", got, err)
-	}
-	for i := range raw {
-		if got.Raw[i] != raw[i] {
-			t.Fatal("raw mismatch")
-		}
-	}
-	// Raw aliases the input frame (documented).
-	buf[len(buf)-1] = 99
-	if got.Raw[4] != 99 {
-		t.Error("Raw should alias the frame")
-	}
-	if _, err := DecodeChunkData(buf[:8]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("short err = %v", err)
-	}
-	trunc := want.Encode(nil)
-	if _, err := DecodeChunkData(trunc[:len(trunc)-2]); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated err = %v", err)
-	}
-}
-
-func TestChunkDataEmpty(t *testing.T) {
-	buf := ChunkData{ID: 1, Status: StatusError}.Encode(nil)
-	got, err := DecodeChunkData(buf)
-	if err != nil || len(got.Raw) != 0 || got.Status != StatusError {
-		t.Errorf("got %+v, %v", got, err)
+	if got.Util != 0.25 || got.RootVer != 4242 {
+		t.Errorf("round trip = %+v", got)
 	}
 }

@@ -5,9 +5,10 @@ import (
 )
 
 // Real-network (stdlib net) types: the same Catfish protocol served over
-// actual TCP sockets, with one-sided reads emulated by READ_CHUNK requests
-// answered lock-free from the region (version checks still protect
-// readers). See examples/realnet and cmd/catfish-server / catfish-client.
+// actual TCP sockets, with one-sided reads emulated by READ requests that
+// name a registered memory (tree chunks, version words or the fetch
+// mailbox), answered lock-free from the region (version checks still
+// protect readers). See examples/realnet and cmd/catfish-server / catfish-client.
 type (
 	// NetServer serves a Catfish R-tree over real TCP.
 	NetServer = rpcnet.Server
