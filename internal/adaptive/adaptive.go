@@ -99,7 +99,7 @@ type Switch struct {
 
 	// predBits mirrors pred (or, without smoothing, the latest consumed
 	// heartbeat) as atomic float64 bits so telemetry scrapers can read the
-	// prediction without racing Decide.
+	// prediction without racing DecideMethod.
 	predBits atomic.Uint64
 
 	// predTX / predTXBits are the TX-utilization twin of pred/predBits,
@@ -116,20 +116,13 @@ func New(cfg Config, rng *rand.Rand) *Switch {
 	return &Switch{cfg: cfg.WithDefaults(), rng: rng}
 }
 
-// Decide returns true when the next read request should be offloaded.
-// now is the current (virtual or wall-clock) time; readHB returns the
-// mailbox utilization (0 = no heartbeat, per the paper's u_serv ≠ 0
-// check) and clearHB performs the paper's memset(u_serv, 0).
-func (s *Switch) Decide(now time.Duration, readHB func() float64, clearHB func()) bool {
-	return s.DecideMethod(now, func() (float64, float64) { return readHB(), 0 }, clearHB) == ChooseOffload
-}
-
-// DecideMethod is the 3-way extension of Decide: readHB additionally
-// returns the heartbeat's TX-utilization word (0 when the server predates
-// the widened mailbox). The CPU-side back-off machinery is byte-identical
-// to Decide — same heartbeat gate, same predictor, same randomized window —
-// so with EnableFetch false (or a TX word that never crosses TxT) the
-// decision sequence is bit-for-bit the binary baseline. The fetch branch
+// DecideMethod chooses how the next read request is served: Algorithm 1's
+// binary offload decision, extended to three ways. now is the current
+// (virtual or wall-clock) time; readHB returns the mailbox's CPU
+// utilization (0 = no heartbeat, per the paper's u_serv ≠ 0 check) and its
+// TX-utilization word, and clearHB performs the paper's memset(u_serv, 0).
+// With EnableFetch false (or a TX word that never crosses TxT) the decision
+// sequence is bit-for-bit the binary baseline. The fetch branch
 // is deterministic: it consumes no randomness, so arming it cannot perturb
 // the offload windows either.
 func (s *Switch) DecideMethod(now time.Duration, readHB func() (cpu, tx float64), clearHB func()) Choice {
@@ -221,7 +214,7 @@ func (s *Switch) predictTX(latest float64) {
 
 // PredictedUtil returns the utilization prediction used by the most recent
 // consumed heartbeat (0 before any heartbeat). Unlike the rest of the
-// switch it is safe to call concurrently with Decide, so telemetry gauges
+// switch it is safe to call concurrently with DecideMethod, so telemetry gauges
 // can sample it live.
 func (s *Switch) PredictedUtil() float64 {
 	return math.Float64frombits(s.predBits.Load())

@@ -20,7 +20,7 @@ func newHarness(cfg Config) *harness {
 func (h *harness) tick(d time.Duration) { h.now += d }
 
 func (h *harness) decide() bool {
-	return h.sw.Decide(h.now, func() float64 { return h.hb }, func() { h.hb = 0 })
+	return h.sw.DecideMethod(h.now, func() (float64, float64) { return h.hb, 0 }, func() { h.hb = 0 }) == ChooseOffload
 }
 
 func TestDefaults(t *testing.T) {

@@ -6,7 +6,6 @@
 package client
 
 import (
-	"encoding/binary"
 	"errors"
 	"time"
 
@@ -40,12 +39,8 @@ type (
 	BatchResult = proto.BatchResult
 )
 
-// Errors.
-var (
-	ErrServer   = proto.ErrServer
-	ErrNotFound = proto.ErrNotFound
-	ErrGaveUp   = proto.ErrGaveUp
-)
+// ErrNotFound is proto.ErrNotFound: a delete matched no entry.
+var ErrNotFound = proto.ErrNotFound
 
 // Config configures a Client.
 type Config struct {
@@ -225,11 +220,7 @@ func (c *Client) HeartbeatSeq() uint64 {
 	if c.ep.HeartbeatM == nil {
 		return 0
 	}
-	b := c.ep.HeartbeatM.Bytes()
-	if len(b) < 24 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[16:])
+	return server.DecodeHeartbeatMailbox(c.ep.HeartbeatM.Bytes()).Seq
 }
 
 // send writes one request frame to the server: the request ring, or the

@@ -17,40 +17,34 @@ import (
 // TestHeartbeatWords checks the transport half of Algorithm 1's mailbox
 // protocol (the policy itself is tested over a fake transport in
 // internal/proto): the utilization words are read from the mailbox the
-// server writes, a short legacy mailbox has no TX word, and consuming a
+// server writes, and consuming a
 // heartbeat clears only the utilization word and counts it.
 func TestHeartbeatWords(t *testing.T) {
 	e := sim.New(1)
 	net := fabric.NewNetwork(e, netmodel.InfiniBand100G)
 	host := net.NewHost("c", sim.NewCPU(e, 2))
-	for _, size := range []int{8, server.HeartbeatMailboxSize} {
-		ep := &server.Endpoint{HeartbeatM: host.RegisterMemory(size)}
-		c, err := New(Config{Engine: e, Host: host, Endpoint: ep, Adaptive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := ep.HeartbeatM.Bytes()
-		binary.LittleEndian.PutUint64(b, math.Float64bits(0.75))
-		wantTX := 0.0
-		if size >= server.HeartbeatMailboxSize {
-			binary.LittleEndian.PutUint64(b[8:], 42) // root version
-			binary.LittleEndian.PutUint64(b[24:], math.Float64bits(0.5))
-			wantTX = 0.5
-		}
-		h := port{ReadPort: c.reads, c: c}
-		if cpu, tx := h.Heartbeat(); cpu != 0.75 || tx != wantTX {
-			t.Errorf("mailbox %d B: heartbeat = (%v, %v), want (0.75, %v)", size, cpu, tx, wantTX)
-		}
-		h.ClearHeartbeat()
-		if cpu, tx := h.Heartbeat(); cpu != 0 || tx != wantTX {
-			t.Errorf("mailbox %d B: after clear = (%v, %v), want (0, %v)", size, cpu, tx, wantTX)
-		}
-		if size >= server.HeartbeatMailboxSize && h.RootVersion() != 42 {
-			t.Errorf("clear wiped the root version word")
-		}
-		if n := c.Stats().HeartbeatsSeen; n != 1 {
-			t.Errorf("HeartbeatsSeen = %d, want 1", n)
-		}
+	ep := &server.Endpoint{HeartbeatM: host.RegisterMemory(server.HeartbeatMailboxSize)}
+	c, err := New(Config{Engine: e, Host: host, Endpoint: ep, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ep.HeartbeatM.Bytes()
+	binary.LittleEndian.PutUint64(b, math.Float64bits(0.75))
+	binary.LittleEndian.PutUint64(b[8:], 42) // root version
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(0.5))
+	h := port{ReadPort: c.reads, c: c}
+	if cpu, tx := h.Heartbeat(); cpu != 0.75 || tx != 0.5 {
+		t.Errorf("heartbeat = (%v, %v), want (0.75, 0.5)", cpu, tx)
+	}
+	h.ClearHeartbeat()
+	if cpu, tx := h.Heartbeat(); cpu != 0 || tx != 0.5 {
+		t.Errorf("after clear = (%v, %v), want (0, 0.5)", cpu, tx)
+	}
+	if h.RootVersion() != 42 {
+		t.Errorf("clear wiped the root version word")
+	}
+	if n := c.Stats().HeartbeatsSeen; n != 1 {
+		t.Errorf("HeartbeatsSeen = %d, want 1", n)
 	}
 }
 

@@ -80,7 +80,7 @@ func (d *goldenDigest) add(m Method, items []wire.Item, err error) {
 	case err == nil:
 	case errors.Is(err, ErrNotFound):
 		class = 1
-	case errors.Is(err, ErrServer):
+	case errors.Is(err, proto.ErrServer):
 		class = 2
 	default:
 		class = 3

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/server"
@@ -223,7 +224,7 @@ func TestMultiIssueTornExhaustionDrainsCQ(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, _, err := c.On(p).Search(q); !errors.Is(err, ErrGaveUp) {
+		if _, _, err := c.On(p).Search(q); !errors.Is(err, proto.ErrGaveUp) {
 			t.Errorf("search with wedged chunk: err = %v, want ErrGaveUp", err)
 		}
 		if n := c.ep.DataQP.CQ().Len(); n != 0 {

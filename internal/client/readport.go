@@ -1,8 +1,6 @@
 package client
 
 import (
-	"encoding/binary"
-	"math"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/fabric"
@@ -72,30 +70,20 @@ func (r ReadPort) Charge() {
 	}
 }
 
-// Heartbeat reads the mailbox's utilization words (the TX word is 0
-// against servers whose mailboxes predate the widened layout).
+// Heartbeat reads the mailbox's CPU and TX utilization words.
 func (r ReadPort) Heartbeat() (cpu, tx float64) {
-	b := r.ep.HeartbeatM.Bytes()
-	cpu = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	if len(b) >= server.HeartbeatMailboxSize {
-		tx = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
-	}
-	return cpu, tx
+	v := server.DecodeHeartbeatMailbox(r.ep.HeartbeatM.Bytes())
+	return v.Util, v.TXUtil
 }
 
 // ClearHeartbeat clears only the utilization word: the mailbox's second
 // word carries the root version and must persist for the lease check.
 func (r ReadPort) ClearHeartbeat() {
-	b := r.ep.HeartbeatM.Bytes()
-	clear(b[:min(8, len(b))])
+	clear(r.ep.HeartbeatM.Bytes()[:8])
 }
 
 // RootVersion reads the root version published alongside the utilization
 // (0 when the server has not heartbeated yet).
 func (r ReadPort) RootVersion() uint64 {
-	b := r.ep.HeartbeatM.Bytes()
-	if len(b) < 16 {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[8:])
+	return server.DecodeHeartbeatMailbox(r.ep.HeartbeatM.Bytes()).RootVer
 }

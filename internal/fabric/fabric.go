@@ -41,12 +41,6 @@ func NewNetwork(e *sim.Engine, prof netmodel.Profile) *Network {
 	return &Network{e: e, prof: prof}
 }
 
-// Engine returns the simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.e }
-
-// Profile returns the fabric profile.
-func (n *Network) Profile() netmodel.Profile { return n.prof }
-
 // Host is one machine attached to the network: a NIC (TX/RX serialization
 // pipes plus a responder-direction pipe for one-sided READ response data)
 // and optionally a CPU that kernel TCP processing is charged to.
@@ -81,27 +75,13 @@ func (n *Network) NewHost(name string, cpu *sim.CPU) *Host {
 	}
 }
 
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
-
 // CPU returns the host CPU (may be nil).
 func (h *Host) CPU() *sim.CPU { return h.cpu }
 
 // TXBytes returns total bytes sent by the host's send engine — messages
 // the CPU posted (wire overhead included). READ response data served by
-// the responder engine is accounted separately in ReadTXBytes.
+// the responder engine is accounted separately (ReadTXGbps).
 func (h *Host) TXBytes() uint64 { return h.tx.Bytes() }
-
-// ReadTXBytes returns total TX-direction bytes the NIC's responder engine
-// served for inbound one-sided READs (wire overhead included).
-func (h *Host) ReadTXBytes() uint64 { return h.rdtx.Bytes() }
-
-// PortTXBytes returns total TX-direction bytes on the wire: send engine
-// plus responder engine.
-func (h *Host) PortTXBytes() uint64 { return h.tx.Bytes() + h.rdtx.Bytes() }
-
-// RXBytes returns total bytes received (wire overhead included).
-func (h *Host) RXBytes() uint64 { return h.rx.Bytes() }
 
 // TXGbps returns the mean send-engine transmit rate over elapsed.
 func (h *Host) TXGbps(elapsed time.Duration) float64 { return h.tx.Gbps(elapsed) }
@@ -185,9 +165,6 @@ type Memory struct {
 func (h *Host) RegisterMemory(size int) *Memory {
 	return &Memory{host: h, buf: make([]byte, size)}
 }
-
-// Len returns the registered length.
-func (m *Memory) Len() int { return len(m.buf) }
 
 // Bytes exposes the buffer for local (same-host) access; remote access must
 // go through verbs.

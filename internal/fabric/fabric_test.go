@@ -416,16 +416,27 @@ func TestProfilesSanity(t *testing.T) {
 
 func TestCostModelMonotone(t *testing.T) {
 	cm := netmodel.DefaultCostModel()
-	if cm.SearchDemand(10, 5) <= cm.SearchDemand(5, 5) {
+	if cm.SearchDemand(0, 10, 5) <= cm.SearchDemand(0, 5, 5) {
 		t.Error("search demand not monotone in nodes")
 	}
-	if cm.SearchDemand(5, 100) <= cm.SearchDemand(5, 0) {
+	if cm.SearchDemand(0, 5, 100) <= cm.SearchDemand(0, 5, 0) {
 		t.Error("search demand not monotone in results")
 	}
-	if cm.InsertDemand(5, 3) <= cm.InsertDemand(5, 0) {
+	if cm.InsertDemand(0, 5, 3) <= cm.InsertDemand(0, 5, 0) {
 		t.Error("insert demand not monotone in writes")
 	}
 	if cm.ClientTraversalDemand(10) <= 0 {
 		t.Error("client demand must be positive")
 	}
 }
+
+// RXBytes returns total bytes received (wire overhead included).
+func (h *Host) RXBytes() uint64 { return h.rx.Bytes() }
+
+// TryRecv returns a pending message without blocking.
+func (c *TCPConn) TryRecv() ([]byte, bool) {
+	return c.inbox.TryPop()
+}
+
+// Pending returns the number of delivered-but-unread messages.
+func (c *TCPConn) Pending() int { return c.inbox.Len() }

@@ -87,9 +87,6 @@ func (qp *QP) Peer() *QP { return qp.peer }
 // Local returns the local host.
 func (qp *QP) Local() *Host { return qp.local }
 
-// Remote returns the remote host.
-func (qp *QP) Remote() *Host { return qp.remote }
-
 // WriteOpts control an RDMA Write.
 type WriteOpts struct {
 	// Imm, when Notify is set, is delivered to the responder's CQ with the

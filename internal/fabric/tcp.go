@@ -30,9 +30,6 @@ func (n *Network) DialTCP(client, server *Host) (*TCPConn, *TCPConn) {
 	return c, s
 }
 
-// Local returns the endpoint's host.
-func (c *TCPConn) Local() *Host { return c.local }
-
 // Send transmits data to the peer endpoint. The posting process blocks for
 // the sender-side kernel CPU demand; wire transfer and receiver-side kernel
 // processing proceed asynchronously, after which the message appears in the
@@ -62,11 +59,3 @@ func (c *TCPConn) Send(p *sim.Proc, data []byte) {
 func (c *TCPConn) Recv(p *sim.Proc) []byte {
 	return c.inbox.Pop(p)
 }
-
-// TryRecv returns a pending message without blocking.
-func (c *TCPConn) TryRecv() ([]byte, bool) {
-	return c.inbox.TryPop()
-}
-
-// Pending returns the number of delivered-but-unread messages.
-func (c *TCPConn) Pending() int { return c.inbox.Len() }

@@ -107,21 +107,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Intersection returns the overlapping region of r and s and whether the
-// two rectangles intersect at all. When they do not, the zero Rect is
-// returned.
-func (r Rect) Intersection(s Rect) (Rect, bool) {
-	if !r.Intersects(s) {
-		return Rect{}, false
-	}
-	return Rect{
-		MinX: max(r.MinX, s.MinX),
-		MaxX: min(r.MaxX, s.MaxX),
-		MinY: max(r.MinY, s.MinY),
-		MaxY: min(r.MaxY, s.MaxY),
-	}, true
-}
-
 // OverlapArea returns the area of the intersection of r and s, or 0 when
 // they do not intersect.
 func (r Rect) OverlapArea(s Rect) float64 {
@@ -170,35 +155,6 @@ func (r Rect) DistSqToPoint(x, y float64) float64 {
 		dy = y - r.MaxY
 	}
 	return dx*dx + dy*dy
-}
-
-// FromLatLon maps WGS-84 degrees onto the unit square with the
-// equirectangular projection the geo serving scenarios use: longitude
-// −180..180 onto x ∈ [0, 1], latitude −90..90 onto y ∈ [0, 1]. Inputs are
-// clamped to the valid ranges, so any finite coordinate lands inside the
-// data space.
-func FromLatLon(lat, lon float64) (x, y float64) {
-	return clamp01((lon + 180) / 360), clamp01((lat + 90) / 180)
-}
-
-// ToLatLon inverts FromLatLon. Round-tripping stays within one ULP of the
-// unit-square coordinate: the forward map divides by an exact power-of-two
-// multiple (360 = 45·8, 180 = 45·4 — not powers of two themselves), so
-// exactness is not guaranteed bit-for-bit, and callers comparing positions
-// should compare unit-square coordinates, which both directions preserve
-// to within 1e-12 (see TestLatLonRoundTrip).
-func ToLatLon(x, y float64) (lat, lon float64) {
-	return y*180 - 90, x*360 - 180
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // MBR returns the minimum bounding rectangle of rects. It returns the zero

@@ -311,3 +311,18 @@ func BenchmarkUnion(b *testing.B) {
 	}
 	_ = out
 }
+
+// Intersection returns the overlapping region of r and s and whether the
+// two rectangles intersect at all. When they do not, the zero Rect is
+// returned.
+func (r Rect) Intersection(s Rect) (Rect, bool) {
+	if !r.Intersects(s) {
+		return Rect{}, false
+	}
+	return Rect{
+		MinX: max(r.MinX, s.MinX),
+		MaxX: min(r.MaxX, s.MaxX),
+		MinY: max(r.MinY, s.MinY),
+		MaxY: min(r.MaxY, s.MaxY),
+	}, true
+}

@@ -4,7 +4,6 @@ import (
 	"github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/sim"
-	"github.com/catfish-db/catfish/internal/telemetry"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -18,11 +17,8 @@ const (
 	MethodOffload = proto.MethodOffload
 )
 
-// Errors.
-var (
-	ErrServer   = proto.ErrServer
-	ErrNotFound = proto.ErrNotFound
-)
+// ErrNotFound is proto.ErrNotFound: a delete matched no entry.
+var ErrNotFound = proto.ErrNotFound
 
 // Ops is the key codec over one client's operations, on either transport: a
 // Get is a search of [key, key], a Range a search of [from, to], a Put an
@@ -73,65 +69,9 @@ func (k Ops[T]) search(from, to uint64) ([]wire.Item, Method, error) {
 	return k.o.Search(proto.KeyRange(from, to))
 }
 
-// Put stores val under key, overwriting a present one.
-func (k Ops[T]) Put(key, val uint64) error {
-	if err := k.check(); err != nil {
-		return err
-	}
-	return k.o.Insert(proto.KeyRange(key, key), val)
-}
-
-// Delete removes key; an absent key is ErrNotFound.
-func (k Ops[T]) Delete(key uint64) error {
-	if err := k.check(); err != nil {
-		return err
-	}
-	return k.o.Delete(proto.KeyRange(key, key), 0)
-}
-
-// GetResult is the outcome of one batched Get, in submission order.
-type GetResult struct {
-	Method Method
-	Val    uint64
-	Err    error
-}
-
-// GetBatch executes point gets as one client batch (proto.Ops.ExecBatch):
-// each key consults the adaptive switch individually, messaging-routed gets
-// share one container while offload-routed ones walk the tree overlapped
-// with it, and a batch of one is a plain Get.
-func (k Ops[T]) GetBatch(keys []uint64, results []GetResult) []GetResult {
-	results = results[:0]
-	if err := k.check(); err != nil {
-		for range keys {
-			results = append(results, GetResult{Err: err})
-		}
-		return results
-	}
-	ops := make([]proto.BatchOp, len(keys))
-	for i, key := range keys {
-		ops[i] = proto.BatchOp{Type: wire.MsgSearch, Rect: proto.KeyRange(key, key)}
-	}
-	for _, r := range k.o.ExecBatch(ops, nil) {
-		g := GetResult{Method: r.Method, Err: r.Err}
-		switch {
-		case g.Err != nil:
-		case len(r.Items) == 0:
-			g.Err = ErrNotFound
-		default:
-			g.Val = r.Items[0].Ref
-		}
-		results = append(results, g)
-	}
-	return results
-}
-
 // ClientConfig configures a Client: the simulated client's, its Endpoint
 // one a server.Server over a Store returned.
 type ClientConfig = client.Config
-
-// ClientStats is a snapshot of a client's counters.
-type ClientStats = telemetry.ClientSnapshot
 
 // Client is a key-value client on the simulated fabric: the simulated
 // client driven through the key codec by the process each call names.
@@ -154,15 +94,4 @@ func (c *Client) Get(p *sim.Proc, key uint64) (uint64, Method, error) {
 // Range invokes fn for every key in [from, to] in ascending order.
 func (c *Client) Range(p *sim.Proc, from, to uint64, fn func(key, val uint64) bool) (Method, error) {
 	return On(c.On(p)).Range(from, to, fn)
-}
-
-// Put stores val under key.
-func (c *Client) Put(p *sim.Proc, key, val uint64) error { return On(c.On(p)).Put(key, val) }
-
-// Delete removes key.
-func (c *Client) Delete(p *sim.Proc, key uint64) error { return On(c.On(p)).Delete(key) }
-
-// GetBatch executes point gets as one client batch.
-func (c *Client) GetBatch(p *sim.Proc, keys []uint64, results []GetResult) []GetResult {
-	return On(c.On(p)).GetBatch(keys, results)
 }

@@ -147,7 +147,7 @@ func TestStoreRefusesMoveAndKNN(t *testing.T) {
 		o := c.On(p)
 		for _, ops := range [][]proto.BatchOp{{move}, {knn}, {move, knn}} {
 			for _, res := range o.ExecBatch(ops, nil) {
-				if !errors.Is(res.Err, ErrServer) || len(res.Items) != 0 {
+				if !errors.Is(res.Err, proto.ErrServer) || len(res.Items) != 0 {
 					t.Errorf("%d ops: %+v, want a server error", len(ops), res)
 				}
 			}
@@ -259,4 +259,57 @@ func TestStoreCharge(t *testing.T) {
 	if err != nil || st.NodesRead != h || st.NodesWritten < 1 {
 		t.Errorf("insert: %+v, %v", st, err)
 	}
+}
+
+// Put stores val under key, overwriting a present one.
+func (k Ops[T]) Put(key, val uint64) error {
+	if err := k.check(); err != nil {
+		return err
+	}
+	return k.o.Insert(proto.KeyRange(key, key), val)
+}
+
+// Delete removes key; an absent key is ErrNotFound.
+func (k Ops[T]) Delete(key uint64) error {
+	if err := k.check(); err != nil {
+		return err
+	}
+	return k.o.Delete(proto.KeyRange(key, key), 0)
+}
+
+// GetResult is the outcome of one batched Get, in submission order.
+type GetResult struct {
+	Method Method
+	Val    uint64
+	Err    error
+}
+
+// GetBatch executes point gets as one client batch (proto.Ops.ExecBatch):
+// each key consults the adaptive switch individually, messaging-routed gets
+// share one container while offload-routed ones walk the tree overlapped
+// with it, and a batch of one is a plain Get.
+func (k Ops[T]) GetBatch(keys []uint64, results []GetResult) []GetResult {
+	results = results[:0]
+	if err := k.check(); err != nil {
+		for range keys {
+			results = append(results, GetResult{Err: err})
+		}
+		return results
+	}
+	ops := make([]proto.BatchOp, len(keys))
+	for i, key := range keys {
+		ops[i] = proto.BatchOp{Type: wire.MsgSearch, Rect: proto.KeyRange(key, key)}
+	}
+	for _, r := range k.o.ExecBatch(ops, nil) {
+		g := GetResult{Method: r.Method, Err: r.Err}
+		switch {
+		case g.Err != nil:
+		case len(r.Items) == 0:
+			g.Err = ErrNotFound
+		default:
+			g.Val = r.Items[0].Ref
+		}
+		results = append(results, g)
+	}
+	return results
 }

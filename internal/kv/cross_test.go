@@ -50,7 +50,7 @@ func errName(err error) string {
 		return "ok"
 	case errors.Is(err, ErrNotFound):
 		return "not-found"
-	case errors.Is(err, ErrServer):
+	case errors.Is(err, proto.ErrServer):
 		return "server"
 	}
 	return "other: " + err.Error()

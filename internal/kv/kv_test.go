@@ -409,3 +409,17 @@ func countEven(keys []uint64) int {
 	}
 	return n
 }
+
+// Put stores val under key.
+func (c *Client) Put(p *sim.Proc, key, val uint64) error { return On(c.On(p)).Put(key, val) }
+
+// Delete removes key.
+func (c *Client) Delete(p *sim.Proc, key uint64) error { return On(c.On(p)).Delete(key) }
+
+// GetBatch executes point gets as one client batch.
+func (c *Client) GetBatch(p *sim.Proc, keys []uint64, results []GetResult) []GetResult {
+	return On(c.On(p)).GetBatch(keys, results)
+}
+
+// Tree returns the served B+-tree.
+func (s *Store) Tree() *btree.Tree { return s.t }

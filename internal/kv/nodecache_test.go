@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/sim"
+	"github.com/catfish-db/catfish/internal/telemetry"
 )
 
 func TestKVNodeCacheSavesFetches(t *testing.T) {
@@ -13,7 +14,7 @@ func TestKVNodeCacheSavesFetches(t *testing.T) {
 	r := newRig(t, rigOpts{keys: 2000, heartbeat: time.Millisecond})
 	plain := r.newClient(t, ClientConfig{Forced: MethodOffload, HeartbeatInv: time.Millisecond})
 	cached := r.newClient(t, ClientConfig{Forced: MethodOffload, HeartbeatInv: time.Millisecond, NodeCache: 128})
-	var ps, cs ClientStats
+	var ps, cs telemetry.ClientSnapshot
 	r.e.Spawn("driver", func(p *sim.Proc) {
 		defer r.e.Stop()
 		for k := uint64(0); k < 2000; k += 13 {

@@ -41,9 +41,6 @@ func NewStore(t *btree.Tree) *Store {
 	return s
 }
 
-// Tree returns the served B+-tree.
-func (s *Store) Tree() *btree.Tree { return s.t }
-
 // Query answers a search of [from, to] with its pairs in ascending key
 // order, charged as the tree's descent plus one node per MaxEntries pairs
 // scanned: a found point get reads Height() nodes for one result.

@@ -152,58 +152,39 @@ func (c CostModel) batchedFixed(i int, full time.Duration) time.Duration {
 	return c.BatchedOpFixed
 }
 
-// SearchDemandBatched is SearchDemand for the i-th operation of a batch
-// executed under a single latch acquisition and charge.
-func (c CostModel) SearchDemandBatched(i, nodesRead, results int) time.Duration {
+// SearchDemand returns the server CPU demand of a search that visited
+// nodesRead nodes and produced results, as the i-th (0-based) operation of a
+// batch executed under one latch acquisition and charge; a lone request is
+// operation 0.
+func (c CostModel) SearchDemand(i, nodesRead, results int) time.Duration {
 	return c.batchedFixed(i, c.SearchFixed) +
 		time.Duration(nodesRead)*c.PerNodeRead +
 		time.Duration(results)*c.PerResultItem
 }
 
-// InsertDemandBatched is InsertDemand for the i-th operation of a batch.
-func (c CostModel) InsertDemandBatched(i, nodesRead, nodesWritten int) time.Duration {
+// InsertDemand returns the server CPU demand of an insert (or delete) that
+// visited nodesRead nodes and republished nodesWritten, as the i-th
+// operation of a batch.
+func (c CostModel) InsertDemand(i, nodesRead, nodesWritten int) time.Duration {
 	return c.batchedFixed(i, c.InsertFixed) +
 		time.Duration(nodesRead)*c.PerNodeRead +
 		time.Duration(nodesWritten)*c.PerNodeWrite
 }
 
-// SearchDemand returns the server CPU demand of a search that visited nodes
-// and produced results.
-func (c CostModel) SearchDemand(nodesRead, results int) time.Duration {
-	return c.SearchFixed +
+// FetchDemand returns the server CPU demand of a fetch-delivered search, as
+// the i-th operation of a batch: the traversal is identical to fast
+// messaging, but results are copied into the mailbox slot at PerFetchItem
+// instead of marshalled and sent at PerResultItem.
+func (c CostModel) FetchDemand(i, nodesRead, results int) time.Duration {
+	return c.batchedFixed(i, c.SearchFixed) +
 		time.Duration(nodesRead)*c.PerNodeRead +
-		time.Duration(results)*c.PerResultItem
-}
-
-// InsertDemand returns the server CPU demand of an insert (or delete) that
-// visited nodesRead nodes and republished nodesWritten.
-func (c CostModel) InsertDemand(nodesRead, nodesWritten int) time.Duration {
-	return c.InsertFixed +
-		time.Duration(nodesRead)*c.PerNodeRead +
-		time.Duration(nodesWritten)*c.PerNodeWrite
+		time.Duration(results)*c.PerFetchItem
 }
 
 // ClientTraversalDemand returns the client CPU demand of processing one
 // fetched node during offloaded traversal.
 func (c CostModel) ClientTraversalDemand(nodes int) time.Duration {
 	return time.Duration(nodes) * c.ClientPerNode
-}
-
-// FetchDemand returns the server CPU demand of a fetch-delivered search:
-// the traversal is identical to fast messaging, but results are copied
-// into the mailbox slot at PerFetchItem instead of marshalled and sent at
-// PerResultItem.
-func (c CostModel) FetchDemand(nodesRead, results int) time.Duration {
-	return c.SearchFixed +
-		time.Duration(nodesRead)*c.PerNodeRead +
-		time.Duration(results)*c.PerFetchItem
-}
-
-// FetchDemandBatched is FetchDemand for the i-th operation of a batch.
-func (c CostModel) FetchDemandBatched(i, nodesRead, results int) time.Duration {
-	return c.batchedFixed(i, c.SearchFixed) +
-		time.Duration(nodesRead)*c.PerNodeRead +
-		time.Duration(results)*c.PerFetchItem
 }
 
 // ClientFetchDemand returns the client CPU demand of pulling and decoding

@@ -35,7 +35,7 @@ func TestCostModelCalibration(t *testing.T) {
 	// A small-scope search on the 2M tree visits ~5-9 nodes with ~0-1
 	// results; its demand must sit in the 35-55µs band that makes 28 cores
 	// saturate near the paper's fast-messaging plateau (~400-900 Kops).
-	small := cm.SearchDemand(7, 1)
+	small := cm.SearchDemand(0, 7, 1)
 	if small < 35*time.Microsecond || small > 55*time.Microsecond {
 		t.Errorf("small search demand = %v, want 35-55µs", small)
 	}
@@ -49,17 +49,17 @@ func TestCostModelCalibration(t *testing.T) {
 		t.Error("poll slice must be positive")
 	}
 	// Inserts cost at least as much as small searches (they also write).
-	if cm.InsertDemand(7, 2) <= cm.SearchDemand(7, 0) {
+	if cm.InsertDemand(0, 7, 2) <= cm.SearchDemand(0, 7, 0) {
 		t.Error("insert demand should exceed a result-free search")
 	}
 }
 
 func TestDemandZeroWork(t *testing.T) {
 	cm := DefaultCostModel()
-	if cm.SearchDemand(0, 0) != cm.SearchFixed {
+	if cm.SearchDemand(0, 0, 0) != cm.SearchFixed {
 		t.Error("zero-work search demand should be the fixed cost")
 	}
-	if cm.InsertDemand(0, 0) != cm.InsertFixed {
+	if cm.InsertDemand(0, 0, 0) != cm.InsertFixed {
 		t.Error("zero-work insert demand should be the fixed cost")
 	}
 	if cm.ClientTraversalDemand(0) != 0 {

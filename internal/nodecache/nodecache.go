@@ -299,16 +299,6 @@ func (c *Cache) Flush() {
 	c.head, c.tail = nil, nil
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {

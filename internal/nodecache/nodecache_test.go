@@ -228,3 +228,13 @@ func TestPutReturnsDropped(t *testing.T) {
 		t.Fatalf("nil cache dropped %v", got)
 	}
 }
+
+// Len returns the number of cached entries.
+func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -262,13 +262,6 @@ func NewState(epoch uint64, primary bool) *State {
 	return &State{epoch: epoch, primary: primary}
 }
 
-// Epoch returns the current epoch.
-func (s *State) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 // Applied returns the highest applied sequence number.
 func (s *State) Applied() uint64 {
 	s.mu.Lock()

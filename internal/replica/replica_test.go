@@ -315,3 +315,10 @@ func TestPrimaryGaugesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// Epoch returns the current epoch.
+func (s *State) Epoch() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epoch
+}

@@ -91,9 +91,6 @@ func New(wqp, rqp *fabric.QP, size int) (*Writer, *Reader, error) {
 	return w, r, nil
 }
 
-// Capacity returns the ring size in bytes.
-func (w *Writer) Capacity() int { return int(w.size) }
-
 // MaxPayload returns the largest payload Send accepts: half the ring minus
 // framing. Frames must be physically contiguous, and a frame larger than
 // half the ring can reach a state where neither the tail run nor the

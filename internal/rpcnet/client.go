@@ -42,7 +42,6 @@ var (
 	ErrClosed     = errors.New("rpcnet: connection closed")
 	ErrServer     = proto.ErrServer
 	ErrNotFound   = proto.ErrNotFound
-	ErrGaveUp     = proto.ErrGaveUp
 	ErrOverloaded = proto.ErrOverloaded
 )
 
@@ -326,9 +325,6 @@ func (c *Client) ReplicaState() (epoch, applied uint64) {
 // HeartbeatMapVersion returns the shard-map version the server most
 // recently advertised in a heartbeat (0 before the first heartbeat).
 func (c *Client) HeartbeatMapVersion() uint64 { return c.hbMapVer.Load() }
-
-// Addr returns the address this client's connection dialed.
-func (c *Client) Addr() string { return c.mx.addr }
 
 // call sends payload and waits for the one reply addressed to id. The
 // caller decodes it and then releases it — what the decode returns must

@@ -230,3 +230,8 @@ func TestNetZombiePrimaryFenced(t *testing.T) {
 		}
 	}
 }
+
+// PauseHeartbeats suspends (true) or resumes (false) heartbeat pushes,
+// simulating a wedged or partitioned server for liveness tests. The data
+// path keeps serving.
+func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }

@@ -62,7 +62,6 @@ const helloTimeout = time.Second
 // pooled for reuse.
 type Mux struct {
 	conn  net.Conn
-	addr  string
 	hello wire.Hello
 	w     *connWriter
 	// maxStreams caps concurrently-attached logical clients (1<<16); tests
@@ -126,7 +125,6 @@ func DialMux(addr string) (*Mux, error) {
 	}
 	m := &Mux{
 		conn:       conn,
-		addr:       addr,
 		hello:      hello,
 		maxStreams: 1 << 16,
 		w:          newConnWriter(conn, nil, nil),
@@ -145,19 +143,6 @@ func DialMux(addr string) (*Mux, error) {
 		close(m.done) // nothing arrives unasked; the next caller reads EOF
 	}
 	return m, nil
-}
-
-// Addr returns the dialed address.
-func (m *Mux) Addr() string { return m.addr }
-
-// Hello returns the server's connection bootstrap info.
-func (m *Mux) Hello() wire.Hello { return m.hello }
-
-// Streams returns the number of currently-attached logical clients.
-func (m *Mux) Streams() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.streams)
 }
 
 // Close tears down the connection and every attached client's pending
@@ -661,17 +646,6 @@ func (p *MuxPool) Close() error {
 	}
 	p.muxes = make(map[string][]*Mux)
 	return first
-}
-
-// Client attaches a logical client to one of the pool's connections for
-// addr. The client does not own the connection; closing it only detaches
-// the stream (close the pool to drop the connections).
-func (p *MuxPool) Client(addr string, cfg ClientConfig) (*Client, error) {
-	m, err := p.Mux(addr)
-	if err != nil {
-		return nil, err
-	}
-	return m.Client(cfg)
 }
 
 // deadlineUS converts the configured per-request latency budget to the

@@ -691,3 +691,21 @@ func TestC10K(t *testing.T) {
 		c.Close()
 	}
 }
+
+// Streams returns the number of currently-attached logical clients.
+func (m *Mux) Streams() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.streams)
+}
+
+// Client attaches a logical client to one of the pool's connections for
+// addr. The client does not own the connection; closing it only detaches
+// the stream (close the pool to drop the connections).
+func (p *MuxPool) Client(addr string, cfg ClientConfig) (*Client, error) {
+	m, err := p.Mux(addr)
+	if err != nil {
+		return nil, err
+	}
+	return m.Client(cfg)
+}

@@ -35,9 +35,6 @@ type RouterConfig struct {
 	Pool *MuxPool
 }
 
-// RouterStats is shard.RouterStats, the router's counters.
-type RouterStats = shard.RouterStats
-
 // Router is the real-socket adapter of the shard router: one TCP connection
 // — and one adaptive switch — per replica, forks as goroutines, liveness
 // from heartbeat arrival times, and a served shard map whose version

@@ -601,19 +601,11 @@ func (s *Server) handleShardMap(req wire.ShardMapRequest, out []byte) []byte {
 	return md.Encode(out)
 }
 
-// PauseHeartbeats suspends (true) or resumes (false) heartbeat pushes,
-// simulating a wedged or partitioned server for liveness tests. The data
-// path keeps serving.
-func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }
-
 // Kill makes the server refuse all service: every data request answers
 // StatusUnavailable and heartbeats stop, simulating a failed primary while
 // keeping the TCP endpoint alive so the failure is observed as a missed
 // liveness window rather than a connection reset. Irreversible.
 func (s *Server) Kill() { s.core.Kill() }
-
-// Killed reports whether Kill has been called.
-func (s *Server) Killed() bool { return s.core.Killed() }
 
 // spaceNames label catfish_server_reads_total and
 // catfish_server_read_chunks_total by wire.Space.

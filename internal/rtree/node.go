@@ -44,7 +44,6 @@ const (
 // Errors returned by node decoding and tree operations.
 var (
 	ErrCorruptNode = errors.New("rtree: corrupt node encoding")
-	ErrNotFound    = errors.New("rtree: entry not found")
 	ErrInvalidRect = errors.New("rtree: invalid rectangle")
 )
 

@@ -132,9 +132,6 @@ func (t *Tree) RootChunk() int { return t.rootChunk }
 // MaxEntries returns the configured fan-out M.
 func (t *Tree) MaxEntries() int { return t.maxEntries }
 
-// MinEntries returns the configured underflow bound m.
-func (t *Tree) MinEntries() int { return t.minEntries }
-
 // Region returns the backing memory region.
 func (t *Tree) Region() *region.Region { return t.reg }
 

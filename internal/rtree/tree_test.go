@@ -556,3 +556,6 @@ func BenchmarkMoveBulkLoaded(b *testing.B) {
 	}
 	b.ReportMetric(float64(written)/float64(b.N), "nodes-written/op")
 }
+
+// MinEntries returns the configured underflow bound m.
+func (t *Tree) MinEntries() int { return t.minEntries }

@@ -2,9 +2,9 @@
 // §5.13): a fleet of moving objects updating their positions through
 // first-class MOVE operations, nearby-window and k-nearest-neighbor query
 // generation around those objects, and skewed spatial traffic — Zipfian
-// hotspots over grid cells plus flash-crowd traces whose hotspot migrates
-// abruptly — to drive the autoscaler and resharder the way a real geo
-// service (ride hailing, fleet tracking, "restaurants near me") would.
+// hotspots over grid cells — to drive the autoscaler and resharder the way
+// a real geo service (ride hailing, fleet tracking, "restaurants near me")
+// would.
 //
 // Every generator draws from a caller-provided *rand.Rand, so a scenario
 // replays deterministically under a seed and each simulated or real loader
@@ -149,8 +149,8 @@ func (m *MovingObjects) Nearby(i int, span float64) geo.Rect {
 // is divided into Grid×Grid cells, a random permutation assigns each cell
 // a popularity rank, and points are drawn by sampling a rank from a Zipf
 // distribution and then a uniform position inside the ranked cell. The
-// rank-1 cell is the hotspot; Migrate re-permutes the ranks, moving the
-// hotspot abruptly — the flash-crowd event.
+// rank-1 cell is the hotspot; a grid drawn from another seed puts it
+// elsewhere, which is how the hotspot ablation stages a flash crowd.
 type ZipfGrid struct {
 	grid int
 	zipf *rand.Zipf
@@ -192,46 +192,3 @@ func (z *ZipfGrid) Point(rng *rand.Rand) (x, y float64) {
 	cell := z.cellRect(z.perm[z.zipf.Uint64()])
 	return cell.MinX + rng.Float64()*cell.Width(), cell.MinY + rng.Float64()*cell.Height()
 }
-
-// Rect samples a query rect of the given edge anchored at a sampled point
-// (clamped to the unit square).
-func (z *ZipfGrid) Rect(rng *rand.Rand, edge float64) geo.Rect {
-	x, y := z.Point(rng)
-	return geo.Rect{MinX: x, MinY: y,
-		MaxX: math.Min(x+edge, 1), MaxY: math.Min(y+edge, 1)}
-}
-
-// Migrate re-permutes the cell ranks — the hotspot jumps to a new random
-// cell in one step, with no ramp. This is the flash-crowd event: a stadium
-// lets out, a concert starts, and the traffic center of mass moves faster
-// than any gradual controller assumption allows.
-func (z *ZipfGrid) Migrate(rng *rand.Rand) {
-	z.perm = rng.Perm(z.grid * z.grid)
-}
-
-// FlashCrowd drives a ZipfGrid through a phased trace: every PhaseOps
-// samples the hotspot migrates. Sharing one FlashCrowd across loaders is
-// not goroutine-safe; give each loader its own (same seed ⇒ same phases).
-type FlashCrowd struct {
-	// Grid is the underlying skewed sampler.
-	Grid *ZipfGrid
-	// PhaseOps is the number of samples between migrations.
-	PhaseOps int
-
-	ops    int
-	phases int
-}
-
-// Next samples the next query point, migrating the hotspot at phase
-// boundaries.
-func (f *FlashCrowd) Next(rng *rand.Rand) (x, y float64) {
-	if f.PhaseOps > 0 && f.ops > 0 && f.ops%f.PhaseOps == 0 {
-		f.Grid.Migrate(rng)
-		f.phases++
-	}
-	f.ops++
-	return f.Grid.Point(rng)
-}
-
-// Phase returns how many migrations have fired.
-func (f *FlashCrowd) Phase() int { return f.phases }

@@ -131,3 +131,38 @@ func TestNearbyWindowCentersOnObject(t *testing.T) {
 	}
 	var _ geo.Rect = q
 }
+
+// FlashCrowd drives a ZipfGrid through a phased trace: every PhaseOps
+// samples the hotspot migrates. Sharing one FlashCrowd across loaders is
+// not goroutine-safe; give each loader its own (same seed ⇒ same phases).
+type FlashCrowd struct {
+	// Grid is the underlying skewed sampler.
+	Grid *ZipfGrid
+	// PhaseOps is the number of samples between migrations.
+	PhaseOps int
+
+	ops    int
+	phases int
+}
+
+// Next samples the next query point, migrating the hotspot at phase
+// boundaries.
+func (f *FlashCrowd) Next(rng *rand.Rand) (x, y float64) {
+	if f.PhaseOps > 0 && f.ops > 0 && f.ops%f.PhaseOps == 0 {
+		f.Grid.Migrate(rng)
+		f.phases++
+	}
+	f.ops++
+	return f.Grid.Point(rng)
+}
+
+// Phase returns how many migrations have fired.
+func (f *FlashCrowd) Phase() int { return f.phases }
+
+// Migrate re-permutes the cell ranks — the hotspot jumps to a new random
+// cell in one step, with no ramp. This is the flash-crowd event: a stadium
+// lets out, a concert starts, and the traffic center of mass moves faster
+// than any gradual controller assumption allows.
+func (z *ZipfGrid) Migrate(rng *rand.Rand) {
+	z.perm = rng.Perm(z.grid * z.grid)
+}

@@ -196,7 +196,9 @@ func goldenMain(p *sim.Proc, w *goldenWire, mid func(p *sim.Proc)) {
 	del := func(r geo.Rect, ref uint64) wire.Request {
 		return wire.Request{Type: wire.MsgDelete, Rect: r, Ref: ref}
 	}
-	move := func(from, to geo.Rect, ref uint64) wire.Request { return wire.MoveRequest(0, from, to, ref) }
+	move := func(from, to geo.Rect, ref uint64) wire.Request {
+		return wire.Request{Type: wire.MsgMove, Rect: from, Ref: ref, Rect2: to}
+	}
 	small, medium := goldenRect(0.40, 0.40, 0.02), goldenRect(0.30, 0.30, 0.22)
 	a, b, c := goldenRect(0.11, 0.12, 0.001), goldenRect(0.71, 0.22, 0.001), goldenRect(0.45, 0.46, 0.001)
 
@@ -258,7 +260,7 @@ func goldenSide(p *sim.Proc, w *goldenWire) {
 		}
 		w.batch(p, "side-batch",
 			wire.Request{Type: wire.MsgSearch, Rect: spot},
-			wire.MoveRequest(0, spot, goldenRect(1-x, x, 0.001), 1<<50+uint64(i)),
+			wire.Request{Type: wire.MsgMove, Rect: spot, Ref: 1<<50 + uint64(i), Rect2: goldenRect(1-x, x, 0.001)},
 			wire.KNNRequest(0, 5, x, x))
 		p.Sleep(3 * time.Microsecond)
 	}

@@ -420,11 +420,11 @@ func (x port) Account(kind wire.MsgType, i int, st rtree.OpStats, delivered bool
 	cost := x.s.cfg.Cost
 	switch {
 	case delivered:
-		x.c.demand += cost.FetchDemandBatched(i, st.NodesRead, st.Results)
+		x.c.demand += cost.FetchDemand(i, st.NodesRead, st.Results)
 	case kind == wire.MsgInsert || kind == wire.MsgDelete || kind == wire.MsgMove:
-		x.c.demand += cost.InsertDemandBatched(i, st.NodesRead, st.NodesWritten)
+		x.c.demand += cost.InsertDemand(i, st.NodesRead, st.NodesWritten)
 	default:
-		x.c.demand += cost.SearchDemandBatched(i, st.NodesRead, st.Results)
+		x.c.demand += cost.SearchDemand(i, st.NodesRead, st.Results)
 	}
 	x.c.owed = true
 }
@@ -518,9 +518,6 @@ func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }
 // discrete-event engine.
 func (s *Server) Kill() { s.core.Kill() }
 
-// Killed reports whether Kill has been called.
-func (s *Server) Killed() bool { return s.core.Killed() }
-
 // Replication returns the server's replication core (nil without Replica);
 // a backup attached to it gets every write the server applies as primary,
 // before the write is acknowledged.
@@ -546,7 +543,7 @@ func (s *Server) applyReplicated(p *sim.Proc, recs []replica.Record) wire.ReplAc
 	ack, n, st := s.core.ApplyRecords(port{s: s, p: p}, recs)
 	if n > 0 && s.cfg.Mode == ModeEvent {
 		cost := s.cfg.Cost
-		s.cfg.Host.CPU().Run(p, time.Duration(n-1)*cost.InsertFixed+cost.InsertDemand(st.NodesRead, st.NodesWritten))
+		s.cfg.Host.CPU().Run(p, time.Duration(n-1)*cost.InsertFixed+cost.InsertDemand(0, st.NodesRead, st.NodesWritten))
 	}
 	return ack
 }

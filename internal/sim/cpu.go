@@ -39,9 +39,6 @@ func NewCPU(e *Engine, cores int) *CPU {
 	}
 }
 
-// Cores returns the core count.
-func (c *CPU) Cores() int { return int(c.cores) }
-
 // rate returns the per-job progress rate under the current job count.
 func (c *CPU) rate() float64 {
 	n := float64(len(c.jobs))
@@ -151,9 +148,6 @@ func (c *CPU) Submit(demand time.Duration) *Future[struct{}] {
 	return fut
 }
 
-// Inflight returns the number of jobs currently being served.
-func (c *CPU) Inflight() int { return len(c.jobs) }
-
 // UtilizationWindow returns mean utilization (0..1) since the previous call
 // and resets the window; this is what the Catfish server embeds in its
 // heartbeats.
@@ -208,9 +202,6 @@ func NewPollCPU(e *Engine, cores int, pollSlice time.Duration) *PollCPU {
 	}
 	return c
 }
-
-// Cores returns the core count.
-func (c *PollCPU) Cores() int { return len(c.cores) }
 
 // PollThread is one busy-polling worker thread registered on a PollCPU.
 type PollThread struct {

@@ -71,9 +71,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // processes, and Run returns nil.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // event is a scheduled wake-up: either a process resume or an inline
 // callback (used by resources' internal timers). Callbacks run on the engine
 // loop and must not block.
@@ -156,9 +153,6 @@ type Proc struct {
 	resume chan bool // true = continue, false = killed
 	done   bool
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
@@ -249,13 +243,6 @@ func (p *Proc) Sleep(d time.Duration) {
 // if processes remain blocked with no pending events.
 func (e *Engine) Run() error {
 	return e.run(-1)
-}
-
-// RunUntil executes events with timestamps <= horizon, then stops the
-// simulation (killing remaining processes). A negative horizon means no
-// limit.
-func (e *Engine) RunUntil(horizon time.Duration) error {
-	return e.run(horizon)
 }
 
 func (e *Engine) run(horizon time.Duration) error {

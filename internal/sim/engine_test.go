@@ -377,3 +377,25 @@ func TestEngineNoGoroutineLeaks(t *testing.T) {
 	}
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
+
+// Stopped reports whether Stop has been called.
+func (e *Engine) Stopped() bool { return e.stopped }
+
+// RunUntil executes events with timestamps <= horizon, then stops the
+// simulation (killing remaining processes). A negative horizon means no
+// limit.
+func (e *Engine) RunUntil(horizon time.Duration) error {
+	return e.run(horizon)
+}
+
+// Done reports whether the future has been completed.
+func (f *Future[T]) Done() bool { return f.done }
+
+// Value returns the completed value; it is only meaningful when Done.
+func (f *Future[T]) Value() T { return f.val }
+
+// Capacity returns the configured capacity.
+func (r *Resource) Capacity() int { return r.capacity }
+
+// Avail returns the currently available units.
+func (r *Resource) Avail() int { return r.avail }

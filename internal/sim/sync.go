@@ -46,12 +46,6 @@ func (f *Future[T]) Then(fn func(T)) {
 	f.callbacks = append(f.callbacks, fn)
 }
 
-// Done reports whether the future has been completed.
-func (f *Future[T]) Done() bool { return f.done }
-
-// Value returns the completed value; it is only meaningful when Done.
-func (f *Future[T]) Value() T { return f.val }
-
 // Wait blocks the process until the future completes and returns its value.
 func (f *Future[T]) Wait(p *Proc) T {
 	for !f.done {
@@ -168,12 +162,6 @@ type resWaiter struct {
 func NewResource(e *Engine, capacity int) *Resource {
 	return &Resource{e: e, capacity: capacity, avail: capacity}
 }
-
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Avail returns the currently available units.
-func (r *Resource) Avail() int { return r.avail }
 
 // Acquire blocks the process until n units are available, then takes them.
 // Requests are granted strictly in FIFO order. n must not exceed capacity.

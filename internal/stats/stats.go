@@ -12,7 +12,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -99,12 +98,6 @@ func (h *Histogram) Record(v time.Duration) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the arithmetic mean of the samples, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {
@@ -178,17 +171,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-}
-
-// Reset clears all recorded samples.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = 0
 }
 
 // Summary is a compact snapshot of a histogram used in experiment results.
@@ -381,23 +363,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-quantile (0..1) of the given exact samples. It
-// sorts a copy; intended for small test vectors, not hot paths.
-func Percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	cp := make([]time.Duration, len(samples))
-	copy(cp, samples)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(p * float64(len(cp)))
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return cp[idx]
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -250,4 +252,40 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Record(time.Duration(i%1000000) * time.Nanosecond)
 	}
+}
+
+// Count returns the number of recorded samples.
+func (h *Histogram) Count() uint64 { return h.count }
+
+// Sum returns the sum of all recorded samples.
+func (h *Histogram) Sum() time.Duration { return h.sum }
+
+// Reset clears all recorded samples.
+func (h *Histogram) Reset() {
+	for i := range h.buckets {
+		h.buckets[i] = 0
+	}
+	h.count = 0
+	h.sum = 0
+	h.min = math.MaxInt64
+	h.max = 0
+}
+
+// Percentile returns the p-quantile (0..1) of the given exact samples. It
+// sorts a copy; intended for small test vectors, not hot paths.
+func Percentile(samples []time.Duration, p float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	cp := make([]time.Duration, len(samples))
+	copy(cp, samples)
+	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	idx := int(p * float64(len(cp)))
+	if idx >= len(cp) {
+		idx = len(cp) - 1
+	}
+	if idx < 0 {
+		idx = 0
+	}
+	return cp[idx]
 }

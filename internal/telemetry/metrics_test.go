@@ -262,3 +262,34 @@ func TestClientSnapshotAdd(t *testing.T) {
 		t.Error("empty OffloadFraction != 0")
 	}
 }
+
+// Counter returns the counter registered under name (+ optional label
+// pairs), creating it on first use. On a nil registry the counter is live
+// but unregistered.
+func (r *Registry) Counter(name string, kv ...string) *Counter {
+	c := &Counter{}
+	if r == nil {
+		return c
+	}
+	full, base := r.fullName(name, kv)
+	m := r.register(full, base, &metric{kind: KindCounter, counter: c.Load, owned: c})
+	// An existing registration keeps its own counter.
+	if got, ok := m.owned.(*Counter); ok {
+		return got
+	}
+	return c
+}
+
+// Gauge returns the gauge registered under name, creating it on first use.
+func (r *Registry) Gauge(name string, kv ...string) *Gauge {
+	g := &Gauge{}
+	if r == nil {
+		return g
+	}
+	full, base := r.fullName(name, kv)
+	m := r.register(full, base, &metric{kind: KindGauge, gauge: g.Load, owned: g})
+	if got, ok := m.owned.(*Gauge); ok {
+		return got
+	}
+	return g
+}

@@ -112,14 +112,6 @@ func (t *Tracer) Len() int {
 	return t.size
 }
 
-// Cap returns the ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
 // Dump returns the retained records, oldest first.
 func (t *Tracer) Dump() []Trace {
 	if t == nil {

@@ -143,3 +143,11 @@ func TestTracerWriteJSON(t *testing.T) {
 		t.Errorf("empty dump not an array:\n%s", eb.String())
 	}
 }
+
+// Cap returns the ring capacity.
+func (t *Tracer) Cap() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.ring)
+}

@@ -129,9 +129,6 @@ func DecodeBatch(b []byte) (BatchIter, error) {
 	}, nil
 }
 
-// Len returns the number of sub-messages not yet returned by Next.
-func (it *BatchIter) Len() int { return it.remaining }
-
 // Next returns the next sub-message body, or false when the container is
 // exhausted or corrupt (check Err to distinguish).
 func (it *BatchIter) Next() ([]byte, bool) {

@@ -45,9 +45,3 @@ const MoveRequestSize = RequestSize + 32
 func KNNRequest(id uint64, k int, x, y float64) Request {
 	return Request{Type: MsgKNN, ID: id, Rect: geo.PointRect(x, y), Ref: uint64(k)}
 }
-
-// MoveRequest builds the request relocating entry ref from rectangle from
-// to rectangle to.
-func MoveRequest(id uint64, from, to geo.Rect, ref uint64) Request {
-	return Request{Type: MsgMove, ID: id, Rect: from, Ref: ref, Rect2: to}
-}

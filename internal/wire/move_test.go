@@ -108,3 +108,9 @@ func TestMoveInBatch(t *testing.T) {
 		t.Errorf("knn sub-message: %+v, %v", req, err)
 	}
 }
+
+// MoveRequest builds the request relocating entry ref from rectangle from
+// to rectangle to.
+func MoveRequest(id uint64, from, to geo.Rect, ref uint64) Request {
+	return Request{Type: MsgMove, ID: id, Rect: from, Ref: ref, Rect2: to}
+}

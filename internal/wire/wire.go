@@ -77,11 +77,6 @@ type Request struct {
 // RequestSize is the encoded size of a Request without a deadline word.
 const RequestSize = 1 + 8 + 32 + 8
 
-// RequestSizeDeadline is the encoded size of a Request carrying a deadline
-// word. Encode appends the word only when DeadlineUS is nonzero, so
-// deadline-free requests stay byte-identical to the legacy layout.
-const RequestSizeDeadline = RequestSize + 4
-
 // Encode appends the request encoding to buf and returns it.
 func (r Request) Encode(buf []byte) []byte {
 	off := len(buf)
@@ -166,9 +161,6 @@ const respHeader = 1 + 8 + 1 + 1 + 4
 // ResponseHeaderSize is the encoded size of a response segment's fixed
 // header; its packed items follow.
 const ResponseHeaderSize = respHeader
-
-// EncodedSize returns the encoded size of the response.
-func (r Response) EncodedSize() int { return respHeader + len(r.Items)*ItemSize }
 
 // Encode appends the response encoding to buf and returns it.
 func (r Response) Encode(buf []byte) []byte {

@@ -231,3 +231,14 @@ func TestHeartbeatCarriesRootVersion(t *testing.T) {
 		t.Errorf("round trip = %+v", got)
 	}
 }
+
+// Len returns the number of sub-messages not yet returned by Next.
+func (it *BatchIter) Len() int { return it.remaining }
+
+// EncodedSize returns the encoded size of the response.
+func (r Response) EncodedSize() int { return respHeader + len(r.Items)*ItemSize }
+
+// RequestSizeDeadline is the encoded size of a Request carrying a deadline
+// word. Encode appends the word only when DeadlineUS is nonzero, so
+// deadline-free requests stay byte-identical to the legacy layout.
+const RequestSizeDeadline = RequestSize + 4
