@@ -35,7 +35,7 @@ gate 2 race 'TestOffloadEvictionMidTraversal|TestOffloadStageStamps|TestOffloadF
 gate 2 race 'TestRelocateInPlaceReadersSeeOldOrNew' ./internal/rtree/  # raw readers beside in-place relocations
 # Real sockets (internal/rpcnet): cross-transport scripts, run to completion, the mux, failover, resharding, scenarios, the result pipeline.
 gate 2 race 'TestRouterCrossTransport|TestClientCrossTransport|TestServerCrossTransport|TestExecBatchUndecodableReply|TestReadTokenHandoff|TestIdleMuxStillReads|TestMuxCloseUnblocksReader|TestMailboxCapacityBoundary|TestInlineRespectsWorkerBound|TestPipelinedFrameQueues|TestConnWriterOrdering|TestStageMetrics|TestSpanReadsOverTCP|TestPrefetchOverTCP|TestLeaseSyncOnTraversal|TestOffloadReadFailures|TestOneSidedReadRepliesByteIdentical|TestMux|TestStreamID|TestStreamSeq|TestSlowReader|TestShutdownConcurrentDials|TestAdmissionShedsTyped|TestNetMoveEquivalence|TestNetKNNMatchesLocal|TestNetScenarioHammer|TestStreamedSegmentsByteIdentical|TestPipelineMatchesLocalTree|TestFrameOwnershipHammer' ./internal/rpcnet/  # every named TCP contract
-gate 2 race 'FailoverKillPrimary|ZombiePrimaryFenced|LiveReshard|SplitShard|DrainKeepsRacingWrites|ElasticScrape|ElasticCloseWaitsDrain|ShardMapIntegrity|StaleMapNotAdopted|TestReplicationCrossTransport' ./internal/rpcnet/  # failover, zombie fencing, live resharding, replication script
+gate 2 race 'FailoverKillPrimary|ZombiePrimaryFenced|LiveReshard|SplitShard|DrainKeepsRacingWrites|ElasticScrape|ElasticCloseWaitsDrain|ShardMapIntegrity|StaleMapNotAdopted|TestReplicationCrossTransport|TestReshardCrossTransport' ./internal/rpcnet/  # failover, zombie fencing, live resharding and its fence on both transports, replication script
 gate 2 race 'TestMuxCloseUnblocksReader|TestClientCrossTransport/offload|TestRouterCrossTransport/primary-kill' ./internal/rpcnet/  # two more schedules each: Close beside a blocked read, the sim-vs-TCP offload rows, router failover on both transports
 # Loops: rare interleavings need many runs, without the race detector's slowdown.
 gate 500 norace 'TestConcurrentReadersAndWriter$|TestNodeCacheConcurrentWriterOverTCP$' ./internal/rpcnet/  # offload retry budget under a live writer

@@ -10,6 +10,32 @@ import (
 	"github.com/catfish-db/catfish/internal/workload"
 )
 
+// Ablations lists every ablation (DESIGN.md §7) by the name
+// catfish-bench -ablation takes, in the order "all" runs them.
+var Ablations = []struct {
+	Name string
+	Run  func(Options) (*stats.Table, error)
+}{
+	{"n", AblationBackoffN},
+	{"t", AblationThresholdT},
+	{"heartbeat", AblationHeartbeat},
+	{"multiissue", AblationMultiIssueDepth},
+	{"batch", AblationBatchSize},
+	{"chunk", AblationChunkSize},
+	{"rootcache", AblationRootCache},
+	{"nodecache", AblationNodeCache},
+	{"prefetch", AblationPrefetch},
+	{"predictor", AblationPredictor},
+	{"fetch", AblationFetch},
+	{"shards", AblationShards},
+	{"failover", AblationFailover},
+	{"autoscale", AblationAutoscale},
+	{"moving", AblationMovingObjects},
+	{"knn", AblationKNN},
+	{"hotspot", AblationHotspot},
+	{"framework", Framework},
+}
+
 // ablationConfig is the common saturated-server setup the ablations vary:
 // Catfish under the CPU-bound workload, where adaptivity matters most.
 func (o Options) ablationConfig(cache *datasetCache, clients int) (cluster.Config, error) {

@@ -174,33 +174,22 @@ func TestFig14Quick(t *testing.T) {
 	checkSweepTables(t, "fig14a", "fig14b", thr, lat, results)
 }
 
-// TestAblationsQuick runs every ablation that lives on the simulated fabric
-// and pins its table; autoscale and hotspot run on wall-clock TCP and stay
-// out.
+// TestAblationsQuick runs every ablation of the one list catfish-bench
+// reads and pins its table. Every autoscale row of the live-resharding
+// ablations must report splits, so a regenerated pin cannot hide an
+// autoscaler that never fired.
 func TestAblationsQuick(t *testing.T) {
-	for name, fn := range map[string]func(Options) (*stats.Table, error){
-		"n":          AblationBackoffN,
-		"t":          AblationThresholdT,
-		"heartbeat":  AblationHeartbeat,
-		"multiissue": AblationMultiIssueDepth,
-		"batch":      AblationBatchSize,
-		"chunk":      AblationChunkSize,
-		"rootcache":  AblationRootCache,
-		"nodecache":  AblationNodeCache,
-		"prefetch":   AblationPrefetch,
-		"predictor":  AblationPredictor,
-		"fetch":      AblationFetch,
-		"shards":     AblationShards,
-		"failover":   AblationFailover,
-		"moving":     AblationMovingObjects,
-		"knn":        AblationKNN,
-		"framework":  Framework,
-	} {
-		table, err := fn(quickOpts())
+	for _, a := range Ablations {
+		table, err := a.Run(quickOpts())
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", a.Name, err)
 		}
-		checkQuickTable(t, "ablation-"+name, table)
+		checkQuickTable(t, "ablation-"+a.Name, table)
+		for _, line := range strings.Split(table.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] == "autoscale" && f[2] == "0" {
+				t.Errorf("%s: an autoscale row split nothing: %s", a.Name, line)
+			}
+		}
 	}
 }
 

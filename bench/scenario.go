@@ -1,10 +1,8 @@
 // Geo serving scenario ablations (DESIGN.md §5.13): moving objects
 // updating positions through first-class MOVE operations, remote kNN on
 // both access-method families, and a Zipfian flash-crowd trace driving the
-// autoscaler. The moving-objects and knn ablations run on the simulated
-// fabric like the paper figures; the hotspot ablation runs on real
-// localhost TCP like the autoscale ablation, because its whole point is
-// live resharding under migrating load.
+// autoscaler. All three run on the simulated fabric like the paper
+// figures; the hotspot ablation splits shards live under migrating load.
 package bench
 
 import (
@@ -17,10 +15,8 @@ import (
 	"github.com/catfish-db/catfish/internal/client"
 	"github.com/catfish-db/catfish/internal/cluster"
 	"github.com/catfish-db/catfish/internal/geo"
-	"github.com/catfish-db/catfish/internal/rpcnet"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/scenario"
-	"github.com/catfish-db/catfish/internal/shard"
 	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/stats"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -311,77 +307,30 @@ func sameNeighbors(got, want []rtree.Neighbor) error {
 
 // AblationHotspot replays a flash-crowd trace — Zipfian spatial hotspots
 // whose hottest cell migrates abruptly between phases — against static
-// deployments and the autoscaler, on real localhost TCP. Broad hotspot
-// scans saturate the hot shard's paced TX line; a static partition cannot
-// follow the crowd, while the autoscaler splits whichever cell runs hot,
-// so the flash-crowd p99 (ops after the first migration) is the claim:
-// autoscaling cuts it well below static-1 without overprovisioning like
-// static-4 everywhere. The geo serving mix rides along: position MOVEs
-// (upserts into the live tree) and kNN queries at the hotspot.
+// deployments and the autoscaler. Broad hotspot scans saturate the hot
+// shard's CPU; a static partition cannot follow the crowd, while the
+// autoscaler splits whichever cell runs hot, so the flash-crowd p99 (ops
+// after the first migration) is the claim: autoscaling cuts it well below
+// static-1 without overprovisioning like static-4 everywhere. The geo
+// serving mix rides along: position MOVEs (upserts into the live tree) and
+// kNN queries at the hotspot.
 func AblationHotspot(o Options) (*stats.Table, error) {
 	o = o.withDefaults()
-	n := o.DatasetSize
-	if n > 20000 {
-		n = 20000
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	data := make([]rtree.Entry, n)
-	for i := range data {
-		data[i] = rtree.Entry{
-			Rect: randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.005),
-			Ref:  uint64(i),
-		}
-	}
-	loaders := 16
-	// Long enough phases that the steady crowd, not the handful of ops
-	// stalled behind each reshard, decides the post-migration p99.
-	opsPerLoader := o.Requests * 9
-	if opsPerLoader > 7500 {
-		opsPerLoader = 7500
-	}
-	const (
-		deadline = 5 * time.Millisecond
-		slo      = 5 * time.Millisecond
-	)
-	hb := elasticHeartbeat(o)
-	table := stats.NewTable("mode", "finalK", "splits", "ops", "viol%", "overloaded",
-		"p99_us", "crowd_p99_us", "hotshard")
-	run := func(mode string, staticK int) error {
-		// MaxK leaves headroom beyond the first hotspot's splits (the crowd
-		// migrates twice more, and a controller that spent its whole split
-		// budget on phase 0 cannot chase it), but not much more: every
-		// split stalls in-flight ops while the peeled half streams over,
-		// so an over-eager policy buys its extra shards with a reshard
-		// tail that swamps the p99 it was meant to cut.
-		r, err := runElastic(o, data, staticK, loaders, autoscale.PolicyConfig{
-			ScaleUpUtil: 0.8,
-			MaxK:        8,
-			Cooldown:    25 * hb,
-			TXOnly:      true,
-		}, deadline, slo, hotspotLoad(o, opsPerLoader))
-		if err != nil {
-			return fmt.Errorf("ablation hotspot %s: %w", mode, err)
-		}
-		table.AddRow(mode,
-			fmt.Sprintf("%d", r.finalK),
-			fmt.Sprintf("%d", r.splits),
-			fmt.Sprintf("%d", r.ops),
-			fmt.Sprintf("%.2f", 100*float64(r.violations)/float64(max(r.ops, 1))),
-			fmt.Sprintf("%d", r.overloaded),
-			fmtDur(r.p99),
-			fmtDur(r.crowdP99),
-			fmt.Sprintf("%d", hotOwner(o, r.m)))
-		return nil
-	}
-	for _, k := range []int{1, 4} {
-		if err := run(fmt.Sprintf("static-%d", k), k); err != nil {
-			return nil, err
-		}
-	}
-	if err := run("autoscale", 0); err != nil {
-		return nil, err
-	}
-	return table, nil
+	// MaxK leaves headroom beyond the first hotspot's splits: the crowd
+	// migrates twice more, and a controller that spent its whole split
+	// budget on phase 0 could not chase it. Phases are long enough that the
+	// steady crowd, not the operations around each split, decides the p99.
+	return elasticAblation(o, "hotspot", []int{1, 4, 0},
+		autoscale.PolicyConfig{ScaleUpUtil: 0.8, MaxK: 8, Cooldown: 25 * o.HeartbeatInv},
+		hotspotLoad(o, min(o.Requests*9, 7500)),
+		stats.NewTable("mode", "finalK", "splits", "ops", "viol%", "p99_us", "crowd_p99_us", "hotshard"),
+		func(r elasticResult) []string {
+			hot := 0
+			if r.m != nil {
+				hot = r.m.Owner(geo.PointRect(phaseGrid(o, hotspotPhases-1).HotCell().Center()))
+			}
+			return []string{r.violPct(), fmtDur(r.p99), fmtDur(r.crowdP99), fmt.Sprint(hot)}
+		})
 }
 
 // hotspotPhases is the flash-crowd trace length: the hotspot migrates at
@@ -394,23 +343,21 @@ const hotspotPhases = 3
 // isolates it).
 const hotspotGrid = 4
 
+// hotspotPause is each loader's think time between operations.
+const hotspotPause = 100 * time.Microsecond
+
 // phaseGrid is the flash crowd's Zipf grid in one phase. Every loader
 // derives it from the same seed, so the whole fleet agrees on where the
 // crowd is — that agreement is what makes it a flash crowd — while each
-// samples from its own instance (rand.Zipf is not goroutine-safe).
+// samples from its own instance.
 func phaseGrid(o Options, phase int) *scenario.ZipfGrid {
 	return scenario.NewZipfGrid(rand.New(rand.NewSource(o.Seed*31+int64(phase))), hotspotGrid, 1.4)
 }
 
-// hotOwner is the shard of m that owns the last phase's hot cell.
-func hotOwner(o Options, m *shard.Map) int {
-	return m.Owner(geo.PointRect(phaseGrid(o, hotspotPhases-1).HotCell().Center()))
-}
-
 // hotspotLoad is one loader's flash-crowd replay: broad scans at the
 // phase's hotspot, courier MOVEs, kNN at the hotspot and uniform scans.
-func hotspotLoad(o Options, opsPerLoader int) func(li int, r *rpcnet.Router, log *opLog) error {
-	return func(li int, r *rpcnet.Router, log *opLog) error {
+func hotspotLoad(o Options, opsPerLoader int) elasticLoad {
+	return func(li int, p *sim.Proc, op func(int, func(cluster.Ops) error) error) error {
 		rng := rand.New(rand.NewSource(o.Seed + 2000 + int64(li)))
 		// Each loader's courier fleet: MOVEs are upserts, so the first
 		// move of each object inserts it into the live tree.
@@ -421,14 +368,14 @@ func hotspotLoad(o Options, opsPerLoader int) func(li int, r *rpcnet.Router, log
 		for phase := 0; phase < hotspotPhases; phase++ {
 			grid := phaseGrid(o, phase)
 			for i := 0; i < opsPerLoader/hotspotPhases; i++ {
-				t0 := time.Now()
-				var err error
+				var fn func(cluster.Ops) error
 				switch draw := rng.Float64(); {
 				case draw < 0.70:
 					// The crowd: broad scans at the hotspot saturate the
-					// hot shard's TX line.
+					// hot shard's CPU.
 					x, y := grid.Point(rng)
-					_, _, err = r.Search(randRectIn(rng, geo.PointRect(x, y), 0.07))
+					q := randRectIn(rng, geo.PointRect(x, y), 0.07)
+					fn = func(c cluster.Ops) error { _, _, err := c.Search(q); return err }
 				case draw < 0.80:
 					// Courier position updates ride along.
 					if len(pending) == 0 {
@@ -436,18 +383,19 @@ func hotspotLoad(o Options, opsPerLoader int) func(li int, r *rpcnet.Router, log
 					}
 					mv := pending[len(pending)-1]
 					pending = pending[:len(pending)-1]
-					err = r.Move(mv.From, mv.To, mv.Ref)
+					fn = func(c cluster.Ops) error { return c.Move(mv.From, mv.To, mv.Ref) }
 				case draw < 0.90:
 					// "Nearest drivers" at the hotspot.
 					x, y := grid.Point(rng)
-					_, _, err = r.Nearest(8, x, y)
+					fn = func(c cluster.Ops) error { _, _, err := c.Nearest(8, x, y); return err }
 				default:
-					q := randRectIn(rng, geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0.03)
-					_, _, err = r.Search(q)
+					q := randRectIn(rng, unitSquare, 0.03)
+					fn = func(c cluster.Ops) error { _, _, err := c.Search(q); return err }
 				}
-				if err := log.record(phase, t0, err); err != nil {
+				if err := op(phase, fn); err != nil {
 					return err
 				}
+				p.Sleep(hotspotPause)
 			}
 		}
 		return nil

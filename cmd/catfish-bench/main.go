@@ -22,6 +22,8 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/bench"
+	"github.com/catfish-db/catfish/internal/cluster"
+	"github.com/catfish-db/catfish/internal/stats"
 )
 
 func main() {
@@ -32,9 +34,13 @@ func main() {
 }
 
 func run() error {
+	var ablations []string
+	for _, a := range bench.Ablations {
+		ablations = append(ablations, a.Name)
+	}
 	var (
 		fig      = flag.String("fig", "", "figure to regenerate: 2,7,8,9,10,11,12,13,14,all")
-		ablation = flag.String("ablation", "", "ablation to run: n,t,heartbeat,multiissue,chunk,prefetch,fetch,shards,failover,autoscale,all")
+		ablation = flag.String("ablation", "", "comma-separated ablations to run, or all: "+strings.Join(ablations, ","))
 		quick    = flag.Bool("quick", false, "smoke-test sizes")
 		full     = flag.Bool("full", false, "the paper's exact parameters (slow)")
 		dataset  = flag.Int("dataset", 0, "override dataset size")
@@ -77,7 +83,7 @@ func run() error {
 		}
 	}
 	if *ablation != "" {
-		for _, a := range expand(*ablation, []string{"n", "t", "heartbeat", "multiissue", "batch", "chunk", "rootcache", "nodecache", "prefetch", "predictor", "fetch", "shards", "failover", "autoscale", "moving", "knn", "hotspot", "framework"}) {
+		for _, a := range expand(*ablation, ablations) {
 			if err := runAblation(a, opts); err != nil {
 				return err
 			}
@@ -129,100 +135,49 @@ func runFig(fig string, opts bench.Options) error {
 		section("Fig 9: communication micro-benchmark", start)
 		fmt.Println(t)
 	case "10", "11":
-		thr, lat, results, err := bench.Fig10And11(opts)
-		if err != nil {
-			return err
-		}
-		section("Fig 10: throughput, 100% search (Kops)", start)
-		fmt.Println(thr)
-		section("Fig 11: latency, 100% search (mean µs)", start)
-		fmt.Println(lat)
-		fmt.Println("Catfish speedups across the sweep:")
-		fmt.Println(bench.Speedups(results))
-		fmt.Println("Offloaded reads per search:")
-		fmt.Println(bench.ReadsPerSearch(results))
+		return sweep(start, "Fig 10: throughput, 100% search (Kops)", "Fig 11: latency, 100% search (mean µs)")(bench.Fig10And11(opts))
 	case "12", "13":
-		thr, lat, results, err := bench.Fig12And13(opts)
-		if err != nil {
-			return err
-		}
-		section("Fig 12: throughput, 90% search + 10% insert (Kops)", start)
-		fmt.Println(thr)
-		section("Fig 13: latency, 90% search + 10% insert (mean µs)", start)
-		fmt.Println(lat)
-		fmt.Println("Catfish speedups across the sweep:")
-		fmt.Println(bench.Speedups(results))
-		fmt.Println("Offloaded reads per search:")
-		fmt.Println(bench.ReadsPerSearch(results))
+		return sweep(start, "Fig 12: throughput, 90% search + 10% insert (Kops)", "Fig 13: latency, 90% search + 10% insert (mean µs)")(bench.Fig12And13(opts))
 	case "14":
-		thr, lat, results, err := bench.Fig14(opts)
-		if err != nil {
-			return err
-		}
-		section("Fig 14a: rea02 throughput (Kops)", start)
-		fmt.Println(thr)
-		section("Fig 14b: rea02 latency (mean µs)", start)
-		fmt.Println(lat)
-		fmt.Println("Catfish speedups across the sweep:")
-		fmt.Println(bench.Speedups(results))
-		fmt.Println("Offloaded reads per search:")
-		fmt.Println(bench.ReadsPerSearch(results))
+		return sweep(start, "Fig 14a: rea02 throughput (Kops)", "Fig 14b: rea02 latency (mean µs)")(bench.Fig14(opts))
 	default:
 		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil
 }
 
+// sweep prints a five-scheme sweep: its throughput and latency tables under
+// their titles, then the speedups and offloaded reads across it.
+func sweep(start time.Time, thrTitle, latTitle string) func(thr, lat *stats.Table, results []cluster.Result, err error) error {
+	return func(thr, lat *stats.Table, results []cluster.Result, err error) error {
+		if err != nil {
+			return err
+		}
+		section(thrTitle, start)
+		fmt.Println(thr)
+		section(latTitle, start)
+		fmt.Println(lat)
+		fmt.Println("Catfish speedups across the sweep:")
+		fmt.Println(bench.Speedups(results))
+		fmt.Println("Offloaded reads per search:")
+		fmt.Println(bench.ReadsPerSearch(results))
+		return nil
+	}
+}
+
 func runAblation(name string, opts bench.Options) error {
-	start := time.Now()
-	var (
-		t   interface{ String() string }
-		err error
-	)
-	switch name {
-	case "n":
-		t, err = bench.AblationBackoffN(opts)
-	case "t":
-		t, err = bench.AblationThresholdT(opts)
-	case "heartbeat":
-		t, err = bench.AblationHeartbeat(opts)
-	case "multiissue":
-		t, err = bench.AblationMultiIssueDepth(opts)
-	case "batch":
-		t, err = bench.AblationBatchSize(opts)
-	case "chunk":
-		t, err = bench.AblationChunkSize(opts)
-	case "rootcache":
-		t, err = bench.AblationRootCache(opts)
-	case "nodecache":
-		t, err = bench.AblationNodeCache(opts)
-	case "prefetch":
-		t, err = bench.AblationPrefetch(opts)
-	case "predictor":
-		t, err = bench.AblationPredictor(opts)
-	case "fetch":
-		t, err = bench.AblationFetch(opts)
-	case "shards":
-		t, err = bench.AblationShards(opts)
-	case "failover":
-		t, err = bench.AblationFailover(opts)
-	case "autoscale":
-		t, err = bench.AblationAutoscale(opts)
-	case "moving":
-		t, err = bench.AblationMovingObjects(opts)
-	case "knn":
-		t, err = bench.AblationKNN(opts)
-	case "hotspot":
-		t, err = bench.AblationHotspot(opts)
-	case "framework":
-		t, err = bench.Framework(opts)
-	default:
-		return fmt.Errorf("unknown ablation %q", name)
+	for _, a := range bench.Ablations {
+		if a.Name != name {
+			continue
+		}
+		start := time.Now()
+		t, err := a.Run(opts)
+		if err != nil {
+			return err
+		}
+		section("ablation: "+name, start)
+		fmt.Println(t)
+		return nil
 	}
-	if err != nil {
-		return err
-	}
-	section("ablation: "+name, start)
-	fmt.Println(t)
-	return nil
+	return fmt.Errorf("unknown ablation %q", name)
 }

@@ -194,9 +194,11 @@ func run() error {
 		srv.Addr(), tree.RootChunk(), reg.ChunkSize())
 
 	if *autoscaleOn {
-		if err := startAutoscaler(srv, srvCfg, entries, *maxInsert, chunks); err != nil {
+		e, err := startAutoscaler(srv, srvCfg, entries, *maxInsert, chunks)
+		if err != nil {
 			return err
 		}
+		defer e.Close()
 	}
 	return srv.Serve()
 }
@@ -208,14 +210,14 @@ func run() error {
 // so the old shard drains after a fixed 20 heartbeats, well past their
 // liveness window (a straggler still reads the dual-written old shard until
 // it converges).
-func startAutoscaler(srv *catfish.NetServer, cfg catfish.NetServerConfig, entries []catfish.Entry, maxInsert float64, chunks int) error {
+func startAutoscaler(srv *catfish.NetServer, cfg catfish.NetServerConfig, entries []catfish.Entry, maxInsert float64, chunks int) (*rpcnet.Elastic, error) {
 	m, err := catfish.BuildShardMap(entries, catfish.ShardConfig{K: 1, MaxInsertEdge: maxInsert})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	host, _, err := net.SplitHostPort(srv.Addr().String())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hb := cfg.HeartbeatInterval
 	cfg.Metrics, cfg.Trace = nil, nil // the admin endpoint serves the first server's
@@ -243,12 +245,12 @@ func startAutoscaler(srv *catfish.NetServer, cfg catfish.NetServerConfig, entrie
 	}
 	e, err := rpcnet.NewElastic(m, []*catfish.NetServer{srv}, listen, wait)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ctl := autoscale.NewController(e, loggedSplits{e}, autoscale.PolicyConfig{Cooldown: 10 * hb})
 	log.Printf("autoscale: controller on")
 	go ctl.Run(make(chan struct{}), 2*hb)
-	return nil
+	return e, nil
 }
 
 // loggedSplits logs each split that succeeds.

@@ -29,6 +29,7 @@ var exportAllow = map[string]string{
 	"shard.UnhealthyError.Error":    "error: the write a router refuses for an unhealthy owner",
 	"shard.UnhealthyError.Unwrap":   "error: lets errors.Is match the wrapped cause",
 	"btree.Tree.Get":                "reference lookup the btree and proto tests check the offloaded B+-tree walk against",
+	"proto.Ops.Delete":              "single-server delete the client, rpcnet and kv tests drive; production deletes go through shard.Core",
 	"proto.Ops.Move":                "single-server MOVE the client and kv tests drive; production MOVEs go through shard.Core",
 	"region.Mailbox.Granted":        "live slot count the region and client tests assert returns to zero",
 	"replica.State.Applied":         "applied sequence number the replica and proto tests assert on",

@@ -7,11 +7,12 @@
 //
 // The loop is deliberately split into pure pieces — Scraper (observation),
 // Decide (policy), Actuator (actuation) — so the policy is unit-testable
-// without sockets. rpcnet.Elastic is both the Scraper and the Actuator of a
-// live deployment: it reads each server's utilization gauges in-process and
-// splits a shard with the dual-write, commit and drain sequence; both
-// autoscalers (catfish-server -autoscale and the bench's wall-clock
-// ablations) run it.
+// without sockets. Both deployments are a Scraper and an Actuator: each
+// reads its servers' utilization gauges in-process and splits a shard with
+// the server core's prepare, dual-write, commit and drain sequence.
+// rpcnet.Elastic runs it over TCP (catfish-server -autoscale), and
+// cluster.Deployment on the simulated fabric, where the bench's autoscale
+// and hotspot ablations tick the controller in virtual time.
 package autoscale
 
 import (
@@ -56,12 +57,6 @@ type PolicyConfig struct {
 	// map on their next heartbeat — so back-to-back splits on stale
 	// utilization overshoot without a cooldown.
 	Cooldown time.Duration
-	// TXOnly scales on the TX-utilization gauge alone, ignoring CPU.
-	// Set it when the deployment's capacity dimension is the NIC: on a
-	// box whose cores are shared with co-located shards (or the load
-	// generator), the CPU gauge reflects machine-wide contention, and
-	// letting it nominate the "hottest" shard picks one at random.
-	TXOnly bool
 }
 
 func (c PolicyConfig) withDefaults() PolicyConfig {
@@ -98,11 +93,7 @@ func Decide(cfg PolicyConfig, samples []Sample) Decision {
 		if s.Err != nil {
 			continue
 		}
-		p := s.Peak()
-		if cfg.TXOnly {
-			p = s.TXUtil
-		}
-		if p > d.Peak {
+		if p := s.Peak(); p > d.Peak {
 			d.Peak = p
 			hot = i
 		}

@@ -43,17 +43,6 @@ func TestDecide(t *testing.T) {
 		t.Fatalf("errored sample nominated: %+v", d)
 	}
 
-	// TXOnly ignores the CPU gauge: a shard with inflated CPU but a cold
-	// TX line is never nominated over the TX-saturated one.
-	txCfg := cfg
-	txCfg.TXOnly = true
-	d = Decide(txCfg, []Sample{
-		{Shard: 0, Util: 0.99, TXUtil: 0.1},
-		{Shard: 1, Util: 0.3, TXUtil: 0.9},
-	})
-	if d.Split != 1 || d.Peak != 0.9 {
-		t.Fatalf("txonly: %+v, want split 1 at peak 0.9", d)
-	}
 }
 
 // fakeActuator records split requests.

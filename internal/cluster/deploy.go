@@ -45,18 +45,27 @@ type stack struct {
 // backups each, the client hosts, and per simulated client one connected
 // client.Client per server plus, at K > 1, the shard.Router over them.
 // Every sim experiment builds through Deploy, drives its clients through
-// Drive and reads the measurements from Result (DESIGN.md §5.18).
+// Drive and reads the measurements from Result (DESIGN.md §5.18). It is
+// also an autoscale.Scraper and Actuator: Split grows it by live splits.
 type Deployment struct {
 	cfg Config
 	e   *sim.Engine
-	// smap is nil at Shards <= 1: the one server owns everything and the
-	// drivers hold its clients directly.
+	// smap is nil at Shards <= 1 until a first split: the one server owns
+	// everything and the drivers hold its clients directly.
 	smap    *shard.Map
 	assign  [][]rtree.Entry // dataset entries per shard
 	shards  []stack
 	backups [][]*server.Server
 	clients [][]*client.Client // [client][shard]
 	routers []*shard.Router    // one per client; nil at Shards <= 1
+
+	// What a split builds with (elastic.go).
+	build     func(s int, name string, rep *replica.State) (stack, error)
+	connect   func(host *fabric.Host, srv *server.Server) (*client.Client, error)
+	newRouter func(i int, m *shard.Map, bcs [][]*client.Client) (*shard.Router, error)
+	hosts     []*fabric.Host
+	splitting bool  // a split runs and has not drained yet
+	splitErr  error // the first failed split, returned by Drive
 
 	ops      uint64
 	makespan time.Duration
@@ -89,11 +98,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	cost := netmodel.DefaultCostModel()
 	d := &Deployment{cfg: cfg, e: e, assign: [][]rtree.Entry{cfg.Dataset}}
 	if sharded {
-		scfg := shard.Config{K: k}
-		if cfg.Workload != nil {
-			scfg.MaxInsertEdge = cfg.Workload.Inserts.Edge
-		}
-		smap, err := shard.Build(cfg.Dataset, scfg)
+		smap, err := cfg.shardMap(k)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +112,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 
 	// Regions keep the whole-dataset insert headroom on every shard:
 	// ownership skew means one shard can absorb most of the write stream.
-	build := func(s int, name string, rep *replica.State) (stack, error) {
+	d.build = func(s int, name string, rep *replica.State) (stack, error) {
 		st := stack{cpu: sim.NewCPU(e, cfg.ServerCores)}
 		st.host = net.NewHost(name, st.cpu)
 		tree := cfg.PrebuiltTree
@@ -162,11 +167,11 @@ func Deploy(cfg Config) (*Deployment, error) {
 			rep = replica.NewState(1, true)
 		}
 		var err error
-		if d.shards[s], err = build(s, fmt.Sprintf("shard-%d", s), rep); err != nil {
+		if d.shards[s], err = d.build(s, fmt.Sprintf("shard-%d", s), rep); err != nil {
 			return nil, err
 		}
 		for b := 1; b < reps; b++ {
-			st, err := build(s, fmt.Sprintf("shard-%d-backup-%d", s, b), replica.NewState(1, false))
+			st, err := d.build(s, fmt.Sprintf("shard-%d-backup-%d", s, b), replica.NewState(1, false))
 			if err != nil {
 				return nil, err
 			}
@@ -179,15 +184,20 @@ func Deploy(cfg Config) (*Deployment, error) {
 		for _, b := range d.backups[s] {
 			pr.Replication().Attach(pr.Peer(b))
 		}
+		if sharded {
+			for _, srv := range append(d.backups[s], pr) {
+				srv.SetShard(d.smap, s)
+			}
+		}
 	}
 
 	// Client hosts: ClientsPerHost clients share each 28-core machine (the
 	// paper's 2x14-core Broadwell nodes).
-	hosts := make([]*fabric.Host, (cfg.NumClients+cfg.ClientsPerHost-1)/cfg.ClientsPerHost)
-	for i := range hosts {
-		hosts[i] = net.NewHost(fmt.Sprintf("client-host-%d", i), sim.NewCPU(e, 28))
+	d.hosts = make([]*fabric.Host, (cfg.NumClients+cfg.ClientsPerHost-1)/cfg.ClientsPerHost)
+	for i := range d.hosts {
+		d.hosts[i] = net.NewHost(fmt.Sprintf("client-host-%d", i), sim.NewCPU(e, 28))
 	}
-	connect := func(host *fabric.Host, srv *server.Server) (*client.Client, error) {
+	d.connect = func(host *fabric.Host, srv *server.Server) (*client.Client, error) {
 		var ep *server.Endpoint
 		var err error
 		if cfg.Scheme.TCP {
@@ -224,21 +234,30 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if cfg.Scheme.Heartbeats {
 		hbForHealth = cfg.HeartbeatInv
 	}
+	d.newRouter = func(i int, m *shard.Map, bcs [][]*client.Client) (*shard.Router, error) {
+		return shard.NewRouter(shard.RouterConfig{
+			Engine:            e,
+			Map:               m,
+			Clients:           d.clients[i],
+			HeartbeatInterval: hbForHealth,
+			Backups:           bcs,
+		})
+	}
 	d.clients = make([][]*client.Client, cfg.NumClients)
 	if sharded {
 		d.routers = make([]*shard.Router, cfg.NumClients)
 	}
 	for i := range d.clients {
-		host := hosts[i/cfg.ClientsPerHost]
+		host := d.hosts[i/cfg.ClientsPerHost]
 		cs := make([]*client.Client, k)
 		bcs := make([][]*client.Client, k)
 		for s := range cs {
 			var err error
-			if cs[s], err = connect(host, d.shards[s].srv); err != nil {
+			if cs[s], err = d.connect(host, d.shards[s].srv); err != nil {
 				return nil, err
 			}
 			for _, b := range d.backups[s] {
-				bc, err := connect(host, b)
+				bc, err := d.connect(host, b)
 				if err != nil {
 					return nil, err
 				}
@@ -250,18 +269,21 @@ func Deploy(cfg Config) (*Deployment, error) {
 			continue
 		}
 		var err error
-		d.routers[i], err = shard.NewRouter(shard.RouterConfig{
-			Engine:            e,
-			Map:               d.smap,
-			Clients:           cs,
-			HeartbeatInterval: hbForHealth,
-			Backups:           bcs,
-		})
-		if err != nil {
+		if d.routers[i], err = d.newRouter(i, d.smap, bcs); err != nil {
 			return nil, err
 		}
 	}
 	return d, nil
+}
+
+// shardMap partitions the dataset into k cells, the pads widened for the
+// workload's inserts.
+func (c *Config) shardMap(k int) (*shard.Map, error) {
+	scfg := shard.Config{K: k}
+	if c.Workload != nil {
+		scfg.MaxInsertEdge = c.Workload.Inserts.Edge
+	}
+	return shard.Build(c.Dataset, scfg)
 }
 
 // On returns client i's operations bound to the process p that drives them:
@@ -312,6 +334,9 @@ func (d *Deployment) Drive(driver func(i int, p *sim.Proc) error, after func(p *
 	})
 	if err := d.e.Run(); err != nil {
 		return err
+	}
+	if runErr == nil {
+		runErr = d.splitErr
 	}
 	return runErr
 }

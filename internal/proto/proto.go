@@ -88,6 +88,9 @@ var (
 	// or MOVE against a B+-tree, a key operation against an R-tree, a
 	// spatial router or split over a B+-tree server — without sending it.
 	ErrIndex = errors.New("catfish: operation not served by this index")
+	// ErrWrongShard surfaces a typed StatusWrongShard fence: the shard
+	// drained the write's cell off in a live split, and applied nothing.
+	ErrWrongShard = errors.New("catfish: write outside the shard's cell")
 )
 
 // StatusError maps a non-OK response status to the typed error clients
@@ -95,8 +98,11 @@ var (
 // errors.Is checks work identically across transports, then the generic
 // server-error wrap naming what was asked.
 func StatusError(status uint8, what string) error {
-	if status == wire.StatusOverloaded {
+	switch status {
+	case wire.StatusOverloaded:
 		return ErrOverloaded
+	case wire.StatusWrongShard:
+		return ErrWrongShard
 	}
 	if rerr := replica.StatusError(status); rerr != nil {
 		return rerr

@@ -105,6 +105,12 @@ type Serve[X Exec] struct {
 	killed  atomic.Bool
 	// Counters is the live counter set; the owning server bumps Heartbeat.
 	Counters telemetry.ServerMetrics
+	// The live split state (reshard.go): the identity served, the split
+	// armed, its phase and the entries splits streamed off.
+	shard atomic.Pointer[shardID]
+	split atomic.Pointer[split[X]]
+	phase atomic.Int64
+	moved atomic.Uint64
 }
 
 // NewServe builds the core and, when configured, its fetch mailbox.
@@ -119,6 +125,7 @@ func NewServe[X Exec](cfg ServeConfig) (*Serve[X], error) {
 		cfg.FetchInlineMax = cfg.MaxSegmentItems
 	}
 	s := &Serve[X]{cfg: cfg}
+	s.shard.Store(&shardID{})
 	if cfg.FetchSlots > 0 {
 		var err error
 		s.mreg, err = region.New(cfg.FetchSlots*cfg.FetchSlotChunks, cfg.Tree.Region().ChunkSize())
@@ -347,7 +354,7 @@ func (s *Serve[X]) Batch(x X, container []byte, limit int) error {
 			}
 		case isWrite(op.req.Type):
 			op.st, op.status = s.applyLocked(x, op.req)
-			op.ran = op.status != wire.StatusNotPrimary
+			op.ran = op.status != wire.StatusNotPrimary && op.status != wire.StatusWrongShard
 		}
 		op.to = len(k.items)
 	}
@@ -417,6 +424,9 @@ func (s *Serve[X]) applyLocked(x X, req wire.Request) (st rtree.OpStats, status 
 	if s.cfg.Replica != nil && !s.cfg.Replica.State().Primary() {
 		return st, wire.StatusNotPrimary
 	}
+	if !s.owns(req) {
+		return st, wire.StatusWrongShard
+	}
 	var err error
 	switch req.Type {
 	case wire.MsgInsert:
@@ -433,7 +443,7 @@ func (s *Serve[X]) applyLocked(x X, req wire.Request) (st rtree.OpStats, status 
 	if err != nil {
 		return st, wire.StatusError
 	}
-	return st, x.Propagate(req.Type, req.Rect, req.Ref)
+	return st, s.propagate(x, req.Type, req.Rect, req.Ref)
 }
 
 // moveLocked relocates entry (req.Rect, req.Ref) to (req.Rect2, req.Ref).
@@ -454,7 +464,7 @@ func (s *Serve[X]) moveLocked(x X, req wire.Request) (rtree.OpStats, uint8) {
 		s.Counters.MovesInPlace.Inc()
 	}
 	if how != rtree.RelocateAbsent {
-		if status := x.Propagate(wire.MsgDelete, req.Rect, req.Ref); status != wire.StatusOK {
+		if status := s.propagate(x, wire.MsgDelete, req.Rect, req.Ref); status != wire.StatusOK {
 			return st, status
 		}
 	}
@@ -466,7 +476,7 @@ func (s *Serve[X]) moveLocked(x X, req wire.Request) (rtree.OpStats, uint8) {
 			return st, wire.StatusError
 		}
 	}
-	return st, x.Propagate(wire.MsgInsert, req.Rect2, req.Ref)
+	return st, s.propagate(x, wire.MsgInsert, req.Rect2, req.Ref)
 }
 
 // ApplyRecords is the backup half of replication, behind both transports:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/wire"
 )
 
@@ -73,8 +74,8 @@ func TestExecBatchOverTCP(t *testing.T) {
 	if got := refCounts(results[7].Items); got[555555] != 1 {
 		t.Errorf("same-batch search missed the insert: %v (err %v)", got, results[7].Err)
 	}
-	if !errors.Is(results[8].Err, ErrNotFound) {
-		t.Errorf("delete of absent ref: %v, want ErrNotFound", results[8].Err)
+	if !errors.Is(results[8].Err, proto.ErrNotFound) {
+		t.Errorf("delete of absent ref: %v, want proto.ErrNotFound", results[8].Err)
 	}
 
 	st := srv.Stats()

@@ -41,7 +41,6 @@ const (
 var (
 	ErrClosed     = errors.New("rpcnet: connection closed")
 	ErrServer     = proto.ErrServer
-	ErrNotFound   = proto.ErrNotFound
 	ErrOverloaded = proto.ErrOverloaded
 )
 

@@ -94,7 +94,7 @@ func errClass(err error) string {
 	switch {
 	case err == nil:
 		return "ok"
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, proto.ErrNotFound):
 		return "not-found"
 	case errors.Is(err, ErrOverloaded):
 		return "overloaded"

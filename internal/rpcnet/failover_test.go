@@ -140,9 +140,20 @@ func TestNetFailoverKillPrimary(t *testing.T) {
 
 			// Kill shard 0's primary: heartbeats freeze and every request
 			// answers StatusUnavailable, like a wedged process behind a live
-			// socket.
+			// socket. Insert until the killed shard's backup has accepted a
+			// promotion: an election needs a live candidate, and under the
+			// race detector a late heartbeat can make the backup look dead
+			// for a few liveness windows, so a fixed count of writes may all
+			// finish before one election succeeds. The deadline lies far past
+			// the 3 × 4 ms window.
 			srvs[0][0].Kill()
-			insert(100)
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+				insert(10)
+				if r.Stats().Promotions > 0 && srvs[0][1].Stats().Promotions > 0 {
+					break
+				}
+			}
+			insert(20)
 
 			if got := r.Stats().Promotions; got == 0 {
 				t.Error("no promotion recorded after killing a primary")

@@ -3,19 +3,27 @@ package rpcnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	simclient "github.com/catfish-db/catfish/internal/client"
+	"github.com/catfish-db/catfish/internal/cluster"
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/shard"
+	"github.com/catfish-db/catfish/internal/sim"
 	"github.com/catfish-db/catfish/internal/telemetry"
+	"github.com/catfish-db/catfish/internal/wire"
 )
 
 // TestNetLiveReshard splits shard 0 through Elastic onto a freshly started
@@ -194,7 +202,7 @@ func listenEmpty(t *testing.T, hbInv time.Duration) func() (*Server, error) {
 func waitDrained(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.reshardPhase.Load() != reshardIdle {
+	for phase, _ := srv.core.Reshard(); phase != proto.ReshardIdle; phase, _ = srv.core.Reshard() {
 		if time.Now().After(deadline) {
 			t.Fatal("split never drained")
 		}
@@ -458,9 +466,9 @@ func TestSplitShard(t *testing.T) {
 		t.Fatalf("K=%d, addresses %v (was %v)", nm.K(), grown, addrs)
 	}
 	for i, s := range append(srvs, started[0]) {
-		sm := s.servedShardMap()
-		if sm.m != nm || strings.Join(sm.addrs, ",") != strings.Join(grown, ",") || int(s.shardIdx.Load()) != i {
-			t.Errorf("server %d serves map %#x as shard %d with %v", i, sm.m.Version, s.shardIdx.Load(), sm.addrs)
+		sm, idx, saddrs := s.servedMap()
+		if sm != nm || strings.Join(saddrs, ",") != strings.Join(grown, ",") || idx != i {
+			t.Errorf("server %d serves map %#x as shard %d with %v", i, sm.Version, idx, saddrs)
 		}
 	}
 	if k, err := d.Split(0); err == nil || k != 3 || !started[1].closed.Load() {
@@ -476,11 +484,11 @@ func TestSplitShard(t *testing.T) {
 // TestDrainKeepsRacingWrites races stale clients, dialed straight to the
 // shard being split, against its drain: four goroutines insert into the
 // peeled cell, the first inserts queued on the latch the test holds while
-// the drain starts. Every insert acked OK must afterwards be on the new
-// server or, applied after the drain, still on the old one — and never on
-// neither: the drain must not delete a write that held the latch when the
-// split disarmed. An insert left on the old shard is the known gap of
-// DESIGN.md §5.11: acked, but routers on the grown map do not read it.
+// the drain starts. An insert that takes the latch before the drain is
+// mirrored and then drained; one that takes it after is refused by the
+// fence. So every insert acked OK must afterwards be on the new server and
+// not on the old one: the drain deletes no write it has not mirrored, and
+// the old shard acks no write that routers on the grown map cannot read.
 func TestDrainKeepsRacingWrites(t *testing.T) {
 	_, srvs, m, _ := startShardedDeploy(t, 2000, 2, 0)
 	release := make(chan struct{})
@@ -514,7 +522,9 @@ func TestDrainKeepsRacingWrites(t *testing.T) {
 				for nm.Owner(e.Rect) != 2 {
 					e.Rect = randRect(rng, 0.01)
 				}
-				if err := c.Insert(e.Rect, e.Ref); err != nil {
+				if err := c.Insert(e.Rect, e.Ref); errors.Is(err, proto.ErrWrongShard) {
+					return // fenced: the drain ran, and so is every later insert
+				} else if err != nil {
 					t.Errorf("insert into the peeled cell: %v", err)
 					return
 				}
@@ -549,19 +559,23 @@ func TestDrainKeepsRacingWrites(t *testing.T) {
 	forwarded := 0
 	for _, es := range acked {
 		for _, e := range es {
-			onNew, onOld := has(newCli, e), has(oldCli, e)
-			switch {
-			case onNew && onOld:
-				t.Errorf("ref %d is on both servers after the drain", e.Ref)
-			case onNew:
-				forwarded++
-			case !onOld:
-				t.Errorf("acked insert ref %d is on neither server", e.Ref)
+			if onNew, onOld := has(newCli, e), has(oldCli, e); !onNew || onOld {
+				t.Errorf("acked insert ref %d: on the new server %v, on the old one %v", e.Ref, onNew, onOld)
 			}
+			forwarded++
 		}
 	}
 	if forwarded == 0 {
 		t.Error("no insert was mirrored before the drain")
+	}
+	// The drained shard fences the peeled cell off.
+	rng := rand.New(rand.NewSource(99))
+	e := rtree.Entry{Rect: randRect(rng, 0.01), Ref: 1 << 40}
+	for nm.Owner(e.Rect) != 2 {
+		e.Rect = randRect(rng, 0.01)
+	}
+	if err := oldCli.Insert(e.Rect, e.Ref); !errors.Is(err, proto.ErrWrongShard) || has(oldCli, e) {
+		t.Errorf("insert into the drained cell: %v, want %v and nothing applied", err, proto.ErrWrongShard)
 	}
 }
 
@@ -662,8 +676,8 @@ func TestElasticCloseWaitsDrain(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srvs[0].reshardPhase.Load(); got != reshardCommitted {
-		t.Errorf("split shard phase %d after Close, want %d (committed, never drained)", got, reshardCommitted)
+	if got, _ := srvs[0].core.Reshard(); got != proto.ReshardCommitted {
+		t.Errorf("split shard phase %d after Close, want %d (committed, never drained)", got, proto.ReshardCommitted)
 	}
 	for i, srv := range append(srvs, started) {
 		if !srv.closed.Load() {
@@ -681,5 +695,363 @@ func TestElasticCloseWaitsDrain(t *testing.T) {
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// reshardDeploy is one transport's two-shard deployment as the reshard
+// script drives it. The script runs concurrent slots: slot w < reshardWorkers
+// is a writer on router w; the last slot splits, waits and checks, on the
+// last router, which nothing else uses between the split and the drain, so
+// it stays on the old map until a write of its own is fenced.
+type reshardDeploy struct {
+	m    *shard.Map
+	data []rtree.Entry
+	// split splits shard 0; release lets it drain; grown is the
+	// deployment's current map.
+	split   func() error
+	release func()
+	grown   func() *shard.Map
+	// fork runs fn on every slot concurrently, each with its router bound
+	// to the slot's context; the last slot runs on the caller's context.
+	fork func(fn func(slot int, r routed))
+	// await lets time pass until cond holds; scanShard reads all of shard
+	// s through the last router's connection to it.
+	await     func(desc string, cond func() bool)
+	scanShard func(s int) ([]wire.Item, error)
+
+	// obs is what the slots observed, each fork's in slot order.
+	obs   []string
+	trees [][]uint64 // per shard of the grown map: refs, sorted
+
+	mu       sync.Mutex
+	failures []string
+}
+
+func (d *reshardDeploy) failf(format string, args ...any) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.failures = append(d.failures, fmt.Sprintf(format, args...))
+}
+
+const reshardWorkers = 3
+
+// runReshardScript is the one reshard script both transports run: churn
+// everywhere; split shard 0 while writers churn on shard 1, so the
+// snapshot the split takes is the same on both; churn on shard 0's old
+// cell — inserts, deletes and MOVEs across the new boundary — through the
+// dual-write window and the drain, then after it, when the fence sends
+// every stale write into the peeled cell back through a map refresh; the
+// held router's own fenced insert; and a full scan against brute force.
+func runReshardScript(d *reshardDeploy) {
+	type entry struct {
+		ref  uint64
+		rect geo.Rect
+	}
+	live := make([][]entry, reshardWorkers)
+	rngs := make([]*rand.Rand, reshardWorkers)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(int64(300 + w)))
+	}
+	logs := make([][]string, reshardWorkers+1)
+	logf := func(w int, format string, args ...any) { logs[w] = append(logs[w], fmt.Sprintf(format, args...)) }
+	// fork runs fn on every slot and then files their logs in slot order.
+	fork := func(fn func(w int, r routed)) {
+		d.fork(fn)
+		for w := range logs {
+			d.obs, logs[w] = append(d.obs, logs[w]...), nil
+		}
+	}
+	next := uint64(1 << 32)
+	// churn runs n writes of worker w whose rects all lie in cell of d.m
+	// (anywhere for cell < 0).
+	churn := func(w int, r routed, n, cell int) {
+		rng := rngs[w]
+		pick := func() geo.Rect {
+			for {
+				if rect := randRect(rng, 0.01); cell < 0 || d.m.Owner(rect) == cell {
+					return rect
+				}
+			}
+		}
+		mine := func() int { // the first live entry in the cell, or -1
+			for i, e := range live[w] {
+				if cell < 0 || d.m.Owner(e.rect) == cell {
+					return i
+				}
+			}
+			return -1
+		}
+		for i := 0; i < n; i++ {
+			roll, at := rng.Float64(), mine()
+			switch {
+			case roll < 0.45 || at < 0:
+				e := entry{ref: next + uint64(w)<<20 + uint64(len(logs[w])), rect: pick()}
+				err := r.Insert(e.rect, e.ref)
+				logf(w, "insert %d: %s", e.ref, statusClass(err))
+				if err == nil {
+					live[w] = append(live[w], e)
+				}
+			case roll < 0.7:
+				e := live[w][at]
+				err := r.Delete(e.rect, e.ref)
+				logf(w, "delete %d: %s", e.ref, statusClass(err))
+				if err == nil {
+					live[w] = append(live[w][:at], live[w][at+1:]...)
+				}
+			default:
+				to := pick()
+				err := r.Move(live[w][at].rect, to, live[w][at].ref)
+				logf(w, "move %d: %s", live[w][at].ref, statusClass(err))
+				if err == nil {
+					live[w][at].rect = to
+				}
+			}
+		}
+	}
+	last := reshardWorkers
+	inNewCell := func(items []wire.Item, nm *shard.Map) int {
+		n := 0
+		for _, it := range items {
+			if nm.Owner(it.Rect) == nm.K()-1 {
+				n++
+			}
+		}
+		return n
+	}
+	var held routed
+	fork(func(w int, r routed) {
+		if w < last {
+			churn(w, r, 20, -1)
+		}
+	})
+	next += 1 << 28
+	fork(func(w int, r routed) {
+		if w < last {
+			churn(w, r, 15, 1)
+			return
+		}
+		if err := d.split(); err != nil {
+			d.failf("split: %v", err)
+		}
+		d.await("the split to commit", func() bool { return d.grown().K() == 3 })
+	})
+	nm := d.grown()
+	next += 1 << 28
+	fork(func(w int, r routed) {
+		if w < last {
+			churn(w, r, 15, 0)
+			return
+		}
+		held = r
+		d.release()
+		// The held router scans on the old map: once shard 0 has drained,
+		// it finds nothing of the peeled cell.
+		d.await("the drain", func() bool {
+			items, _, err := r.Search(wholePlane)
+			return err == nil && inNewCell(items, nm) == 0
+		})
+	})
+	next += 1 << 28
+	fork(func(w int, r routed) {
+		if w < last {
+			churn(w, r, 15, 0)
+			logf(w, "after the drain: %d map adoptions", r.Stats().MapAdoptions)
+		}
+	})
+
+	// The held router is still on the old map: its insert into the peeled
+	// cell reaches shard 0, is refused, refetches the map and lands on
+	// the new shard.
+	before := held.Stats().MapAdoptions
+	rng := rand.New(rand.NewSource(400))
+	rect := randRect(rng, 0.01)
+	for nm.Owner(rect) != 2 {
+		rect = randRect(rng, 0.01)
+	}
+	err := held.Insert(rect, 1<<40)
+	d.obs = append(d.obs, fmt.Sprintf("held insert into the peeled cell: %s, map adoptions %d -> %d",
+		statusClass(err), before, held.Stats().MapAdoptions))
+
+	want := map[uint64]geo.Rect{1 << 40: rect}
+	for _, e := range d.data {
+		want[e.Ref] = e.Rect
+	}
+	for _, es := range live {
+		for _, e := range es {
+			want[e.ref] = e.rect
+		}
+	}
+	items, _, err := held.Search(wholePlane)
+	d.obs = append(d.obs, fmt.Sprintf("full scan: %s, %d items", statusClass(err), len(items)))
+	if len(items) != len(want) {
+		d.failf("full scan: %d items, brute force says %d", len(items), len(want))
+	}
+	for _, it := range items {
+		if want[it.Ref] != it.Rect {
+			d.failf("full scan: ref %d at %v, brute force says %v", it.Ref, it.Rect, want[it.Ref])
+		}
+	}
+	for s := 0; s < nm.K(); s++ {
+		items, err := d.scanShard(s)
+		if err != nil {
+			d.failf("scan of shard %d: %v", s, err)
+		}
+		var refs []uint64
+		for _, it := range items {
+			if nm.Owner(it.Rect) != s {
+				d.failf("shard %d holds ref %d of cell %d", s, it.Ref, nm.Owner(it.Rect))
+			}
+			refs = append(refs, it.Ref)
+		}
+		sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+		d.trees = append(d.trees, refs)
+	}
+}
+
+// TestReshardCrossTransport runs the reshard script through a TCP
+// deployment (rpcnet.Elastic) and a simulated one (cluster.Deployment)
+// built from the same dataset: the two must give every write the same
+// status, adopt maps at the same writes, and leave equal per-shard trees,
+// and the full scan must equal brute force. Neither deployment heartbeats,
+// so a router learns of the split only when the fence refuses one of its
+// writes.
+func TestReshardCrossTransport(t *testing.T) {
+	addrs, srvs, m, data := startShardedDeploy(t, 1200, 2, 0)
+
+	release := make(chan struct{})
+	e, err := NewElastic(m, srvs, listenEmpty(t, 0), func(stop <-chan struct{}, _ uint64) {
+		select {
+		case <-release:
+		case <-stop:
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	routers := make([]*Router, reshardWorkers+1)
+	for i := range routers {
+		if routers[i], err = connectRouter(addrs, RouterConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { routers[i].Close() })
+	}
+	tcp := &reshardDeploy{
+		m: m, data: data,
+		split:   func() error { _, err := e.Split(0); return err },
+		release: func() { close(release) },
+		grown:   e.Map,
+		fork: func(fn func(int, routed)) {
+			var wg sync.WaitGroup
+			for w := 0; w < reshardWorkers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					fn(w, routers[w])
+				}(w)
+			}
+			fn(reshardWorkers, routers[reshardWorkers])
+			wg.Wait()
+		},
+		scanShard: func(s int) ([]wire.Item, error) {
+			rs := routers[reshardWorkers].Replicas()
+			if s >= len(rs) {
+				return nil, fmt.Errorf("the router knows %d shards", len(rs))
+			}
+			items, _, err := rs[s][0].Search(wholePlane)
+			return items, err
+		},
+	}
+	tcp.await = func(desc string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				tcp.failf("timed out waiting for %s", desc)
+				return
+			}
+		}
+	}
+	runReshardScript(tcp)
+
+	d, err := cluster.Deploy(cluster.Config{
+		Scheme:     cluster.SchemeFastEvent,
+		Dataset:    data,
+		Shards:     2,
+		NumClients: reshardWorkers + 1,
+		Seed:       7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated := &reshardDeploy{
+		m: m, data: data,
+		split:   func() error { _, err := d.Split(0); return err },
+		release: func() {},
+		grown:   d.Map,
+	}
+	err = d.Drive(func(i int, p *sim.Proc) error {
+		if i != 0 {
+			return nil
+		}
+		simulated.fork = func(fn func(int, routed)) {
+			wg := sim.NewWaitGroup(p.Engine())
+			wg.Add(reshardWorkers)
+			for w := 0; w < reshardWorkers; w++ {
+				p.Spawn("reshard-writer", func(sp *sim.Proc) {
+					fn(w, d.On(w, sp).(routed))
+					wg.Done()
+				})
+			}
+			fn(reshardWorkers, d.On(reshardWorkers, p).(routed))
+			wg.Wait(p)
+		}
+		simulated.await = func(desc string, cond func() bool) {
+			for n := 0; !cond(); n++ {
+				if n == 1000 {
+					simulated.failf("timed out waiting for %s", desc)
+					return
+				}
+				p.Sleep(10 * time.Millisecond)
+			}
+		}
+		simulated.scanShard = func(s int) ([]wire.Item, error) {
+			rs := d.On(reshardWorkers, p).(shard.Core[*simclient.Client]).Replicas()
+			if s >= len(rs) {
+				return nil, fmt.Errorf("the router knows %d shards", len(rs))
+			}
+			items, _, err := rs[s][0].On(p).Search(wholePlane)
+			return items, err
+		}
+		runReshardScript(simulated)
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, run := range []struct {
+		name string
+		d    *reshardDeploy
+	}{{"tcp", tcp}, {"sim", simulated}} {
+		for _, f := range run.d.failures {
+			t.Errorf("%s: %s", run.name, f)
+		}
+	}
+	for i := 0; i < max(len(tcp.obs), len(simulated.obs)); i++ {
+		var a, b string
+		if i < len(tcp.obs) {
+			a = tcp.obs[i]
+		}
+		if i < len(simulated.obs) {
+			b = simulated.obs[i]
+		}
+		if a != b {
+			t.Fatalf("observation %d differs: tcp %q, sim %q", i, a, b)
+		}
+	}
+	if !reflect.DeepEqual(tcp.trees, simulated.trees) {
+		t.Errorf("per-shard trees differ:\ntcp %v\nsim %v", tcp.trees, simulated.trees)
+	}
+	if held := tcp.obs[len(tcp.obs)-2]; !strings.HasSuffix(held, "ok, map adoptions 0 -> 1") {
+		t.Errorf("the held router was not refused and refreshed once: %s", held)
 	}
 }

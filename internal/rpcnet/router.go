@@ -315,4 +315,12 @@ func (x wallExec) Report(c *Client) shard.Report {
 	return rep
 }
 
-func (x wallExec) Refresh() { x.r.maybeAdopt() }
+// Refresh adopts a successor map: at an operation's start the one a heartbeat
+// announced, after a fence the one the refusing shard serves.
+func (x wallExec) Refresh(fenced int) {
+	if fenced >= 0 {
+		x.r.adoptFrom(x.r.Serving(fenced), x.r.Map())
+		return
+	}
+	x.r.maybeAdopt()
+}

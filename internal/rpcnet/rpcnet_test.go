@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/wire"
@@ -130,7 +131,7 @@ func TestInsertDelete(t *testing.T) {
 	if err := c.Delete(r, 4242); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(r, 4242); !errors.Is(err, ErrNotFound) {
+	if err := c.Delete(r, 4242); !errors.Is(err, proto.ErrNotFound) {
 		t.Fatalf("second delete err = %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/internal/geo"
+	"github.com/catfish-db/catfish/internal/proto"
 	"github.com/catfish-db/catfish/internal/region"
 	"github.com/catfish-db/catfish/internal/rtree"
 	"github.com/catfish-db/catfish/internal/scenario"
@@ -89,7 +90,7 @@ func applyMoveScript(t *testing.T, conn Conn, steps []moveStep, dialect string) 
 				t.Fatalf("step %d move: %v", i, err)
 			}
 		case dialect == "del+ins":
-			if err := conn.Delete(st.from, st.ref); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := conn.Delete(st.from, st.ref); err != nil && !errors.Is(err, proto.ErrNotFound) {
 				t.Fatalf("step %d delete: %v", i, err)
 			}
 			if err := conn.Insert(st.to, st.ref); err != nil {

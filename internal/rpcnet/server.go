@@ -174,10 +174,7 @@ type ServerConfig struct {
 type Server struct {
 	cfg  ServerConfig
 	tree proto.Store
-	// rtree is tree when it is an R-tree, nil otherwise: what a live split
-	// carves up (Elastic is R-tree-only).
-	rtree *rtree.Tree
-	ln    net.Listener
+	ln   net.Listener
 
 	latch sync.RWMutex // the tree latch (writers exclusive)
 	// core executes every data request and batch (proto.Serve): this
@@ -233,27 +230,22 @@ type Server struct {
 	// repl is the replication core (nil = replication disabled); its
 	// backups are sockPeers (replica.go).
 	repl *replica.Primary
-
-	// Live resharding state (prepareReshard/commitReshard/drainSplit in
-	// elastic.go). served is the shard identity currently advertised —
-	// hello, MsgShardMap, and heartbeats all read it — swapped atomically
-	// when a reshard commits or a fresh server adopts a map.
-	served       atomic.Pointer[servedMap]
-	shardIdx     atomic.Int32
-	split        atomic.Pointer[splitState]
-	reshardPhase atomic.Int64
-	reshardMoved atomic.Uint64
 }
 
-// servedMap is the shard identity a server advertises: the map plus the
-// optional per-cell address table.
-type servedMap struct {
-	m     *shard.Map
+// servedShard is the shard map a TCP server's core serves together with
+// the address table that map fetches carry, which a live split grows.
+type servedShard struct {
+	*shard.Map
 	addrs []string
 }
 
-// servedShardMap returns the currently-advertised map (nil when unsharded).
-func (s *Server) servedShardMap() *servedMap { return s.served.Load() }
+// servedMap returns the shard map the core serves (nil when unsharded),
+// this server's cell in it and the address table.
+func (s *Server) servedMap() (*shard.Map, int, []string) {
+	m, idx := s.core.Shard()
+	ss, _ := m.(servedShard)
+	return ss.Map, idx, ss.addrs
+}
 
 type srvConn struct {
 	c net.Conn
@@ -290,12 +282,7 @@ func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 		epoch: uint64(time.Now().UnixNano()),
 		start: time.Now(),
 	}
-	s.rtree, _ = tree.(*rtree.Tree)
 	s.rootChunkA.Store(int64(tree.RootChunk()))
-	s.shardIdx.Store(int32(cfg.ShardIndex))
-	if cfg.ShardMap != nil {
-		s.served.Store(&servedMap{m: cfg.ShardMap, addrs: cfg.ShardAddrs})
-	}
 	if cfg.Replica != nil {
 		s.repl = replica.NewPrimary(replica.NewState(cfg.Replica.Epoch, cfg.Replica.Primary))
 		for _, addr := range cfg.Replica.Backups {
@@ -315,6 +302,9 @@ func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s.mailbox, s.mreg = s.core.Mailbox()
+	if cfg.ShardMap != nil {
+		s.core.SetShard(servedShard{cfg.ShardMap, cfg.ShardAddrs}, cfg.ShardIndex)
+	}
 	s.cfg.MaxSegmentItems = s.core.Config().MaxSegmentItems // cfg holds the resolved limit
 	if reg := cfg.Metrics; reg != nil {
 		s.core.Register(reg)
@@ -334,10 +324,8 @@ func Listen(addr string, tree proto.Store, cfg ServerConfig) (*Server, error) {
 		}
 		reg.CounterFunc("catfish_rtc_total", s.rtc[rtcInline].Load, "path", "inline")
 		reg.CounterFunc("catfish_rtc_total", s.rtc[rtcQueued].Load, "path", "queued")
-		reg.CounterFunc("catfish_server_reshard_moved_total", s.reshardMoved.Load)
-		reg.GaugeFunc("catfish_server_reshard_state", func() float64 {
-			return float64(s.reshardPhase.Load())
-		})
+		reg.CounterFunc("catfish_server_reshard_moved_total", func() uint64 { _, moved := s.core.Reshard(); return moved })
+		reg.GaugeFunc("catfish_server_reshard_state", func() float64 { phase, _ := s.core.Reshard(); return float64(phase) })
 		reg.CounterFunc("catfish_server_overloaded_total", s.overloaded.Load)
 		reg.GaugeFunc("catfish_server_dispatch_queue", func() float64 {
 			return float64(s.disp.depth())
@@ -411,9 +399,6 @@ func (s *Server) Close() error {
 	}
 	s.disp.close()
 	s.wg.Wait()
-	if sp := s.split.Swap(nil); sp != nil {
-		sp.cli.Close() // a split closed before its drain
-	}
 	return err
 }
 
@@ -450,9 +435,9 @@ func (s *Server) Stats() ServerStats {
 		ServerSnapshot:  s.core.Counters.Snapshot(),
 		OffloadSearches: s.offloadEst.Load(),
 		TXBytes:         s.txBytes.Load(),
-		ReshardMoved:    s.reshardMoved.Load(),
 		Overloaded:      s.overloaded.Load(),
 	}
+	_, st.ReshardMoved = s.core.Reshard()
 	for sp := range st.Reads {
 		st.Reads[sp], st.ReadChunks[sp] = s.reads[sp].Load(), s.readChunks[sp].Load()
 	}
@@ -480,10 +465,10 @@ func (s *Server) serveConn(sc *srvConn) {
 		ServerEpoch: s.epoch,
 		Index:       s.tree.Kind(),
 	}
-	if sm := s.servedShardMap(); sm != nil {
-		hello.ShardIndex = uint32(s.shardIdx.Load())
-		hello.ShardCount = uint32(sm.m.K())
-		hello.MapVersion = sm.m.Version
+	if m, idx, _ := s.servedMap(); m != nil {
+		hello.ShardIndex = uint32(idx)
+		hello.ShardCount = uint32(m.K())
+		hello.MapVersion = m.Version
 	}
 	if s.repl != nil {
 		hello.ReplicaEpoch, _ = s.repl.State().Snapshot()
@@ -583,20 +568,20 @@ func (s *Server) serveConn(sc *srvConn) {
 // table when the deployment's addresses are known; an unsharded server
 // reports an error status so misdirected routers fail loudly.
 func (s *Server) handleShardMap(req wire.ShardMapRequest, out []byte) []byte {
-	sm := s.servedShardMap()
-	if sm == nil || s.core.Killed() {
+	m, _, addrs := s.servedMap()
+	if m == nil || s.core.Killed() {
 		return wire.ShardMapData{ID: req.ID, Status: wire.StatusError}.Encode(out)
 	}
 	md := wire.ShardMapData{
 		ID:      req.ID,
 		Status:  wire.StatusOK,
-		Version: sm.m.Version,
-		PadX:    sm.m.PadX,
-		PadY:    sm.m.PadY,
-		Cells:   sm.m.Cells,
+		Version: m.Version,
+		PadX:    m.PadX,
+		PadY:    m.PadY,
+		Cells:   m.Cells,
 	}
-	if len(sm.addrs) == sm.m.K() {
-		md.Addrs = sm.addrs
+	if len(addrs) == m.K() {
+		md.Addrs = addrs
 	}
 	return md.Encode(out)
 }
@@ -687,18 +672,12 @@ func (x exec) Unlock()  { x.s.latch.Unlock() }
 
 func (x exec) Insert(r geo.Rect, ref uint64) (rtree.OpStats, error) { return x.s.tree.Insert(r, ref) }
 
-// Propagate replicates one applied insert or delete to the backups and,
-// during a live split, forwards it to the shard taking over the entry's cell.
+// Propagate replicates one applied insert or delete to the backups.
 func (x exec) Propagate(op wire.MsgType, r geo.Rect, ref uint64) uint8 {
-	if x.s.repl != nil {
-		if err := x.s.repl.Replicate(op, r, ref); err != nil {
-			return replica.StatusOf(err)
-		}
+	if x.s.repl == nil {
+		return wire.StatusOK
 	}
-	if err := x.s.forwardSplit(op, r, ref); err != nil {
-		return wire.StatusError
-	}
-	return wire.StatusOK
+	return replica.StatusOf(x.s.repl.Replicate(op, r, ref))
 }
 
 // Account records a lone request's latency — execution start to the latch
@@ -711,10 +690,11 @@ func (x exec) Account(kind wire.MsgType, _ int, _ rtree.OpStats, delivered bool)
 	s.lat[kind].Record(lat)
 	s.stages[stageExec][kind].Record(lat)
 	if s.cfg.Trace != nil && (kind == wire.MsgSearch || kind == wire.MsgSearchFetch) {
+		_, idx := s.core.Shard()
 		tr := telemetry.Trace{
 			Start:   time.Since(s.start) - lat,
 			Method:  "fast",
-			Shard:   int(s.shardIdx.Load()),
+			Shard:   idx,
 			Latency: lat,
 		}
 		if delivered {
@@ -777,7 +757,7 @@ func (s *Server) heartbeatLoop() {
 		c.Util.Set(alpha*c.Util.Load() + (1-alpha)*util)
 		c.TXUtil.Set(alpha*c.TXUtil.Load() + (1-alpha)*txUtil)
 		// Heartbeats are the liveness signal: never block them on the
-		// latch, which prepareReshard holds exclusively for the whole
+		// latch, which a split's prepare holds exclusively for the whole
 		// snapshot-and-stream. Under contention the last published root
 		// chunk serves — the tree cannot change while the latch is held.
 		rootChunk := int(s.rootChunkA.Load())
@@ -791,8 +771,8 @@ func (s *Server) heartbeatLoop() {
 		if s.repl != nil {
 			hb.Epoch, hb.AppliedSeq = s.repl.State().Snapshot()
 		}
-		if sm := s.servedShardMap(); sm != nil {
-			hb.MapVersion = sm.m.Version
+		if m, _, _ := s.servedMap(); m != nil {
+			hb.MapVersion = m.Version
 		}
 		payload := hb.Encode(nil)
 		s.mu.Lock()

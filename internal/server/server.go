@@ -239,6 +239,12 @@ func New(cfg Config) (*Server, error) {
 // simulation runs.
 func (s *Server) Stats() Stats { return s.core.Counters.Snapshot() }
 
+// Utilization returns the CPU and send-engine utilizations the heartbeat
+// loop last published (zero without heartbeats).
+func (s *Server) Utilization() (cpu, tx float64) {
+	return s.core.Counters.Util.Load(), s.core.Counters.TXUtil.Load()
+}
+
 // Mailbox exposes the fetch mailbox (nil when fetch is disabled) for
 // instrumentation.
 func (s *Server) Mailbox() *region.Mailbox {
@@ -517,6 +523,26 @@ func (s *Server) PauseHeartbeats(paused bool) { s.hbPaused.Store(paused) }
 // leave the waiting client proc blocked forever and wedge the
 // discrete-event engine.
 func (s *Server) Kill() { s.core.Kill() }
+
+// SetShard gives the server its place in a sharded deployment: map m, cell
+// idx, which proto.Serve's fence then guards.
+func (s *Server) SetShard(m proto.Partition, idx int) { s.core.SetShard(m, idx) }
+
+// Split prepares and commits a live split of the server's cell on process
+// p (proto.Serve, DESIGN.md §5.11); send mirrors writes to the new server
+// on whichever process holds the latch. Drain ends it, on p.
+func (s *Server) Split(p *sim.Proc, successor func([]rtree.Entry) (proto.Partition, error),
+	send func(p *sim.Proc, ops []proto.BatchOp, res []proto.BatchResult) []proto.BatchResult) error {
+	if err := s.core.Prepare(port{s: s, p: p}, successor, func(x port, ops []proto.BatchOp, res []proto.BatchResult) []proto.BatchResult {
+		return send(x.p, ops, res)
+	}); err != nil {
+		return err
+	}
+	return s.core.Commit()
+}
+
+// Drain deletes the peeled entries and disarms the split, on p.
+func (s *Server) Drain(p *sim.Proc) error { return s.core.Drain(port{s: s, p: p}) }
 
 // Replication returns the server's replication core (nil without Replica);
 // a backup attached to it gets every write the server applies as primary,

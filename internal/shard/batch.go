@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -29,7 +30,7 @@ func (r Core[C]) ExecBatch(ops []proto.BatchOp, results []proto.BatchResult) []p
 	if len(ops) == 0 {
 		return results
 	}
-	r.x.Refresh()
+	r.x.Refresh(-1)
 	k := len(r.cands)
 	r.subOps = resetEach(r.subOps, k)
 	r.subIdx = resetEach(r.subIdx, k)
@@ -134,14 +135,15 @@ func (r Core[C]) ExecBatch(ops []proto.BatchOp, results []proto.BatchResult) []p
 			results[i].Items = KBestItems(results[i].Items, int(ops[i].Ref), ops[i].Rect)
 		}
 	}
-	// Repair pass: operations that hit a replica refusing service or
-	// shedding load retry individually through the routed single-op paths,
-	// which fall back to a backup, promote one, or back off as the error
-	// class demands. Those errors only occur on replicated or
-	// admission-controlled deployments, so this loop is inert elsewhere.
+	// Repair pass: operations that hit a replica refusing service,
+	// shedding load or fencing off a drained cell retry individually
+	// through the routed single-op paths, which fall back to a backup,
+	// promote one, back off or refresh the map as the error class demands.
+	// Those errors only occur on replicated, admission-controlled or
+	// resharded deployments, so this loop is inert elsewhere.
 	for i := range results {
 		err := results[i].Err
-		if err == nil || (!r.x.Failover(err) && !r.x.Overloaded(err)) {
+		if err == nil || (!r.x.Failover(err) && !r.x.Overloaded(err) && !errors.Is(err, proto.ErrWrongShard)) {
 			continue
 		}
 		op := ops[i]

@@ -13,18 +13,26 @@ import (
 
 // Move relocates entry (from, ref) to (to, ref). When both positions are
 // owned by the same shard it is a single MsgMove round trip, atomic under
-// that server's tree latch; otherwise see moveAcross.
+// that server's tree latch; otherwise see moveAcross. A MOVE the fence
+// refused was applied nowhere, so it is routed afresh on the refreshed map,
+// where its two positions may have different owners.
 func (r Core[C]) Move(from, to geo.Rect, ref uint64) error {
 	atomic.AddUint64(&r.stats.Moves, 1)
-	r.x.Refresh()
-	if r.m.Owner(from) != r.m.Owner(to) {
-		return r.moveAcross(from, to, ref)
+	r.x.Refresh(-1)
+	for attempt := 0; ; attempt++ {
+		if r.m.Owner(from) != r.m.Owner(to) {
+			return r.moveAcross(from, to, ref)
+		}
+		owner, err := r.writeTarget(to)
+		if err != nil {
+			return err
+		}
+		err = r.writeShard(owner, func(c Replica) error { return c.Move(from, to, ref) })
+		if attempt == fenceRetries || !errors.Is(err, proto.ErrWrongShard) {
+			return err
+		}
+		r.x.Refresh(owner)
 	}
-	owner, err := r.writeTarget(to)
-	if err != nil {
-		return err
-	}
-	return r.writeShard(owner, func(c Replica) error { return c.Move(from, to, ref) })
 }
 
 // moveAcross moves an entry across an ownership boundary, which no single
@@ -35,18 +43,10 @@ func (r Core[C]) Move(from, to geo.Rect, ref uint64) error {
 // MsgMove, so moving an object that was never inserted (or whose source
 // copy a repaired retry already removed) degrades to a plain insert.
 func (r Core[C]) moveAcross(from, to geo.Rect, ref uint64) error {
-	owner, err := r.writeTarget(to)
-	if err != nil {
+	if err := r.write(to, func(c Replica) error { return c.Insert(to, ref) }); err != nil {
 		return err
 	}
-	if err := r.writeShard(owner, func(c Replica) error { return c.Insert(to, ref) }); err != nil {
-		return err
-	}
-	owner, err = r.writeTarget(from)
-	if err != nil {
-		return err
-	}
-	err = r.writeShard(owner, func(c Replica) error { return c.Delete(from, ref) })
+	err := r.write(from, func(c Replica) error { return c.Delete(from, ref) })
 	if errors.Is(err, proto.ErrNotFound) {
 		err = nil
 	}
@@ -72,7 +72,7 @@ func (r Core[C]) Nearest(k int, x, y float64) ([]rtree.Neighbor, proto.Method, e
 	if k <= 0 {
 		return nil, proto.MethodFast, rtree.ErrBadK
 	}
-	r.x.Refresh()
+	r.x.Refresh(-1)
 	order := make([]int, r.m.K())
 	for i := range order {
 		order[i] = i

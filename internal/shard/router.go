@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -55,10 +56,11 @@ type Exec[C any] interface {
 	Bind(c C) Replica
 	// Report returns what the transport last heard from c.
 	Report(c C) Report
-	// Refresh runs on the driver at the top of every routed operation, so a
-	// transport whose deployment can change shape mid-run gets to Adopt the
-	// successor map before the operation is routed.
-	Refresh()
+	// Refresh runs on the driver at the top of every routed operation
+	// (fenced < 0), so a transport whose deployment can change shape mid-run
+	// gets to Adopt the successor map first, and after shard fenced refused
+	// a write as outside its cell, to adopt the map that shard serves.
+	Refresh(fenced int)
 }
 
 // Report is what a transport has heard from one replica.
@@ -446,7 +448,7 @@ func (r Core[C]) searchShard(x Exec[C], s int, q geo.Rect) ([]wire.Item, proto.M
 // are visible in the shard clients' Stats.
 func (r Core[C]) Search(q geo.Rect) ([]wire.Item, proto.Method, error) {
 	atomic.AddUint64(&r.stats.Searches, 1)
-	r.x.Refresh()
+	r.x.Refresh(-1)
 	targets, ok := r.healthyTargets(q)
 	if !ok {
 		atomic.AddUint64(&r.stats.Skipped, 1)
@@ -495,23 +497,36 @@ func dedupItems(items []wire.Item) []wire.Item {
 // the owner has stopped heartbeating and failing with UnhealthyError when
 // no replica can take the write.
 func (r Core[C]) Insert(rect geo.Rect, ref uint64) error {
-	r.x.Refresh()
-	owner, err := r.writeTarget(rect)
-	if err != nil {
-		return err
-	}
-	return r.writeShard(owner, func(c Replica) error { return c.Insert(rect, ref) })
+	r.x.Refresh(-1)
+	return r.write(rect, func(c Replica) error { return c.Insert(rect, ref) })
 }
 
 // Delete routes the delete to the owning shard, with Insert's failure
 // handling.
 func (r Core[C]) Delete(rect geo.Rect, ref uint64) error {
-	r.x.Refresh()
-	owner, err := r.writeTarget(rect)
-	if err != nil {
-		return err
+	r.x.Refresh(-1)
+	return r.write(rect, func(c Replica) error { return c.Delete(rect, ref) })
+}
+
+// fenceRetries bounds the map refreshes one write refused by a shard's
+// fence (it drained the write's cell off in a live split) retries after;
+// one suffices unless further splits commit meanwhile.
+const fenceRetries = 3
+
+// write runs op on rect's owner. A refusal by the fence refreshes the map
+// from the refusing shard and retries on the owner that map names; a write
+// the fence refused was applied nowhere, so the retry cannot duplicate it.
+func (r Core[C]) write(rect geo.Rect, op func(Replica) error) error {
+	for attempt := 0; ; attempt++ {
+		owner, err := r.writeTarget(rect)
+		if err != nil {
+			return err
+		}
+		if err = r.writeShard(owner, op); attempt == fenceRetries || !errors.Is(err, proto.ErrWrongShard) {
+			return err
+		}
+		r.x.Refresh(owner)
 	}
-	return r.writeShard(owner, func(c Replica) error { return c.Delete(rect, ref) })
 }
 
 // writeTarget resolves rect's owning shard. A lapsed liveness window is

@@ -43,6 +43,17 @@ type Router struct {
 	// lastSeq is the heartbeat sequence the monitor last saw per client; a
 	// change means a heartbeat arrived since the previous poll.
 	lastSeq map[*client.Client]uint64
+	// offered is a committed successor map not yet adopted, and fresh the
+	// clients of the shards it adds.
+	offered *Map
+	fresh   []*client.Client
+}
+
+// Offer hands the router a committed successor map and a client for each
+// shard it adds: the sim's counterpart of a heartbeat announcing a new map
+// version. Offers accumulate until Refresh adopts them.
+func (r *Router) Offer(m *Map, fresh []*client.Client) {
+	r.offered, r.fresh = m, append(r.fresh, fresh...)
 }
 
 // NewRouter builds a router over one connected client per shard and starts
@@ -98,8 +109,9 @@ func (r *Router) On(p *sim.Proc) Core[*client.Client] {
 
 // simExec is the simulated fabric's Exec: virtual time, spawned processes
 // as forks, and nothing lazily learned — the monitor pushes heartbeats,
-// the sim never sheds or reshards, and every replica counts as alive with
-// equal applied sequences, so elections run in preference order.
+// the deployment offers successor maps, the sim never sheds, and every
+// replica counts as alive with equal applied sequences, so elections run
+// in preference order.
 type simExec struct {
 	r *Router
 	p *sim.Proc
@@ -124,7 +136,18 @@ func (x simExec) Fork(n int, fn func(Exec[*client.Client], int)) {
 
 func (x simExec) Failover(err error) bool { return replica.Failover(err) }
 func (x simExec) Overloaded(error) bool   { return false }
-func (x simExec) Refresh()                {}
+
+// Refresh adopts an offered map, instantly: at an operation's start when
+// the router tracks heartbeats (as a TCP router hears of one), and after a
+// fence.
+func (x simExec) Refresh(fenced int) {
+	r := x.r
+	if r.offered == nil || (fenced < 0 && r.health == nil) {
+		return
+	}
+	Core[*client.Client]{state: r.state, x: x}.Adopt(r.offered, r.fresh, make([]uint64, len(r.fresh)))
+	r.offered, r.fresh = nil, nil
+}
 
 func (x simExec) Report(*client.Client) Report { return Report{Alive: true} }
 

@@ -52,6 +52,10 @@ const (
 	// clients surface it distinctly from transport errors and routers
 	// retry against replicas with backoff.
 	StatusOverloaded
+	// StatusWrongShard means a write reached a shard that no longer owns
+	// its cell: a live split drained it off. Nothing was applied; routers
+	// refetch the shard map and retry on the owner (DESIGN.md §5.11).
+	StatusWrongShard
 )
 
 // ErrCorrupt is returned when a message fails to decode.
