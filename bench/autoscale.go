@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/catfish-db/catfish/internal/autoscale"
@@ -26,6 +25,16 @@ import (
 // plane by entry count, so a hot district stays inside one cell at every
 // K, while the autoscaler subdivides exactly the cells that run hot.
 //
+// The ablations' fleet: closed-loop loaders, and cores per server.
+const elasticLoaders, elasticCores = 16, 2
+
+// peakPause is a loader's think time at the peak, from the cost model like
+// the SLO: the pause at which the loaders' fixed search demand, spread
+// evenly, holds four servers (both sweeps' largest static K) at the 0.7
+// scale-up threshold: 16 × 35 µs / (4 × 2 × 0.7) = 100 µs. With no pause,
+// 16 closed loops keep 16 operations in flight at any shard count.
+var peakPause = elasticLoaders * netmodel.DefaultCostModel().SearchFixed * 10 / (4 * elasticCores * 7)
+
 // diurnalPhases is the replayed day: fraction of operations per phase, the
 // probability an operation targets the hot district, and each loader's
 // think time between operations. Night and evening think long enough to
@@ -36,8 +45,8 @@ var diurnalPhases = []struct {
 	pause     time.Duration
 }{
 	{0.15, 0.05, 2 * time.Millisecond},   // night: light, uniform
-	{0.20, 0.45, 100 * time.Microsecond}, // morning ramp
-	{0.45, 0.95, 100 * time.Microsecond}, // midday peak on the hot district
+	{0.20, 0.45, peakPause},              // morning ramp
+	{0.45, 0.95, peakPause},              // midday peak on the hot district
 	{0.20, 0.40, 500 * time.Microsecond}, // evening
 }
 
@@ -57,12 +66,11 @@ var elasticSLO = 5 * netmodel.DefaultCostModel().SearchFixed
 // elasticResult rolls up one arm of a live-resharding ablation.
 type elasticResult struct {
 	ops, violations int
-	finalK          int
 	splits          uint64
-	// p99 is over every operation, crowdP99 over those after the first
+	// lats holds every operation's latency, crowd those after the first
 	// phase.
-	p99, crowdP99 time.Duration
-	m             *shard.Map // the final map; nil for one server never split
+	lats, crowd *stats.Histogram
+	m           *shard.Map // the final map; nil for one server never split
 }
 
 // elasticLoad is one loader's part of an ablation: it calls op for each
@@ -71,50 +79,63 @@ type elasticResult struct {
 // committed map.
 type elasticLoad = func(li int, p *sim.Proc, op func(phase int, fn func(cluster.Ops) error) error) error
 
-// elasticAblation runs one arm per k of ks — static-k, or autoscale under
-// policy for k == 0 — and adds its row to table: mode, final K, splits,
-// operations, then row's cells.
+// elasticAblation runs one arm per k of ks, one row each: mode, final K,
+// splits, operations, SLO violations, p99, then the extra columns row
+// fills. An arm deploys the dataset — at most 20 000 small rects, uniform
+// over the unit square — on k shards of a fixed map, or for k == 0 on one
+// server that an autoscale controller under policy grows by live splits,
+// and runs load on every loader.
 func elasticAblation(o Options, name string, ks []int, policy autoscale.PolicyConfig, load elasticLoad,
-	table *stats.Table, row func(elasticResult) []string) (*stats.Table, error) {
-	data := elasticData(o)
+	extra []string, row func(elasticResult) []string) (*stats.Table, error) {
+	rng := rand.New(rand.NewSource(o.Seed))
+	data := make([]rtree.Entry, min(o.DatasetSize, 20000))
+	for i := range data {
+		data[i] = rtree.Entry{Rect: randRectIn(rng, unitSquare, 0.005), Ref: uint64(i)}
+	}
+	table := stats.NewTable(append([]string{"mode", "finalK", "splits", "ops", "viol%", "p99_us"}, extra...)...)
+	scheme := cluster.SchemeFastEvent
+	scheme.Heartbeats = true
+	cfg := cluster.Config{
+		Scheme:       scheme,
+		Dataset:      data,
+		NumClients:   elasticLoaders,
+		ServerCores:  elasticCores,
+		HeartbeatInv: o.HeartbeatInv,
+		Seed:         o.Seed,
+	}
 	for _, k := range ks {
 		mode := "autoscale"
 		if k > 0 {
 			mode = fmt.Sprintf("static-%d", k)
 		}
-		r, err := runArm(o, data, k, policy, load)
+		cfg.Shards = max(k, 1)
+		r, err := runArm(cfg, k == 0, policy, load)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s %s: %w", name, mode, err)
 		}
-		table.AddRow(append([]string{mode, fmt.Sprint(r.finalK), fmt.Sprint(r.splits), fmt.Sprint(r.ops)}, row(r)...)...)
+		finalK := 1
+		if r.m != nil {
+			finalK = r.m.K()
+		}
+		viol := fmt.Sprintf("%.2f", 100*float64(r.violations)/float64(max(r.ops, 1)))
+		table.AddRow(append([]string{mode, fmt.Sprint(finalK), fmt.Sprint(r.splits), fmt.Sprint(r.ops), viol,
+			fmtDur(r.lats.Quantile(0.99))}, row(r)...)...)
 	}
 	return table, nil
 }
 
-// runArm deploys data — staticK > 0 shards on a fixed map, or for
-// staticK == 0 one server that an autoscale controller under policy grows
-// by live splits — and runs load on every loader.
-func runArm(o Options, data []rtree.Entry, staticK int, policy autoscale.PolicyConfig, load elasticLoad) (elasticResult, error) {
-	scheme := cluster.SchemeFastEvent
-	scheme.Heartbeats = true
-	d, err := cluster.Deploy(cluster.Config{
-		Scheme:       scheme,
-		Dataset:      data,
-		NumClients:   16, // closed-loop loaders
-		ServerCores:  2,
-		HeartbeatInv: o.HeartbeatInv,
-		Shards:       max(staticK, 1),
-		Seed:         o.Seed,
-	})
+// runArm deploys cfg, under an autoscale controller when elastic, and runs
+// load on every loader.
+func runArm(cfg cluster.Config, elastic bool, policy autoscale.PolicyConfig, load elasticLoad) (elasticResult, error) {
+	d, err := cluster.Deploy(cfg)
 	if err != nil {
 		return elasticResult{}, err
 	}
 	var ctl *autoscale.Controller
-	if staticK == 0 {
-		ctl = d.Autoscale(policy, 2*o.HeartbeatInv)
+	if elastic {
+		ctl = d.Autoscale(policy, 2*cfg.HeartbeatInv)
 	}
-	var res elasticResult
-	var lats, crowd []time.Duration
+	res := elasticResult{lats: stats.NewHistogram(), crowd: stats.NewHistogram()}
 	err = d.Drive(func(li int, p *sim.Proc) error {
 		return load(li, p, func(phase int, fn func(cluster.Ops) error) error {
 			start := p.Now()
@@ -122,9 +143,10 @@ func runArm(o Options, data []rtree.Entry, staticK int, policy autoscale.PolicyC
 				return err
 			}
 			lat := p.Now() - start
-			lats = append(lats, lat)
+			res.ops++
+			res.lats.Record(lat)
 			if phase > 0 {
-				crowd = append(crowd, lat)
+				res.crowd.Record(lat)
 			}
 			if lat > elasticSLO {
 				res.violations++
@@ -133,46 +155,15 @@ func runArm(o Options, data []rtree.Entry, staticK int, policy autoscale.PolicyC
 			return nil
 		})
 	}, nil)
-	if err != nil {
-		return res, err
-	}
 	if ctl != nil {
 		res.splits = ctl.Stats().Splits
 	}
-	res.ops, res.m, res.finalK = len(lats), d.Map(), 1
-	if res.m != nil {
-		res.finalK = res.m.K()
-	}
-	res.p99, res.crowdP99 = p99(lats), p99(crowd)
-	return res, nil
+	res.m = d.Map()
+	return res, err
 }
 
-// p99 is the 99th-percentile latency (0 for none); it sorts lats.
-func p99(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[len(lats)*99/100]
-}
-
-// elasticData is both ablations' dataset: at most 20 000 small rects,
-// uniform over the unit square.
-func elasticData(o Options) []rtree.Entry {
-	rng := rand.New(rand.NewSource(o.Seed))
-	data := make([]rtree.Entry, min(o.DatasetSize, 20000))
-	for i := range data {
-		data[i] = rtree.Entry{Rect: randRectIn(rng, unitSquare, 0.005), Ref: uint64(i)}
-	}
-	return data
-}
-
+// unitSquare is the plane the dataset and the uniform queries cover.
 var unitSquare = geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-
-// violPct is the share of operations that violated the SLO.
-func (r elasticResult) violPct() string {
-	return fmt.Sprintf("%.2f", 100*float64(r.violations)/float64(max(r.ops, 1)))
-}
 
 // autoscaleLoad is one loader's diurnal replay: hot-district scans and
 // uniform scans with 10 % inserts, paced per phase.
@@ -227,6 +218,5 @@ func AblationAutoscale(o Options) (*stats.Table, error) {
 	return elasticAblation(o, "autoscale", []int{1, 2, 4, 0},
 		autoscale.PolicyConfig{ScaleUpUtil: 0.7, MaxK: 4, Cooldown: 10 * o.HeartbeatInv},
 		autoscaleLoad(o, min(o.Requests*3, 3000)),
-		stats.NewTable("mode", "finalK", "splits", "ops", "violations", "viol%", "p99_us"),
-		func(r elasticResult) []string { return []string{fmt.Sprint(r.violations), r.violPct(), fmtDur(r.p99)} })
+		nil, func(elasticResult) []string { return nil })
 }

@@ -323,13 +323,13 @@ func AblationHotspot(o Options) (*stats.Table, error) {
 	return elasticAblation(o, "hotspot", []int{1, 4, 0},
 		autoscale.PolicyConfig{ScaleUpUtil: 0.8, MaxK: 8, Cooldown: 25 * o.HeartbeatInv},
 		hotspotLoad(o, min(o.Requests*9, 7500)),
-		stats.NewTable("mode", "finalK", "splits", "ops", "viol%", "p99_us", "crowd_p99_us", "hotshard"),
+		[]string{"crowd_p99_us", "hotshard"},
 		func(r elasticResult) []string {
 			hot := 0
 			if r.m != nil {
 				hot = r.m.Owner(geo.PointRect(phaseGrid(o, hotspotPhases-1).HotCell().Center()))
 			}
-			return []string{r.violPct(), fmtDur(r.p99), fmtDur(r.crowdP99), fmt.Sprint(hot)}
+			return []string{fmtDur(r.crowd.Quantile(0.99)), fmt.Sprint(hot)}
 		})
 }
 
@@ -342,9 +342,6 @@ const hotspotPhases = 3
 // enough that one cell carries a real hotspot, fine enough that a split
 // isolates it).
 const hotspotGrid = 4
-
-// hotspotPause is each loader's think time between operations.
-const hotspotPause = 100 * time.Microsecond
 
 // phaseGrid is the flash crowd's Zipf grid in one phase. Every loader
 // derives it from the same seed, so the whole fleet agrees on where the
@@ -395,7 +392,7 @@ func hotspotLoad(o Options, opsPerLoader int) elasticLoad {
 				if err := op(phase, fn); err != nil {
 					return err
 				}
-				p.Sleep(hotspotPause)
+				p.Sleep(peakPause)
 			}
 		}
 		return nil

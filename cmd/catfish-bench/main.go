@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"github.com/catfish-db/catfish/bench"
-	"github.com/catfish-db/catfish/internal/cluster"
-	"github.com/catfish-db/catfish/internal/stats"
 )
 
 func main() {
@@ -135,34 +133,48 @@ func runFig(fig string, opts bench.Options) error {
 		section("Fig 9: communication micro-benchmark", start)
 		fmt.Println(t)
 	case "10", "11":
-		return sweep(start, "Fig 10: throughput, 100% search (Kops)", "Fig 11: latency, 100% search (mean µs)")(bench.Fig10And11(opts))
-	case "12", "13":
-		return sweep(start, "Fig 12: throughput, 90% search + 10% insert (Kops)", "Fig 13: latency, 90% search + 10% insert (mean µs)")(bench.Fig12And13(opts))
-	case "14":
-		return sweep(start, "Fig 14a: rea02 throughput (Kops)", "Fig 14b: rea02 latency (mean µs)")(bench.Fig14(opts))
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
-	}
-	return nil
-}
-
-// sweep prints a five-scheme sweep: its throughput and latency tables under
-// their titles, then the speedups and offloaded reads across it.
-func sweep(start time.Time, thrTitle, latTitle string) func(thr, lat *stats.Table, results []cluster.Result, err error) error {
-	return func(thr, lat *stats.Table, results []cluster.Result, err error) error {
+		thr, lat, results, err := bench.Fig10And11(opts)
 		if err != nil {
 			return err
 		}
-		section(thrTitle, start)
+		section("Fig 10: throughput, 100% search (Kops)", start)
 		fmt.Println(thr)
-		section(latTitle, start)
+		section("Fig 11: latency, 100% search (mean µs)", start)
 		fmt.Println(lat)
 		fmt.Println("Catfish speedups across the sweep:")
 		fmt.Println(bench.Speedups(results))
 		fmt.Println("Offloaded reads per search:")
 		fmt.Println(bench.ReadsPerSearch(results))
-		return nil
+	case "12", "13":
+		thr, lat, results, err := bench.Fig12And13(opts)
+		if err != nil {
+			return err
+		}
+		section("Fig 12: throughput, 90% search + 10% insert (Kops)", start)
+		fmt.Println(thr)
+		section("Fig 13: latency, 90% search + 10% insert (mean µs)", start)
+		fmt.Println(lat)
+		fmt.Println("Catfish speedups across the sweep:")
+		fmt.Println(bench.Speedups(results))
+		fmt.Println("Offloaded reads per search:")
+		fmt.Println(bench.ReadsPerSearch(results))
+	case "14":
+		thr, lat, results, err := bench.Fig14(opts)
+		if err != nil {
+			return err
+		}
+		section("Fig 14a: rea02 throughput (Kops)", start)
+		fmt.Println(thr)
+		section("Fig 14b: rea02 latency (mean µs)", start)
+		fmt.Println(lat)
+		fmt.Println("Catfish speedups across the sweep:")
+		fmt.Println(bench.Speedups(results))
+		fmt.Println("Offloaded reads per search:")
+		fmt.Println(bench.ReadsPerSearch(results))
+	default:
+		return fmt.Errorf("unknown figure %q", fig)
 	}
+	return nil
 }
 
 func runAblation(name string, opts bench.Options) error {

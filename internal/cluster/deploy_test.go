@@ -174,3 +174,21 @@ func TestDeployDriveReplicated(t *testing.T) {
 		t.Errorf("replicated runs nondeterministic:\na: %+v\nb: %+v", a, b)
 	}
 }
+
+// TestSplitRefusesBackups checks that a replicated deployment cannot split:
+// the new shard would have no backup, and a backup promoted after the
+// drain would fence by the pre-split map.
+func TestSplitRefusesBackups(t *testing.T) {
+	cfg := smallConfig(SchemeCatfish, 2)
+	cfg.Shards, cfg.Replicas = 2, 2
+	d, err := Deploy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := d.Split(0); err == nil || k != 2 {
+		t.Fatalf("Split on a replicated deployment: K=%d, err=%v; want K=2 and an error", k, err)
+	}
+	if len(d.shards) != 2 || d.splitting {
+		t.Fatalf("a refused split left %d shards, splitting=%v", len(d.shards), d.splitting)
+	}
+}

@@ -44,10 +44,12 @@ func (d *Deployment) Autoscale(cfg autoscale.PolicyConfig, every time.Duration) 
 // shard and returns the new count. The new server stack, the session shard
 // i mirrors to it on and every client's connection to it are made at once;
 // the split itself runs as a process of its own (reshard). One split runs
-// at a time: Split refuses while the last has not drained.
+// at a time: Split refuses while the last has not drained. It refuses a
+// deployment with backups, whose new shard would have none and whose
+// backups would, once promoted, fence by the pre-split map.
 func (d *Deployment) Split(i int) (int, error) {
 	k := len(d.shards)
-	if i < 0 || i >= k || d.splitting {
+	if i < 0 || i >= k || d.splitting || d.cfg.Replicas > 1 {
 		return k, fmt.Errorf("cluster: shard %d of %d cannot split now", i, k)
 	}
 	d.assign = append(d.assign, nil)
@@ -82,7 +84,9 @@ func (d *Deployment) Split(i int) (int, error) {
 // and at the commit builds every client's router on the successor map;
 // existing routers are offered it instead. The shard drains once every
 // router has started an operation on the successor map, so no driver has
-// one in flight on the old map, or after 100 heartbeat intervals.
+// one in flight on the old map, or after 100 heartbeat intervals. A router
+// that tracks no heartbeats adopts only when the fence refuses one of its
+// writes; until then its searches miss the drained cell (DESIGN.md §5.11).
 func (d *Deployment) reshard(p *sim.Proc, i int, sess *client.Client, fresh []*client.Client) error {
 	m, old := d.smap, d.shards[i].srv
 	if m == nil {

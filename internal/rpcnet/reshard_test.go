@@ -844,8 +844,10 @@ func runReshardScript(d *reshardDeploy) {
 		}
 		held = r
 		d.release()
-		// The held router scans on the old map: once shard 0 has drained,
-		// it finds nothing of the peeled cell.
+		// The held router scans on the old map. The fence guards writes
+		// only, so once shard 0 has drained this scan misses the peeled
+		// cell: the known read gap of a router that hears no heartbeats
+		// (DESIGN.md §5.11), used here only to see the drain.
 		d.await("the drain", func() bool {
 			items, _, err := r.Search(wholePlane)
 			return err == nil && inNewCell(items, nm) == 0
