@@ -202,7 +202,7 @@ type sink struct {
 type sinkOp struct {
 	req      wire.Request
 	status   uint8
-	ran      bool // executed against the tree, so accounted
+	ran      bool // accounted: a query that ran, or any write
 	from, to int  // items[from:to]
 	st       rtree.OpStats
 }
@@ -293,9 +293,8 @@ func (s *Serve[X]) Request(x X, req wire.Request) error {
 		var st rtree.OpStats
 		st, status = s.applyLocked(x, req)
 		x.Unlock()
-		// Also when the write was refused as not-primary: a lone refused
-		// write is charged its fixed cost, a batched one nothing. The sim
-		// always did both, and its golden pins both.
+		// A refused write (not primary, or fenced) is charged like one that
+		// ran with zero stats — its fixed cost — alone or batched.
 		x.Account(req.Type, 0, st, false)
 	case req.Type == wire.MsgPromote && s.cfg.Replica != nil:
 		// Failover control plane: adopt Ref as the shard's epoch and start
@@ -354,7 +353,7 @@ func (s *Serve[X]) Batch(x X, container []byte, limit int) error {
 			}
 		case isWrite(op.req.Type):
 			op.st, op.status = s.applyLocked(x, op.req)
-			op.ran = op.status != wire.StatusNotPrimary && op.status != wire.StatusWrongShard
+			op.ran = true
 		}
 		op.to = len(k.items)
 	}
